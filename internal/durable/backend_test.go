@@ -331,3 +331,46 @@ func TestDestroyRemovesDirectory(t *testing.T) {
 		t.Fatal("destroy left the directory behind")
 	}
 }
+
+// TestNewestVersionAcrossBlockBoundarySurvivesReopen: one key rewritten
+// often enough inside one memstore that its versions overflow an
+// SSTable block (70 x 1 000 B at 64 KB blocks); Get must return the
+// last value from the flushed file, and again after a reopen.
+func TestNewestVersionAcrossBlockBoundarySurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *kv.Store {
+		s, err := kv.OpenStore(kv.Config{
+			MemstoreFlushBytes: 1 << 20,
+			BlockBytes:         64 << 10,
+			OpenBackend:        Opener(dir, Options{}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	s := open()
+	if err := s.Put("a", []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for v := 0; v < 70; v++ {
+		want = make([]byte, 1000)
+		copy(want, fmt.Sprintf("version-%02d#", v))
+		if err := s.Put("k", want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Get("k"); err != nil || string(got) != string(want) {
+		t.Fatalf("Get after flush = %.12q, %v; want %.12q", got, err, want)
+	}
+	s.Close()
+	s = open()
+	defer s.Close()
+	if got, err := s.Get("k"); err != nil || string(got) != string(want) {
+		t.Fatalf("Get after reopen = %.12q, %v; want %.12q", got, err, want)
+	}
+}

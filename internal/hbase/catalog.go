@@ -3,10 +3,11 @@ package hbase
 // The META catalog: the cluster's own layout, stored as just another
 // durable region. HBase keeps table schemas and the region→server
 // assignment in a META table that is itself a region served by the
-// cluster; this file reproduces that idea one level down — a
-// Master-owned kv.Store on the durable backend (WAL + SSTables under
-// <DataDir>/meta) that every layout mutation writes through, so a whole
-// cluster can cold-start from its data directory alone (OpenCluster).
+// cluster; this file reproduces that idea one level down — a kv.Store
+// on the durable backend (WAL + SSTables under <DataDir>/meta), owned
+// by the LayoutMaster, that every layout mutation writes through, so a
+// whole cluster can cold-start from its data directory alone
+// (OpenCluster).
 //
 // # Row format
 //
@@ -79,16 +80,22 @@ package hbase
 //	                   the old regions' directories. Either side of a
 //	                   crash is a complete table; the losing side's
 //	                   directories are the orphans.
-//	RecoverServer      per dead region: copy its replica SSTables into
-//	                   a fresh gen-suffixed directory on a follower,
-//	                   replay the replica's shipped WAL tail over them,
-//	                   open it, THEN put the table row; finally delete
-//	                   the dead server's row and reclaim its shared WAL
-//	                   directory. A crash mid-way cold-starts the
-//	                   partially recovered layout (recovered regions on
-//	                   their followers, the rest still on the — then
-//	                   revived — dead server) and RecoverServer can
-//	                   simply be re-run.
+//	RecoverServer      (LayoutMaster.RecoverServer — the one failover
+//	                   path, whether Master or rpc.MasterNode runs it)
+//	                   bump splitSeq, then per dead region: the elected
+//	                   follower copies its replica SSTables into a fresh
+//	                   gen-suffixed directory, replays the replica's
+//	                   shipped WAL tail over them and opens it, THEN
+//	                   put the table row; after the last region delete
+//	                   the dead server's row, reclaim its shared WAL
+//	                   directory and re-pick (one table-row put each)
+//	                   the followers that pointed at it. A crash or a
+//	                   failed adoption mid-way leaves the partially
+//	                   recovered layout (recovered regions on their
+//	                   followers, the rest still on the — after a cold
+//	                   start, revived — dead server, still a member)
+//	                   and RecoverServer can simply be re-run: it sees
+//	                   only the remainder.
 //
 // # WAL ownership
 //
@@ -122,12 +129,12 @@ package hbase
 //
 // # Recovery order
 //
-// OpenCluster replays in dependency order: the cluster row (replication
-// factor, split sequence), then server rows (re-creating each
-// RegionServer with its persisted config), then table rows (reopening
-// every region's store from its directory on its assigned server and
-// rebuilding routing), and finally the orphan sweep that removes region
-// directories no table row references.
+// OpenCluster loads the whole catalog (openLayout: the cluster row,
+// server rows, table rows), then opens each member from its manifest —
+// its persisted config and the regions the table rows assign to it
+// (openServer, the same open a worker process runs) — rebuilds routing
+// over the opened regions, and finally sweeps the region directories no
+// table row references.
 
 import (
 	"encoding/json"
@@ -211,7 +218,7 @@ func snapshotKey(table, name string) string {
 	return catalogSnapshotPfx + table + "/" + name
 }
 
-// catalog is the Master's handle on the META store. All mutations
+// catalog is the LayoutMaster's handle on the META store. All writes
 // serialize on mu (layout changes are rare; the serving path never
 // touches the catalog), so row revisions are strictly ordered.
 type catalog struct {
@@ -243,10 +250,14 @@ func openCatalog(dataDir string) (*catalog, error) {
 	return &catalog{store: store, dir: dataDir}, nil
 }
 
-// put marshals row and durably writes it under key; the write is
-// fsynced before put returns (the commit point of the calling
-// operation).
-func (c *catalog) put(key string, row any) error {
+// put stamps row (through rev, its Rev field) with the next revision,
+// marshals it and durably writes it under key; the write is fsynced
+// before put returns (the commit point of the calling operation).
+func (c *catalog) put(key string, rev *uint64, row any) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.rev++
+	*rev = c.rev
 	buf, err := json.Marshal(row)
 	if err != nil {
 		return fmt.Errorf("hbase: catalog encode %s: %w", key, err)
@@ -278,12 +289,6 @@ func (c *catalog) get(key string, out any) (bool, error) {
 		return false, fmt.Errorf("hbase: catalog decode %s: %w", key, err)
 	}
 	return true, nil
-}
-
-// nextRev mints the next row revision. Callers hold c.mu.
-func (c *catalog) nextRev() uint64 {
-	c.rev++
-	return c.rev
 }
 
 // catalogState is everything loadAll recovers: the typed rows of the

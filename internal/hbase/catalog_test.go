@@ -63,8 +63,8 @@ func regionDirNames(t *testing.T, dataDir string) []string {
 func crashAt(t *testing.T, m *Master, point string, op func()) {
 	t.Helper()
 	inj := testutil.NewInjector()
-	m.crashHook = inj.Hook()
-	defer func() { m.crashHook = nil }()
+	m.layout.crashHook = inj.Hook()
+	defer func() { m.layout.crashHook = nil }()
 	testutil.CrashAt(t, inj, point, op)
 }
 

@@ -23,23 +23,31 @@ func NewClient(m *Master) *Client { return &Client{master: m} }
 
 // route finds the server hosting the region for (table, key).
 func (c *Client) route(table, key string) (*RegionServer, *Region, error) {
-	t, err := c.master.Table(table)
-	if err != nil {
-		return nil, nil, err
+	for attempt := 0; ; attempt++ {
+		t, err := c.master.Table(table)
+		if err != nil {
+			return nil, nil, err
+		}
+		r := t.RegionFor(key)
+		if r == nil {
+			return nil, nil, fmt.Errorf("hbase: no region for key %q", key)
+		}
+		host, ok := c.master.HostOf(r.Name())
+		if !ok {
+			if attempt == 0 {
+				// Replaced (split, failover, restore) between the two
+				// reads: successors are assigned before the table names
+				// them, so a second look finds one.
+				continue
+			}
+			return nil, nil, fmt.Errorf("hbase: region %q unassigned", r.Name())
+		}
+		rs, err := c.master.Server(host)
+		if err != nil {
+			return nil, nil, err
+		}
+		return rs, r, nil
 	}
-	r := t.RegionFor(key)
-	if r == nil {
-		return nil, nil, fmt.Errorf("hbase: no region for key %q", key)
-	}
-	host, ok := c.master.HostOf(r.Name())
-	if !ok {
-		return nil, nil, fmt.Errorf("hbase: region %q unassigned", r.Name())
-	}
-	rs, err := c.master.Server(host)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rs, r, nil
 }
 
 // withRetry runs op, refreshing the route once if the first attempt hit

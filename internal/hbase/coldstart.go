@@ -5,19 +5,19 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"met/internal/hdfs"
 )
 
 // OpenCluster cold-starts a whole cluster from its data directory
-// alone: the META catalog (see catalog.go) is replayed in dependency
-// order — cluster row, then servers, then tables — re-creating every
-// region server with its persisted configuration, reopening every
-// region's store from its on-disk directory (WAL replay recovers every
-// acknowledged write), rebuilding routing and the region→server
-// assignment exactly as they were committed. No CreateTable or manual
-// assignment is needed; the returned Master serves immediately.
+// alone: the META catalog (see catalog.go) is loaded through the layout
+// master's loader, every member is opened from its manifest exactly as
+// a worker process opens it (openServer: persisted configuration,
+// every assigned region's store reopened from its on-disk directory —
+// WAL replay recovers every acknowledged write), and routing and the
+// region→server assignment are rebuilt over the opened regions exactly
+// as they were committed. No CreateTable or manual assignment is
+// needed; the returned Master serves immediately.
 //
 // Region directories that no table row references — debris of an
 // operation that crashed before its commit point, such as a
@@ -30,124 +30,54 @@ import (
 // history from before the stop is not preserved (as after any full
 // HBase cluster restart, a major compaction restores it).
 func OpenCluster(dataDir string) (*Master, error) {
-	// Refuse before creating anything: opening the catalog would mint a
-	// fresh (empty) meta directory, silently "recovering" a zero-server
-	// cluster from a typo'd path.
-	if _, err := os.Stat(catalogDir(dataDir)); err != nil {
-		return nil, fmt.Errorf("hbase: open cluster %q: no META catalog: %w", dataDir, err)
-	}
-	cat, err := openCatalog(dataDir)
+	lm, snapshots, err := openLayout(dataDir)
 	if err != nil {
 		return nil, err
 	}
-	st, err := cat.loadAll()
-	if err != nil {
-		cat.close()
-		return nil, err
-	}
-	cluster, servers, tables := st.cluster, st.servers, st.tables
-	if len(servers) == 0 {
-		// A catalog with no committed membership is not a recoverable
-		// cluster (at most a cluster row from a creation that died before
-		// its first AddServer commit).
-		cat.close()
-		return nil, fmt.Errorf("hbase: open cluster %q: catalog holds no committed servers", dataDir)
-	}
-	nn := hdfs.NewNamenode(cluster.Replication)
-	m := NewMaster(nn)
-	m.catalog = cat
-	m.splitSeq = cluster.SplitSeq
-
+	nn := hdfs.NewNamenode(lm.Replication())
+	m := newMaster(nn, lm)
 	fail := func(err error) (*Master, error) {
-		for _, rs := range m.Servers() {
-			for _, r := range rs.Regions() {
-				r.Store().Close()
-			}
-			rs.Shutdown()
+		for _, rs := range m.servers {
+			closeServer(rs)
 		}
-		cat.close()
+		lm.Close()
 		return nil, err
 	}
-
-	serverNames := make([]string, 0, len(servers))
-	for sn := range servers {
-		serverNames = append(serverNames, sn)
-	}
-	sort.Strings(serverNames)
-	for _, sn := range serverNames {
-		rs, err := NewRegionServer(sn, servers[sn].Config, nn)
+	// Every member opens its manifest exactly as a worker process would.
+	for _, sn := range lm.ServerNames() {
+		man, err := lm.Manifest(sn)
 		if err != nil {
-			return fail(fmt.Errorf("hbase: cold start server %q: %w", sn, err))
+			return fail(err)
 		}
-		m.mu.Lock()
+		rs, err := openServer(man, nn)
+		if err != nil {
+			return fail(fmt.Errorf("hbase: cold start: %w", err))
+		}
 		m.servers[sn] = rs
-		m.mu.Unlock()
 	}
-
-	tableNames := make([]string, 0, len(tables))
-	for tn := range tables {
-		tableNames = append(tableNames, tn)
-	}
-	sort.Strings(tableNames)
+	// Rebuild routing over the opened regions.
 	live := make(map[string]bool) // escaped directory names to keep
-	for _, tn := range tableNames {
-		row := tables[tn]
-		t := newTable(tn, row.SplitKeys)
-		for _, rr := range row.Regions {
-			m.mu.RLock()
-			rs := m.servers[rr.Server]
-			m.mu.RUnlock()
-			if rs == nil {
-				return fail(fmt.Errorf("hbase: cold start: region %q assigned to unknown server %q", rr.Name, rr.Server))
-			}
-			r, err := newRegionNamed(rr.Name, tn, rr.Start, rr.End,
-				rs.storeConfigFor(rr.Name, rs.NumRegions()+1))
-			if err != nil {
-				return fail(fmt.Errorf("hbase: cold start: %w", err))
-			}
-			// Replica placement recovers from the catalog like the rest
-			// of the layout; the replicator reconciles the follower
-			// directories against the recovered stack (files already
-			// shipped are recognized, not re-copied).
-			r.SetFollowers(rr.Followers)
-			rs.OpenRegion(r)
-			t.addRegion(r)
-			m.mu.Lock()
-			m.assignment[rr.Name] = rr.Server
-			m.mu.Unlock()
-			// Rebuild the locality mirror from the recovered file stack.
-			rs.mirrorSync(r)
-			live[url.PathEscape(rr.Name)] = true
+	_, regions := lm.Layout()
+	for _, lr := range regions {
+		rs := m.servers[lr.Server]
+		if rs == nil {
+			return fail(fmt.Errorf("hbase: cold start: region %q assigned to unknown server %q", lr.Name, lr.Server))
 		}
-		m.mu.Lock()
-		m.tables[tn] = t
-		m.mu.Unlock()
+		t := m.tables[lr.Table]
+		if t == nil {
+			t = newTable(lr.Table, lm.tables[lr.Table].SplitKeys)
+			m.tables[lr.Table] = t
+		}
+		t.addRegion(rs.region(lr.Name))
+		m.assignment[lr.Name] = lr.Server
+		live[url.PathEscape(lr.Name)] = true
 	}
 
-	// Every catalog-assigned region is now open; whatever other region
-	// names a server's reopened log still holds (regions that moved away
-	// before the stop) will never re-register there. Drop them now, or
-	// their records pin the revived server's old segments — and sit in
-	// its shippable tail — until a flush cycle that may never come.
-	for _, sn := range serverNames {
-		m.mu.RLock()
-		rs := m.servers[sn]
-		m.mu.RUnlock()
-		if _, err := rs.ReclaimOrphanWALRecords(); err != nil {
-			return fail(fmt.Errorf("hbase: cold start: reclaim orphan wal records on %q: %w", sn, err))
-		}
-	}
-
+	isMember := func(server string) bool { return m.servers[server] != nil }
 	sweepOrphanRegions(dataDir, live)
-	sweepOrphanReplicas(dataDir, live, func(server string) bool {
-		_, ok := servers[server]
-		return ok
-	})
-	sweepOrphanWALs(dataDir, func(server string) bool {
-		_, ok := servers[server]
-		return ok
-	})
-	sweepOrphanSnapshots(dataDir, st.snapshots)
+	sweepOrphanReplicas(dataDir, live, isMember)
+	sweepOrphanWALs(dataDir, isMember)
+	sweepOrphanSnapshots(dataDir, snapshots)
 	return m, nil
 }
 
@@ -258,16 +188,8 @@ func (m *Master) HardStop() {
 	for _, rs := range m.Servers() {
 		rs.Shutdown()
 	}
-	// Release the META store too: every catalog commit was fsynced when
-	// it was acknowledged, so closing changes nothing about what a cold
-	// start recovers — but it lets the next owner (OpenCluster here, or
-	// a layout-master process over the same DataDir) open the catalog
-	// without sharing a live WAL handle.
-	m.mu.Lock()
-	cat := m.catalog
-	m.catalog = nil
-	m.mu.Unlock()
-	if cat != nil {
-		cat.close()
-	}
+	// Release the META store too, so the next owner (OpenCluster here,
+	// or a layout-master process over the same DataDir) opens the
+	// catalog without sharing a live WAL handle.
+	m.layout.Close()
 }

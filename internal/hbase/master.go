@@ -3,6 +3,7 @@ package hbase
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -92,17 +93,24 @@ func (b *ManualBalancer) Assign(regions []string, servers []string) map[string]s
 	return out
 }
 
-// Master is the cluster coordinator: table metadata, region-to-server
-// assignment, server membership, and balancing. Reads of the metadata
-// (routing, membership, assignment) take a shared lock so the client
-// hot path — Table, HostOf, Server on every operation — never
-// serializes behind other readers; mutations take the exclusive lock.
+// Master is the in-process cluster coordinator: the live RegionServer
+// and Table objects clients route through, server membership, and
+// balancing, beside the LayoutMaster that owns the layout those objects
+// realize. Reads of the metadata (routing, membership, assignment) take
+// a shared lock so the client hot path — Table, HostOf, Server on every
+// operation — never serializes behind other readers; mutations take the
+// exclusive lock. The layout has its own lock, never taken under mu.
 type Master struct {
 	mu sync.RWMutex
 
 	namenode *hdfs.Namenode
-	servers  map[string]*RegionServer
-	tables   map[string]*Table
+	// layout owns the catalog rows, the split sequence, every commit,
+	// follower placement and the failover loop (node.go, recovery.go).
+	// Every layout mutation here changes the live objects, then commits
+	// the table row built from them through it.
+	layout  *LayoutMaster
+	servers map[string]*RegionServer
+	tables  map[string]*Table
 	// creating reserves table names mid-CreateTable so two concurrent
 	// creations of the same name cannot both pass the existence check;
 	// addingServer does the same for AddServer, whose catalog commit
@@ -116,24 +124,18 @@ type Master struct {
 	assignment map[string]string
 	balancer   Balancer
 	moves      int64
-	splitSeq   int64
-
-	// catalog, when non-nil, is the durable META store every layout
-	// mutation writes through (see catalog.go); nil keeps the legacy
-	// in-memory-only metadata the simulation layers use.
-	catalog *catalog
-
-	// crashHook, when non-nil, is invoked at named crash points inside
-	// mutating operations — tests use it to simulate a hard process
-	// kill between a catalog write and the region work it describes.
-	crashHook func(point string)
 }
 
 // NewMaster creates a master over the given namenode with the default
 // randomized balancer and in-memory-only metadata (no catalog).
 func NewMaster(nn *hdfs.Namenode) *Master {
+	return newMaster(nn, newLayoutMaster(nil, nn.Replication()))
+}
+
+func newMaster(nn *hdfs.Namenode, layout *LayoutMaster) *Master {
 	return &Master{
 		namenode:     nn,
+		layout:       layout,
 		servers:      make(map[string]*RegionServer),
 		tables:       make(map[string]*Table),
 		creating:     make(map[string]bool),
@@ -165,79 +167,31 @@ func NewDurableMaster(nn *hdfs.Namenode, dataDir string) (*Master, error) {
 		return nil, fmt.Errorf("%w: %q (%d servers, %d tables); use OpenCluster to cold-start it",
 			ErrClusterExists, dataDir, len(st.servers), len(st.tables))
 	}
-	m := NewMaster(nn)
-	m.catalog = cat
-	if err := m.commitCluster(); err != nil {
+	lm := newLayoutMaster(cat, nn.Replication())
+	if err := lm.commitClusterLocked(); err != nil { // lm is not shared yet
 		cat.close()
 		return nil, err
 	}
-	return m, nil
+	return newMaster(nn, lm), nil
 }
 
-// crash fires the test-only crash hook.
-func (m *Master) crash(point string) {
-	if m.crashHook != nil {
-		m.crashHook(point)
-	}
-}
-
-// commitCluster persists the singleton cluster row (replication factor,
-// split sequence). No-op without a catalog.
-func (m *Master) commitCluster() error {
-	if m.catalog == nil {
-		return nil
-	}
-	m.mu.RLock()
-	row := clusterRow{Replication: m.namenode.Replication(), SplitSeq: m.splitSeq}
-	m.mu.RUnlock()
-	m.catalog.mu.Lock()
-	defer m.catalog.mu.Unlock()
-	row.Rev = m.catalog.nextRev()
-	return m.catalog.put(catalogClusterKey, row)
-}
-
-// commitServer persists one server's membership row.
-func (m *Master) commitServer(name string, cfg ServerConfig) error {
-	if m.catalog == nil {
-		return nil
-	}
-	m.catalog.mu.Lock()
-	defer m.catalog.mu.Unlock()
-	return m.catalog.put(catalogServerPfx+name, serverRow{Config: cfg, Rev: m.catalog.nextRev()})
-}
-
-// dropServer tombstones a decommissioned server's row.
-func (m *Master) dropServer(name string) error {
-	if m.catalog == nil {
-		return nil
-	}
-	m.catalog.mu.Lock()
-	defer m.catalog.mu.Unlock()
-	return m.catalog.delete(catalogServerPfx + name)
-}
-
-// commitTable persists t's complete current layout — bounds and
-// assignment of every region — as one durable row write: the atomic
-// commit point of CreateTable, MoveRegion and SplitRegion. The row is
-// built under the catalog lock so two racing layout changes to the same
-// table serialize write-for-write with their snapshots.
+// commitTable commits t's current layout — built from the live objects
+// under the layout lock — through the LayoutMaster: the atomic commit
+// point of CreateTable, MoveRegion and SplitRegion.
 func (m *Master) commitTable(t *Table) error {
-	if m.catalog == nil {
-		return nil
-	}
-	m.catalog.mu.Lock()
-	defer m.catalog.mu.Unlock()
-	row := tableRow{SplitKeys: t.splitKeys, Rev: m.catalog.nextRev()}
-	m.mu.RLock()
-	for _, r := range t.Regions() {
-		row.Regions = append(row.Regions, regionRow{
-			Name: r.Name(), Start: r.StartKey(), End: r.EndKey(),
-			Server:    m.assignment[r.Name()],
-			Followers: r.Followers(),
-		})
-	}
-	m.mu.RUnlock()
-	return m.catalog.put(catalogTablePfx+t.Name(), row)
+	return m.layout.commitTable(t.Name(), func() tableRow {
+		row := tableRow{SplitKeys: t.splitKeys}
+		m.mu.RLock()
+		defer m.mu.RUnlock()
+		for _, r := range t.Regions() {
+			row.Regions = append(row.Regions, regionRow{
+				Name: r.Name(), Start: r.StartKey(), End: r.EndKey(),
+				Server:    m.assignment[r.Name()],
+				Followers: r.Followers(),
+			})
+		}
+		return row
+	})
 }
 
 // commitTableOf is commitTable by table name; unknown tables are a
@@ -252,56 +206,14 @@ func (m *Master) commitTableOf(name string) error {
 	return m.commitTable(t)
 }
 
-// pickFollowers chooses the servers that will hold replica copies of a
-// region hosted on host: replication−1 live datanodes, least-used
-// first, never the primary itself (hdfs.Namenode.PlaceFollowers — the
-// same placement policy HDFS applies to block replicas, now
-// load-bearing).
-func (m *Master) pickFollowers(host string) []string {
-	return m.namenode.PlaceFollowers(host, m.namenode.Replication()-1)
-}
-
-// refreshFollowersAfterLoss re-picks the follower set of every region
-// that listed the departed server (decommissioned or failed over) as a
-// replica target, committing each affected table's layout. Without
-// this, regions would keep shipping to — and a future recovery would
-// look for copies on — a server that no longer exists.
-func (m *Master) refreshFollowersAfterLoss(departed string) error {
-	var errs []error
-	for _, tn := range m.Tables() {
-		t, err := m.Table(tn)
-		if err != nil {
-			continue
-		}
-		changed := false
-		for _, r := range t.Regions() {
-			affected := false
-			for _, f := range r.Followers() {
-				if f == departed {
-					affected = true
-					break
-				}
-			}
-			if !affected {
-				continue
-			}
-			host, ok := m.HostOf(r.Name())
-			if !ok {
-				continue
-			}
-			r.SetFollowers(m.pickFollowers(host))
-			changed = true
-			if rs, err := m.Server(host); err == nil {
-				rs.notifyReplication(r.Name())
-			}
-		}
-		if changed {
-			if err := m.commitTable(t); err != nil {
-				errs = append(errs, err)
-			}
-		}
+// landOn prepares r to be hosted on dst: a primary landing on one of
+// its own followers degenerates the replica set (a copy co-located with
+// the primary protects nothing), so the followers are re-picked before
+// the destination starts shipping.
+func (m *Master) landOn(r *Region, dst string) {
+	if slices.Contains(r.Followers(), dst) {
+		r.SetFollowers(m.layout.pickFollowers(dst, nil))
 	}
-	return errors.Join(errs...)
 }
 
 // SetBalancer swaps the placement policy.
@@ -338,8 +250,8 @@ func (m *Master) AddServer(name string, cfg ServerConfig) (*RegionServer, error)
 	if err != nil {
 		return nil, err
 	}
-	m.crash("addserver.registered")
-	if err := m.commitServer(name, cfg); err != nil {
+	m.layout.crash("addserver.registered")
+	if err := m.layout.commitServer(name, cfg); err != nil {
 		rs.Shutdown()
 		m.namenode.RemoveDatanode(name)
 		return nil, err
@@ -378,14 +290,7 @@ func (m *Master) DecommissionServer(name string) error {
 		sort.SliceStable(targets, func(i, j int) bool { return targets[i].NumRegions() < targets[j].NumRegions() })
 		dst := targets[0]
 		rs.CloseRegion(r.Name())
-		// The drained region may land on its own follower; re-pick so
-		// the primary never replicates to itself.
-		for _, f := range r.Followers() {
-			if f == dst.Name() {
-				r.SetFollowers(m.pickFollowers(dst.Name()))
-				break
-			}
-		}
+		m.landOn(r, dst.Name())
 		dst.OpenRegion(r)
 		m.mu.Lock()
 		m.assignment[r.Name()] = dst.Name()
@@ -398,16 +303,13 @@ func (m *Master) DecommissionServer(name string) error {
 			errs = append(errs, err)
 		}
 	}
-	m.crash("decommission.drained")
+	m.layout.crash("decommission.drained")
 	rs.Shutdown() // stop serving and drain the compactor and replicator
 	m.namenode.RemoveDatanode(name)
-	if err := m.dropServer(name); err != nil {
-		errs = append(errs, err)
-	}
-	// Regions elsewhere that replicated onto this server need new
+	// Regions elsewhere that replicated onto this server get new
 	// followers; their old replica directories become orphans the next
 	// cold start sweeps.
-	if err := m.refreshFollowersAfterLoss(name); err != nil {
+	if err := m.layout.removeServer(name, m.refollow); err != nil {
 		errs = append(errs, err)
 	}
 	return errors.Join(errs...)
@@ -428,7 +330,7 @@ func (m *Master) RestartServer(name string, cfg ServerConfig) error {
 	if err := rs.Restart(cfg); err != nil {
 		return err
 	}
-	return m.commitServer(name, cfg)
+	return m.layout.commitServer(name, cfg)
 }
 
 // Server returns a registered server.
@@ -506,6 +408,7 @@ func (m *Master) CreateTable(name string, splitKeys []string) (*Table, error) {
 	plan := balancer.Assign(names, serverNames)
 
 	var opened []*Region
+	var hosts []string // of the regions opened so far: follower placement counts them
 	unwind := func() {
 		for _, r := range opened {
 			m.mu.Lock()
@@ -534,15 +437,16 @@ func (m *Master) CreateTable(name string, splitKeys []string) (*Table, error) {
 			unwind()
 			return nil, fmt.Errorf("hbase: create table %q: %w", name, err)
 		}
-		r.SetFollowers(m.pickFollowers(host))
+		r.SetFollowers(m.layout.pickFollowers(host, hosts))
 		rs.OpenRegion(r)
 		t.addRegion(r)
 		m.mu.Lock()
 		m.assignment[r.Name()] = host
 		m.mu.Unlock()
 		opened = append(opened, r)
+		hosts = append(hosts, host)
 	}
-	m.crash("createtable.regions-open")
+	m.layout.crash("createtable.regions-open")
 	if err := m.commitTable(t); err != nil {
 		unwind()
 		return nil, err
@@ -621,21 +525,13 @@ func (m *Master) MoveRegion(regionName, dstServer string) error {
 	if r == nil {
 		return fmt.Errorf("hbase: region %q not open on %q", regionName, src)
 	}
-	// A primary landing on one of its own followers degenerates the
-	// replica set (a copy co-located with the primary protects nothing);
-	// re-pick before the destination starts shipping.
-	for _, f := range r.Followers() {
-		if f == dstServer {
-			r.SetFollowers(m.pickFollowers(dstServer))
-			break
-		}
-	}
+	m.landOn(r, dstServer)
 	dstRS.OpenRegion(r)
 	m.mu.Lock()
 	m.assignment[regionName] = dstServer
 	m.moves++
 	m.mu.Unlock()
-	m.crash("moveregion.moved")
+	m.layout.crash("moveregion.moved")
 	// Commit the table's new layout. A crash before this write
 	// cold-starts the region on its old host — correct either way,
 	// because region data directories are keyed by region name, not

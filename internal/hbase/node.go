@@ -1,45 +1,46 @@
 package hbase
 
-// The multi-process node surface: what met/internal/rpc and cmd/metnode
-// build a networked cluster from. In-process, one Master object owns
-// the catalog AND every RegionServer; across processes that splits into
+// The layout owner and the node surface.
 //
-//   - a layout master (LayoutMaster): the catalog's exclusive owner —
+// One type owns the cluster layout — LayoutMaster: the catalog rows
+// (membership, one row per table, the split sequence), the routing
+// epoch, every commit function, follower placement, replica election
+// and the failover loop. Whoever runs the region servers builds on it:
+//
+//   - In one process, Master (master.go) keeps the live RegionServer
+//     and Table objects clients route through beside a LayoutMaster,
+//     changes them, and commits the resulting table rows through it.
+//   - Across processes (met/internal/rpc, cmd/metnode), the master
+//     process serves a LayoutMaster as is and holds no region store:
 //     the META store is itself a durable kv.Store with a WAL, so
-//     exactly one process may open it. It holds no region stores at
-//     all: it loads the committed layout, hands each worker its
-//     manifest, routes clients, and orchestrates failover. Layout
-//     changes bump an in-memory routing epoch clients use to detect
-//     stale route caches.
-//   - worker nodes: one process per region server, opened with
-//     OpenServerNode from the manifest the master hands out. A worker
-//     owns its shared WAL and region stores exclusively (directories
-//     are keyed by server and region name, so workers never collide on
-//     disk) and serves Get/Put/Delete/Scan directly.
+//     exactly one process may open it. Each worker process opens the
+//     manifest the master hands it with OpenServerNode and owns its
+//     shared WAL and region stores exclusively (directories are keyed
+//     by server and region name, so workers never collide on disk).
 //
-// Failover splits the same way RecoverServer does in-process, at the
-// same commit points: the master plans the recovery (PlanRecovery picks
-// each dead region's best replica by scanning the shipped copies on the
-// shared disk — reading files is safe, only store/WAL *ownership* is
-// exclusive), the chosen workers adopt their regions from the replica
-// copies (RegionServer.AdoptRegion — the worker-side middle of
-// recoverRegion), and the master commits the new layout
-// (CommitRecovery: table rows, then the membership delete, then
-// directory reclaim). A crash mid-way cold-starts the partially
-// recovered layout, exactly like the in-process path, and the recovery
-// can be re-run.
+// Both run the same code for the three things a layout owner does to
+// region servers. Cold start: OpenCluster loads the catalog through
+// OpenLayoutMaster's loader (openLayout) and opens every member through
+// OpenServerNode's per-manifest open (openServer). Follower placement:
+// pickFollowersLocked, from hosted-region counts in the layout alone.
+// Failover: LayoutMaster.RecoverServer (recovery.go) plans, adopts and
+// commits one dead region at a time, handed the two steps that touch a
+// region server — adopt and refollow — as functions: direct
+// RegionServer.AdoptRegion/Refollow calls from Master.RecoverServer,
+// POST /node/adopt|refollow from rpc.MasterNode.
 //
-// Loss accounting differs from RecoverServer by necessity: a real
-// process kill takes the dead server's in-memory clocks with it, so
-// there is no deadTS to subtract. AdoptionReport carries RecoveredTS
-// (the adopted store's clock — dense, one tick per mutation) and the
-// caller measures loss against what it acknowledged, which is how the
-// metbench failover gate does its accounting.
+// Only loss accounting differs, by necessity: a real process kill takes
+// the dead server's in-memory clocks with it. AdoptionReport carries
+// RecoveredTS (the adopted store's clock — dense, one tick per
+// mutation); Master.RecoverServer subtracts it from the dead store
+// object's clock, a networked caller measures loss against what it saw
+// acknowledged (how the metbench failover gate does its accounting).
 
 import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 
@@ -72,8 +73,8 @@ type NodeManifest struct {
 // AdoptSpec tells a worker to fail a dead region over onto itself.
 type AdoptSpec struct {
 	// Region is the dead region's name; NewRegion the gen-suffixed name
-	// it is recovered under (minted by PlanRecovery after a durable
-	// split-sequence bump, so a replayed recovery cannot collide).
+	// it is recovered under (minted after a durable split-sequence bump,
+	// so a replayed recovery cannot collide).
 	Region    string `json:"region"`
 	NewRegion string `json:"new_region"`
 	Table     string `json:"table"`
@@ -101,68 +102,131 @@ type AdoptionReport struct {
 	RecoveredTS uint64 `json:"recovered_ts"`
 }
 
-// FollowerUpdate directs a worker to repoint one of its regions'
-// replica targets after a membership change (the multi-process
-// refreshFollowersAfterLoss).
+// FollowerUpdate directs a region's hosting server to repoint its
+// replica targets after a member left (LayoutMaster.removeServer).
 type FollowerUpdate struct {
 	Region    string   `json:"region"`
 	Server    string   `json:"server"`
 	Followers []string `json:"followers"`
 }
 
-// LayoutMaster is the catalog-owning, store-less master of a
-// multi-process cluster.
+// RecoveredRegion pairs one region's recovery plan with the adopting
+// server's account of carrying it out.
+type RecoveredRegion struct {
+	Spec   AdoptSpec      `json:"spec"`
+	Report AdoptionReport `json:"report"`
+}
+
+// LayoutMaster owns the cluster layout: the catalog rows (membership,
+// table rows, split sequence), the routing epoch, and every decision
+// derived from them — follower placement, replica election, failover.
+// It holds no region store. A networked master process serves it as is
+// (rpc.MasterNode); the in-process Master keeps its live RegionServer
+// and Table objects beside one and commits through it. Without a
+// catalog (NewMaster's in-memory clusters, or after Close) commits
+// update the in-memory layout only.
 type LayoutMaster struct {
 	mu          sync.Mutex
 	cat         *catalog
-	dataDir     string
 	replication int
 	splitSeq    int64
 	epoch       int64
 	servers     map[string]ServerConfig
 	tables      map[string]*tableRow
+	// recovering marks members with a failover in flight: one recovery
+	// per server at a time, and neither follower placement nor replica
+	// election may choose a server that is being recovered away.
+	recovering map[string]bool
+
+	// crashHook, when non-nil, is invoked at named crash points inside
+	// mutating operations — tests use it to simulate a hard process
+	// kill between a catalog write and the region work it describes.
+	crashHook func(point string)
+}
+
+func newLayoutMaster(cat *catalog, replication int) *LayoutMaster {
+	return &LayoutMaster{
+		cat:         cat,
+		replication: replication,
+		epoch:       1,
+		servers:     make(map[string]ServerConfig),
+		tables:      make(map[string]*tableRow),
+		recovering:  make(map[string]bool),
+	}
+}
+
+// openLayout opens the cluster catalog under dataDir exclusively and
+// loads the committed layout: the one loader behind OpenLayoutMaster
+// and OpenCluster. The snapshot manifests ride along for the cold
+// start's orphan sweep.
+func openLayout(dataDir string) (*LayoutMaster, map[string]snapshotRow, error) {
+	// Refuse before creating anything: opening the catalog would mint a
+	// fresh (empty) meta directory, silently "recovering" a zero-server
+	// cluster from a typo'd path.
+	if _, err := os.Stat(catalogDir(dataDir)); err != nil {
+		return nil, nil, fmt.Errorf("hbase: open %q: no META catalog: %w", dataDir, err)
+	}
+	cat, err := openCatalog(dataDir)
+	if err != nil {
+		return nil, nil, err
+	}
+	st, err := cat.loadAll()
+	if err != nil {
+		cat.close()
+		return nil, nil, err
+	}
+	if len(st.servers) == 0 {
+		// A catalog with no committed membership is not a recoverable
+		// cluster (at most a cluster row from a creation that died before
+		// its first AddServer commit).
+		cat.close()
+		return nil, nil, fmt.Errorf("hbase: open %q: catalog holds no committed servers", dataDir)
+	}
+	lm := newLayoutMaster(cat, st.cluster.Replication)
+	lm.splitSeq = st.cluster.SplitSeq
+	for name, row := range st.servers {
+		lm.servers[name] = row.Config
+	}
+	for name, row := range st.tables {
+		lm.tables[name] = &row
+	}
+	return lm, st.snapshots, nil
 }
 
 // OpenLayoutMaster opens the cluster catalog exclusively and loads the
 // committed layout. No region store is opened; workers own those.
 func OpenLayoutMaster(dataDir string) (*LayoutMaster, error) {
-	if _, err := os.Stat(catalogDir(dataDir)); err != nil {
-		return nil, fmt.Errorf("hbase: open layout master %q: no META catalog: %w", dataDir, err)
-	}
-	cat, err := openCatalog(dataDir)
-	if err != nil {
-		return nil, err
-	}
-	st, err := cat.loadAll()
-	if err != nil {
-		cat.close()
-		return nil, err
-	}
-	if len(st.servers) == 0 {
-		cat.close()
-		return nil, fmt.Errorf("hbase: open layout master %q: catalog holds no committed servers", dataDir)
-	}
-	lm := &LayoutMaster{
-		cat:         cat,
-		dataDir:     dataDir,
-		replication: st.cluster.Replication,
-		splitSeq:    st.cluster.SplitSeq,
-		epoch:       1,
-		servers:     make(map[string]ServerConfig, len(st.servers)),
-		tables:      make(map[string]*tableRow, len(st.tables)),
-	}
-	for name, row := range st.servers {
-		lm.servers[name] = row.Config
-	}
-	for name, row := range st.tables {
-		r := row
-		lm.tables[name] = &r
-	}
-	return lm, nil
+	lm, _, err := openLayout(dataDir)
+	return lm, err
 }
 
-// Close releases the catalog store.
-func (lm *LayoutMaster) Close() { lm.cat.close() }
+// Close releases the catalog store. Every commit was fsynced when it
+// was acknowledged, so closing changes nothing about what the next
+// owner of the data directory recovers.
+func (lm *LayoutMaster) Close() {
+	lm.mu.Lock()
+	cat := lm.cat
+	lm.cat = nil
+	lm.mu.Unlock()
+	if cat != nil {
+		cat.close()
+	}
+}
+
+// catalog returns the META store handle (nil without one).
+func (lm *LayoutMaster) catalog() *catalog {
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	return lm.cat
+}
+
+// crash fires the test-only crash hook. Never called under lm.mu: the
+// hook simulates a kill by unwinding the caller.
+func (lm *LayoutMaster) crash(point string) {
+	if lm.crashHook != nil {
+		lm.crashHook(point)
+	}
+}
 
 // Epoch returns the current routing epoch. It advances on every layout
 // change; a client carrying an older epoch is routing on a stale
@@ -231,30 +295,25 @@ func (lm *LayoutMaster) Manifest(server string) (NodeManifest, error) {
 	return man, nil
 }
 
-// regionCountsLocked counts assigned regions per server (placement
-// load); callers hold lm.mu.
-func (lm *LayoutMaster) regionCountsLocked() map[string]int {
+// membersByLoadLocked lists the members other than host that are not
+// being recovered away, fewest hosted regions first, ties by name. It
+// is the one ordering follower placement and the no-replica-survived
+// election fallback share, derived from the layout alone. inflight
+// names the hosts of regions placed but not yet committed (a table
+// still being created), which count as hosted. Callers hold lm.mu.
+func (lm *LayoutMaster) membersByLoadLocked(host string, inflight []string) []string {
 	counts := make(map[string]int, len(lm.servers))
-	for n := range lm.servers {
-		counts[n] = 0
-	}
 	for _, t := range lm.tables {
 		for _, rr := range t.Regions {
 			counts[rr.Server]++
 		}
 	}
-	return counts
-}
-
-// pickFollowersLocked chooses replication−1 live servers other than
-// host, least-loaded first (the namenode's placement policy, re-derived
-// from the layout because the layout master runs no namenode). Callers
-// hold lm.mu.
-func (lm *LayoutMaster) pickFollowersLocked(host string) []string {
-	counts := lm.regionCountsLocked()
-	cands := make([]string, 0, len(counts))
-	for n := range counts {
-		if n != host {
+	for _, h := range inflight {
+		counts[h]++
+	}
+	cands := make([]string, 0, len(lm.servers))
+	for n := range lm.servers {
+		if n != host && !lm.recovering[n] {
 			cands = append(cands, n)
 		}
 	}
@@ -264,231 +323,168 @@ func (lm *LayoutMaster) pickFollowersLocked(host string) []string {
 		}
 		return cands[i] < cands[j]
 	})
-	want := lm.replication - 1
-	if want > len(cands) {
-		want = len(cands)
-	}
-	return append([]string(nil), cands[:want]...)
+	return cands
 }
 
-// PlanRecovery plans the failover of a dead worker: one AdoptSpec per
-// region it hosted, each targeted at the live follower whose shipped
-// replica covers the highest timestamp (ties to the most files, then
-// follower order — pickRecoverySource's election, run over the shared
-// disk). The split sequence is bumped and committed first, so a
-// replayed recovery can never mint colliding names. The dead process
-// must actually be dead: its WAL and region directories are about to
-// be recovered around and then reclaimed.
-func (lm *LayoutMaster) PlanRecovery(dead string) ([]AdoptSpec, error) {
+// pickFollowersLocked chooses the servers that hold replica copies of a
+// region hosted on host: replication−1 of membersByLoadLocked, never
+// the primary itself. A follower picked here is where the region
+// reopens after its primary dies. Callers hold lm.mu.
+func (lm *LayoutMaster) pickFollowersLocked(host string, inflight []string) []string {
+	cands := lm.membersByLoadLocked(host, inflight)
+	if want := max(lm.replication-1, 0); want < len(cands) {
+		cands = cands[:want]
+	}
+	return cands
+}
+
+// pickFollowers is pickFollowersLocked for callers outside the lock.
+func (lm *LayoutMaster) pickFollowers(host string, inflight []string) []string {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	deadCfg, ok := lm.servers[dead]
-	if !ok {
-		return nil, fmt.Errorf("hbase: plan recovery: unknown server %q", dead)
+	return lm.pickFollowersLocked(host, inflight)
+}
+
+// persistLocked stamps row with the next catalog revision and durably
+// writes it under key; a no-op without a catalog. Callers hold lm.mu.
+func (lm *LayoutMaster) persistLocked(key string, rev *uint64, row any) error {
+	if lm.cat == nil {
+		return nil
 	}
-	if len(lm.servers) == 1 {
-		return nil, ErrNoServers
-	}
+	return lm.cat.put(key, rev, row)
+}
+
+// commitClusterLocked persists the singleton cluster row (replication
+// factor, split sequence). Callers hold lm.mu.
+func (lm *LayoutMaster) commitClusterLocked() error {
+	row := clusterRow{Replication: lm.replication, SplitSeq: lm.splitSeq}
+	return lm.persistLocked(catalogClusterKey, &row.Rev, &row)
+}
+
+// nextGen bumps the split sequence and persists it before the caller
+// creates anything named after it: a split, restore or recovery
+// replayed after a crash can never mint region names — and therefore
+// data directories — that collide with the first attempt's leftovers.
+// A failure merely skips a generation number.
+func (lm *LayoutMaster) nextGen() (int64, error) {
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
 	lm.splitSeq++
-	gen := lm.splitSeq
-	if err := lm.commitClusterLocked(); err != nil {
-		lm.splitSeq--
-		return nil, err
-	}
-	var specs []AdoptSpec
-	for _, r := range lm.regionsLocked() {
-		if r.Server != dead {
-			continue
-		}
-		source, replicaDirPath := lm.electReplicaLocked(deadCfg.DataDir, dead, r)
-		if source == "" {
-			return nil, fmt.Errorf("hbase: plan recovery: no live server to adopt %s", r.Name)
-		}
-		specs = append(specs, AdoptSpec{
-			Region: r.Name, NewRegion: fmt.Sprintf("%s.%d", r.Name, gen),
-			Table: r.Table, Start: r.Start, End: r.End,
-			Source: source, ReplicaDir: replicaDirPath,
-			Followers: lm.pickFollowersLocked(source),
-		})
-	}
-	return specs, nil
+	return lm.splitSeq, lm.commitClusterLocked()
 }
 
-// electReplicaLocked is pickRecoverySource over the layout: the live
-// follower with the highest covered timestamp wins; with no surviving
-// replica, the least-loaded live server starts the region empty.
-// Callers hold lm.mu.
-func (lm *LayoutMaster) electReplicaLocked(deadDataDir, dead string, r LayoutRegion) (string, string) {
-	best, bestDir := "", ""
-	bestFiles := -1
-	var bestCovered uint64
-	for _, f := range r.Followers {
-		if f == dead {
-			continue
-		}
-		if _, ok := lm.servers[f]; !ok {
-			continue
-		}
-		dir := replicaDir(deadDataDir, f, r.Name)
-		ids, err := replication.ListSSTables(dir)
-		if err != nil {
-			continue
-		}
-		covered := replicaCoveredTS(dir, ids)
-		if best == "" || covered > bestCovered ||
-			(covered == bestCovered && len(ids) > bestFiles) {
-			best, bestDir, bestFiles, bestCovered = f, dir, len(ids), covered
-		}
-	}
-	if best != "" {
-		return best, bestDir
-	}
-	counts := lm.regionCountsLocked()
-	for n := range counts {
-		if n == dead {
-			continue
-		}
-		if best == "" || counts[n] < counts[best] || (counts[n] == counts[best] && n < best) {
-			best = n
-		}
-	}
-	return best, ""
-}
-
-// CommitRecovery publishes a completed recovery: every affected table's
-// row is rewritten with the adopted regions (one durable Put per table
-// — the same atomicity unit as in-process recovery), the dead server's
-// membership row is deleted, its directories are reclaimed, and the
-// routing epoch advances. It returns the follower updates for regions
-// elsewhere that replicated onto the dead server, which the caller
-// must relay to the owning workers (SetFollowers + a replication
-// nudge); those re-picks are committed here too.
-func (lm *LayoutMaster) CommitRecovery(dead string, specs []AdoptSpec) ([]FollowerUpdate, error) {
+// commitServer persists one server's membership row and admits it.
+func (lm *LayoutMaster) commitServer(name string, cfg ServerConfig) error {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	deadCfg, ok := lm.servers[dead]
-	if !ok {
-		return nil, fmt.Errorf("hbase: commit recovery: unknown server %q", dead)
+	row := serverRow{Config: cfg}
+	if err := lm.persistLocked(catalogServerPfx+name, &row.Rev, &row); err != nil {
+		return err
 	}
-	byRegion := make(map[string]AdoptSpec, len(specs))
-	for _, sp := range specs {
-		byRegion[sp.Region] = sp
+	lm.servers[name] = cfg
+	return nil
+}
+
+// commitTable persists one table's complete layout — bounds, assignment
+// and followers of every region — as one durable row write, the atomic
+// commit point of every layout change, then installs it and advances
+// the routing epoch. build runs under lm.mu, so two racing changes to
+// one table serialize write-for-write with their views of it. On a
+// catalog error nothing is installed: the layout stays what the catalog
+// holds.
+func (lm *LayoutMaster) commitTable(name string, build func() tableRow) error {
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	return lm.commitTableLocked(name, build())
+}
+
+func (lm *LayoutMaster) commitTableLocked(name string, row tableRow) error {
+	if err := lm.persistLocked(catalogTablePfx+name, &row.Rev, &row); err != nil {
+		return err
 	}
-	// Swap the adopted regions into their table rows, and re-pick the
-	// follower sets that listed the dead server, in one pass per table.
-	var updates []FollowerUpdate
-	changed := make(map[string]bool)
-	for tn, t := range lm.tables {
-		for i := range t.Regions {
-			rr := &t.Regions[i]
-			if sp, ok := byRegion[rr.Name]; ok {
-				rr.Name, rr.Server = sp.NewRegion, sp.Source
-				rr.Followers = append([]string(nil), sp.Followers...)
-				changed[tn] = true
-				continue
-			}
-			for _, f := range rr.Followers {
-				if f != dead {
-					continue
-				}
-				rr.Followers = lm.pickFollowersExcludingLocked(rr.Server, dead)
-				updates = append(updates, FollowerUpdate{
-					Region: rr.Name, Server: rr.Server,
-					Followers: append([]string(nil), rr.Followers...),
-				})
-				changed[tn] = true
-				break
-			}
+	lm.tables[name] = &row
+	lm.epoch++
+	return nil
+}
+
+// editTableLocked rewrites the regions of one table row that edit
+// changes and commits the row if any did. Callers hold lm.mu.
+func (lm *LayoutMaster) editTableLocked(name string, edit func(rr *regionRow) bool) error {
+	row := *lm.tables[name]
+	row.Regions = append([]regionRow(nil), row.Regions...)
+	changed := false
+	for i := range row.Regions {
+		if edit(&row.Regions[i]) {
+			changed = true
 		}
 	}
+	if !changed {
+		return nil
+	}
+	return lm.commitTableLocked(name, row)
+}
+
+// removeServer ends a member's life, decommissioned or failed over: its
+// membership row is tombstoned, its shared WAL directory reclaimed
+// (every region it logged for has flushed onto another server's log, or
+// was recovered from replica copies and never read it), and every
+// region elsewhere that shipped replicas to it gets a fresh follower
+// set — committed per table, then handed to refollow so the hosting
+// server repoints its replicator. Without that, regions would keep
+// shipping to, and a later recovery would look for copies on, a server
+// that no longer exists.
+func (lm *LayoutMaster) removeServer(name string, refollow func(FollowerUpdate)) error {
+	lm.mu.Lock()
+	cfg := lm.servers[name]
+	if lm.cat != nil {
+		if err := lm.cat.delete(catalogServerPfx + name); err != nil {
+			lm.mu.Unlock()
+			return err
+		}
+	}
+	delete(lm.servers, name)
+	if cfg.DataDir != "" {
+		_ = os.RemoveAll(serverWALDir(cfg.DataDir, name))
+	}
+	var updates []FollowerUpdate
 	var errs []error
-	for tn := range changed {
-		if err := lm.commitTableLocked(tn); err != nil {
+	for tn := range lm.tables {
+		err := lm.editTableLocked(tn, func(rr *regionRow) bool {
+			if !slices.Contains(rr.Followers, name) {
+				return false
+			}
+			rr.Followers = lm.pickFollowersLocked(rr.Server, nil)
+			updates = append(updates, FollowerUpdate{Region: rr.Name, Server: rr.Server, Followers: rr.Followers})
+			return true
+		})
+		if err != nil {
 			errs = append(errs, err)
 		}
 	}
-	if len(errs) > 0 {
-		// Like a partial in-process recovery: committed tables are safely
-		// failed over, membership survives so a re-run can finish.
-		return updates, errors.Join(errs...)
+	lm.mu.Unlock()
+	for _, up := range updates {
+		refollow(up)
 	}
-	delete(lm.servers, dead)
-	if err := lm.dropServerLocked(dead); err != nil {
-		return updates, err
-	}
-	// Nothing references the dead server's directories anymore: its
-	// shared WAL (recovery never read it — it stands in for a lost
-	// disk), its primary region directories, and the replica copies the
-	// adoptions consumed.
-	_ = os.RemoveAll(serverWALDir(deadCfg.DataDir, dead))
-	for _, sp := range specs {
-		_ = os.RemoveAll(regionDataDir(deadCfg.DataDir, sp.Region))
-		if sp.ReplicaDir != "" {
-			_ = os.RemoveAll(sp.ReplicaDir)
-		}
-	}
-	lm.epoch++
-	return updates, nil
-}
-
-// pickFollowersExcludingLocked is pickFollowersLocked with one server
-// barred (the member being removed, which regionCounts may still
-// include). Callers hold lm.mu.
-func (lm *LayoutMaster) pickFollowersExcludingLocked(host, barred string) []string {
-	counts := lm.regionCountsLocked()
-	delete(counts, barred)
-	cands := make([]string, 0, len(counts))
-	for n := range counts {
-		if n != host {
-			cands = append(cands, n)
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if counts[cands[i]] != counts[cands[j]] {
-			return counts[cands[i]] < counts[cands[j]]
-		}
-		return cands[i] < cands[j]
-	})
-	want := lm.replication - 1
-	if want > len(cands) {
-		want = len(cands)
-	}
-	return append([]string(nil), cands[:want]...)
-}
-
-// commitClusterLocked persists the cluster row; callers hold lm.mu.
-func (lm *LayoutMaster) commitClusterLocked() error {
-	lm.cat.mu.Lock()
-	defer lm.cat.mu.Unlock()
-	return lm.cat.put(catalogClusterKey,
-		clusterRow{Replication: lm.replication, SplitSeq: lm.splitSeq, Rev: lm.cat.nextRev()})
-}
-
-// commitTableLocked persists one table's row; callers hold lm.mu.
-func (lm *LayoutMaster) commitTableLocked(name string) error {
-	t := lm.tables[name]
-	lm.cat.mu.Lock()
-	defer lm.cat.mu.Unlock()
-	row := tableRow{SplitKeys: t.SplitKeys, Regions: t.Regions, Rev: lm.cat.nextRev()}
-	return lm.cat.put(catalogTablePfx+name, row)
-}
-
-// dropServerLocked tombstones the membership row; callers hold lm.mu.
-func (lm *LayoutMaster) dropServerLocked(name string) error {
-	lm.cat.mu.Lock()
-	defer lm.cat.mu.Unlock()
-	return lm.cat.delete(catalogServerPfx + name)
+	return errors.Join(errs...)
 }
 
 // OpenServerNode opens one server's slice of a cluster in this process:
-// the worker half of a multi-process cold start. It mirrors
-// OpenCluster's per-server work — reopen the shared WAL, reopen every
-// assigned region's store from its directory (WAL replay recovers every
-// acknowledged write), wire replication to the committed follower set,
-// then reclaim orphaned WAL records — without touching the catalog or
-// any other server's directories.
+// the worker half of a multi-process cold start.
 func OpenServerNode(man NodeManifest) (*RegionServer, error) {
-	nn := hdfs.NewNamenode(man.Replication)
+	return openServer(man, hdfs.NewNamenode(man.Replication))
+}
+
+// openServer is the per-server half of every cold start — a worker
+// process opening its manifest, or OpenCluster opening each member over
+// one shared namenode: reopen the shared WAL, reopen every assigned
+// region's store from its directory (WAL replay recovers every
+// acknowledged write), wire replication to the committed follower set
+// (files already shipped are recognized, not re-copied), rebuild the
+// locality mirror, then reclaim the log records of regions that moved
+// away before the stop — they will never re-register here, and would
+// otherwise pin the log's old segments and sit in its shippable tail.
+// Neither the catalog nor any other server's directories are touched.
+func openServer(man NodeManifest, nn *hdfs.Namenode) (*RegionServer, error) {
 	rs, err := NewRegionServer(man.Server, man.Config, nn)
 	if err != nil {
 		return nil, err
@@ -499,72 +495,71 @@ func OpenServerNode(man NodeManifest) (*RegionServer, error) {
 		r, err := newRegionNamed(lr.Name, lr.Table, lr.Start, lr.End,
 			rs.storeConfigFor(lr.Name, i+1))
 		if err != nil {
-			rs.Shutdown()
-			return nil, fmt.Errorf("hbase: open server node %s: %w", man.Server, err)
+			closeServer(rs)
+			return nil, fmt.Errorf("hbase: open server %s: %w", man.Server, err)
 		}
 		r.SetFollowers(lr.Followers)
 		rs.OpenRegion(r)
 		rs.mirrorSync(r)
 	}
 	if _, err := rs.ReclaimOrphanWALRecords(); err != nil {
-		rs.Shutdown()
-		return nil, fmt.Errorf("hbase: open server node %s: reclaim orphan wal records: %w", man.Server, err)
+		closeServer(rs)
+		return nil, fmt.Errorf("hbase: open server %s: reclaim orphan wal records: %w", man.Server, err)
 	}
 	return rs, nil
 }
 
-// AdoptRegion fails a dead region over onto this server: the
-// worker-side middle of recoverRegion. The new region directory is
-// seeded exclusively from the replica copy (the dead primary directory
-// is never read), the shipped WAL tail is replayed over it, and the
-// region opens for serving. The caller (the layout master) commits the
-// catalog afterwards; a crash in between leaves an orphan directory a
-// future cold start sweeps, and the adoption can simply be re-run.
+// closeServer abandons a server opened by openServer: its stores are
+// closed (not flushed — the WAL holds everything acknowledged) and the
+// server shut down.
+func closeServer(rs *RegionServer) {
+	for _, r := range rs.Regions() {
+		r.Store().Close()
+	}
+	rs.Shutdown()
+}
+
+// AdoptRegion fails a dead region over onto this server — the adopt
+// step of LayoutMaster.RecoverServer, whether called directly or behind
+// POST /node/adopt. The new region directory is seeded exclusively from
+// the replica copy (the dead primary directory is never read: it stands
+// in for a lost disk), the shipped WAL tail is replayed over it — the
+// records the dead server's memstore held but tail streaming had made
+// follower-durable; records the files already cover are skipped, a torn
+// trailing frame yields the intact prefix — and the region opens for
+// serving. The layout master commits the table row afterwards; a crash
+// in between leaves an orphan directory a future cold start sweeps, and
+// a re-run replays the tail again, idempotently, under a fresh name.
 func (s *RegionServer) AdoptRegion(spec AdoptSpec) (AdoptionReport, error) {
 	var rep AdoptionReport
 	rep.NewRegion = spec.NewRegion
-	newDir := regionDataDir(s.Config().DataDir, spec.NewRegion)
-	if err := os.MkdirAll(newDir, 0o755); err != nil {
-		return rep, err
-	}
+	var ids []uint64
 	if spec.ReplicaDir != "" {
-		ids, err := replication.ListSSTables(spec.ReplicaDir)
-		if err != nil {
+		var err error
+		if ids, err = replication.ListSSTables(spec.ReplicaDir); err != nil {
 			return rep, err
 		}
-		for _, id := range ids {
-			src := replication.SSTablePath(spec.ReplicaDir, id)
-			if _, err := replication.CopyFile(src, replication.SSTablePath(newDir, id)); err != nil {
-				return rep, err
-			}
-		}
-		rep.ReplicaFiles = len(ids)
 	}
+	if err := seedRegionDir(regionDataDir(s.Config().DataDir, spec.NewRegion), spec.ReplicaDir, ids); err != nil {
+		return rep, err
+	}
+	rep.ReplicaFiles = len(ids)
 	nr, err := newRegionNamed(spec.NewRegion, spec.Table, spec.Start, spec.End,
 		s.storeConfigFor(spec.NewRegion, s.NumRegions()+1))
 	if err != nil {
 		return rep, err
 	}
-	discard := func() {
-		st := nr.Store()
-		h, _ := st.WAL().(*durable.RegionLog)
-		st.Close()
-		if h != nil {
-			_ = h.Owner().Drop(h.Name())
-		}
-		_ = os.RemoveAll(newDir)
-	}
 	if spec.ReplicaDir != "" {
 		tail, torn, err := durable.ReadTailFile(durable.TailFilePath(spec.ReplicaDir))
 		if err != nil {
-			discard()
+			discardRegionStore(s, nr)
 			return rep, fmt.Errorf("read replica tail: %w", err)
 		}
 		rep.TailTorn = torn
 		if len(tail) > 0 {
 			applied, err := nr.Store().ApplyReplayed(tail)
 			if err != nil {
-				discard()
+				discardRegionStore(s, nr)
 				return rep, fmt.Errorf("replay replica tail: %w", err)
 			}
 			rep.TailWrites = applied
@@ -577,16 +572,31 @@ func (s *RegionServer) AdoptRegion(spec AdoptSpec) (AdoptionReport, error) {
 	return rep, nil
 }
 
-// Refollow applies a FollowerUpdate to a hosted region: the worker side
-// of the master's post-recovery follower refresh. The replication
-// nudge makes the next reconciliation ship to the new target set.
-func (s *RegionServer) Refollow(up FollowerUpdate) error {
-	for _, r := range s.Regions() {
-		if r.Name() == up.Region {
-			r.SetFollowers(up.Followers)
-			s.notifyReplication(up.Region)
-			return nil
+// seedRegionDir creates a fresh region directory holding copies of the
+// SSTables ids of src — a replica copy (failover) or a snapshot archive
+// (restore) — for the region's store to open like any cold store.
+func seedRegionDir(dir, src string, ids []uint64) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, id := range ids {
+		if _, err := replication.CopyFile(replication.SSTablePath(src, id), replication.SSTablePath(dir, id)); err != nil {
+			return err
 		}
 	}
-	return fmt.Errorf("%w: %s", ErrWrongRegionServer, up.Region)
+	return nil
+}
+
+// Refollow applies a FollowerUpdate to a hosted region: the hosting
+// server's side of LayoutMaster.removeServer's follower re-pick. The
+// replication nudge makes the next reconciliation ship to the new
+// target set.
+func (s *RegionServer) Refollow(up FollowerUpdate) error {
+	r := s.region(up.Region)
+	if r == nil {
+		return fmt.Errorf("%w: %s", ErrWrongRegionServer, up.Region)
+	}
+	r.SetFollowers(up.Followers)
+	s.notifyReplication(up.Region)
+	return nil
 }

@@ -2,36 +2,74 @@ package hbase
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 )
 
-// TestNodeSurfaceFailover drives the multi-process split — LayoutMaster
-// plus OpenServerNode workers — inside one process: bootstrap a durable
-// cluster, stop it, reopen as layout master + worker nodes, kill a
-// worker, and fail its regions over through PlanRecovery / AdoptRegion
-// / CommitRecovery.
-func TestNodeSurfaceFailover(t *testing.T) {
-	dir := t.TempDir()
-	// Bootstrap with the full in-process Master, then stop: the catalog
-	// now holds the committed layout the node surface starts from.
-	m, c := newCatalogCluster(t, 3, dir, durableConfig(dir))
-	if _, err := m.CreateTable("t", []string{"g", "p"}); err != nil {
+// failoverCluster is what TestNodeSurfaceFailover needs from a running
+// cluster, whichever master drives it.
+type failoverCluster struct {
+	layout  *LayoutMaster
+	get     func(table, key string) ([]byte, error)
+	put     func(table, key string, value []byte) error
+	quiesce func()
+	// kill hard-stops the named server and quarantines its directories;
+	// recover fails it over and checks the path-specific report.
+	kill    func(t *testing.T, name string)
+	recover func(t *testing.T, name string)
+	stop    func()
+}
+
+// openInProcess reopens dir as one Master owning every RegionServer.
+func openInProcess(t *testing.T, dir string) failoverCluster {
+	m, err := OpenCluster(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 90; i++ {
-		if err := c.Put("t", fmt.Sprintf("k%04d", i), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
+	t.Cleanup(m.HardStop)
+	c := NewClient(m)
+	return failoverCluster{
+		layout: m.layout, get: c.Get, put: c.Put,
+		quiesce: m.QuiesceReplication,
+		kill: func(t *testing.T, name string) {
+			rs, err := m.Server(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs.Shutdown()
+			quarantineServerDirs(t, rs)
+		},
+		recover: func(t *testing.T, name string) {
+			report, err := m.RecoverServer(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if report.LostWrites != 0 {
+				t.Fatalf("quiesced failover lost %d writes", report.LostWrites)
+			}
+			for _, rec := range report.Regions {
+				if rec.Source == name {
+					t.Fatalf("region adopted onto the dead server: %+v", rec)
+				}
+				if rec.ReplicaFiles == 0 {
+					t.Fatalf("adoption of %s copied no replica files", rec.Region)
+				}
+			}
+		},
+		stop: m.HardStop,
 	}
-	flushAll(t, m)
-	m.QuiesceReplication()
-	m.HardStop()
+}
 
+// openNodes reopens dir the way a multi-process cluster does —
+// LayoutMaster plus one OpenServerNode worker per member — inside this
+// process, with direct calls standing in for the RPCs.
+func openNodes(t *testing.T, dir string) failoverCluster {
 	lm, err := OpenLayoutMaster(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lm.Close()
+	t.Cleanup(lm.Close)
 	nodes := make(map[string]*RegionServer)
 	for _, sn := range lm.ServerNames() {
 		man, err := lm.Manifest(sn)
@@ -45,110 +83,170 @@ func TestNodeSurfaceFailover(t *testing.T) {
 		nodes[sn] = rs
 		t.Cleanup(rs.Shutdown)
 	}
-	epoch0, _ := lm.Layout()
-	route := func(key string) LayoutRegion {
+	host := func(table, key string) *RegionServer {
 		_, layout := lm.Layout()
 		for _, r := range layout {
-			if key >= r.Start && (r.End == "" || key < r.End) {
-				return r
+			if r.Table == table && key >= r.Start && (r.End == "" || key < r.End) {
+				return nodes[r.Server]
 			}
 		}
-		t.Fatalf("no region for %q", key)
-		return LayoutRegion{}
+		t.Fatalf("no region for %s/%q", table, key)
+		return nil
 	}
-	// Every bootstrap write must be readable through the worker nodes.
-	for i := 0; i < 90; i++ {
-		k := fmt.Sprintf("k%04d", i)
-		if v, err := nodes[route(k).Server].Get("t", k); err != nil || string(v) != "v" {
-			t.Fatalf("get %s via node: %q, %v", k, v, err)
-		}
+	return failoverCluster{
+		layout: lm,
+		get:    func(table, key string) ([]byte, error) { return host(table, key).Get(table, key) },
+		put:    func(table, key string, v []byte) error { return host(table, key).Put(table, key, v) },
+		quiesce: func() {
+			for _, rs := range nodes {
+				rs.QuiesceReplication()
+			}
+		},
+		kill: func(t *testing.T, name string) {
+			nodes[name].Shutdown()
+			quarantineServerDirs(t, nodes[name])
+		},
+		recover: func(t *testing.T, name string) {
+			epoch0 := lm.Epoch()
+			adopted, err := lm.RecoverServer(name,
+				func(sp AdoptSpec) (AdoptionReport, error) { return nodes[sp.Source].AdoptRegion(sp) },
+				func(up FollowerUpdate) {
+					if err := nodes[up.Server].Refollow(up); err != nil {
+						t.Error(err)
+					}
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, a := range adopted {
+				if a.Spec.Source == name {
+					t.Fatalf("plan adopted onto the dead server: %+v", a.Spec)
+				}
+				if a.Spec.ReplicaDir == "" {
+					t.Fatalf("no surviving replica elected for %s", a.Spec.Region)
+				}
+				if a.Report.ReplicaFiles == 0 {
+					t.Fatalf("adoption of %s copied no replica files", a.Spec.Region)
+				}
+			}
+			if epoch1 := lm.Epoch(); epoch1 <= epoch0 {
+				t.Fatalf("routing epoch did not advance across recovery: %d -> %d", epoch0, epoch1)
+			}
+			delete(nodes, name)
+		},
+		stop: func() {
+			for _, rs := range nodes {
+				rs.Shutdown()
+			}
+			lm.Close()
+		},
 	}
-	// And new writes land (and replicate) through them too.
-	for i := 0; i < 30; i++ {
-		k := fmt.Sprintf("n%04d", i)
-		if err := nodes[route(k).Server].Put("t", k, []byte("w")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, rs := range nodes {
-		rs.QuiesceReplication()
-	}
+}
 
-	// Kill one worker and fail it over onto the survivors.
-	victim := route("k0000").Server
-	nodes[victim].Shutdown()
-	quarantineServerDirs(t, nodes[victim])
-	specs, err := lm.PlanRecovery(victim)
-	if err != nil {
-		t.Fatal(err)
+// TestNodeSurfaceFailover runs one failover scenario — 3 servers, 2
+// tables, flush + quiesce, kill one server, recover it, cold-start the
+// result — once through Master.RecoverServer and once through the
+// multi-process split (LayoutMaster + OpenServerNode workers), and
+// requires the two to commit the same catalog: one failover path, one
+// follower-placement policy, whichever master runs them.
+func TestNodeSurfaceFailover(t *testing.T) {
+	type catalogRows struct {
+		Servers  []string
+		SplitSeq int64
+		Tables   map[string]tableRow
 	}
-	if len(specs) == 0 {
-		t.Fatalf("victim %s hosted no regions; bad test setup", victim)
-	}
-	for _, sp := range specs {
-		if sp.Source == victim {
-			t.Fatalf("plan adopted onto the dead server: %+v", sp)
+	tables := []string{"t", "u"}
+	run := func(t *testing.T, open func(*testing.T, string) failoverCluster) catalogRows {
+		dir := t.TempDir()
+		// Bootstrap with the full in-process Master, then stop: the catalog
+		// now holds the committed layout either surface starts from.
+		m, c := newCatalogCluster(t, 3, dir, durableConfig(dir))
+		for _, tn := range tables {
+			if _, err := m.CreateTable(tn, []string{"g", "p"}); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 90; i++ {
+				if err := c.Put(tn, fmt.Sprintf("%c%04d", 'a'+byte(i%26), i), []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-		if sp.ReplicaDir == "" {
-			t.Fatalf("no surviving replica elected for %s", sp.Region)
+		flushAll(t, m)
+		m.QuiesceReplication()
+		m.HardStop()
+
+		cl := open(t, dir)
+		check := func(stage string) {
+			t.Helper()
+			for _, tn := range tables {
+				for i := 0; i < 90; i++ {
+					k := fmt.Sprintf("%c%04d", 'a'+byte(i%26), i)
+					if v, err := cl.get(tn, k); err != nil || string(v) != "v" {
+						t.Fatalf("%s: get %s/%s: %q, %v", stage, tn, k, v, err)
+					}
+				}
+			}
 		}
-		rep, err := nodes[sp.Source].AdoptRegion(sp)
+		// Every bootstrap write is readable through the reopened cluster,
+		// and new writes land (and replicate) through it too.
+		check("after reopen")
+		for i := 0; i < 30; i++ {
+			if err := cl.put("t", fmt.Sprintf("%c9%03d", 'a'+byte(i%26), i), []byte("w")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cl.quiesce()
+
+		// Kill the host of t's first region and fail it over.
+		_, layout := cl.layout.Layout()
+		victim := layout[0].Server
+		cl.kill(t, victim)
+		cl.recover(t, victim)
+		_, layout = cl.layout.Layout()
+		for _, r := range layout {
+			if r.Server == victim || slices.Contains(r.Followers, victim) {
+				t.Fatalf("layout still references the dead server: %+v", r)
+			}
+		}
+		check("after failover")
+		for i := 0; i < 30; i++ {
+			k := fmt.Sprintf("%c9%03d", 'a'+byte(i%26), i)
+			if v, err := cl.get("t", k); err != nil || string(v) != "w" {
+				t.Fatalf("post-reopen write %s lost in failover: %q, %v", k, v, err)
+			}
+		}
+
+		// The committed result must also cold-start: the catalog rows the
+		// recovery wrote are a complete, consistent layout.
+		cl.stop()
+		m2, err := OpenCluster(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.ReplicaFiles == 0 {
-			t.Fatalf("adoption of %s copied no replica files", sp.Region)
-		}
-	}
-	updates, err := lm.CommitRecovery(victim, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, up := range updates {
-		if up.Server == victim {
-			continue
-		}
-		if err := nodes[up.Server].Refollow(up); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if epoch1, _ := lm.Layout(); epoch1 <= epoch0 {
-		t.Fatalf("routing epoch did not advance across recovery: %d -> %d", epoch0, epoch1)
-	}
-	delete(nodes, victim)
+		t.Cleanup(m2.HardStop)
+		cl.get = NewClient(m2).Get
+		check("cold start after failover")
 
-	// Every acknowledged write — bootstrap and post-reopen — survives,
-	// served by the adopting workers under the new layout.
-	check := func(key, want string) {
-		r := route(key)
-		if r.Server == victim {
-			t.Fatalf("layout still routes %s to the dead server", key)
+		rows := catalogRows{Servers: m2.layout.ServerNames(), SplitSeq: m2.layout.splitSeq, Tables: map[string]tableRow{}}
+		for tn, row := range m2.layout.tables {
+			r := *row
+			r.Rev = 0
+			rows.Tables[tn] = r
 		}
-		if v, err := nodes[r.Server].Get("t", key); err != nil || string(v) != want {
-			t.Fatalf("get %s after failover: %q, %v", key, v, err)
-		}
-	}
-	for i := 0; i < 90; i++ {
-		check(fmt.Sprintf("k%04d", i), "v")
-	}
-	for i := 0; i < 30; i++ {
-		check(fmt.Sprintf("n%04d", i), "w")
+		return rows
 	}
 
-	// The committed result must also cold-start: the catalog rows the
-	// recovery wrote are a complete, consistent layout.
-	for _, rs := range nodes {
-		rs.Shutdown()
+	var got [2]catalogRows
+	for i, tc := range []struct {
+		name string
+		open func(*testing.T, string) failoverCluster
+	}{
+		{"Master.RecoverServer", openInProcess},
+		{"LayoutMaster+OpenServerNode", openNodes},
+	} {
+		t.Run(tc.name, func(t *testing.T) { got[i] = run(t, tc.open) })
 	}
-	lm.Close()
-	m2, err := OpenCluster(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(m2.HardStop)
-	for i := 0; i < 90; i++ {
-		if v, err := c2Get(m2, "t", fmt.Sprintf("k%04d", i)); err != nil || string(v) != "v" {
-			t.Fatalf("cold start after node recovery: k%04d: %q, %v", i, v, err)
-		}
+	if !reflect.DeepEqual(got[0], got[1]) {
+		t.Fatalf("the two masters committed different catalogs:\nin-process: %+v\nnetworked:  %+v", got[0], got[1])
 	}
 }

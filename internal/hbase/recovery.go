@@ -9,8 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
+	"slices"
 
 	"met/internal/durable"
 	"met/internal/replication"
@@ -59,15 +58,8 @@ type RecoveryReport struct {
 	LostWrites int64
 }
 
-// RecoverServer fails over a dead server: every region it hosted is
-// reopened on the follower holding its replica SSTables — from the
-// copies alone, never the dead server's own region directories — and
-// reassigned there, with one table-row commit per region (a crash
-// mid-recovery cold-starts the partially recovered layout, and
-// RecoverServer can be re-run). The dead server's membership row is
-// dropped last, its directories are reclaimed, and regions elsewhere
-// that replicated onto it get fresh followers.
-//
+// RecoverServer fails over a dead (stopped) server through
+// LayoutMaster.RecoverServer, adopting with direct RegionServer calls.
 // The caller must have stopped the server (HardStop, Shutdown, or a
 // real process kill); recovering a live server is refused. The returned
 // report counts, per region, the acknowledged writes the replica did
@@ -75,7 +67,9 @@ type RecoveryReport struct {
 // is zero; otherwise it is the unreplicated memstore, reported rather
 // than silently dropped. The dead store objects are consulted only for
 // that in-memory accounting (their logical clocks); region data comes
-// exclusively from the replica copies.
+// exclusively from the replica copies. After a partial failure the
+// report lists the regions that did fail over, the server stays a
+// member, and RecoverServer can be re-run for the rest.
 func (m *Master) RecoverServer(name string) (*RecoveryReport, error) {
 	rs, err := m.Server(name)
 	if err != nil {
@@ -87,235 +81,230 @@ func (m *Master) RecoverServer(name string) (*RecoveryReport, error) {
 	if rs.Config().DataDir == "" {
 		return nil, fmt.Errorf("hbase: recover %s: no durable data directory, nothing replicated", name)
 	}
-	m.mu.Lock()
-	delete(m.servers, name)
-	nLive := len(m.servers)
-	m.mu.Unlock()
-	if nLive == 0 {
-		m.mu.Lock()
-		m.servers[name] = rs
-		m.mu.Unlock()
-		return nil, ErrNoServers
-	}
 	m.namenode.RemoveDatanode(name)
-
-	// One generation for the whole recovery, persisted before any new
-	// directory exists (the split/restore discipline: a replayed
-	// recovery can never mint colliding names).
-	m.mu.Lock()
-	m.splitSeq++
-	gen := m.splitSeq
-	m.mu.Unlock()
-	if err := m.commitCluster(); err != nil {
-		// Nothing recovered yet: restore membership so the caller can
-		// retry instead of stranding regions on a vanished server.
+	adopted, err := m.layout.RecoverServer(name, func(spec AdoptSpec) (AdoptionReport, error) {
+		dst, err := m.Server(spec.Source)
+		if err != nil {
+			return AdoptionReport{}, err
+		}
+		rep, err := dst.AdoptRegion(spec)
+		if err != nil {
+			return rep, err
+		}
+		if spec.ReplicaDir != "" {
+			// The replayed tail is in the new store (durably, through the
+			// destination's shared WAL) but the table row is not yet
+			// committed: a crash here cold-starts the old layout.
+			m.layout.crash("recoverserver.tail-replayed")
+		}
+		// Route in-process clients to the adopted region ahead of the
+		// durable commit; a crash before it cold-starts the region on the
+		// (revived) dead member from its untouched primary directory.
 		m.mu.Lock()
-		m.servers[name] = rs
+		m.assignment[spec.NewRegion] = spec.Source
 		m.mu.Unlock()
-		return nil, err
-	}
+		if t, terr := m.Table(spec.Table); terr == nil {
+			t.swapRegion(dst.region(spec.NewRegion))
+		}
+		m.mu.Lock()
+		delete(m.assignment, spec.Region)
+		m.mu.Unlock()
+		return rep, nil
+	}, m.refollow)
 
 	report := &RecoveryReport{Server: name}
-	regions := rs.Regions()
-	sort.Slice(regions, func(i, j int) bool { return regions[i].Name() < regions[j].Name() })
-	var errs []error
-	for _, r := range regions {
-		rec, err := m.recoverRegion(rs, r, gen)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("hbase: recover %s region %s: %w", name, r.Name(), err))
-			continue
+	for _, a := range adopted {
+		rec := RegionRecovery{
+			Region: a.Spec.Region, NewRegion: a.Spec.NewRegion, Source: a.Spec.Source,
+			ReplicaFiles: a.Report.ReplicaFiles, TailWrites: a.Report.TailWrites, TailTorn: a.Report.TailTorn,
+		}
+		// Committed: release the dead region's handles and HDFS files.
+		if old := rs.CloseRegion(a.Spec.Region); old != nil {
+			for _, f := range old.Files() {
+				_ = m.namenode.DeleteFile(f)
+			}
+			rec.LostWrites = max(0, int64(old.Store().MaxTimestamp())-int64(a.Report.RecoveredTS))
+			old.Store().Close()
 		}
 		report.Regions = append(report.Regions, rec)
 		report.LostWrites += rec.LostWrites
-		m.crash("recoverserver.region-recovered")
+	}
+	if !slices.Contains(m.layout.ServerNames(), name) {
+		m.mu.Lock()
+		delete(m.servers, name)
+		m.mu.Unlock()
+	}
+	return report, err
+}
+
+// refollow applies a follower re-pick to the live region object, so the
+// hosting server's replicator — and the table row the master next
+// builds from it — follow the layout. A region no longer hosted there
+// moved under a racing operation that re-picked for itself.
+func (m *Master) refollow(up FollowerUpdate) {
+	if rs, err := m.Server(up.Server); err == nil {
+		_ = rs.Refollow(up)
+	}
+}
+
+// RecoverServer is the one failover path: every region the dead member
+// hosted is recovered in turn — plan (elect the best surviving replica,
+// pick the new followers), adopt (the elected server seeds a fresh
+// generation-suffixed region from the replica copy alone and opens it),
+// commit (one table-row write) — and only after the last region does
+// removeServer drop the membership row, reclaim the dead server's
+// directories and re-pick the followers that pointed at it. adopt and
+// refollow carry the two steps that touch a region server: direct calls
+// in-process (Master.RecoverServer), POST /node/adopt|refollow across
+// processes (rpc.MasterNode). The dead process must actually be dead.
+//
+// Each region commits on its own, so a failure — or a crash — mid-way
+// leaves every committed region failed over and routable, the rest
+// still assigned to the dead member (which stays a member; a cold start
+// revives it from its untouched directories), and a re-run recovers
+// exactly the remainder. The returned regions are the ones this call
+// committed.
+func (lm *LayoutMaster) RecoverServer(dead string,
+	adopt func(AdoptSpec) (AdoptionReport, error), refollow func(FollowerUpdate)) ([]RecoveredRegion, error) {
+	lm.mu.Lock()
+	cfg, ok := lm.servers[dead]
+	var err error
+	switch {
+	case !ok:
+		err = fmt.Errorf("%w: %q", ErrUnknownServer, dead)
+	case lm.recovering[dead]:
+		err = fmt.Errorf("hbase: recover %s: already in progress", dead)
+	case len(lm.servers) == 1:
+		err = ErrNoServers
+	}
+	if err != nil {
+		lm.mu.Unlock()
+		return nil, err
+	}
+	lm.recovering[dead] = true
+	var regions []LayoutRegion
+	for _, r := range lm.regionsLocked() {
+		if r.Server == dead {
+			regions = append(regions, r)
+		}
+	}
+	lm.mu.Unlock()
+	defer func() {
+		lm.mu.Lock()
+		delete(lm.recovering, dead)
+		lm.mu.Unlock()
+	}()
+
+	// One generation for the whole recovery, durable before any new
+	// directory exists.
+	gen, err := lm.nextGen()
+	if err != nil {
+		return nil, err
+	}
+	var done []RecoveredRegion
+	var errs []error
+	for _, r := range regions {
+		spec, err := lm.planAdoption(cfg.DataDir, r, gen)
+		var rep AdoptionReport
+		if err == nil {
+			rep, err = adopt(spec)
+		}
+		if err == nil {
+			err = lm.commitAdoption(spec)
+		}
+		if err != nil {
+			errs = append(errs, fmt.Errorf("hbase: recover %s region %s: %w", dead, r.Name, err))
+			continue
+		}
+		done = append(done, RecoveredRegion{Spec: spec, Report: rep})
+		// The catalog no longer references the superseded directories:
+		// the dead primary and every follower's replica copy.
+		_ = os.RemoveAll(regionDataDir(cfg.DataDir, r.Name))
+		for _, f := range r.Followers {
+			_ = os.RemoveAll(replicaDir(cfg.DataDir, f, r.Name))
+		}
+		lm.crash("recoverserver.region-recovered")
 	}
 	if len(errs) > 0 {
-		// Partial recovery: the committed regions are safely failed
-		// over; the server stays a member so a re-run can finish.
-		m.mu.Lock()
-		m.servers[name] = rs
-		m.mu.Unlock()
-		return report, errors.Join(errs...)
+		return done, errors.Join(errs...)
 	}
-	m.crash("recoverserver.reassigned")
-	if err := m.dropServer(name); err != nil {
-		return report, err
-	}
-	// The dead server's shared WAL is no longer referenced by anything:
-	// every region it logged for was either recovered (from the replica
-	// copies and shipped tail, never this directory) or lost and
-	// reported. Reclaim it like the region directories.
-	_ = os.RemoveAll(serverWALDir(rs.Config().DataDir, name))
-	if err := m.refreshFollowersAfterLoss(name); err != nil {
-		return report, err
-	}
-	return report, nil
+	lm.crash("recoverserver.reassigned")
+	return done, lm.removeServer(dead, refollow)
 }
 
-// recoverRegion fails over one region onto the follower holding its
-// replica copy. The new region directory is seeded exclusively from the
-// replica SSTables; the dead primary directory is never read (it stands
-// in for a lost disk) and is reclaimed after the commit.
-func (m *Master) recoverRegion(dead *RegionServer, r *Region, gen int64) (RegionRecovery, error) {
-	rec := RegionRecovery{Region: r.Name()}
-	deadStore := r.Store()
-	deadTS := deadStore.MaxTimestamp()
-
-	dst, replicaSrc := m.pickRecoverySource(dead, r)
-	if dst == nil {
-		return rec, fmt.Errorf("no live server to recover onto")
+// planAdoption plans one dead region's failover: the server to adopt
+// it, the replica directory to seed it from (empty when no copy
+// survived), its new name and its new follower set.
+func (lm *LayoutMaster) planAdoption(deadDataDir string, r LayoutRegion, gen int64) (AdoptSpec, error) {
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	source, dir := lm.electReplicaLocked(deadDataDir, r)
+	if source == "" {
+		return AdoptSpec{}, errors.New("no live server to recover onto")
 	}
-	rec.Source = dst.Name()
-	newName := fmt.Sprintf("%s.%d", r.Name(), gen)
-	rec.NewRegion = newName
-	newDir := regionDataDir(dst.Config().DataDir, newName)
-	if err := os.MkdirAll(newDir, 0o755); err != nil {
-		return rec, err
-	}
-	if replicaSrc != "" {
-		ids, err := replication.ListSSTables(replicaSrc)
-		if err != nil {
-			return rec, err
-		}
-		for _, id := range ids {
-			src := replication.SSTablePath(replicaSrc, id)
-			if _, err := replication.CopyFile(src, filepath.Join(newDir, filepath.Base(src))); err != nil {
-				return rec, err
-			}
-		}
-		rec.ReplicaFiles = len(ids)
-	}
-	nr, err := newRegionNamed(newName, r.Table(), r.StartKey(), r.EndKey(),
-		dst.storeConfigFor(newName, dst.NumRegions()+1))
-	if err != nil {
-		return rec, err
-	}
-	discard := func() {
-		st := nr.Store()
-		h, _ := st.WAL().(*durable.RegionLog)
-		st.Close()
-		if h != nil {
-			_ = h.Owner().Drop(h.Name())
-		}
-		_ = os.RemoveAll(newDir)
-	}
-	if replicaSrc != "" {
-		// Replay the shipped WAL tail over the replica SSTables: the
-		// records the dead server's memstore held but tail streaming had
-		// already made follower-durable. Records the files already cover
-		// are skipped (a flush racing the last ship duplicates them);
-		// a torn trailing frame yields the intact prefix.
-		tail, torn, err := durable.ReadTailFile(durable.TailFilePath(replicaSrc))
-		if err != nil {
-			discard()
-			return rec, fmt.Errorf("read replica tail: %w", err)
-		}
-		rec.TailTorn = torn
-		if len(tail) > 0 {
-			applied, err := nr.Store().ApplyReplayed(tail)
-			if err != nil {
-				discard()
-				return rec, fmt.Errorf("replay replica tail: %w", err)
-			}
-			rec.TailWrites = applied
-		}
-		// The replayed tail is in the new store (durably, through the
-		// destination's shared WAL) but the table row is not yet
-		// committed: a crash here cold-starts the old layout and a
-		// re-run replays the tail again, idempotently.
-		m.crash("recoverserver.tail-replayed")
-	}
-	rec.LostWrites = int64(deadTS) - int64(nr.Store().MaxTimestamp())
-	if rec.LostWrites < 0 {
-		rec.LostWrites = 0
-	}
-	nr.SetFollowers(m.pickFollowers(dst.Name()))
-
-	// Publish: table metadata, assignment, serving, then the durable
-	// commit. A crash before the commit cold-starts the region on the
-	// (revived) dead member from its untouched primary directory; after
-	// it, the recovered region is authoritative.
-	t, err := m.Table(r.Table())
-	if err != nil {
-		discard()
-		return rec, err
-	}
-	t.swapRegion(r, nr)
-	m.mu.Lock()
-	delete(m.assignment, r.Name())
-	m.assignment[newName] = dst.Name()
-	m.mu.Unlock()
-	dst.OpenRegion(nr)
-	dst.mirrorSync(nr)
-	for _, f := range r.Files() {
-		_ = m.namenode.DeleteFile(f)
-	}
-	if err := m.commitTableOf(r.Table()); err != nil {
-		return rec, err
-	}
-
-	// Committed: drop the region from the dead server's in-memory
-	// topology so a re-run after a partial failure never re-recovers
-	// it (which would seed an empty duplicate from the deleted
-	// replicas). The dead store's handles are released (accounting is
-	// done) and the superseded directories — dead primary, consumed
-	// replicas — are reclaimed; the catalog no longer references them.
-	dead.CloseRegion(r.Name())
-	deadStore.Close()
-	_ = os.RemoveAll(regionDataDir(dead.Config().DataDir, r.Name()))
-	for _, f := range r.Followers() {
-		_ = os.RemoveAll(replicaDir(dead.Config().DataDir, f, r.Name()))
-	}
-	return rec, nil
+	return AdoptSpec{
+		Region: r.Name, NewRegion: fmt.Sprintf("%s.%d", r.Name, gen),
+		Table: r.Table, Start: r.Start, End: r.End,
+		Source: source, ReplicaDir: dir,
+		Followers: lm.pickFollowersLocked(source, nil),
+	}, nil
 }
 
-// pickRecoverySource chooses where to recover a region: the live
+// commitAdoption swaps an adopted region into its table row: after this
+// one durable write the recovered region is authoritative.
+func (lm *LayoutMaster) commitAdoption(spec AdoptSpec) error {
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	if lm.tables[spec.Table] == nil {
+		return fmt.Errorf("%w: %q", ErrUnknownTable, spec.Table)
+	}
+	return lm.editTableLocked(spec.Table, func(rr *regionRow) bool {
+		if rr.Name != spec.Region {
+			return false
+		}
+		rr.Name, rr.Server, rr.Followers = spec.NewRegion, spec.Source, spec.Followers
+		return true
+	})
+}
+
+// electReplicaLocked chooses where a dead region recovers: the live
 // follower whose replica covers the highest timestamp — the max over
 // its SSTables' clocks and the last record of its shipped WAL tail —
 // so the replay loses the least (file count breaks ties: a replica
 // that kept more un-compacted history restores more evenly; remaining
 // ties go to the first by follower order). When no follower survives
-// or none ever received a copy, any live server starts the region
-// empty (the loss is then the whole region, and it is reported).
-// Replica directories are resolved under the dead primary's DataDir —
-// the same convention the shipper wrote them with — so heterogeneous
-// per-server DataDirs find the copies where they actually are.
-func (m *Master) pickRecoverySource(dead *RegionServer, r *Region) (*RegionServer, string) {
-	var best *RegionServer
-	bestDir := ""
+// or none ever received a copy, the least-loaded live server starts
+// the region empty (the loss is then the whole region, and the caller's
+// accounting says so). Replica directories are resolved under the dead
+// primary's DataDir — the convention the shipper wrote them with — so
+// heterogeneous per-server DataDirs find the copies where they are;
+// reading them is safe, only store and WAL ownership is exclusive.
+// Callers hold lm.mu.
+func (lm *LayoutMaster) electReplicaLocked(deadDataDir string, r LayoutRegion) (string, string) {
+	best, bestDir := "", ""
 	bestFiles := -1
 	var bestCovered uint64
-	for _, f := range r.Followers() {
-		rs, err := m.Server(f)
-		if err != nil {
+	for _, f := range r.Followers {
+		if _, ok := lm.servers[f]; !ok || lm.recovering[f] {
 			continue
 		}
-		dir := replicaDir(dead.Config().DataDir, f, r.Name())
+		dir := replicaDir(deadDataDir, f, r.Name)
 		ids, err := replication.ListSSTables(dir)
 		if err != nil {
 			continue
 		}
 		covered := replicaCoveredTS(dir, ids)
-		if best == nil || covered > bestCovered ||
+		if best == "" || covered > bestCovered ||
 			(covered == bestCovered && len(ids) > bestFiles) {
-			best, bestDir, bestFiles, bestCovered = rs, dir, len(ids), covered
+			best, bestDir, bestFiles, bestCovered = f, dir, len(ids), covered
 		}
 	}
-	if best != nil {
-		return best, bestDir
-	}
-	// No surviving replica: least-loaded live server, empty start.
-	servers := m.Servers()
-	if len(servers) == 0 {
-		return nil, ""
-	}
-	sort.Slice(servers, func(i, j int) bool {
-		if servers[i].NumRegions() != servers[j].NumRegions() {
-			return servers[i].NumRegions() < servers[j].NumRegions()
+	if best == "" {
+		if live := lm.membersByLoadLocked(r.Server, nil); len(live) > 0 {
+			best = live[0]
 		}
-		return servers[i].Name() < servers[j].Name()
-	})
-	return servers[0], ""
+	}
+	return best, bestDir
 }
 
 // replicaCoveredTS is the highest timestamp a replica directory can

@@ -606,6 +606,13 @@ func (s *RegionServer) Regions() []*Region {
 	return out
 }
 
+// region returns the hosted region called name, or nil.
+func (s *RegionServer) region(name string) *Region {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.regions[name]
+}
+
 // NumRegions returns the hosted region count.
 func (s *RegionServer) NumRegions() int {
 	s.mu.RLock()

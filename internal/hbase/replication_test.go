@@ -915,9 +915,9 @@ func TestRecoverServerPartialFailureResumes(t *testing.T) {
 	// Block the SECOND region's recovery: its gen-suffixed directory
 	// path is occupied by a regular file, so MkdirAll fails after the
 	// first region has already committed.
-	m.mu.Lock()
-	gen := m.splitSeq + 1
-	m.mu.Unlock()
+	m.layout.mu.Lock()
+	gen := m.layout.splitSeq + 1
+	m.layout.mu.Unlock()
 	blocker := regionDataDir(dir, fmt.Sprintf("%s.%d", regions[1].Name(), gen))
 	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)

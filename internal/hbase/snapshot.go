@@ -58,7 +58,8 @@ func snapshotRegionDir(dataDir, table, name, region string) string {
 // after a region's flush are not part of the snapshot, exactly like an
 // HBase snapshot taken under load.
 func (m *Master) Snapshot(table, name string) error {
-	if m.catalog == nil {
+	cat := m.layout.catalog()
+	if cat == nil {
 		return ErrNoCatalog
 	}
 	t, err := m.Table(table)
@@ -83,7 +84,7 @@ func (m *Master) Snapshot(table, name string) error {
 		m.mu.Unlock()
 	}()
 	var existing snapshotRow
-	if ok, err := m.catalog.get(snapshotKey(table, name), &existing); err != nil {
+	if ok, err := cat.get(snapshotKey(table, name), &existing); err != nil {
 		return err
 	} else if ok {
 		return fmt.Errorf("%w: %s/%s", ErrSnapshotExists, table, name)
@@ -95,27 +96,22 @@ func (m *Master) Snapshot(table, name string) error {
 		if !ok {
 			return fmt.Errorf("hbase: snapshot %s/%s: region %q unassigned", table, name, r.Name())
 		}
-		rs, err := m.Server(host)
-		if err != nil {
+		if _, err := m.Server(host); err != nil {
 			return err
 		}
-		sr, err := m.archiveRegion(rs, r, table, name)
+		sr, err := archiveRegion(cat.dir, r, table, name)
 		if err != nil {
-			_ = os.RemoveAll(snapshotDir(m.catalog.dir, table, name))
+			_ = os.RemoveAll(snapshotDir(cat.dir, table, name))
 			return err
 		}
 		row.Regions = append(row.Regions, sr)
 	}
-	m.crash("snapshot.files-copied")
-	m.catalog.mu.Lock()
-	row.Rev = m.catalog.nextRev()
-	err = m.catalog.put(snapshotKey(table, name), row)
-	m.catalog.mu.Unlock()
-	if err != nil {
-		_ = os.RemoveAll(snapshotDir(m.catalog.dir, table, name))
+	m.layout.crash("snapshot.files-copied")
+	if err := cat.put(snapshotKey(table, name), &row.Rev, &row); err != nil {
+		_ = os.RemoveAll(snapshotDir(cat.dir, table, name))
 		return err
 	}
-	m.crash("snapshot.committed")
+	m.layout.crash("snapshot.committed")
 	return nil
 }
 
@@ -123,9 +119,9 @@ func (m *Master) Snapshot(table, name string) error {
 // the snapshot archive. A file compacted away between the export
 // snapshot and the copy makes the snapshot stale, so the region is
 // re-exported and re-copied (already-archived files are skipped).
-func (m *Master) archiveRegion(rs *RegionServer, r *Region, table, name string) (snapshotRegion, error) {
+func archiveRegion(dataDir string, r *Region, table, name string) (snapshotRegion, error) {
 	sr := snapshotRegion{Name: r.Name(), Start: r.StartKey(), End: r.EndKey()}
-	dir := snapshotRegionDir(m.catalog.dir, table, name, r.Name())
+	dir := snapshotRegionDir(dataDir, table, name, r.Name())
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return sr, err
 	}
@@ -170,14 +166,15 @@ func (m *Master) archiveRegion(rs *RegionServer, r *Region, table, name string) 
 // catalog keys are prefix-ordered, so only the table's own snapshot
 // rows are scanned — never the whole catalog.
 func (m *Master) Snapshots(table string) ([]string, error) {
-	if m.catalog == nil {
+	cat := m.layout.catalog()
+	if cat == nil {
 		return nil, ErrNoCatalog
 	}
 	prefix := snapshotKey(table, "")
 	// "0" is "/"+1: the half-open scan covers exactly the keys under
 	// snapshot/<table>/.
 	end := catalogSnapshotPfx + table + "0"
-	entries, err := m.catalog.store.Scan(prefix, end, -1)
+	entries, err := cat.store.Scan(prefix, end, -1)
 	if err != nil {
 		return nil, fmt.Errorf("hbase: snapshot list %s: %w", table, err)
 	}
@@ -200,11 +197,12 @@ func (m *Master) Snapshots(table string) ([]string, error) {
 // seeded directories are swept); after it, the restored table is
 // authoritative (the old directories are swept).
 func (m *Master) RestoreSnapshot(table, name string) error {
-	if m.catalog == nil {
+	cat := m.layout.catalog()
+	if cat == nil {
 		return ErrNoCatalog
 	}
 	var row snapshotRow
-	if ok, err := m.catalog.get(snapshotKey(table, name), &row); err != nil {
+	if ok, err := cat.get(snapshotKey(table, name), &row); err != nil {
 		return err
 	} else if !ok {
 		return fmt.Errorf("%w: %s/%s", ErrUnknownSnapshot, table, name)
@@ -222,13 +220,9 @@ func (m *Master) RestoreSnapshot(table, name string) error {
 	}
 	sort.Strings(serverNames)
 	balancer := m.balancer
-	m.splitSeq++
-	gen := m.splitSeq
 	m.mu.Unlock()
-	// Persist the generation before any directory exists, so a replayed
-	// restore can never mint colliding region names (same discipline as
-	// splits).
-	if err := m.commitCluster(); err != nil {
+	gen, err := m.layout.nextGen()
+	if err != nil {
 		return err
 	}
 
@@ -244,6 +238,7 @@ func (m *Master) RestoreSnapshot(table, name string) error {
 
 	nt := newTable(table, splitKeys)
 	var opened []*Region
+	var hosts []string // of the regions seeded so far: follower placement counts them
 	unwind := func() {
 		m.mu.Lock()
 		for _, r := range opened {
@@ -252,9 +247,7 @@ func (m *Master) RestoreSnapshot(table, name string) error {
 		m.mu.Unlock()
 		for _, r := range opened {
 			r.Store().Close()
-			if dd := m.catalog.dir; dd != "" {
-				_ = os.RemoveAll(regionDataDir(dd, r.Name()))
-			}
+			_ = os.RemoveAll(regionDataDir(cat.dir, r.Name()))
 		}
 	}
 	for i, rr := range row.Regions {
@@ -265,20 +258,10 @@ func (m *Master) RestoreSnapshot(table, name string) error {
 			unwind()
 			return err
 		}
-		// Seed the fresh region directory from the archive, then open it
-		// like any cold store.
-		dstDir := regionDataDir(rs.Config().DataDir, newName)
-		if err := os.MkdirAll(dstDir, 0o755); err != nil {
+		if err := seedRegionDir(regionDataDir(rs.Config().DataDir, newName),
+			snapshotRegionDir(cat.dir, table, name, rr.Name), rr.Files); err != nil {
 			unwind()
-			return err
-		}
-		src := snapshotRegionDir(m.catalog.dir, table, name, rr.Name)
-		for _, id := range rr.Files {
-			if _, err := replication.CopyFile(replication.SSTablePath(src, id),
-				filepath.Join(dstDir, filepath.Base(replication.SSTablePath(src, id)))); err != nil {
-				unwind()
-				return fmt.Errorf("hbase: restore %s/%s: %w", table, name, err)
-			}
+			return fmt.Errorf("hbase: restore %s/%s: %w", table, name, err)
 		}
 		nr, err := newRegionNamed(newName, table, rr.Start, rr.End,
 			rs.storeConfigFor(newName, rs.NumRegions()+1))
@@ -286,15 +269,16 @@ func (m *Master) RestoreSnapshot(table, name string) error {
 			unwind()
 			return fmt.Errorf("hbase: restore %s/%s: %w", table, name, err)
 		}
-		nr.SetFollowers(m.pickFollowers(host))
+		nr.SetFollowers(m.layout.pickFollowers(host, hosts))
 		nt.addRegion(nr)
 		m.mu.Lock()
 		m.assignment[newName] = host
 		m.mu.Unlock()
 		opened = append(opened, nr)
+		hosts = append(hosts, host)
 	}
 
-	m.crash("restore.regions-ready")
+	m.layout.crash("restore.regions-ready")
 	// Commit point: the table row now names the restored regions.
 	if err := m.commitTable(nt); err != nil {
 		unwind()
@@ -324,7 +308,7 @@ func (m *Master) RestoreSnapshot(table, name string) error {
 			rs.mirrorSync(r)
 		}
 	}
-	m.crash("restore.committed")
+	m.layout.crash("restore.committed")
 
 	// Reclaim the superseded regions: stop serving them, release their
 	// HDFS files, and delete their primary directories and replica

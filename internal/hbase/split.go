@@ -65,16 +65,8 @@ func (m *Master) SplitRegion(regionName string) error {
 		return fmt.Errorf("hbase: split %s: degenerate split key", regionName)
 	}
 
-	m.mu.Lock()
-	m.splitSeq++
-	gen := m.splitSeq
-	m.mu.Unlock()
-	// Persist the bumped sequence before any daughter exists: a split
-	// replayed after a crash (or issued after a cold start) must never
-	// mint daughter names — and therefore data directories — that
-	// collide with this attempt's leftovers. A crash right here merely
-	// skips a generation number.
-	if err := m.commitCluster(); err != nil {
+	gen, err := m.layout.nextGen()
+	if err != nil {
 		reopen()
 		return fmt.Errorf("hbase: split %s: %w", regionName, err)
 	}
@@ -110,22 +102,27 @@ func (m *Master) SplitRegion(regionName string) error {
 		reopen()
 		return fmt.Errorf("hbase: split %s: %w", regionName, err)
 	}
-	m.crash("split.daughters-ready")
+	m.layout.crash("split.daughters-ready")
 	// Release the parent's HDFS files; the daughters start clean.
 	for _, f := range parent.Files() {
 		_ = m.namenode.DeleteFile(f)
 	}
 	// Daughters replicate like any new region; the parent's replica
 	// directories become orphans once the split commits.
-	lo.SetFollowers(m.pickFollowers(host))
-	hi.SetFollowers(m.pickFollowers(host))
-	tbl.replaceRegion(parent, lo, hi)
-	rs.OpenRegion(lo)
-	rs.OpenRegion(hi)
+	followers := m.layout.pickFollowers(host, nil)
+	lo.SetFollowers(followers)
+	hi.SetFollowers(followers)
+	// Assign and open the daughters before the table names them: a
+	// client that routes to a daughter must find it hosted.
 	m.mu.Lock()
-	delete(m.assignment, regionName)
 	m.assignment[lo.Name()] = host
 	m.assignment[hi.Name()] = host
+	m.mu.Unlock()
+	rs.OpenRegion(lo)
+	rs.OpenRegion(hi)
+	tbl.replaceRegion(parent, lo, hi)
+	m.mu.Lock()
+	delete(m.assignment, regionName)
 	m.mu.Unlock()
 	// Commit point: one table-row write replaces the parent with both
 	// daughters atomically. A crash before it cold-starts the parent
@@ -139,7 +136,7 @@ func (m *Master) SplitRegion(regionName string) error {
 		// from it.
 		return fmt.Errorf("hbase: split %s: commit: %w", regionName, err)
 	}
-	m.crash("split.committed")
+	m.layout.crash("split.committed")
 	// The daughters are authoritative; stragglers still holding the
 	// parent's store see ErrClosed from here on. A durable parent's
 	// directory is reclaimed — its data now lives in the daughters'

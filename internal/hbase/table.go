@@ -75,14 +75,14 @@ func (t *Table) RegionFor(key string) *Region {
 	return t.regions[i-1]
 }
 
-// swapRegion substitutes one region object for another covering the
-// same key range (failover replaces a dead server's region with its
+// swapRegion substitutes nw for the region object covering the same
+// key range (failover replaces a dead server's region with its
 // generation-suffixed recovery twin).
-func (t *Table) swapRegion(old, nw *Region) {
+func (t *Table) swapRegion(nw *Region) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for i, r := range t.regions {
-		if r == old {
+		if r.StartKey() == nw.StartKey() {
 			t.regions[i] = nw
 			return
 		}

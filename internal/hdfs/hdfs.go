@@ -213,41 +213,6 @@ func (n *Namenode) placeReplicas(localNode string) []string {
 	return replicas
 }
 
-// PlaceFollowers picks up to count live datanodes other than local to
-// hold copies of local's data, least-used first (ties broken by name
-// for determinism) — the same policy placeReplicas applies to block
-// replicas. The SSTable replication subsystem uses it to choose which
-// servers' replica directories a region ships to, which makes this
-// placement load-bearing: a follower picked here is where the region
-// reopens after its primary dies.
-func (n *Namenode) PlaceFollowers(local string, count int) []string {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if count <= 0 {
-		return nil
-	}
-	var cands []*datanodeState
-	for _, dn := range n.datanodes {
-		if dn.alive && dn.name != local {
-			cands = append(cands, dn)
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].used != cands[j].used {
-			return cands[i].used < cands[j].used
-		}
-		return cands[i].name < cands[j].name
-	})
-	if count > len(cands) {
-		count = len(cands)
-	}
-	out := make([]string, 0, count)
-	for _, dn := range cands[:count] {
-		out = append(out, dn.name)
-	}
-	return out
-}
-
 // DeleteFile removes a file and frees its replicas' space.
 func (n *Namenode) DeleteFile(name string) error {
 	n.mu.Lock()

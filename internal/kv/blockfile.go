@@ -103,8 +103,12 @@ func (m *memorySource) MayContain(key string) bool      { return true }
 
 // PackBlocks partitions sorted entries (key asc, timestamp desc) into
 // blocks of at most blockSize bytes and returns them with the file
-// metadata. It panics when entries are unsorted: files are only ever
-// built from sorted iterators, so unsorted input means engine corruption.
+// metadata. A block boundary never falls between two versions of one
+// key (the block grows past blockSize instead): the sparse index names
+// only each block's first key, so blockFor(key) must land on the block
+// holding key's newest version without looking at a neighbour. It
+// panics when entries are unsorted: files are only ever built from
+// sorted iterators, so unsorted input means engine corruption.
 // Both the memory backend and the durable SSTable writer build on it so
 // the two formats pack identically.
 func PackBlocks(entries []Entry, blockSize int) ([]*Block, FileMeta) {
@@ -118,7 +122,7 @@ func PackBlocks(entries []Entry, blockSize int) ([]*Block, FileMeta) {
 		if i > 0 && less(e, entries[i-1]) {
 			panic(fmt.Sprintf("kv: unsorted entries packing blocks (%q after %q)", e.Key, entries[i-1].Key))
 		}
-		if cur == nil || (cur.bytes+e.Size() > blockSize && cur.Len() > 0) {
+		if cur == nil || (cur.bytes+e.Size() > blockSize && e.Key != entries[i-1].Key) {
 			cur = &Block{}
 			blocks = append(blocks, cur)
 		}

@@ -229,3 +229,49 @@ func TestSealBlocksWritesServesReads(t *testing.T) {
 		t.Fatalf("get after unseal = %q, %v", v, err)
 	}
 }
+
+// TestScanNeverReturnsRowBelowStart scans from a fixed start key while
+// a writer keeps inserting fresh keys just below it: whatever the
+// interleaving of the Put with the scan's iterator set-up, no row may
+// sort below the start key.
+func TestScanNeverReturnsRowBelowStart(t *testing.T) {
+	s := NewStore(Config{MemstoreFlushBytes: 1 << 20})
+	for i := 0; i < 50; i++ {
+		if err := s.Put(fmt.Sprintf("m%04d", i), []byte("seed")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const start = "m0000"
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		// Descending keys: each lands between the current predecessor of
+		// start and start itself.
+		for i := 9999; i >= 0; i-- {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := s.Put(fmt.Sprintf("l%04d", i), []byte("below")); err != nil {
+				t.Errorf("put: %v", err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		rows, err := s.Scan(start, "", 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) == 0 || rows[0].Key < start {
+			close(done)
+			wg.Wait()
+			t.Fatalf("scan %d from %q returned first row %v", i, start, rows)
+		}
+	}
+	close(done)
+	wg.Wait()
+}

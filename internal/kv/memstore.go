@@ -159,11 +159,13 @@ func (m *Memstore) MaxTimestamp() uint64 { return m.maxTS }
 // timestamp desc) order. Iteration is safe under a concurrent Add; it
 // observes a prefix-consistent view of the list.
 func (m *Memstore) Iterator() Iterator {
-	return &memstoreIter{node: m.head}
+	return &memstoreIter{node: m.head.next[0].Load()}
 }
 
 // IteratorFrom returns an iterator positioned at the first entry with
-// key >= start.
+// key >= start. The first row is fixed here, at creation: an Add that
+// lands between start's predecessor and start before the first Next
+// must not surface as a row below start.
 func (m *Memstore) IteratorFrom(start string) Iterator {
 	x := m.head
 	probe := Entry{Key: start, Timestamp: ^uint64(0)}
@@ -176,24 +178,23 @@ func (m *Memstore) IteratorFrom(start string) Iterator {
 			x = nxt
 		}
 	}
-	return &memstoreIter{node: x}
+	return &memstoreIter{node: x.next[0].Load()}
 }
 
+// memstoreIter holds the node the first Next lands on (chosen at
+// creation), then the current node.
 type memstoreIter struct {
-	node *skipNode
+	node    *skipNode
+	started bool
 }
 
 func (it *memstoreIter) Next() bool {
-	if it.node == nil {
-		return false
+	if !it.started {
+		it.started = true
+	} else if it.node != nil {
+		it.node = it.node.next[0].Load()
 	}
-	nxt := it.node.next[0].Load()
-	if nxt == nil {
-		it.node = nil
-		return false
-	}
-	it.node = nxt
-	return true
+	return it.node != nil
 }
 
 func (it *memstoreIter) Entry() Entry { return it.node.entry }

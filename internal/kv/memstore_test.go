@@ -89,6 +89,25 @@ func TestMemstoreIteratorFrom(t *testing.T) {
 	}
 }
 
+// TestMemstoreIteratorFromFixedAtCreation: the iterator's first row is
+// chosen when it is created, so an Add that lands between start's
+// predecessor and start before the first Next is not returned as a row
+// below start.
+func TestMemstoreIteratorFromFixedAtCreation(t *testing.T) {
+	m := NewMemstore(1)
+	for _, k := range []string{"k1", "k3", "k7"} {
+		m.Add(Entry{Key: k, Timestamp: 1})
+	}
+	it := m.IteratorFrom("k5")
+	m.Add(Entry{Key: "k4", Timestamp: 2}) // after predecessor k3, below start
+	if !it.Next() || it.Entry().Key < "k5" {
+		t.Fatalf("first row %q is below start k5", it.Entry().Key)
+	}
+	if it.Entry().Key != "k7" {
+		t.Fatalf("first row = %q, want k7", it.Entry().Key)
+	}
+}
+
 func TestMemstoreBytesAccounting(t *testing.T) {
 	m := NewMemstore(1)
 	if m.Bytes() != 0 {

@@ -506,3 +506,54 @@ func BenchmarkStoreScan100(b *testing.B) {
 		s.Scan(start, "", 100)
 	}
 }
+
+// rewriteAcrossBlock writes one key often enough inside a single
+// memstore that its versions overflow a block once flushed (70 x
+// 1 000 B at 64 KB blocks, behind a smaller key so a size-only boundary
+// would fall between two of its versions), and returns the last value.
+func rewriteAcrossBlock(t testing.TB, s *Store) []byte {
+	t.Helper()
+	if err := s.Put("a", []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	var last []byte
+	for v := 0; v < 70; v++ {
+		last = bytes.Repeat([]byte{byte('0' + v%10)}, 1000)
+		copy(last, fmt.Sprintf("version-%02d#", v))
+		if err := s.Put("k", last); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Put("z", []byte("last")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return last
+}
+
+// TestGetNewestVersionAcrossBlockBoundary: the sparse index sends a
+// lookup of a block's first key to that block, so a boundary between two
+// versions of one key would hide the newer ones in the previous block's
+// tail. PackBlocks never cuts there; Get and Scan return the newest
+// version.
+func TestGetNewestVersionAcrossBlockBoundary(t *testing.T) {
+	s := newTestStore(t, Config{MemstoreFlushBytes: 1 << 20, BlockBytes: 64 << 10})
+	want := rewriteAcrossBlock(t, s)
+	if got, err := s.Get("k"); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("Get after flush = %.12q, %v; want %.12q", got, err, want)
+	}
+	rows, err := s.Scan("k", "", 1)
+	if err != nil || len(rows) != 1 || !bytes.Equal(rows[0].Value, want) {
+		t.Fatalf("Scan from the rewritten key = %v, %v; want one row %.12q", rows, err, want)
+	}
+	for _, f := range s.files {
+		for i := 1; i < f.NumBlocks(); i++ {
+			prev, _ := f.src.LoadBlock(i - 1)
+			if last := prev.entries[prev.Len()-1].Key; last == f.firstKeys[i] {
+				t.Fatalf("block boundary %d falls between two versions of %q", i, last)
+			}
+		}
+	}
+}

@@ -3,7 +3,6 @@ package rpc
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,7 +13,7 @@ import (
 )
 
 // MasterNode is the master process's RPC front: the layout/registration
-// control plane plus the failover orchestrator. It wraps the
+// control plane and the wire half of failover. It wraps the
 // catalog-owning hbase.LayoutMaster and keeps the one piece of state
 // the catalog does not: which address each live worker serves on.
 // mu guards the address book; layout state lives in the LayoutMaster
@@ -111,17 +110,11 @@ type RecoverReply struct {
 
 // RecoveredRegion pairs a recovery plan entry with the adopting
 // worker's report.
-type RecoveredRegion struct {
-	Spec   hbase.AdoptSpec      `json:"spec"`
-	Report hbase.AdoptionReport `json:"report"`
-}
+type RecoveredRegion = hbase.RecoveredRegion
 
-// handleRecover orchestrates a dead worker's failover: plan against
-// the shared disk, direct each elected follower to adopt over RPC,
-// commit the new layout to the catalog, then push the new epoch (and
-// any follower re-picks) to the survivors. Mirrors RecoverServer's
-// commit ordering, so a crash mid-way cold-starts the partially
-// recovered layout and the recovery can be re-run.
+// handleRecover runs a dead worker's failover. A failed reply leaves
+// whatever regions did fail over committed and routable and the dead
+// worker a member; POSTing again recovers the remainder.
 func (n *MasterNode) handleRecover(w http.ResponseWriter, r *http.Request) {
 	var req recoverReq
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
@@ -136,58 +129,44 @@ func (n *MasterNode) handleRecover(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, reply)
 }
 
-// recover runs the failover; see handleRecover.
+// recover hands hbase.LayoutMaster.RecoverServer — the plan, adopt,
+// commit loop shared with the in-process master — the two steps that
+// cross the wire, then pushes the new routing epoch to the survivors.
 func (n *MasterNode) recover(dead string) (*RecoverReply, error) {
-	specs, err := n.lm.PlanRecovery(dead)
-	if err != nil {
-		return nil, err
-	}
-	reply := &RecoverReply{}
-	for _, spec := range specs {
-		addr, ok := n.addrOf(spec.Source)
-		if !ok {
-			return nil, fmt.Errorf("rpc: recover %s: no address for adopter %s", dead, spec.Source)
-		}
-		var rep hbase.AdoptionReport
-		if err := n.post(addr, "/node/adopt", spec, &rep); err != nil {
-			return nil, fmt.Errorf("rpc: adopt %s on %s: %w", spec.Region, spec.Source, err)
-		}
-		reply.Regions = append(reply.Regions, RecoveredRegion{Spec: spec, Report: rep})
-	}
-	updates, err := n.lm.CommitRecovery(dead, specs)
+	regions, err := n.lm.RecoverServer(dead,
+		func(spec hbase.AdoptSpec) (hbase.AdoptionReport, error) {
+			var rep hbase.AdoptionReport
+			addr, ok := n.addrOf(spec.Source)
+			if !ok {
+				return rep, fmt.Errorf("rpc: no address for adopter %s", spec.Source)
+			}
+			err := n.post(addr, "/node/adopt", spec, &rep)
+			return rep, err
+		},
+		func(up hbase.FollowerUpdate) {
+			// Best effort: a missed refollow is reconciled by the next
+			// recovery's re-pick.
+			if addr, ok := n.addrOf(up.Server); ok {
+				if err := n.post(addr, "/node/refollow", up, nil); err != nil {
+					n.lg.Printf("recover %s: refollow %s on %s: %v", dead, up.Region, up.Server, err)
+				}
+			}
+		})
 	if err != nil {
 		return nil, err
 	}
 	n.mu.Lock()
 	delete(n.addrs, dead)
 	n.mu.Unlock()
-	epoch, _ := n.lm.Layout()
-	reply.Epoch = epoch
-	// Best-effort pushes: a worker that misses the epoch push just keeps
-	// serving stale-route 409s one layout change later than ideal, and a
-	// missed refollow is reconciled by the next recovery's re-pick.
-	var errs []error
+	reply := &RecoverReply{Epoch: n.lm.Epoch(), Regions: regions}
+	// Best effort too: a worker that misses the push just keeps serving
+	// stale-route 409s one layout change later than ideal.
 	for _, sn := range n.lm.ServerNames() {
 		if addr, ok := n.addrOf(sn); ok {
-			if err := n.post(addr, "/node/epoch", map[string]int64{"epoch": epoch}, nil); err != nil {
-				errs = append(errs, fmt.Errorf("rpc: epoch push to %s: %w", sn, err))
+			if err := n.post(addr, "/node/epoch", map[string]int64{"epoch": reply.Epoch}, nil); err != nil {
+				n.lg.Printf("recover %s: epoch push to %s: %v", dead, sn, err)
 			}
 		}
-	}
-	for _, up := range updates {
-		if up.Server == dead {
-			continue
-		}
-		if addr, ok := n.addrOf(up.Server); ok {
-			if err := n.post(addr, "/node/refollow", up, nil); err != nil {
-				errs = append(errs, fmt.Errorf("rpc: refollow %s on %s: %w", up.Region, up.Server, err))
-			}
-		}
-	}
-	if len(errs) > 0 {
-		// The recovery itself is committed; report the push failures
-		// without failing the reply's substance.
-		n.lg.Printf("recover %s: post-commit pushes: %v", dead, errors.Join(errs...))
 	}
 	return reply, nil
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -486,5 +487,121 @@ func TestDrainWhileServing(t *testing.T) {
 	}
 	if count == 0 {
 		t.Fatal("no writes were acknowledged before the drain; test proves nothing")
+	}
+}
+
+// TestRecoverPartialFailureResumes is the networked twin of hbase's
+// TestRecoverServerPartialFailureResumes: an adoption that fails on the
+// dead worker's second region must leave the first one committed and
+// routable, the dead worker still a member, and no region open on any
+// worker that the layout does not assign to it; a second POST
+// /master/recover then recovers exactly the remainder.
+func TestRecoverPartialFailureResumes(t *testing.T) {
+	// Six regions round-robin over three workers: each hosts two.
+	cl := startCluster(t, 3, []string{"c", "g", "k", "p", "t"})
+	var keys []string
+	for _, p := range []string{"a", "d", "h", "l", "q", "u"} {
+		for i := 0; i < 10; i++ {
+			keys = append(keys, fmt.Sprintf("%s%03d", p, i))
+		}
+	}
+	for _, k := range keys {
+		if err := cl.c.Put("t", k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cl.c.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	region, _, err := cl.c.route("t", "a000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := region.Server
+	var dead []string // the victim's regions, in recovery (name) order
+	for _, r := range cl.c.Regions() {
+		if r.Server == victim {
+			dead = append(dead, r.Name)
+		}
+	}
+	if len(dead) != 2 {
+		t.Fatalf("victim %s hosts %v, want 2 regions", victim, dead)
+	}
+	cl.workers[victim].Close()
+	cl.workers[victim].RegionServer().Shutdown()
+	quarantine(t, cl.dir, cl.workers[victim].RegionServer())
+	delete(cl.workers, victim)
+
+	// Block the SECOND region's adoption: its generation-suffixed
+	// directory path (generation 1: nothing on this fresh cluster has
+	// split or recovered yet) is occupied by a regular file.
+	blocker := hbase.RegionDataDir(cl.dir, dead[1]+".1")
+	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// noOrphans: every region a worker has open is one the committed
+	// layout assigns to it.
+	noOrphans := func(stage string) {
+		t.Helper()
+		_, layout := cl.mn.lm.Layout()
+		assigned := make(map[string]string, len(layout))
+		for _, r := range layout {
+			assigned[r.Name] = r.Server
+		}
+		for name, w := range cl.workers {
+			for _, r := range w.RegionServer().Regions() {
+				if assigned[r.Name()] != name {
+					t.Fatalf("%s: worker %s has %s open, which the layout assigns to %q",
+						stage, name, r.Name(), assigned[r.Name()])
+				}
+			}
+		}
+	}
+
+	if _, err := cl.c.Recover(victim); err == nil {
+		t.Fatal("partial recovery reported success over a blocked region directory")
+	}
+	if !slices.Contains(cl.mn.lm.ServerNames(), victim) {
+		t.Fatal("partially recovered worker lost its membership (retry impossible)")
+	}
+	_, layout := cl.mn.lm.Layout()
+	for _, r := range layout {
+		switch {
+		case r.Name == dead[0]+".1" && r.Server == victim, r.Name == dead[0]:
+			t.Fatalf("first region not committed off the dead worker: %+v", r)
+		case r.Name == dead[1] && r.Server != victim:
+			t.Fatalf("blocked region left the dead worker: %+v", r)
+		}
+	}
+	noOrphans("after the partial recovery")
+	// The committed region is routable: a fresh client serves its rows.
+	fresh, err := Dial(cl.mn.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := fresh.Get("t", "a000"); err != nil || string(v) != "v" {
+		t.Fatalf("row of the committed region after the partial recovery: %q, %v", v, err)
+	}
+
+	// Retry after clearing the blocker: exactly the remainder recovers.
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := cl.c.Recover(victim)
+	if err != nil {
+		t.Fatalf("retry after partial recovery: %v", err)
+	}
+	if len(reply.Regions) != 1 || reply.Regions[0].Spec.Region != dead[1] {
+		t.Fatalf("retry recovered %+v, want exactly %s", reply.Regions, dead[1])
+	}
+	if slices.Contains(cl.mn.lm.ServerNames(), victim) {
+		t.Fatal("worker survived the completed retry")
+	}
+	noOrphans("after the retry")
+	for _, k := range keys {
+		if v, err := fresh.Get("t", k); err != nil || string(v) != "v" {
+			t.Fatalf("row %s lost across the partial recovery: %q, %v", k, v, err)
+		}
 	}
 }

@@ -230,7 +230,7 @@ func (n *ServerNode) handleScan(w http.ResponseWriter, r *http.Request) {
 
 // handleAdopt runs the worker half of a failover: seed the new region
 // from the replica copy and open it for serving. The master commits
-// the layout after every adoption has succeeded.
+// the region's table row as soon as the adoption has succeeded.
 func (n *ServerNode) handleAdopt(w http.ResponseWriter, r *http.Request) {
 	var spec hbase.AdoptSpec
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&spec); err != nil {

@@ -120,13 +120,23 @@
 // on the wire (X-Met-Deadline), so a slow server gives up exactly when
 // its caller does, and every node serves /healthz, /readyz and
 // /metrics with graceful drain on SIGTERM — in-flight requests finish,
-// acknowledged writes are never truncated. When a worker process is
-// killed outright, the master re-plans its regions from the shared
-// disk's replica copies and directs surviving workers to adopt them
-// (the networked RecoverServer). `metbench -procs 3 -failover -durable
-// DIR` drives all of it with real OS processes and kill -9, and CI
-// gates on the loss bounds: zero after a replication quiesce, tail-lag
-// bounded mid-burst.
+// acknowledged writes are never truncated.
+//
+// The layout has one owner in either deployment (hbase.LayoutMaster:
+// catalog rows, commits, follower placement, failover); the in-process
+// Master is built on the same one the master process serves. So a
+// cold start opens every member the way a worker process does, a
+// region's followers are the members hosting the fewest regions
+// whichever master placed them, and a killed worker is recovered by
+// the very loop Cluster.RecoverServer runs — one region at a time: elect
+// the best replica copy on the shared disk, have that survivor adopt
+// the region, commit its table row — with POST /node/adopt in place of
+// a direct call. A recovery that fails mid-way leaves the regions it
+// committed routable and the dead worker a member; POST
+// /master/recover again finishes the rest. `metbench -procs 3
+// -failover -durable DIR` drives all of it with real OS processes and
+// kill -9, and CI gates on the loss bounds: zero after a replication
+// quiesce, tail-lag bounded mid-burst.
 //
 // # Observability
 //
