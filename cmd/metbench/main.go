@@ -23,9 +23,10 @@
 // recovery. Without it, stores are in-memory as in the paper's
 // simulated experiments.
 //
-// With -json FILE a machine-readable result (ns/op, ops/sec, per-op
-// counts, per-server engine state) is written for trajectory tracking
-// in CI.
+// With -json FILE a machine-readable result is written: ns/op, ops/sec,
+// per-op counts, and the servers' own telemetry snapshots
+// (hbase.ServerStats — the values behind /metrics), per server and
+// summed.
 package main
 
 import (
@@ -41,11 +42,9 @@ import (
 	"time"
 
 	"met"
-	"met/internal/compaction"
 	"met/internal/hbase"
 	"met/internal/kv"
 	"met/internal/obs"
-	"met/internal/replication"
 	"met/internal/sim"
 	"met/internal/tpcc"
 	"met/internal/ycsb"
@@ -73,26 +72,22 @@ type result struct {
 	Transient   int64              `json:"transient,omitempty"`
 	PerOp       map[string]int64   `json:"per_op,omitempty"`
 	PerOpNs     map[string]float64 `json:"per_op_ns,omitempty"`
-	// Latency carries the cluster-side latency distributions (merged
-	// over all servers): serving classes (get/put/scan) plus every
-	// engine-side duration (fsync, flush, compaction, replication_ship,
-	// tail_ship). Percentiles are in nanoseconds, bucketed to <=12.5%
-	// relative error; counts and means are exact.
-	Latency map[string]obs.LatencySummary `json:"latency,omitempty"`
 	// ClientLatency is the client-observed per-op distribution from the
 	// parallel runner's worker shards (includes routing and retries).
 	ClientLatency map[string]obs.LatencySummary `json:"client_latency,omitempty"`
-	SlowOps       int64                         `json:"slow_ops,omitempty"`
-	Engine        *engineState                  `json:"engine,omitempty"`
-	Compaction    *compactionState              `json:"compaction,omitempty"`
-	Replication   *replicationState             `json:"replication,omitempty"`
+	// ServerStats is the servers' telemetry summed over the cluster, its
+	// sections inlined: requests, engine, compaction, replication, wal,
+	// slow_ops, the derived backlogs and writes_per_fsync, and latency —
+	// the eight distributions merged over all servers, percentiles in
+	// nanoseconds bucketed to <=12.5% relative error, counts and means
+	// exact. Cluster holds the same snapshot per server.
+	*hbase.ServerStats
+	Cluster []hbase.ServerStats `json:"cluster"`
 	// LostWrites is the failover scenario's reported data loss after the
 	// clean-flush kill; LostWritesUnflushed after the hot-memstore kill
 	// (bounded by the unsynced tail — zero after a quiesce).
-	LostWrites          int64         `json:"lost_writes,omitempty"`
-	LostWritesUnflushed int64         `json:"lost_writes_unflushed,omitempty"`
-	WAL                 *walState     `json:"wal,omitempty"`
-	Cluster             []serverState `json:"cluster"`
+	LostWrites          int64 `json:"lost_writes,omitempty"`
+	LostWritesUnflushed int64 `json:"lost_writes_unflushed,omitempty"`
 	// Procs records the real OS processes a -procs run drove (CI
 	// asserts the multi-process claim against the PIDs).
 	Procs *procState `json:"procs,omitempty"`
@@ -110,131 +105,13 @@ func writeResultJSON(path string, res *result) {
 	fmt.Printf("results written to %s\n", path)
 }
 
-// walState summarizes the cluster's shared write-ahead logs: the
-// writes-per-fsync ratio is the group-commit batching proof (one fsync
-// stream per server, shared by all its regions).
-type walState struct {
-	Appends        int64   `json:"appends"`
-	SyncRounds     int64   `json:"sync_rounds"`
-	Bytes          int64   `json:"bytes"`
-	Segments       int     `json:"segments"`
-	WritesPerFsync float64 `json:"writes_per_fsync"`
-}
-
-// newWALState sums the live servers' shared-log snapshots.
-func newWALState(servers []*hbase.RegionServer) *walState {
-	w := &walState{}
-	for _, rs := range servers {
-		st := rs.WALStats()
-		w.Appends += st.Appends
-		w.SyncRounds += st.SyncRounds
-		w.Bytes += st.Bytes
-		w.Segments += st.Segments
+// sumStats rolls per-server snapshots up to the cluster's.
+func sumStats(servers []hbase.ServerStats) *hbase.ServerStats {
+	var total hbase.ServerStats
+	for _, st := range servers {
+		total = total.Add(st)
 	}
-	if w.SyncRounds > 0 {
-		w.WritesPerFsync = float64(w.Appends) / float64(w.SyncRounds)
-	}
-	return w
-}
-
-// engineState summarizes kv engine counters (per server, and summed
-// cluster-wide at the top level).
-type engineState struct {
-	Flushes              int64   `json:"flushes"`
-	FlushedBytes         int64   `json:"flushed_bytes"`
-	Compactions          int64   `json:"compactions"`
-	CompactedBytes       int64   `json:"compacted_bytes"`
-	CompactionQueueDepth int64   `json:"compaction_queue_depth"`
-	StallMillis          float64 `json:"stall_ms"`
-	StalledWrites        int64   `json:"stalled_writes"`
-	WriteAmplification   float64 `json:"write_amplification"`
-}
-
-// compactionState summarizes a background compactor pool.
-type compactionState struct {
-	QueueDepth      int     `json:"queue_depth"`
-	Running         int     `json:"running"`
-	Compactions     int64   `json:"compactions"`
-	Conflicts       int64   `json:"conflicts"`
-	Failures        int64   `json:"failures"`
-	BytesIn         int64   `json:"bytes_in"`
-	BytesOut        int64   `json:"bytes_out"`
-	CompactionMs    float64 `json:"compaction_ms"`
-	BudgetWaitMs    float64 `json:"budget_wait_ms"`
-	ForegroundBytes int64   `json:"foreground_bytes"`
-	BackgroundBytes int64   `json:"background_bytes"`
-}
-
-// replicationState summarizes a server's SSTable shipper.
-type replicationState struct {
-	QueueDepth   int   `json:"queue_depth"`
-	FilesShipped int64 `json:"files_shipped"`
-	BytesShipped int64 `json:"bytes_shipped"`
-	FilesRetired int64 `json:"files_retired"`
-	Syncs        int64 `json:"syncs"`
-	Failures     int64 `json:"failures"`
-	TailShips    int64 `json:"tail_ships,omitempty"`
-	TailBytes    int64 `json:"tail_bytes,omitempty"`
-	TailFrames   int64 `json:"tail_frames,omitempty"`
-}
-
-// newReplicationState converts a replicator snapshot for the report.
-func newReplicationState(rs replication.Stats) *replicationState {
-	return &replicationState{
-		QueueDepth:   rs.QueueDepth + rs.Active,
-		FilesShipped: rs.FilesShipped,
-		BytesShipped: rs.BytesShipped,
-		FilesRetired: rs.FilesRetired,
-		Syncs:        rs.Syncs,
-		Failures:     rs.Failures,
-		TailShips:    rs.TailShips,
-		TailBytes:    rs.TailBytes,
-		TailFrames:   rs.TailFrames,
-	}
-}
-
-// serverState is one region server's post-run engine state.
-type serverState struct {
-	Name        string            `json:"name"`
-	Regions     int               `json:"regions"`
-	Reads       int64             `json:"reads"`
-	Writes      int64             `json:"writes"`
-	Scans       int64             `json:"scans"`
-	Locality    float64           `json:"locality"`
-	Engine      *engineState      `json:"engine,omitempty"`
-	Compaction  *compactionState  `json:"compaction,omitempty"`
-	Replication *replicationState `json:"replication,omitempty"`
-}
-
-// newEngineState converts a kv stats snapshot for the JSON report.
-func newEngineState(st kv.Stats) *engineState {
-	return &engineState{
-		Flushes:              st.Flushes,
-		FlushedBytes:         st.FlushedBytes,
-		Compactions:          st.Compactions,
-		CompactedBytes:       st.CompactedBytes,
-		CompactionQueueDepth: st.CompactionQueueDepth,
-		StallMillis:          float64(st.StallNanos) / 1e6,
-		StalledWrites:        st.StalledWrites,
-		WriteAmplification:   st.WriteAmplification,
-	}
-}
-
-// newCompactionState converts a pool snapshot for the JSON report.
-func newCompactionState(ps compaction.PoolStats) *compactionState {
-	return &compactionState{
-		QueueDepth:      ps.QueueDepth,
-		Running:         ps.Running,
-		Compactions:     ps.Compactions,
-		Conflicts:       ps.Conflicts,
-		Failures:        ps.Failures,
-		BytesIn:         ps.BytesIn,
-		BytesOut:        ps.BytesOut,
-		CompactionMs:    float64(ps.CompactionNanos) / 1e6,
-		BudgetWaitMs:    float64(ps.Budget.WaitNanos) / 1e6,
-		ForegroundBytes: ps.Budget.ForegroundBytes,
-		BackgroundBytes: ps.Budget.BackgroundBytes,
-	}
+	return &total
 }
 
 func main() {
@@ -371,56 +248,32 @@ func main() {
 
 	fmt.Printf("\nwall time: %v\n", elapsed.Round(time.Millisecond))
 	fmt.Println("cluster state:")
-	var engineTotal kv.Stats
-	var poolTotal compaction.PoolStats
-	var repTotal replication.Stats
 	for _, rs := range cluster.Master.Servers() {
-		req := rs.Requests()
-		eng := rs.EngineStats()
-		cs := rs.CompactionStats()
-		reps := rs.ReplicationStats()
-		engineTotal = engineTotal.Add(eng)
-		poolTotal = poolTotal.Add(cs)
-		repTotal = repTotal.Add(reps)
+		st := rs.Stats()
 		fmt.Printf("  %s: regions=%d reads=%d writes=%d scans=%d locality=%.2f [%s]\n",
-			rs.Name(), rs.NumRegions(), req.Reads, req.Writes, req.Scans, rs.Locality(), rs.Config())
+			st.Name, st.Regions, st.Requests.Reads, st.Requests.Writes, st.Requests.Scans, st.Locality, rs.Config())
 		fmt.Printf("    engine: flushes=%d compactions=%d queue=%d stall=%.1fms write-amp=%.2f\n",
-			eng.Flushes, eng.Compactions, eng.CompactionQueueDepth,
-			float64(eng.StallNanos)/1e6, eng.WriteAmplification)
-		res.Cluster = append(res.Cluster, serverState{
-			Name: rs.Name(), Regions: rs.NumRegions(),
-			Reads: req.Reads, Writes: req.Writes, Scans: req.Scans,
-			Locality:    rs.Locality(),
-			Engine:      newEngineState(eng),
-			Compaction:  newCompactionState(cs),
-			Replication: newReplicationState(reps),
-		})
+			st.Engine.Flushes, st.Engine.Compactions, st.CompactionBacklog,
+			float64(st.Engine.StallNanos)/1e6, st.Engine.WriteAmplification)
+		res.Cluster = append(res.Cluster, st)
 	}
-	res.Engine = newEngineState(engineTotal)
-	res.Compaction = newCompactionState(poolTotal)
-	res.Replication = newReplicationState(repTotal)
+	total := sumStats(res.Cluster)
+	res.ServerStats = total
 	fmt.Printf("engine totals: flushes=%d compactions=%d compacted=%dKB stall=%.1fms write-amp=%.2f budget-wait=%.1fms\n",
-		engineTotal.Flushes, engineTotal.Compactions, engineTotal.CompactedBytes>>10,
-		float64(engineTotal.StallNanos)/1e6, engineTotal.WriteAmplification,
-		float64(poolTotal.Budget.WaitNanos)/1e6)
+		total.Engine.Flushes, total.Engine.Compactions, total.Engine.CompactedBytes>>10,
+		float64(total.Engine.StallNanos)/1e6, total.Engine.WriteAmplification,
+		float64(total.Compaction.Budget.WaitNanos)/1e6)
 	fmt.Printf("replication totals: shipped=%d files (%dKB), retired=%d, syncs=%d, failures=%d\n",
-		repTotal.FilesShipped, repTotal.BytesShipped>>10, repTotal.FilesRetired,
-		repTotal.Syncs, repTotal.Failures)
-	if wal := newWALState(cluster.Master.Servers()); wal.Appends > 0 {
-		res.WAL = wal
+		total.Replication.FilesShipped, total.Replication.BytesShipped>>10, total.Replication.FilesRetired,
+		total.Replication.Syncs, total.Replication.Failures)
+	if wal := total.WAL; wal.Appends > 0 {
 		fmt.Printf("wal totals: appends=%d sync-rounds=%d writes/fsync=%.2f (%dKB, %d segments)\n",
-			wal.Appends, wal.SyncRounds, wal.WritesPerFsync, wal.Bytes>>10, wal.Segments)
+			wal.Appends, wal.SyncRounds, total.WritesPerFsync, wal.Bytes>>10, wal.Segments)
 	}
-	res.Latency = clusterLatency(cluster.Master.Servers())
-	printLatencyTable(res.Latency)
+	printLatencyTable(&total.Latency)
 	if *slowlog > 0 {
 		slow := cluster.Master.SlowOps()
-		var total int64
-		for _, rs := range cluster.Master.Servers() {
-			total += rs.SlowOpsTotal()
-		}
-		res.SlowOps = total
-		fmt.Printf("slow ops (>= %v): %d total, %d retained\n", *slowlog, total, len(slow))
+		fmt.Printf("slow ops (>= %v): %d total, %d retained\n", *slowlog, total.SlowOps, len(slow))
 		show := slow
 		if len(show) > 10 {
 			show = show[len(show)-10:]
@@ -434,14 +287,7 @@ func main() {
 		}
 	}
 	if *jsonOut != "" {
-		buf, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*jsonOut, append(buf, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("results written to %s\n", *jsonOut)
+		writeResultJSON(*jsonOut, res)
 	}
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
@@ -456,54 +302,19 @@ func main() {
 	}
 }
 
-// clusterLatency merges every server's latency snapshots into one
-// cluster-wide summary map for the report.
-func clusterLatency(servers []*hbase.RegionServer) map[string]obs.LatencySummary {
-	var get, put, scan, fsync, flush, compact, ship, tail obs.Snapshot
-	for _, rs := range servers {
-		ls := rs.LatencyStats()
-		get.Merge(ls.Get)
-		put.Merge(ls.Put)
-		scan.Merge(ls.Scan)
-		fsync.Merge(ls.Fsync)
-		flush.Merge(ls.Flush)
-		compact.Merge(ls.Compaction)
-		ship.Merge(ls.ReplicationShip)
-		tail.Merge(ls.TailShip)
-	}
-	out := make(map[string]obs.LatencySummary, 8)
-	add := func(name string, s *obs.Snapshot) {
-		if s.Count() > 0 {
-			out[name] = s.Summary()
-		}
-	}
-	add("get", &get)
-	add("put", &put)
-	add("scan", &scan)
-	add("fsync", &fsync)
-	add("flush", &flush)
-	add("compaction", &compact)
-	add("replication_ship", &ship)
-	add("tail_ship", &tail)
-	return out
-}
-
-// printLatencyTable renders the percentile table on stdout in a fixed
-// row order so runs diff cleanly.
-func printLatencyTable(lat map[string]obs.LatencySummary) {
-	if len(lat) == 0 {
-		return
-	}
+// printLatencyTable renders the percentile table on stdout, one row per
+// class that recorded anything.
+func printLatencyTable(lat *hbase.LatencyStats) {
 	fmt.Println("latency (cluster-wide):")
 	fmt.Printf("  %-16s %10s %12s %12s %12s %12s %12s %12s\n",
 		"class", "count", "mean", "p50", "p95", "p99", "p999", "max")
-	for _, name := range []string{"get", "put", "scan", "fsync", "flush", "compaction", "replication_ship", "tail_ship"} {
-		s, ok := lat[name]
-		if !ok {
+	for _, c := range lat.Classes() {
+		if c.Snap.Count() == 0 {
 			continue
 		}
+		s := c.Snap.Summary()
 		fmt.Printf("  %-16s %10d %12v %12v %12v %12v %12v %12v\n",
-			name, s.Count,
+			c.Name, s.Count,
 			time.Duration(s.Mean).Round(time.Microsecond),
 			time.Duration(s.P50).Round(time.Microsecond),
 			time.Duration(s.P95).Round(time.Microsecond),
@@ -797,18 +608,11 @@ func runColdStart(dataDir string, cfg met.ServerConfig, servers, ops int, seed u
 	}
 	fmt.Printf("coldstart: OK — %d acknowledged rows verified, layout recovered, moved region compacted on %s\n", total, dst)
 	if jsonOut != "" {
-		res := &result{
+		writeResultJSON(jsonOut, &result{
 			Workload: "coldstart", Ops: ops, Servers: servers, Durable: true,
 			GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
 			Completed: int64(total),
-		}
-		buf, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(jsonOut, append(buf, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
+		})
 	}
 }
 
@@ -947,7 +751,7 @@ func runFailover(dataDir string, cfg met.ServerConfig, servers, ops int, seed ui
 		acked[tn][key] = val
 	}
 	m.QuiesceReplication()
-	walTotal := newWALState(m.Servers())
+	live := sumStats(m.Stats()) // the report's snapshot: every server still up
 
 	var victim2 *hbase.RegionServer
 	for _, rs := range m.Servers() {
@@ -1018,26 +822,14 @@ func runFailover(dataDir string, cfg met.ServerConfig, servers, ops int, seed ui
 	}
 	fmt.Printf("failover: OK — %d acknowledged rows verified (replica SSTables + shipped WAL tail), zero loss, layout cold-starts\n", total)
 	if jsonOut != "" {
-		res := &result{
+		writeResultJSON(jsonOut, &result{
 			Workload: "failover", Ops: ops, Servers: servers, Durable: true,
 			GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
 			Completed:           int64(total),
 			LostWrites:          report.LostWrites,
 			LostWritesUnflushed: report2.LostWrites,
-			WAL:                 walTotal,
-		}
-		var repTotal replication.Stats
-		for _, rs := range reopened.Master.Servers() {
-			repTotal = repTotal.Add(rs.ReplicationStats())
-		}
-		res.Replication = newReplicationState(repTotal)
-		buf, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(jsonOut, append(buf, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
+			ServerStats:         live,
+		})
 	}
 	reopened.Master.HardStop()
 }

@@ -15,6 +15,11 @@
 // manifest (config, assigned regions, routing epoch) from the master
 // over RPC instead, so exactly one process owns each WAL.
 //
+// The same listener serves the debug plane — /metrics (a server's whole
+// met_* tree beside the rpc histograms and process stats), /healthz,
+// /readyz, /debug/slowops, /debug/vars, /debug/pprof/ — so `curl
+// HOST:PORT/metrics` shows what any node is doing.
+//
 // With -addr-file the process writes its bound address (host:port,
 // one line) to the file once it is serving — listeners default to
 // port 0, so parents discover the chosen port by reading the file.

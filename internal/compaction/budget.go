@@ -117,11 +117,11 @@ func (b *Budget) NoteForeground(n int) {
 type BudgetStats struct {
 	// BackgroundBytes and ForegroundBytes are cumulative bytes charged
 	// by each class.
-	BackgroundBytes int64
-	ForegroundBytes int64
+	BackgroundBytes int64 `json:"background_bytes"`
+	ForegroundBytes int64 `json:"foreground_bytes"`
 	// WaitNanos is the cumulative time background callers spent blocked
 	// waiting for tokens.
-	WaitNanos int64
+	WaitNanos int64 `json:"wait_ns"`
 }
 
 // Stats snapshots the budget counters.

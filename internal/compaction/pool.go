@@ -339,21 +339,21 @@ func (p *Pool) Close() {
 // PoolStats is a snapshot of the pool's activity.
 type PoolStats struct {
 	// QueueDepth is the number of queued (not yet running) requests.
-	QueueDepth int
+	QueueDepth int `json:"queue_depth"`
 	// Running is the number of in-flight compactions.
-	Running int
+	Running int `json:"running"`
 	// Compactions, Conflicts and Failures count completed merges,
 	// stale-plan retries and hard errors.
-	Compactions int64
-	Conflicts   int64
-	Failures    int64
+	Compactions int64 `json:"compactions"`
+	Conflicts   int64 `json:"conflicts"`
+	Failures    int64 `json:"failures"`
 	// BytesIn and BytesOut are cumulative compaction I/O.
-	BytesIn  int64
-	BytesOut int64
+	BytesIn  int64 `json:"bytes_in"`
+	BytesOut int64 `json:"bytes_out"`
 	// CompactionNanos is cumulative wall time spent inside CompactFiles.
-	CompactionNanos int64
+	CompactionNanos int64 `json:"compaction_ns"`
 	// Budget reports the shared I/O budget's counters.
-	Budget BudgetStats
+	Budget BudgetStats `json:"budget"`
 }
 
 // Add returns the element-wise sum of two pool snapshots; embedders use

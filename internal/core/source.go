@@ -46,12 +46,13 @@ func (s *ClusterSource) Observe(now sim.Time) ([]metrics.NodeObservation, []metr
 	}
 	// One real runtime sample per poll; it describes the whole process,
 	// so every durable node in this single-process cluster shares it.
-	var proc obs.ProcessStats
-	var haveProc bool
+	memory := -1.0
 	for _, rs := range s.Master.Servers() {
-		cum := rs.Requests()
-		delta := cum.Sub(s.prevNode[rs.Name()])
-		s.prevNode[rs.Name()] = cum
+		// The node's whole state in one snapshot; a decision rule that
+		// wants engine, WAL or replication health finds it in st too.
+		st := rs.Stats()
+		delta := st.Requests.Sub(s.prevNode[st.Name])
+		s.prevNode[st.Name] = st.Requests
 		rate := float64(delta.Total()) / secs
 		util := 0.0
 		if s.NominalOpsPerSec > 0 {
@@ -60,10 +61,6 @@ func (s *ClusterSource) Observe(now sim.Time) ([]metrics.NodeObservation, []metr
 		if util > 1 {
 			util = 1
 		}
-		eng := rs.EngineStats()
-		cs := rs.CompactionStats()
-		reps := rs.ReplicationStats()
-		wal := rs.WALStats()
 		sys := metrics.SystemMetrics{
 			CPUUtilization: util,
 			IOWait:         util * 0.4,
@@ -72,56 +69,27 @@ func (s *ClusterSource) Observe(now sim.Time) ([]metrics.NodeObservation, []metr
 		if rs.Config().DataDir != "" {
 			// Durable nodes are a real process: report the runtime's
 			// memory pressure instead of the simulation placeholder.
-			if !haveProc {
-				proc, haveProc = obs.ReadProcessStats(), true
+			if memory < 0 {
+				memory = obs.ReadProcessStats().MemoryFraction()
 			}
-			sys.Process = proc
-			sys.MemoryUsage = proc.MemoryFraction()
+			sys.MemoryUsage = memory
 		}
 		nodes = append(nodes, metrics.NodeObservation{
 			At:       now,
-			Node:     rs.Name(),
+			Node:     st.Name,
 			System:   sys,
 			Requests: delta,
-			Locality: rs.Locality(),
-			Engine: metrics.EngineStats{
-				Flushes:                 eng.Flushes,
-				Compactions:             eng.Compactions,
-				CompactionQueueDepth:    eng.CompactionQueueDepth + int64(cs.Running),
-				StallNanos:              eng.StallNanos,
-				WriteAmplification:      eng.WriteAmplification,
-				ReplicationQueueDepth:   int64(reps.QueueDepth + reps.Active),
-				ReplicationBytesShipped: reps.BytesShipped,
-				WALAppends:              wal.Appends,
-				WALSyncRounds:           wal.SyncRounds,
-				Tail:                    tailLatencies(rs),
-			},
+			Locality: st.Locality,
 		})
-		for _, r := range rs.Regions() {
+		for _, r := range st.PerRegion {
 			regions = append(regions, metrics.RegionObservation{
 				At:       now,
-				Region:   r.Name(),
-				Node:     rs.Name(),
-				Requests: r.Requests(), // cumulative; Monitor diffs it
-				SizeMB:   float64(r.DataBytes()) / (1 << 20),
+				Region:   r.Name,
+				Node:     st.Name,
+				Requests: r.Requests, // cumulative; Monitor diffs it
+				SizeMB:   float64(r.DataBytes) / (1 << 20),
 			})
 		}
 	}
 	return nodes, regions
-}
-
-// tailLatencies converts a server's histogram snapshots into the
-// percentile summaries the collector carries.
-func tailLatencies(rs *hbase.RegionServer) metrics.TailLatencies {
-	ls := rs.LatencyStats()
-	return metrics.TailLatencies{
-		Get:             ls.Get.Summary(),
-		Put:             ls.Put.Summary(),
-		Scan:            ls.Scan.Summary(),
-		Fsync:           ls.Fsync.Summary(),
-		Flush:           ls.Flush.Summary(),
-		Compaction:      ls.Compaction.Summary(),
-		ReplicationShip: ls.ReplicationShip.Summary(),
-		TailShip:        ls.TailShip.Summary(),
-	}
 }

@@ -2,164 +2,147 @@ package hbase
 
 import (
 	"fmt"
-	"io"
-	"sort"
 	"strings"
 
 	"met/internal/obs"
 )
 
-// WriteMetrics emits the whole cluster's telemetry as one Prometheus
-// text exposition page (format version 0.0.4): per-server request
-// counters and engine gauges, serving-latency summaries at server and
-// region level, every engine-side duration distribution (WAL fsync,
-// flush, compaction, replication ship, tail ship), slow-op counts, and
-// process-level runtime stats. It is the data source behind the debug
-// plane's /metrics endpoint (see obs.DebugConfig and met.Cluster).
-func (m *Master) WriteMetrics(w io.Writer) error {
-	mw := obs.NewMetricWriter(w)
+// The debug plane's exporters. WriteServerMetrics is the only
+// definition of the met_* server series; the two planes differ in which
+// snapshots they hand it: Master.DebugConfig every server of an
+// in-process cluster, RegionServer.DebugConfig the one server a metnode
+// worker hosts.
+
+// WriteServerMetrics renders server snapshots (RegionServer.Stats) in
+// the Prometheus text exposition format, version 0.0.4, one family at
+// a time.
+func WriteServerMetrics(mw *obs.MetricWriter, servers []ServerStats) {
+	// family emits one metric family: the header, then what emit writes
+	// for each server, given that server's base label.
+	family := func(name, help, typ string, emit func(name string, s *ServerStats, server []obs.Label)) {
+		mw.Header(name, help, typ)
+		for i := range servers {
+			emit(name, &servers[i], []obs.Label{{Name: "server", Value: servers[i].Name}})
+		}
+	}
+	with := func(l []obs.Label, name, value string) []obs.Label {
+		return append(l[:len(l):len(l)], obs.Label{Name: name, Value: value})
+	}
+	value := func(name, help, typ string, pick func(*ServerStats) float64) {
+		family(name, help, typ, func(name string, s *ServerStats, l []obs.Label) {
+			mw.Sample(name, l, pick(s))
+		})
+	}
+	summary := func(name, help string, pick func(*LatencyStats) *obs.Snapshot) {
+		family(name, help, "summary", func(name string, s *ServerStats, l []obs.Label) {
+			mw.Summary(name, l, pick(&s.Latency))
+		})
+	}
+
+	value("met_server_up", "1 while the region server is accepting requests.", "gauge",
+		func(s *ServerStats) float64 {
+			if s.Up {
+				return 1
+			}
+			return 0
+		})
+	value("met_server_regions", "Regions hosted by the server.", "gauge",
+		func(s *ServerStats) float64 { return float64(s.Regions) })
+	family("met_requests_total", "Cumulative served operations by class.", "counter",
+		func(name string, s *ServerStats, l []obs.Label) {
+			mw.Counter(name, with(l, "op", "read"), s.Requests.Reads)
+			mw.Counter(name, with(l, "op", "write"), s.Requests.Writes)
+			mw.Counter(name, with(l, "op", "scan"), s.Requests.Scans)
+		})
+	family("met_op_latency_seconds", "Server-level serving latency by op class.", "summary",
+		func(name string, s *ServerStats, l []obs.Label) {
+			mw.Summary(name, with(l, "op", "get"), &s.Latency.Get)
+			mw.Summary(name, with(l, "op", "put"), &s.Latency.Put)
+			mw.Summary(name, with(l, "op", "scan"), &s.Latency.Scan)
+		})
+	family("met_region_op_latency_seconds", "Region-level serving latency by op class.", "summary",
+		func(name string, s *ServerStats, l []obs.Label) {
+			for i := range s.PerRegion {
+				r := &s.PerRegion[i]
+				rl := with(l, "region", r.Name)
+				mw.Summary(name, with(rl, "op", "get"), &r.Get)
+				mw.Summary(name, with(rl, "op", "put"), &r.Put)
+				mw.Summary(name, with(rl, "op", "scan"), &r.Scan)
+			}
+		})
+	summary("met_wal_fsync_latency_seconds", "Shared-WAL commit fsync round duration.",
+		func(ls *LatencyStats) *obs.Snapshot { return &ls.Fsync })
+	summary("met_flush_latency_seconds", "Memstore flush duration across hosted regions.",
+		func(ls *LatencyStats) *obs.Snapshot { return &ls.Flush })
+	summary("met_compaction_latency_seconds", "Background compaction merge duration.",
+		func(ls *LatencyStats) *obs.Snapshot { return &ls.Compaction })
+	summary("met_replication_ship_latency_seconds", "Replica reconcile duration when SSTables were copied.",
+		func(ls *LatencyStats) *obs.Snapshot { return &ls.ReplicationShip })
+	summary("met_tail_ship_latency_seconds", "WAL-tail frame-file ship duration.",
+		func(ls *LatencyStats) *obs.Snapshot { return &ls.TailShip })
+
+	value("met_engine_flushes_total", "Memstore flushes.", "counter",
+		func(s *ServerStats) float64 { return float64(s.Engine.Flushes) })
+	value("met_engine_compactions_total", "Completed compactions.", "counter",
+		func(s *ServerStats) float64 { return float64(s.Engine.Compactions) })
+	value("met_engine_compaction_queue_depth", "Stores queued for or undergoing background compaction.", "gauge",
+		func(s *ServerStats) float64 { return float64(s.CompactionBacklog) })
+	value("met_engine_stall_seconds_total", "Writer time blocked at the store-file ceiling.", "counter",
+		func(s *ServerStats) float64 { return float64(s.Engine.StallNanos) / 1e9 })
+	value("met_engine_write_amplification", "Physical bytes written per logical byte.", "gauge",
+		func(s *ServerStats) float64 { return s.Engine.WriteAmplification })
+	value("met_engine_cache_hit_ratio", "Block cache hit ratio.", "gauge",
+		func(s *ServerStats) float64 { return s.Engine.CacheHitRatio() })
+	value("met_locality", "Fraction of hosted bytes stored on the co-located datanode.", "gauge",
+		func(s *ServerStats) float64 { return s.Locality })
+	value("met_wal_appends_total", "Records appended to the shared WAL.", "counter",
+		func(s *ServerStats) float64 { return float64(s.WAL.Appends) })
+	value("met_wal_sync_rounds_total", "Successful shared-WAL fsync rounds.", "counter",
+		func(s *ServerStats) float64 { return float64(s.WAL.SyncRounds) })
+	value("met_wal_writes_per_fsync", "WAL appends per fsync round (group-commit batching).", "gauge",
+		func(s *ServerStats) float64 { return s.WritesPerFsync })
+	value("met_replication_queue_depth", "Regions whose replicas are behind: queued or shipping.", "gauge",
+		func(s *ServerStats) float64 { return float64(s.ReplicationBacklog) })
+	value("met_replication_bytes_shipped_total", "SSTable bytes copied to follower replicas.", "counter",
+		func(s *ServerStats) float64 { return float64(s.Replication.BytesShipped) })
+	value("met_tail_floor_ships_total", "Tail ships forced by the bounded-lag floor.", "counter",
+		func(s *ServerStats) float64 { return float64(s.Replication.TailFloorShips) })
+	family("met_replication_failures_total", "Failed replica ships by kind (retried on the next round).", "counter",
+		func(name string, s *ServerStats, l []obs.Label) {
+			mw.Counter(name, with(l, "kind", "tail"), s.Replication.TailFailures)
+			mw.Counter(name, with(l, "kind", "file"), s.Replication.FileFailures)
+		})
+	family("met_replication_last_failure", "1, labelled with the newest failed ship's region and error.", "gauge",
+		func(name string, s *ServerStats, l []obs.Label) {
+			if s.Replication.LastFailure != "" {
+				mw.Sample(name, with(l, "error", s.Replication.LastFailure), 1)
+			}
+		})
+	value("met_slow_ops_total", "Operations that crossed the slow-op threshold.", "counter",
+		func(s *ServerStats) float64 { return float64(s.SlowOps) })
+}
+
+// Stats snapshots every server, in name order.
+func (m *Master) Stats() []ServerStats {
 	servers := m.Servers()
-	sort.Slice(servers, func(i, j int) bool { return servers[i].Name() < servers[j].Name() })
-
-	mw.Header("met_server_up", "1 while the region server is accepting requests.", "gauge")
-	for _, rs := range servers {
-		up := 0
-		if rs.Running() {
-			up = 1
-		}
-		mw.Counter("met_server_up", serverLabels(rs), int64(up))
+	out := make([]ServerStats, len(servers))
+	for i, rs := range servers {
+		out[i] = rs.Stats()
 	}
-
-	mw.Header("met_server_regions", "Regions hosted by the server.", "gauge")
-	for _, rs := range servers {
-		mw.Counter("met_server_regions", serverLabels(rs), int64(rs.NumRegions()))
-	}
-
-	mw.Header("met_requests_total", "Cumulative served operations by class.", "counter")
-	for _, rs := range servers {
-		req := rs.Requests()
-		mw.Counter("met_requests_total", opLabels(rs, "read"), req.Reads)
-		mw.Counter("met_requests_total", opLabels(rs, "write"), req.Writes)
-		mw.Counter("met_requests_total", opLabels(rs, "scan"), req.Scans)
-	}
-
-	mw.Header("met_op_latency_seconds", "Server-level serving latency by op class.", "summary")
-	for _, rs := range servers {
-		ls := rs.LatencyStats()
-		writeOpSummary(mw, "met_op_latency_seconds", rs, "get", &ls.Get)
-		writeOpSummary(mw, "met_op_latency_seconds", rs, "put", &ls.Put)
-		writeOpSummary(mw, "met_op_latency_seconds", rs, "scan", &ls.Scan)
-	}
-
-	mw.Header("met_region_op_latency_seconds", "Region-level serving latency by op class.", "summary")
-	for _, rs := range servers {
-		regions := rs.Regions()
-		sort.Slice(regions, func(i, j int) bool { return regions[i].Name() < regions[j].Name() })
-		for _, r := range regions {
-			get, put, scan := rs.RegionLatencyStats(r.Name())
-			writeRegionSummary(mw, rs, r, "get", &get)
-			writeRegionSummary(mw, rs, r, "put", &put)
-			writeRegionSummary(mw, rs, r, "scan", &scan)
-		}
-	}
-
-	engineSummaries := []struct {
-		name, help string
-		pick       func(*LatencyStats) *obs.Snapshot
-	}{
-		{"met_wal_fsync_latency_seconds", "Shared-WAL commit fsync round duration.",
-			func(ls *LatencyStats) *obs.Snapshot { return &ls.Fsync }},
-		{"met_flush_latency_seconds", "Memstore flush duration across hosted regions.",
-			func(ls *LatencyStats) *obs.Snapshot { return &ls.Flush }},
-		{"met_compaction_latency_seconds", "Background compaction merge duration.",
-			func(ls *LatencyStats) *obs.Snapshot { return &ls.Compaction }},
-		{"met_replication_ship_latency_seconds", "Replica reconcile duration when SSTables were copied.",
-			func(ls *LatencyStats) *obs.Snapshot { return &ls.ReplicationShip }},
-		{"met_tail_ship_latency_seconds", "WAL-tail frame-file ship duration.",
-			func(ls *LatencyStats) *obs.Snapshot { return &ls.TailShip }},
-	}
-	for _, es := range engineSummaries {
-		mw.Header(es.name, es.help, "summary")
-		for _, rs := range servers {
-			ls := rs.LatencyStats()
-			mw.Summary(es.name, serverLabels(rs), es.pick(&ls))
-		}
-	}
-
-	type counterCol struct {
-		name, help, typ string
-		pick            func(*RegionServer) float64
-	}
-	cols := []counterCol{
-		{"met_engine_flushes_total", "Memstore flushes.", "counter",
-			func(rs *RegionServer) float64 { return float64(rs.EngineStats().Flushes) }},
-		{"met_engine_compactions_total", "Completed compactions.", "counter",
-			func(rs *RegionServer) float64 { return float64(rs.EngineStats().Compactions) }},
-		{"met_engine_compaction_queue_depth", "Stores queued for compaction right now.", "gauge",
-			func(rs *RegionServer) float64 { return float64(rs.EngineStats().CompactionQueueDepth) }},
-		{"met_engine_stall_seconds_total", "Writer time blocked at the store-file ceiling.", "counter",
-			func(rs *RegionServer) float64 { return float64(rs.EngineStats().StallNanos) / 1e9 }},
-		{"met_engine_write_amplification", "Physical bytes written per logical byte.", "gauge",
-			func(rs *RegionServer) float64 { return rs.EngineStats().WriteAmplification }},
-		{"met_engine_cache_hit_ratio", "Block cache hit ratio.", "gauge",
-			func(rs *RegionServer) float64 { return rs.EngineStats().CacheHitRatio() }},
-		{"met_locality", "Fraction of hosted bytes stored on the co-located datanode.", "gauge",
-			func(rs *RegionServer) float64 { return rs.Locality() }},
-		{"met_wal_appends_total", "Records appended to the shared WAL.", "counter",
-			func(rs *RegionServer) float64 { return float64(rs.WALStats().Appends) }},
-		{"met_wal_sync_rounds_total", "Successful shared-WAL fsync rounds.", "counter",
-			func(rs *RegionServer) float64 { return float64(rs.WALStats().SyncRounds) }},
-		{"met_replication_queue_depth", "Regions whose replicas are behind.", "gauge",
-			func(rs *RegionServer) float64 { return float64(rs.ReplicationStats().QueueDepth) }},
-		{"met_replication_bytes_shipped_total", "SSTable bytes copied to follower replicas.", "counter",
-			func(rs *RegionServer) float64 { return float64(rs.ReplicationStats().BytesShipped) }},
-		{"met_slow_ops_total", "Operations that crossed the slow-op threshold.", "counter",
-			func(rs *RegionServer) float64 { return float64(rs.SlowOpsTotal()) }},
-	}
-	for _, c := range cols {
-		mw.Header(c.name, c.help, c.typ)
-		for _, rs := range servers {
-			mw.Sample(c.name, serverLabels(rs), c.pick(rs))
-		}
-	}
-
-	p := obs.ReadProcessStats()
-	mw.Header("met_process_heap_live_bytes", "Live heap bytes (runtime/metrics).", "gauge")
-	mw.Sample("met_process_heap_live_bytes", nil, float64(p.HeapLiveBytes))
-	mw.Header("met_process_memory_bytes", "Total runtime-owned memory.", "gauge")
-	mw.Sample("met_process_memory_bytes", nil, float64(p.TotalBytes))
-	mw.Header("met_process_goroutines", "Live goroutines.", "gauge")
-	mw.Sample("met_process_goroutines", nil, float64(p.Goroutines))
-	mw.Header("met_process_gc_cycles_total", "Completed GC cycles.", "counter")
-	mw.Sample("met_process_gc_cycles_total", nil, float64(p.GCCycles))
-	mw.Header("met_process_gc_pause_p99_seconds", "p99 stop-the-world GC pause.", "gauge")
-	mw.Sample("met_process_gc_pause_p99_seconds", nil, p.GCPauseP99.Seconds())
-	return mw.Err()
+	return out
 }
 
-func serverLabels(rs *RegionServer) []obs.Label {
-	return []obs.Label{{Name: "server", Value: rs.Name()}}
-}
-
-func opLabels(rs *RegionServer, op string) []obs.Label {
-	return []obs.Label{{Name: "server", Value: rs.Name()}, {Name: "op", Value: op}}
-}
-
-func writeOpSummary(mw *obs.MetricWriter, name string, rs *RegionServer, op string, s *obs.Snapshot) {
-	mw.Summary(name, opLabels(rs, op), s)
-}
-
-func writeRegionSummary(mw *obs.MetricWriter, rs *RegionServer, r *Region, op string, s *obs.Snapshot) {
-	labels := []obs.Label{
-		{Name: "server", Value: rs.Name()},
-		{Name: "region", Value: r.Name()},
-		{Name: "op", Value: op},
-	}
-	mw.Summary("met_region_op_latency_seconds", labels, s)
+// WriteMetrics emits the whole cluster's telemetry plus the process's
+// runtime stats as one Prometheus page — the /metrics source of
+// Master.DebugConfig.
+func (m *Master) WriteMetrics(mw *obs.MetricWriter) {
+	WriteServerMetrics(mw, m.Stats())
+	obs.WriteProcessMetrics(mw)
 }
 
 // Health returns nil when every server in the cluster is running, or an
-// error naming the stopped ones — the debug plane's /healthz source.
+// error naming the stopped ones in name order — the debug plane's
+// /healthz source.
 func (m *Master) Health() error {
 	var down []string
 	for _, rs := range m.Servers() {
@@ -170,17 +153,14 @@ func (m *Master) Health() error {
 	if len(down) == 0 {
 		return nil
 	}
-	sort.Strings(down)
 	return fmt.Errorf("hbase: servers stopped: %s", strings.Join(down, ", "))
 }
 
 // SlowOps aggregates every server's slow-op log, oldest first per
 // server, servers in name order.
 func (m *Master) SlowOps() []obs.SlowOp {
-	servers := m.Servers()
-	sort.Slice(servers, func(i, j int) bool { return servers[i].Name() < servers[j].Name() })
 	var out []obs.SlowOp
-	for _, rs := range servers {
+	for _, rs := range m.Servers() {
 		out = append(out, rs.SlowOps()...)
 	}
 	return out
@@ -193,5 +173,20 @@ func (m *Master) DebugConfig() obs.DebugConfig {
 		Metrics: m.WriteMetrics,
 		Health:  m.Health,
 		SlowOps: m.SlowOps,
+	}
+}
+
+// DebugConfig is the same plane for one server — what a metnode worker
+// mounts on its RPC listener (rpc.NewServerNode).
+func (s *RegionServer) DebugConfig() obs.DebugConfig {
+	return obs.DebugConfig{
+		Metrics: func(mw *obs.MetricWriter) { WriteServerMetrics(mw, []ServerStats{s.Stats()}) },
+		Health: func() error {
+			if !s.Running() {
+				return ErrServerStopped
+			}
+			return nil
+		},
+		SlowOps: s.SlowOps,
 	}
 }

@@ -512,10 +512,10 @@ func (s *RegionServer) QuiesceReplication() {
 // (group commit keeps rounds sub-linear in appends across any number
 // of regions), the physical log bytes, and the live segment count.
 type WALStats struct {
-	Appends    int64
-	SyncRounds int64
-	Bytes      int64
-	Segments   int
+	Appends    int64 `json:"appends"`
+	SyncRounds int64 `json:"sync_rounds"`
+	Bytes      int64 `json:"bytes"`
+	Segments   int   `json:"segments"`
 }
 
 // WALStats snapshots the shared log (zero value without one).

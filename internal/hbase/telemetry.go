@@ -4,7 +4,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"met/internal/compaction"
+	"met/internal/kv"
+	"met/internal/metrics"
 	"met/internal/obs"
+	"met/internal/replication"
 )
 
 // opHists is the per-op-class latency histogram set recorded on every
@@ -60,14 +64,29 @@ func (s *RegionServer) SlowOpsTotal() int64 { return s.tel.slowLog.Total() }
 // mean the subsystem is absent (no WAL on the in-memory backend, no
 // replicator without a DataDir).
 type LatencyStats struct {
-	Get             obs.Snapshot
-	Put             obs.Snapshot
-	Scan            obs.Snapshot
-	Fsync           obs.Snapshot // shared-WAL commit fsync rounds
-	Flush           obs.Snapshot // memstore flushes, all hosted regions
-	Compaction      obs.Snapshot // background pool merges
-	ReplicationShip obs.Snapshot // SSTable reconciles that copied data
-	TailShip        obs.Snapshot // WAL-tail frame-file ships
+	Get             obs.Snapshot `json:"get"`
+	Put             obs.Snapshot `json:"put"`
+	Scan            obs.Snapshot `json:"scan"`
+	Fsync           obs.Snapshot `json:"fsync"`            // shared-WAL commit fsync rounds
+	Flush           obs.Snapshot `json:"flush"`            // memstore flushes, all hosted regions
+	Compaction      obs.Snapshot `json:"compaction"`       // background pool merges
+	ReplicationShip obs.Snapshot `json:"replication_ship"` // SSTable reconciles that copied data
+	TailShip        obs.Snapshot `json:"tail_ship"`        // WAL-tail frame-file ships
+}
+
+// LatencyClass names one of a LatencyStats' distributions.
+type LatencyClass struct {
+	Name string // the class's JSON key
+	Snap *obs.Snapshot
+}
+
+// Classes lists the eight distributions in report order.
+func (ls *LatencyStats) Classes() []LatencyClass {
+	return []LatencyClass{
+		{"get", &ls.Get}, {"put", &ls.Put}, {"scan", &ls.Scan},
+		{"fsync", &ls.Fsync}, {"flush", &ls.Flush}, {"compaction", &ls.Compaction},
+		{"replication_ship", &ls.ReplicationShip}, {"tail_ship", &ls.TailShip},
+	}
 }
 
 // LatencyStats snapshots the server's latency histograms.
@@ -96,16 +115,112 @@ func (s *RegionServer) LatencyStats() LatencyStats {
 	return ls
 }
 
-// RegionLatencyStats snapshots one hosted region's serving histograms
-// (zero snapshots when the region is not hosted here).
-func (s *RegionServer) RegionLatencyStats(region string) (get, put, scan obs.Snapshot) {
-	s.mu.RLock()
-	r, ok := s.regions[region]
-	s.mu.RUnlock()
-	if !ok {
-		return
+// RegionStats is one hosted region's slice of a ServerStats.
+type RegionStats struct {
+	Name      string                `json:"name"`
+	Requests  metrics.RequestCounts `json:"requests"` // cumulative
+	DataBytes int64                 `json:"data_bytes"`
+	Get       obs.Snapshot          `json:"get"`
+	Put       obs.Snapshot          `json:"put"`
+	Scan      obs.Snapshot          `json:"scan"`
+}
+
+// ServerStats is everything one region server reports about itself at
+// one instant: each layer's own snapshot plus the quantities derived
+// from more than one counter. The /metrics page (WriteServerMetrics),
+// metbench's report and the controller's monitor (core.ClusterSource)
+// all read it, so a number means the same thing wherever it shows up.
+// A plain value: copy it, marshal it, Add it.
+type ServerStats struct {
+	Name        string                `json:"name,omitempty"`
+	Up          bool                  `json:"up,omitempty"`
+	Regions     int                   `json:"regions"`
+	Requests    metrics.RequestCounts `json:"requests"` // cumulative
+	Locality    float64               `json:"locality,omitempty"`
+	Engine      kv.Stats              `json:"engine"`
+	Compaction  compaction.PoolStats  `json:"compaction"`
+	Replication replication.Stats     `json:"replication"`
+	WAL         WALStats              `json:"wal"`
+	Latency     LatencyStats          `json:"latency"`
+	SlowOps     int64                 `json:"slow_ops"`
+
+	// Derived (see derive). A backlog is work queued plus in flight:
+	// stores awaiting compaction, regions whose replicas are behind — a
+	// failover while that one stays non-zero loses more than the
+	// unsynced window. WritesPerFsync is the group-commit batching the
+	// shared WAL achieved.
+	CompactionBacklog  int     `json:"compaction_backlog"`
+	ReplicationBacklog int     `json:"replication_backlog"`
+	WritesPerFsync     float64 `json:"writes_per_fsync"`
+
+	PerRegion []RegionStats `json:"per_region,omitempty"`
+}
+
+// derive fills the fields computed from more than one counter — their
+// only definition.
+func (st *ServerStats) derive() {
+	st.CompactionBacklog = st.Compaction.QueueDepth + st.Compaction.Running
+	st.ReplicationBacklog = st.Replication.QueueDepth + st.Replication.Active
+	st.WritesPerFsync = 0
+	if st.WAL.SyncRounds > 0 {
+		st.WritesPerFsync = float64(st.WAL.Appends) / float64(st.WAL.SyncRounds)
 	}
-	return r.lat.get.Snapshot(), r.lat.put.Snapshot(), r.lat.scan.Snapshot()
+}
+
+// Add returns the roll-up of two servers' snapshots: counters and
+// gauges sum, histograms merge, derived fields are recomputed. Name,
+// Up, Locality and PerRegion describe one server and come out zero.
+func (st ServerStats) Add(o ServerStats) ServerStats {
+	st.Name, st.Up, st.Locality, st.PerRegion = "", false, 0, nil
+	st.Regions += o.Regions
+	st.Requests = st.Requests.Add(o.Requests)
+	st.Engine = st.Engine.Add(o.Engine)
+	st.Compaction = st.Compaction.Add(o.Compaction)
+	st.Replication = st.Replication.Add(o.Replication)
+	st.WAL.Appends += o.WAL.Appends
+	st.WAL.SyncRounds += o.WAL.SyncRounds
+	st.WAL.Bytes += o.WAL.Bytes
+	st.WAL.Segments += o.WAL.Segments
+	st.SlowOps += o.SlowOps
+	theirs := o.Latency.Classes()
+	for i, c := range st.Latency.Classes() {
+		c.Snap.Merge(*theirs[i].Snap)
+	}
+	st.derive()
+	return st
+}
+
+// Stats snapshots the server, calling each layer's getter once: a
+// scrape is one pass however many series it renders. Nothing on a
+// serving path calls it.
+func (s *RegionServer) Stats() ServerStats {
+	regions := s.Regions()
+	st := ServerStats{
+		Name:        s.name,
+		Up:          s.Running(),
+		Regions:     len(regions),
+		Requests:    s.Requests(),
+		Locality:    s.Locality(),
+		Engine:      s.EngineStats(),
+		Compaction:  s.CompactionStats(),
+		Replication: s.ReplicationStats(),
+		WAL:         s.WALStats(),
+		Latency:     s.LatencyStats(),
+		SlowOps:     s.SlowOpsTotal(),
+		PerRegion:   make([]RegionStats, len(regions)),
+	}
+	for i, r := range regions {
+		st.PerRegion[i] = RegionStats{
+			Name:      r.Name(),
+			Requests:  r.Requests(),
+			DataBytes: r.DataBytes(),
+			Get:       r.lat.get.Snapshot(),
+			Put:       r.lat.put.Snapshot(),
+			Scan:      r.lat.scan.Snapshot(),
+		}
+	}
+	st.derive()
+	return st
 }
 
 func (t *serverTelemetry) slowThreshold() time.Duration {

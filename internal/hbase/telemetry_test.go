@@ -1,6 +1,7 @@
 package hbase
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"met/internal/hdfs"
+	"met/internal/kv"
 	"met/internal/obs"
 )
 
@@ -54,10 +56,9 @@ func TestLatencyStatsRecorded(t *testing.T) {
 
 	// Region-level histograms must account for the same ops.
 	var regGet int64
-	for _, rs := range m.Servers() {
-		for _, r := range rs.Regions() {
-			g, _, _ := rs.RegionLatencyStats(r.Name())
-			regGet += g.Count()
+	for _, st := range m.Stats() {
+		for _, r := range st.PerRegion {
+			regGet += r.Get.Count()
 		}
 	}
 	if regGet != 100 {
@@ -197,7 +198,9 @@ func TestMasterWriteMetrics(t *testing.T) {
 	drive(t, c, "t", 100)
 
 	var b strings.Builder
-	if err := m.WriteMetrics(&b); err != nil {
+	mw := obs.NewMetricWriter(&b)
+	m.WriteMetrics(mw)
+	if err := mw.Err(); err != nil {
 		t.Fatal(err)
 	}
 	page := b.String()
@@ -275,5 +278,106 @@ func TestDebugPlaneEndToEnd(t *testing.T) {
 	}
 	if code, _ := get("/debug/pprof/"); code != http.StatusOK {
 		t.Fatalf("/debug/pprof/: code=%d", code)
+	}
+}
+
+// gate is a kv.IOBudget (and a replication file-stack closure) that
+// parks its caller until released: the seam that holds a background
+// job in flight.
+type gate struct {
+	entered chan struct{}
+	release chan struct{}
+}
+
+func newGate() *gate {
+	return &gate{entered: make(chan struct{}, 1), release: make(chan struct{})}
+}
+
+func (g *gate) wait() {
+	select {
+	case g.entered <- struct{}{}:
+	default:
+	}
+	<-g.release
+}
+
+func (g *gate) WaitBackground(int) { g.wait() }
+func (g *gate) NoteForeground(int) {}
+
+// TestStatsOneDefinition: with a pool compaction and a replica
+// reconcile both held in flight, the backlog gauges on /metrics, the
+// JSON report's fields and the struct all carry the one number
+// Stats() derived: queued + in flight. (The /metrics gauges used to
+// leave the in-flight part out.)
+func TestStatsOneDefinition(t *testing.T) {
+	m, c := newDurableCluster(t, 1, t.TempDir())
+	if _, err := m.CreateTable("t", nil); err != nil {
+		t.Fatal(err)
+	}
+	drive(t, c, "t", 50)
+	rs, _ := m.Server("rs0")
+	region := rs.Regions()[0]
+	if err := region.Store().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rs.QuiesceReplication()
+
+	compacting, shipping := newGate(), newGate()
+	region.Store().SetCompaction(rs.Compactor(), compacting, 0)
+	compacted := make(chan error, 1)
+	go func() {
+		_, err := rs.MajorCompact(region.Name())
+		compacted <- err
+	}()
+	rs.replicator.Track("held",
+		func() ([]kv.ExportedFile, bool) { shipping.wait(); return nil, false },
+		func() []string { return nil }, nil)
+	rs.replicator.Notify("held")
+	<-compacting.entered
+	<-shipping.entered
+
+	st := rs.Stats()
+	close(compacting.release)
+	close(shipping.release)
+	if err := <-compacted; err != nil {
+		t.Fatal(err)
+	}
+	rs.replicator.Untrack("held")
+
+	if st.Compaction.Running != 1 || st.Replication.Active != 1 {
+		t.Fatalf("held jobs not in flight: compaction running=%d, replication active=%d",
+			st.Compaction.Running, st.Replication.Active)
+	}
+	if want := st.Compaction.QueueDepth + st.Compaction.Running; st.CompactionBacklog != want {
+		t.Fatalf("CompactionBacklog = %d, want queued+running = %d", st.CompactionBacklog, want)
+	}
+	if want := st.Replication.QueueDepth + st.Replication.Active; st.ReplicationBacklog != want {
+		t.Fatalf("ReplicationBacklog = %d, want queued+active = %d", st.ReplicationBacklog, want)
+	}
+
+	var page strings.Builder
+	WriteServerMetrics(obs.NewMetricWriter(&page), []ServerStats{st})
+	buf, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report map[string]any
+	if err := json.Unmarshal(buf, &report); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []struct {
+		series, field string
+		want          int
+	}{
+		{"met_engine_compaction_queue_depth", "compaction_backlog", st.CompactionBacklog},
+		{"met_replication_queue_depth", "replication_backlog", st.ReplicationBacklog},
+	} {
+		sample := fmt.Sprintf("%s{server=\"rs0\"} %d\n", g.series, g.want)
+		if !strings.Contains(page.String(), sample) {
+			t.Errorf("/metrics lacks %q", sample)
+		}
+		if got := report[g.field]; got != float64(g.want) {
+			t.Errorf("JSON %s = %v, want %d", g.field, got, g.want)
+		}
 	}
 }

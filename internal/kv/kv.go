@@ -142,42 +142,42 @@ type Iterator interface {
 // Stats aggregates engine activity counters. All counters are cumulative
 // since store creation.
 type Stats struct {
-	Gets            int64
-	Puts            int64
-	Deletes         int64
-	Scans           int64
-	ScannedEntries  int64
-	CacheHits       int64
-	CacheMisses     int64
-	Flushes         int64
-	FlushedBytes    int64
-	Compactions     int64
-	CompactedBytes  int64
-	BlocksRead      int64
-	FilterNegatives int64 // Gets answered "absent" by a file filter, no block read
-	MemstoreCurrent int64
+	Gets            int64 `json:"gets"`
+	Puts            int64 `json:"puts"`
+	Deletes         int64 `json:"deletes"`
+	Scans           int64 `json:"scans"`
+	ScannedEntries  int64 `json:"scanned_entries"`
+	CacheHits       int64 `json:"cache_hits"`
+	CacheMisses     int64 `json:"cache_misses"`
+	Flushes         int64 `json:"flushes"`
+	FlushedBytes    int64 `json:"flushed_bytes"`
+	Compactions     int64 `json:"compactions"`
+	CompactedBytes  int64 `json:"compacted_bytes"`
+	BlocksRead      int64 `json:"blocks_read"`
+	FilterNegatives int64 `json:"filter_negatives"` // Gets answered "absent" by a file filter, no block read
+	MemstoreCurrent int64 `json:"memstore_current"`
 
 	// UserBytes is the logical payload written by Put/Delete/Import —
 	// the denominator of write amplification.
-	UserBytes int64
+	UserBytes int64 `json:"user_bytes"`
 	// CompactionBytesWritten is the total size of files produced by
 	// compactions (minor and major).
-	CompactionBytesWritten int64
+	CompactionBytesWritten int64 `json:"compaction_bytes_written"`
 	// StallNanos is the cumulative time writers spent blocked on the
 	// hard store-file ceiling waiting for background compaction to
 	// catch up. Reported, never hidden: a stalled serving path shows up
 	// here rather than as unexplained latency.
-	StallNanos int64
+	StallNanos int64 `json:"stall_ns"`
 	// StalledWrites counts mutations that hit the stall path at all.
-	StalledWrites int64
+	StalledWrites int64 `json:"stalled_writes"`
 	// CompactionQueueDepth is the number of compaction requests for
 	// this store currently sitting in a scheduler queue (a gauge, not
 	// cumulative; typically 0 or 1 because schedulers coalesce).
-	CompactionQueueDepth int64
+	CompactionQueueDepth int64 `json:"compaction_queue_depth"`
 	// WriteAmplification is (FlushedBytes + CompactionBytesWritten) /
 	// UserBytes — how many bytes the engine wrote per logical byte the
 	// user wrote. Zero until the first flush.
-	WriteAmplification float64
+	WriteAmplification float64 `json:"write_amplification"`
 }
 
 // CacheHitRatio returns hits/(hits+misses), or 0 with no lookups.

@@ -3,31 +3,25 @@ package metrics
 import (
 	"sort"
 
-	"met/internal/obs"
 	"met/internal/sim"
 )
 
 // SystemMetrics are the Ganglia-level metrics MeT monitors per node.
-// Simulated clusters synthesize the three fractions; durable clusters
-// additionally carry a real runtime sample in Process (zero-valued when
-// the cluster is simulated), and derive MemoryUsage from it.
+// Simulated clusters synthesize the three fractions; a durable cluster
+// derives MemoryUsage from the process's real runtime sample.
 type SystemMetrics struct {
 	CPUUtilization float64 // fraction of CPU busy, 0..1
 	IOWait         float64 // fraction of time waiting on disk, 0..1
 	MemoryUsage    float64 // fraction of memory in use, 0..1
-
-	// Process is the Go runtime sample behind the fractions when the
-	// node is backed by a real process (heap, GC, goroutines).
-	Process obs.ProcessStats
 }
 
 // RequestCounts are cumulative operation counters, per node or per region,
 // matching the JMX metrics the paper collects (the scan counter is the
 // one the authors added to HBase themselves).
 type RequestCounts struct {
-	Reads  int64
-	Writes int64
-	Scans  int64
+	Reads  int64 `json:"reads"`
+	Writes int64 `json:"writes"`
+	Scans  int64 `json:"scans"`
 }
 
 // Total returns the total number of requests.
@@ -44,58 +38,6 @@ func (c RequestCounts) Sub(o RequestCounts) RequestCounts {
 	return RequestCounts{Reads: c.Reads - o.Reads, Writes: c.Writes - o.Writes, Scans: c.Scans - o.Scans}
 }
 
-// EngineStats carries per-node storage-engine health counters — the
-// compaction-era metrics the JMX exporter would surface alongside the
-// request counts: write-path backpressure (stall time), write
-// amplification, and how far background compaction is behind.
-type EngineStats struct {
-	// Flushes and Compactions are cumulative engine events.
-	Flushes     int64
-	Compactions int64
-	// CompactionQueueDepth is the number of compaction requests queued
-	// for this node's stores right now (a gauge).
-	CompactionQueueDepth int64
-	// StallNanos is cumulative writer time spent blocked at the hard
-	// store-file ceiling.
-	StallNanos int64
-	// WriteAmplification is physical bytes written per logical byte.
-	WriteAmplification float64
-	// ReplicationQueueDepth is the number of regions whose replica
-	// copies are behind the primary right now (a gauge); sustained
-	// non-zero depth means the followers are falling behind and a
-	// failover would lose more than the memstore.
-	ReplicationQueueDepth int64
-	// ReplicationBytesShipped is cumulative SSTable bytes copied to
-	// follower replica directories.
-	ReplicationBytesShipped int64
-	// WALAppends and WALSyncRounds are cumulative records appended to
-	// and successful fsync rounds on the node's shared write-ahead log.
-	// Their ratio is achieved group-commit batching: all hosted regions
-	// share one fsync stream, so appends/round grows with concurrent
-	// write pressure instead of degrading with region count.
-	WALAppends    int64
-	WALSyncRounds int64
-	// Tail carries the node's latency-percentile summaries from the
-	// telemetry layer (met/internal/obs). Zero-valued summaries mean the
-	// subsystem has not recorded yet (or the cluster predates telemetry).
-	Tail TailLatencies
-}
-
-// TailLatencies is the percentile view of a node's latency histograms:
-// the three serving classes plus every engine-side duration. It is the
-// collector-friendly form of hbase.LatencyStats (summaries, not full
-// histograms, so observations stay cheap to copy and to serialize).
-type TailLatencies struct {
-	Get             obs.LatencySummary
-	Put             obs.LatencySummary
-	Scan            obs.LatencySummary
-	Fsync           obs.LatencySummary
-	Flush           obs.LatencySummary
-	Compaction      obs.LatencySummary
-	ReplicationShip obs.LatencySummary
-	TailShip        obs.LatencySummary
-}
-
 // NodeObservation is one monitoring sample for one node.
 type NodeObservation struct {
 	At       sim.Time
@@ -103,7 +45,6 @@ type NodeObservation struct {
 	System   SystemMetrics
 	Requests RequestCounts // delta over the sampling interval
 	Locality float64       // fraction of served data stored locally, 0..1
-	Engine   EngineStats   // cumulative engine counters (functional layer)
 }
 
 // RegionObservation is one monitoring sample for one data partition.

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -14,8 +13,9 @@ import (
 // DebugConfig supplies the data sources behind a debug plane. Nil
 // fields disable the corresponding endpoint (it serves 404).
 type DebugConfig struct {
-	// Metrics writes a full Prometheus text exposition page.
-	Metrics func(w io.Writer) error
+	// Metrics writes the /metrics page. A write error mid-page can only
+	// drop the connection, which scrapers treat as a failed scrape.
+	Metrics func(mw *MetricWriter)
 	// Health returns nil when the serving substrate is healthy; the
 	// error text becomes the 503 body otherwise.
 	Health func() error
@@ -35,12 +35,7 @@ func NewMux(cfg DebugConfig) *http.ServeMux {
 	if cfg.Metrics != nil {
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			if err := cfg.Metrics(w); err != nil {
-				// Headers are already out; all we can do is drop the
-				// connection mid-page, which scrapers treat as a
-				// failed scrape.
-				return
-			}
+			cfg.Metrics(NewMetricWriter(w))
 		})
 	}
 	if cfg.Health != nil {

@@ -14,11 +14,9 @@ import (
 
 func testConfig(healthErr *error) DebugConfig {
 	return DebugConfig{
-		Metrics: func(w io.Writer) error {
-			m := NewMetricWriter(w)
+		Metrics: func(m *MetricWriter) {
 			m.Header("met_up", "Serving.", "gauge")
 			m.Sample("met_up", nil, 1)
-			return m.Err()
 		},
 		Health: func() error { return *healthErr },
 		SlowOps: func() []SlowOp {

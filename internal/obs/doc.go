@@ -40,7 +40,9 @@
 // with escaped label values, and summary-style quantile series
 // (quantile="0.5|0.95|0.99|0.999" plus _sum and _count) for histogram
 // snapshots. Durations are exported in seconds, following the
-// Prometheus base-unit convention. ServeDebug mounts /metrics alongside
-// /healthz, /debug/vars (expvar), /debug/slowops, and net/http/pprof —
-// the repository's first real network surface.
+// Prometheus base-unit convention. NewMux mounts /metrics alongside
+// /healthz, /debug/vars (expvar), /debug/slowops, and net/http/pprof;
+// it is the only place those routes are registered. ServeDebug gives
+// an in-process cluster a listener for it, and every rpc node mounts
+// it on the listener it already serves.
 package obs

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"math"
 	"math/bits"
 	"sync/atomic"
@@ -205,9 +206,12 @@ func (s *Snapshot) Summary() LatencySummary {
 	}
 }
 
-// LatencySummary is the compact percentile digest wired into
-// metrics.EngineStats, metbench -json output and the /metrics plane.
-// All values are nanoseconds.
+// MarshalJSON renders a snapshot as its LatencySummary: a report wants
+// the percentiles, not 488 buckets.
+func (s Snapshot) MarshalJSON() ([]byte, error) { return json.Marshal(s.Summary()) }
+
+// LatencySummary is the compact percentile digest every JSON report
+// carries (a Snapshot marshals as one). All values are nanoseconds.
 type LatencySummary struct {
 	Count int64   `json:"count"`
 	Mean  float64 `json:"mean_ns"`

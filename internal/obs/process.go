@@ -8,8 +8,6 @@ import (
 
 // ProcessStats is a point-in-time sample of the Go runtime — the real
 // counterpart of the Ganglia host metrics the paper's Monitor consumes.
-// When a cluster runs the durable backend, these replace the
-// simulation-era placeholders in metrics.SystemMetrics.
 type ProcessStats struct {
 	// HeapLiveBytes is the live heap (bytes occupied by reachable
 	// objects plus not-yet-swept garbage).
@@ -107,4 +105,16 @@ func histogramQuantile(h *metrics.Float64Histogram, q float64) time.Duration {
 		}
 	}
 	return 0
+}
+
+// WriteProcessMetrics emits the met_process_* runtime series — the part
+// of a /metrics page that describes the process, not a server it hosts.
+func WriteProcessMetrics(mw *MetricWriter) {
+	p := ReadProcessStats()
+	emit := func(name, help, typ string, v float64) { mw.Header(name, help, typ); mw.Sample(name, nil, v) }
+	emit("met_process_heap_live_bytes", "Live heap bytes (runtime/metrics).", "gauge", float64(p.HeapLiveBytes))
+	emit("met_process_memory_bytes", "Total runtime-owned memory.", "gauge", float64(p.TotalBytes))
+	emit("met_process_goroutines", "Live goroutines.", "gauge", float64(p.Goroutines))
+	emit("met_process_gc_cycles_total", "Completed GC cycles.", "counter", float64(p.GCCycles))
+	emit("met_process_gc_pause_p99_seconds", "p99 stop-the-world GC pause.", "gauge", p.GCPauseP99.Seconds())
 }

@@ -26,9 +26,9 @@ type BenchArtifact struct {
 	PerOp      map[string]int64   `json:"per_op"`
 	PerOpNs    map[string]float64 `json:"per_op_ns"`
 	Compaction *struct {
-		BytesIn      int64   `json:"bytes_in"`
-		BytesOut     int64   `json:"bytes_out"`
-		CompactionMs float64 `json:"compaction_ms"`
+		BytesIn         int64 `json:"bytes_in"`
+		BytesOut        int64 `json:"bytes_out"`
+		CompactionNanos int64 `json:"compaction_ns"`
 	} `json:"compaction"`
 }
 
@@ -116,8 +116,8 @@ func Calibrate(m CostModel, a BenchArtifact) (CostModel, CalibrationReport) {
 		rep.Skipped = append(rep.Skipped, "no write latency in artifact (read-only workload)")
 	}
 
-	if c := a.Compaction; c != nil && c.CompactionMs > 0 && c.BytesIn+c.BytesOut > 0 {
-		rate := float64(c.BytesIn+c.BytesOut) / (c.CompactionMs / 1e3)
+	if c := a.Compaction; c != nil && c.CompactionNanos > 0 && c.BytesIn+c.BytesOut > 0 {
+		rate := float64(c.BytesIn+c.BytesOut) / (float64(c.CompactionNanos) / 1e9)
 		rep.override("DiskBytesPerSec", m.DiskBytesPerSec, rate)
 		m.DiskBytesPerSec = rate
 	} else {

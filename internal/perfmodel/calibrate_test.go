@@ -66,10 +66,10 @@ func TestCalibrateFromSustainedArtifact(t *testing.T) {
 	m, rep := Calibrate(base, a)
 
 	c := a.Compaction
-	if c == nil || c.CompactionMs <= 0 {
+	if c == nil || c.CompactionNanos <= 0 {
 		t.Fatal("fixture must contain compaction activity")
 	}
-	wantRate := float64(c.BytesIn+c.BytesOut) / (c.CompactionMs / 1e3)
+	wantRate := float64(c.BytesIn+c.BytesOut) / (float64(c.CompactionNanos) / 1e9)
 	if math.Abs(m.DiskBytesPerSec-wantRate)/wantRate > 1e-9 {
 		t.Fatalf("DiskBytesPerSec = %v, want %v", m.DiskBytesPerSec, wantRate)
 	}

@@ -151,7 +151,9 @@ type Replicator struct {
 	filesShipped   atomic.Int64
 	bytesShipped   atomic.Int64
 	filesRetired   atomic.Int64
-	failures       atomic.Int64
+	tailFailures   atomic.Int64
+	fileFailures   atomic.Int64
+	lastFailure    string // "<region>: <err>" of the newest failed ship; guarded by mu
 	syncs          atomic.Int64
 	tailShips      atomic.Int64
 	tailBytes      atomic.Int64
@@ -311,9 +313,19 @@ func (r *Replicator) shipLagged(min int) {
 	}
 	for _, w := range work {
 		if err := r.shipTail(w.t, true); err != nil {
-			r.failures.Add(1)
+			r.fail(&r.tailFailures, w.region, err)
 		}
 	}
+}
+
+// fail counts one failed ship under its kind and keeps the error's
+// text: a counter alone cannot say what went wrong. The next
+// notification or floor tick retries the ship.
+func (r *Replicator) fail(kind *atomic.Int64, region string, err error) {
+	kind.Add(1)
+	r.mu.Lock()
+	r.lastFailure = region + ": " + err.Error()
+	r.mu.Unlock()
 }
 
 // Quiesce blocks until every queued notification has been reconciled
@@ -364,8 +376,14 @@ func (r *Replicator) worker() {
 		r.mu.Unlock()
 
 		if t != nil {
-			if err := r.sync(t); err != nil {
-				r.failures.Add(1)
+			// The tail ships before the stack is snapshotted, so a racing
+			// flush duplicates records between the two (replay dedups)
+			// rather than dropping them from both.
+			if err := r.shipTail(t, false); err != nil {
+				r.fail(&r.tailFailures, region, err)
+			}
+			if err := r.syncFiles(t); err != nil {
+				r.fail(&r.fileFailures, region, err)
 			}
 			r.syncs.Add(1)
 		}
@@ -379,19 +397,17 @@ func (r *Replicator) worker() {
 	}
 }
 
-// sync reconciles every destination directory against one snapshot of
-// the primary stack. A primary file unlinked between the snapshot and
-// the copy (a racing compaction) is skipped: the compaction latched a
-// fresh notification, so the region re-reconciles against the
-// post-compaction stack. The tail ships before the stack is
-// snapshotted, so a racing flush duplicates records between the two
-// (replay dedups) rather than dropping them from both.
-func (r *Replicator) sync(t *target) error {
-	firstErr := r.shipTail(t, false)
+// syncFiles reconciles every destination directory against one
+// snapshot of the primary stack. A primary file unlinked between the
+// snapshot and the copy (a racing compaction) is skipped: the
+// compaction latched a fresh notification, so the region re-reconciles
+// against the post-compaction stack.
+func (r *Replicator) syncFiles(t *target) error {
 	files, ok := t.files()
 	if !ok {
-		return firstErr // in-memory backend: nothing shippable
+		return nil // in-memory backend: nothing shippable
 	}
+	var firstErr error
 	for _, dir := range t.dests() {
 		shippedBefore := r.filesShipped.Load()
 		shipStart := time.Now()
@@ -629,32 +645,42 @@ func syncDirEntry(dir string) error {
 // Stats is a snapshot of a replicator's activity.
 type Stats struct {
 	// QueueDepth is the number of regions awaiting reconciliation.
-	QueueDepth int
+	QueueDepth int `json:"queue_depth"`
 	// Active is the number of in-flight reconciliations.
-	Active int
+	Active int `json:"active"`
 	// FilesShipped / BytesShipped count SSTable copies to replica
 	// directories; FilesRetired counts replica files removed after the
 	// primary compacted them away.
-	FilesShipped int64
-	BytesShipped int64
-	FilesRetired int64
-	// Syncs counts reconciliation rounds; Failures counts rounds that
-	// hit an I/O error (the next notification retries).
-	Syncs    int64
-	Failures int64
+	FilesShipped int64 `json:"files_shipped"`
+	BytesShipped int64 `json:"bytes_shipped"`
+	FilesRetired int64 `json:"files_retired"`
+	// Syncs counts reconciliation rounds. Failures counts ships that hit
+	// an I/O error (the next notification or floor tick retries):
+	// TailFailures the WAL-tail ships among them, from a reconcile or
+	// the floor, FileFailures the SSTable reconciles. LastFailure is the
+	// newest one's "<region>: <error>"; a roll-up keeps one of them.
+	Syncs        int64  `json:"syncs"`
+	Failures     int64  `json:"failures"`
+	TailFailures int64  `json:"tail_failures"`
+	FileFailures int64  `json:"file_failures"`
+	LastFailure  string `json:"last_failure,omitempty"`
 	// TailShips / TailBytes / TailFrames count WAL-tail files written to
 	// replica directories, their physical bytes, and the records they
 	// carried (empty tails remove the file and count nothing).
 	// TailFloorShips counts the subset forced by the bounded-lag floor
 	// (K records / T ms) rather than a worker reconcile.
-	TailShips      int64
-	TailBytes      int64
-	TailFrames     int64
-	TailFloorShips int64
+	TailShips      int64 `json:"tail_ships"`
+	TailBytes      int64 `json:"tail_bytes"`
+	TailFrames     int64 `json:"tail_frames"`
+	TailFloorShips int64 `json:"tail_floor_ships"`
 }
 
 // Add returns the element-wise sum of two snapshots (cluster roll-up).
 func (s Stats) Add(o Stats) Stats {
+	last := o.LastFailure
+	if last == "" {
+		last = s.LastFailure
+	}
 	return Stats{
 		QueueDepth:     s.QueueDepth + o.QueueDepth,
 		Active:         s.Active + o.Active,
@@ -663,6 +689,9 @@ func (s Stats) Add(o Stats) Stats {
 		FilesRetired:   s.FilesRetired + o.FilesRetired,
 		Syncs:          s.Syncs + o.Syncs,
 		Failures:       s.Failures + o.Failures,
+		TailFailures:   s.TailFailures + o.TailFailures,
+		FileFailures:   s.FileFailures + o.FileFailures,
+		LastFailure:    last,
 		TailShips:      s.TailShips + o.TailShips,
 		TailBytes:      s.TailBytes + o.TailBytes,
 		TailFrames:     s.TailFrames + o.TailFrames,
@@ -673,8 +702,9 @@ func (s Stats) Add(o Stats) Stats {
 // Stats snapshots the replicator.
 func (r *Replicator) Stats() Stats {
 	r.mu.Lock()
-	depth, active := len(r.queue), r.active
+	depth, active, last := len(r.queue), r.active, r.lastFailure
 	r.mu.Unlock()
+	tail, file := r.tailFailures.Load(), r.fileFailures.Load()
 	return Stats{
 		QueueDepth:     depth,
 		Active:         active,
@@ -682,7 +712,10 @@ func (r *Replicator) Stats() Stats {
 		BytesShipped:   r.bytesShipped.Load(),
 		FilesRetired:   r.filesRetired.Load(),
 		Syncs:          r.syncs.Load(),
-		Failures:       r.failures.Load(),
+		Failures:       tail + file,
+		TailFailures:   tail,
+		FileFailures:   file,
+		LastFailure:    last,
 		TailShips:      r.tailShips.Load(),
 		TailBytes:      r.tailBytes.Load(),
 		TailFrames:     r.tailFrames.Load(),

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"met/internal/durable"
 	"met/internal/kv"
+	"met/internal/testutil"
 )
 
 // openDurableStore builds a small durable store that flushes often.
@@ -280,5 +282,65 @@ func TestInMemoryStoreIsReplicationExempt(t *testing.T) {
 	r.Quiesce()
 	if _, err := os.Stat(keep); err != nil {
 		t.Fatalf("replication-exempt store clobbered replica dir: %v", err)
+	}
+}
+
+// TestFailuresSplitByKind: a failed tail ship and a failed SSTable
+// reconcile land in their own counters, Failures stays their total, and
+// LastFailure keeps the newest one's region and error text. The
+// injector fails each region's first ship by pointing it at a
+// directory that cannot be created; the retry then goes through.
+func TestFailuresSplitByKind(t *testing.T) {
+	base := t.TempDir()
+	if err := os.WriteFile(filepath.Join(base, "file"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	blocked := filepath.Join(base, "file", "replica") // under a regular file
+	good := filepath.Join(base, "replica")
+	inj := testutil.NewInjector()
+	dests := func(region string) func() []string {
+		return func() []string {
+			if inj.Err(region) != nil {
+				return []string{blocked}
+			}
+			return []string{good}
+		}
+	}
+	down := fmt.Errorf("follower disk down")
+	// Both floors off: the test drives the floor's ship itself.
+	r := New(Config{TailFloorRecords: -1, TailFloorInterval: -1})
+	defer r.Close()
+
+	r.Track("hot", func() ([]kv.ExportedFile, bool) { return nil, false }, dests("hot"),
+		func() []kv.Entry { return []kv.Entry{{Key: "k", Value: []byte("v"), Timestamp: 1}} })
+	inj.FailOp("hot", down, 1)
+	r.NoteTailRecords("hot", 1)
+	r.shipLagged(1)
+	st := r.Stats()
+	if st.TailFailures != 1 || st.FileFailures != 0 || st.Failures != 1 {
+		t.Fatalf("after a failed floor tail ship: %+v", st)
+	}
+	if !strings.HasPrefix(st.LastFailure, "hot: ") || !strings.Contains(st.LastFailure, "not a directory") {
+		t.Fatalf("LastFailure = %q, want hot's mkdir error", st.LastFailure)
+	}
+
+	s := openDurableStore(t, filepath.Join(base, "primary"))
+	fill(t, s, 0, 50)
+	r.Track("cold", s.ExportFiles, dests("cold"), nil)
+	inj.FailOp("cold", down, 1)
+	r.Notify("cold")
+	r.Quiesce()
+	st = r.Stats()
+	if st.TailFailures != 1 || st.FileFailures != 1 || st.Failures != 2 {
+		t.Fatalf("after a failed SSTable reconcile: %+v", st)
+	}
+	if !strings.HasPrefix(st.LastFailure, "cold: ") || !strings.Contains(st.LastFailure, "not a directory") {
+		t.Fatalf("LastFailure = %q, want cold's mkdir error", st.LastFailure)
+	}
+
+	r.Notify("cold")
+	r.Quiesce()
+	if st = r.Stats(); st.Failures != 2 || len(replicaIDs(t, good)) == 0 {
+		t.Fatalf("retry did not ship cleanly: %+v, replica files %v", st, replicaIDs(t, good))
 	}
 }

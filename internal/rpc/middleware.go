@@ -8,6 +8,7 @@ import (
 	"runtime/debug"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -79,9 +80,9 @@ func withLogging(lg *log.Logger) Middleware {
 }
 
 // Metrics is the per-op latency surface: one lock-free obs.Histogram
-// per request path, created on first hit. The map is guarded by mu;
-// recording itself is atomic (the serving path never blocks on
-// another recorder).
+// per route, created on first hit. The map is guarded by mu; recording
+// itself is atomic (the serving path never blocks on another
+// recorder).
 type Metrics struct {
 	mu  sync.Mutex
 	ops map[string]*obs.Histogram
@@ -90,7 +91,7 @@ type Metrics struct {
 // NewMetrics returns an empty metrics registry.
 func NewMetrics() *Metrics { return &Metrics{ops: make(map[string]*obs.Histogram)} }
 
-// hist returns (creating if needed) the histogram for one op path.
+// hist returns (creating if needed) the histogram for one route.
 func (m *Metrics) hist(op string) *obs.Histogram {
 	m.mu.Lock()
 	h := m.ops[op]
@@ -122,14 +123,31 @@ func (m *Metrics) WriteProm(w *obs.MetricWriter) {
 	}
 }
 
-// withMetrics records every request's latency under its path. The
-// record is deferred so a panicking handler (resolved to a 500 by the
-// outer recovery ring) still lands in its op's histogram.
-func withMetrics(m *Metrics) Middleware {
+// withMetrics records every request's latency under the route it
+// matches — the pattern minus its method: op="/node/get" — or under
+// "other" when it matches none, so the histogram set is bounded by the
+// route table whatever paths clients probe. debug is mounted on mux as
+// "/"; that match is resolved against debug's own routes. The route is
+// matched here rather than read back from r.Pattern afterwards: under a
+// deadline the mux runs on the deadline ring's goroutine, and a request
+// that times out would race its write. The record is deferred so a
+// panicking handler (resolved to a 500 by the outer recovery ring)
+// still lands in its route's histogram.
+func withMetrics(m *Metrics, mux, debug *http.ServeMux) Middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			start := time.Now()
-			defer func() { m.hist(r.URL.Path).Record(time.Since(start)) }()
+			_, route := mux.Handler(r)
+			if route == "/" {
+				_, route = debug.Handler(r)
+			}
+			if _, path, ok := strings.Cut(route, " "); ok {
+				route = path
+			}
+			if route == "" {
+				route = "other"
+			}
+			defer func() { m.hist(route).Record(time.Since(start)) }()
 			next.ServeHTTP(w, r)
 		})
 	}

@@ -19,19 +19,21 @@
 // Every server runs the same composable middleware chain, outermost
 // first:
 //
-//	panic recovery → request logging → per-op latency histograms →
+//	panic recovery → request logging → per-route latency histograms →
 //	deadline propagation → handler
 //
 // Recovery converts a handler panic into a 500 without killing the
 // process (one bad request must not take a region server down).
 // Logging writes one line per request (method, path, status, duration)
-// to the node's log. Histograms feed the node's /metrics endpoint
-// (obs.Histogram — the same lock-free buckets the engine's telemetry
-// uses). Deadline propagation honors the X-Met-Deadline header
-// (milliseconds of budget remaining, set by the client from its
-// per-call timeout): the handler runs against a buffered response
-// writer and the deadline expiring first turns the reply into 504
-// without racing the handler's writes.
+// to the node's log. Histograms (obs.Histogram — the same lock-free
+// buckets the engine's telemetry uses) are keyed by the matched route,
+// never by the raw path, so the set is bounded by the route table:
+// rpc_op_latency_seconds{op="/node/get"}, and one op="other" for every
+// path that matches nothing. Deadline propagation honors the
+// X-Met-Deadline header (milliseconds of budget remaining, set by the
+// client from its per-call timeout): the handler runs against a
+// buffered response writer and the deadline expiring first turns the
+// reply into 504 without racing the handler's writes.
 //
 // # Routing epochs
 //
@@ -46,14 +48,21 @@
 // identical treatment client-side, so a killed worker re-routes as
 // soon as the master has failed its regions over.
 //
-// # Health and drain
+// # Health, drain and the debug plane
 //
-// Every node serves /healthz (process liveness: always 200 while the
-// listener is up) and /readyz (serving readiness: 503 while draining).
-// Drain flips readiness off, then gracefully shuts the HTTP server
-// down — in-flight requests complete, new connections are refused —
-// so every acknowledged write is acknowledged by a fully-processed
-// handler, never truncated by the stop.
+// Beside its routes every node mounts the debug plane (obs.NewMux) on
+// the same listener. On a worker it is the region server's whole
+// observability surface, from the code the in-process cluster uses
+// (hbase.RegionServer.DebugConfig): /metrics carries the route
+// histograms, the process's runtime stats and the server's full met_*
+// tree; /healthz is 503 once the region server has stopped;
+// /debug/slowops, /debug/vars and /debug/pprof/ answer as they do
+// in-process. The master serves the route histograms and process stats.
+// /readyz belongs to this package: serving readiness, 503 while
+// draining. Drain flips readiness off, then gracefully shuts the HTTP
+// server down — in-flight requests complete, new connections are
+// refused — so every acknowledged write is acknowledged by a
+// fully-processed handler, never truncated by the stop.
 package rpc
 
 import (

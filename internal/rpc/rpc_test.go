@@ -425,6 +425,145 @@ func TestPanicRecoveryAndMetrics(t *testing.T) {
 	}
 }
 
+// TestMetricsBoundedByRouteTable: the per-op histograms are keyed by the
+// matched route, not the request path, so clients probing paths that do
+// not exist (or walking /debug/pprof/) cannot grow a node's heap: every
+// unmatched path shares the one "other" series.
+func TestMetricsBoundedByRouteTable(t *testing.T) {
+	srv := NewServer("stub", http.NewServeMux(), io.Discard)
+	if err := srv.Serve("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	size := func() int {
+		srv.metrics.mu.Lock()
+		defer srv.metrics.mu.Unlock()
+		return len(srv.metrics.ops)
+	}
+	get := func(path string) {
+		t.Helper()
+		resp, err := http.Get("http://" + srv.Addr() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	get("/debug/pprof/cmdline")
+	get("/debug/pprof/goroutine")
+	before := size()
+	for i := 0; i < 1000; i++ {
+		get(fmt.Sprintf("/probe/%d", i))
+		get(fmt.Sprintf("/debug/pprof/no-such-profile-%d", i))
+	}
+	if got := size(); got != before+1 {
+		t.Fatalf("registry grew from %d to %d series over 2000 probes, want %d", before, got, before+1)
+	}
+	srv.metrics.mu.Lock()
+	other := srv.metrics.ops["other"]
+	srv.metrics.mu.Unlock()
+	if other == nil {
+		t.Fatal(`unmatched paths did not land in op="other"`)
+	}
+	if s := other.Snapshot(); s.Count() != 1000 {
+		t.Fatalf(`op="other" holds %d requests, want 1000`, s.Count())
+	}
+}
+
+// TestWorkerPageIsTheContract: one worker listener serves the whole
+// observability surface for its server — the shared met_* tree, the rpc
+// handler histograms in the exact form the bench parses, the process
+// stats and the debug endpoints — and its probes follow the server's
+// and the listener's state.
+func TestWorkerPageIsTheContract(t *testing.T) {
+	cl := startCluster(t, 2, nil)
+	for i := 0; i < 40; i++ {
+		k := fmt.Sprintf("k%04d", i)
+		if err := cl.c.Put("t", k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.c.Get("t", k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cl.c.Scan("t", "", "", -1); err != nil {
+		t.Fatal(err)
+	}
+	region, _, err := cl.c.route("t", "k0000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := cl.workers[region.Server]
+	rs := node.RegionServer()
+	for _, r := range rs.Regions() {
+		if err := r.Store().Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rs.QuiesceReplication()
+
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get("http://" + node.Addr() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	code, page := get("/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics: %d", code)
+	}
+	server := `{server="` + rs.Name() + `"`
+	for _, want := range []string{
+		"met_wal_appends_total" + server,
+		"met_wal_sync_rounds_total" + server,
+		"met_engine_flushes_total" + server,
+		"met_replication_bytes_shipped_total" + server,
+		"met_tail_floor_ships_total" + server,
+		"met_replication_failures_total" + server + `,kind="tail"}`,
+		"met_op_latency_seconds" + server + `,op="put",quantile="0.99"}`,
+		"met_process_goroutines ",
+		`rpc_op_latency_seconds_sum{op="/node/get"} `,
+		`rpc_op_latency_seconds_count{op="/node/get"} `,
+		`rpc_op_latency_seconds_count{op="/node/put"} `,
+		`rpc_op_latency_seconds_count{op="/node/scan"} `,
+	} {
+		if !strings.Contains(page, want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+	for _, zero := range []string{
+		"met_wal_appends_total" + server + "} 0\n",
+		"met_engine_flushes_total" + server + "} 0\n",
+		"met_replication_bytes_shipped_total" + server + "} 0\n",
+	} {
+		if strings.Contains(page, zero) {
+			t.Errorf("/metrics reports %q after puts, a flush and a quiesce", zero)
+		}
+	}
+	if t.Failed() {
+		t.Logf("page:\n%s", page)
+	}
+	for _, path := range []string{"/debug/slowops", "/debug/vars", "/debug/pprof/", "/healthz", "/readyz"} {
+		if code, body := get(path); code != http.StatusOK {
+			t.Errorf("%s: %d %.100s", path, code, body)
+		}
+	}
+
+	rs.Shutdown()
+	if code, _ := get("/healthz"); code != http.StatusServiceUnavailable {
+		t.Errorf("/healthz after Shutdown: %d, want 503", code)
+	}
+	// Draining flips readiness before the listener goes away; probe the
+	// handler directly, since a drained listener refuses connections.
+	node.draining.Store(true)
+	if code, _ := get("/readyz"); code != http.StatusServiceUnavailable {
+		t.Errorf("/readyz while draining: %d, want 503", code)
+	}
+}
+
 // TestDrainWhileServing: writers hammer a worker while it drains. Every
 // put acknowledged before or during the drain must be durable on the
 // worker (no acked write is truncated by the graceful stop), and the

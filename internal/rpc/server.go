@@ -14,56 +14,63 @@ import (
 )
 
 // Server is one node's HTTP front: a listener, the middleware chain
-// around the node's handler, and the health/readiness/drain surface.
-// mu guards the listener/server handles across Serve/Drain/Close; the
-// serving path itself runs lock-free on the atomics.
+// around the node's routes, the debug plane and the readiness/drain
+// surface. mu guards the listener/server handles across
+// Serve/Drain/Close; the serving path itself runs lock-free on the
+// atomics.
 type Server struct {
 	mu  sync.Mutex
 	lis net.Listener
 	srv *http.Server
 
-	name     string
 	lg       *log.Logger
 	metrics  *Metrics
 	draining atomic.Bool
-	extra    func(w *obs.MetricWriter) // node-specific /metrics section
-	health   func() error              // nil = always healthy
 }
 
-// NewServer wraps handler in the standard middleware chain (panic
-// recovery outermost, then request logging, per-op histograms, and
-// deadline propagation) and mounts the health surface next to it.
-// logw receives the request log; name tags each line.
+// NewServer is newServer with no node behind the debug plane.
 func NewServer(name string, mux *http.ServeMux, logw io.Writer) *Server {
+	return newServer(name, mux, logw, obs.DebugConfig{})
+}
+
+// newServer wraps mux in the standard middleware chain (panic recovery
+// outermost, then request logging, per-route histograms, and deadline
+// propagation) and mounts /readyz and the debug plane beside its
+// routes. node is the plane's source; /metrics leads with the route
+// histograms and the process's runtime stats, and without a node.Health
+// /healthz is always 200. logw receives the request log; name tags
+// each line.
+func newServer(name string, mux *http.ServeMux, logw io.Writer, node obs.DebugConfig) *Server {
 	if logw == nil {
 		logw = io.Discard
 	}
 	s := &Server{
-		name:    name,
 		lg:      log.New(logw, name+" ", log.LstdFlags|log.Lmicroseconds),
 		metrics: NewMetrics(),
 	}
-	mux.HandleFunc("/healthz", s.handleHealthz)
+	nodeMetrics := node.Metrics
+	node.Metrics = func(mw *obs.MetricWriter) {
+		s.metrics.WriteProm(mw)
+		obs.WriteProcessMetrics(mw)
+		if nodeMetrics != nil {
+			nodeMetrics(mw)
+		}
+	}
+	if node.Health == nil {
+		node.Health = func() error { return nil }
+	}
+	debug := obs.NewMux(node)
 	mux.HandleFunc("/readyz", s.handleReadyz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
+	mux.Handle("/", debug)
 	handler := chain(mux,
 		withRecovery(s.lg),
 		withLogging(s.lg),
-		withMetrics(s.metrics),
+		withMetrics(s.metrics, mux, debug),
 		withDeadline(),
 	)
 	s.srv = &http.Server{Handler: handler}
 	return s
 }
-
-// SetHealth installs the node's liveness probe (nil error = healthy).
-func (s *Server) SetHealth(f func() error) { s.health = f }
-
-// SetMetricsExtra appends a node-specific section to /metrics.
-func (s *Server) SetMetricsExtra(f func(w *obs.MetricWriter)) { s.extra = f }
-
-// Metrics exposes the per-op histograms (for tests and embedding).
-func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Serve binds addr (use ":0" for an ephemeral port) and serves in the
 // background; the bound address is available from Addr.
@@ -120,19 +127,6 @@ func (s *Server) Close() error {
 	return srv.Close()
 }
 
-// handleHealthz is process liveness: 200 while the listener is up and
-// the node's probe (if any) passes.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.health != nil {
-		if err := s.health(); err != nil {
-			writeError(w, http.StatusServiceUnavailable, "unhealthy", err.Error())
-			return
-		}
-	}
-	w.WriteHeader(http.StatusOK)
-	_, _ = io.WriteString(w, "ok\n")
-}
-
 // handleReadyz is serving readiness: 503 once draining has begun.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
@@ -141,15 +135,4 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(http.StatusOK)
 	_, _ = io.WriteString(w, "ready\n")
-}
-
-// handleMetrics renders the per-op latency histograms (and the node's
-// extra section) in Prometheus text format.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	mw := obs.NewMetricWriter(w)
-	s.metrics.WriteProm(mw)
-	if s.extra != nil {
-		s.extra(mw)
-	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"met/internal/hbase"
 	"met/internal/kv"
-	"met/internal/obs"
 )
 
 // ServerNode is one worker process's RPC front: the data plane
@@ -39,18 +38,7 @@ func NewServerNode(rs *hbase.RegionServer, epoch int64, logw io.Writer) *ServerN
 	mux.HandleFunc("POST /node/refollow", n.handleRefollow)
 	mux.HandleFunc("POST /node/epoch", n.handleEpoch)
 	mux.HandleFunc("POST /node/quiesce", n.handleQuiesce)
-	n.Server = NewServer(rs.Name(), mux, logw)
-	n.Server.SetHealth(func() error {
-		if !rs.Running() {
-			return errors.New("region server stopped")
-		}
-		return nil
-	})
-	n.Server.SetMetricsExtra(func(w *obs.MetricWriter) {
-		st := rs.ReplicationStats()
-		w.Header("met_tail_floor_ships_total", "bounded-lag floor tail ships", "counter")
-		w.Counter("met_tail_floor_ships_total", nil, st.TailFloorShips)
-	})
+	n.Server = newServer(rs.Name(), mux, logw, rs.DebugConfig())
 	return n
 }
 

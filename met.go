@@ -140,25 +140,42 @@
 //
 // # Observability
 //
-// Every cluster carries an always-on telemetry layer (met/internal/obs):
+// Every server carries an always-on telemetry layer (met/internal/obs):
 // lock-free HDR-style latency histograms record every Get/Put/Scan at
 // both server and region level, plus every engine-side duration — WAL
 // fsync rounds, memstore flushes, compactions, replication SSTable
 // ships and WAL-tail ships. Percentiles (p50/p95/p99/p999) come from
 // mergeable snapshots, so recording costs ~15ns per op and never locks.
 //
+// There is one metrics tree. RegionServer.Stats returns a server's
+// whole state as one value (hbase.ServerStats: each layer's counters
+// snapshotted once, the latency distributions, and the derived
+// quantities — compaction and replication backlog, writes per fsync),
+// hbase.WriteServerMetrics renders such values as the met_* Prometheus
+// series, and everything that reports reads it: the debug plane below,
+// `metbench -json` (per server and summed) and the controller's
+// monitor (core.ClusterSource). The tree is served in two places, by
+// the same code:
+//
 //	srv, err := cluster.ServeDebug("127.0.0.1:6060")
 //
-// starts the opt-in HTTP debug plane: /metrics (Prometheus text
-// exposition of the full series set), /healthz (non-200 while any
-// server is stopped), /debug/slowops (JSON), /debug/vars (expvar) and
-// /debug/pprof. Setting ServerConfig.SlowOpThreshold additionally arms
-// per-op tracing: an operation slower than the threshold lands in the
-// server's bounded slow-op ring with per-stage spans (routing,
-// memstore, bloom, block cache, SSTable reads, WAL append/sync) —
-// RegionServer.SlowOps returns them, the debug plane serves them.
-// `metbench -slowlog 10ms -debug-addr :6060` wires both into the
-// benchmark, and its -json output carries the full percentile tables.
+// starts the opt-in debug plane of an in-process cluster, all servers
+// on one page: /metrics, /healthz (non-200 while any server is
+// stopped), /debug/slowops (JSON), /debug/vars (expvar) and
+// /debug/pprof/. Every metnode process serves the same endpoints on the
+// listener it already has — a worker for the one server it hosts, plus
+// rpc_op_latency_seconds per route and /readyz (503 while draining):
+//
+//	curl -s http://$WORKER/metrics | grep -E 'met_wal_|met_replication_'
+//	curl -s http://$WORKER/debug/slowops
+//	go tool pprof http://$WORKER/debug/pprof/profile?seconds=10
+//
+// Setting ServerConfig.SlowOpThreshold additionally arms per-op
+// tracing: an operation slower than the threshold lands in the server's
+// bounded slow-op ring with per-stage spans (routing, memstore, bloom,
+// block cache, SSTable reads, WAL append/sync) — RegionServer.SlowOps
+// returns them, the debug plane serves them. `metbench -slowlog 10ms
+// -debug-addr :6060` wires both into the benchmark.
 package met
 
 import (
