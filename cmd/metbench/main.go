@@ -14,9 +14,13 @@
 // load runs over the networked RPC client; -failover additionally
 // kill -9s workers and proves the recovery loss bounds (see procs.go).
 //
-// With -concurrency N > 1 the YCSB operations are fanned across N
-// goroutines the way real YCSB drives HBase with a client thread pool,
-// exercising the cluster's concurrent serving path.
+// YCSB operations run from -concurrency N closed-loop client goroutines
+// (default 1), the way real YCSB drives HBase with a client thread pool;
+// there is one driver (ycsb.Runner over hbase.KV), so N = 1 is the same
+// code path, and N > 1 exercises the cluster's concurrent serving path.
+// The run is split into ten batches; with -met the MeT controller is
+// attached and takes a monitoring sample — and possibly reconfigures
+// the cluster — between batches, at any -concurrency.
 //
 // With -durable DIR every region store runs on the on-disk backend
 // (met/internal/durable): group-committed WAL, SSTables, crash
@@ -73,7 +77,7 @@ type result struct {
 	PerOp       map[string]int64   `json:"per_op,omitempty"`
 	PerOpNs     map[string]float64 `json:"per_op_ns,omitempty"`
 	// ClientLatency is the client-observed per-op distribution from the
-	// parallel runner's worker shards (includes routing and retries).
+	// runner's worker shards (includes routing and retries).
 	ClientLatency map[string]obs.LatencySummary `json:"client_latency,omitempty"`
 	// ServerStats is the servers' telemetry summed over the cluster, its
 	// sections inlined: requests, engine, compaction, replication, wal,
@@ -120,8 +124,8 @@ func main() {
 	ops := flag.Int("ops", 20000, "operations (or transactions for tpcc)")
 	records := flag.Int64("records", 5000, "records to load per table")
 	seed := flag.Uint64("seed", 1, "deterministic seed")
-	concurrency := flag.Int("concurrency", 1, "parallel client goroutines (YCSB only)")
-	withMeT := flag.Bool("met", false, "attach the MeT controller during the run")
+	concurrency := flag.Int("concurrency", 1, "closed-loop client goroutines (YCSB only; values below 1 mean 1)")
+	withMeT := flag.Bool("met", false, "attach the MeT controller during the run: it samples, and may reconfigure the cluster, between the run's ten batches, at any -concurrency (YCSB only)")
 	durableDir := flag.String("durable", "", "data directory: run region stores on the durable disk backend")
 	jsonOut := flag.String("json", "", "write machine-readable results to this file")
 	sustained := flag.Bool("sustained", false,
@@ -144,6 +148,7 @@ func main() {
 	slowlog := flag.Duration("slowlog", 0, "arm slow-op tracing: ops at least this slow are kept with per-stage spans (0 disables)")
 	debugAddr := flag.String("debug-addr", "", "serve the HTTP debug plane (/metrics, /healthz, /debug/pprof) on this address for the run's duration")
 	flag.Parse()
+	*concurrency = max(*concurrency, 1)
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -235,14 +240,7 @@ func main() {
 		}
 		runTPCC(cluster, *ops, *seed, res)
 	default:
-		if *concurrency > 1 {
-			if *withMeT {
-				fmt.Fprintln(os.Stderr, "metbench: -met is not supported with -concurrency > 1; running without the controller")
-			}
-			runYCSBParallel(cluster, *workload, *ops, *records, *seed, *concurrency, res)
-		} else {
-			runYCSB(cluster, *workload, *ops, *records, *seed, *withMeT, res)
-		}
+		runYCSB(cluster, *workload, *ops, *records, *seed, *concurrency, *withMeT, res)
 	}
 	elapsed := time.Since(start)
 
@@ -352,16 +350,21 @@ func workloadSpec(letter string, records int64) *ycsb.Workload {
 	return nil
 }
 
-func runYCSB(cluster *met.Cluster, letter string, ops int, records int64, seed uint64, withMeT bool, res *result) {
+// runYCSB loads one paper workload and drives it from concurrency
+// closed-loop client goroutines (1 is the sequential driver — same code)
+// in ten batches; with -met the controller takes a monitoring sample,
+// and possibly reconfigures the cluster, between batches, while no
+// operation is in flight.
+func runYCSB(cluster *met.Cluster, letter string, ops int, records int64, seed uint64, concurrency int, withMeT bool, res *result) {
 	spec := workloadSpec(letter, records)
-	runner, err := ycsb.NewRunner(*spec, cluster.Client, sim.NewRNG(seed))
+	runner, err := ycsb.NewRunner(*spec, cluster.Client, concurrency, seed)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if err := runner.CreateTable(cluster.Master); err != nil && !errors.Is(err, met.ErrTableExists) {
 		log.Fatal(err)
 	}
-	fmt.Printf("loading %d records into %s...\n", records, spec.TableName())
+	fmt.Printf("loading %d records into %s (%d loaders)...\n", records, spec.TableName(), concurrency)
 	if err := runner.Load(0); err != nil {
 		log.Fatal(err)
 	}
@@ -376,19 +379,12 @@ func runYCSB(cluster *met.Cluster, letter string, ops int, records int64, seed u
 		ctrl.Tick(0)
 		ctrl.Monitor.Reset()
 	}
-	fmt.Printf("running %d operations of Workload%s (%s)...\n", ops, letter, spec.Scenario)
-	batch := ops / 10
-	if batch < 1 {
-		batch = 1
-	}
+	fmt.Printf("running %d operations of Workload%s (%s) across %d goroutines...\n", ops, letter, spec.Scenario, concurrency)
+	batch := max(ops/10, 1)
 	now := 30 * sim.Second
 	start := time.Now()
 	for done := 0; done < ops; done += batch {
-		n := batch
-		if ops-done < n {
-			n = ops - done
-		}
-		if err := runner.Run(n); err != nil {
+		if err := runner.Run(min(batch, ops-done)); err != nil {
 			log.Fatal(err)
 		}
 		if ctrl != nil {
@@ -397,64 +393,27 @@ func runYCSB(cluster *met.Cluster, letter string, ops int, records int64, seed u
 		}
 	}
 	elapsed := time.Since(start)
-	fmt.Printf("completed: %d ops, %d errors\n", runner.TotalCompleted(), runner.Errors())
-	res.Completed = runner.TotalCompleted()
-	res.Errors = runner.Errors()
-	res.PerOp = make(map[string]int64)
-	res.PerOpNs = make(map[string]float64)
-	nanos := runner.OpNanos()
-	for op, n := range runner.Completed() {
-		fmt.Printf("  %-7s %d (%.0f ns/op)\n", op, n, nanos[op])
-		res.PerOp[op.String()] = n
-		res.PerOpNs[op.String()] = nanos[op]
-	}
-	res.finish(elapsed)
-	if ctrl != nil {
-		fmt.Printf("MeT: %d decisions, %d actuations\n", ctrl.Decisions(), ctrl.Actuations())
-	}
-}
-
-func runYCSBParallel(cluster *met.Cluster, letter string, ops int, records int64, seed uint64, concurrency int, res *result) {
-	spec := workloadSpec(letter, records)
-	runner, err := ycsb.NewParallelRunner(*spec, cluster.Client, concurrency)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := runner.CreateTable(cluster.Master); err != nil && !errors.Is(err, met.ErrTableExists) {
-		log.Fatal(err)
-	}
-	fmt.Printf("loading %d records into %s (%d loaders)...\n", records, spec.TableName(), concurrency)
-	if err := runner.Load(0); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("running %d operations of Workload%s across %d goroutines...\n", ops, letter, concurrency)
-	start := time.Now()
-	if err := runner.Run(ops, seed); err != nil {
-		log.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	fmt.Printf("completed: %d ops, %d errors, %.0f ops/sec\n",
-		runner.TotalCompleted(), runner.Errors(), float64(runner.TotalCompleted())/elapsed.Seconds())
-	if n := runner.Transient(); n > 0 {
-		fmt.Printf("  (%d ops dropped on topology churn)\n", n)
-	}
 	res.Completed = runner.TotalCompleted()
 	res.Errors = runner.Errors()
 	res.Transient = runner.Transient()
+	res.finish(elapsed)
+	fmt.Printf("completed: %d ops, %d errors, %.0f ops/sec\n", res.Completed, res.Errors, res.OpsPerSec)
+	if res.Transient > 0 {
+		fmt.Printf("  (%d ops dropped on topology churn)\n", res.Transient)
+	}
 	res.PerOp = make(map[string]int64)
 	res.PerOpNs = make(map[string]float64)
 	res.ClientLatency = make(map[string]obs.LatencySummary)
-	nanos := runner.OpNanos()
-	lats := runner.OpLatencies()
-	for op, n := range runner.Completed() {
-		s := lats[op]
+	for op, s := range runner.OpLatencies() {
 		fmt.Printf("  %-7s %d (mean %.0f ns/op, p99 %v)\n",
-			op, n, nanos[op], time.Duration(s.P99).Round(time.Microsecond))
-		res.PerOp[op.String()] = n
-		res.PerOpNs[op.String()] = nanos[op]
+			op, s.Count, s.Mean, time.Duration(s.P99).Round(time.Microsecond))
+		res.PerOp[op.String()] = s.Count
+		res.PerOpNs[op.String()] = s.Mean
 		res.ClientLatency[op.String()] = s
 	}
-	res.finish(elapsed)
+	if ctrl != nil {
+		fmt.Printf("MeT: %d decisions, %d actuations\n", ctrl.Decisions(), ctrl.Actuations())
+	}
 }
 
 // runColdStart is the whole-cluster recovery proof: acknowledged writes
@@ -479,33 +438,10 @@ func runColdStart(dataDir string, cfg met.ServerConfig, servers, ops int, seed u
 		log.Fatal(err)
 	}
 	m, c := cluster.Master, cluster.Client
-	tables := []string{"orders", "users"}
-	splits := map[string][]string{"users": {"g", "p"}, "orders": {"m"}}
-	for _, tn := range tables {
-		if _, err := m.CreateTable(tn, splits[tn]); err != nil {
-			log.Fatal(err)
-		}
-	}
-	rng := sim.NewRNG(seed)
-	acked := make(map[string]map[string]string, len(tables)) // table -> key -> value
-	for _, tn := range tables {
-		acked[tn] = make(map[string]string)
-	}
-	write := func(n int) {
-		for i := 0; i < n; i++ {
-			tn := tables[rng.Intn(len(tables))]
-			// Keys spread over the whole alphabet so every pre-split
-			// region — and therefore every server — holds rows.
-			key := fmt.Sprintf("%c%07x", byte('a'+rng.Intn(26)), rng.Uint64()&0xfffffff)
-			val := fmt.Sprintf("%s/%s/v%d", tn, key, i)
-			if err := c.Put(tn, key, []byte(val)); err != nil {
-				log.Fatalf("metbench: coldstart put %s/%s: %v", tn, key, err)
-			}
-			acked[tn][key] = val
-		}
-	}
-	fmt.Printf("coldstart: writing %d rows across %d tables on %d servers...\n", ops, len(tables), servers)
-	write(ops / 2)
+	bootstrapTables(m)
+	acked := newAckLog(seed)
+	fmt.Printf("coldstart: writing %d rows across %d tables on %d servers...\n", ops, len(scenarioTables), servers)
+	acked.write(c, ops/2, "v")
 
 	// Move one region so recovery must also prove the moved region's
 	// directory, assignment and compactor attribution survive. The
@@ -528,14 +464,14 @@ func runColdStart(dataDir string, cfg met.ServerConfig, servers, ops int, seed u
 	if err := m.MoveRegion(moved, dst); err != nil {
 		log.Fatal(err)
 	}
-	write(ops - ops/2)
+	acked.write(c, ops-ops/2, "moved")
 
 	preAssign := m.Assignment()
 	preTables := m.Tables()
 	// Rows must genuinely span >= 3 servers, or the whole-cluster claim
 	// is weaker than advertised.
 	hosts := make(map[string]bool)
-	for _, tn := range tables {
+	for _, tn := range scenarioTables {
 		tb, _ := m.Table(tn)
 		for _, r := range tb.Regions() {
 			if r.DataBytes() > 0 {
@@ -553,23 +489,14 @@ func runColdStart(dataDir string, cfg met.ServerConfig, servers, ops int, seed u
 	if err != nil {
 		log.Fatalf("metbench: coldstart reopen: %v", err)
 	}
-	m2, c2 := reopened.Master, reopened.Client
+	m2 := reopened.Master
 	if got := m2.Tables(); !reflect.DeepEqual(got, preTables) {
 		log.Fatalf("metbench: coldstart tables %v != pre-crash %v", got, preTables)
 	}
 	if got := m2.Assignment(); !reflect.DeepEqual(got, preAssign) {
 		log.Fatalf("metbench: coldstart assignment %v != pre-crash %v", got, preAssign)
 	}
-	total := 0
-	for tn, rows := range acked {
-		for k, want := range rows {
-			v, err := c2.Get(tn, k)
-			if err != nil || string(v) != want {
-				log.Fatalf("metbench: coldstart lost acknowledged write %s/%s: %q, %v", tn, k, v, err)
-			}
-			total++
-		}
-	}
+	acked.mustVerify(reopened.Client, "coldstart")
 	// The moved region must be serviced by its destination's pool — and
 	// the compaction must be real I/O, not an empty-store no-op. The
 	// recovered rows may all sit in the replayed memstore, so flush
@@ -606,12 +533,12 @@ func runColdStart(dataDir string, cfg met.ServerConfig, servers, ops int, seed u
 	if n := movedStore.NumFiles(); n != 1 {
 		log.Fatalf("metbench: coldstart: major compaction left %d files, want 1", n)
 	}
-	fmt.Printf("coldstart: OK — %d acknowledged rows verified, layout recovered, moved region compacted on %s\n", total, dst)
+	fmt.Printf("coldstart: OK — %d acknowledged rows verified, layout recovered, moved region compacted on %s\n", len(acked.rows), dst)
 	if jsonOut != "" {
 		writeResultJSON(jsonOut, &result{
 			Workload: "coldstart", Ops: ops, Servers: servers, Durable: true,
 			GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
-			Completed: int64(total),
+			Completed: int64(len(acked.rows)),
 		})
 	}
 }
@@ -640,32 +567,46 @@ func runFailover(dataDir string, cfg met.ServerConfig, servers, ops int, seed ui
 		log.Fatal(err)
 	}
 	m, c := cluster.Master, cluster.Client
-	tables := []string{"orders", "users"}
-	splits := map[string][]string{"users": {"g", "p"}, "orders": {"m"}}
-	for _, tn := range tables {
-		if _, err := m.CreateTable(tn, splits[tn]); err != nil {
+	bootstrapTables(m)
+	acked := newAckLog(seed)
+	fmt.Printf("failover: writing %d rows across %d tables on %d servers (replication=2)...\n",
+		ops, len(scenarioTables), servers)
+	acked.write(c, ops, "v")
+
+	// killAndRecover hard-kills the server hosting the most regions,
+	// takes its primary directories (and, withWAL, its shared WAL) with
+	// it, fails it over and insists on a zero-loss report.
+	killAndRecover := func(phase string, withWAL bool) *hbase.RecoveryReport {
+		name, regions := pickVictim(m.Assignment())
+		victim, err := m.Server(name)
+		if err != nil {
 			log.Fatal(err)
 		}
-	}
-	rng := sim.NewRNG(seed)
-	acked := make(map[string]map[string]string, len(tables))
-	for _, tn := range tables {
-		acked[tn] = make(map[string]string)
-	}
-	fmt.Printf("failover: writing %d rows across %d tables on %d servers (replication=2)...\n",
-		ops, len(tables), servers)
-	for i := 0; i < ops; i++ {
-		tn := tables[rng.Intn(len(tables))]
-		key := fmt.Sprintf("%c%07x", byte('a'+rng.Intn(26)), rng.Uint64()&0xfffffff)
-		val := fmt.Sprintf("%s/%s/v%d", tn, key, i)
-		if err := c.Put(tn, key, []byte(val)); err != nil {
-			log.Fatalf("metbench: failover put %s/%s: %v", tn, key, err)
+		fmt.Printf("failover: hard-killing %s (%d regions, %s) and quarantining its disk...\n", name, len(regions), phase)
+		victim.Shutdown()
+		walOf := ""
+		if withWAL {
+			walOf = name
 		}
-		acked[tn][key] = val
+		quarantine(dataDir, regions, walOf)
+		report, err := m.RecoverServer(name)
+		if err != nil {
+			log.Fatalf("metbench: failover RecoverServer (%s): %v", phase, err)
+		}
+		for _, rec := range report.Regions {
+			fmt.Printf("failover: %s -> %s on %s (%d replica SSTables, %d tail records replayed, %d lost)\n",
+				rec.Region, rec.NewRegion, rec.Source, rec.ReplicaFiles, rec.TailWrites, rec.LostWrites)
+		}
+		if report.LostWrites != 0 {
+			log.Fatalf("metbench: failover (%s) lost %d acknowledged writes (report %+v)",
+				phase, report.LostWrites, report)
+		}
+		return report
 	}
 
-	// Clean flush + replication barrier: after this, losing any single
-	// server must lose nothing.
+	// Phase 1 — clean flush + replication barrier: after this, losing any
+	// single server with its primary directories must lose nothing, and
+	// recovery must come from the replica SSTables.
 	for _, rs := range m.Servers() {
 		for _, r := range rs.Regions() {
 			if err := r.Store().Flush(); err != nil {
@@ -674,56 +615,13 @@ func runFailover(dataDir string, cfg met.ServerConfig, servers, ops int, seed ui
 		}
 	}
 	m.QuiesceReplication()
-
-	// Hard-kill the server hosting the most data and take its primary
-	// directories with it: recovery must come from the replicas.
-	var victim *hbase.RegionServer
-	for _, rs := range m.Servers() {
-		if victim == nil || rs.NumRegions() > victim.NumRegions() {
-			victim = rs
-		}
-	}
-	victimRegions := victim.Regions()
-	if len(victimRegions) == 0 {
-		log.Fatal("metbench: failover: victim hosts no regions")
-	}
-	fmt.Printf("failover: hard-killing %s (%d regions) and quarantining its primary directories...\n",
-		victim.Name(), len(victimRegions))
-	victim.Shutdown()
-	for _, r := range victimRegions {
-		dir := hbase.RegionDataDir(dataDir, r.Name())
-		if _, err := os.Stat(dir); err == nil {
-			if err := os.Rename(dir, dir+".quarantine"); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-
-	report, err := m.RecoverServer(victim.Name())
-	if err != nil {
-		log.Fatalf("metbench: failover RecoverServer: %v", err)
-	}
-	if report.LostWrites != 0 {
-		log.Fatalf("metbench: failover lost %d acknowledged writes after a clean flush (report %+v)",
-			report.LostWrites, report)
-	}
+	report := killAndRecover("clean flush", false)
 	for _, rec := range report.Regions {
 		if rec.ReplicaFiles == 0 {
 			log.Fatalf("metbench: failover: region %s recovered with zero replica files — nothing was shipped", rec.Region)
 		}
-		fmt.Printf("failover: %s -> %s on %s (%d replica SSTables, %d lost)\n",
-			rec.Region, rec.NewRegion, rec.Source, rec.ReplicaFiles, rec.LostWrites)
 	}
-	total := 0
-	for tn, rows := range acked {
-		for k, want := range rows {
-			v, err := c.Get(tn, k)
-			if err != nil || string(v) != want {
-				log.Fatalf("metbench: failover lost acknowledged write %s/%s: %q, %v", tn, k, v, err)
-			}
-			total++
-		}
-	}
+	acked.mustVerify(c, "failover")
 	// The cluster keeps serving after the failover...
 	if err := c.Put("users", "zz-post-failover", []byte("alive")); err != nil {
 		log.Fatalf("metbench: failover: cluster dead after recovery: %v", err)
@@ -736,73 +634,20 @@ func runFailover(dataDir string, cfg met.ServerConfig, servers, ops int, seed ui
 	// replicator shipped the durable-but-unflushed WAL tail to the
 	// followers, and RecoverServer replayed it. After a replication
 	// quiesce the unsynced window is empty, so loss must be exactly zero.
-	hotOps := ops / 4
-	if hotOps < 100 {
-		hotOps = 100
-	}
+	hotOps := max(ops/4, 100)
 	fmt.Printf("failover: phase 2 — writing %d more rows, killing a server with a hot (unflushed) memstore...\n", hotOps)
-	for i := 0; i < hotOps; i++ {
-		tn := tables[rng.Intn(len(tables))]
-		key := fmt.Sprintf("%c%07x", byte('a'+rng.Intn(26)), rng.Uint64()&0xfffffff)
-		val := fmt.Sprintf("%s/%s/hot%d", tn, key, i)
-		if err := c.Put(tn, key, []byte(val)); err != nil {
-			log.Fatalf("metbench: failover hot put %s/%s: %v", tn, key, err)
-		}
-		acked[tn][key] = val
-	}
+	acked.write(c, hotOps, "hot")
 	m.QuiesceReplication()
 	live := sumStats(m.Stats()) // the report's snapshot: every server still up
-
-	var victim2 *hbase.RegionServer
-	for _, rs := range m.Servers() {
-		if victim2 == nil || rs.NumRegions() > victim2.NumRegions() {
-			victim2 = rs
-		}
-	}
-	fmt.Printf("failover: hard-killing %s (%d regions) with its memstores hot, quarantining primaries and WAL...\n",
-		victim2.Name(), victim2.NumRegions())
-	victim2Regions := victim2.Regions()
-	victim2.Shutdown()
-	for _, r := range victim2Regions {
-		dir := hbase.RegionDataDir(dataDir, r.Name())
-		if _, err := os.Stat(dir); err == nil {
-			if err := os.Rename(dir, dir+".quarantine"); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-	walDir := hbase.ServerWALDir(dataDir, victim2.Name())
-	if _, err := os.Stat(walDir); err == nil {
-		if err := os.Rename(walDir, walDir+".quarantine"); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	report2, err := m.RecoverServer(victim2.Name())
-	if err != nil {
-		log.Fatalf("metbench: failover RecoverServer (hot memstore): %v", err)
-	}
-	if report2.LostWrites != 0 {
-		log.Fatalf("metbench: hot-memstore failover lost %d acknowledged writes — the shipped WAL tail must bound loss to the unsynced window, which a quiesce empties (report %+v)",
-			report2.LostWrites, report2)
-	}
+	report2 := killAndRecover("hot memstore", true)
 	tailWrites := 0
 	for _, rec := range report2.Regions {
 		tailWrites += rec.TailWrites
-		fmt.Printf("failover: %s -> %s on %s (%d replica SSTables, %d tail records replayed, %d lost)\n",
-			rec.Region, rec.NewRegion, rec.Source, rec.ReplicaFiles, rec.TailWrites, rec.LostWrites)
 	}
 	if tailWrites == 0 {
 		log.Fatal("metbench: hot-memstore failover replayed no tail records — the unflushed writes were recovered from somewhere they should not exist")
 	}
-	for tn, rows := range acked {
-		for k, want := range rows {
-			v, err := c.Get(tn, k)
-			if err != nil || string(v) != want {
-				log.Fatalf("metbench: hot-memstore failover lost acknowledged write %s/%s: %q, %v", tn, k, v, err)
-			}
-		}
-	}
+	acked.mustVerify(c, "hot-memstore failover")
 
 	// ...and the recovered layout survives a full cold start.
 	m.HardStop()
@@ -810,22 +655,13 @@ func runFailover(dataDir string, cfg met.ServerConfig, servers, ops int, seed ui
 	if err != nil {
 		log.Fatalf("metbench: failover cold start after recovery: %v", err)
 	}
-	total = 0
-	for tn, rows := range acked {
-		for k, want := range rows {
-			v, err := reopened.Client.Get(tn, k)
-			if err != nil || string(v) != want {
-				log.Fatalf("metbench: failover+coldstart lost %s/%s: %q, %v", tn, k, v, err)
-			}
-			total++
-		}
-	}
-	fmt.Printf("failover: OK — %d acknowledged rows verified (replica SSTables + shipped WAL tail), zero loss, layout cold-starts\n", total)
+	acked.mustVerify(reopened.Client, "failover+coldstart")
+	fmt.Printf("failover: OK — %d acknowledged rows verified (replica SSTables + shipped WAL tail), zero loss, layout cold-starts\n", len(acked.rows))
 	if jsonOut != "" {
 		writeResultJSON(jsonOut, &result{
 			Workload: "failover", Ops: ops, Servers: servers, Durable: true,
 			GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
-			Completed:           int64(total),
+			Completed:           int64(len(acked.rows)),
 			LostWrites:          report.LostWrites,
 			LostWritesUnflushed: report2.LostWrites,
 			ServerStats:         live,

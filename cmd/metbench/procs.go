@@ -12,9 +12,7 @@ import (
 	"time"
 
 	"met"
-	"met/internal/hbase"
 	"met/internal/rpc"
-	"met/internal/sim"
 )
 
 // procState records the real OS processes a -procs run drove, for the
@@ -149,13 +147,7 @@ func runProcs(dataDir string, cfg met.ServerConfig, servers, ops int, seed uint6
 	if err != nil {
 		log.Fatal(err)
 	}
-	tables := []string{"orders", "users"}
-	splits := map[string][]string{"users": {"g", "p"}, "orders": {"m"}}
-	for _, tn := range tables {
-		if _, err := cluster.Master.CreateTable(tn, splits[tn]); err != nil {
-			log.Fatal(err)
-		}
-	}
+	bootstrapTables(cluster.Master)
 	var names []string
 	for _, rs := range cluster.Master.Servers() {
 		names = append(names, rs.Name())
@@ -200,46 +192,46 @@ func runProcs(dataDir string, cfg met.ServerConfig, servers, ops int, seed uint6
 	if err != nil {
 		log.Fatalf("metbench: dial master: %v", err)
 	}
-	rng := sim.NewRNG(seed)
-	acked := make(map[string]map[string]string, len(tables))
-	for _, tn := range tables {
-		acked[tn] = make(map[string]string)
-	}
-	write := func(n int, tag string) {
-		for i := 0; i < n; i++ {
-			tn := tables[rng.Intn(len(tables))]
-			key := fmt.Sprintf("%c%07x", byte('a'+rng.Intn(26)), rng.Uint64()&0xfffffff)
-			val := fmt.Sprintf("%s/%s/%s%d", tn, key, tag, i)
-			if err := c.Put(tn, key, []byte(val)); err != nil {
-				log.Fatalf("metbench: procs put %s/%s: %v", tn, key, err)
-			}
-			acked[tn][key] = val
-		}
-	}
-	verify := func(phase string) int {
-		missing := 0
-		for tn, rows := range acked {
-			for k, want := range rows {
-				v, err := c.Get(tn, k)
-				if err != nil || string(v) != want {
-					missing++
-				}
-			}
-		}
-		fmt.Printf("procs: %s — %d acked rows, %d missing\n", phase, ackedCount(acked), missing)
-		return missing
-	}
-
+	acked := newAckLog(seed)
 	fmt.Printf("procs: writing %d rows over RPC across %d worker processes...\n", ops, servers)
-	write(ops, "v")
-	if miss := verify("after load"); miss != 0 {
-		log.Fatalf("metbench: procs lost %d rows with every process alive", miss)
-	}
+	acked.write(c, ops, "v")
+	acked.mustVerify(c, "procs with every process alive")
 
 	if !doFailover {
-		fmt.Printf("procs: OK — %d rows via %d processes\n", ackedCount(acked), servers+1)
-		writeProcsResult(jsonOut, ops, servers, procs, 0, 0, acked)
+		fmt.Printf("procs: OK — %d rows via %d processes\n", len(acked.rows), servers+1)
+		writeProcsResult(jsonOut, ops, servers, procs, 0, len(acked.rows))
 		return
+	}
+
+	// killAndRecover kill -9s the live worker hosting the most regions
+	// (by the client's refreshed view of the layout), takes its disk
+	// away, recovers it through the master process and returns how many
+	// regions died with it.
+	killAndRecover := func(phase string) (deadRegions int) {
+		if err := c.Refresh(); err != nil {
+			log.Fatal(err)
+		}
+		assignment := make(map[string]string)
+		for _, r := range c.Regions() {
+			assignment[r.Name] = r.Server
+		}
+		victim, regions := pickVictim(assignment)
+		fmt.Printf("procs: %s — kill -9 %s (pid %d, %d regions), quarantining its disk...\n",
+			phase, victim, workers[victim].cmd.Process.Pid, len(regions))
+		workers[victim].kill9()
+		quarantine(dataDir, regions, victim)
+		workers[victim] = nil
+		procs.Killed = append(procs.Killed, victim)
+		reply, err := c.Recover(victim)
+		if err != nil {
+			log.Fatalf("metbench: procs recover %s: %v", victim, err)
+		}
+		for _, rr := range reply.Regions {
+			fmt.Printf("procs: %s -> %s on %s (%d replica SSTables, %d tail records, recovered ts %d)\n",
+				rr.Spec.Region, rr.Spec.NewRegion, rr.Spec.Source,
+				rr.Report.ReplicaFiles, rr.Report.TailWrites, rr.Report.RecoveredTS)
+		}
+		return len(regions)
 	}
 
 	// Phase A: quiesced kill. After the replication barrier the replicas
@@ -248,49 +240,17 @@ func runProcs(dataDir string, cfg met.ServerConfig, servers, ops int, seed uint6
 	if err := c.Quiesce(); err != nil {
 		log.Fatalf("metbench: procs quiesce: %v", err)
 	}
-	victim := victimOf(c, "")
-	fmt.Printf("procs: phase A — kill -9 %s (pid %d) after quiesce, quarantining its disk...\n",
-		victim, workers[victim].cmd.Process.Pid)
-	workers[victim].kill9()
-	quarantineProc(c, dataDir, victim)
-	workers[victim] = nil
-	procs.Killed = append(procs.Killed, victim)
-	replyA, err := c.Recover(victim)
-	if err != nil {
-		log.Fatalf("metbench: procs recover %s: %v", victim, err)
-	}
-	for _, rr := range replyA.Regions {
-		fmt.Printf("procs: %s -> %s on %s (%d replica SSTables, %d tail records)\n",
-			rr.Spec.Region, rr.Spec.NewRegion, rr.Spec.Source, rr.Report.ReplicaFiles, rr.Report.TailWrites)
-	}
-	if miss := verify("after quiesced kill"); miss != 0 {
-		log.Fatalf("metbench: procs phase A lost %d acknowledged writes after a quiesce — must be exactly zero", miss)
-	}
+	killAndRecover("phase A, after quiesce")
+	acked.mustVerify(c, "procs phase A (quiesced kill — must be exactly zero)")
 
 	// Phase B: mid-burst kill, no quiesce. The tail floor is the only
 	// bound: each dead region may lose at most ~2*tailLag acknowledged
 	// records (one floor window in flight plus one accruing).
-	hotOps := ops
-	fmt.Printf("procs: phase B — %d-row burst, then kill -9 mid-burst with no quiesce...\n", hotOps)
-	write(hotOps, "hot")
-	victim2 := victimOf(c, victim)
-	deadRegions := regionsOn(c, victim2)
-	fmt.Printf("procs: kill -9 %s (pid %d, %d regions), quarantining its disk...\n",
-		victim2, workers[victim2].cmd.Process.Pid, deadRegions)
-	workers[victim2].kill9()
-	quarantineProc(c, dataDir, victim2)
-	workers[victim2] = nil
-	procs.Killed = append(procs.Killed, victim2)
-	replyB, err := c.Recover(victim2)
-	if err != nil {
-		log.Fatalf("metbench: procs recover %s: %v", victim2, err)
-	}
-	for _, rr := range replyB.Regions {
-		fmt.Printf("procs: %s -> %s on %s (%d replica SSTables, %d tail records, recovered ts %d)\n",
-			rr.Spec.Region, rr.Spec.NewRegion, rr.Spec.Source,
-			rr.Report.ReplicaFiles, rr.Report.TailWrites, rr.Report.RecoveredTS)
-	}
-	missing := verify("after mid-burst kill")
+	fmt.Printf("procs: phase B — %d-row burst, then kill -9 mid-burst with no quiesce...\n", ops)
+	acked.write(c, ops, "hot")
+	deadRegions := killAndRecover("phase B, mid-burst")
+	missing := acked.verify(c)
+	fmt.Printf("procs: after mid-burst kill — %d acked rows, %d missing\n", len(acked.rows), missing)
 	bound := 2 * tailLag * deadRegions
 	if missing > bound {
 		log.Fatalf("metbench: procs phase B lost %d acknowledged writes; the tail floor bounds loss to %d (2*%d records x %d regions)",
@@ -302,89 +262,20 @@ func runProcs(dataDir string, cfg met.ServerConfig, servers, ops int, seed uint6
 	}
 	fmt.Printf("procs: OK — quiesced kill lost 0, mid-burst kill lost %d <= %d bound, %d processes driven, 2 killed\n",
 		missing, bound, servers+1)
-	writeProcsResult(jsonOut, ops, servers, procs, 0, missing, acked)
+	writeProcsResult(jsonOut, ops, servers, procs, missing, len(acked.rows))
 }
 
-// ackedCount sums the acknowledged-row map.
-func ackedCount(acked map[string]map[string]string) int {
-	n := 0
-	for _, rows := range acked {
-		n += len(rows)
-	}
-	return n
-}
-
-// victimOf picks the live worker hosting the most regions (skipping an
-// already-dead one), from the client's view of the layout.
-func victimOf(c *rpc.Client, dead string) string {
-	if err := c.Refresh(); err != nil {
-		log.Fatal(err)
-	}
-	counts := map[string]int{}
-	for _, r := range c.Regions() {
-		if r.Server != dead {
-			counts[r.Server]++
-		}
-	}
-	victim, best := "", -1
-	for s, n := range counts {
-		if n > best || (n == best && s < victim) {
-			victim, best = s, n
-		}
-	}
-	if victim == "" {
-		log.Fatal("metbench: no live worker to kill")
-	}
-	return victim
-}
-
-// regionsOn counts the regions the layout places on one worker.
-func regionsOn(c *rpc.Client, server string) int {
-	n := 0
-	for _, r := range c.Regions() {
-		if r.Server == server {
-			n++
-		}
-	}
-	return n
-}
-
-// quarantineProc renames a dead worker's primary region directories and
-// WAL away — its disk died with the process — so recovery provably
-// runs from the surviving replicas alone.
-func quarantineProc(c *rpc.Client, dataDir, dead string) {
-	for _, r := range c.Regions() {
-		if r.Server != dead {
-			continue
-		}
-		dir := hbase.RegionDataDir(dataDir, r.Name)
-		if _, err := os.Stat(dir); err == nil {
-			if err := os.Rename(dir, dir+".quarantine"); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-	w := hbase.ServerWALDir(dataDir, dead)
-	if _, err := os.Stat(w); err == nil {
-		if err := os.Rename(w, w+".quarantine"); err != nil {
-			log.Fatal(err)
-		}
-	}
-}
-
-// writeProcsResult emits the machine-readable report.
-func writeProcsResult(jsonOut string, ops, servers int, procs *procState,
-	lostQuiesced, lostBurst int, acked map[string]map[string]string) {
+// writeProcsResult emits the machine-readable report; the quiesced
+// phase's loss is zero by the time anything is reported.
+func writeProcsResult(jsonOut string, ops, servers int, procs *procState, lostBurst, acked int) {
 	if jsonOut == "" {
 		return
 	}
-	res := &result{
+	writeResultJSON(jsonOut, &result{
 		Workload: "procs", Ops: ops, Servers: servers, Durable: true,
 		GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
-		Completed:           int64(ackedCount(acked)),
-		LostWrites:          int64(lostQuiesced),
+		Completed:           int64(acked),
 		LostWritesUnflushed: int64(lostBurst),
 		Procs:               procs,
-	}
-	writeResultJSON(jsonOut, res)
+	})
 }

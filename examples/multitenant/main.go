@@ -20,7 +20,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The six paper workloads, shrunk to example scale.
+	// The six paper workloads, shrunk to example scale: one ycsb.Runner
+	// per tenant, each a single closed-loop client seeded once. A runner
+	// takes any hbase.KV, so cluster.Client could be an rpc.Dial client
+	// against metnode processes instead.
 	rng := sim.NewRNG(42)
 	var runners []*ycsb.Runner
 	for _, w := range ycsb.PaperWorkloads() {
@@ -29,7 +32,7 @@ func main() {
 			w.RecordCount = 300
 		}
 		w.FieldLengthBytes = 64
-		r, err := ycsb.NewRunner(w, cluster.Client, rng.Split())
+		r, err := ycsb.NewRunner(w, cluster.Client, 1, rng.Uint64())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -53,7 +56,8 @@ func main() {
 
 	// Prime the monitor so the bulk-load writes above do not count as
 	// workload traffic, then interleave load with monitoring samples
-	// (30 virtual seconds per round).
+	// (30 virtual seconds per round). Each runner's key stream carries
+	// over from one Run to the next, so every round is fresh traffic.
 	ctrl.Tick(0)
 	ctrl.Monitor.Reset()
 	now := 30 * sim.Second

@@ -31,7 +31,7 @@ func TestIntegrationYCSBUnderMeT(t *testing.T) {
 			w.RecordCount = 200
 		}
 		w.FieldLengthBytes = 48
-		r, err := ycsb.NewRunner(w, cluster.Client, rng.Split())
+		r, err := ycsb.NewRunner(w, cluster.Client, 1, rng.Uint64())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,6 +20,10 @@ type Actuator interface {
 	// incrementally, remove nodes left empty, and issue major compacts
 	// where locality demands. It returns an actuation report.
 	Apply(target []placement.NodeState) (ApplyReport, error)
+	// Busy reports whether an earlier Apply is still unfolding (an
+	// asynchronous actuator returns from Apply with the plan scheduled);
+	// the Controller takes no decision until it has finished.
+	Busy() bool
 }
 
 // ApplyReport summarizes what an actuation did; the controller logs it
@@ -60,6 +64,9 @@ func (a *FunctionalActuator) ProvisionNames(n int) []string {
 	}
 	return names
 }
+
+// Busy implements Actuator: Apply runs the whole plan before returning.
+func (a *FunctionalActuator) Busy() bool { return false }
 
 // Apply implements Actuator.
 func (a *FunctionalActuator) Apply(target []placement.NodeState) (ApplyReport, error) {

@@ -48,12 +48,15 @@ func (c *Controller) Start(sched *sim.Scheduler, start, deadline sim.Time) {
 	})
 }
 
-// Tick performs one monitor sample and, when enough samples are in, one
-// decision + actuation. Exposed so harnesses can drive the controller
-// without a scheduler.
+// Tick performs one monitor sample and, when enough samples are in and
+// no earlier actuation is still unfolding, one decision + actuation:
+// while the actuator is busy sampling continues and the decision waits,
+// as in the paper's evaluation, where a 6-minute reconfiguration spans
+// several decision intervals. Exposed so harnesses can drive the
+// controller without a scheduler.
 func (c *Controller) Tick(now sim.Time) {
 	c.Monitor.Poll(now)
-	if c.Monitor.Samples() < c.Decision.Params.MinSamples {
+	if c.Monitor.Samples() < c.Decision.Params.MinSamples || c.Actuator.Busy() {
 		return
 	}
 	view := c.Monitor.View()
@@ -66,14 +69,11 @@ func (c *Controller) Tick(now sim.Time) {
 		if c.lastErr == nil {
 			c.actuations++
 		}
-		// Post-action reset, even on failure: stale samples would
-		// poison the next decision either way.
-		c.Monitor.Reset()
-	} else {
-		// Healthy cluster: restart the sampling window so the next
-		// decision is also based on fresh samples.
-		c.Monitor.Reset()
 	}
+	// Every decision restarts the sampling window: after an action —
+	// even a failed one — stale samples would poison the next decision,
+	// and a healthy cluster's next decision should see fresh ones too.
+	c.Monitor.Reset()
 	if c.OnDecision != nil {
 		c.OnDecision(now, d, rep)
 	}

@@ -360,10 +360,10 @@ func TestMeTRunnerReconfiguresDeployment(t *testing.T) {
 	d.Start(15 * sim.Minute)
 	runner.Start(sched, sim.Minute, 15*sim.Minute)
 	sched.RunUntil(15 * sim.Minute)
-	if len(runner.Decisions) == 0 {
+	if runner.Decisions() == 0 {
 		t.Fatal("no decisions")
 	}
-	if len(runner.Actuator.Reports) == 0 {
+	if len(runner.Sim.Reports) == 0 {
 		t.Fatal("no completed actuations")
 	}
 	configs := map[string]bool{}

@@ -171,10 +171,10 @@ func perMinute(series []TickSample, minutes int) []float64 {
 // extended to cover any in-flight major compactions (background disk
 // load visible in the deployment).
 func reconfigWindow(d *Deployment, m *MeTRunner) (sim.Time, sim.Time) {
-	if len(m.Actuator.BusyWindows) == 0 {
+	if len(m.Sim.BusyWindows) == 0 {
 		return 0, 0
 	}
-	w := m.Actuator.BusyWindows[0]
+	w := m.Sim.BusyWindows[0]
 	start, end := w[0], w[1]
 	if end == 0 {
 		end = d.Sched.Now() // still busy at run end

@@ -40,7 +40,7 @@ func NewSimActuator(d *Deployment, mon *core.Monitor, params core.Params, profil
 	return &SimActuator{D: d, Monitor: mon, Params: params, Profiles: profiles, Provider: prov}
 }
 
-// Busy reports whether an actuation plan is still unfolding.
+// Busy implements core.Actuator: an actuation plan is still unfolding.
 func (a *SimActuator) Busy() bool { return a.busy }
 
 // ProvisionNames implements core.Actuator.
@@ -284,15 +284,13 @@ func (a *SimActuator) removeEmpty(names []string) {
 	}
 }
 
-// MeTRunner drives the full MeT control loop over a Deployment: Monitor
-// polls every 30 s; after MinSamples the Decision Maker runs — unless an
-// actuation is still unfolding, in which case sampling continues and the
-// decision waits, as in the paper's evaluation.
+// MeTRunner is the MeT control loop over a Deployment: the one
+// core.Controller (Monitor polls every 30 s; after MinSamples the
+// Decision Maker runs unless an actuation is still unfolding) wired to a
+// SimActuator, which it also exposes for its reports and busy windows.
 type MeTRunner struct {
-	Controller *core.DecisionMaker
-	Monitor    *core.Monitor
-	Actuator   *SimActuator
-	Decisions  []core.Decision
+	*core.Controller
+	Sim *SimActuator
 }
 
 // NewMeTRunner assembles MeT over a deployment with the paper's
@@ -302,35 +300,7 @@ func NewMeTRunner(d *Deployment, params core.Params, prov *iaas.Provider) *MeTRu
 	profiles := core.Table1Profiles()
 	act := NewSimActuator(d, mon, params, profiles, prov)
 	return &MeTRunner{
-		Controller: core.NewDecisionMaker(params, profiles),
-		Monitor:    mon,
-		Actuator:   act,
+		Controller: core.NewController(mon, core.NewDecisionMaker(params, profiles), act),
+		Sim:        act,
 	}
-}
-
-// Start schedules the control loop from start until deadline.
-func (m *MeTRunner) Start(sched *sim.Scheduler, start, deadline sim.Time) {
-	sched.EachTick(start, 30*sim.Second, func(now sim.Time) bool {
-		if now > deadline {
-			return false
-		}
-		m.Tick(now)
-		return true
-	})
-}
-
-// Tick performs one monitoring sample and possibly one decision.
-func (m *MeTRunner) Tick(now sim.Time) {
-	m.Monitor.Poll(now)
-	if m.Monitor.Samples() < m.Controller.Params.MinSamples || m.Actuator.Busy() {
-		return
-	}
-	view := m.Monitor.View()
-	names := m.Actuator.ProvisionNames(m.Controller.PendingGrowth())
-	d := m.Controller.Decide(view, names)
-	m.Decisions = append(m.Decisions, d)
-	if d.Reconfigure {
-		_, _ = m.Actuator.Apply(d.Target)
-	}
-	m.Monitor.Reset()
 }

@@ -10,6 +10,27 @@ import (
 // ErrNotFound mirrors kv.ErrNotFound at the client surface.
 var ErrNotFound = kv.ErrNotFound
 
+// KV is the data-plane surface of a cluster — the put/get/delete/scan
+// interface of Section 2 — and the one thing a workload driver (ycsb,
+// tpcc, metbench's scenarios) depends on. *Client serves it in-process
+// and *rpc.Client over the wire, so a driver runs against either
+// cluster unchanged. An implementation must return kv.ErrNotFound (or
+// an error wrapping it) from Get on a miss, and must report topology
+// churn it could not route around — a server that is down, a store
+// retired by a split or a restart — as an error wrapping
+// ErrServerStopped or kv.ErrClosed: drivers count exactly those two as
+// transient and everything else as a failed operation. Scan returns up
+// to limit entries (all of them when limit < 0) with start <= key < end
+// in key order; an empty end means the end of the table.
+type KV interface {
+	Get(table, key string) ([]byte, error)
+	Put(table, key string, value []byte) error
+	Delete(table, key string) error
+	Scan(table, start, end string, limit int) ([]kv.Entry, error)
+}
+
+var _ KV = (*Client)(nil)
+
 // Client provides the put/get/delete/scan key-value interface of
 // Section 2, routing every operation to the region server currently
 // hosting the key's region. Like the real HBase client it consults the
@@ -99,47 +120,46 @@ func (c *Client) Delete(table, key string) error {
 }
 
 // Scan returns up to limit entries with start <= key < end in key order,
-// stitching together per-region scans across servers.
+// stitching together per-region scans across servers. The cursor
+// advances from the end of the region that actually served each part,
+// not from the table's view of it: while a split is between opening the
+// daughters and renaming them in the table, the server already answers
+// from the low daughter, and jumping to the parent's end would skip the
+// high daughter's rows without an error.
 func (c *Client) Scan(table, start, end string, limit int) ([]kv.Entry, error) {
-	t, err := c.master.Table(table)
-	if err != nil {
-		return nil, err
-	}
 	var out []kv.Entry
 	cursor := start
 	for {
 		if limit >= 0 && len(out) >= limit {
 			return out[:limit], nil
 		}
-		r := t.RegionFor(cursor)
-		if r == nil {
-			return out, nil
-		}
 		remaining := -1
 		if limit >= 0 {
 			remaining = limit - len(out)
 		}
 		var part []kv.Entry
+		var served *Region
 		err := c.withRetry(table, cursor, func(rs *RegionServer) error {
 			var err error
-			part, err = rs.Scan(table, cursor, end, remaining)
+			part, served, err = rs.scan(table, cursor, end, remaining)
 			return err
 		})
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, part...)
-		if r.EndKey() == "" || (end != "" && r.EndKey() >= end) {
+		if served.EndKey() == "" || (end != "" && served.EndKey() >= end) {
 			return out, nil
 		}
-		cursor = r.EndKey()
+		cursor = served.EndKey()
 	}
 }
 
-// ReadModifyWrite implements YCSB's read-modify-write on a single row:
-// read the value, transform it, write it back. HBase offers record-level
-// atomicity only, which is all the paper's workloads require.
-func (c *Client) ReadModifyWrite(table, key string, modify func([]byte) []byte) error {
+// ReadModifyWrite implements YCSB's read-modify-write on a single row
+// over any KV: read the value, transform it, write it back. HBase offers
+// record-level atomicity only, which is all the paper's workloads
+// require.
+func ReadModifyWrite(c KV, table, key string, modify func([]byte) []byte) error {
 	v, err := c.Get(table, key)
 	if err != nil && !errors.Is(err, ErrNotFound) {
 		return err

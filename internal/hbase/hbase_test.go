@@ -467,7 +467,7 @@ func TestReadModifyWrite(t *testing.T) {
 	m, c := newCluster(t, 1)
 	m.CreateTable("t", nil)
 	c.Put("t", "counter", []byte{1})
-	err := c.ReadModifyWrite("t", "counter", func(v []byte) []byte {
+	err := ReadModifyWrite(c, "t", "counter", func(v []byte) []byte {
 		return []byte{v[0] + 1}
 	})
 	if err != nil {
@@ -478,7 +478,7 @@ func TestReadModifyWrite(t *testing.T) {
 		t.Fatalf("counter = %d", v[0])
 	}
 	// RMW on a missing key passes nil to modify.
-	err = c.ReadModifyWrite("t", "fresh", func(v []byte) []byte {
+	err = ReadModifyWrite(c, "t", "fresh", func(v []byte) []byte {
 		if v != nil {
 			t.Fatal("expected nil value")
 		}

@@ -708,12 +708,19 @@ func (s *RegionServer) Delete(table, key string) error {
 // Scan reads up to limit entries in [start, end) within one region. The
 // client stitches multi-region scans together.
 func (s *RegionServer) Scan(table, start, end string, limit int) ([]kv.Entry, error) {
+	out, _, err := s.scan(table, start, end, limit)
+	return out, err
+}
+
+// scan is Scan that also names the region that served, so the
+// in-process client advances its cursor from that region's end.
+func (s *RegionServer) scan(table, start, end string, limit int) ([]kv.Entry, *Region, error) {
 	opStart := time.Now()
 	tr := s.beginOp("scan", table, start)
 	r, err := s.lookup(table, start)
 	tr.EndSpan("route", opStart)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	r.countScan()
 	s.requests.AddScan()
@@ -725,7 +732,7 @@ func (s *RegionServer) Scan(table, start, end string, limit int) ([]kv.Entry, er
 	d := time.Since(opStart)
 	recordOp(&s.tel.lat, &r.lat, opScan, d)
 	s.finishOp(tr, d)
-	return out, err
+	return out, r, err
 }
 
 // mirrorSync reconciles the region's HDFS mirror with its engine file

@@ -2,6 +2,8 @@ package hbase
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"met/internal/hdfs"
@@ -252,4 +254,71 @@ func TestStochasticBalancerAsMasterBalancer(t *testing.T) {
 			t.Fatalf("region %s unassigned", r)
 		}
 	}
+}
+
+// TestScanNeverTruncatesAcrossSplit scans a whole table from several
+// goroutines while its regions split underneath them. A scan may fail
+// outright while a parent is closed (that is the caller's retry), but a
+// scan that returns nil must return every row: the client used to take
+// the region's end from the table before the server chose which region
+// answered, so a scan served by a split's low daughter jumped to the
+// parent's end and silently dropped the high daughter's rows.
+func TestScanNeverTruncatesAcrossSplit(t *testing.T) {
+	const rows, scanners, rounds, splitsPerRound = 600, 3, 12, 6
+	var ok, truncated atomic.Int64
+	for round := 0; round < rounds; round++ {
+		m, c := newCluster(t, 2)
+		tbl, _ := m.CreateTable("t", nil)
+		for i := 0; i < rows; i++ {
+			if err := c.Put("t", fmt.Sprintf("k%04d", i), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for s := 0; s < scanners; s++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					got, err := c.Scan("t", "", "", -1)
+					if err != nil {
+						continue // mid-split refusal, not truncation
+					}
+					ok.Add(1)
+					if len(got) != rows {
+						truncated.Add(1)
+						t.Errorf("round %d: scan returned %d of %d rows with a nil error", round, len(got), rows)
+						return
+					}
+				}
+			}()
+		}
+		for i := 0; i < splitsPerRound; i++ {
+			// Split the region holding the most rows: always splittable.
+			var biggest *Region
+			for _, r := range tbl.Regions() {
+				if biggest == nil || r.DataBytes() > biggest.DataBytes() {
+					biggest = r
+				}
+			}
+			if err := m.SplitRegion(biggest.Name()); err != nil {
+				t.Fatalf("round %d split %d: %v", round, i, err)
+			}
+		}
+		close(stop)
+		wg.Wait()
+		if truncated.Load() > 0 {
+			break
+		}
+	}
+	if ok.Load() == 0 {
+		t.Fatal("no scan succeeded; the test observed nothing")
+	}
+	t.Logf("%d successful scans, %d truncated", ok.Load(), truncated.Load())
 }

@@ -22,9 +22,10 @@ import (
 // operation straight to the worker hosting the key's region. A failed
 // route — connection refused (the worker is dead), 409 wrong-region
 // (the region moved), 409 stale-epoch (the layout changed under us) —
-// re-fetches the layout and retries, bounded; 503 (draining or
-// restarting) backs off and retries the refreshed route. mu guards the
-// cached layout; calls in flight share it read-mostly.
+// re-fetches the layout and retries, bounded; 503 (the region server is
+// stopped or restarting) backs off and retries the refreshed route, and
+// surfaces as hbase.ErrServerStopped once the retries are spent. mu
+// guards the cached layout; calls in flight share it read-mostly.
 type Client struct {
 	master string // master base address, "host:port"
 	hc     *http.Client
@@ -40,6 +41,8 @@ type Client struct {
 	regions []hbase.LayoutRegion
 	addrs   map[string]string
 }
+
+var _ hbase.KV = (*Client)(nil)
 
 // errReroute marks failures that warrant a layout refresh and retry.
 var errReroute = errors.New("rpc: stale route")
@@ -155,7 +158,10 @@ func (c *Client) call(ctx context.Context, addr, path string, body []byte) ([]by
 		// wrong-region or stale-epoch: both mean "your layout is old".
 		return nil, fmt.Errorf("%w: %s", errReroute, errBodyText(payload))
 	case http.StatusServiceUnavailable:
-		return nil, fmt.Errorf("%w: %v: %s", errReroute, ErrDraining, errBodyText(payload))
+		// The only 503 a data call gets is a stopped (restarting or
+		// shut-down) region server; once the retries are spent the
+		// caller sees the same sentinel the in-process client returns.
+		return nil, fmt.Errorf("%w: %w: %s", errReroute, hbase.ErrServerStopped, errBodyText(payload))
 	case http.StatusGatewayTimeout:
 		return nil, context.DeadlineExceeded
 	default:

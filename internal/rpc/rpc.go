@@ -68,7 +68,6 @@ package rpc
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 )
@@ -92,9 +91,6 @@ const (
 	CodeNotFound    = "not-found"
 	CodeDeadline    = "deadline-exceeded"
 )
-
-// ErrDraining is returned when an operation lands on a draining node.
-var ErrDraining = errors.New("rpc: node is draining")
 
 // errorBody is the JSON error envelope every non-2xx reply carries.
 type errorBody struct {

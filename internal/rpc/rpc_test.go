@@ -15,6 +15,7 @@ import (
 
 	"met/internal/hbase"
 	"met/internal/hdfs"
+	"met/internal/ycsb"
 )
 
 // testConfig is the small-heap durable config the hbase tests use.
@@ -35,9 +36,22 @@ type cluster struct {
 	c       *Client
 }
 
-// startCluster bootstraps a durable cluster (in-process master),
-// stops it, and reopens it as layout master + worker nodes over RPC.
+// startCluster bootstraps a durable cluster with one table "t"
+// (in-process master), stops it, and reopens it as layout master +
+// worker nodes over RPC.
 func startCluster(t *testing.T, n int, splits []string) *cluster {
+	t.Helper()
+	return startClusterWith(t, n, func(m *hbase.Master) {
+		if _, err := m.CreateTable("t", splits); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// startClusterWith is startCluster with the in-process phase handed to
+// bootstrap: whatever it creates or writes through the live master is
+// what the networked cluster recovers after the hard stop.
+func startClusterWith(t *testing.T, n int, bootstrap func(m *hbase.Master)) *cluster {
 	t.Helper()
 	dir := t.TempDir()
 	m, err := hbase.NewDurableMaster(hdfs.NewNamenode(2), dir)
@@ -49,9 +63,7 @@ func startCluster(t *testing.T, n int, splits []string) *cluster {
 			t.Fatal(err)
 		}
 	}
-	if _, err := m.CreateTable("t", splits); err != nil {
-		t.Fatal(err)
-	}
+	bootstrap(m)
 	m.HardStop()
 
 	lm, err := hbase.OpenLayoutMaster(dir)
@@ -742,5 +754,77 @@ func TestRecoverPartialFailureResumes(t *testing.T) {
 		if v, err := fresh.Get("t", k); err != nil || string(v) != "v" {
 			t.Fatalf("row %s lost across the partial recovery: %q, %v", k, v, err)
 		}
+	}
+}
+
+// TestRunnerOverBothClients drives the same YCSB workloads — A for point
+// ops, E for scans — through the one runner over both implementations of
+// hbase.KV on the same durable cluster: the in-process client while the
+// bootstrap master is live, then rpc.Client once the cluster is reopened
+// as worker nodes. Both must complete every op with the configured mix;
+// and with one worker's region server stopped, the 503 the rpc client
+// gets must reach the runner as the same transient (ErrServerStopped)
+// the in-process client reports, not as a hard error.
+func TestRunnerOverBothClients(t *testing.T) {
+	const ops = 600
+	workloads := []ycsb.Workload{ycsb.PaperWorkloads()[0], ycsb.PaperWorkloads()[4]}
+	for i := range workloads {
+		workloads[i].RecordCount = 400
+		workloads[i].FieldLengthBytes = 32
+		workloads[i].MaxScanLength = 20
+	}
+	drive := func(client string, c hbase.KV, w ycsb.Workload) *ycsb.Runner {
+		t.Helper()
+		r, err := ycsb.NewRunner(w, c, 2, 17)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Load(0); err != nil {
+			t.Fatalf("%s %s load: %v", client, w.Name, err)
+		}
+		if err := r.Run(ops); err != nil {
+			t.Fatalf("%s %s run: %v", client, w.Name, err)
+		}
+		if r.TotalCompleted() != ops || r.Errors() != 0 || r.Transient() != 0 {
+			t.Fatalf("%s %s: completed %d of %d, %d errors, %d transient",
+				client, w.Name, r.TotalCompleted(), ops, r.Errors(), r.Transient())
+		}
+		done := r.Completed()
+		for op, share := range map[ycsb.OpType]float64{
+			ycsb.OpRead: w.ReadProportion, ycsb.OpUpdate: w.UpdateProportion,
+			ycsb.OpInsert: w.InsertProportion, ycsb.OpScan: w.ScanProportion,
+		} {
+			if got := float64(done[op]) / ops; got < share-0.08 || got > share+0.08 {
+				t.Fatalf("%s %s: %s share %.2f, want %.2f", client, w.Name, op, got, share)
+			}
+		}
+		return r
+	}
+	cl := startClusterWith(t, 3, func(m *hbase.Master) {
+		for _, w := range workloads {
+			if _, err := m.CreateTable(w.TableName(), w.SplitKeys()); err != nil {
+				t.Fatal(err)
+			}
+			drive("hbase.Client", hbase.NewClient(m), w)
+		}
+	})
+	var overRPC *ycsb.Runner
+	for _, w := range workloads {
+		overRPC = drive("rpc.Client", cl.c, w)
+	}
+
+	// One worker stops serving; no failover follows, so every op routed
+	// to it spends its retries and comes back 503. One look per op keeps
+	// the test off the client's backoff schedule.
+	cl.c.Retries = 0
+	cl.workers["rs0"].RegionServer().Stop()
+	if err := overRPC.Run(ops); err != nil {
+		t.Fatalf("run aborted on a stopped worker: %v", err)
+	}
+	if overRPC.Errors() != 0 || overRPC.Transient() == 0 {
+		t.Fatalf("stopped worker: %d errors, %d transient; want 0 and > 0", overRPC.Errors(), overRPC.Transient())
+	}
+	if got := overRPC.TotalCompleted() + overRPC.Transient(); got != 2*ops {
+		t.Fatalf("completed %d + transient %d != %d", overRPC.TotalCompleted(), overRPC.Transient(), 2*ops)
 	}
 }

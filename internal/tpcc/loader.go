@@ -7,10 +7,12 @@ import (
 	"met/internal/hbase"
 )
 
-// Loader populates a cluster with the TPC-C dataset.
+// Loader populates a cluster with the TPC-C dataset through its
+// data-plane surface; CreateTables takes the in-process master because
+// table creation has no wire endpoint.
 type Loader struct {
 	Cfg    Config
-	Client *hbase.Client
+	Client hbase.KV
 }
 
 // CreateTables creates the nine tables, pre-split by warehouse so each

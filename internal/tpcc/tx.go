@@ -50,10 +50,11 @@ var StandardMix = map[TxType]float64{
 	TxStockLevel:  0.04,
 }
 
-// Executor runs TPC-C transactions against the functional cluster.
+// Executor runs TPC-C transactions against a cluster through its
+// data-plane surface (the in-process client or rpc.Client).
 type Executor struct {
 	Cfg    Config
-	Client *hbase.Client
+	Client hbase.KV
 	RNG    *sim.RNG
 
 	districtNextOID map[string]int // cached D_NEXT_O_ID per district key
@@ -61,7 +62,7 @@ type Executor struct {
 }
 
 // NewExecutor returns an executor over the loaded database.
-func NewExecutor(cfg Config, c *hbase.Client, rng *sim.RNG) *Executor {
+func NewExecutor(cfg Config, c hbase.KV, rng *sim.RNG) *Executor {
 	return &Executor{Cfg: cfg, Client: c, RNG: rng, districtNextOID: make(map[string]int)}
 }
 

@@ -14,165 +14,157 @@ import (
 	"met/internal/sim"
 )
 
-// numOpTypes sizes the per-op completion counters (OpRead..OpReadModifyWrite).
+// numOpTypes sizes the per-op latency shards (OpRead..OpReadModifyWrite).
 const numOpTypes = int(OpReadModifyWrite) + 1
 
-// ParallelRunner drives one workload against the functional hbase
-// cluster from many goroutines at once — the closed-loop thread pool
-// real YCSB uses (the paper runs 50 client threads per workload).
-// Hot-path shared state is limited to the few atomics that must be
-// shared (the error counts and the insert cursor that extends the
-// keyspace); per-op completions and latencies live in worker-private
-// histogram shards (obs.Shard) merged into the runner when each worker
-// finishes, so timing costs no cross-core contention at all. Every
-// worker owns its RNG and key generator, so runs are deterministic for
-// a given (seed, concurrency) pair.
-type ParallelRunner struct {
-	W           Workload
-	Client      *hbase.Client
-	Concurrency int
+// Runner drives one workload against a cluster through its data-plane
+// surface (hbase.KV: the in-process client or rpc.Client, unchanged) from
+// a fixed pool of closed-loop client goroutines — the thread pool real
+// YCSB uses (the paper runs 50 client threads per workload); at
+// concurrency 1 it is the plain sequential driver. The seed is given
+// once, at construction: every worker owns an RNG and a key generator
+// derived from it, and both persist across Run calls, so a caller that
+// runs in batches (a controller tick between them) continues each
+// worker's stream instead of replaying it, and a run is deterministic
+// for a given (seed, concurrency) pair. Hot-path shared state is limited
+// to the atomics that must be shared (the error counts and the insert
+// cursor that extends the keyspace); completions and latencies live in
+// worker-private histogram shards (obs.Shard), so timing costs no
+// cross-core contention. Run and Load must not overlap each other or the
+// accessors, which merge the shards on demand.
+type Runner struct {
+	W  Workload
+	KV hbase.KV
 
+	workers   []*worker
 	inserts   atomic.Int64
 	errors    atomic.Int64
 	transient atomic.Int64
-
-	mu  sync.Mutex
-	lat [numOpTypes]obs.Snapshot // merged worker shards, all Runs so far
 }
 
-// NewParallelRunner prepares a runner fanning the workload across
-// concurrency goroutines; call Load before Run.
-func NewParallelRunner(w Workload, c *hbase.Client, concurrency int) (*ParallelRunner, error) {
+// worker is one closed-loop client goroutine's state: private RNG,
+// generator and latency shards; only the keyspace cursor and error
+// counts touch shared atomics.
+type worker struct {
+	r   *Runner
+	rng *sim.RNG
+	gen Generator
+	lat [numOpTypes]obs.Shard
+}
+
+// NewRunner prepares a runner with concurrency workers seeded from seed;
+// call Load before Run.
+func NewRunner(w Workload, c hbase.KV, concurrency int, seed uint64) (*Runner, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
 	if concurrency < 1 {
 		return nil, fmt.Errorf("ycsb: concurrency %d < 1", concurrency)
 	}
-	p := &ParallelRunner{W: w, Client: c, Concurrency: concurrency}
-	p.inserts.Store(w.RecordCount)
-	return p, nil
+	r := &Runner{W: w, KV: c, workers: make([]*worker, concurrency)}
+	for i := range r.workers {
+		r.workers[i] = &worker{
+			r:   r,
+			rng: sim.NewRNG(seed + uint64(i)*0x9e3779b97f4a7c15),
+			gen: NewPaperHotspot(w.RecordCount),
+		}
+	}
+	r.inserts.Store(w.RecordCount)
+	return r, nil
 }
 
-// CreateTable creates the workload's pre-split table on the master.
-func (p *ParallelRunner) CreateTable(m *hbase.Master) error {
-	_, err := m.CreateTable(p.W.TableName(), p.W.SplitKeys())
+// CreateTable creates the workload's pre-split table on the master
+// (table creation has no wire endpoint; a networked cluster is
+// bootstrapped in-process first).
+func (r *Runner) CreateTable(m *hbase.Master) error {
+	_, err := m.CreateTable(r.W.TableName(), r.W.SplitKeys())
 	return err
 }
 
-// Load populates the table with the initial records, fanning disjoint
-// key ranges across the workers. count <= 0 loads the full RecordCount.
-func (p *ParallelRunner) Load(count int64) error {
-	if count <= 0 || count > p.W.RecordCount {
-		count = p.W.RecordCount
-	}
-	val := p.value()
+// eachWorker splits the index range [0, n) into one contiguous share
+// per worker, runs fn on a goroutine per worker with a nonempty share,
+// waits for all of them and returns the union of their errors.
+func (r *Runner) eachWorker(n int64, fn func(w *worker, lo, hi int64) error) error {
 	var wg sync.WaitGroup
-	errs := make([]error, p.Concurrency)
-	for wkr := 0; wkr < p.Concurrency; wkr++ {
-		lo := count * int64(wkr) / int64(p.Concurrency)
-		hi := count * int64(wkr+1) / int64(p.Concurrency)
-		wg.Add(1)
-		go func(wkr int, lo, hi int64) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				if err := p.Client.Put(p.W.TableName(), p.W.Key(i), val); err != nil {
-					errs[wkr] = fmt.Errorf("ycsb: load %s: %w", p.W.Name, err)
-					return
-				}
-			}
-		}(wkr, lo, hi)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// value builds a deterministic filler value of the configured size.
-func (p *ParallelRunner) value() []byte {
-	return bytes.Repeat([]byte{'x'}, p.W.FieldLengthBytes)
-}
-
-// Run executes n operations split across the configured workers,
-// stopping each worker at its first hard error and returning the union
-// of failures. Reads of missing keys are benign (sparse test loads).
-func (p *ParallelRunner) Run(n int, seed uint64) error {
-	var wg sync.WaitGroup
-	errs := make([]error, p.Concurrency)
-	for wkr := 0; wkr < p.Concurrency; wkr++ {
-		share := n / p.Concurrency
-		if wkr < n%p.Concurrency {
-			share++
-		}
-		if share == 0 {
+	errs := make([]error, len(r.workers))
+	c := int64(len(r.workers))
+	for i, w := range r.workers {
+		lo, hi := n*int64(i)/c, n*int64(i+1)/c
+		if lo == hi {
 			continue
 		}
 		wg.Add(1)
-		go func(wkr, share int) {
+		go func(i int, w *worker) {
 			defer wg.Done()
-			w := &worker{
-				p:   p,
-				rng: sim.NewRNG(seed + uint64(wkr)*0x9e3779b97f4a7c15),
-				gen: NewPaperHotspot(p.W.RecordCount),
-			}
-			defer p.mergeWorker(w)
-			for i := 0; i < share; i++ {
-				if err := w.step(); err != nil {
-					errs[wkr] = err
-					return
-				}
-			}
-		}(wkr, share)
+			errs[i] = fn(w, lo, hi)
+		}(i, w)
 	}
 	wg.Wait()
 	return errors.Join(errs...)
 }
 
-// worker is one closed-loop client goroutine: private RNG, generator
-// and latency shards; only the keyspace cursor and error counts touch
-// shared atomics.
-type worker struct {
-	p   *ParallelRunner
-	rng *sim.RNG
-	gen Generator
-	lat [numOpTypes]obs.Shard
+// Load populates the table with the initial records, fanning disjoint
+// key ranges across the workers. count <= 0 loads the full RecordCount;
+// tests use smaller loads.
+func (r *Runner) Load(count int64) error {
+	if count <= 0 || count > r.W.RecordCount {
+		count = r.W.RecordCount
+	}
+	val := r.value()
+	return r.eachWorker(count, func(_ *worker, lo, hi int64) error {
+		for i := lo; i < hi; i++ {
+			if err := r.KV.Put(r.W.TableName(), r.W.Key(i), val); err != nil {
+				return fmt.Errorf("ycsb: load %s: %w", r.W.Name, err)
+			}
+		}
+		return nil
+	})
 }
 
-// mergeWorker folds a finished worker's latency shards into the
-// runner's merged snapshots.
-func (p *ParallelRunner) mergeWorker(w *worker) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for op := 0; op < numOpTypes; op++ {
-		s := w.lat[op].Snapshot()
-		p.lat[op].Merge(s)
-	}
+// value builds a deterministic filler value of the configured size.
+func (r *Runner) value() []byte {
+	return bytes.Repeat([]byte{'x'}, r.W.FieldLengthBytes)
+}
+
+// Run executes n more operations split across the workers, stopping each
+// worker at its first hard error and returning the union of failures.
+// Reads of missing keys are benign (sparse test loads).
+func (r *Runner) Run(n int) error {
+	return r.eachWorker(int64(n), func(w *worker, lo, hi int64) error {
+		for i := lo; i < hi; i++ {
+			if err := w.step(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // step executes one operation drawn from the workload mix, timing it so
-// measured per-op-class latencies (OpNanos) can calibrate the
+// measured per-op-class latencies (OpLatencies) can calibrate the
 // performance model against real engine costs.
 func (w *worker) step() error {
-	p := w.p
-	op := p.W.NextOp(w.rng)
-	table := p.W.TableName()
+	r := w.r
+	op := r.W.NextOp(w.rng)
+	table := r.W.TableName()
 	start := time.Now()
 	var err error
 	switch op {
 	case OpRead:
-		_, err = p.Client.Get(table, w.key())
+		_, err = r.KV.Get(table, w.key())
 		if errors.Is(err, hbase.ErrNotFound) {
 			err = nil // sparse loads in tests make misses benign
 		}
 	case OpUpdate:
-		err = p.Client.Put(table, w.key(), p.value())
+		err = r.KV.Put(table, w.key(), r.value())
 	case OpInsert:
-		k := p.W.Key(p.inserts.Add(1) - 1)
-		err = p.Client.Put(table, k, p.value())
+		k := r.W.Key(r.inserts.Add(1) - 1)
+		err = r.KV.Put(table, k, r.value())
 	case OpScan:
-		length := 1 + w.rng.Intn(p.W.MaxScanLength)
-		_, err = p.Client.Scan(table, w.key(), "", length)
+		length := 1 + w.rng.Intn(r.W.MaxScanLength)
+		_, err = r.KV.Scan(table, w.key(), "", length)
 	case OpReadModifyWrite:
-		err = p.Client.ReadModifyWrite(table, w.key(), func([]byte) []byte { return p.value() })
+		err = hbase.ReadModifyWrite(r.KV, table, w.key(), func([]byte) []byte { return r.value() })
 	}
 	if err != nil {
 		// Topology churn (a server mid-restart, a store retired by a
@@ -180,10 +172,10 @@ func (w *worker) step() error {
 		// real YCSB threads ride out NotServingRegionException the same
 		// way. Count it and keep the worker alive.
 		if errors.Is(err, hbase.ErrServerStopped) || errors.Is(err, kv.ErrClosed) {
-			p.transient.Add(1)
+			r.transient.Add(1)
 			return nil
 		}
-		p.errors.Add(1)
+		r.errors.Add(1)
 		return err
 	}
 	w.lat[op].RecordNanos(int64(time.Since(start)))
@@ -194,74 +186,63 @@ func (w *worker) step() error {
 // range grown by inserts.
 func (w *worker) key() string {
 	i := w.gen.Next(w.rng)
-	if n := w.p.inserts.Load(); i >= n {
+	if n := w.r.inserts.Load(); i >= n {
 		i = n - 1
 	}
-	return w.p.W.Key(i)
+	return w.r.W.Key(i)
 }
 
-// Completed returns per-op completion counts (merged from finished
-// workers; stable once Run has returned).
-func (p *ParallelRunner) Completed() map[OpType]int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+// latency merges the workers' shards for one op class, all Runs so far.
+func (r *Runner) latency(op int) obs.Snapshot {
+	var s obs.Snapshot
+	for _, w := range r.workers {
+		s.Merge(w.lat[op].Snapshot())
+	}
+	return s
+}
+
+// Completed returns per-op completion counts.
+func (r *Runner) Completed() map[OpType]int64 {
 	out := make(map[OpType]int64, numOpTypes)
 	for op := 0; op < numOpTypes; op++ {
-		if n := p.lat[op].Count(); n > 0 {
-			out[OpType(op)] = n
+		if s := r.latency(op); s.Count() > 0 {
+			out[OpType(op)] = s.Count()
 		}
 	}
 	return out
 }
 
-// OpNanos returns the mean measured latency per completed operation of
-// each class, in nanoseconds — the raw material for calibrating the
-// performance model's cost constants against the real engine. The mean
-// is exact (histogram sums are exact; only percentiles are bucketed).
-func (p *ParallelRunner) OpNanos() map[OpType]float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[OpType]float64, numOpTypes)
-	for op := 0; op < numOpTypes; op++ {
-		if n := p.lat[op].Count(); n > 0 {
-			out[OpType(op)] = float64(p.lat[op].Sum()) / float64(n)
-		}
-	}
-	return out
-}
-
-// OpLatencies returns the per-op-class latency distribution summaries
-// (count, exact mean, bucketed p50/p95/p99/p999, max).
-func (p *ParallelRunner) OpLatencies() map[OpType]obs.LatencySummary {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+// OpLatencies returns the per-op-class client-observed latency
+// summaries (count, mean, bucketed p50/p95/p99/p999, max) of the classes
+// that completed anything. The mean is exact (histogram sums are exact;
+// only percentiles are bucketed) — the raw material for calibrating the
+// performance model's cost constants against the real engine.
+func (r *Runner) OpLatencies() map[OpType]obs.LatencySummary {
 	out := make(map[OpType]obs.LatencySummary, numOpTypes)
 	for op := 0; op < numOpTypes; op++ {
-		if p.lat[op].Count() > 0 {
-			out[OpType(op)] = p.lat[op].Summary()
+		if s := r.latency(op); s.Count() > 0 {
+			out[OpType(op)] = s.Summary()
 		}
 	}
 	return out
 }
 
 // TotalCompleted returns the total successful operations.
-func (p *ParallelRunner) TotalCompleted() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+func (r *Runner) TotalCompleted() int64 {
 	var sum int64
-	for op := 0; op < numOpTypes; op++ {
-		sum += p.lat[op].Count()
+	for _, n := range r.Completed() {
+		sum += n
 	}
 	return sum
 }
 
 // Errors returns the number of hard-failed operations.
-func (p *ParallelRunner) Errors() int64 { return p.errors.Load() }
+func (r *Runner) Errors() int64 { return r.errors.Load() }
 
 // Transient returns the number of operations dropped on topology churn
 // (server restarting, store retired by a split); they are neither
 // completed nor hard errors.
-func (p *ParallelRunner) Transient() int64 { return p.transient.Load() }
+func (r *Runner) Transient() int64 { return r.transient.Load() }
 
 // Inserts returns the current keyspace size (initial + inserted).
-func (p *ParallelRunner) Inserts() int64 { return p.inserts.Load() }
+func (r *Runner) Inserts() int64 { return r.inserts.Load() }

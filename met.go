@@ -122,6 +122,15 @@
 // /metrics with graceful drain on SIGTERM — in-flight requests finish,
 // acknowledged writes are never truncated.
 //
+// Workloads run over rpc.Dial unchanged: the data plane is declared once
+// (hbase.KV — Get, Put, Delete, Scan) and both clients satisfy it, so the
+// YCSB runner, the TPC-C loader and executor and metbench's recovery
+// scenarios take either. A miss is kv.ErrNotFound from both, and a
+// worker whose region server is stopped surfaces as hbase.ErrServerStopped
+// from both, which the runner counts as transient rather than failed.
+// Only table creation still needs the in-process master (it has no wire
+// endpoint), so a networked cluster is bootstrapped in-process first.
+//
 // The layout has one owner in either deployment (hbase.LayoutMaster:
 // catalog rows, commits, follower placement, failover); the in-process
 // Master is built on the same one the master process serves. So a
