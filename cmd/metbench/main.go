@@ -142,7 +142,7 @@ func main() {
 	stallFiles := flag.Int("stall-files", 0, "hard store-file ceiling stalling writers (0 = 3x soft threshold)")
 	compactPolicy := flag.String("compact-policy", "", "background compaction policy: tiered or leveled (default tiered)")
 	compactBudget := flag.Int64("compact-budget-mb", 0, "background compaction I/O budget in MB/s shared with serving (0 = unlimited)")
-	compactWorkers := flag.Int("compact-workers", 0, "compactor pool workers per server (0 = default 1, negative disables background compaction)")
+	compactWorkers := flag.Int("compact-workers", 0, "compactor pool workers per server (0 = default 1)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a post-run heap profile to this file")
 	slowlog := flag.Duration("slowlog", 0, "arm slow-op tracing: ops at least this slow are kept with per-stage spans (0 disables)")

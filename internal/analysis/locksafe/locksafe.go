@@ -22,7 +22,7 @@
 //
 // Audited exceptions are annotated in place:
 //
-//	s.cfg.WAL.Append(e) //lint:allow locksafe plain-WAL fallback; durable logs commit outside the lock
+//	_ = s.backend.Close() //lint:allow locksafe exclusive shutdown: closed=true fences every other path
 package locksafe
 
 import (
@@ -109,8 +109,6 @@ var BlockingFuncs = map[string]bool{
 	"met/internal/durable.ReadTailFile":  true,
 	"met/internal/replication.CopyFile":  true,
 
-	"(met/internal/kv.WAL).Append":            true,
-	"(met/internal/durable.WAL).Append":       true,
 	"(met/internal/durable.WAL).Close":        true,
 	"(met/internal/durable.RegionLog).Append": true,
 	"(met/internal/kv.StorageBackend).Close":  true,

@@ -40,12 +40,12 @@ var Analyzer = &analysis.Analyzer{
 var Funcs = map[string]bool{
 	"(os.File).Sync": true,
 
-	"(met/internal/kv.WAL).Append":            true,
-	"(met/internal/durable.WAL).Append":       true,
-	"(met/internal/durable.RegionLog).Append": true,
-	"(met/internal/durable.RegionLog).Drop":   true,
-	"(met/internal/durable.WAL).Close":        true,
-	"(met/internal/kv.StorageBackend).Close":  true,
+	"(met/internal/kv.WAL).AppendBuffered":            true,
+	"(met/internal/durable.RegionLog).AppendBuffered": true,
+	"(met/internal/durable.RegionLog).Append":         true,
+	"(met/internal/durable.RegionLog).Drop":           true,
+	"(met/internal/durable.WAL).Close":                true,
+	"(met/internal/kv.StorageBackend).Close":          true,
 
 	"met/internal/durable.syncFile":    true,
 	"met/internal/durable.syncDir":     true,

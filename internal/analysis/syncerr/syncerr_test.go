@@ -7,7 +7,7 @@ import (
 )
 
 func TestSyncErr(t *testing.T) {
-	for _, f := range []string{"(syncerr.WAL).Append", "(syncerr.WAL).Close"} {
+	for _, f := range []string{"(syncerr.WAL).Append", "(syncerr.WAL).AppendBuffered", "(syncerr.WAL).Close"} {
 		Funcs[f] = true
 		defer delete(Funcs, f)
 	}

@@ -1,5 +1,5 @@
 // Fixture for the syncerr analyzer. The test registers
-// (syncerr.WAL).Append and (syncerr.WAL).Close in the Funcs list.
+// (syncerr.WAL).Append, .AppendBuffered and .Close in the Funcs list.
 package syncerr
 
 import "os"
@@ -12,6 +12,8 @@ func (w *WAL) Commit() (int, error) { return 0, nil }
 func (w *WAL) Sync() error          { return nil }
 func (w *WAL) Truncate(max uint64)  {}
 func (w *WAL) Stats() (int, int)    { return 0, 0 }
+
+func (w *WAL) AppendBuffered(e int) (func() error, error) { return nil, nil }
 
 func ack(f *os.File, w *WAL) error {
 	w.Append(1)                         // want `error result of \(syncerr.WAL\).Append is discarded`
@@ -32,6 +34,16 @@ func multi(w *WAL) int {
 	n, _ := w.Commit() // not in the configured list: no diagnostic
 	a, b := w.Stats()  // non-error results: no diagnostic
 	return n + a + b
+}
+
+func buffered(w *WAL) error {
+	c, _ := w.AppendBuffered(1)        // want `error result of \(syncerr.WAL\).AppendBuffered is discarded`
+	commit, err := w.AppendBuffered(2) // error kept: no diagnostic
+	if err != nil {
+		return err
+	}
+	_ = c
+	return commit()
 }
 
 func deferred(w *WAL) {

@@ -80,10 +80,6 @@ type Config struct {
 	// MaxStoreFiles is the soft per-store threshold the policy plans
 	// against. Defaults to 8 (the engine default).
 	MaxStoreFiles int
-	// OnCompacted, when set, runs after every successful compaction,
-	// off every lock — the region server uses it to reconcile the HDFS
-	// mirror with the store's new file stack.
-	OnCompacted func(s *kv.Store, res kv.CompactionResult)
 }
 
 func (c Config) withDefaults() Config {
@@ -291,9 +287,6 @@ func (p *Pool) runTask(t *task) error {
 			p.bytesIn.Add(res.BytesIn)
 			p.bytesOut.Add(res.BytesOut)
 			p.compactionNanos.Add(int64(p.durHist.Since(start)))
-			if p.cfg.OnCompacted != nil {
-				p.cfg.OnCompacted(t.store, res)
-			}
 			if t.major {
 				return nil
 			}

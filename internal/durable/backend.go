@@ -21,6 +21,7 @@ type Backend struct {
 	dir  string
 	opts Options
 	wal  *WAL
+	log  *RegionLog // the store's handle on wal, minted once at Open
 
 	mu      sync.Mutex
 	readers map[uint64]*sstable // every open reader, including unlinked ones
@@ -47,6 +48,9 @@ func Open(dir string, opts Options) (*Backend, error) {
 			return nil, err
 		}
 		b.wal = wal
+		// The private log has one tenant; "" is its region name. Minted
+		// here, not per WAL() call: Region clears the name's flush mark.
+		b.log = wal.Region("")
 	}
 	return b, nil
 }
@@ -62,10 +66,10 @@ func (b *Backend) Dir() string { return b.dir }
 // WAL implements kv.StorageBackend; nil under Options.ExternalWAL (the
 // engine is wired to a shared-log handle instead).
 func (b *Backend) WAL() kv.WAL {
-	if b.wal == nil {
+	if b.log == nil {
 		return nil
 	}
-	return b.wal
+	return b.log
 }
 
 // Log exposes the concrete WAL (tests, tooling); nil under

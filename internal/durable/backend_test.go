@@ -247,13 +247,13 @@ func TestWALTruncatedAfterFlush(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := len(backend.Log().Entries()); n != 200 {
+	if n := len(mustReplay(t, backend.log)); n != 200 {
 		t.Fatalf("wal holds %d records before flush", n)
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(backend.Log().Entries()); n != 0 {
+	if n := len(mustReplay(t, backend.log)); n != 0 {
 		t.Fatalf("wal holds %d records after flush, want 0 (whole-segment truncation)", n)
 	}
 }

@@ -49,8 +49,8 @@ func BenchmarkDurablePutParallel(b *testing.B) {
 			}
 		}
 	})
-	if w, ok := s.Config().WAL.(*WAL); ok && w.SyncRounds() > 0 {
-		b.ReportMetric(float64(b.N)/float64(w.SyncRounds()), "writes/fsync")
+	if h, ok := s.WAL().(*RegionLog); ok && h.Owner().SyncRounds() > 0 {
+		b.ReportMetric(float64(b.N)/float64(h.Owner().SyncRounds()), "writes/fsync")
 	}
 }
 
@@ -112,11 +112,12 @@ func BenchmarkWALAppend(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { w.Close() })
+	h := w.Region("")
 	e := kv.Entry{Key: "benchmark-key", Value: make([]byte, 128)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Timestamp = uint64(i + 1)
-		if err := w.Append(e); err != nil {
+		if err := h.Append(e); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -79,8 +79,8 @@
 // go/analysis-style suite, run by CI as `go vet -vettool`) fails the
 // build on violations. The invariants it enforces here:
 //
-//   - syncerr: every error from an fsync-bearing call — WAL.Append,
-//     WAL.Close, RegionLog.Append/Drop, (*os.File).Sync, syncFile,
+//   - syncerr: every error from an fsync-bearing call — WAL.Close,
+//     RegionLog.Append/AppendBuffered, (*os.File).Sync, syncFile,
 //     syncDir — is handled or explicitly allowlisted with a reason. A
 //     dropped sync error is an acknowledged write that may not exist
 //     after a crash, the one lie this package must never tell.

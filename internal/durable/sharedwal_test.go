@@ -77,7 +77,7 @@ func TestSharedWALCrossRegionGroupCommit(t *testing.T) {
 	}
 	// Replay through a region handle filters to that region's records.
 	for name, h := range map[string]*RegionLog{"A": a, "B": b} {
-		entries, err := h.ReplayEntries()
+		entries, err := h.Replay()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestSharedWALPerRegionTruncationPinning(t *testing.T) {
 	// A is fully flushed; every segment still holds B records, so none
 	// may be deleted and B's records must all survive.
 	a.Truncate(10)
-	entries, err := b.ReplayEntries()
+	entries, err := b.Replay()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +130,8 @@ func TestSharedWALPerRegionTruncationPinning(t *testing.T) {
 	if after := w.SegmentCount(); after >= before {
 		t.Fatalf("both regions flushed but no segments freed (%d -> %d)", before, after)
 	}
-	if got := len(w.Entries()); got != 0 {
-		t.Fatalf("fully flushed log still replays %d records", got)
+	if all, _, err := w.Replay(); err != nil || len(all) != 0 {
+		t.Fatalf("fully flushed log still replays %d records (%v)", len(all), err)
 	}
 }
 
@@ -173,14 +173,14 @@ func TestSharedWALDropMarkerVoidsAcrossRestart(t *testing.T) {
 	}
 	defer w2.Close()
 	a2 := w2.Region("A")
-	if entries, err := a2.ReplayEntries(); err != nil || len(entries) != 0 {
+	if entries, err := a2.Replay(); err != nil || len(entries) != 0 {
 		t.Fatalf("dropped region replayed %d records after restart (err=%v), want 0", len(entries), err)
 	}
 	// The re-minted region's own records replay normally.
 	if err := a2.Append(regionEntry("A", 100)); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := a2.ReplayEntries()
+	entries, err := a2.Replay()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,8 +199,9 @@ func TestSharedWALTruncateUnlinksOffLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
+	h := w.Region("")
 	for i := 1; i <= 20; i++ {
-		if err := w.Append(testEntry(i)); err != nil {
+		if err := h.Append(testEntry(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -217,7 +218,7 @@ func TestSharedWALTruncateUnlinksOffLock(t *testing.T) {
 
 	truncDone := make(chan struct{})
 	go func() {
-		w.Truncate(20)
+		h.Truncate(20)
 		close(truncDone)
 	}()
 	select {
@@ -228,7 +229,7 @@ func TestSharedWALTruncateUnlinksOffLock(t *testing.T) {
 	// The unlink is parked; an append (including its fsync) must still
 	// complete. With the old under-lock deletion this deadlocks.
 	appendDone := make(chan error, 1)
-	go func() { appendDone <- w.Append(testEntry(21)) }()
+	go func() { appendDone <- h.Append(testEntry(21)) }()
 	select {
 	case err := <-appendDone:
 		if err != nil {

@@ -44,8 +44,8 @@ var (
 )
 
 // walRecord is one decoded log record: an entry tagged with the region
-// whose store appended it (empty for the legacy single-store format),
-// or a region-drop marker.
+// whose store appended it (empty for a backend's private log and for v1
+// frames), or a region-drop marker.
 type walRecord struct {
 	region string
 	drop   bool
@@ -91,8 +91,9 @@ type tailRec struct {
 // WAL is the segmented, group-committed write-ahead log. One WAL serves
 // a whole RegionServer: every hosted region appends through a
 // region-scoped handle (Region), so N regions share one fsync stream —
-// HBase's one-log-per-server design. The zero region name ("") is the
-// legacy single-store mode used when a kv backend owns a private log.
+// HBase's one-log-per-server design. Stores never touch a WAL directly;
+// a Backend that owns a private log appends through the handle named ""
+// (the region name v1 frames also decode to).
 //
 // Records are framed with CRC32C, segments rotate at a size threshold,
 // and Truncate deletes whole segments once *every* region's flushed
@@ -228,8 +229,8 @@ func OpenWAL(dir string, opts Options) (*WAL, error) {
 }
 
 // Region returns the append/truncate/replay handle for one region's
-// records in the shared log. The handle implements kv.GroupWAL, so a
-// kv.Store plugs it in as its WAL. Registering a name clears a pending
+// records in the shared log. The handle implements kv.WAL, so a
+// kv.Store plugs it in as its log. Registering a name clears a pending
 // drop marker for it — a re-minted region starts with a clean slate and
 // a zero flush high-water mark.
 func (w *WAL) Region(name string) *RegionLog {
@@ -416,23 +417,6 @@ func (w *WAL) appendRecord(region string, e kv.Entry, drop bool) (func() error, 
 	w.pending[region]++
 	w.mu.Unlock()
 	return func() error { return w.commitTo(seq) }, nil
-}
-
-// AppendBuffered implements kv.GroupWAL in legacy single-store mode:
-// the record is written to the active segment (establishing its replay
-// position) and a commit function is returned that blocks until an
-// fsync covers it.
-func (w *WAL) AppendBuffered(e kv.Entry) (func() error, error) {
-	return w.appendRecord("", e, false)
-}
-
-// Append implements kv.WAL: append and wait for durability.
-func (w *WAL) Append(e kv.Entry) error {
-	commit, err := w.AppendBuffered(e)
-	if err != nil {
-		return err
-	}
-	return commit()
 }
 
 // Drop durably voids every record region has appended: a marker frame
@@ -673,7 +657,7 @@ func (w *WAL) DropAbsent(live map[string]bool) ([]string, error) {
 	}
 	var orphans []string
 	for region := range present {
-		// "" is the legacy single-store mode's region name — never a
+		// "" is a backend's private-log handle — never a
 		// catalog-registered region, never an orphan.
 		if region == "" || live[region] || w.dropped[region] {
 			continue
@@ -700,9 +684,6 @@ func (w *WAL) DropAbsent(live map[string]bool) ([]string, error) {
 	w.sweep()
 	return orphans, nil
 }
-
-// Truncate implements kv.WAL in legacy single-store mode.
-func (w *WAL) Truncate(upTo uint64) { w.truncateRegion("", upTo) }
 
 // ReplayReport describes what recovery found.
 type ReplayReport struct {
@@ -787,26 +768,6 @@ func (w *WAL) replayRegion(region string) ([]kv.Entry, error) {
 		}
 	}
 	return entries, nil
-}
-
-// ReplayEntries is the recovery entry point kv.OpenStore prefers: a
-// torn tail or mid-log corruption is an expected crash artifact and
-// only truncates the result, but a real I/O error fails recovery
-// loudly — silently returning a partial log would break the
-// acknowledged-writes-survive guarantee.
-func (w *WAL) ReplayEntries() ([]kv.Entry, error) {
-	entries, _, err := w.Replay()
-	return entries, err
-}
-
-// Entries implements kv.WAL for recovery; torn tails are dropped
-// silently (Replay reports them).
-func (w *WAL) Entries() []kv.Entry {
-	entries, _, err := w.Replay()
-	if err != nil {
-		return nil
-	}
-	return entries
 }
 
 // SyncedTail returns region's durable-but-unflushed records: everything
@@ -968,11 +929,11 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// RegionLog is a region-scoped handle on a shared WAL, implementing
-// kv.GroupWAL: appends tag records with the region name, Truncate
-// raises only this region's flushed high-water mark (segments are
-// reclaimed when every region's mark passes them), and replay filters
-// to this region's records.
+// RegionLog is a region-scoped handle on a WAL, implementing kv.WAL:
+// appends tag records with the region name, Truncate raises only this
+// region's flushed high-water mark (segments are reclaimed when every
+// region's mark passes them), and replay filters to this region's
+// records.
 type RegionLog struct {
 	w    *WAL
 	name string
@@ -986,7 +947,8 @@ func (h *RegionLog) Owner() *WAL { return h.w }
 // Name returns the region name the handle scopes to.
 func (h *RegionLog) Name() string { return h.name }
 
-// Append implements kv.WAL: append and wait for durability.
+// Append appends and waits for durability — AppendBuffered plus its
+// commit, for callers outside the engine (probes, tests).
 func (h *RegionLog) Append(e kv.Entry) error {
 	commit, err := h.w.appendRecord(h.name, e, false)
 	if err != nil {
@@ -995,7 +957,9 @@ func (h *RegionLog) Append(e kv.Entry) error {
 	return commit()
 }
 
-// AppendBuffered implements kv.GroupWAL.
+// AppendBuffered implements kv.WAL: the record is written to the active
+// segment (establishing its replay position) and the returned commit
+// blocks until an fsync covers it.
 func (h *RegionLog) AppendBuffered(e kv.Entry) (func() error, error) {
 	return h.w.appendRecord(h.name, e, false)
 }
@@ -1004,19 +968,12 @@ func (h *RegionLog) AppendBuffered(e kv.Entry) (func() error, error) {
 // in a flushed SSTable.
 func (h *RegionLog) Truncate(upTo uint64) { h.w.truncateRegion(h.name, upTo) }
 
-// Entries implements kv.WAL for recovery; errors surface as an empty
-// result (ReplayEntries reports them).
-func (h *RegionLog) Entries() []kv.Entry {
-	entries, err := h.ReplayEntries()
-	if err != nil {
-		return nil
-	}
-	return entries
-}
-
-// ReplayEntries is the recovery entry point kv.OpenStore prefers (see
-// WAL.ReplayEntries).
-func (h *RegionLog) ReplayEntries() ([]kv.Entry, error) {
+// Replay implements kv.WAL, the recovery entry point of kv.OpenStore: a
+// torn tail or mid-log corruption is an expected crash artifact and
+// only truncates the result, but a real I/O error fails recovery
+// loudly — silently returning a partial log would break the
+// acknowledged-writes-survive guarantee.
+func (h *RegionLog) Replay() ([]kv.Entry, error) {
 	return h.w.replayRegion(h.name)
 }
 
@@ -1024,5 +981,4 @@ func (h *RegionLog) ReplayEntries() ([]kv.Entry, error) {
 // WAL.SyncedTail).
 func (h *RegionLog) SyncedTail() []kv.Entry { return h.w.SyncedTail(h.name) }
 
-var _ kv.GroupWAL = (*WAL)(nil)
-var _ kv.GroupWAL = (*RegionLog)(nil)
+var _ kv.WAL = (*RegionLog)(nil)

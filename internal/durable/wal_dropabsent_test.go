@@ -90,7 +90,7 @@ func TestWALDropAbsentReclaimsOrphanRegions(t *testing.T) {
 	if got := w3.SyncedTail("A"); len(got) != 0 {
 		t.Fatalf("orphan A resurrected across restart: %d records", len(got))
 	}
-	if entries, err := w3.Region("A").ReplayEntries(); err != nil || len(entries) != 0 {
+	if entries, err := w3.Region("A").Replay(); err != nil || len(entries) != 0 {
 		t.Fatalf("orphan A replays %d entries after drop (err %v), want 0", len(entries), err)
 	}
 }

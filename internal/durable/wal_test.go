@@ -18,18 +18,29 @@ func testEntry(i int) kv.Entry {
 	}
 }
 
+// mustReplay returns the records h's replay recovers.
+func mustReplay(t *testing.T, h *RegionLog) []kv.Entry {
+	t.Helper()
+	entries, err := h.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return entries
+}
+
 func TestWALAppendReplayRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenWAL(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := w.Region("")
 	for i := 1; i <= 10; i++ {
-		if err := w.Append(testEntry(i)); err != nil {
+		if err := h.Append(testEntry(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Append(kv.Entry{Key: "dead", Timestamp: 11, Tombstone: true}); err != nil {
+	if err := h.Append(kv.Entry{Key: "dead", Timestamp: 11, Tombstone: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -84,8 +95,9 @@ func TestWALTornFinalRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := w.Region("")
 	for i := 1; i <= 5; i++ {
-		if err := w.Append(testEntry(i)); err != nil {
+		if err := h.Append(testEntry(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -125,8 +137,9 @@ func TestWALCorruptCRCMidLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := w.Region("")
 	for i := 1; i <= 3; i++ {
-		if err := w.Append(testEntry(i)); err != nil {
+		if err := h.Append(testEntry(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -180,7 +193,8 @@ func TestWALEmptySegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(testEntry(1)); err != nil {
+	h := w.Region("")
+	if err := h.Append(testEntry(1)); err != nil {
 		t.Fatal(err)
 	}
 	entries, report, err := w.Replay()
@@ -199,9 +213,10 @@ func TestWALReplayOrderingAcrossRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := w.Region("")
 	const n = 50
 	for i := 1; i <= n; i++ {
-		if err := w.Append(testEntry(i)); err != nil {
+		if err := h.Append(testEntry(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -215,7 +230,7 @@ func TestWALReplayOrderingAcrossRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	entries := w2.Entries()
+	entries := mustReplay(t, w2.Region(""))
 	if len(entries) != n {
 		t.Fatalf("replayed %d, want %d", len(entries), n)
 	}
@@ -233,8 +248,9 @@ func TestWALTruncateWholeSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
+	h := w.Region("")
 	for i := 1; i <= 20; i++ {
-		if err := w.Append(testEntry(i)); err != nil {
+		if err := h.Append(testEntry(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -242,12 +258,12 @@ func TestWALTruncateWholeSegments(t *testing.T) {
 	// A flush made everything with ts <= 10 durable elsewhere; the
 	// segments fully below the bar disappear, anything holding ts > 10
 	// stays whole.
-	w.Truncate(10)
+	h.Truncate(10)
 	after := w.SegmentCount()
 	if after >= before {
 		t.Fatalf("truncate freed no segments (%d -> %d)", before, after)
 	}
-	entries := w.Entries()
+	entries := mustReplay(t, h)
 	seen := map[uint64]bool{}
 	for _, e := range entries {
 		seen[e.Timestamp] = true
@@ -268,19 +284,20 @@ func TestWALTruncateAfterPartialFlushKeepsMixedSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
+	h := w.Region("")
 	for i := 1; i <= 10; i++ {
-		if err := w.Append(testEntry(i)); err != nil {
+		if err := h.Append(testEntry(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	w.Truncate(5)
-	entries := w.Entries()
+	h.Truncate(5)
+	entries := mustReplay(t, h)
 	if len(entries) != 10 {
 		t.Fatalf("partial-flush truncate dropped records: %d left, want all 10", len(entries))
 	}
 	// Once the flush covers the whole segment, it is rotated and deleted.
-	w.Truncate(10)
-	if n := len(w.Entries()); n != 0 {
+	h.Truncate(10)
+	if n := len(mustReplay(t, h)); n != 0 {
 		t.Fatalf("full truncate left %d records", n)
 	}
 }
@@ -292,9 +309,10 @@ func TestWALGroupCommitSharesOneSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
+	h := w.Region("")
 	var commits []func() error
 	for i := 1; i <= 5; i++ {
-		c, err := w.AppendBuffered(testEntry(i))
+		c, err := h.AppendBuffered(testEntry(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,6 +341,7 @@ func TestWALConcurrentAppendDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := w.Region("")
 	const workers, per = 8, 25
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
@@ -335,7 +354,7 @@ func TestWALConcurrentAppendDurability(t *testing.T) {
 					Value:     []byte("v"),
 					Timestamp: uint64(g*per + i + 1),
 				}
-				if err := w.Append(e); err != nil {
+				if err := h.Append(e); err != nil {
 					t.Errorf("append: %v", err)
 					return
 				}
@@ -351,7 +370,7 @@ func TestWALConcurrentAppendDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	if n := len(w2.Entries()); n != workers*per {
+	if n := len(mustReplay(t, w2.Region(""))); n != workers*per {
 		t.Fatalf("replayed %d, want %d", n, workers*per)
 	}
 }

@@ -235,9 +235,11 @@ func catalogDir(dataDir string) string {
 }
 
 // openCatalog opens (or creates) the META store under dataDir. The
-// store runs inline compaction (no pool): catalog traffic is a handful
-// of tiny rows per layout change, and keeping it self-contained means
-// the catalog never depends on any region server's lifecycle.
+// store has no compaction scheduler — the put whose flush crosses the
+// file threshold merges the stack itself before returning: catalog
+// traffic is a handful of tiny rows per layout change, and keeping it
+// self-contained means the catalog never depends on any region
+// server's lifecycle.
 func openCatalog(dataDir string) (*catalog, error) {
 	store, err := kv.OpenStore(kv.Config{
 		MemstoreFlushBytes: catalogMemstore,

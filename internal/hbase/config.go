@@ -119,9 +119,8 @@ type CompactionConfig struct {
 	// the token-bucket budget shared with the serving path. 0 means
 	// unlimited.
 	BudgetBytesPerSec int64
-	// Workers is the compactor pool size. 0 defaults to 1; negative
-	// disables the pool entirely, reverting stores to the legacy
-	// inline-compaction-at-flush behavior.
+	// Workers is the compactor pool size; 0 or less means the pool's
+	// default, 1.
 	Workers int
 	// Policy selects the file-selection policy: "tiered" (merge
 	// everything over the threshold — the engine's historical behavior,

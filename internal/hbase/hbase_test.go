@@ -223,6 +223,25 @@ func TestMoveRegionKeepsData(t *testing.T) {
 	}
 }
 
+// TestBareFlushReachesMirror: the store's files-changed hook is the
+// HDFS mirror's wake-up, so a flush nobody follows with a Put (a
+// threshold flush on the last write, an operator flush) is mirrored by
+// the time it returns.
+func TestBareFlushReachesMirror(t *testing.T) {
+	m, c := newCluster(t, 1)
+	tbl, _ := m.CreateTable("t", nil)
+	r := tbl.Regions()[0]
+	if err := c.Put("t", "k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Store().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(r.Files()); got != 1 {
+		t.Fatalf("namenode files after a bare Flush = %d, want the flushed file", got)
+	}
+}
+
 func TestLocalityDegradesOnMoveAndRecoversOnCompact(t *testing.T) {
 	m, c := newCluster(t, 2)
 	tbl, _ := m.CreateTable("t", nil)

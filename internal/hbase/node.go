@@ -500,7 +500,6 @@ func openServer(man NodeManifest, nn *hdfs.Namenode) (*RegionServer, error) {
 		}
 		r.SetFollowers(lr.Followers)
 		rs.OpenRegion(r)
-		rs.mirrorSync(r)
 	}
 	if _, err := rs.ReclaimOrphanWALRecords(); err != nil {
 		closeServer(rs)
@@ -568,7 +567,6 @@ func (s *RegionServer) AdoptRegion(spec AdoptSpec) (AdoptionReport, error) {
 	rep.RecoveredTS = nr.Store().MaxTimestamp()
 	nr.SetFollowers(spec.Followers)
 	s.OpenRegion(nr)
-	s.mirrorSync(nr)
 	return rep, nil
 }
 

@@ -60,8 +60,7 @@ type RegionServer struct {
 
 	// compactor is the server-wide background compaction pool shared by
 	// every hosted region's store (HBase's per-server compaction
-	// threads). Nil when ServerConfig.Compaction.Workers < 0, which
-	// reverts stores to inline compaction at flush time.
+	// threads). Nil only after Shutdown.
 	compactor *compaction.Pool
 
 	// replicator ships every hosted region's SSTables to its followers'
@@ -103,14 +102,12 @@ func NewRegionServer(name string, cfg ServerConfig, nn *hdfs.Namenode) (*RegionS
 	}
 	s.tel.slowLog = obs.NewSlowLog(cfg.SlowOpLogSize)
 	s.tel.setConfig(cfg)
-	s.compactor = newCompactorPool(cfg.Compaction, s)
+	s.compactor = newCompactorPool(cfg.Compaction)
 	s.replicator = newReplicator(cfg, s.compactor)
 	if cfg.DataDir != "" {
 		w, err := durable.OpenWAL(serverWALDir(cfg.DataDir, name), s.walOptionsLocked())
 		if err != nil {
-			if s.compactor != nil {
-				s.compactor.Close()
-			}
+			s.compactor.Close()
 			if s.replicator != nil {
 				s.replicator.Close()
 			}
@@ -168,8 +165,7 @@ func (s *RegionServer) walOptionsLocked() durable.Options {
 
 // newReplicator builds the server's SSTable shipper; nil without a data
 // directory (the in-memory backend exports no files). The compactor
-// pool's token-bucket budget rate-limits shipping as background I/O;
-// with the pool disabled shipping is unthrottled.
+// pool's token-bucket budget rate-limits shipping as background I/O.
 func newReplicator(cfg ServerConfig, pool *compaction.Pool) *replication.Replicator {
 	if cfg.DataDir == "" {
 		return nil
@@ -192,42 +188,14 @@ func replicaDir(dataDir, follower, regionName string) string {
 }
 
 // newCompactorPool builds the server-wide pool from the configured
-// knobs; nil (disabled) when Workers < 0. Completed background
-// compactions reconcile the owning region's HDFS mirror, so the
-// namenode's view tracks the engine's even when no Put is flowing.
-func newCompactorPool(cc CompactionConfig, s *RegionServer) *compaction.Pool {
-	if cc.Workers < 0 {
-		return nil
-	}
+// knobs.
+func newCompactorPool(cc CompactionConfig) *compaction.Pool {
 	return compaction.NewPool(compaction.Config{
 		Workers:           cc.Workers,
 		BudgetBytesPerSec: cc.BudgetBytesPerSec,
 		Policy:            compaction.NewPolicy(cc.Policy),
 		MaxStoreFiles:     cc.MaxStoreFiles,
-		OnCompacted: func(store *kv.Store, _ kv.CompactionResult) {
-			// Fan out: the HDFS locality mirror reconciles and the
-			// replicator retires the compacted-away SSTables from the
-			// followers (the store-level files-changed hook coalesces
-			// with this; both paths reconcile idempotently).
-			if r := s.regionOfStore(store); r != nil {
-				s.mirrorSync(r)
-				s.notifyReplication(r.Name())
-			}
-		},
 	})
-}
-
-// regionOfStore finds the hosted region currently backed by store, or
-// nil (the store was retired by a restart, split or move).
-func (s *RegionServer) regionOfStore(store *kv.Store) *Region {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, r := range s.regions {
-		if r.Store() == store {
-			return r
-		}
-	}
-	return nil
 }
 
 // Name returns the server's identity (also its datanode name).
@@ -297,7 +265,7 @@ func discardRegionStore(rs *RegionServer, r *Region) {
 // bounds the global memstore similarly); the block cache is shared. When
 // the server has a data directory, the config carries the durable
 // backend factory for the region's own directory; otherwise the store
-// is in-memory with a simulation WAL.
+// is in-memory and does not log.
 func (s *RegionServer) storeConfigFor(regionName string, numRegions int) kv.Config {
 	if numRegions < 1 {
 		numRegions = 1
@@ -311,17 +279,13 @@ func (s *RegionServer) storeConfigFor(regionName string, numRegions int) kv.Conf
 		Seed:               uint64(len(s.name)) + uint64(numRegions),
 		MaxStoreFiles:      s.cfg.Compaction.MaxStoreFiles,
 	}
-	if s.replicator != nil {
-		// The flush hook: a new SSTable enqueues the region for
-		// replication. Keyed by name, so the hook survives store swaps
-		// (restarts reopen with a fresh config carrying the same hook).
-		name := regionName
-		cfg.OnFilesChanged = func() { s.notifyReplication(name) }
-	}
+	// Keyed by name, so the hook survives store swaps (restarts reopen
+	// with a fresh config carrying the same hook).
+	cfg.OnFilesChanged = func() { s.filesChanged(regionName) }
 	var opts durable.Options
 	if s.compactor != nil {
 		// Background compaction: the store asks the shared pool for
-		// service instead of compacting inline under its write lock,
+		// service instead of compacting on its writers' goroutines,
 		// stalls writers at the hard ceiling, and shares one I/O budget
 		// with the pool — into which the durable WAL accounts its
 		// foreground bytes.
@@ -369,14 +333,20 @@ func (s *RegionServer) OpenRegion(r *Region) {
 	r.resetMirror(r.Store(), true)
 	s.adoptWAL(r)
 	s.rewireStore(r.Store())
+	// A store arriving from another server still carries that server's
+	// files-changed hook; from here on its flushes and compactions are
+	// ours to mirror and ship.
+	name := r.Name()
+	r.Store().SetFilesChanged(func() { s.filesChanged(name) })
 	s.trackReplication(r)
 	s.mu.Lock()
-	s.regions[r.Name()] = r
+	s.regions[name] = r
 	s.rebuildIndexLocked()
 	s.mu.Unlock()
-	// Catch up the followers on whatever the store already holds (a
-	// moved region's files, a cold-started region's recovered stack).
-	s.notifyReplication(r.Name())
+	// Catch up the mirror and the followers on whatever the store
+	// already holds (a moved region's files, a cold-started region's
+	// recovered stack).
+	s.filesChanged(name)
 }
 
 // adoptWAL re-homes a moved region's logging onto this server's shared
@@ -396,8 +366,7 @@ func (s *RegionServer) adoptWAL(r *Region) {
 	st := r.Store()
 	h, ok := st.WAL().(*durable.RegionLog)
 	if !ok || h.Owner() == w {
-		// Already ours, or an in-memory store with its private
-		// simulation log — only stores on a shared log move between them.
+		// Already ours, or an in-memory store (no log at all).
 		return
 	}
 	_ = st.SwitchWAL(w.Region(r.Name()))
@@ -414,9 +383,6 @@ func (s *RegionServer) trackReplication(r *Region) {
 	w := s.wal
 	s.mu.RUnlock()
 	if rep == nil {
-		// Re-homed onto a server without replication: drop the previous
-		// host's hook so flushes stop poking its replicator.
-		r.Store().SetFilesChanged(nil)
 		return
 	}
 	var tail func() []kv.Entry
@@ -438,7 +404,21 @@ func (s *RegionServer) trackReplication(r *Region) {
 			return dests
 		},
 		tail)
-	r.Store().SetFilesChanged(func() { s.notifyReplication(r.Name()) })
+}
+
+// filesChanged is the one subscriber to a hosted store's file stack
+// (kv.Config.OnFilesChanged): whenever a flush adds a file or a
+// compaction — background, self-service or major — splices one in, the
+// HDFS locality mirror reconciles and the replicator ships the new
+// SSTable and retires the compacted-away ones from the followers. Both
+// reconcile against the current stack, so coalesced or repeated calls
+// are harmless. A region this server no longer (or does not yet) host
+// is skipped; whoever opens it catches up.
+func (s *RegionServer) filesChanged(regionName string) {
+	if r := s.region(regionName); r != nil {
+		s.mirrorSync(r)
+	}
+	s.notifyReplication(regionName)
 }
 
 // notifyReplication enqueues a hosted region for replica
@@ -556,23 +536,19 @@ func (s *RegionServer) ReplicationStats() replication.Stats {
 // rewireStore re-homes a store's background-compaction attribution onto
 // this server: compaction requests route to this server's pool, flush
 // and compaction bytes charge this server's I/O budget, writers stall
-// against this server's hard file ceiling, and the durable WAL's
-// foreground accounting feeds the same budget. With no pool here the
-// store reverts to inline compaction (and its WAL stops accounting).
+// against this server's hard file ceiling. (WAL bytes need no rewiring:
+// adoptWAL has moved the store onto this server's shared log, which
+// charges this server's budget.) With no pool here — the server was shut
+// down — the store compacts on its own writers' goroutines.
 func (s *RegionServer) rewireStore(st *kv.Store) {
 	s.mu.RLock()
 	pool := s.compactor
 	stall := s.cfg.Compaction.StallStoreFiles
 	s.mu.RUnlock()
-	var account func(int)
 	if pool != nil {
 		st.SetCompaction(pool, pool.Budget(), stall)
-		account = pool.Budget().NoteForeground
 	} else {
 		st.SetCompaction(nil, nil, -1)
-	}
-	if w, ok := st.WAL().(interface{ SetAccount(func(int)) }); ok {
-		w.SetAccount(account)
 	}
 }
 
@@ -662,7 +638,8 @@ func (s *RegionServer) Get(table, key string) ([]byte, error) {
 	return v, err
 }
 
-// Put writes a value and mirrors any resulting engine flush into HDFS.
+// Put writes a value. A flush it triggers reaches the HDFS mirror and
+// the replicator through the store's files-changed hook (filesChanged).
 func (s *RegionServer) Put(table, key string, value []byte) error {
 	start := time.Now()
 	tr := s.beginOp("put", table, key)
@@ -676,7 +653,6 @@ func (s *RegionServer) Put(table, key string, value []byte) error {
 	if err := r.Store().PutTraced(key, value, tr); err != nil {
 		return err
 	}
-	s.mirrorSync(r)
 	d := time.Since(start)
 	recordOp(&s.tel.lat, &r.lat, opPut, d)
 	s.finishOp(tr, d)
@@ -698,7 +674,6 @@ func (s *RegionServer) Delete(table, key string) error {
 	if err := r.Store().DeleteTraced(key, tr); err != nil {
 		return err
 	}
-	s.mirrorSync(r)
 	d := time.Since(start)
 	recordOp(&s.tel.lat, &r.lat, opPut, d)
 	s.finishOp(tr, d)
@@ -764,8 +739,8 @@ func (s *RegionServer) mirrorSync(r *Region) {
 // high priority: the caller still blocks until the rewrite completes
 // (the actuator's contract), but the merge I/O runs on a pool worker
 // under the shared I/O budget, off the store write lock, so serving
-// continues throughout. With the pool disabled it falls back to calling
-// the engine directly (same locking profile — CompactFiles either way).
+// continues throughout. On a shut-down server (no pool) it calls the
+// engine directly (same locking profile — CompactFiles either way).
 func (s *RegionServer) MajorCompact(regionName string) (int64, error) {
 	s.mu.RLock()
 	r, ok := s.regions[regionName]
@@ -837,7 +812,7 @@ func (s *RegionServer) EngineStats() kv.Stats {
 }
 
 // CompactionStats snapshots the server's background compactor (zero
-// value when the pool is disabled).
+// value after Shutdown).
 func (s *RegionServer) CompactionStats() compaction.PoolStats {
 	s.mu.RLock()
 	pool := s.compactor
@@ -848,7 +823,8 @@ func (s *RegionServer) CompactionStats() compaction.PoolStats {
 	return pool.Stats()
 }
 
-// Compactor exposes the background pool (tests; nil when disabled).
+// Compactor exposes the background pool (tests; nil only after
+// Shutdown).
 func (s *RegionServer) Compactor() *compaction.Pool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -923,7 +899,7 @@ func (s *RegionServer) Restart(cfg ServerConfig) error {
 		// New compaction knobs take effect like any other restart-only
 		// HBase setting: the old pool drains and a fresh one (new
 		// budget, policy, workers) serves the reopened stores.
-		s.compactor = newCompactorPool(cfg.Compaction, s)
+		s.compactor = newCompactorPool(cfg.Compaction)
 	}
 	rewireReplication := cfg.Compaction != oldCompaction || cfg.DataDir != oldDataDir
 	if rewireReplication {
@@ -997,11 +973,12 @@ func (s *RegionServer) Restart(cfg ServerConfig) error {
 			}
 			continue
 		}
-		// Re-track against the (possibly fresh) replicator: the reopened
-		// store needs its files-changed hook and the shipper must know
-		// the region, or post-restart flushes would never replicate.
+		// Re-track against the (possibly fresh) replicator — the shipper
+		// must know the region, or post-restart flushes would never
+		// replicate — and catch the mirror and the followers up on the
+		// reopened store's stack.
 		s.trackReplication(r)
-		s.notifyReplication(r.Name())
+		s.filesChanged(r.Name())
 	}
 	if oldWAL != nil {
 		_ = oldWAL.Close() //lint:allow syncerr handle release: every reopened store already flushed and truncated past the relocated log

@@ -1059,8 +1059,8 @@ func TestMoveRePicksDegenerateFollowers(t *testing.T) {
 
 // TestReplicationShipsThroughStack is the end-to-end plumbing check:
 // client writes on a durable cluster produce real, byte-complete
-// replica directories for every region with data, via the flush hook
-// and the OnCompacted fan-out, without any explicit flush calls.
+// replica directories for every region with data, via the store's
+// files-changed hook, without any explicit flush calls.
 func TestReplicationShipsThroughStack(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig(dir)

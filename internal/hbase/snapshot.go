@@ -305,7 +305,6 @@ func (m *Master) RestoreSnapshot(table, name string) error {
 		host, _ := m.HostOf(r.Name())
 		if rs, err := m.Server(host); err == nil {
 			rs.OpenRegion(r)
-			rs.mirrorSync(r)
 		}
 	}
 	m.layout.crash("restore.committed")

@@ -138,12 +138,6 @@ type CompactionResult struct {
 func (s *Store) CompactFiles(sel CompactionSelection) (CompactionResult, error) {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
-	return s.compactFilesLocked(sel)
-}
-
-// compactFilesLocked is CompactFiles minus the compactMu acquisition;
-// callers hold compactMu.
-func (s *Store) compactFilesLocked(sel CompactionSelection) (CompactionResult, error) {
 	var res CompactionResult
 
 	// Phase 1: pin the selected run under the read lock.
@@ -248,9 +242,12 @@ func (s *Store) compactFilesLocked(sel CompactionSelection) (CompactionResult, e
 	s.stats.compactionBytesWritten.Add(res.BytesOut)
 	s.mu.Unlock()
 
-	s.drainRetired(false)
+	// Announce the new stack before the unlink-and-fsync of the retired
+	// inputs: stalled writers and the files-changed subscriber need only
+	// the splice.
 	s.releaseStall()
 	s.notifyFilesChanged()
+	s.drainRetired(false)
 	return res, nil
 }
 
@@ -299,27 +296,31 @@ func (s *Store) NoteCompactionQueued(delta int64) {
 	s.stats.compactionQueued.Add(delta)
 }
 
-// maybeTriggerCompaction fires the configured CompactionTrigger if a
-// flush raised the file count over the soft threshold. Called outside
-// all engine locks by the mutation paths and Flush.
-func (s *Store) maybeTriggerCompaction() {
-	trigger := s.wiring.Load().trigger
-	if trigger == nil || !s.compactionWanted.CompareAndSwap(true, false) {
-		return
+// maybeTriggerCompaction serves the request a flush latched when it
+// raised the file count over the soft threshold: it fires the configured
+// CompactionTrigger, or — for a store without a scheduler — merges the
+// whole stack right here, on the goroutine whose flush asked, and
+// returns that compaction's error. Called outside all engine locks
+// (afterFlush, OpenStore, maybeStall).
+func (s *Store) maybeTriggerCompaction() error {
+	if !s.compactionWanted.CompareAndSwap(true, false) {
+		return nil
 	}
 	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return
-	}
+	closed := s.closed
 	p := CompactionPressure{NumFiles: len(s.files)}
 	for _, f := range s.files {
 		p.TotalBytes += int64(f.Bytes())
 	}
 	s.mu.RUnlock()
-	if s.cfg.MaxStoreFiles > 0 && p.NumFiles > s.cfg.MaxStoreFiles {
-		trigger.CompactionNeeded(s, p)
+	if closed || s.cfg.MaxStoreFiles <= 0 || p.NumFiles <= s.cfg.MaxStoreFiles {
+		return nil
 	}
+	if trigger := s.wiring.Load().trigger; trigger != nil {
+		trigger.CompactionNeeded(s, p)
+		return nil
+	}
+	return s.Compact(false)
 }
 
 // stallGateChan returns the channel the next stall release will close.
@@ -362,8 +363,10 @@ func (s *Store) maybeStall() {
 	}
 	// Never park on a gate while a compaction request is still latched
 	// but unsent — the release we would wait for might otherwise never
-	// be scheduled.
-	s.maybeTriggerCompaction()
+	// be scheduled. (Firing a trigger cannot fail; only a store rewired
+	// to no scheduler since the check above compacts here, and then the
+	// next flush re-latches whatever this attempt left undone.)
+	_ = s.maybeTriggerCompaction()
 	var start time.Time
 	var timer *time.Timer
 	for {

@@ -301,15 +301,22 @@ func TestFlushTriggersCompactorInsteadOfInline(t *testing.T) {
 		t.Fatalf("pressure = %+v", last)
 	}
 
-	// Without a Compactor the same sequence compacts inline.
+	// Without a Compactor the store serves itself: the Flush that crossed
+	// the threshold merges the stack (through CompactFiles, off the write
+	// lock) before it returns.
 	s2 := NewStore(Config{MemstoreFlushBytes: 1 << 30, MaxStoreFiles: 2, BlockBytes: 256})
 	defer s2.Close()
 	for b := 0; b < 4; b++ {
 		s2.Put(fmt.Sprintf("k%d", b), []byte("v"))
-		s2.Flush()
+		if err := s2.Flush(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := s2.NumFiles(); got > 2 {
-		t.Fatalf("legacy inline path: files = %d, want <= 2", got)
+		t.Fatalf("self-service path: files = %d, want <= 2", got)
+	}
+	if st := s2.Stats(); st.Compactions == 0 || st.CompactionBytesWritten == 0 {
+		t.Fatalf("self-service compaction not accounted: %+v", st)
 	}
 }
 

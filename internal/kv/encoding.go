@@ -3,25 +3,18 @@ package kv
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 )
 
-// Wire format for store files, so an embedder can persist and reload
-// them (the simulation keeps files in memory; the format exists for
-// durability and for shipping region data between processes):
+// Wire format for a store-file block's payload — the packing durable
+// SSTables store their data blocks in (met/internal/durable frames each
+// payload with its own CRC and index):
 //
-//	file   := magic(4) version(1) blockCount(varint) block*
-//	block  := length(varint) payload crc32(4)
 //	payload:= entryCount(varint) entry*
 //	entry  := flags(1) keyLen(varint) key valLen(varint) val ts(varint)
 //
 // flags bit 0 marks a tombstone.
 
-const (
-	fileMagic          = 0x4d455446 // "METF"
-	fileVersion        = 1
-	flagTombstone byte = 1 << 0
-)
+const flagTombstone byte = 1 << 0
 
 // ErrCorrupt is returned when decoding fails integrity checks.
 var ErrCorrupt = fmt.Errorf("kv: corrupt file data")
@@ -96,65 +89,4 @@ func readBytes(buf []byte) (data, rest []byte, err error) {
 		return nil, nil, ErrCorrupt
 	}
 	return buf[n : n+int(l)], buf[n+int(l):], nil
-}
-
-// EncodeFile serializes a whole store file, block by block, each with a
-// CRC32 trailer. Blocks are loaded through the file's source, so this
-// works for disk-backed files too (and can then fail on I/O errors).
-func EncodeFile(f *StoreFile) ([]byte, error) {
-	var buf []byte
-	buf = binary.BigEndian.AppendUint32(buf, fileMagic)
-	buf = append(buf, fileVersion)
-	buf = binary.AppendUvarint(buf, uint64(f.NumBlocks()))
-	for i := 0; i < f.NumBlocks(); i++ {
-		b, err := f.src.LoadBlock(i)
-		if err != nil {
-			return nil, err
-		}
-		payload := EncodeBlock(b.entries)
-		buf = binary.AppendUvarint(buf, uint64(len(payload)))
-		buf = append(buf, payload...)
-		buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	}
-	return buf, nil
-}
-
-// DecodeFile reconstructs a store file (with the given id and block
-// size for future writes) from its wire form, verifying every CRC.
-func DecodeFile(id uint64, blockBytes int, buf []byte) (*StoreFile, error) {
-	if len(buf) < 5 || binary.BigEndian.Uint32(buf) != fileMagic {
-		return nil, ErrCorrupt
-	}
-	if buf[4] != fileVersion {
-		return nil, fmt.Errorf("kv: unsupported file version %d", buf[4])
-	}
-	buf = buf[5:]
-	blockCount, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return nil, ErrCorrupt
-	}
-	buf = buf[n:]
-	var entries []Entry
-	for i := uint64(0); i < blockCount; i++ {
-		payload, rest, err := readBytes(buf)
-		if err != nil {
-			return nil, err
-		}
-		if len(rest) < 4 {
-			return nil, ErrCorrupt
-		}
-		if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(rest) {
-			return nil, ErrCorrupt
-		}
-		buf = rest[4:]
-		es, err := DecodeBlock(payload)
-		if err != nil {
-			return nil, err
-		}
-		entries = append(entries, es...)
-	}
-	if len(buf) != 0 {
-		return nil, ErrCorrupt
-	}
-	return BuildStoreFile(id, entries, blockBytes), nil
 }

@@ -1,7 +1,6 @@
 package kv
 
 import (
-	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -78,92 +77,5 @@ func TestDecodeBlockCorrupt(t *testing.T) {
 		if _, err := DecodeBlock(c); err == nil {
 			t.Errorf("case %d: corrupt block decoded", i)
 		}
-	}
-}
-
-func TestFileCodecRoundTrip(t *testing.T) {
-	var entries []Entry
-	for i := 0; i < 500; i++ {
-		entries = append(entries, Entry{
-			Key:       fmt.Sprintf("key%04d", i),
-			Value:     []byte(fmt.Sprintf("value-%d", i)),
-			Timestamp: uint64(i + 1),
-		})
-	}
-	f := BuildStoreFile(9, entries, 512)
-	if f.NumBlocks() < 2 {
-		t.Fatalf("want multiple blocks, got %d", f.NumBlocks())
-	}
-	wire, err := EncodeFile(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeFile(10, 512, wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Entries() != f.Entries() {
-		t.Fatalf("entries %d != %d", back.Entries(), f.Entries())
-	}
-	minK, maxK := back.KeyRange()
-	wantMin, wantMax := f.KeyRange()
-	if minK != wantMin || maxK != wantMax {
-		t.Fatalf("range [%s,%s] != [%s,%s]", minK, maxK, wantMin, wantMax)
-	}
-	// Every key findable in the decoded file.
-	for i := 0; i < 500; i += 37 {
-		key := fmt.Sprintf("key%04d", i)
-		e, found, _ := back.get(key, nil, nil, nil)
-		if !found || string(e.Value) != fmt.Sprintf("value-%d", i) {
-			t.Fatalf("key %s lost in round trip", key)
-		}
-	}
-}
-
-func TestDecodeFileCorruption(t *testing.T) {
-	f := BuildStoreFile(1, []Entry{{Key: "k", Value: []byte("v"), Timestamp: 1}}, 64)
-	wire, err := EncodeFile(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Bad magic.
-	bad := append([]byte(nil), wire...)
-	bad[0] ^= 0xff
-	if _, err := DecodeFile(2, 64, bad); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	// Bad version.
-	bad = append([]byte(nil), wire...)
-	bad[4] = 99
-	if _, err := DecodeFile(2, 64, bad); err == nil {
-		t.Fatal("bad version accepted")
-	}
-	// Flipped payload bit breaks the CRC.
-	bad = append([]byte(nil), wire...)
-	bad[len(bad)-6] ^= 0x01
-	if _, err := DecodeFile(2, 64, bad); err == nil {
-		t.Fatal("CRC violation accepted")
-	}
-	// Truncated file.
-	if _, err := DecodeFile(2, 64, wire[:len(wire)-3]); err == nil {
-		t.Fatal("truncated file accepted")
-	}
-	if _, err := DecodeFile(2, 64, nil); err == nil {
-		t.Fatal("empty file accepted")
-	}
-}
-
-func TestFileCodecEmptyFile(t *testing.T) {
-	f := BuildStoreFile(1, nil, 64)
-	wire, err := EncodeFile(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeFile(2, 64, wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Entries() != 0 {
-		t.Fatalf("entries = %d", back.Entries())
 	}
 }

@@ -18,19 +18,21 @@
 //
 // Store files are views over a pluggable BlockSource, and the whole
 // persistence layer hangs off one StorageBackend interface: with a nil
-// backend (NewStore) files live on the heap; with a durable backend
-// (OpenStore + Config.OpenBackend, implemented by met/internal/durable)
-// flushes and compactions write real SSTables, mutations are logged to
-// an fsynced WAL before acknowledgement, and OpenStore recovers both on
-// restart. The engine code path — cache, index, iterators, compaction —
-// is identical either way.
+// backend (NewStore) files live on the heap and nothing is logged; with
+// a durable backend (OpenStore + Config.OpenBackend, implemented by
+// met/internal/durable) flushes and compactions write real SSTables,
+// mutations are logged to an fsynced WAL before acknowledgement, and
+// OpenStore recovers both on restart. The engine code path — the one
+// write path, cache, index, iterators, compaction — is identical either
+// way; the log is the one WAL interface, whose only implementation is
+// the durable one.
 //
 // # Concurrency model
 //
 // A Store is safe for concurrent use by any number of goroutines. Its
 // reader/writer lock lets Gets proceed in parallel over the immutable
 // store-file stack and the memstore, while Puts, Deletes, flushes,
-// Recover and Close serialize as exclusive writers. Scan holds the read
+// compaction splices and Close serialize as exclusive writers. Scan holds the read
 // lock only long enough to snapshot the memstore pointer and the file
 // stack, then iterates lock-free: store files are immutable, the file
 // stack is replaced rather than mutated, and the memstore skiplist
@@ -39,9 +41,9 @@
 // mutates LRU recency) and may be shared across stores; the engine
 // counters behind Stats are atomics. Lock ordering is Store.mu before
 // BlockCache.mu — the cache never calls back into a store, so the order
-// cannot invert. With a group-commit WAL, writers append and apply
-// under the write lock but wait for the shared fsync outside it, so
-// concurrent writers batch their durability cost.
+// cannot invert. Writers buffer into the WAL and apply under the write
+// lock but wait for the shared fsync outside it, so concurrent writers
+// batch their durability cost (group commit).
 //
 // # Background compaction
 //
@@ -49,15 +51,18 @@
 // merges a selected contiguous run of files in three phases — snapshot
 // under a brief read lock, merge and persist with no lock held
 // (rate-limited by a shared IOBudget), splice under a brief write lock
-// — so Gets, Puts and Scans proceed throughout a compaction. With
-// Config.Compactor set, a flush that pushes the file count over
+// — so Gets, Puts and Scans proceed throughout a compaction. That is
+// the only merge implementation; Config.Compactor decides only which
+// goroutine runs it. Set, a flush that pushes the file count over
 // MaxStoreFiles fires the trigger (outside all locks) and a scheduler
 // (met/internal/compaction) plans and executes CompactFiles on worker
 // goroutines; at Config.HardMaxStoreFiles writers stall — outside the
 // locks, bounded by StallTimeout, accounted in Stats.StallNanos — until
-// compaction catches up. Without a Compactor the engine keeps its
-// legacy behavior: flushes compact inline under the write lock, which
-// the pure-simulation layers still use.
+// compaction catches up. Nil (the catalog store, in-memory stores), the
+// write or Flush whose flush crossed the threshold merges the whole
+// stack itself, after releasing the write lock and before returning,
+// and reports a failure as that call's error; such a store never
+// stalls, having nothing asynchronous to wait for.
 //
 // # Static analysis & invariants
 //
@@ -77,9 +82,9 @@
 //     the skiplist's published pointers rely on this.
 //   - nolockcopy: no function receives or returns a Store (or anything
 //     embedding a sync primitive) by value.
-//   - syncerr: the error from WAL.Append and StorageBackend.Close is
-//     never silently discarded — dropping it would acknowledge a write
-//     that never became durable.
+//   - syncerr: the error from WAL.AppendBuffered and
+//     StorageBackend.Close is never silently discarded — dropping it
+//     would acknowledge a write that never became durable.
 //
 // The analyzers are intraprocedural: they see a lock and its critical
 // section within one function body. Helpers that lock on behalf of a

@@ -169,16 +169,19 @@ func (m *Memstore) Iterator() Iterator {
 func (m *Memstore) IteratorFrom(start string) Iterator {
 	x := m.head
 	probe := Entry{Key: start, Timestamp: ^uint64(0)}
+	var first *skipNode
 	for i := int(m.level.Load()) - 1; i >= 0; i-- {
 		for {
-			nxt := x.next[i].Load()
-			if nxt == nil || !less(nxt.entry, probe) {
+			first = x.next[i].Load()
+			if first == nil || !less(first.entry, probe) {
 				break
 			}
-			x = nxt
+			x = first
 		}
 	}
-	return &memstoreIter{node: x.next[0].Load()}
+	// first is the very node the level-0 walk judged >= start; loading
+	// x.next[0] again could return a node an Add linked in since.
+	return &memstoreIter{node: first}
 }
 
 // memstoreIter holds the node the first Next lands on (chosen at

@@ -98,17 +98,19 @@ type Config struct {
 	// of its regions' stores, as HBase does.
 	Cache *BlockCache
 
-	// Compactor, when set, takes over compaction: flushes never compact
-	// inline (and never do compaction I/O under the write lock); when a
-	// flush pushes the file count over MaxStoreFiles the trigger is
-	// fired outside the engine locks and the scheduler is expected to
-	// call CompactFiles. Nil keeps the legacy inline behavior the
-	// simulation layer uses.
+	// Compactor decides who runs the compaction a flush asks for when it
+	// pushes the file count over MaxStoreFiles. Either way the request is
+	// served outside the engine locks, by the same CompactFiles merge.
+	// Set, the trigger is fired and the scheduler is expected to call
+	// CompactFiles on a goroutine of its own. Nil, the store serves
+	// itself: the goroutine whose write or Flush crossed the threshold
+	// merges the whole stack before its call returns.
 	Compactor CompactionTrigger
 	// HardMaxStoreFiles is the file count at which writers stall until
 	// background compaction catches up (HBase's blockingStoreFiles).
-	// Only meaningful with a Compactor; 0 defaults to 3×MaxStoreFiles,
-	// negative disables stalling.
+	// Only meaningful with a Compactor — a store that compacts on its
+	// own writers' goroutines has nothing asynchronous to wait for;
+	// 0 defaults to 3×MaxStoreFiles, negative disables stalling.
 	HardMaxStoreFiles int
 	// StallTimeout bounds a single write's stall; past it the write
 	// proceeds and the file count grows unbounded (reported via
@@ -215,9 +217,9 @@ func (st *storeStats) snapshot() Stats {
 // Concurrency model: mu is a reader/writer lock over the engine
 // structure (memstore pointer and contents, file stack, seq, closed).
 // Get takes the read lock, so any number of readers proceed in parallel;
-// Put, Delete, Flush, Compact, Recover and Close take the write lock,
-// which also makes them the only memstore mutators. Scan takes the read
-// lock only long enough to snapshot the memstore pointer and the file
+// Put, Delete, Flush, the compaction splice and Close take the write
+// lock, which also makes them the only memstore mutators. Scan takes the
+// read lock only long enough to snapshot the memstore pointer and the file
 // stack, then iterates lock-free: the file stack is replaced (never
 // mutated) by flushes and compactions, store files are immutable once
 // built, and the memstore skiplist publishes nodes with atomic pointers,
@@ -226,10 +228,10 @@ func (st *storeStats) snapshot() Stats {
 // is internally locked and engine counters are atomics, so the read path
 // touches no unprotected shared state.
 //
-// Durability: with a group-commit WAL (GroupWAL), a mutation is appended
-// to the log and applied to the memstore under the write lock, but the
-// caller is acknowledged only after the log record is fsynced — the wait
-// happens outside the lock, so concurrent writers batch into one fsync.
+// Durability: a mutation is buffered into the WAL and applied to the
+// memstore under the write lock, but the caller is acknowledged only
+// after the log record is fsynced — the wait happens outside the lock,
+// so concurrent writers batch into one fsync (group commit).
 // A crash can therefore lose only writes that were never acknowledged
 // (readers may have glimpsed them, the same window HBase exposes).
 type Store struct {
@@ -356,7 +358,7 @@ func OpenStore(cfg Config) (*Store, error) {
 		s.cfg.WAL = backend.WAL()
 	}
 	if s.cfg.WAL != nil {
-		entries, err := replayWAL(s.cfg.WAL)
+		entries, err := s.cfg.WAL.Replay()
 		if err != nil {
 			backend.Close() //lint:allow syncerr best-effort cleanup of a failed open; the replay error is the one to surface
 			return nil, fmt.Errorf("kv: wal replay: %w", err)
@@ -385,19 +387,11 @@ func OpenStore(cfg Config) (*Store, error) {
 	if s.cfg.MaxStoreFiles > 0 && len(s.files) > s.cfg.MaxStoreFiles {
 		s.compactionWanted.Store(true)
 	}
-	s.maybeTriggerCompaction()
-	return s, nil
-}
-
-// replayWAL prefers the error-reporting recovery path when the WAL
-// offers one: a torn tail is an expected crash artifact, but a real read
-// error during recovery must fail the open loudly — silently dropping
-// the log would violate the acknowledged-writes-survive guarantee.
-func replayWAL(w WAL) ([]Entry, error) {
-	if rw, ok := w.(interface{ ReplayEntries() ([]Entry, error) }); ok {
-		return rw.ReplayEntries()
+	if err := s.maybeTriggerCompaction(); err != nil {
+		s.Close()
+		return nil, fmt.Errorf("kv: compact recovered files: %w", err)
 	}
-	return w.Entries(), nil
+	return s, nil
 }
 
 // Config returns the store's configuration. Note that the background-
@@ -425,7 +419,9 @@ func (s *Store) WAL() WAL {
 // write lock), so every record the old log held for this store becomes
 // durable in an SSTable and is truncated away; from the next mutation
 // on, records land in w. The old log is not closed — it belongs to its
-// server.
+// server. A failed flush leaves the store on its old log; a store
+// without a compaction scheduler may also report the compaction that
+// flush asked for, with the switch already in effect.
 func (s *Store) SwitchWAL(w WAL) error {
 	s.mu.Lock()
 	if s.closed {
@@ -438,8 +434,9 @@ func (s *Store) SwitchWAL(w WAL) error {
 	}
 	s.cfg.WAL = w
 	s.mu.Unlock()
-	s.maybeTriggerCompaction()
-	s.notifyFilesChanged()
+	if err := s.afterFlush(nil); err != nil {
+		return fmt.Errorf("kv: switch wal: %w", err)
+	}
 	return nil
 }
 
@@ -449,9 +446,10 @@ func (s *Store) SwitchWAL(w WAL) error {
 // the next flush on, compaction requests go to trigger, compaction and
 // flush bytes charge budget, and writers stall against hardMax.
 // hardMax is normalized exactly like Config.HardMaxStoreFiles (0 =
-// 3×MaxStoreFiles, negative disables); a nil trigger reverts the store
-// to inline compaction at flush time. The swap is atomic: a concurrent
-// writer observes either the old wiring or the new, never a mix.
+// 3×MaxStoreFiles, negative disables); with a nil trigger the store
+// serves its own compactions (see Config.Compactor). The swap is
+// atomic: a concurrent writer observes either the old wiring or the
+// new, never a mix.
 func (s *Store) SetCompaction(trigger CompactionTrigger, budget IOBudget, hardMax int) {
 	if s.cfg.MaxStoreFiles < 0 {
 		hardMax = -1
@@ -482,7 +480,7 @@ func (s *Store) SetFilesChanged(fn func()) {
 
 // notifyFilesChanged fires the files-changed hook if a flush or
 // compaction latched a stack change since the last call. Called outside
-// all engine locks by the mutation paths, Flush and CompactFiles.
+// all engine locks by afterFlush and CompactFiles.
 func (s *Store) notifyFilesChanged() {
 	fn := s.onFilesChanged.Load()
 	if fn == nil {
@@ -510,83 +508,107 @@ func (s *Store) MaxTimestamp() uint64 {
 	return s.seq
 }
 
-// nextTimestamp returns a strictly increasing logical timestamp. Callers
-// must hold the write lock.
-func (s *Store) nextTimestamp() uint64 {
-	s.seq++
-	return s.seq
-}
-
-// mutate is the shared Put/Delete path: log, apply to the memstore, and
-// flush if over threshold, all under the write lock; then — outside the
-// lock — wait for the WAL record to be durable before acknowledging.
-// With a background compactor the write first passes the stall gate
-// (file-count backpressure) and afterwards fires the compaction trigger,
-// both outside the lock.
-func (s *Store) mutate(e Entry, counter *atomic.Int64, tr *obs.Trace) error {
+// write is the one mutation path — Put, Delete, ImportEntries and
+// ApplyReplayed all end here. After passing the stall gate (file-count
+// backpressure, outside the lock) it takes the write lock and, entry by
+// entry, stamps the next timestamp — or, with keepTS, keeps the entry's
+// own and skips entries at or below the clock, which are already present
+// — buffers the entry into the WAL and applies it to the memstore; then
+// it flushes if the memstore is over its threshold. Outside the lock it
+// settles what the flush owes (afterFlush) and waits for the last
+// record's commit, which covers the whole batch, before acknowledging.
+//
+// entries is the caller's scratch: write stamps it in place and the
+// memstore keeps the Value slices. applied counts the entries logged and
+// applied; on a mid-batch append failure the earlier ones stay applied
+// (logged, never acknowledged) and the clock rests on the last of them,
+// so timestamps stay dense — no timestamp names a record the log never
+// saw.
+func (s *Store) write(entries []Entry, keepTS bool, counter *atomic.Int64, tr *obs.Trace) (int, error) {
 	s.maybeStall()
 	s.mu.Lock()
 	if s.closed || s.sealed {
 		s.mu.Unlock()
-		return ErrClosed
+		return 0, ErrClosed
 	}
-	e.Timestamp = s.nextTimestamp()
 	var commit func() error
-	if s.cfg.WAL != nil {
-		st := tr.StartSpan()
-		if gw, ok := s.cfg.WAL.(GroupWAL); ok {
-			c, err := gw.AppendBuffered(e)
+	applied := 0
+	for i := range entries {
+		e := &entries[i]
+		if !keepTS {
+			e.Timestamp = s.seq + 1
+		} else if e.Timestamp <= s.seq {
+			continue
+		}
+		if s.cfg.WAL != nil {
+			st := tr.StartSpan()
+			c, err := s.cfg.WAL.AppendBuffered(*e)
 			if err != nil {
 				s.mu.Unlock()
-				return fmt.Errorf("kv: wal append: %w", err)
+				return applied, fmt.Errorf("kv: wal append: %w", err)
 			}
 			commit = c
-		} else if err := s.cfg.WAL.Append(e); err != nil { //lint:allow locksafe plain kv.WAL is the in-memory path; durable logs implement GroupWAL and fsync outside the lock via commit()
-			s.mu.Unlock()
-			return fmt.Errorf("kv: wal append: %w", err)
+			tr.EndSpan("wal-append", st)
 		}
-		tr.EndSpan("wal-append", st)
+		s.seq = e.Timestamp
+		st := tr.StartSpan()
+		s.mem.Add(*e)
+		tr.EndSpan("memstore", st)
+		if counter != nil {
+			counter.Add(1)
+		}
+		s.stats.userBytes.Add(int64(e.Size()))
+		applied++
 	}
-	st := tr.StartSpan()
-	s.mem.Add(e)
-	tr.EndSpan("memstore", st)
-	counter.Add(1)
-	s.stats.userBytes.Add(int64(e.Size()))
 	var flushErr error
 	if s.mem.Bytes() >= s.cfg.MemstoreFlushBytes {
-		st = tr.StartSpan()
+		st := tr.StartSpan()
 		flushErr = s.flushLocked()
 		tr.EndSpan("flush", st)
 	}
 	s.mu.Unlock()
-	s.maybeTriggerCompaction()
-	s.notifyFilesChanged()
+	flushErr = s.afterFlush(flushErr)
 	if commit != nil {
-		st = tr.StartSpan()
+		st := tr.StartSpan()
 		err := commit()
 		tr.EndSpan("wal-sync", st)
 		if err != nil {
-			return fmt.Errorf("kv: wal sync: %w", err)
+			return applied, fmt.Errorf("kv: wal sync: %w", err)
 		}
 	}
 	if flushErr != nil {
-		return fmt.Errorf("kv: flush: %w", flushErr)
+		return applied, fmt.Errorf("kv: flush: %w", flushErr)
 	}
-	return nil
+	return applied, nil
+}
+
+// afterFlush settles, outside every engine lock, what a possible flush
+// left latched: the compaction request (fired at the scheduler, or
+// served right here by a store without one) and the files-changed hook.
+// It returns flushErr, or else the self-service compaction's error, for
+// the caller to report as the flush's.
+func (s *Store) afterFlush(flushErr error) error {
+	if err := s.maybeTriggerCompaction(); flushErr == nil {
+		flushErr = err
+	}
+	s.notifyFilesChanged()
+	return flushErr
 }
 
 // Put writes a value. Writes are atomic and immediately visible to
-// subsequent reads, matching HBase's contract; with a group-commit WAL
-// the call returns only once the write is durable.
+// subsequent reads, matching HBase's contract; on a logging store the
+// call returns only once the write is durable.
 func (s *Store) Put(key string, value []byte) error {
 	return s.PutTraced(key, value, nil)
 }
 
 // PutTraced is Put with a trace context: the WAL append, memstore
-// apply, inline flush and group-commit wait each record a span. A nil
-// trace is free.
+// apply, threshold flush and group-commit wait each record a span. A
+// nil trace is free.
 func (s *Store) PutTraced(key string, value []byte, tr *obs.Trace) error {
-	return s.mutate(Entry{Key: key, Value: append([]byte(nil), value...)}, &s.stats.puts, tr)
+	one := [1]Entry{{Key: key, Value: append([]byte(nil), value...)}}
+	_, err := s.write(one[:], false, &s.stats.puts, tr)
+	return err
 }
 
 // Delete writes a tombstone for key.
@@ -596,7 +618,19 @@ func (s *Store) Delete(key string) error {
 
 // DeleteTraced is Delete with a trace context.
 func (s *Store) DeleteTraced(key string, tr *obs.Trace) error {
-	return s.mutate(Entry{Key: key, Tombstone: true}, &s.stats.deletes, tr)
+	one := [1]Entry{{Key: key, Tombstone: true}}
+	_, err := s.write(one[:], false, &s.stats.deletes, tr)
+	return err
+}
+
+// copyBatch deep-copies entries into the scratch slice write consumes.
+func copyBatch(entries []Entry) []Entry {
+	batch := make([]Entry, len(entries))
+	for i, e := range entries {
+		e.Value = append([]byte(nil), e.Value...)
+		batch[i] = e
+	}
+	return batch
 }
 
 // ImportEntries bulk-loads entries as fresh writes — the migration path
@@ -605,54 +639,8 @@ func (s *Store) DeleteTraced(key string, tr *obs.Trace) error {
 // of one per entry. Entries are re-timestamped in order, so they shadow
 // nothing newer than themselves.
 func (s *Store) ImportEntries(entries []Entry) error {
-	s.maybeStall()
-	s.mu.Lock()
-	if s.closed || s.sealed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	gw, _ := s.cfg.WAL.(GroupWAL)
-	var commit func() error
-	for _, e := range entries {
-		ne := Entry{
-			Key:       e.Key,
-			Value:     append([]byte(nil), e.Value...),
-			Tombstone: e.Tombstone,
-			Timestamp: s.nextTimestamp(),
-		}
-		if s.cfg.WAL != nil {
-			if gw != nil {
-				c, err := gw.AppendBuffered(ne)
-				if err != nil {
-					s.mu.Unlock()
-					return fmt.Errorf("kv: wal append: %w", err)
-				}
-				commit = c
-			} else if err := s.cfg.WAL.Append(ne); err != nil { //lint:allow locksafe plain kv.WAL is the in-memory path; durable logs implement GroupWAL and fsync outside the lock via commit()
-				s.mu.Unlock()
-				return fmt.Errorf("kv: wal append: %w", err)
-			}
-		}
-		s.mem.Add(ne)
-		s.stats.puts.Add(1)
-		s.stats.userBytes.Add(int64(ne.Size()))
-	}
-	var flushErr error
-	if s.mem.Bytes() >= s.cfg.MemstoreFlushBytes {
-		flushErr = s.flushLocked()
-	}
-	s.mu.Unlock()
-	s.maybeTriggerCompaction()
-	s.notifyFilesChanged()
-	if commit != nil {
-		if err := commit(); err != nil {
-			return fmt.Errorf("kv: wal sync: %w", err)
-		}
-	}
-	if flushErr != nil {
-		return fmt.Errorf("kv: flush: %w", flushErr)
-	}
-	return nil
+	_, err := s.write(copyBatch(entries), false, &s.stats.puts, nil)
+	return err
 }
 
 // ApplyReplayed applies recovered records from another store's log —
@@ -661,60 +649,10 @@ func (s *Store) ImportEntries(entries []Entry) error {
 // records were minted by the dead store's clock, and keeping them dense
 // keeps failover loss accounting exact); records at or below this
 // store's clock are already present and are skipped. Entries must be in
-// ascending timestamp order. It returns how many records were applied.
+// ascending timestamp order. It returns how many records were applied,
+// also when a later record's append failed.
 func (s *Store) ApplyReplayed(entries []Entry) (int, error) {
-	s.mu.Lock()
-	if s.closed || s.sealed {
-		s.mu.Unlock()
-		return 0, ErrClosed
-	}
-	gw, _ := s.cfg.WAL.(GroupWAL)
-	var commit func() error
-	applied := 0
-	for _, e := range entries {
-		if e.Timestamp <= s.seq {
-			continue
-		}
-		ne := Entry{
-			Key:       e.Key,
-			Value:     append([]byte(nil), e.Value...),
-			Tombstone: e.Tombstone,
-			Timestamp: e.Timestamp,
-		}
-		if s.cfg.WAL != nil {
-			if gw != nil {
-				c, err := gw.AppendBuffered(ne)
-				if err != nil {
-					s.mu.Unlock()
-					return applied, fmt.Errorf("kv: wal append: %w", err)
-				}
-				commit = c
-			} else if err := s.cfg.WAL.Append(ne); err != nil { //lint:allow locksafe plain kv.WAL is the in-memory path; durable logs implement GroupWAL and fsync outside the lock via commit()
-				s.mu.Unlock()
-				return applied, fmt.Errorf("kv: wal append: %w", err)
-			}
-		}
-		s.mem.Add(ne)
-		s.seq = ne.Timestamp
-		s.stats.userBytes.Add(int64(ne.Size()))
-		applied++
-	}
-	var flushErr error
-	if s.mem.Bytes() >= s.cfg.MemstoreFlushBytes {
-		flushErr = s.flushLocked()
-	}
-	s.mu.Unlock()
-	s.maybeTriggerCompaction()
-	s.notifyFilesChanged()
-	if commit != nil {
-		if err := commit(); err != nil {
-			return applied, fmt.Errorf("kv: wal sync: %w", err)
-		}
-	}
-	if flushErr != nil {
-		return applied, fmt.Errorf("kv: flush: %w", flushErr)
-	}
-	return applied, nil
+	return s.write(copyBatch(entries), true, nil, nil)
 }
 
 // Get returns the newest live value for key, or ErrNotFound. Gets run
@@ -823,9 +761,7 @@ func (s *Store) Flush() error {
 	s.mu.Lock()
 	err := s.flushLocked()
 	s.mu.Unlock()
-	s.maybeTriggerCompaction()
-	s.notifyFilesChanged()
-	return err
+	return s.afterFlush(err)
 }
 
 func (s *Store) flushLocked() error {
@@ -861,13 +797,8 @@ func (s *Store) flushLocked() error {
 		s.cfg.WAL.Truncate(maxTS)
 	}
 	if s.cfg.MaxStoreFiles > 0 && len(s.files) > s.cfg.MaxStoreFiles {
-		if w.trigger == nil {
-			// Legacy inline path (simulation backend): compact under
-			// the write lock, as before background compaction existed.
-			return s.compactLocked(false)
-		}
-		// Background path: latch the request; the trigger fires once
-		// the caller has released the write lock.
+		// Latch the request; afterFlush serves it once the caller has
+		// released the write lock.
 		s.compactionWanted.Store(true)
 	}
 	return nil
@@ -911,74 +842,10 @@ func (s *Store) createFileWithFloor(id uint64, entries []Entry, maxTSFloor uint6
 // data locality after moving regions. The merge I/O runs outside the
 // store locks (CompactFiles), so reads and writes proceed throughout; a
 // flush that lands mid-compaction simply stays as its own file until the
-// next compaction. The rare conflict with the legacy inline path is
-// absorbed by re-planning against the fresh stack.
+// next compaction.
 func (s *Store) Compact(major bool) error {
-	s.compactMu.Lock()
-	defer s.compactMu.Unlock()
-	for attempt := 0; ; attempt++ {
-		s.mu.RLock()
-		n := len(s.files)
-		s.mu.RUnlock()
-		if n == 0 || (n <= 1 && !major) {
-			return nil
-		}
-		_, err := s.compactFilesLocked(CompactionSelection{Major: major})
-		if err == ErrCompactionConflict && attempt < 3 {
-			continue
-		}
-		return err
-	}
-}
-
-func (s *Store) compactLocked(major bool) error {
-	if len(s.files) <= 1 && !major {
-		return nil
-	}
-	if len(s.files) == 0 {
-		return nil
-	}
-	sources := make([]Iterator, 0, len(s.files))
-	var inBytes int
-	var maxTSFloor uint64
-	for _, f := range s.files {
-		sources = append(sources, f.iterator(nil, nil))
-		inBytes += f.Bytes()
-		if f.MaxTimestamp() > maxTSFloor {
-			maxTSFloor = f.MaxTimestamp()
-		}
-	}
-	it := newDedupIterator(newMergeIterator(sources), major)
-	var entries []Entry
-	for it.Next() {
-		entries = append(entries, it.Entry())
-	}
-	for _, src := range sources {
-		if err := iterErr(src); err != nil {
-			return fmt.Errorf("kv: compact read: %w", err)
-		}
-	}
-	merged, err := s.createFileWithFloor(nextFileID(), entries, maxTSFloor)
-	if err != nil {
-		return fmt.Errorf("kv: compact write: %w", err)
-	}
-	old := s.files
-	s.files = []*StoreFile{merged}
-	s.filesDirty.Store(true)
-	for _, f := range old {
-		s.cache.invalidateFile(f.id)
-		if s.backend != nil {
-			s.retiredMu.Lock()
-			s.retired = append(s.retired, f.ID())
-			s.retiredMu.Unlock()
-		}
-	}
-	s.drainRetired(false)
-	s.stats.compactions.Add(1)
-	s.stats.compactedBytes.Add(int64(inBytes))
-	s.stats.compactionBytesWritten.Add(int64(merged.Bytes()))
-	s.releaseStall()
-	return nil
+	_, err := s.CompactFiles(CompactionSelection{Major: major})
+	return err
 }
 
 // drainRetired removes retired files through the backend — closing their
@@ -1096,26 +963,6 @@ func (s *Store) ExportFiles() ([]ExportedFile, bool) {
 // CacheHitRatio exposes the block cache's observed hit ratio.
 func (s *Store) CacheHitRatio() float64 {
 	return s.cache.HitRatio()
-}
-
-// Recover rebuilds the memstore from the WAL; used after a simulated
-// crash with an in-memory WAL (durable stores instead recover inside
-// OpenStore). Returns the number of entries replayed.
-func (s *Store) Recover() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cfg.WAL == nil {
-		return 0
-	}
-	n := 0
-	for _, e := range s.cfg.WAL.Entries() {
-		s.mem.Add(e)
-		if e.Timestamp > s.seq {
-			s.seq = e.Timestamp
-		}
-		n++
-	}
-	return n
 }
 
 // Seal stops accepting mutations — Put and Delete fail with ErrClosed —

@@ -283,45 +283,6 @@ func TestTinyCacheThrashes(t *testing.T) {
 	}
 }
 
-func TestWALRecovery(t *testing.T) {
-	wal := NewMemoryWAL()
-	s := NewStore(Config{WAL: wal, Seed: 1})
-	s.Put("a", []byte("1"))
-	s.Put("b", []byte("2"))
-	s.Delete("a")
-	// Simulate a crash: rebuild a fresh store over the same WAL.
-	s2 := NewStore(Config{WAL: wal, Seed: 1})
-	if n := s2.Recover(); n != 3 {
-		t.Fatalf("recovered %d entries, want 3", n)
-	}
-	if _, err := s2.Get("a"); err != ErrNotFound {
-		t.Fatalf("a err = %v", err)
-	}
-	v, err := s2.Get("b")
-	if err != nil || string(v) != "2" {
-		t.Fatalf("b = %q, %v", v, err)
-	}
-}
-
-func TestWALTruncatedOnFlush(t *testing.T) {
-	wal := NewMemoryWAL()
-	s := NewStore(Config{WAL: wal, Seed: 1})
-	for i := 0; i < 10; i++ {
-		s.Put(fmt.Sprintf("k%d", i), []byte("v"))
-	}
-	if wal.Len() != 10 {
-		t.Fatalf("wal len = %d", wal.Len())
-	}
-	s.Flush()
-	if wal.Len() != 0 {
-		t.Fatalf("wal not truncated: %d", wal.Len())
-	}
-	s.Put("post", []byte("v"))
-	if wal.Len() != 1 {
-		t.Fatalf("wal len = %d", wal.Len())
-	}
-}
-
 func TestClosedStore(t *testing.T) {
 	s := newTestStore(t, Config{})
 	s.Put("k", []byte("v"))

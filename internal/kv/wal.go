@@ -1,68 +1,28 @@
 package kv
 
-// WAL is the write-ahead log contract. Every mutation is appended before
-// it is applied to the memstore; Truncate is called once a flush has made
-// the logged entries durable in a store file.
+// WAL is the write-ahead log contract: group commit, truncate-on-flush,
+// replay-at-open. Every mutation is buffered into the log — under the
+// store's write lock, which fixes its position in the replay order —
+// before it is applied to the memstore, and the caller is acknowledged
+// only once the commit function has returned; Truncate is called once a
+// flush has made the logged entries durable in a store file.
 //
-// The simulated deployment uses MemoryWAL (the experiments account for
-// WAL I/O in the performance model instead); the interface exists so an
-// embedder can plug a durable implementation.
+// The one implementation is met/internal/durable's RegionLog (a
+// region-scoped handle on a segmented, fsynced log); in-memory stores
+// run with a nil WAL. Tests substitute fakes to inject append failures.
 type WAL interface {
-	// Append records a mutation. It must not retain e.Value.
-	Append(e Entry) error
+	// AppendBuffered writes a mutation to the log's buffer and returns
+	// the function that blocks until the record is durable. The engine
+	// calls commit outside its locks, so concurrent writers that buffer
+	// before the next fsync share that one fsync; after a batch it calls
+	// only the last record's commit, which must therefore cover every
+	// record buffered before it. AppendBuffered must not retain e.Value.
+	AppendBuffered(e Entry) (commit func() error, err error)
 	// Truncate discards entries with Timestamp <= upTo.
 	Truncate(upTo uint64)
-	// Entries returns the retained entries, oldest first (recovery).
-	Entries() []Entry
+	// Replay returns the retained entries, oldest first (recovery). A
+	// torn tail only shortens the result; a real read error is returned,
+	// because silently dropping the log would violate the
+	// acknowledged-writes-survive guarantee.
+	Replay() ([]Entry, error)
 }
-
-// GroupWAL is an optional WAL extension for group commit. AppendBuffered
-// writes the record to the log's buffer (establishing its position in the
-// replay order) and returns a commit function; the caller invokes commit
-// outside the engine lock, where it blocks until the record is durable on
-// disk. Concurrent writers that buffer before the next fsync share that
-// one fsync — the classic group commit amortization. The engine detects
-// the extension with a type assertion, so plain WALs keep working.
-type GroupWAL interface {
-	WAL
-	// AppendBuffered buffers a mutation and returns the function that
-	// waits for its durability. It must not retain e.Value.
-	AppendBuffered(e Entry) (commit func() error, err error)
-}
-
-// MemoryWAL is an in-memory WAL used by tests and the simulation. It
-// copies values on append so callers may reuse buffers.
-type MemoryWAL struct {
-	entries []Entry
-}
-
-// NewMemoryWAL returns an empty in-memory WAL.
-func NewMemoryWAL() *MemoryWAL { return &MemoryWAL{} }
-
-// Append implements WAL.
-func (w *MemoryWAL) Append(e Entry) error {
-	e.Value = append([]byte(nil), e.Value...)
-	w.entries = append(w.entries, e)
-	return nil
-}
-
-// Truncate implements WAL.
-func (w *MemoryWAL) Truncate(upTo uint64) {
-	kept := w.entries[:0]
-	for _, e := range w.entries {
-		if e.Timestamp > upTo {
-			kept = append(kept, e)
-		}
-	}
-	// Zero the tail so retained values can be collected.
-	for i := len(kept); i < len(w.entries); i++ {
-		w.entries[i] = Entry{}
-	}
-	w.entries = kept
-}
-
-// Entries implements WAL.
-func (w *MemoryWAL) Entries() []Entry { return w.entries }
-
-// Len returns the number of retained entries.
-func (w *MemoryWAL) Len() int { return len(w.entries) }

@@ -9,9 +9,8 @@
 // Each region server owns one Replicator (like its compactor pool).
 // The replicator tracks the server's hosted regions; whenever a
 // region's store changes its file stack — a flush added an SSTable, a
-// compaction replaced a run (kv.Config.OnFilesChanged, plus the
-// compactor pool's OnCompacted fan-out) — the region is enqueued and a
-// background worker *reconciles* each follower's replica directory
+// compaction replaced a run (kv.Config.OnFilesChanged) — the region is
+// enqueued and a background worker *reconciles* each follower's replica directory
 // against the primary's current stack:
 //
 //	<DataDir>/regions/<region>             primary store (WAL + SSTables)
