@@ -52,10 +52,14 @@ package hbase
 //	                   commit point) — a crash between leaves orphan
 //	                   region directories that OpenCluster sweeps; the
 //	                   table is cleanly absent.
-//	MoveRegion         move, THEN put the table row — a crash between
-//	                   reopens the region on its old host (region data
-//	                   directories are keyed by region name, so data is
-//	                   correct either way).
+//	MoveRegion         make-before-break: the source stops shipping the
+//	                   region, the destination opens it, THEN put the
+//	                   table row, THEN the source drops it — at every
+//	                   instant the host a route names serves the region,
+//	                   and routing follows the commit. A crash before
+//	                   the put reopens the region on its old host
+//	                   (region data directories are keyed by region
+//	                   name, so data is correct either way).
 //	SplitRegion        bump splitSeq (so a replayed split can never
 //	                   mint colliding daughter names), import the
 //	                   daughters, THEN put the table row (parent
@@ -65,8 +69,10 @@ package hbase
 //	                   daughters orphaned (swept); after it, the
 //	                   daughters are authoritative and the parent
 //	                   directory is the orphan.
-//	DecommissionServer move every region (one table-row commit each),
-//	                   THEN delete the server row — a crash mid-drain
+//	DecommissionServer move every region as MoveRegion does (one
+//	                   table-row commit each; the server serves what it
+//	                   still hosts until its own move commits), THEN
+//	                   delete the server row — a crash mid-drain
 //	                   cold-starts into the partially drained layout,
 //	                   which is consistent.
 //	Snapshot           flush and archive every region's SSTables under

@@ -2,7 +2,6 @@ package hbase
 
 import (
 	"errors"
-	"fmt"
 
 	"met/internal/kv"
 )
@@ -34,7 +33,8 @@ var _ KV = (*Client)(nil)
 // Client provides the put/get/delete/scan key-value interface of
 // Section 2, routing every operation to the region server currently
 // hosting the key's region. Like the real HBase client it consults the
-// master's metadata ("meta table") and retries once on a stale route.
+// master's metadata ("meta table") — the route table of the last
+// committed layout — and re-routes when a route turns out stale.
 type Client struct {
 	master *Master
 }
@@ -42,55 +42,37 @@ type Client struct {
 // NewClient returns a client bound to the cluster's master.
 func NewClient(m *Master) *Client { return &Client{master: m} }
 
-// route finds the server hosting the region for (table, key).
-func (c *Client) route(table, key string) (*RegionServer, *Region, error) {
-	for attempt := 0; ; attempt++ {
-		t, err := c.master.Table(table)
-		if err != nil {
-			return nil, nil, err
-		}
-		r := t.RegionFor(key)
-		if r == nil {
-			return nil, nil, fmt.Errorf("hbase: no region for key %q", key)
-		}
-		host, ok := c.master.HostOf(r.Name())
-		if !ok {
-			if attempt == 0 {
-				// Replaced (split, failover, restore) between the two
-				// reads: successors are assigned before the table names
-				// them, so a second look finds one.
-				continue
-			}
-			return nil, nil, fmt.Errorf("hbase: region %q unassigned", r.Name())
-		}
-		rs, err := c.master.Server(host)
-		if err != nil {
-			return nil, nil, err
-		}
-		return rs, r, nil
-	}
-}
-
-// withRetry runs op, refreshing the route once if the first attempt hit
-// a moved region (ErrWrongRegionServer) or a store retired mid-flight by
-// a split or restart (kv.ErrClosed — after a split the daughters serve
-// the key on the refreshed route). A server that is down keeps failing
-// with ErrServerStopped; waiting it out is the caller's policy, as with
-// real HBase clients.
+// withRetry runs op on the server rt names for (table, key), starting
+// from the current route table. An attempt that hit a moved region
+// (ErrWrongRegionServer) or a store retired mid-flight by a split or
+// restart (kv.ErrClosed) is re-routed: once regardless — after a split
+// the daughters serve the key on the same route — and then for as long
+// as the layout keeps changing under the operation, because each such
+// failure came from a route that was already stale. A server that is
+// down keeps failing with ErrServerStopped; waiting it out is the
+// caller's policy, as with real HBase clients. Routing takes no lock
+// but the master's shared one, for the server lookup.
 func (c *Client) withRetry(table, key string, op func(rs *RegionServer) error) error {
-	rs, _, err := c.route(table, key)
-	if err != nil {
-		return err
-	}
-	err = op(rs)
-	if errors.Is(err, ErrWrongRegionServer) || errors.Is(err, kv.ErrClosed) {
-		rs, _, err = c.route(table, key)
+	rt := c.master.layout.routes.Load()
+	for attempt := 0; ; attempt++ {
+		host, err := rt.hostFor(table, key)
 		if err != nil {
 			return err
 		}
-		return op(rs)
+		rs, err := c.master.Server(host)
+		if err != nil {
+			return err
+		}
+		err = op(rs)
+		if !errors.Is(err, ErrWrongRegionServer) && !errors.Is(err, kv.ErrClosed) {
+			return err
+		}
+		next := c.master.layout.routes.Load()
+		if attempt > 0 && next == rt {
+			return err
+		}
+		rt = next
 	}
-	return err
 }
 
 // Get returns the newest value of key, or ErrNotFound.

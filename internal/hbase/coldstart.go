@@ -14,10 +14,10 @@ import (
 // master's loader, every member is opened from its manifest exactly as
 // a worker process opens it (openServer: persisted configuration,
 // every assigned region's store reopened from its on-disk directory —
-// WAL replay recovers every acknowledged write), and routing and the
-// region→server assignment are rebuilt over the opened regions exactly
-// as they were committed. No CreateTable or manual assignment is
-// needed; the returned Master serves immediately.
+// WAL replay recovers every acknowledged write), and clients route
+// from the committed table rows exactly as they were committed. No
+// CreateTable or manual assignment is needed; the returned Master
+// serves immediately.
 //
 // Region directories that no table row references — debris of an
 // operation that crashed before its commit point, such as a
@@ -55,21 +55,13 @@ func OpenCluster(dataDir string) (*Master, error) {
 		}
 		m.servers[sn] = rs
 	}
-	// Rebuild routing over the opened regions.
+	// Clients route from the loaded rows as they stand; every region
+	// they name must have opened on a member.
 	live := make(map[string]bool) // escaped directory names to keep
-	_, regions := lm.Layout()
-	for _, lr := range regions {
-		rs := m.servers[lr.Server]
-		if rs == nil {
+	for _, lr := range lm.routes.Load().regions {
+		if m.servers[lr.Server] == nil {
 			return fail(fmt.Errorf("hbase: cold start: region %q assigned to unknown server %q", lr.Name, lr.Server))
 		}
-		t := m.tables[lr.Table]
-		if t == nil {
-			t = newTable(lr.Table, lm.tables[lr.Table].SplitKeys)
-			m.tables[lr.Table] = t
-		}
-		t.addRegion(rs.region(lr.Name))
-		m.assignment[lr.Name] = lr.Server
 		live[url.PathEscape(lr.Name)] = true
 	}
 

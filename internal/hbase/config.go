@@ -25,22 +25,27 @@
 //
 // The serving path is concurrent end to end: any number of goroutines
 // may issue Get/Put/Delete/Scan through a Client or directly against a
-// RegionServer. Reads of routing metadata (Master assignment, Table
-// regions, each server's per-table sorted region index) take shared
-// reader/writer locks; topology mutations (create/split/move/open/close,
-// restarts) take the exclusive side. Request counters — per server and
-// per region — are sync/atomic counters, so the Monitor can sample them
-// without ever stalling serving. Lock ordering, outermost first:
-// Master.mu, then Table.mu, then RegionServer.mu, then Region.mu, then
-// the kv.Store locks; no call path acquires them in the reverse
-// direction. Operations racing a restart, move or split fail with
-// ErrServerStopped, ErrWrongRegionServer or kv.ErrClosed and never
-// observe torn or lost data (migration paths seal the source store
-// before copying, so an acknowledged write is either copied or was
-// never acknowledged). The Client re-routes once on
-// ErrWrongRegionServer and kv.ErrClosed, which absorbs moves and
-// splits; ErrServerStopped during a restart surfaces to the caller,
-// whose retry policy is out of scope here, as with real HBase clients.
+// RegionServer. Routing takes no lock: a Client (like Master.HostOf and
+// Master.Table) loads the route table the last layout commit published,
+// one atomic pointer, and only the server lookup takes Master.mu shared.
+// Each server's per-table sorted region index sits behind its own
+// reader/writer lock; topology mutations (open/close, restarts) take
+// the exclusive side. Request counters — per server and per region —
+// are sync/atomic counters, so the Monitor can sample them without ever
+// stalling serving. Lock ordering, outermost first: Master.mu, then
+// RegionServer.mu, then Region.mu, then the kv.Store locks; no call
+// path acquires them in the reverse direction, and LayoutMaster.mu is
+// never taken under Master.mu. A move is make-before-break, so an
+// operation racing one never fails. Operations racing a restart or a
+// split fail with ErrServerStopped, ErrWrongRegionServer or kv.ErrClosed
+// and never observe torn or lost data (migration paths seal the source
+// store before copying, so an acknowledged write is either copied or
+// was never acknowledged). The Client re-routes on ErrWrongRegionServer
+// and kv.ErrClosed — once, and again while the layout keeps changing
+// under the operation — which absorbs routes that went stale during
+// moves and a split's retired parent;
+// ErrServerStopped during a restart surfaces to the caller, whose retry
+// policy is out of scope here, as with real HBase clients.
 package hbase
 
 import (

@@ -81,6 +81,52 @@ func TestDurableServerRestartRecoversFromDisk(t *testing.T) {
 	}
 }
 
+// TestRestartRejectsDataDirChange checks that a restart cannot move a
+// server to another data directory, or between the memory and durable
+// backends: the restart is refused before the server stops, and it
+// keeps serving on its old configuration.
+func TestRestartRejectsDataDirChange(t *testing.T) {
+	dir := t.TempDir()
+	m, c := newDurableCluster(t, 1, dir)
+	rs, _ := m.Server("rs0")
+	if _, err := m.CreateTable("t", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put("t", "k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []ServerConfig{durableConfig(t.TempDir()), durableConfig("")} {
+		if err := rs.Restart(cfg); err == nil {
+			t.Fatalf("restart onto data dir %q accepted", cfg.DataDir)
+		}
+	}
+	if got := rs.Config().DataDir; got != dir {
+		t.Fatalf("data dir = %q after refused restarts, want %q", got, dir)
+	}
+	if rs.Restarts() != 0 {
+		t.Fatalf("restarts = %d after refused restarts", rs.Restarts())
+	}
+	if v, err := c.Get("t", "k"); err != nil || string(v) != "v" {
+		t.Fatalf("get after refused restarts = %q, %v", v, err)
+	}
+	if err := c.Put("t", "k2", []byte("v2")); err != nil {
+		t.Fatalf("put after refused restarts: %v", err)
+	}
+
+	// A memory server cannot become durable either.
+	mm, mc := newCluster(t, 1)
+	mrs, _ := mm.Server("rs0")
+	if _, err := mm.CreateTable("t", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := mrs.Restart(durableConfig(t.TempDir())); err == nil {
+		t.Fatal("memory server restarted onto a data dir")
+	}
+	if err := mc.Put("t", "k", []byte("v")); err != nil {
+		t.Fatalf("memory server after refused restart: %v", err)
+	}
+}
+
 func TestDurableRegionMoveKeepsData(t *testing.T) {
 	dir := t.TempDir()
 	m, c := newDurableCluster(t, 2, dir)

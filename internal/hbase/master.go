@@ -3,9 +3,11 @@ package hbase
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"met/internal/hdfs"
 	"met/internal/sim"
@@ -93,37 +95,36 @@ func (b *ManualBalancer) Assign(regions []string, servers []string) map[string]s
 	return out
 }
 
-// Master is the in-process cluster coordinator: the live RegionServer
-// and Table objects clients route through, server membership, and
-// balancing, beside the LayoutMaster that owns the layout those objects
-// realize. Reads of the metadata (routing, membership, assignment) take
-// a shared lock so the client hot path — Table, HostOf, Server on every
-// operation — never serializes behind other readers; mutations take the
-// exclusive lock. The layout has its own lock, never taken under mu.
+// Master is the in-process cluster coordinator: it runs the live
+// RegionServers, claims what operations have in flight, and places
+// regions through its balancer. The layout itself — which regions
+// exist, which server hosts each, which servers follow it — is its
+// LayoutMaster's committed table rows and nothing else: every layout
+// verb does its region-server work with direct calls, then makes one
+// row edit there, and clients, HostOf, Assignment and Table read the
+// route table that edit published. mu guards only the membership, the
+// reservations and the balancer; the client hot path takes it shared,
+// once per operation, to find the server its route names.
 type Master struct {
 	mu sync.RWMutex
 
 	namenode *hdfs.Namenode
-	// layout owns the catalog rows, the split sequence, every commit,
-	// follower placement and the failover loop (node.go, recovery.go).
-	// Every layout mutation here changes the live objects, then commits
-	// the table row built from them through it.
+	// layout owns the catalog rows, the route table, the split
+	// sequence, every commit, follower placement and the failover loop
+	// (node.go, recovery.go).
 	layout  *LayoutMaster
 	servers map[string]*RegionServer
-	tables  map[string]*Table
-	// creating reserves table names mid-CreateTable so two concurrent
-	// creations of the same name cannot both pass the existence check;
-	// addingServer does the same for AddServer, whose catalog commit
-	// happens before the server becomes visible; snapshotting does the
-	// same for Snapshot (keyed "table/name"), whose error path deletes
-	// the shared archive directory and must never race a committer.
-	creating     map[string]bool
-	addingServer map[string]bool
-	snapshotting map[string]bool
-	// assignment maps region name -> server name.
-	assignment map[string]string
-	balancer   Balancer
-	moves      int64
+	// reserved claims what operations have in flight, keyed by kind:
+	// "table/<name>" for CreateTable and "server/<name>" for AddServer,
+	// so two concurrent calls for one name cannot both pass the
+	// existence check; "snapshot/<table>/<name>" for Snapshot, whose
+	// error path deletes the shared archive directory and must never
+	// race a committer; "region/<name>" for a move or split; and
+	// "leaving/<server>" for a decommission drain — the server still
+	// serves what it hosts, but takes no new regions.
+	reserved map[string]bool
+	balancer Balancer
+	moves    atomic.Int64
 }
 
 // NewMaster creates a master over the given namenode with the default
@@ -134,15 +135,11 @@ func NewMaster(nn *hdfs.Namenode) *Master {
 
 func newMaster(nn *hdfs.Namenode, layout *LayoutMaster) *Master {
 	return &Master{
-		namenode:     nn,
-		layout:       layout,
-		servers:      make(map[string]*RegionServer),
-		tables:       make(map[string]*Table),
-		creating:     make(map[string]bool),
-		addingServer: make(map[string]bool),
-		snapshotting: make(map[string]bool),
-		assignment:   make(map[string]string),
-		balancer:     &RandomBalancer{},
+		namenode: nn,
+		layout:   layout,
+		servers:  make(map[string]*RegionServer),
+		reserved: make(map[string]bool),
+		balancer: &RandomBalancer{},
 	}
 }
 
@@ -175,45 +172,55 @@ func NewDurableMaster(nn *hdfs.Namenode, dataDir string) (*Master, error) {
 	return newMaster(nn, lm), nil
 }
 
-// commitTable commits t's current layout — built from the live objects
-// under the layout lock — through the LayoutMaster: the atomic commit
-// point of CreateTable, MoveRegion and SplitRegion.
-func (m *Master) commitTable(t *Table) error {
-	return m.layout.commitTable(t.Name(), func() tableRow {
-		row := tableRow{SplitKeys: t.splitKeys}
-		m.mu.RLock()
-		defer m.mu.RUnlock()
-		for _, r := range t.Regions() {
-			row.Regions = append(row.Regions, regionRow{
-				Name: r.Name(), Start: r.StartKey(), End: r.EndKey(),
-				Server:    m.assignment[r.Name()],
-				Followers: r.Followers(),
-			})
-		}
-		return row
-	})
+// reserveLocked claims key (see Master.reserved) and reports whether it
+// was free. Callers hold mu.
+func (m *Master) reserveLocked(key string) bool {
+	if m.reserved[key] {
+		return false
+	}
+	m.reserved[key] = true
+	return true
 }
 
-// commitTableOf is commitTable by table name; unknown tables are a
-// no-op (the region's table vanished under a racing operation).
-func (m *Master) commitTableOf(name string) error {
+// reserve is reserveLocked for callers outside the lock.
+func (m *Master) reserve(key string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.reserveLocked(key)
+}
+
+// release drops a claim.
+func (m *Master) release(key string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	delete(m.reserved, key)
+}
+
+// placement lists the servers open to new regions — every member not
+// being drained — sorted, with the balancer that places over them.
+func (m *Master) placement() ([]string, Balancer) {
 	m.mu.RLock()
-	t := m.tables[name]
-	m.mu.RUnlock()
-	if t == nil {
-		return nil
+	defer m.mu.RUnlock()
+	names := make([]string, 0, len(m.servers))
+	for n := range m.servers {
+		if !m.reserved["leaving/"+n] {
+			names = append(names, n)
+		}
 	}
-	return m.commitTable(t)
+	sort.Strings(names)
+	return names, m.balancer
 }
 
-// landOn prepares r to be hosted on dst: a primary landing on one of
-// its own followers degenerates the replica set (a copy co-located with
-// the primary protects nothing), so the followers are re-picked before
-// the destination starts shipping.
-func (m *Master) landOn(r *Region, dst string) {
-	if slices.Contains(r.Followers(), dst) {
-		r.SetFollowers(m.layout.pickFollowers(dst, nil))
+// target returns a server that may take a region: a member that is not
+// being drained.
+func (m *Master) target(name string) (*RegionServer, error) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	rs, ok := m.servers[name]
+	if !ok || m.reserved["leaving/"+name] {
+		return nil, ErrUnknownServer
 	}
+	return rs, nil
 }
 
 // SetBalancer swaps the placement policy.
@@ -223,9 +230,6 @@ func (m *Master) SetBalancer(b Balancer) {
 	m.balancer = b
 }
 
-// Namenode exposes the underlying HDFS metadata service.
-func (m *Master) Namenode() *hdfs.Namenode { return m.namenode }
-
 // AddServer registers a new region server with the cluster. With a
 // catalog, the membership row is committed BEFORE the server becomes
 // visible in the cluster: no region can ever be assigned (and durably
@@ -234,19 +238,15 @@ func (m *Master) Namenode() *hdfs.Namenode { return m.namenode }
 // the commit leaves the server cleanly absent after cold start; a crash
 // after it cold-starts the server as an empty member.
 func (m *Master) AddServer(name string, cfg ServerConfig) (*RegionServer, error) {
+	key := "server/" + name
 	m.mu.Lock()
-	if _, ok := m.servers[name]; ok || m.addingServer[name] {
+	if _, ok := m.servers[name]; ok || !m.reserveLocked(key) {
 		m.mu.Unlock()
 		return nil, fmt.Errorf("hbase: server %q already registered", name)
 	}
-	m.addingServer[name] = true
 	rs, err := NewRegionServer(name, cfg, m.namenode)
 	m.mu.Unlock()
-	defer func() {
-		m.mu.Lock()
-		delete(m.addingServer, name)
-		m.mu.Unlock()
-	}()
+	defer m.release(key)
 	if err != nil {
 		return nil, err
 	}
@@ -262,57 +262,75 @@ func (m *Master) AddServer(name string, cfg ServerConfig) (*RegionServer, error)
 	return rs, nil
 }
 
-// DecommissionServer drains a server's regions onto the remaining servers
-// (round-robin over least-loaded) and removes it from the cluster.
+// DecommissionServer drains a server's regions onto the remaining
+// servers (least-loaded first) and removes it from the cluster. Each
+// region leaves through the same make-before-break move as MoveRegion,
+// one row edit each; until the drain ends the server keeps serving what
+// it still hosts, but takes no new regions. A region that cannot leave
+// stops the decommission with the server still a member.
 func (m *Master) DecommissionServer(name string) error {
+	key := "leaving/" + name
 	m.mu.Lock()
 	rs, ok := m.servers[name]
-	if !ok {
+	if ok && !m.reserveLocked(key) {
 		m.mu.Unlock()
-		return ErrUnknownServer
-	}
-	delete(m.servers, name)
-	var targets []*RegionServer
-	for _, s := range m.servers {
-		targets = append(targets, s)
+		return fmt.Errorf("hbase: decommission %s: already in progress", name)
 	}
 	m.mu.Unlock()
-	if len(targets) == 0 && rs.NumRegions() > 0 {
-		m.mu.Lock()
-		m.servers[name] = rs // restore; cannot strand regions
-		m.mu.Unlock()
-		return ErrNoServers
+	if !ok {
+		return ErrUnknownServer
 	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i].Name() < targets[j].Name() })
-	var errs []error
-	for _, r := range rs.Regions() {
-		// Least regions first keeps counts balanced.
-		sort.SliceStable(targets, func(i, j int) bool { return targets[i].NumRegions() < targets[j].NumRegions() })
-		dst := targets[0]
-		rs.CloseRegion(r.Name())
-		m.landOn(r, dst.Name())
-		dst.OpenRegion(r)
-		m.mu.Lock()
-		m.assignment[r.Name()] = dst.Name()
-		m.moves++
-		m.mu.Unlock()
-		// Each drained region commits its table's new layout; a crash
-		// mid-drain cold-starts into the partially drained (consistent)
-		// state, with this server still a member.
-		if err := m.commitTableOf(r.Table()); err != nil {
-			errs = append(errs, err)
+	defer m.release(key)
+	names, _ := m.placement()
+	var targets []*RegionServer
+	for _, n := range names {
+		if t, err := m.target(n); err == nil {
+			targets = append(targets, t)
 		}
 	}
+	// Drain until the layout names nothing here: a region that split
+	// or failed over mid-drain left under another name, and its
+	// successors go in the next pass.
+	for {
+		var drain []string
+		for _, lr := range m.layout.routes.Load().regions {
+			if lr.Server == name {
+				drain = append(drain, lr.Name)
+			}
+		}
+		if len(drain) == 0 {
+			break
+		}
+		if len(targets) == 0 {
+			return ErrNoServers // cannot strand regions
+		}
+		var errs []error
+		for _, region := range drain {
+			// Least regions first keeps counts balanced.
+			sort.SliceStable(targets, func(i, j int) bool { return targets[i].NumRegions() < targets[j].NumRegions() })
+			if err := m.moveRegion(region, targets[0]); err != nil {
+				if host, ok := m.HostOf(region); ok && host == name {
+					errs = append(errs, err)
+				}
+			}
+		}
+		if len(errs) > 0 {
+			return errors.Join(errs...)
+		}
+	}
+	// Each drained region committed on its own; a crash here cold-starts
+	// into the drained layout with this server still a member.
 	m.layout.crash("decommission.drained")
 	rs.Shutdown() // stop serving and drain the compactor and replicator
 	m.namenode.RemoveDatanode(name)
 	// Regions elsewhere that replicated onto this server get new
 	// followers; their old replica directories become orphans the next
 	// cold start sweeps.
-	if err := m.layout.removeServer(name, m.refollow); err != nil {
-		errs = append(errs, err)
-	}
-	return errors.Join(errs...)
+	err := m.layout.removeServer(name, m.refollow)
+	m.mu.Lock()
+	delete(m.servers, name)
+	m.mu.Unlock()
+	return err
 }
 
 // RestartServer applies a new configuration to a server (stop, reopen
@@ -356,145 +374,162 @@ func (m *Master) Servers() []*RegionServer {
 	return out
 }
 
+// staged is a new layout's regions, built on their hosts ahead of the
+// row edit that names them; nothing serves them yet.
+type staged struct {
+	regions []*Region
+	hosts   []*RegionServer
+}
+
+// open starts serving the regions once the row naming them committed.
+func (st staged) open() {
+	for i, r := range st.regions {
+		st.hosts[i].OpenRegion(r)
+	}
+}
+
+// discard abandons the regions when that row edit did not happen: each
+// store closes and its durable directory is reclaimed.
+func (st staged) discard() {
+	for i, r := range st.regions {
+		discardRegionStore(st.hosts[i], r)
+	}
+}
+
+// stage builds the regions of rows — each carrying a name and bounds —
+// on the servers the balancer places them on, and completes each row
+// with its host and followers: the region-server work of CreateTable and
+// RestoreSnapshot. seed, when set, fills region i's directory under its
+// host's data root before the store opens. On an error every region
+// built so far is discarded.
+func (m *Master) stage(table string, rows []regionRow, seed func(dataDir string, i int) error) (staged, error) {
+	servers, balancer := m.placement()
+	if len(servers) == 0 {
+		return staged{}, ErrNoServers
+	}
+	names := make([]string, len(rows))
+	for i, rr := range rows {
+		names[i] = rr.Name
+	}
+	plan := balancer.Assign(names, servers)
+	var st staged
+	var placed []string // hosts of the regions built so far: follower placement and memstore shares count them
+	for i := range rows {
+		rr := &rows[i]
+		rs, err := m.target(plan[rr.Name])
+		if err == nil && seed != nil {
+			err = seed(rs.Config().DataDir, i)
+		}
+		var r *Region
+		if err == nil {
+			n := rs.NumRegions() + 1
+			for _, h := range placed {
+				if h == rs.Name() {
+					n++
+				}
+			}
+			r, err = newRegionNamed(rr.Name, table, rr.Start, rr.End, rs.storeConfigFor(rr.Name, n))
+		}
+		if err != nil {
+			st.discard()
+			return staged{}, err
+		}
+		rr.Server = rs.Name()
+		rr.Followers = m.layout.pickFollowers(rr.Server, placed)
+		r.SetFollowers(rr.Followers)
+		st.regions = append(st.regions, r)
+		st.hosts = append(st.hosts, rs)
+		placed = append(placed, rr.Server)
+	}
+	return st, nil
+}
+
 // CreateTable creates a table pre-split into the given regions.
 // splitKeys must be sorted; n split keys produce n+1 regions.
 //
 // The name is reserved in one critical section — two concurrent
 // CreateTable calls for the same name cannot interleave past the
-// existence check; exactly one wins. A mid-loop failure (a region that
-// cannot be opened) unwinds completely: every already-opened region is
-// closed, its assignment deleted and its durable directory reclaimed,
-// so a failed creation leaves no orphaned, unreachable regions. With a
-// catalog, the table row — written only after every region is open — is
-// the durable commit point: a crash before it leaves the table cleanly
-// absent (its directories are swept at the next cold start).
+// existence check; exactly one wins. Every region is built on its host
+// first; a failure on the way (a region that cannot be opened) discards
+// every region already built, directories included, so a failed
+// creation leaves nothing behind. Then the table row commits — with a
+// catalog, the durable commit point: a crash before it leaves the table
+// cleanly absent (its directories are swept at the next cold start) —
+// and only then do the hosts start serving the regions.
 func (m *Master) CreateTable(name string, splitKeys []string) (*Table, error) {
-	m.mu.Lock()
-	if _, ok := m.tables[name]; ok || m.creating[name] {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrTableExists, name)
-	}
-	if len(m.servers) == 0 {
-		m.mu.Unlock()
-		return nil, ErrNoServers
-	}
 	for i := 1; i < len(splitKeys); i++ {
 		if splitKeys[i] <= splitKeys[i-1] {
-			m.mu.Unlock()
 			return nil, fmt.Errorf("hbase: split keys not strictly sorted at %d", i)
 		}
 	}
-	m.creating[name] = true
-	serverNames := make([]string, 0, len(m.servers))
-	for sn := range m.servers {
-		serverNames = append(serverNames, sn)
+	key := "table/" + name
+	m.mu.Lock()
+	if _, ok := m.layout.routes.Load().tables[name]; ok || !m.reserveLocked(key) {
+		m.mu.Unlock()
+		return nil, fmt.Errorf("%w: %q", ErrTableExists, name)
 	}
-	sort.Strings(serverNames)
-	balancer := m.balancer
 	m.mu.Unlock()
-	defer func() {
-		m.mu.Lock()
-		delete(m.creating, name)
-		m.mu.Unlock()
-	}()
+	defer m.release(key)
 
-	t := newTable(name, splitKeys)
-	// Build the regions; store configs come from their first server, so
-	// assign first, then create each region with its host's parameters.
-	names := make([]string, 0, len(t.bounds))
-	for _, b := range t.bounds {
-		names = append(names, regionName(name, b.start))
+	// n split keys bound n+1 regions: ["", k0), [k0, k1), ..., [kn-1, "").
+	rows := make([]regionRow, 0, len(splitKeys)+1)
+	start := ""
+	for _, end := range append(slices.Clone(splitKeys), "") {
+		rows = append(rows, regionRow{Name: regionName(name, start), Start: start, End: end})
+		start = end
 	}
-	plan := balancer.Assign(names, serverNames)
-
-	var opened []*Region
-	var hosts []string // of the regions opened so far: follower placement counts them
-	unwind := func() {
-		for _, r := range opened {
-			m.mu.Lock()
-			host := m.assignment[r.Name()]
-			delete(m.assignment, r.Name())
-			rs := m.servers[host]
-			m.mu.Unlock()
-			if rs == nil {
-				r.Store().Close()
-				continue
-			}
-			rs.CloseRegion(r.Name())
-			discardRegionStore(rs, r)
-		}
-	}
-	for _, b := range t.bounds {
-		rn := regionName(name, b.start)
-		host := plan[rn]
-		rs, err := m.Server(host)
-		if err != nil {
-			unwind()
-			return nil, err
-		}
-		r, err := NewRegion(name, b.start, b.end, rs.storeConfigFor(rn, rs.NumRegions()+1))
-		if err != nil {
-			unwind()
-			return nil, fmt.Errorf("hbase: create table %q: %w", name, err)
-		}
-		r.SetFollowers(m.layout.pickFollowers(host, hosts))
-		rs.OpenRegion(r)
-		t.addRegion(r)
-		m.mu.Lock()
-		m.assignment[r.Name()] = host
-		m.mu.Unlock()
-		opened = append(opened, r)
-		hosts = append(hosts, host)
+	st, err := m.stage(name, rows, nil)
+	if err != nil {
+		return nil, fmt.Errorf("hbase: create table %q: %w", name, err)
 	}
 	m.layout.crash("createtable.regions-open")
-	if err := m.commitTable(t); err != nil {
-		unwind()
+	if err := m.layout.putTable(name, tableRow{SplitKeys: slices.Clone(splitKeys), Regions: rows}); err != nil {
+		st.discard()
 		return nil, err
 	}
-	m.mu.Lock()
-	m.tables[name] = t
-	m.mu.Unlock()
-	return t, nil
+	st.open()
+	return m.Table(name)
 }
 
-// Table returns table metadata.
+// Table returns a read-only snapshot of a table: the regions the
+// current route table lays out, resolved on their hosts. A region its
+// host does not hold at that instant — a split parent between its close
+// and the commit that replaces it — is absent from the snapshot.
 func (m *Master) Table(name string) (*Table, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	t, ok := m.tables[name]
+	rows, ok := m.layout.routes.Load().tables[name]
 	if !ok {
 		return nil, ErrUnknownTable
+	}
+	t := &Table{name: name, regions: make([]*Region, 0, len(rows))}
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	for _, lr := range rows {
+		if rs := m.servers[lr.Server]; rs != nil {
+			if r := rs.region(lr.Name); r != nil {
+				t.regions = append(t.regions, r)
+			}
+		}
 	}
 	return t, nil
 }
 
 // Tables returns all table names sorted.
 func (m *Master) Tables() []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]string, 0, len(m.tables))
-	for n := range m.tables {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(m.layout.routes.Load().tables))
 }
 
-// HostOf returns the server currently hosting a region.
+// HostOf returns the server the committed layout assigns a region.
 func (m *Master) HostOf(regionName string) (string, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	s, ok := m.assignment[regionName]
-	return s, ok
+	lr, ok := m.layout.routes.Load().region(regionName)
+	return lr.Server, ok
 }
 
 // Assignment returns a copy of the full region -> server map.
 func (m *Master) Assignment() map[string]string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make(map[string]string, len(m.assignment))
-	for k, v := range m.assignment {
-		out[k] = v
+	rt := m.layout.routes.Load()
+	out := make(map[string]string, len(rt.regions))
+	for _, lr := range rt.regions {
+		out[lr.Name] = lr.Server
 	}
 	return out
 }
@@ -503,71 +538,90 @@ func (m *Master) Assignment() map[string]string {
 // stay where they are, so the destination's locality index degrades until
 // a major compaction — the central mechanism of Sections 2 and 5.
 func (m *Master) MoveRegion(regionName, dstServer string) error {
-	m.mu.Lock()
-	src, ok := m.assignment[regionName]
+	dst, err := m.target(dstServer)
+	if err != nil {
+		return err
+	}
+	return m.moveRegion(regionName, dst)
+}
+
+// moveRegion hands a region to dst make-before-break, so that at every
+// instant the server a client's route names serves the region:
+//
+//  1. the source stops shipping it (its replicas are the destination's
+//     to keep from here on) but goes on serving it;
+//  2. the destination opens it, switching its store onto the
+//     destination's log — the flush that switch makes leaves nothing
+//     for the region in the source's log before the commit names the
+//     new host;
+//  3. one row edit commits the new host, and routing follows it;
+//  4. the source drops it: a client still holding the old route gets
+//     ErrWrongRegionServer and re-routes to the destination.
+//
+// A crash between 2 and 3 cold-starts the region on its old host —
+// correct either way, because region data directories are keyed by
+// region name, not server. When the commit fails the hand-off is
+// undone — the destination drops the region, the source takes it back
+// — and the layout stays what the catalog holds. MoveRegion and the
+// DecommissionServer drain both move through here.
+func (m *Master) moveRegion(name string, dst *RegionServer) error {
+	key := "region/" + name
+	if !m.reserve(key) {
+		return fmt.Errorf("hbase: region %q has an operation in flight", name)
+	}
+	defer m.release(key)
+	lr, ok := m.layout.routes.Load().region(name)
 	if !ok {
-		m.mu.Unlock()
-		return fmt.Errorf("hbase: unknown region %q", regionName)
+		return fmt.Errorf("hbase: unknown region %q", name)
 	}
-	srcRS, okS := m.servers[src]
-	dstRS, okD := m.servers[dstServer]
-	m.mu.Unlock()
-	if !okS {
-		return fmt.Errorf("hbase: region %q host %q vanished", regionName, src)
-	}
-	if !okD {
-		return ErrUnknownServer
-	}
-	if src == dstServer {
+	if lr.Server == dst.Name() {
 		return nil
 	}
-	r := srcRS.CloseRegion(regionName)
-	if r == nil {
-		return fmt.Errorf("hbase: region %q not open on %q", regionName, src)
+	src, err := m.Server(lr.Server)
+	if err != nil {
+		return fmt.Errorf("hbase: region %q host %q vanished", name, lr.Server)
 	}
-	m.landOn(r, dstServer)
-	dstRS.OpenRegion(r)
-	m.mu.Lock()
-	m.assignment[regionName] = dstServer
-	m.moves++
-	m.mu.Unlock()
+	r := src.handOff(name)
+	if r == nil {
+		return fmt.Errorf("hbase: region %q not open on %q", name, lr.Server)
+	}
+	// The live region's followers, not the route's: a follower re-pick
+	// (removeServer) may have landed since the route was read.
+	prev := r.Followers()
+	followers := prev
+	if slices.Contains(followers, dst.Name()) {
+		// A copy co-located with the primary protects nothing: re-pick
+		// before the destination starts shipping.
+		followers = m.layout.pickFollowers(dst.Name(), nil)
+		r.SetFollowers(followers)
+	}
+	dst.OpenRegion(r)
 	m.layout.crash("moveregion.moved")
-	// Commit the table's new layout. A crash before this write
-	// cold-starts the region on its old host — correct either way,
-	// because region data directories are keyed by region name, not
-	// server. On a catalog I/O error the in-memory move stands (the
-	// cluster keeps serving); the layout re-commits with the table's
-	// next successful layout change.
-	return m.commitTableOf(r.Table())
+	moved := regionRow{Name: name, Start: lr.Start, End: lr.End, Server: dst.Name(), Followers: followers}
+	if err := m.layout.replaceRegion(lr.Table, name, moved); err != nil {
+		dst.CloseRegion(name)
+		r.SetFollowers(prev)
+		src.OpenRegion(r)
+		return err
+	}
+	src.CloseRegion(name)
+	m.moves.Add(1)
+	return nil
 }
 
 // Moves returns the cumulative number of region moves, an actuation-cost
 // metric the Output Computation stage minimizes.
-func (m *Master) Moves() int64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.moves
-}
+func (m *Master) Moves() int64 { return m.moves.Load() }
 
 // Rebalance re-runs the current balancer over all regions and applies the
 // resulting moves. It returns the number of regions moved.
 func (m *Master) Rebalance() (int, error) {
-	m.mu.Lock()
-	var regions []string
-	for r := range m.assignment {
-		regions = append(regions, r)
-	}
-	servers := make([]string, 0, len(m.servers))
-	for s := range m.servers {
-		servers = append(servers, s)
-	}
-	sort.Strings(regions)
-	sort.Strings(servers)
-	plan := m.balancer.Assign(regions, servers)
-	m.mu.Unlock()
+	servers, balancer := m.placement()
 	if len(servers) == 0 {
 		return 0, ErrNoServers
 	}
+	regions := slices.Sorted(maps.Keys(m.Assignment()))
+	plan := balancer.Assign(regions, servers)
 	moved := 0
 	for _, r := range regions {
 		dst := plan[r]

@@ -3,13 +3,16 @@ package hbase
 // The layout owner and the node surface.
 //
 // One type owns the cluster layout — LayoutMaster: the catalog rows
-// (membership, one row per table, the split sequence), the routing
-// epoch, every commit function, follower placement, replica election
-// and the failover loop. Whoever runs the region servers builds on it:
+// (membership, one row per table, the split sequence), the route table
+// each commit publishes as the next routing epoch, every commit
+// function, follower placement, replica election and the failover loop.
+// Whoever runs the region servers builds on it:
 //
-//   - In one process, Master (master.go) keeps the live RegionServer
-//     and Table objects clients route through beside a LayoutMaster,
-//     changes them, and commits the resulting table rows through it.
+//   - In one process, Master (master.go) runs the live RegionServers
+//     and nothing else: each layout verb does its region-server work
+//     with direct calls, then makes one row edit on its LayoutMaster,
+//     and in-process clients route from the route table that edit
+//     published.
 //   - Across processes (met/internal/rpc, cmd/metnode), the master
 //     process serves a LayoutMaster as is and holds no region store:
 //     the META store is itself a durable kv.Store with a WAL, so
@@ -43,6 +46,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"met/internal/durable"
 	"met/internal/hdfs"
@@ -118,11 +122,11 @@ type RecoveredRegion struct {
 }
 
 // LayoutMaster owns the cluster layout: the catalog rows (membership,
-// table rows, split sequence), the routing epoch, and every decision
-// derived from them — follower placement, replica election, failover.
-// It holds no region store. A networked master process serves it as is
-// (rpc.MasterNode); the in-process Master keeps its live RegionServer
-// and Table objects beside one and commits through it. Without a
+// table rows, split sequence), the route table published from them, and
+// every decision derived from them — follower placement, replica
+// election, failover. It holds no region store. A networked master
+// process serves it as is (rpc.MasterNode); the in-process Master runs
+// its region servers with direct calls and routes from it. Without a
 // catalog (NewMaster's in-memory clusters, or after Close) commits
 // update the in-memory layout only.
 type LayoutMaster struct {
@@ -130,9 +134,14 @@ type LayoutMaster struct {
 	cat         *catalog
 	replication int
 	splitSeq    int64
-	epoch       int64
 	servers     map[string]ServerConfig
-	tables      map[string]*tableRow
+	// tables holds every table's committed row, each listing its
+	// regions in key order; a row is replaced whole, never edited in
+	// place.
+	tables map[string]*tableRow
+	// routes is the route table published from tables at the last
+	// commit: the routing epoch and everything readers route by.
+	routes atomic.Pointer[routeTable]
 	// recovering marks members with a failover in flight: one recovery
 	// per server at a time, and neither follower placement nor replica
 	// election may choose a server that is being recovered away.
@@ -145,14 +154,15 @@ type LayoutMaster struct {
 }
 
 func newLayoutMaster(cat *catalog, replication int) *LayoutMaster {
-	return &LayoutMaster{
+	lm := &LayoutMaster{
 		cat:         cat,
 		replication: replication,
-		epoch:       1,
 		servers:     make(map[string]ServerConfig),
 		tables:      make(map[string]*tableRow),
 		recovering:  make(map[string]bool),
 	}
+	lm.routes.Store(newRouteTable(1, lm.tables))
+	return lm
 }
 
 // openLayout opens the cluster catalog under dataDir exclusively and
@@ -190,6 +200,7 @@ func openLayout(dataDir string) (*LayoutMaster, map[string]snapshotRow, error) {
 	for name, row := range st.tables {
 		lm.tables[name] = &row
 	}
+	lm.routes.Store(newRouteTable(1, lm.tables))
 	return lm, st.snapshots, nil
 }
 
@@ -231,11 +242,7 @@ func (lm *LayoutMaster) crash(point string) {
 // Epoch returns the current routing epoch. It advances on every layout
 // change; a client carrying an older epoch is routing on a stale
 // layout and must re-fetch.
-func (lm *LayoutMaster) Epoch() int64 {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	return lm.epoch
-}
+func (lm *LayoutMaster) Epoch() int64 { return lm.routes.Load().epoch }
 
 // Replication returns the cluster's committed replication factor.
 func (lm *LayoutMaster) Replication() int { return lm.replication }
@@ -252,30 +259,13 @@ func (lm *LayoutMaster) ServerNames() []string {
 	return names
 }
 
-// regionsLocked flattens the layout; callers hold lm.mu.
-func (lm *LayoutMaster) regionsLocked() []LayoutRegion {
-	var out []LayoutRegion
-	tnames := make([]string, 0, len(lm.tables))
-	for tn := range lm.tables {
-		tnames = append(tnames, tn)
-	}
-	sort.Strings(tnames)
-	for _, tn := range tnames {
-		for _, rr := range lm.tables[tn].Regions {
-			out = append(out, LayoutRegion{
-				Name: rr.Name, Table: tn, Start: rr.Start, End: rr.End,
-				Server: rr.Server, Followers: append([]string(nil), rr.Followers...),
-			})
-		}
-	}
-	return out
-}
-
-// Layout returns the routing epoch and the complete region layout.
+// Layout returns the routing epoch and the complete region layout, from
+// the published route table: by table name, then key order. The
+// follower slices are shared with the route table and must not be
+// modified.
 func (lm *LayoutMaster) Layout() (int64, []LayoutRegion) {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	return lm.epoch, lm.regionsLocked()
+	rt := lm.routes.Load()
+	return rt.epoch, slices.Clone(rt.regions)
 }
 
 // Manifest builds the open-time manifest for one worker.
@@ -286,8 +276,9 @@ func (lm *LayoutMaster) Manifest(server string) (NodeManifest, error) {
 	if !ok {
 		return NodeManifest{}, fmt.Errorf("hbase: manifest: unknown server %q", server)
 	}
-	man := NodeManifest{Server: server, Config: cfg, Replication: lm.replication, Epoch: lm.epoch}
-	for _, r := range lm.regionsLocked() {
+	rt := lm.routes.Load()
+	man := NodeManifest{Server: server, Config: cfg, Replication: lm.replication, Epoch: rt.epoch}
+	for _, r := range rt.regions {
 		if r.Server == server {
 			man.Regions = append(man.Regions, r)
 		}
@@ -385,43 +376,48 @@ func (lm *LayoutMaster) commitServer(name string, cfg ServerConfig) error {
 	return nil
 }
 
-// commitTable persists one table's complete layout — bounds, assignment
-// and followers of every region — as one durable row write, the atomic
-// commit point of every layout change, then installs it and advances
-// the routing epoch. build runs under lm.mu, so two racing changes to
-// one table serialize write-for-write with their views of it. On a
-// catalog error nothing is installed: the layout stays what the catalog
-// holds.
-func (lm *LayoutMaster) commitTable(name string, build func() tableRow) error {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	return lm.commitTableLocked(name, build())
-}
-
-func (lm *LayoutMaster) commitTableLocked(name string, row tableRow) error {
+// putTableLocked persists one table's complete layout — bounds, host
+// and followers of every region, in key order — as one durable row
+// write, the atomic commit point of every layout change, then installs
+// it and publishes the next epoch's route table. On a catalog error
+// nothing is installed: the layout stays what the catalog holds.
+// Callers hold lm.mu.
+func (lm *LayoutMaster) putTableLocked(name string, row tableRow) error {
 	if err := lm.persistLocked(catalogTablePfx+name, &row.Rev, &row); err != nil {
 		return err
 	}
 	lm.tables[name] = &row
-	lm.epoch++
+	lm.routes.Store(newRouteTable(lm.routes.Load().epoch+1, lm.tables))
 	return nil
 }
 
-// editTableLocked rewrites the regions of one table row that edit
-// changes and commits the row if any did. Callers hold lm.mu.
-func (lm *LayoutMaster) editTableLocked(name string, edit func(rr *regionRow) bool) error {
-	row := *lm.tables[name]
-	row.Regions = append([]regionRow(nil), row.Regions...)
-	changed := false
-	for i := range row.Regions {
-		if edit(&row.Regions[i]) {
-			changed = true
-		}
+// putTable commits a whole new row for a table: the one row edit of
+// CreateTable and RestoreSnapshot.
+func (lm *LayoutMaster) putTable(name string, row tableRow) error {
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	return lm.putTableLocked(name, row)
+}
+
+// replaceRegion commits the one row edit of a move, a split or a
+// failover: the region called old, in its table's row, is replaced by
+// with — one row for a move or an adoption, both daughters in key order
+// for a split. It fails, changing nothing, when the row no longer names
+// old (a racing operation replaced it).
+func (lm *LayoutMaster) replaceRegion(table, old string, with ...regionRow) error {
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	cur := lm.tables[table]
+	if cur == nil {
+		return fmt.Errorf("%w: %q", ErrUnknownTable, table)
 	}
-	if !changed {
-		return nil
+	i := slices.IndexFunc(cur.Regions, func(rr regionRow) bool { return rr.Name == old })
+	if i < 0 {
+		return fmt.Errorf("hbase: region %q is no longer in table %q", old, table)
 	}
-	return lm.commitTableLocked(name, row)
+	row := *cur
+	row.Regions = slices.Concat(cur.Regions[:i], with, cur.Regions[i+1:])
+	return lm.putTableLocked(table, row)
 }
 
 // removeServer ends a member's life, decommissioned or failed over: its
@@ -448,18 +444,24 @@ func (lm *LayoutMaster) removeServer(name string, refollow func(FollowerUpdate))
 	}
 	var updates []FollowerUpdate
 	var errs []error
-	for tn := range lm.tables {
-		err := lm.editTableLocked(tn, func(rr *regionRow) bool {
-			if !slices.Contains(rr.Followers, name) {
-				return false
+	for tn, cur := range lm.tables {
+		row := *cur
+		row.Regions = slices.Clone(cur.Regions)
+		var changed []FollowerUpdate
+		for i := range row.Regions {
+			if rr := &row.Regions[i]; slices.Contains(rr.Followers, name) {
+				rr.Followers = lm.pickFollowersLocked(rr.Server, nil)
+				changed = append(changed, FollowerUpdate{Region: rr.Name, Server: rr.Server, Followers: rr.Followers})
 			}
-			rr.Followers = lm.pickFollowersLocked(rr.Server, nil)
-			updates = append(updates, FollowerUpdate{Region: rr.Name, Server: rr.Server, Followers: rr.Followers})
-			return true
-		})
-		if err != nil {
-			errs = append(errs, err)
 		}
+		if len(changed) == 0 {
+			continue
+		}
+		if err := lm.putTableLocked(tn, row); err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		updates = append(updates, changed...)
 	}
 	lm.mu.Unlock()
 	for _, up := range updates {

@@ -94,21 +94,11 @@ func (m *Master) RecoverServer(name string) (*RecoveryReport, error) {
 		if spec.ReplicaDir != "" {
 			// The replayed tail is in the new store (durably, through the
 			// destination's shared WAL) but the table row is not yet
-			// committed: a crash here cold-starts the old layout.
+			// committed: a crash here cold-starts the old layout, the
+			// region on the (revived) dead member from its untouched
+			// primary directory.
 			m.layout.crash("recoverserver.tail-replayed")
 		}
-		// Route in-process clients to the adopted region ahead of the
-		// durable commit; a crash before it cold-starts the region on the
-		// (revived) dead member from its untouched primary directory.
-		m.mu.Lock()
-		m.assignment[spec.NewRegion] = spec.Source
-		m.mu.Unlock()
-		if t, terr := m.Table(spec.Table); terr == nil {
-			t.swapRegion(dst.region(spec.NewRegion))
-		}
-		m.mu.Lock()
-		delete(m.assignment, spec.Region)
-		m.mu.Unlock()
 		return rep, nil
 	}, m.refollow)
 
@@ -137,10 +127,10 @@ func (m *Master) RecoverServer(name string) (*RecoveryReport, error) {
 	return report, err
 }
 
-// refollow applies a follower re-pick to the live region object, so the
-// hosting server's replicator — and the table row the master next
-// builds from it — follow the layout. A region no longer hosted there
-// moved under a racing operation that re-picked for itself.
+// refollow applies a committed follower re-pick to the live region
+// object, so the hosting server's replicator follows the layout. A
+// region no longer hosted there moved under a racing operation that
+// re-picked for itself.
 func (m *Master) refollow(up FollowerUpdate) {
 	if rs, err := m.Server(up.Server); err == nil {
 		_ = rs.Refollow(up)
@@ -183,7 +173,7 @@ func (lm *LayoutMaster) RecoverServer(dead string,
 	}
 	lm.recovering[dead] = true
 	var regions []LayoutRegion
-	for _, r := range lm.regionsLocked() {
+	for _, r := range lm.routes.Load().regions {
 		if r.Server == dead {
 			regions = append(regions, r)
 		}
@@ -210,7 +200,12 @@ func (lm *LayoutMaster) RecoverServer(dead string,
 			rep, err = adopt(spec)
 		}
 		if err == nil {
-			err = lm.commitAdoption(spec)
+			// After this one durable write the recovered region is
+			// authoritative.
+			err = lm.replaceRegion(spec.Table, spec.Region, regionRow{
+				Name: spec.NewRegion, Start: spec.Start, End: spec.End,
+				Server: spec.Source, Followers: spec.Followers,
+			})
 		}
 		if err != nil {
 			errs = append(errs, fmt.Errorf("hbase: recover %s region %s: %w", dead, r.Name, err))
@@ -248,23 +243,6 @@ func (lm *LayoutMaster) planAdoption(deadDataDir string, r LayoutRegion, gen int
 		Source: source, ReplicaDir: dir,
 		Followers: lm.pickFollowersLocked(source, nil),
 	}, nil
-}
-
-// commitAdoption swaps an adopted region into its table row: after this
-// one durable write the recovered region is authoritative.
-func (lm *LayoutMaster) commitAdoption(spec AdoptSpec) error {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	if lm.tables[spec.Table] == nil {
-		return fmt.Errorf("%w: %q", ErrUnknownTable, spec.Table)
-	}
-	return lm.editTableLocked(spec.Table, func(rr *regionRow) bool {
-		if rr.Name != spec.Region {
-			return false
-		}
-		rr.Name, rr.Server, rr.Followers = spec.NewRegion, spec.Source, spec.Followers
-		return true
-	})
 }
 
 // electReplicaLocked chooses where a dead region recovers: the live

@@ -237,9 +237,10 @@ func (r *Region) resetMirror(store *kv.Store, idsPreserved bool) {
 }
 
 // reopen replaces the backing store (used on server restart with a new
-// configuration). With a durable config the old store is closed — its
-// WAL and SSTables are released — and the new store recovers from the
-// same directory, exactly the crash-recovery path but voluntary: a cold
+// configuration, on the same backend: a restart never changes the data
+// directory). With a durable config the old store is closed — its WAL
+// and SSTables are released — and the new store recovers from the same
+// directory, exactly the crash-recovery path but voluntary: a cold
 // cache and the same data. Without durable backing, live entries are
 // scan-copied into a store built with the new engine config. Either way
 // the old store is sealed first, so an in-flight write either completed
@@ -249,9 +250,8 @@ func (r *Region) resetMirror(store *kv.Store, idsPreserved bool) {
 func (r *Region) reopen(storeCfg kv.Config) error {
 	old := r.Store()
 	old.Seal()
-	oldDurable := old.Config().OpenBackend != nil
-	if storeCfg.OpenBackend != nil && oldDurable {
-		// Disk-to-disk: recovery from the shared directory. The old
+	if storeCfg.OpenBackend != nil {
+		// Recovery from the region's directory. The old
 		// store must release its WAL and file handles before the new
 		// one opens them.
 		old.Close()

@@ -105,7 +105,7 @@ func NewRegionServer(name string, cfg ServerConfig, nn *hdfs.Namenode) (*RegionS
 	s.compactor = newCompactorPool(cfg.Compaction)
 	s.replicator = newReplicator(cfg, s.compactor)
 	if cfg.DataDir != "" {
-		w, err := durable.OpenWAL(serverWALDir(cfg.DataDir, name), s.walOptionsLocked())
+		w, err := durable.OpenWAL(serverWALDir(cfg.DataDir, name), s.walOptions())
 		if err != nil {
 			s.compactor.Close()
 			if s.replicator != nil {
@@ -135,15 +135,14 @@ func ServerWALDir(dataDir, server string) string {
 	return serverWALDir(dataDir, server)
 }
 
-// walOptionsLocked derives the shared log's options from the server's
-// current pool and replicator. Called while constructing s or holding
-// mu. The OnSynced hook runs off the log's locks after each successful
+// walOptions derives the shared log's options from the server's pool
+// and replicator while s is being constructed. The OnSynced hook runs off the log's locks after each successful
 // fsync round; it nudges the replicator so freshly durable tail records
 // ship promptly instead of waiting for the next flush, and credits the
 // per-region record counts that drive the bounded-lag tail floor (ship
 // at least every K records / T ms even when the reconcile queue is
 // starved mid-burst).
-func (s *RegionServer) walOptionsLocked() durable.Options {
+func (s *RegionServer) walOptions() durable.Options {
 	opts := durable.Options{KeepTail: s.replicator != nil}
 	if s.compactor != nil {
 		opts.Account = s.compactor.Budget().NoteForeground
@@ -552,6 +551,20 @@ func (s *RegionServer) rewireStore(st *kv.Store) {
 	}
 }
 
+// handOff stops shipping a hosted region — its next host ships it from
+// here on — while this server goes on serving it: the first step of a
+// make-before-break move (Master.moveRegion). It returns the region,
+// nil when not hosted.
+func (s *RegionServer) handOff(name string) *Region {
+	s.mu.RLock()
+	r, rep := s.regions[name], s.replicator
+	s.mu.RUnlock()
+	if r != nil && rep != nil {
+		rep.Untrack(name)
+	}
+	return r
+}
+
 // CloseRegion stops hosting a region and returns it (nil when absent).
 func (s *RegionServer) CloseRegion(name string) *Region {
 	s.mu.Lock()
@@ -882,56 +895,39 @@ func (s *RegionServer) Start() {
 // is reopened with the new engine parameters (cold cache), and the server
 // comes back up. The caller (the Actuator) is responsible for draining
 // regions first if it wants to keep them available during the restart.
+// The data directory is the server's identity, not a setting: a cfg
+// that changes it is rejected and the server keeps serving as it was.
 func (s *RegionServer) Restart(cfg ServerConfig) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	s.mu.Lock()
+	if cfg.DataDir != s.cfg.DataDir {
+		s.mu.Unlock()
+		return fmt.Errorf("hbase: restart %s: data directory %q cannot change to %q", s.name, s.cfg.DataDir, cfg.DataDir)
+	}
 	s.running = false
-	oldCompaction := s.cfg.Compaction
-	oldDataDir := s.cfg.DataDir
-	oldPool := s.compactor
-	oldRep := s.replicator
+	rewire := cfg.Compaction != s.cfg.Compaction
+	oldPool, oldRep := s.compactor, s.replicator
 	s.cfg = cfg
 	s.cache = kv.NewBlockCache(int(cfg.BlockCacheBytes()))
 	s.tel.setConfig(cfg)
-	if cfg.Compaction != oldCompaction {
+	if rewire {
 		// New compaction knobs take effect like any other restart-only
 		// HBase setting: the old pool drains and a fresh one (new
-		// budget, policy, workers) serves the reopened stores.
+		// budget, policy, workers) serves the reopened stores. The
+		// replicator budgets through the pool, so it is rebuilt too, and
+		// the WAL's foreground bytes charge the fresh budget from the
+		// next append on.
 		s.compactor = newCompactorPool(cfg.Compaction)
-	}
-	rewireReplication := cfg.Compaction != oldCompaction || cfg.DataDir != oldDataDir
-	if rewireReplication {
-		// The replicator budgets through the compactor pool, so a pool
-		// swap (or a backend change) rebuilds it too.
 		s.replicator = newReplicator(cfg, s.compactor)
-	}
-	var oldWAL *durable.WAL
-	var walErr error
-	if cfg.DataDir != oldDataDir {
-		// A backend change relocates the shared log; the old one stays
-		// open until every store has reopened off it (their final
-		// flushes truncate through the old handles).
-		oldWAL = s.wal
-		s.wal = nil
-		if cfg.DataDir != "" {
-			//lint:allow locksafe offline reconfiguration: serving is stopped (running=false) and the exclusive lock over the swap is the point
-			w, err := durable.OpenWAL(serverWALDir(cfg.DataDir, s.name), s.walOptionsLocked())
-			if err != nil {
-				walErr = fmt.Errorf("hbase: restart %s: reopen server wal: %w", s.name, err)
-			} else {
-				s.wal = w
+		if s.wal != nil {
+			var account func(int)
+			if s.compactor != nil {
+				account = s.compactor.Budget().NoteForeground
 			}
+			s.wal.SetAccount(account)
 		}
-	} else if s.wal != nil && cfg.Compaction != oldCompaction {
-		// Same log, new pool: the WAL's foreground bytes charge the
-		// fresh budget from the next append on.
-		var account func(int)
-		if s.compactor != nil {
-			account = s.compactor.Budget().NoteForeground
-		}
-		s.wal.SetAccount(account)
 	}
 	regions := make([]*Region, 0, len(s.regions))
 	for _, r := range s.regions {
@@ -939,18 +935,15 @@ func (s *RegionServer) Restart(cfg ServerConfig) error {
 	}
 	n := len(regions)
 	s.mu.Unlock()
-	if cfg.Compaction != oldCompaction && oldPool != nil {
+	if rewire && oldPool != nil {
 		oldPool.Close()
 	}
-	if rewireReplication && oldRep != nil {
+	if rewire && oldRep != nil {
 		oldRep.Close()
 	}
 
 	sort.Slice(regions, func(i, j int) bool { return regions[i].Name() < regions[j].Name() })
 	var errs []error
-	if walErr != nil {
-		errs = append(errs, walErr)
-	}
 	for _, r := range regions {
 		// A region moved away while we were down is the new host's to
 		// reopen, not ours.
@@ -979,9 +972,6 @@ func (s *RegionServer) Restart(cfg ServerConfig) error {
 		// reopened store's stack.
 		s.trackReplication(r)
 		s.filesChanged(r.Name())
-	}
-	if oldWAL != nil {
-		_ = oldWAL.Close() //lint:allow syncerr handle release: every reopened store already flushed and truncated past the relocated log
 	}
 	s.mu.Lock()
 	s.restarts++

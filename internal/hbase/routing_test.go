@@ -145,6 +145,7 @@ func TestLookupAfterSplitAndMove(t *testing.T) {
 	if err := m.SplitRegion(parent); err != nil {
 		t.Fatal(err)
 	}
+	tbl, _ = m.Table("t") // a snapshot: re-fetch after the split
 	if n := tbl.NumRegions(); n != 2 {
 		t.Fatalf("regions after split = %d", n)
 	}

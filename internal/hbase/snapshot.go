@@ -62,27 +62,19 @@ func (m *Master) Snapshot(table, name string) error {
 	if cat == nil {
 		return ErrNoCatalog
 	}
-	t, err := m.Table(table)
-	if err != nil {
-		return err
+	regions, ok := m.layout.routes.Load().tables[table]
+	if !ok {
+		return ErrUnknownTable
 	}
 	// Reserve the name before the existence check: two concurrent
 	// Snapshot calls for the same name must resolve to exactly one
 	// winner, and the loser's error-path archive cleanup must never
 	// delete a directory a committer is (or has finished) filling.
-	key := table + "/" + name
-	m.mu.Lock()
-	if m.snapshotting[key] {
-		m.mu.Unlock()
-		return fmt.Errorf("%w: %s (in progress)", ErrSnapshotExists, key)
+	key := "snapshot/" + table + "/" + name
+	if !m.reserve(key) {
+		return fmt.Errorf("%w: %s/%s (in progress)", ErrSnapshotExists, table, name)
 	}
-	m.snapshotting[key] = true
-	m.mu.Unlock()
-	defer func() {
-		m.mu.Lock()
-		delete(m.snapshotting, key)
-		m.mu.Unlock()
-	}()
+	defer m.release(key)
 	var existing snapshotRow
 	if ok, err := cat.get(snapshotKey(table, name), &existing); err != nil {
 		return err
@@ -91,13 +83,14 @@ func (m *Master) Snapshot(table, name string) error {
 	}
 
 	row := snapshotRow{Table: table}
-	for _, r := range t.Regions() {
-		host, ok := m.HostOf(r.Name())
-		if !ok {
-			return fmt.Errorf("hbase: snapshot %s/%s: region %q unassigned", table, name, r.Name())
-		}
-		if _, err := m.Server(host); err != nil {
+	for _, lr := range regions {
+		rs, err := m.Server(lr.Server)
+		if err != nil {
 			return err
+		}
+		r := rs.region(lr.Name)
+		if r == nil {
+			return fmt.Errorf("hbase: snapshot %s/%s: region %q not open on %q", table, name, lr.Name, lr.Server)
 		}
 		sr, err := archiveRegion(cat.dir, r, table, name)
 		if err != nil {
@@ -209,117 +202,51 @@ func (m *Master) RestoreSnapshot(table, name string) error {
 	}
 	sort.Slice(row.Regions, func(i, j int) bool { return row.Regions[i].Start < row.Regions[j].Start })
 
-	m.mu.Lock()
-	if len(m.servers) == 0 {
-		m.mu.Unlock()
-		return ErrNoServers
-	}
-	serverNames := make([]string, 0, len(m.servers))
-	for sn := range m.servers {
-		serverNames = append(serverNames, sn)
-	}
-	sort.Strings(serverNames)
-	balancer := m.balancer
-	m.mu.Unlock()
 	gen, err := m.layout.nextGen()
 	if err != nil {
 		return err
 	}
-
-	splitKeys := make([]string, 0, len(row.Regions))
-	newNames := make([]string, 0, len(row.Regions))
+	var splitKeys []string
+	rows := make([]regionRow, len(row.Regions))
 	for i, rr := range row.Regions {
 		if i > 0 {
 			splitKeys = append(splitKeys, rr.Start)
 		}
-		newNames = append(newNames, fmt.Sprintf("%s.%d", rr.Name, gen))
+		rows[i] = regionRow{Name: fmt.Sprintf("%s.%d", rr.Name, gen), Start: rr.Start, End: rr.End}
 	}
-	plan := balancer.Assign(newNames, serverNames)
-
-	nt := newTable(table, splitKeys)
-	var opened []*Region
-	var hosts []string // of the regions seeded so far: follower placement counts them
-	unwind := func() {
-		m.mu.Lock()
-		for _, r := range opened {
-			delete(m.assignment, r.Name())
-		}
-		m.mu.Unlock()
-		for _, r := range opened {
-			r.Store().Close()
-			_ = os.RemoveAll(regionDataDir(cat.dir, r.Name()))
-		}
-	}
-	for i, rr := range row.Regions {
-		newName := newNames[i]
-		host := plan[newName]
-		rs, err := m.Server(host)
-		if err != nil {
-			unwind()
-			return err
-		}
-		if err := seedRegionDir(regionDataDir(rs.Config().DataDir, newName),
-			snapshotRegionDir(cat.dir, table, name, rr.Name), rr.Files); err != nil {
-			unwind()
-			return fmt.Errorf("hbase: restore %s/%s: %w", table, name, err)
-		}
-		nr, err := newRegionNamed(newName, table, rr.Start, rr.End,
-			rs.storeConfigFor(newName, rs.NumRegions()+1))
-		if err != nil {
-			unwind()
-			return fmt.Errorf("hbase: restore %s/%s: %w", table, name, err)
-		}
-		nr.SetFollowers(m.layout.pickFollowers(host, hosts))
-		nt.addRegion(nr)
-		m.mu.Lock()
-		m.assignment[newName] = host
-		m.mu.Unlock()
-		opened = append(opened, nr)
-		hosts = append(hosts, host)
+	st, err := m.stage(table, rows, func(dataDir string, i int) error {
+		return seedRegionDir(regionDataDir(dataDir, rows[i].Name),
+			snapshotRegionDir(cat.dir, table, name, row.Regions[i].Name), row.Regions[i].Files)
+	})
+	if err != nil {
+		return fmt.Errorf("hbase: restore %s/%s: %w", table, name, err)
 	}
 
 	m.layout.crash("restore.regions-ready")
-	// Commit point: the table row now names the restored regions.
-	if err := m.commitTable(nt); err != nil {
-		unwind()
+	// Commit point: the table row now names the restored regions, and
+	// only then do their hosts serve them — until it, every key still
+	// routes to the layout being replaced.
+	old := m.layout.routes.Load().tables[table]
+	if err := m.layout.putTable(table, tableRow{SplitKeys: splitKeys, Regions: rows}); err != nil {
+		st.discard()
 		return err
 	}
+	st.open()
 
-	// Swap in-memory metadata and start serving the restored regions.
-	m.mu.Lock()
-	oldT := m.tables[table]
-	m.tables[table] = nt
-	var oldRegions []*Region
-	if oldT != nil {
-		for _, r := range oldT.Regions() {
-			oldRegions = append(oldRegions, r)
-		}
-	}
-	oldAssign := make(map[string]string, len(oldRegions))
-	for _, r := range oldRegions {
-		oldAssign[r.Name()] = m.assignment[r.Name()]
-		delete(m.assignment, r.Name())
-	}
-	m.mu.Unlock()
-	for _, r := range nt.Regions() {
-		host, _ := m.HostOf(r.Name())
-		if rs, err := m.Server(host); err == nil {
-			rs.OpenRegion(r)
-		}
-	}
 	m.layout.crash("restore.committed")
 
 	// Reclaim the superseded regions: stop serving them, release their
 	// HDFS files, and delete their primary directories and replica
 	// copies (the catalog no longer references them).
-	for _, r := range oldRegions {
-		host := oldAssign[r.Name()]
-		rs, err := m.Server(host)
+	for _, lr := range old {
+		rs, err := m.Server(lr.Server)
 		if err != nil {
-			r.Store().Close()
 			continue
 		}
-		rs.CloseRegion(r.Name())
+		r := rs.CloseRegion(lr.Name)
+		if r == nil {
+			continue
+		}
 		for _, f := range r.Files() {
 			_ = m.namenode.DeleteFile(f)
 		}

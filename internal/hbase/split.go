@@ -16,26 +16,19 @@ const DefaultSplitThresholdBytes = 250 << 20
 // HDFS files are released; daughters write their own on their next
 // flush or compaction.
 func (m *Master) SplitRegion(regionName string) error {
-	host, ok := m.HostOf(regionName)
+	key := "region/" + regionName
+	if !m.reserve(key) {
+		return fmt.Errorf("hbase: split: region %q has an operation in flight", regionName)
+	}
+	defer m.release(key)
+	lr, ok := m.layout.routes.Load().region(regionName)
 	if !ok {
 		return fmt.Errorf("hbase: split: unknown region %q", regionName)
 	}
+	host := lr.Server
 	rs, err := m.Server(host)
 	if err != nil {
 		return err
-	}
-	m.mu.Lock()
-	var tbl *Table
-	for _, t := range m.tables {
-		for _, r := range t.Regions() {
-			if r.Name() == regionName {
-				tbl = t
-			}
-		}
-	}
-	m.mu.Unlock()
-	if tbl == nil {
-		return fmt.Errorf("hbase: split: region %q has no table", regionName)
 	}
 	parent := rs.CloseRegion(regionName)
 	if parent == nil {
@@ -112,28 +105,24 @@ func (m *Master) SplitRegion(regionName string) error {
 	followers := m.layout.pickFollowers(host, nil)
 	lo.SetFollowers(followers)
 	hi.SetFollowers(followers)
-	// Assign and open the daughters before the table names them: a
-	// client that routes to a daughter must find it hosted.
-	m.mu.Lock()
-	m.assignment[lo.Name()] = host
-	m.assignment[hi.Name()] = host
-	m.mu.Unlock()
+	// Open the daughters before the row names them: until the commit,
+	// clients still route to the parent's host, which now answers the
+	// parent's keys from the daughters.
 	rs.OpenRegion(lo)
 	rs.OpenRegion(hi)
-	tbl.replaceRegion(parent, lo, hi)
-	m.mu.Lock()
-	delete(m.assignment, regionName)
-	m.mu.Unlock()
 	// Commit point: one table-row write replaces the parent with both
 	// daughters atomically. A crash before it cold-starts the parent
 	// (daughter directories are swept as orphans); after it, the
 	// daughters (the parent directory is the orphan).
-	if err := m.commitTableOf(parent.Table()); err != nil {
-		// The in-memory split already happened and the daughters hold
-		// the data; surface the persistence failure rather than
-		// attempting a lossy rollback. The parent directory is kept —
-		// the catalog still names the parent, so a cold start serves
-		// from it.
+	if err := m.layout.replaceRegion(lr.Table, regionName,
+		regionRow{Name: loName, Start: lo.StartKey(), End: mid, Server: host, Followers: followers},
+		regionRow{Name: hiName, Start: mid, End: hi.EndKey(), Server: host, Followers: followers},
+	); err != nil {
+		// The daughters already serve the parent's keys and hold
+		// everything written since; surface the persistence failure
+		// rather than attempting a lossy rollback. The parent directory
+		// is kept — the catalog still names the parent, so a cold start
+		// serves from it.
 		return fmt.Errorf("hbase: split %s: commit: %w", regionName, err)
 	}
 	m.layout.crash("split.committed")

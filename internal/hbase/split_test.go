@@ -21,6 +21,7 @@ func TestSplitRegionKeepsData(t *testing.T) {
 	if err := m.SplitRegion(parent); err != nil {
 		t.Fatal(err)
 	}
+	tbl, _ = m.Table("t") // a snapshot: re-fetch after the split
 	if tbl.NumRegions() != 2 {
 		t.Fatalf("regions = %d, want 2", tbl.NumRegions())
 	}
@@ -86,6 +87,7 @@ func TestAutoSplitThreshold(t *testing.T) {
 	if len(split) != 1 {
 		t.Fatalf("split = %v, want 1 region", split)
 	}
+	tbl, _ = m.Table("t")
 	if tbl.NumRegions() != 2 {
 		t.Fatalf("regions = %d", tbl.NumRegions())
 	}
@@ -104,6 +106,7 @@ func TestSplitRepeatedlyMaintainsOrder(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		m.AutoSplit(8 << 10)
 	}
+	tbl, _ = m.Table("t")
 	if tbl.NumRegions() < 4 {
 		t.Fatalf("regions = %d after repeated splits", tbl.NumRegions())
 	}
@@ -302,6 +305,7 @@ func TestScanNeverTruncatesAcrossSplit(t *testing.T) {
 		for i := 0; i < splitsPerRound; i++ {
 			// Split the region holding the most rows: always splittable.
 			var biggest *Region
+			tbl, _ = m.Table("t")
 			for _, r := range tbl.Regions() {
 				if biggest == nil || r.DataBytes() > biggest.DataBytes() {
 					biggest = r

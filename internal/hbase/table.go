@@ -1,115 +1,113 @@
 package hbase
 
 import (
+	"fmt"
+	"maps"
+	"slices"
 	"sort"
-	"sync"
 )
 
-// Table is HTable metadata: an ordered list of regions partitioning the
-// key space. The data model is the paper's: a sorted map indexed by row
-// key (column families are flattened into the key by the workloads, which
-// use a single family).
-// Table metadata is read on every client operation (RegionFor) and
-// mutated only by splits and table creation, so readers share the lock.
+// Table is a read-only snapshot of an HTable: its regions in key order,
+// partitioning the key space, as the route table of one epoch lays them
+// out. The data model is the paper's: a sorted map indexed by row key
+// (column families are flattened into the key by the workloads, which
+// use a single family). A snapshot does not follow later splits or
+// moves; Master.Table takes a fresh one.
 type Table struct {
-	mu      sync.RWMutex
 	name    string
-	bounds  []keyRange
 	regions []*Region // sorted by start key
-	// splitKeys preserves the creation-time pre-split points for the
-	// META catalog's table row (current region bounds live with the
-	// regions themselves and evolve through splits).
-	splitKeys []string
-}
-
-type keyRange struct {
-	start, end string
-}
-
-// newTable computes the region boundaries induced by splitKeys: n keys
-// make n+1 regions, ["", k0), [k0, k1), ..., [kn-1, "").
-func newTable(name string, splitKeys []string) *Table {
-	t := &Table{name: name, splitKeys: append([]string(nil), splitKeys...)}
-	start := ""
-	for _, k := range splitKeys {
-		t.bounds = append(t.bounds, keyRange{start: start, end: k})
-		start = k
-	}
-	t.bounds = append(t.bounds, keyRange{start: start, end: ""})
-	return t
 }
 
 // Name returns the table name.
 func (t *Table) Name() string { return t.name }
 
-func (t *Table) addRegion(r *Region) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.regions = append(t.regions, r)
-	sort.Slice(t.regions, func(i, j int) bool { return t.regions[i].StartKey() < t.regions[j].StartKey() })
-}
-
 // Regions returns the table's regions in key order.
-func (t *Table) Regions() []*Region {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return append([]*Region(nil), t.regions...)
-}
+func (t *Table) Regions() []*Region { return slices.Clone(t.regions) }
 
 // NumRegions returns the number of regions.
-func (t *Table) NumRegions() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.regions)
-}
+func (t *Table) NumRegions() int { return len(t.regions) }
 
-// RegionFor returns the region containing key.
+// RegionFor returns the region containing key, or nil when the snapshot
+// holds none (its region was mid-split when the snapshot was taken).
 func (t *Table) RegionFor(key string) *Region {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	// Last region whose start key <= key.
 	i := sort.Search(len(t.regions), func(i int) bool { return t.regions[i].StartKey() > key })
-	if i == 0 {
-		return t.regions[0]
+	if i == 0 || !t.regions[i-1].Contains(key) {
+		return nil
 	}
 	return t.regions[i-1]
 }
 
-// swapRegion substitutes nw for the region object covering the same
-// key range (failover replaces a dead server's region with its
-// generation-suffixed recovery twin).
-func (t *Table) swapRegion(nw *Region) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i, r := range t.regions {
-		if r.StartKey() == nw.StartKey() {
-			t.regions[i] = nw
-			return
-		}
-	}
-}
-
-// replaceRegion swaps a parent region for its two daughters (splits).
-func (t *Table) replaceRegion(parent, lo, hi *Region) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	kept := t.regions[:0]
-	for _, r := range t.regions {
-		if r != parent {
-			kept = append(kept, r)
-		}
-	}
-	t.regions = append(kept, lo, hi)
-	sort.Slice(t.regions, func(i, j int) bool { return t.regions[i].StartKey() < t.regions[j].StartKey() })
-}
-
 // RegionNames returns the region names in key order.
 func (t *Table) RegionNames() []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	out := make([]string, len(t.regions))
 	for i, r := range t.regions {
 		out[i] = r.Name()
 	}
 	return out
+}
+
+// routeTable is one routing epoch's layout, immutable once LayoutMaster
+// publishes it: every committed region in table-then-key order, each
+// table's run of that list, and each region's position by name. Readers
+// — the in-process client on every operation, HostOf, Layout — load it
+// with one atomic read and take no lock.
+type routeTable struct {
+	epoch   int64
+	regions []LayoutRegion
+	tables  map[string][]LayoutRegion // subslices of regions
+	byName  map[string]int            // index into regions
+}
+
+// newRouteTable indexes the committed table rows as routing epoch
+// epoch. Rows list their regions in key order, so each table's run is
+// sorted as it stands; the follower slices are shared with the rows,
+// which are replaced whole and never modified.
+func newRouteTable(epoch int64, rows map[string]*tableRow) *routeTable {
+	n := 0
+	for _, row := range rows {
+		n += len(row.Regions)
+	}
+	rt := &routeTable{
+		epoch:   epoch,
+		regions: make([]LayoutRegion, 0, n),
+		tables:  make(map[string][]LayoutRegion, len(rows)),
+		byName:  make(map[string]int, n),
+	}
+	for _, tn := range slices.Sorted(maps.Keys(rows)) {
+		first := len(rt.regions)
+		for _, rr := range rows[tn].Regions {
+			rt.byName[rr.Name] = len(rt.regions)
+			rt.regions = append(rt.regions, LayoutRegion{
+				Name: rr.Name, Table: tn, Start: rr.Start, End: rr.End,
+				Server: rr.Server, Followers: rr.Followers,
+			})
+		}
+		rt.tables[tn] = rt.regions[first:len(rt.regions):len(rt.regions)]
+	}
+	return rt
+}
+
+// region returns the committed row of the region called name.
+func (rt *routeTable) region(name string) (LayoutRegion, bool) {
+	i, ok := rt.byName[name]
+	if !ok {
+		return LayoutRegion{}, false
+	}
+	return rt.regions[i], true
+}
+
+// hostFor returns the server this epoch assigns the region of table
+// that holds key.
+func (rt *routeTable) hostFor(table, key string) (string, error) {
+	regions, ok := rt.tables[table]
+	if !ok {
+		return "", ErrUnknownTable
+	}
+	// Last region whose start key <= key.
+	i := sort.Search(len(regions), func(i int) bool { return regions[i].Start > key })
+	if i == 0 {
+		return "", fmt.Errorf("hbase: no region for key %q", key)
+	}
+	return regions[i-1].Server, nil
 }

@@ -47,8 +47,8 @@
 // rebuilds the entire cluster from the data directory alone: servers
 // are re-created with their persisted configurations, every region
 // store reopens from its own directory (WAL replay recovers every
-// acknowledged write), and client routing works immediately — no
-// CreateTable, no manual assignment. Operations that crashed before
+// acknowledged write), and clients route from the committed layout as
+// loaded — no CreateTable, no manual assignment. Operations that crashed before
 // their catalog commit point are cleanly absent, never half-applied.
 // `metbench -coldstart -durable DIR` drives this end to end: it
 // hard-stops a loaded cluster mid-run, reopens it, and verifies every
@@ -113,8 +113,10 @@
 //	metnode -role server -name rs0 -master HOST:PORT
 //
 // Clients (rpc.Dial) cache the master's layout and route each key
-// straight to its hosting worker. Every layout change bumps a routing
-// epoch; a request carrying a stale epoch bounces with 409 and the
+// straight to its hosting worker. (In one process, hbase.Client reads
+// the same layout — the route table its master's last commit published
+// — on every operation, and never caches it.) Every layout change bumps
+// a routing epoch; a request carrying a stale epoch bounces with 409 and the
 // client transparently re-fetches and retries, the same path that
 // absorbs connection-refused when a worker dies. Deadlines propagate
 // on the wire (X-Met-Deadline), so a slow server gives up exactly when
@@ -290,8 +292,9 @@ func NewClusterConfig(n int, cfg ServerConfig) (*Cluster, error) {
 // OpenCluster cold-starts a previously durable cluster from its data
 // directory alone: the META catalog is replayed, every region server is
 // re-created with its persisted configuration, every region store is
-// reopened from disk (recovering all acknowledged writes), and routing
-// is rebuilt — no CreateTable or manual assignment needed. See the
+// reopened from disk (recovering all acknowledged writes), and clients
+// route from the committed layout as loaded — no CreateTable or manual
+// assignment needed. See the
 // "Cold start" section of the package documentation.
 func OpenCluster(dataDir string) (*Cluster, error) {
 	m, err := hbase.OpenCluster(dataDir)
