@@ -24,8 +24,10 @@
 //
 // With -durable DIR every region store runs on the on-disk backend
 // (met/internal/durable): group-committed WAL, SSTables, crash
-// recovery. Without it, stores are in-memory as in the paper's
-// simulated experiments.
+// recovery, and replication of SSTables and WAL tails to followers.
+// Without it, stores are in-memory as in the paper's simulated
+// experiments. -sustained -durable is also a replication-health gate:
+// it exits non-zero if any SSTable copy or tail append failed.
 //
 // With -json FILE a machine-readable result is written: ns/op, ops/sec,
 // per-op counts, and the servers' own telemetry snapshots
@@ -129,13 +131,12 @@ func main() {
 	durableDir := flag.String("durable", "", "data directory: run region stores on the durable disk backend")
 	jsonOut := flag.String("json", "", "write machine-readable results to this file")
 	sustained := flag.Bool("sustained", false,
-		"sustained write-heavy scenario: workload B (100% update), bigger values and a tiny heap so flushes, background compactions and write stalls actually happen during the run")
+		"sustained write-heavy scenario: workload B (100% update), bigger values and a tiny heap so flushes, background compactions and write stalls actually happen during the run; with -durable it exits non-zero on any replication failure")
 	coldstart := flag.Bool("coldstart", false,
 		"cold-start scenario (requires -durable): write acknowledged rows across two tables, move a region, hard-stop the whole cluster mid-run, reopen it from the data directory alone (met.OpenCluster) and verify every acknowledged write plus the recovered layout")
 	procs := flag.Int("procs", 0,
-		"networked multi-process scenario (requires -durable): restart the bootstrapped cluster as 1 master + N region-server OS processes (metnode) over the RPC layer and drive load through the networked client; with -failover additionally kill -9 workers and prove the loss bounds")
+		"networked multi-process scenario (requires -durable): restart the bootstrapped cluster as 1 master + N region-server OS processes (metnode) over the RPC layer and drive load through the networked client; with -failover additionally kill -9 workers and prove the loss bounds (0 after a quiesce, at most 2*64 records per dead region mid-burst)")
 	nodeBin := flag.String("node-bin", "", "path to the metnode binary for -procs (default: next to metbench, then $PATH)")
-	tailLag := flag.Int("tail-lag", 64, "tail-shipping floor in records for -procs (bounds mid-burst kill loss)")
 	failover := flag.Bool("failover", false,
 		"failover scenario (requires -durable): 3+ servers with replication factor 2, write acknowledged rows, cleanly flush and quiesce replication, hard-kill one server AND rename its primary region directories away, Master.RecoverServer from the replica SSTables alone, verify zero reported loss and every acknowledged row")
 	maxFiles := flag.Int("max-store-files", 0, "soft store-file threshold triggering background compaction (0 = default)")
@@ -197,7 +198,7 @@ func main() {
 		if *durableDir == "" {
 			log.Fatal("metbench: -procs requires -durable DIR")
 		}
-		runProcs(*durableDir, cfg, *procs, *ops, *seed, *nodeBin, *failover, *tailLag, *jsonOut)
+		runProcs(*durableDir, cfg, *procs, *ops, *seed, *nodeBin, *failover, *jsonOut)
 		return
 	}
 	if *failover {
@@ -297,6 +298,10 @@ func main() {
 			log.Fatal(err)
 		}
 		f.Close()
+	}
+	if *sustained && res.Durable && total.Replication.Failures != 0 {
+		log.Fatalf("metbench: %d replication failures (last: %s); a sustained durable run must ship without any",
+			total.Replication.Failures, total.Replication.LastFailure)
 	}
 }
 

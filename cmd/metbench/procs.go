@@ -114,6 +114,11 @@ func findNodeBin(flagVal string) string {
 	return ""
 }
 
+// tailLossBound is the mid-burst kill's loss bound per dead region: the
+// acknowledged records the tail shipper may not have appended to a
+// follower yet when the primary dies.
+const tailLossBound = 2 * 64
+
 // runProcs is the networked multi-process scenario: bootstrap a durable
 // cluster in this process, stop it, and restart it as 1 + N real OS
 // processes (metnode master + metnode servers) over the RPC layer. The
@@ -124,23 +129,21 @@ func findNodeBin(flagVal string) string {
 //     primary directories AND its WAL (its disk died with it), recover
 //     through the master process. Loss must be exactly zero.
 //   - Phase B: write a burst and kill -9 a second worker mid-burst with
-//     no quiesce. Loss must be bounded by the configured tail-shipping
-//     floor: <= 2*tailLag records per dead region.
+//     no quiesce. Loss must stay within tailLossBound records per dead
+//     region.
 //
 // Any violation exits non-zero, so CI runs this as a per-PR gate.
 func runProcs(dataDir string, cfg met.ServerConfig, servers, ops int, seed uint64,
-	nodeBin string, doFailover bool, tailLag int, jsonOut string) {
+	nodeBin string, doFailover bool, jsonOut string) {
 	if servers < 3 {
 		fmt.Fprintln(os.Stderr, "metbench: -procs raises -servers to 3 (a victim needs two survivors)")
 		servers = 3
 	}
 	nodeBin = findNodeBin(nodeBin)
 	// Small heap so flushes ship real SSTables at bench volumes; the
-	// tail floor bounds what the SSTables don't cover. Both land in the
-	// catalog and come back to every worker through its manifest.
+	// shipped WAL tail covers what the SSTables don't. The heap lands in
+	// the catalog and comes back to every worker through its manifest.
 	cfg.HeapBytes = 1 << 20
-	cfg.TailShipMaxLagRecords = tailLag
-	cfg.TailShipMaxLagInterval = 50 * time.Millisecond
 
 	// Bootstrap in-process: committed membership, tables, nothing else.
 	cluster, err := met.NewClusterConfig(servers, cfg)
@@ -243,18 +246,18 @@ func runProcs(dataDir string, cfg met.ServerConfig, servers, ops int, seed uint6
 	killAndRecover("phase A, after quiesce")
 	acked.mustVerify(c, "procs phase A (quiesced kill — must be exactly zero)")
 
-	// Phase B: mid-burst kill, no quiesce. The tail floor is the only
-	// bound: each dead region may lose at most ~2*tailLag acknowledged
-	// records (one floor window in flight plus one accruing).
+	// Phase B: mid-burst kill, no quiesce. Only the tail appends the
+	// shipper had not made yet are lost: at most tailLossBound
+	// acknowledged records per dead region.
 	fmt.Printf("procs: phase B — %d-row burst, then kill -9 mid-burst with no quiesce...\n", ops)
 	acked.write(c, ops, "hot")
 	deadRegions := killAndRecover("phase B, mid-burst")
 	missing := acked.verify(c)
 	fmt.Printf("procs: after mid-burst kill — %d acked rows, %d missing\n", len(acked.rows), missing)
-	bound := 2 * tailLag * deadRegions
+	bound := tailLossBound * deadRegions
 	if missing > bound {
-		log.Fatalf("metbench: procs phase B lost %d acknowledged writes; the tail floor bounds loss to %d (2*%d records x %d regions)",
-			missing, bound, tailLag, deadRegions)
+		log.Fatalf("metbench: procs phase B lost %d acknowledged writes; the bound is %d (%d records x %d regions)",
+			missing, bound, tailLossBound, deadRegions)
 	}
 	// The cluster keeps serving on the survivors.
 	if err := c.Put("users", "zz-post-failover", []byte("alive")); err != nil {

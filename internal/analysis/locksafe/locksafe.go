@@ -98,16 +98,20 @@ var BlockingFuncs = map[string]bool{
 	// write; the durable WAL's own w.mu serializing its buffered
 	// appends is the one audited design exception (see
 	// internal/durable's package doc).
-	"met/internal/durable.OpenWAL":       true,
-	"met/internal/durable.syncFile":      true,
-	"met/internal/durable.syncDir":       true,
-	"met/internal/durable.walSyncFile":   true,
-	"met/internal/durable.walRemoveFile": true,
-	"met/internal/durable.writeSSTable":  true,
-	"met/internal/durable.openSSTable":   true,
-	"met/internal/durable.WriteTailFile": true,
-	"met/internal/durable.ReadTailFile":  true,
-	"met/internal/replication.CopyFile":  true,
+	"met/internal/durable.OpenWAL":        true,
+	"met/internal/durable.syncFile":       true,
+	"met/internal/durable.syncDir":        true,
+	"met/internal/durable.SyncDir":        true,
+	"met/internal/durable.walSyncFile":    true,
+	"met/internal/durable.walRemoveFile":  true,
+	"met/internal/durable.writeSSTable":   true,
+	"met/internal/durable.openSSTable":    true,
+	"met/internal/durable.CreateTailGen":  true,
+	"met/internal/durable.AppendTail":     true,
+	"met/internal/durable.RemoveTailGens": true,
+	"met/internal/durable.TailGens":       true,
+	"met/internal/durable.ReadTail":       true,
+	"met/internal/replication.CopyFile":   true,
 
 	"(met/internal/durable.WAL).Close":        true,
 	"(met/internal/durable.RegionLog).Append": true,

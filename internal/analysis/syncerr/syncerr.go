@@ -47,9 +47,13 @@ var Funcs = map[string]bool{
 	"(met/internal/durable.WAL).Close":                true,
 	"(met/internal/kv.StorageBackend).Close":          true,
 
-	"met/internal/durable.syncFile":    true,
-	"met/internal/durable.syncDir":     true,
-	"met/internal/durable.walSyncFile": true,
+	"met/internal/durable.syncFile":       true,
+	"met/internal/durable.syncDir":        true,
+	"met/internal/durable.SyncDir":        true,
+	"met/internal/durable.CreateTailGen":  true,
+	"met/internal/durable.AppendTail":     true,
+	"met/internal/durable.RemoveTailGens": true,
+	"met/internal/durable.walSyncFile":    true,
 }
 
 func run(pass *analysis.Pass) error {

@@ -46,8 +46,8 @@
 // and fsyncs once for every record buffered so far — across all regions
 // (group commit), so N concurrent writers pay ~1 fsync, not N. With
 // KeepTail enabled the log also retains its durable-but-unflushed
-// records in memory (SyncedTail), the frame stream tail-streaming ships
-// to follower replicas.
+// records in memory (TailFrom), the records tail-streaming appends to
+// follower replicas (see tail.go).
 //
 // # SSTable format
 //
@@ -150,20 +150,19 @@ type Options struct {
 	// Backend.Log return nil.
 	ExternalWAL bool
 	// KeepTail retains durable-but-unflushed records in memory so
-	// WAL.SyncedTail can hand the replicator a tail frame stream to ship
-	// to followers. Memory cost is bounded by the unflushed working set
-	// (the same records sit in the memstores).
+	// WAL.TailFrom can hand the replicator the records a follower lacks.
+	// Memory cost is bounded by the unflushed working set (the same
+	// records sit in the memstores).
 	KeepTail bool
 	// OnSynced, when non-nil, is called after each successful
-	// commit-path fsync with the regions whose records gained coverage
-	// and how many records each contributed since the previous good
-	// round — the replicator's cue that fresh tail is shippable, and the
-	// record counts its bounded-lag floor accumulates. Called without
-	// internal locks held; it must not block for long (it runs on a
-	// committing writer's goroutine). Rotation-covered records are
-	// reported with the next fsync, so a quiesce must reconcile
-	// explicitly rather than wait for a callback.
-	OnSynced func(regions map[string]int)
+	// commit-path fsync with the set of regions whose records gained
+	// coverage since the previous good round — the replicator's cue that
+	// fresh tail is shippable; the callee owns the map. Called without
+	// internal locks held; it must not block (it runs on a committing
+	// writer's goroutine). Rotation-covered records are reported with
+	// the next fsync, so a quiesce must ship every region explicitly
+	// rather than wait for a callback.
+	OnSynced func(regions map[string]bool)
 }
 
 func (o Options) withDefaults() Options {
@@ -187,8 +186,11 @@ func syncFile(f *os.File, noSync bool) error {
 	return f.Sync()
 }
 
-// syncDir fsyncs a directory so renames and deletes within it are
+// SyncDir fsyncs a directory so renames and deletes within it are
 // durable.
+func SyncDir(dir string) error { return syncDir(dir, false) }
+
+// syncDir is SyncDir unless disabled.
 func syncDir(dir string, noSync bool) error {
 	if noSync {
 		return nil

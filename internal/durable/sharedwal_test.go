@@ -250,10 +250,10 @@ func TestSharedWALFailedFsyncNotCounted(t *testing.T) {
 	dir := t.TempDir()
 	var mu sync.Mutex
 	notified := make(map[string]int)
-	w, err := OpenWAL(dir, Options{OnSynced: func(regions map[string]int) {
+	w, err := OpenWAL(dir, Options{OnSynced: func(regions map[string]bool) {
 		mu.Lock()
-		for r, n := range regions {
-			notified[r] += n
+		for r := range regions {
+			notified[r]++
 		}
 		mu.Unlock()
 	}})
@@ -291,15 +291,22 @@ func TestSharedWALFailedFsyncNotCounted(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	// The failed round's record carries over: the good round reports
-	// both records' counts, not just its own.
-	if notified["r1"] != 2 {
-		t.Fatalf("good round reported %v, want r1 credited with both records", notified)
+	// The failed round's region carries over: the good round reports
+	// it, exactly once.
+	if notified["r1"] != 1 {
+		t.Fatalf("good round reported %v, want r1 once", notified)
 	}
 }
 
-// SyncedTail hands the replicator exactly the durable-but-unflushed
-// records: nothing before the fsync, evicted by flush truncation.
+// syncedTail is every durable-but-unflushed record of region.
+func syncedTail(w *WAL, region string) []kv.Entry {
+	tail, _ := w.TailFrom(region, 0)
+	return tail
+}
+
+// TailFrom hands the replicator exactly the durable-but-unflushed
+// records: nothing before the fsync, evicted by flush truncation, and
+// from a later position only what was synced since.
 func TestSharedWALSyncedTailLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenWAL(dir, Options{KeepTail: true})
@@ -312,24 +319,41 @@ func TestSharedWALSyncedTailLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tail := h.SyncedTail(); len(tail) != 0 {
+	if tail := syncedTail(w, "r"); len(tail) != 0 {
 		t.Fatalf("unsynced record already in tail: %+v", tail)
 	}
 	if err := commit(); err != nil {
 		t.Fatal(err)
 	}
-	tail := h.SyncedTail()
+	tail, next := w.TailFrom("r", 0)
 	if len(tail) != 1 || tail[0].Timestamp != 1 {
 		t.Fatalf("synced tail = %+v, want the one committed record", tail)
 	}
+	// From the returned position on, only what was synced since.
+	if err := h.Append(regionEntry("r", 2)); err != nil {
+		t.Fatal(err)
+	}
+	tail, next2 := w.TailFrom("r", next)
+	if len(tail) != 1 || tail[0].Timestamp != 2 {
+		t.Fatalf("tail from position %d = %+v, want only record 2", next, tail)
+	}
 	// Another region's flush must not evict it.
 	w.Region("other").Truncate(99)
-	if tail := h.SyncedTail(); len(tail) != 1 {
+	if tail := syncedTail(w, "r"); len(tail) != 2 {
 		t.Fatalf("foreign truncate evicted tail: %+v", tail)
 	}
-	// Our flush does.
-	h.Truncate(1)
-	if tail := h.SyncedTail(); len(tail) != 0 {
+	// Our flush does — but only as far as the shipping cursor has
+	// passed: syncedTail left it at 0, so both records stay for the
+	// shipper until a flush finds the cursor past them.
+	h.Truncate(2)
+	if tail, _ := w.TailFrom("r", next); len(tail) != 1 || tail[0].Timestamp != 2 {
+		t.Fatalf("flushed but unshipped record 2 not held for the shipper: %+v", tail)
+	}
+	if tail, _ := w.TailFrom("r", next2); len(tail) != 0 {
+		t.Fatalf("records returned again past the cursor: %+v", tail)
+	}
+	h.Truncate(2)
+	if tail := syncedTail(w, "r"); len(tail) != 0 {
 		t.Fatalf("flushed record still in tail: %+v", tail)
 	}
 }
@@ -364,37 +388,46 @@ func TestSharedWALTailSurvivesReopen(t *testing.T) {
 	}
 	defer w2.Close()
 	h2 := w2.Region("r")
-	tail := h2.SyncedTail()
+	tail, next := w2.TailFrom("r", 0)
 	if len(tail) != 4 {
 		t.Fatalf("reopened tail has %d records, want the 4 unflushed ones", len(tail))
 	}
-	if got := w2.SyncedTail("gone"); len(got) != 0 {
+	// Recovered records sit at position 0: a cursor past it skips them.
+	if tail, _ := w2.TailFrom("r", next); len(tail) != 0 {
+		t.Fatalf("recovered records returned again from position %d: %+v", next, tail)
+	}
+	if got := syncedTail(w2, "gone"); len(got) != 0 {
 		t.Fatalf("dropped region resurfaced in reopened tail: %+v", got)
 	}
 	// A flush truncation still evicts recovered records.
 	h2.Truncate(4)
-	if tail := h2.SyncedTail(); len(tail) != 0 {
+	if tail := syncedTail(w2, "r"); len(tail) != 0 {
 		t.Fatalf("flushed recovered records still in tail: %+v", tail)
 	}
 }
 
-// Tail-file roundtrip plus the torn-frame contract ReadTailFile gives
-// recovery: the intact prefix is returned and the tear is reported, so
-// a follower that died mid-ship still contributes what it verified.
+// Tail-generation roundtrip plus the torn-frame contract ReadTail gives
+// recovery: the intact prefix of a torn generation is returned, the tear
+// is reported, and later generations are still read.
 func TestTailFileRoundtripAndTornFrame(t *testing.T) {
 	dir := t.TempDir()
-	path := TailFilePath(dir)
-	if entries, torn, err := ReadTailFile(path); err != nil || torn || len(entries) != 0 {
-		t.Fatalf("missing tail file: %d entries, torn=%v, err=%v; want empty clean", len(entries), torn, err)
+	if entries, torn, err := ReadTail(dir); err != nil || torn || len(entries) != 0 {
+		t.Fatalf("no tail generations: %d entries, torn=%v, err=%v; want empty clean", len(entries), torn, err)
 	}
 	var want []kv.Entry
 	for i := 1; i <= 5; i++ {
 		want = append(want, regionEntry("r", i))
 	}
-	if _, err := WriteTailFile(path, want, false); err != nil {
+	if _, err := CreateTailGen(dir, 1, want[:2]); err != nil {
 		t.Fatal(err)
 	}
-	got, torn, err := ReadTailFile(path)
+	if _, err := CreateTailGen(dir, 1, want[:2]); err == nil {
+		t.Fatal("an existing generation was overwritten")
+	}
+	if _, err := AppendTail(dir, 1, want[2:]); err != nil {
+		t.Fatal(err)
+	}
+	got, torn, err := ReadTail(dir)
 	if err != nil || torn {
 		t.Fatalf("clean tail read: torn=%v, err=%v", torn, err)
 	}
@@ -407,7 +440,7 @@ func TestTailFileRoundtripAndTornFrame(t *testing.T) {
 		}
 	}
 	// Torn final frame: claims 200 payload bytes, has 1.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	f, err := os.OpenFile(TailGenPath(dir, 1), os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +448,7 @@ func TestTailFileRoundtripAndTornFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	got, torn, err = ReadTailFile(path)
+	got, torn, err = ReadTail(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,12 +458,21 @@ func TestTailFileRoundtripAndTornFrame(t *testing.T) {
 	if len(got) != len(want) {
 		t.Fatalf("torn read returned %d records, want the %d intact ones", len(got), len(want))
 	}
-	// An empty ship removes the file (the tail was flushed away).
-	if _, err := WriteTailFile(path, nil, false); err != nil {
+	// A later generation is read past the torn one.
+	extra := regionEntry("r", 6)
+	if _, err := CreateTailGen(dir, 2, []kv.Entry{extra}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("empty tail write left the file behind: %v", err)
+	if got, torn, err = ReadTail(dir); err != nil || !torn || len(got) != len(want)+1 || got[len(want)].Timestamp != 6 {
+		t.Fatalf("read past a torn generation: %d records, torn=%v, err=%v", len(got), torn, err)
+	}
+	// Removing the generations the flushed SSTables superseded leaves
+	// only the newer ones.
+	if err := RemoveTailGens(dir, 1); err != nil {
+		t.Fatal(err)
+	}
+	if gens, err := TailGens(dir); err != nil || len(gens) != 1 || gens[0] != 2 {
+		t.Fatalf("after removing generation 1: %v, %v", gens, err)
 	}
 }
 

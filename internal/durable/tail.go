@@ -2,93 +2,137 @@ package durable
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 
 	"met/internal/kv"
 )
 
-// TailFileName is the shipped WAL-tail file the replicator maintains in
-// each follower's replica directory, next to the copied SSTables. It
-// holds the primary's durable-but-unflushed records for that region in
-// the standard segment format; Master.RecoverServer replays it over the
-// replica SSTables so a failover loses at most the unsynced in-flight
-// window instead of the whole memstore.
-const TailFileName = "wal-tail.log"
+// A follower's copy of a region's WAL tail is a sequence of generation
+// files, wal-tail-<gen>.log, in its replica directory next to the copied
+// SSTables. Each holds the primary's durable-but-unflushed records in
+// the standard segment format. A generation starts with a snapshot of
+// the synced tail (CreateTailGen) and then only grows by append
+// (AppendTail); it is never rewritten, only deleted whole
+// (RemoveTailGens) once the follower holds the SSTables that superseded
+// it. Master.RecoverServer replays every generation (ReadTail) over the
+// replica SSTables, so a failover loses at most the records no ship
+// reached instead of the whole memstore.
+const (
+	tailGenPrefix = "wal-tail-"
+	tailGenSuffix = ".log"
+)
 
-// TailFilePath returns the tail file's path inside a replica directory.
-func TailFilePath(replicaDir string) string {
-	return filepath.Join(replicaDir, TailFileName)
+// TailGenPath returns the path of tail generation gen inside a replica
+// directory.
+func TailGenPath(replicaDir string, gen uint64) string {
+	return filepath.Join(replicaDir, fmt.Sprintf("%s%016d%s", tailGenPrefix, gen, tailGenSuffix))
 }
 
-// WriteTailFile atomically replaces path with a tail file holding
-// entries (write to temp, fsync, rename, fsync dir). An empty entries
-// slice removes the file — the tail was flushed into shipped SSTables.
-// It returns the physical bytes written (for I/O budgeting).
-func WriteTailFile(path string, entries []kv.Entry, noSync bool) (int64, error) {
-	if len(entries) == 0 {
-		if err := os.Remove(path); err != nil {
-			if os.IsNotExist(err) {
-				return 0, nil
-			}
-			return 0, err
+// TailGens lists the tail generations present in a replica directory,
+// oldest first. A missing directory has none.
+func TailGens(replicaDir string) ([]uint64, error) {
+	paths, err := filepath.Glob(filepath.Join(replicaDir, tailGenPrefix+"*"+tailGenSuffix))
+	var gens []uint64
+	for _, p := range paths { // zero-padded: lexical order is numeric
+		digits := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), tailGenPrefix), tailGenSuffix)
+		if gen, err := strconv.ParseUint(digits, 10, 64); err == nil {
+			gens = append(gens, gen)
 		}
-		return 0, syncDir(filepath.Dir(path), noSync)
 	}
-	buf := append([]byte(walMagic), walVersion)
+	return gens, err
+}
+
+// CreateTailGen starts generation gen in replicaDir holding entries
+// (possibly none): the file is created exclusively — an existing
+// generation is never overwritten — then it and the directory are
+// fsynced. It returns the physical bytes written.
+func CreateTailGen(replicaDir string, gen uint64, entries []kv.Entry) (int64, error) {
+	if err := os.MkdirAll(replicaDir, 0o755); err != nil {
+		return 0, err
+	}
+	n, err := writeTail(TailGenPath(replicaDir, gen), os.O_CREATE|os.O_EXCL, append([]byte(walMagic), walVersion), entries)
+	if err == nil {
+		err = syncDir(replicaDir, false)
+	}
+	return n, err
+}
+
+// AppendTail appends entries to generation gen in replicaDir and fsyncs
+// it, returning the physical bytes written. A failed append may leave a
+// torn frame at the end of the generation: the caller must not append
+// to it again, but start a new generation.
+func AppendTail(replicaDir string, gen uint64, entries []kv.Entry) (int64, error) {
+	return writeTail(TailGenPath(replicaDir, gen), os.O_APPEND, nil, entries)
+}
+
+// writeTail opens path for writing with the extra flag, writes buf
+// followed by one frame per entry, fsyncs and closes it.
+func writeTail(path string, flag int, buf []byte, entries []kv.Entry) (int64, error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|flag, 0o644)
+	if err != nil {
+		return 0, err
+	}
 	for _, e := range entries {
 		buf = append(buf, encodeRecord("", e, false)...)
 	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return 0, err
+	_, err = f.Write(buf)
+	if err == nil {
+		err = f.Sync()
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := syncFile(f, noSync); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := syncDir(filepath.Dir(path), noSync); err != nil {
-		return 0, err
-	}
-	return int64(len(buf)), nil
+	return int64(len(buf)), err
 }
 
-// ReadTailFile reads a shipped tail file back. A missing file is an
-// empty tail. A torn or corrupt frame — the file was mid-ship when the
-// follower's host died — ends the read at the last good record and
-// reports torn; everything before it is intact (CRC-verified) and safe
-// to replay. Only real I/O errors are returned.
-func ReadTailFile(path string) (entries []kv.Entry, torn bool, err error) {
-	err = readSegment(path, func(r walRecord) {
-		if !r.drop {
-			entries = append(entries, r.e)
+// RemoveTailGens deletes the generations up to and including upTo from
+// a replica directory and fsyncs the directory.
+func RemoveTailGens(replicaDir string, upTo uint64) error {
+	gens, err := TailGens(replicaDir)
+	if err != nil || len(gens) == 0 || gens[0] > upTo {
+		return err
+	}
+	for _, gen := range gens {
+		if gen > upTo {
+			break
 		}
-	})
+		if err := os.Remove(TailGenPath(replicaDir, gen)); err != nil && !os.IsNotExist(err) {
+			return err
+		}
+	}
+	return syncDir(replicaDir, false)
+}
+
+// ReadTail reads every tail generation of a replica directory back,
+// oldest first; generations overlap, and replay dedups by timestamp. A
+// torn or corrupt frame — a crash mid-append, the normal way a follower
+// or its shipper dies — ends that generation's read at its last good
+// record and reports torn; the intact prefix and every later generation
+// are still returned. Only real I/O errors are returned.
+func ReadTail(replicaDir string) (entries []kv.Entry, torn bool, err error) {
+	gens, err := TailGens(replicaDir)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, false, nil
-		}
-		if errors.Is(err, ErrCorrupt) {
-			return entries, true, nil
-		}
 		return nil, false, err
 	}
-	return entries, false, nil
+	for _, gen := range gens {
+		err := readSegment(TailGenPath(replicaDir, gen), func(r walRecord) {
+			if !r.drop {
+				entries = append(entries, r.e)
+			}
+		})
+		switch {
+		case err == nil, os.IsNotExist(err):
+		case errors.Is(err, ErrCorrupt):
+			torn = true
+		default:
+			return nil, false, err
+		}
+	}
+	return entries, torn, nil
 }
 
 // SSTableMaxTimestamp reads the max-timestamp property of the SSTable

@@ -80,8 +80,9 @@ func (s *walSegment) covered(flushed map[string]uint64, dropped map[string]bool)
 }
 
 // tailRec is one unflushed record retained in memory for tail-streaming
-// (Options.KeepTail): the replicator ships the synced prefix of the
-// tail to followers so a failover can replay what the memstore held.
+// (Options.KeepTail): the replicator ships its synced records to
+// followers so a failover can replay what the memstore held. seq is the
+// record's log position, 0 for records recovered at open.
 type tailRec struct {
 	seq    uint64
 	region string
@@ -126,8 +127,11 @@ type WAL struct {
 
 	flushed map[string]uint64 // per-region flushed high-water marks
 	dropped map[string]bool   // regions whose records a drop marker voids
-	pending map[string]int    // records appended per region since the last good fsync
-	tail    []tailRec         // synced-but-unflushed records (KeepTail)
+	pending map[string]bool   // regions appended to since the last good fsync
+	// tail holds the unflushed records in seq order (KeepTail), plus
+	// flushed ones a region's shipping cursor had not passed at the flush.
+	tail   []tailRec
+	cursor map[string]uint64 // per-region shipping position (TailFrom)
 
 	// bytesAppended counts physical log bytes (frames + segment
 	// headers); appends also report to opts.Account for the shared
@@ -171,7 +175,8 @@ func OpenWAL(dir string, opts Options) (*WAL, error) {
 		opts:    opts,
 		flushed: make(map[string]uint64),
 		dropped: make(map[string]bool),
-		pending: make(map[string]int),
+		pending: make(map[string]bool),
+		cursor:  make(map[string]uint64),
 	}
 	w.committer.cond = sync.NewCond(&w.committer.mu)
 
@@ -199,7 +204,7 @@ func OpenWAL(dir string, opts Options) (*WAL, error) {
 					delete(w.sealed[i].maxTS, r.region)
 				}
 				delete(seg.maxTS, r.region)
-				w.dropTailLocked(r.region, ^uint64(0))
+				w.dropTailLocked(r.region, ^uint64(0), ^uint64(0))
 				return
 			}
 			delete(w.dropped, r.region)
@@ -402,7 +407,7 @@ func (w *WAL) appendRecord(region string, e kv.Entry, drop bool) (func() error, 
 			delete(w.sealed[i].maxTS, region)
 		}
 		delete(w.flushed, region)
-		w.dropTailLocked(region, ^uint64(0))
+		w.dropTailLocked(region, ^uint64(0), ^uint64(0))
 	} else {
 		delete(w.dropped, region)
 		if e.Timestamp > w.activeMaxTS[region] {
@@ -414,7 +419,7 @@ func (w *WAL) appendRecord(region string, e kv.Entry, drop bool) (func() error, 
 			w.tail = append(w.tail, tailRec{seq: seq, region: region, e: cp})
 		}
 	}
-	w.pending[region]++
+	w.pending[region] = true
 	w.mu.Unlock()
 	return func() error { return w.commitTo(seq) }, nil
 }
@@ -485,10 +490,10 @@ func (w *WAL) syncActive() (uint64, error) {
 	f := w.active
 	target := w.seq
 	closed := w.closed
-	var regions map[string]int
+	var regions map[string]bool
 	if w.opts.OnSynced != nil && len(w.pending) > 0 {
 		regions = w.pending
-		w.pending = make(map[string]int)
+		w.pending = make(map[string]bool)
 	}
 	w.mu.Unlock()
 	if closed || f == nil {
@@ -499,8 +504,8 @@ func (w *WAL) syncActive() (uint64, error) {
 		// an fsync that may not have run: put the regions back for the
 		// next round and fail loudly.
 		w.mu.Lock()
-		for r, n := range regions {
-			w.pending[r] += n
+		for r := range regions {
+			w.pending[r] = true
 		}
 		w.mu.Unlock()
 		return target, ErrClosed
@@ -516,8 +521,8 @@ func (w *WAL) syncActive() (uint64, error) {
 		// The round covered nothing: don't count it, and put the regions
 		// back so the next successful round reports them.
 		w.mu.Lock()
-		for r, n := range regions {
-			w.pending[r] += n
+		for r := range regions {
+			w.pending[r] = true
 		}
 		w.mu.Unlock()
 		return target, err
@@ -548,28 +553,25 @@ func (w *WAL) activeCoveredLocked() bool {
 }
 
 // dropTailLocked removes region's retained tail records with
-// Timestamp <= upTo.
-func (w *WAL) dropTailLocked(region string, upTo uint64) {
-	if len(w.tail) == 0 {
-		return
-	}
+// Timestamp <= upTo at log positions below `below`.
+func (w *WAL) dropTailLocked(region string, upTo, below uint64) {
 	kept := w.tail[:0]
 	for _, rec := range w.tail {
-		if rec.region == region && rec.e.Timestamp <= upTo {
-			continue
+		if rec.region != region || rec.e.Timestamp > upTo || rec.seq >= below {
+			kept = append(kept, rec)
 		}
-		kept = append(kept, rec)
 	}
-	for i := len(kept); i < len(w.tail); i++ {
-		w.tail[i] = tailRec{}
-	}
+	clear(w.tail[len(kept):])
 	w.tail = kept
 }
 
 // truncateRegion raises region's flushed high-water mark to upTo and
 // runs a reclamation sweep. Entries <= upTo are durable elsewhere (a
 // flushed SSTable), so segments whose per-region maxima are all covered
-// can be deleted whole — no rewriting.
+// can be deleted whole — no rewriting. A region with a shipping cursor
+// (TailFrom) keeps the flushed records the cursor has not passed in
+// the tail until its next flush: a flush racing a lagging shipper must
+// not drop records the shipper has not read yet.
 func (w *WAL) truncateRegion(region string, upTo uint64) {
 	w.mu.Lock()
 	if w.closed {
@@ -579,7 +581,11 @@ func (w *WAL) truncateRegion(region string, upTo uint64) {
 	if upTo > w.flushed[region] {
 		w.flushed[region] = upTo
 	}
-	w.dropTailLocked(region, upTo)
+	below, ok := w.cursor[region]
+	if !ok {
+		below = ^uint64(0)
+	}
+	w.dropTailLocked(region, upTo, below)
 	w.mu.Unlock()
 	w.sweep()
 }
@@ -770,27 +776,36 @@ func (w *WAL) replayRegion(region string) ([]kv.Entry, error) {
 	return entries, nil
 }
 
-// SyncedTail returns region's durable-but-unflushed records: everything
-// an fsync has covered that no flush has truncated yet. This is the
-// frame stream the replicator ships to followers — after a failover the
-// recovering master replays it over the replica SSTables, shrinking the
-// loss window from "whole memstore" to the unsynced in-flight tail.
+// TailFrom returns region's synced tail records at log positions from
+// pos on, and the position that follows them: everything an fsync has
+// covered that no flush has truncated yet. It is the replicator's
+// cursor into the log — a follower's tail starts with TailFrom(region,
+// 0) and then grows by TailFrom(region, next) on each later sync round.
+// pos is also the cursor a flush truncates against: flushed records at
+// or past it stay in the tail until the region's next flush, so a
+// lagging shipper still reads what it has not shipped. A position
+// counts appended records; records recovered at open sit at position
+// 0, and a position past every record lets the next flush drop all.
 // Requires Options.KeepTail.
-func (w *WAL) SyncedTail(region string) []kv.Entry {
+func (w *WAL) TailFrom(region string, pos uint64) ([]kv.Entry, uint64) {
 	c := &w.committer
 	c.mu.Lock()
 	synced := c.synced
 	c.mu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.cursor[region] = pos
 	var out []kv.Entry
-	for _, rec := range w.tail {
-		if rec.region != region || rec.seq > synced {
-			continue
+	i := sort.Search(len(w.tail), func(i int) bool { return w.tail[i].seq >= pos })
+	for _, rec := range w.tail[i:] {
+		if rec.seq > synced {
+			break
 		}
-		out = append(out, rec.e)
+		if rec.region == region {
+			out = append(out, rec.e)
+		}
 	}
-	return out
+	return out, synced + 1
 }
 
 // readSegment streams a segment's intact records into fn. A torn or
@@ -976,9 +991,5 @@ func (h *RegionLog) Truncate(upTo uint64) { h.w.truncateRegion(h.name, upTo) }
 func (h *RegionLog) Replay() ([]kv.Entry, error) {
 	return h.w.replayRegion(h.name)
 }
-
-// SyncedTail returns this region's durable-but-unflushed records (see
-// WAL.SyncedTail).
-func (h *RegionLog) SyncedTail() []kv.Entry { return h.w.SyncedTail(h.name) }
 
 var _ kv.WAL = (*RegionLog)(nil)

@@ -47,7 +47,7 @@ func TestWALDropAbsentReclaimsOrphanRegions(t *testing.T) {
 	}
 	defer w2.Close()
 	b2 := w2.Region("B")
-	if got := w2.SyncedTail("A"); len(got) != 5 {
+	if got := syncedTail(w2, "A"); len(got) != 5 {
 		t.Fatalf("reopened tail for orphan A: %d records, want 5", len(got))
 	}
 
@@ -65,7 +65,7 @@ func TestWALDropAbsentReclaimsOrphanRegions(t *testing.T) {
 	if len(dropped) != 1 || dropped[0] != "A" {
 		t.Fatalf("DropAbsent dropped %v, want [A]", dropped)
 	}
-	if got := w2.SyncedTail("A"); len(got) != 0 {
+	if got := syncedTail(w2, "A"); len(got) != 0 {
 		t.Fatalf("orphan A still in shippable tail after DropAbsent: %d records", len(got))
 	}
 	// B's records were already truncated, so with A voided every old
@@ -87,7 +87,7 @@ func TestWALDropAbsentReclaimsOrphanRegions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w3.Close()
-	if got := w3.SyncedTail("A"); len(got) != 0 {
+	if got := syncedTail(w3, "A"); len(got) != 0 {
 		t.Fatalf("orphan A resurrected across restart: %d records", len(got))
 	}
 	if entries, err := w3.Region("A").Replay(); err != nil || len(entries) != 0 {

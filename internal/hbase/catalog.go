@@ -125,11 +125,11 @@ package hbase
 //	       a future region re-minted under the same name.
 //	RecoverServer   never reads the dead server's WAL directory (it
 //	       stands in for a lost disk). What survives of the memstore is
-//	       the replica's shipped tail (wal-tail.log, written by the
-//	       replicator after each commit fsync): recovery replays it
-//	       over the replica SSTables before measuring loss, so the
-//	       reported LostWrites shrinks to the unsynced in-flight
-//	       window. The dead server's WAL directory is reclaimed after
+//	       the replica's shipped tail (its wal-tail-<g>.log
+//	       generations, appended by the replicator after each commit
+//	       fsync): recovery replays them over the replica SSTables
+//	       before measuring loss, so the reported LostWrites shrinks
+//	       to the records no tail append reached. The dead server's WAL directory is reclaimed after
 //	       its membership row is dropped; a crash between the two
 //	       leaves an orphan directory OpenCluster's WAL sweep removes.
 //

@@ -93,18 +93,6 @@ type ServerConfig struct {
 	// SlowOpLogSize is the slow-op ring capacity; 0 means
 	// obs.DefaultSlowLogSize.
 	SlowOpLogSize int
-	// TailShipMaxLagRecords / TailShipMaxLagInterval bound how far the
-	// WAL tail shipped to followers may lag the synced log mid-burst:
-	// the replicator ships a region's tail after at most this many
-	// freshly synced records, and at least this often while any synced
-	// record is unshipped (replication.Config.TailFloorRecords /
-	// TailFloorInterval). They bound failover loss while writes are in
-	// flight — at most ~2× the record floor per region on a kill, and 0
-	// after a quiesce. Zero means the replication defaults (256 records
-	// / 200ms); negative disables that floor. Deployment properties like
-	// DataDir, carried across profile changes unchanged.
-	TailShipMaxLagRecords  int
-	TailShipMaxLagInterval time.Duration
 }
 
 // CompactionConfig exposes the background compaction knobs through the

@@ -551,7 +551,7 @@ func (s *RegionServer) AdoptRegion(spec AdoptSpec) (AdoptionReport, error) {
 		return rep, err
 	}
 	if spec.ReplicaDir != "" {
-		tail, torn, err := durable.ReadTailFile(durable.TailFilePath(spec.ReplicaDir))
+		tail, torn, err := durable.ReadTail(spec.ReplicaDir)
 		if err != nil {
 			discardRegionStore(s, nr)
 			return rep, fmt.Errorf("read replica tail: %w", err)

@@ -78,7 +78,7 @@ func WriteServerMetrics(mw *obs.MetricWriter, servers []ServerStats) {
 		func(ls *LatencyStats) *obs.Snapshot { return &ls.Compaction })
 	summary("met_replication_ship_latency_seconds", "Replica reconcile duration when SSTables were copied.",
 		func(ls *LatencyStats) *obs.Snapshot { return &ls.ReplicationShip })
-	summary("met_tail_ship_latency_seconds", "WAL-tail frame-file ship duration.",
+	summary("met_tail_ship_latency_seconds", "WAL-tail append or generation-start duration.",
 		func(ls *LatencyStats) *obs.Snapshot { return &ls.TailShip })
 
 	value("met_engine_flushes_total", "Memstore flushes.", "counter",
@@ -105,8 +105,6 @@ func WriteServerMetrics(mw *obs.MetricWriter, servers []ServerStats) {
 		func(s *ServerStats) float64 { return float64(s.ReplicationBacklog) })
 	value("met_replication_bytes_shipped_total", "SSTable bytes copied to follower replicas.", "counter",
 		func(s *ServerStats) float64 { return float64(s.Replication.BytesShipped) })
-	value("met_tail_floor_ships_total", "Tail ships forced by the bounded-lag floor.", "counter",
-		func(s *ServerStats) float64 { return float64(s.Replication.TailFloorShips) })
 	family("met_replication_failures_total", "Failed replica ships by kind (retried on the next round).", "counter",
 		func(name string, s *ServerStats, l []obs.Label) {
 			mw.Counter(name, with(l, "kind", "tail"), s.Replication.TailFailures)

@@ -32,20 +32,23 @@ type RegionRecovery struct {
 	// ReplicaFiles is how many SSTables the replica held.
 	ReplicaFiles int
 	// TailWrites is how many durable-but-unflushed records were replayed
-	// from the replica's shipped WAL tail (wal-tail.log) — the writes
-	// that sat in the dead server's memstore yet still survive because
-	// tail streaming shipped them after their commit fsync.
+	// from the replica's shipped WAL tail (its wal-tail-<g>.log
+	// generations) — the writes that sat in the dead server's memstore
+	// yet still survive because tail streaming appended them after their
+	// commit fsync.
 	TailWrites int
-	// TailTorn reports that the shipped tail frame stream ended in a
-	// torn frame (the shipper died mid-rename is impossible — writes are
-	// atomic — but a torn source tail is shipped as-is); the intact
-	// prefix was still replayed.
+	// TailTorn reports that a tail generation ended in a torn frame —
+	// the normal result of a primary or follower dying mid-append, or of
+	// a failed append the shipper abandoned for a fresh generation. The
+	// intact prefix of every generation was still replayed.
 	TailTorn bool
 	// LostWrites counts the acknowledged mutations the replica did not
-	// cover — after the tail replay, only the unsynced in-flight window.
-	// Store timestamps are minted densely (one per mutation), so the
-	// dead store's clock minus the recovered store's clock is exactly
-	// that count.
+	// cover — after the tail replay, only the records no tail append
+	// reached. Those are a suffix of the region's history (a follower
+	// drops tail records only once it holds their SSTable), and store
+	// timestamps are minted densely (one per mutation), so the dead
+	// store's clock minus the recovered store's clock is exactly that
+	// count.
 	LostWrites int64
 }
 
@@ -287,7 +290,7 @@ func (lm *LayoutMaster) electReplicaLocked(deadDataDir string, r LayoutRegion) (
 
 // replicaCoveredTS is the highest timestamp a replica directory can
 // restore: the max SSTable clock across its shipped files, raised by
-// the newest record of its shipped WAL tail. Unreadable files count as
+// the newest record of any of its WAL-tail generations. Unreadable files count as
 // zero — a corrupt replica simply loses the election to a better one.
 func replicaCoveredTS(dir string, ids []uint64) uint64 {
 	var covered uint64
@@ -296,7 +299,7 @@ func replicaCoveredTS(dir string, ids []uint64) uint64 {
 			covered = ts
 		}
 	}
-	if tail, _, err := durable.ReadTailFile(durable.TailFilePath(dir)); err == nil {
+	if tail, _, err := durable.ReadTail(dir); err == nil {
 		for _, e := range tail {
 			if e.Timestamp > covered {
 				covered = e.Timestamp

@@ -74,8 +74,9 @@ type RegionServer struct {
 	// through a region-scoped handle, so N regions share one fsync
 	// stream. With a replicator the log retains its synced-but-unflushed
 	// tail (durable.Options.KeepTail) and announces commit rounds
-	// (OnSynced), which is what lets tail-streaming ship a hot memstore's
-	// acknowledged writes to followers. Nil on the in-memory backend.
+	// (OnSynced), which is what lets the tail shipper append a hot
+	// memstore's acknowledged writes to followers. Nil on the in-memory
+	// backend.
 	wal *durable.WAL
 
 	// tel is the server's observability state: always-on lock-free
@@ -136,47 +137,36 @@ func ServerWALDir(dataDir, server string) string {
 }
 
 // walOptions derives the shared log's options from the server's pool
-// and replicator while s is being constructed. The OnSynced hook runs off the log's locks after each successful
-// fsync round; it nudges the replicator so freshly durable tail records
-// ship promptly instead of waiting for the next flush, and credits the
-// per-region record counts that drive the bounded-lag tail floor (ship
-// at least every K records / T ms even when the reconcile queue is
-// starved mid-burst).
+// and replicator while s is being constructed. The OnSynced hook runs
+// off the log's locks after each successful fsync round; it hands the
+// round's regions to the replicator's tail shipper, which appends their
+// freshly durable records to the followers without waiting for a flush
+// or the reconcile queue.
 func (s *RegionServer) walOptions() durable.Options {
 	opts := durable.Options{KeepTail: s.replicator != nil}
 	if s.compactor != nil {
 		opts.Account = s.compactor.Budget().NoteForeground
 	}
-	opts.OnSynced = func(regions map[string]int) {
+	opts.OnSynced = func(regions map[string]bool) {
 		s.mu.RLock()
 		rep := s.replicator
 		s.mu.RUnlock()
-		if rep == nil {
-			return
-		}
-		for rn, n := range regions {
-			rep.Notify(rn)
-			rep.NoteTailRecords(rn, n)
+		if rep != nil {
+			rep.TailSynced(regions)
 		}
 	}
 	return opts
 }
 
-// newReplicator builds the server's SSTable shipper; nil without a data
-// directory (the in-memory backend exports no files). The compactor
-// pool's token-bucket budget rate-limits shipping as background I/O.
+// newReplicator builds the server's SSTable and WAL-tail shipper; nil
+// without a data directory (the in-memory backend exports no files).
+// The compactor pool's token-bucket budget rate-limits SSTable copies
+// as background I/O.
 func newReplicator(cfg ServerConfig, pool *compaction.Pool) *replication.Replicator {
 	if cfg.DataDir == "" {
 		return nil
 	}
-	rc := replication.Config{
-		TailFloorRecords:  cfg.TailShipMaxLagRecords,
-		TailFloorInterval: cfg.TailShipMaxLagInterval,
-	}
-	if pool != nil {
-		rc.Budget = pool.Budget()
-	}
-	return replication.New(rc)
+	return replication.New(pool.Budget())
 }
 
 // replicaDir is the directory follower keeps its copy of a region's
@@ -384,15 +374,8 @@ func (s *RegionServer) trackReplication(r *Region) {
 	if rep == nil {
 		return
 	}
-	var tail func() []kv.Entry
-	if w != nil {
-		// Tail streaming: each reconciliation ships the region's
-		// durable-but-unflushed records alongside its SSTables, so a
-		// failover loses at most the unsynced in-flight window.
-		name := r.Name()
-		tail = func() []kv.Entry { return w.SyncedTail(name) }
-	}
-	rep.Track(r.Name(),
+	name := r.Name()
+	rep.Track(name,
 		func() ([]kv.ExportedFile, bool) { return r.Store().ExportFiles() },
 		func() []string {
 			followers := r.Followers()
@@ -402,7 +385,11 @@ func (s *RegionServer) trackReplication(r *Region) {
 			}
 			return dests
 		},
-		tail)
+		// Tail streaming: followers also hold the region's
+		// durable-but-unflushed records from the server's shared log
+		// (there is one whenever there is a replicator), so a failover
+		// loses at most the records no tail append reached yet.
+		func(pos uint64) ([]kv.Entry, uint64) { return w.TailFrom(name, pos) })
 }
 
 // filesChanged is the one subscriber to a hosted store's file stack
@@ -459,31 +446,16 @@ func (s *RegionServer) ReclaimOrphanWALRecords() ([]string, error) {
 	return w.DropAbsent(live)
 }
 
-// QuiesceReplication blocks until the replicator has shipped every
-// pending notification — the barrier between "acknowledged" and "safe
-// to lose the primary". With a shared WAL every hosted region is
-// re-notified first: OnSynced fires only on commit rounds, so a tail
-// whose last record was synced before the previous reconciliation (or
-// carried across a segment rotation) has no later round to announce it,
-// and the explicit nudge is what makes the barrier cover it.
+// QuiesceReplication blocks until the replicator has reconciled and
+// shipped every hosted region — the barrier between "acknowledged" and
+// "safe to lose the primary" (see replication.Replicator.Quiesce).
 func (s *RegionServer) QuiesceReplication() {
 	s.mu.RLock()
 	rep := s.replicator
-	w := s.wal
-	regions := make([]string, 0, len(s.regions))
-	for name := range s.regions {
-		regions = append(regions, name)
-	}
 	s.mu.RUnlock()
-	if rep == nil {
-		return
+	if rep != nil {
+		rep.Quiesce()
 	}
-	if w != nil {
-		for _, name := range regions {
-			rep.Notify(name)
-		}
-	}
-	rep.Quiesce()
 }
 
 // WALStats is a snapshot of the server's shared write-ahead log: how

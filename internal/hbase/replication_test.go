@@ -3,6 +3,7 @@ package hbase
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -48,17 +49,16 @@ func quarantineServerDirs(t *testing.T, rs *RegionServer) {
 	}
 }
 
-// dropShippedTails deletes the shipped WAL tail file from every replica
-// directory of the dead server's regions, simulating followers that
-// never received a tail frame: recovery then measures loss from the
-// replica SSTables alone — the pre-tail-streaming accounting.
+// dropShippedTails deletes every shipped WAL tail generation from every
+// replica directory of the dead server's regions, simulating followers
+// that never received a tail frame: recovery then measures loss from
+// the replica SSTables alone — the pre-tail-streaming accounting.
 func dropShippedTails(t *testing.T, rs *RegionServer) {
 	t.Helper()
 	dd := rs.Config().DataDir
 	for _, r := range rs.Regions() {
 		for _, f := range r.Followers() {
-			p := durable.TailFilePath(replicaDir(dd, f, r.Name()))
-			if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
+			if err := durable.RemoveTailGens(replicaDir(dd, f, r.Name()), math.MaxUint64); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -367,11 +367,12 @@ func TestFailoverTornShippedTail(t *testing.T) {
 	victim, _ := m.Server(host)
 	torn := 0
 	for _, f := range r.Followers() {
-		p := durable.TailFilePath(replicaDir(dir, f, r.Name()))
-		if _, err := os.Stat(p); err != nil {
+		rdir := replicaDir(dir, f, r.Name())
+		gens, err := durable.TailGens(rdir)
+		if err != nil || len(gens) == 0 {
 			continue
 		}
-		fh, err := os.OpenFile(p, os.O_APPEND|os.O_WRONLY, 0)
+		fh, err := os.OpenFile(durable.TailGenPath(rdir, gens[len(gens)-1]), os.O_APPEND|os.O_WRONLY, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,8 +14,9 @@
 // against the primary's current stack:
 //
 //	<DataDir>/regions/<region>             primary store (WAL + SSTables)
-//	<DataDir>/replica/<follower>/<region>  that follower's copy
-//	                                       (SSTables only, same names)
+//	<DataDir>/replica/<follower>/<region>  that follower's copy (same
+//	                                       SSTable names, plus the
+//	                                       wal-tail-<g>.log generations)
 //
 // Missing SSTables are copied in (write-to-temp/fsync/rename, so a
 // crash never leaves a half-copied file visible); SSTables the primary
@@ -29,39 +30,59 @@
 // # Tail streaming
 //
 // SSTables alone leave a loss window on a server kill: the primary's
-// unflushed memstore. Each reconciliation therefore also ships the
-// region's synced WAL tail — its durable-but-unflushed records, taken
-// from the server's shared log (durable.WAL.SyncedTail) — as one
-// atomically-replaced wal-tail.log frame file per replica directory. A
-// flush empties the tail (the records moved into a shipped SSTable) and
-// the next reconcile removes the file. Master.RecoverServer replays the
-// shipped tail over the replica SSTables, so the loss window shrinks to
-// the records no fsync covered plus shipping lag — 0 after a Quiesce.
-// The tail is snapshotted before the file stack: a flush racing the
-// reconcile can then only duplicate records between the tail file and a
-// shipped SSTable (replay dedups by timestamp), never drop them from
-// both.
+// unflushed memstore. Each follower therefore also holds the region's
+// synced WAL tail — its durable-but-unflushed records, read from the
+// server's shared log (durable.WAL.TailFrom) — as append-only
+// generation files in its replica directory (durable/tail.go).
+//
+// Append: every successful WAL fsync round names its regions
+// (TailSynced) and wakes the replicator's one tail shipper, which
+// appends to each follower's current generation only the records that
+// follower does not have yet, with one fsync per follower file. Rounds
+// arriving while it ships coalesce into its next append. Tail ships
+// bypass the worker queue and the I/O budget: the tail is bounded by
+// the unflushed working set, and the loss bound depends on it shipping
+// while a write burst has drained the budget — exactly when it matters.
+// A flush racing the shipper leaves the records the shipper has not
+// read yet in the log's tail until the region's next flush. A failed
+// append may have torn the generation, so the next ship starts a fresh
+// one with a snapshot of the whole synced tail instead.
+//
+// Cut: only the reconcile worker drops records from a follower, and
+// only when the region's file set changed. Under the target's lock it
+// snapshots the synced tail into a new generation g+1 and points the
+// shipper's appends at it; it then snapshots the file stack and copies
+// the SSTables; only once a follower holds every file of that stack
+// does it delete that follower's generations <= g. The tail is
+// snapshotted before the stack, so every record missing from g+1 was
+// flushed into a file of the stack first: a follower drops records only
+// once it holds the SSTable that contains them. Generation numbers
+// continue from the directory, so a move or restart never reuses one.
 //
 // # Recovery ordering
 //
 // The replica directory is crash-consistent by construction: every
-// visible file is a complete, fsynced copy of an immutable SSTable, and
+// visible SSTable is a complete, fsynced copy of an immutable file, and
 // a directory holding both a compaction's inputs and its output is the
 // exact state the engine itself tolerates after a crash mid-compaction
-// (duplicate entries dedup at read time); the tail file is replaced
-// atomically and CRC-framed, so a torn ship truncates to the last good
-// record. Reopening a store over a seeded directory therefore needs no
+// (duplicate entries dedup at read time). Tail generations are
+// CRC-framed and only appended to, so a crash mid-append tears at most
+// the last frame of one generation; reading every generation in order
+// (durable.ReadTail) yields the intact prefix of each, and generations
+// overlap each other and the SSTables, so replay dedups by timestamp.
+// Reopening a store over a seeded directory therefore needs no
 // replication-specific recovery code — Master.RecoverServer copies the
 // replica's SSTables into a fresh region directory, opens it like any
-// other cold store, replays the tail file through the engine, then
-// commits the new layout through the catalog (see hbase.RecoverServer
-// for the commit ordering).
+// other cold store, replays the tail generations through the engine,
+// then commits the new layout through the catalog (see
+// hbase.RecoverServer for the commit ordering).
 package replication
 
 import (
+	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,128 +92,93 @@ import (
 	"met/internal/obs"
 )
 
-// Config tunes a Replicator. The zero value gets one worker, an
-// unlimited budget and the default bounded-lag tail floor.
-type Config struct {
-	// Workers is the number of concurrent shipping goroutines.
-	// Defaults to 1; distinct regions ship in parallel with more.
-	Workers int
-	// Budget, when non-nil, receives every copied byte as background
-	// I/O (compaction.Budget implements this), so replication shares
-	// the compaction/serving bandwidth arbitration: shipping blocks
-	// when foreground traffic has depleted the budget. Tail ships are
-	// exempt (see the TailFloor fields).
-	Budget kv.IOBudget
-	// TailFloorRecords is K in the bounded-lag guarantee: once a region
-	// has accumulated K freshly synced records (NoteTailRecords) since
-	// its last tail ship, its tail ships directly — bypassing both the
-	// worker queue and the I/O budget, because a mid-burst reconcile can
-	// sit behind budget-starved SSTable copies for arbitrarily long and
-	// the loss bound would silently become "whatever the burst wrote".
-	// 0 means the default (256); negative disables the record floor.
-	TailFloorRecords int
-	// TailFloorInterval is T in the bounded-lag guarantee: any region
-	// with at least one unshipped synced record has its tail shipped at
-	// least every T. 0 means the default (200ms); negative disables the
-	// timer floor.
-	TailFloorInterval time.Duration
-}
-
-// Tail-floor defaults (Config.TailFloorRecords/TailFloorInterval zero
-// values).
-const (
-	DefaultTailFloorRecords  = 256
-	DefaultTailFloorInterval = 200 * time.Millisecond
-)
+// copySSTable copies one SSTable into a replica directory; tests swap
+// it to stall or fail copies.
+var copySSTable = CopyFile
 
 // target is one tracked region: how to snapshot its primary file stack
-// and synced WAL tail, and where its replicas live. All are closures so
-// the replicator always sees the region's *current* store and follower
-// set — a server restart swaps the store, a follower re-pick changes
-// the destinations, and none needs to re-register.
+// and read its synced WAL tail, where its replicas live, and each
+// follower's tail state. The closures let the replicator always see the
+// region's *current* store and follower set — a server restart swaps
+// the store, a follower re-pick changes the destinations, and none
+// needs to re-register.
 type target struct {
+	// mu serializes the shipper's appends and the worker's cuts for the
+	// region, and guards every field below.
+	mu    sync.Mutex
 	files func() ([]kv.ExportedFile, bool)
 	dests func() []string
-	tail  func() []kv.Entry
-
-	// tailMu serializes tail ships for this region across the worker
-	// and floor goroutines: the tail is snapshotted and written under
-	// it, so an older snapshot can never overwrite a newer file.
-	tailMu sync.Mutex
-	// lag counts synced-but-unshipped records (guarded by Replicator.mu;
-	// reset under tailMu *before* the snapshot, so every counted record
-	// is in the snapshot that zeroed it).
-	lag int
+	tail  func(pos uint64) ([]kv.Entry, uint64)
+	pos   uint64                   // the first log position not yet shipped
+	tails map[string]*followerTail // by replica directory
 }
 
-// Replicator ships immutable SSTables to follower replica directories,
-// one per region server. Notifications coalesce: a region enqueued ten
-// times before a worker gets to it is reconciled once, against the
-// newest stack.
+// followerTail is one follower's copy of a region's WAL tail.
+type followerTail struct {
+	gen  uint64 // the generation appends go to
+	live bool   // gen holds a snapshot and every append since succeeded
+	// cut is the file stack the last cut saw; retire is the newest
+	// generation that goes once the follower holds a stack taken after
+	// that cut.
+	cut    []uint64
+	retire uint64
+}
+
+// Replicator ships immutable SSTables and WAL tails to follower replica
+// directories, one per region server. Work coalesces: a region notified
+// ten times before the worker gets to it is reconciled once, against
+// the newest stack, and sync rounds arriving while the shipper appends
+// merge into its next pass.
 type Replicator struct {
-	cfg Config
+	budget kv.IOBudget
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	targets map[string]*target
-	queued  map[string]bool
-	queue   []string // FIFO of region names
-	active  int
-	closed  bool
-	wg      sync.WaitGroup
+	mu       sync.Mutex
+	idle     *sync.Cond // a worker or shipper pass ended (Quiesce)
+	fileWake *sync.Cond // stale gained a region
+	tailWake *sync.Cond // dirty gained a region
+	targets  map[string]*target
+	stale    map[string]bool // regions to reconcile
+	dirty    map[string]bool // regions with synced records to ship
+	active   int             // in-flight reconciliation passes (0 or 1)
+	shipping int             // in-flight tail passes (0 or 1)
+	closed   bool
+	wg       sync.WaitGroup
 
-	// kick wakes the tail-floor goroutine when some region's lag crossed
-	// TailFloorRecords (buffered: one pending wake is enough — the floor
-	// re-scans every lagged region per wake). stopc ends the goroutine.
-	kick  chan struct{}
-	stopc chan struct{}
-
-	filesShipped   atomic.Int64
-	bytesShipped   atomic.Int64
-	filesRetired   atomic.Int64
-	tailFailures   atomic.Int64
-	fileFailures   atomic.Int64
-	lastFailure    string // "<region>: <err>" of the newest failed ship; guarded by mu
-	syncs          atomic.Int64
-	tailShips      atomic.Int64
-	tailBytes      atomic.Int64
-	tailFrames     atomic.Int64
-	tailFloorShips atomic.Int64
+	filesShipped atomic.Int64
+	bytesShipped atomic.Int64
+	filesRetired atomic.Int64
+	tailFailures atomic.Int64
+	fileFailures atomic.Int64
+	lastFailure  string // "<region>: <err>" of the newest failed ship; guarded by mu
+	syncs        atomic.Int64
+	tailShips    atomic.Int64
+	tailBytes    atomic.Int64
+	tailFrames   atomic.Int64
 
 	// shipHist times replica-directory reconciles that copied at least
-	// one SSTable; tailHist times WAL-tail frame-file ships.
+	// one SSTable; tailHist times tail appends and generation starts.
 	shipHist obs.Histogram
 	tailHist obs.Histogram
 }
 
-// New starts a replicator with cfg.Workers background workers plus, when
-// the bounded-lag tail floor is enabled, one floor goroutine.
-func New(cfg Config) *Replicator {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
-	if cfg.TailFloorRecords == 0 {
-		cfg.TailFloorRecords = DefaultTailFloorRecords
-	}
-	if cfg.TailFloorInterval == 0 {
-		cfg.TailFloorInterval = DefaultTailFloorInterval
-	}
+// New starts a replicator: one reconcile worker and one tail shipper.
+// budget, when non-nil, receives every copied SSTable byte as
+// background I/O (compaction.Budget implements this), so shipping
+// yields to foreground serving exactly like compaction does; tail ships
+// are exempt (see the package doc).
+func New(budget kv.IOBudget) *Replicator {
 	r := &Replicator{
-		cfg:     cfg,
+		budget:  budget,
 		targets: make(map[string]*target),
-		queued:  make(map[string]bool),
-		kick:    make(chan struct{}, 1),
-		stopc:   make(chan struct{}),
+		stale:   make(map[string]bool),
+		dirty:   make(map[string]bool),
 	}
-	r.cond = sync.NewCond(&r.mu)
-	r.wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go r.worker()
-	}
-	if cfg.TailFloorRecords > 0 || cfg.TailFloorInterval > 0 {
-		r.wg.Add(1)
-		go r.floorLoop()
-	}
+	r.idle = sync.NewCond(&r.mu)
+	r.fileWake = sync.NewCond(&r.mu)
+	r.tailWake = sync.NewCond(&r.mu)
+	r.wg.Add(2)
+	go r.loop(r.fileWake, r.stale, &r.active, r.reconcile)
+	go r.loop(r.tailWake, r.dirty, &r.shipping, r.shipTail)
 	return r
 }
 
@@ -200,126 +186,71 @@ func New(cfg Config) *Replicator {
 // region's current primary SSTable stack (kv.Store.ExportFiles of
 // whatever store currently backs it); dests returns the absolute
 // replica directories to keep in sync (one per follower); tail, when
-// non-nil, snapshots the region's synced-but-unflushed WAL records
-// (durable.WAL.SyncedTail) for tail streaming — nil disables it (no
+// non-nil, reads the region's synced WAL records from a log position on
+// (durable.WAL.TailFrom) for tail streaming — nil disables it (no
 // shared log, or an in-memory store). Tracking is idempotent by region
 // name; re-tracking replaces the closures.
-func (r *Replicator) Track(region string, files func() ([]kv.ExportedFile, bool), dests func() []string, tail func() []kv.Entry) {
+func (r *Replicator) Track(region string, files func() ([]kv.ExportedFile, bool), dests func() []string, tail func(pos uint64) ([]kv.Entry, uint64)) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return
+	t := r.targets[region]
+	if t == nil {
+		t = &target{files: files, dests: dests, tail: tail, tails: make(map[string]*followerTail)}
+		r.targets[region] = t
 	}
-	r.targets[region] = &target{files: files, dests: dests, tail: tail}
+	r.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.files, t.dests, t.tail = files, dests, tail
 }
 
 // Untrack stops replicating a region (it moved away or was retired).
-// In-flight reconciliation of the region finishes; queued work is
-// dropped at pop time.
+// An in-flight tail append finishes before Untrack returns, and none
+// follows — the log may forget the region's flushed records at once;
+// an in-flight reconciliation finishes its SSTable copies; pending work
+// is dropped.
 func (r *Replicator) Untrack(region string) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	t := r.targets[region]
 	delete(r.targets, region)
+	r.mu.Unlock()
+	if t != nil {
+		t.mu.Lock()
+		if t.tail != nil {
+			t.tail(math.MaxUint64)
+		}
+		t.tail = nil
+		t.mu.Unlock()
+	}
 }
 
-// Notify enqueues a tracked region for reconciliation. Repeated
-// notifications for the same region coalesce until a worker pops it.
+// Notify marks a tracked region for reconciliation — its file set
+// changed, or its followers did.
 func (r *Replicator) Notify(region string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed || r.targets[region] == nil || r.queued[region] {
-		return
+	if !r.closed && r.targets[region] != nil {
+		r.stale[region] = true
+		r.fileWake.Signal()
 	}
-	r.queued[region] = true
-	r.queue = append(r.queue, region)
-	// Broadcast, not Signal: workers and Quiesce callers share the
-	// condition variable, and a lone signal could wake a quiescer (who
-	// just re-waits) instead of an idle worker.
-	r.cond.Broadcast()
 }
 
-// NoteTailRecords credits region with n freshly fsync-covered records
-// (the WAL's OnSynced counts). When the accumulated lag reaches
-// Config.TailFloorRecords the floor goroutine is woken to ship the
-// region's tail directly — the "ship at least every K records" half of
-// the bounded-lag guarantee. Must never block: it runs on a committing
-// writer's goroutine.
-func (r *Replicator) NoteTailRecords(region string, n int) {
-	if n <= 0 {
-		return
-	}
+// TailSynced marks regions as holding freshly fsynced WAL records and
+// wakes the tail shipper (durable.Options.OnSynced). It never blocks on
+// I/O: it runs on a committing writer's goroutine.
+func (r *Replicator) TailSynced(regions map[string]bool) {
 	r.mu.Lock()
-	t := r.targets[region]
-	var over bool
-	if t != nil && !r.closed {
-		t.lag += n
-		over = r.cfg.TailFloorRecords > 0 && t.lag >= r.cfg.TailFloorRecords
-	}
-	r.mu.Unlock()
-	if over {
-		select {
-		case r.kick <- struct{}{}:
-		default: // a wake is already pending; the floor re-scans all lag
+	defer r.mu.Unlock()
+	for region := range regions {
+		if r.targets[region] != nil {
+			r.dirty[region] = true
 		}
 	}
-}
-
-// floorLoop is the bounded-lag tail shipper: woken by NoteTailRecords
-// when any region's lag crosses the record floor, and by a ticker so no
-// synced record waits longer than the interval floor. It ships tails
-// directly — not through the worker queue, whose budget-charged SSTable
-// copies can starve for arbitrarily long mid-burst.
-func (r *Replicator) floorLoop() {
-	defer r.wg.Done()
-	var tick <-chan time.Time
-	if r.cfg.TailFloorInterval > 0 {
-		ticker := time.NewTicker(r.cfg.TailFloorInterval)
-		defer ticker.Stop()
-		tick = ticker.C
-	}
-	for {
-		select {
-		case <-r.stopc:
-			return
-		case <-r.kick:
-			r.shipLagged(r.cfg.TailFloorRecords)
-		case <-tick:
-			r.shipLagged(1)
-		}
-	}
-}
-
-// shipLagged ships the tail of every region whose lag is at least min.
-func (r *Replicator) shipLagged(min int) {
-	if min < 1 {
-		min = 1
-	}
-	type lagged struct {
-		region string
-		t      *target
-	}
-	var work []lagged
-	r.mu.Lock()
-	for region, t := range r.targets {
-		if t.lag >= min && t.tail != nil {
-			work = append(work, lagged{region, t})
-		}
-	}
-	closed := r.closed
-	r.mu.Unlock()
-	if closed {
-		return
-	}
-	for _, w := range work {
-		if err := r.shipTail(w.t, true); err != nil {
-			r.fail(&r.tailFailures, w.region, err)
-		}
-	}
+	r.tailWake.Signal()
 }
 
 // fail counts one failed ship under its kind and keeps the error's
-// text: a counter alone cannot say what went wrong. The next
-// notification or floor tick retries the ship.
+// text: a counter alone cannot say what went wrong. The next sync round
+// retries a tail ship, the next notification an SSTable reconcile.
 func (r *Replicator) fail(kind *atomic.Int64, region string, err error) {
 	kind.Add(1)
 	r.mu.Lock()
@@ -327,20 +258,28 @@ func (r *Replicator) fail(kind *atomic.Int64, region string, err error) {
 	r.mu.Unlock()
 }
 
-// Quiesce blocks until every queued notification has been reconciled
-// and no worker is mid-ship — the "replication caught up" barrier the
-// failover gate uses between a clean flush and a hard kill. New
-// notifications arriving during the wait extend it.
+// Quiesce reconciles and ships every tracked region and blocks until
+// that work is done — the "replication caught up" barrier the failover
+// gate uses between a clean flush and a hard kill. Everything is
+// redone, not just the announced work: an SSTable copy that failed
+// earlier is retried, and records a segment rotation's fsync covered
+// have no sync round to announce them. Work arriving during the wait
+// extends it.
 func (r *Replicator) Quiesce() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for len(r.queue) > 0 || r.active > 0 {
-		r.cond.Wait()
+	for region := range r.targets {
+		r.stale[region], r.dirty[region] = true, true
+	}
+	r.fileWake.Signal()
+	r.tailWake.Signal()
+	for !r.closed && len(r.stale)+len(r.dirty)+r.active+r.shipping > 0 {
+		r.idle.Wait()
 	}
 }
 
-// Close stops the workers after the in-flight reconciliations finish;
-// queued work is dropped. A closed replicator ignores Track/Notify.
+// Close stops the worker and the shipper after their in-flight passes
+// finish; pending work is dropped, and no more is done.
 func (r *Replicator) Close() {
 	r.mu.Lock()
 	if r.closed {
@@ -348,129 +287,183 @@ func (r *Replicator) Close() {
 		return
 	}
 	r.closed = true
-	r.queue = nil
-	r.queued = make(map[string]bool)
-	r.cond.Broadcast()
+	r.idle.Broadcast()
+	r.fileWake.Broadcast()
+	r.tailWake.Broadcast()
 	r.mu.Unlock()
-	close(r.stopc)
 	r.wg.Wait()
 }
 
-func (r *Replicator) worker() {
+// loop is the body of the reconcile worker and of the tail shipper:
+// wait until pending names a region, take every pending region at once
+// and handle each with r.mu released, counting the pass in busy.
+func (r *Replicator) loop(wake *sync.Cond, pending map[string]bool, busy *int, handle func(string, *target)) {
 	defer r.wg.Done()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	for {
-		r.mu.Lock()
-		for len(r.queue) == 0 && !r.closed {
-			r.cond.Wait()
+		for len(pending) == 0 && !r.closed {
+			wake.Wait()
 		}
 		if r.closed {
-			r.mu.Unlock()
 			return
 		}
-		region := r.queue[0]
-		r.queue = r.queue[1:]
-		delete(r.queued, region)
-		t := r.targets[region]
-		r.active++
-		r.mu.Unlock()
-
-		if t != nil {
-			// The tail ships before the stack is snapshotted, so a racing
-			// flush duplicates records between the two (replay dedups)
-			// rather than dropping them from both.
-			if err := r.shipTail(t, false); err != nil {
-				r.fail(&r.tailFailures, region, err)
+		work := make(map[string]*target, len(pending))
+		for region := range pending {
+			if t := r.targets[region]; t != nil {
+				work[region] = t
 			}
-			if err := r.syncFiles(t); err != nil {
-				r.fail(&r.fileFailures, region, err)
-			}
-			r.syncs.Add(1)
 		}
-
-		r.mu.Lock()
-		r.active--
-		// Wake Quiesce waiters (and idle workers racing a concurrent
-		// enqueue; spurious wakeups re-check the loop condition).
-		r.cond.Broadcast()
+		clear(pending)
+		*busy++
 		r.mu.Unlock()
+		for region, t := range work {
+			handle(region, t)
+		}
+		r.mu.Lock()
+		*busy--
+		r.idle.Broadcast()
 	}
 }
 
-// syncFiles reconciles every destination directory against one
-// snapshot of the primary stack. A primary file unlinked between the
+// shipTail appends the region's records synced since its last ship to
+// every follower's current generation; a follower without a live
+// generation gets a fresh one holding the whole synced tail.
+func (r *Replicator) shipTail(region string, t *target) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.tail == nil {
+		return
+	}
+	entries, next := t.tail(t.pos)
+	var snap []kv.Entry
+	for _, dir := range t.dests() {
+		ft := t.follower(dir)
+		var err error
+		switch {
+		case ft.live && len(entries) > 0:
+			start := time.Now()
+			var n int64
+			if n, err = durable.AppendTail(dir, ft.gen, entries); err == nil {
+				r.noteTailShip(start, n, len(entries))
+			}
+			ft.live = err == nil // possibly torn: never append after it
+		case !ft.live:
+			// Read after entries, so the snapshot covers them (a record
+			// synced in between ships twice; replay dedups).
+			if snap == nil {
+				snap, _ = t.tail(0)
+			}
+			if len(snap) > 0 {
+				err = r.startGen(dir, ft, snap)
+			}
+		}
+		if err != nil {
+			r.fail(&r.tailFailures, region, err)
+		}
+	}
+	t.pos = next
+}
+
+// follower returns dir's tail state, creating it. Caller holds t.mu.
+func (t *target) follower(dir string) *followerTail {
+	ft := t.tails[dir]
+	if ft == nil {
+		ft = &followerTail{}
+		t.tails[dir] = ft
+	}
+	return ft
+}
+
+// startGen starts a generation in dir above every one present there or
+// used before, holding entries — a snapshot of the synced tail — and
+// points the follower's appends at it. Caller holds the target's lock.
+func (r *Replicator) startGen(dir string, ft *followerTail, entries []kv.Entry) error {
+	gens, err := durable.TailGens(dir)
+	if err != nil {
+		return err
+	}
+	gen := ft.gen
+	if len(gens) > 0 {
+		gen = max(gen, gens[len(gens)-1])
+	}
+	gen++
+	start := time.Now()
+	n, err := durable.CreateTailGen(dir, gen, entries)
+	if err != nil {
+		return err
+	}
+	if len(entries) > 0 {
+		r.noteTailShip(start, n, len(entries))
+	}
+	ft.gen, ft.live = gen, true
+	return nil
+}
+
+func (r *Replicator) noteTailShip(start time.Time, bytes int64, records int) {
+	r.tailHist.Since(start)
+	r.tailShips.Add(1)
+	r.tailBytes.Add(bytes)
+	r.tailFrames.Add(int64(records))
+}
+
+// reconcile brings every follower up to the region's current file
+// stack. It cuts the tail of each follower whose last cut saw another
+// file set, snapshots the stack, copies the missing SSTables and
+// retires compacted-away ones, and then deletes the tail generations a
+// fully copied stack supersedes. A primary file unlinked between the
 // snapshot and the copy (a racing compaction) is skipped: the
 // compaction latched a fresh notification, so the region re-reconciles
 // against the post-compaction stack.
-func (r *Replicator) syncFiles(t *target) error {
-	files, ok := t.files()
+func (r *Replicator) reconcile(region string, t *target) {
+	r.syncs.Add(1)
+	t.mu.Lock()
+	files, dests := t.files, t.dests
+	t.mu.Unlock()
+	before, ok := files()
 	if !ok {
-		return nil // in-memory backend: nothing shippable
+		return // in-memory backend: nothing shippable
 	}
-	var firstErr error
-	for _, dir := range t.dests() {
-		shippedBefore := r.filesShipped.Load()
-		shipStart := time.Now()
-		if err := r.syncDir(dir, files); err != nil && firstErr == nil {
-			firstErr = err
+	ids := make([]uint64, len(before))
+	for i, f := range before {
+		ids[i] = f.ID
+	}
+	dirs := dests()
+	retire := make([]uint64, len(dirs))
+	t.mu.Lock()
+	var snap []kv.Entry
+	for i, dir := range dirs {
+		ft := t.follower(dir)
+		if t.tail != nil && !slices.Equal(ft.cut, ids) {
+			// The shipper's next append repeats what the snapshot holds
+			// past t.pos; replay dedups.
+			if snap == nil {
+				snap, _ = t.tail(0)
+			}
+			if err := r.startGen(dir, ft, snap); err != nil {
+				r.fail(&r.tailFailures, region, err)
+			} else {
+				ft.cut, ft.retire = ids, ft.gen-1
+			}
 		}
+		retire[i] = ft.retire
+	}
+	t.mu.Unlock()
+	stack, _ := files()
+	for i, dir := range dirs {
+		shippedBefore, shipStart := r.filesShipped.Load(), time.Now()
+		complete, err := r.syncDir(dir, stack)
 		if r.filesShipped.Load() > shippedBefore {
 			r.shipHist.Since(shipStart)
 		}
-	}
-	return firstErr
-}
-
-// shipTail writes one fresh snapshot of the region's synced WAL tail to
-// every replica directory. Both the worker reconcile and the bounded-lag
-// floor land here; t.tailMu serializes them so an older snapshot can
-// never overwrite a newer file, and the lag counter is zeroed under it
-// *before* the snapshot is taken, so every record the counter credited
-// is inside the snapshot that cleared it.
-//
-// Tail bytes are deliberately NOT charged to the background I/O budget:
-// the tail is small (bounded by the unflushed working set), and the
-// bounded-lag loss guarantee depends on it shipping even while the
-// budget is drained by a write burst — the exact moment the guarantee
-// matters most.
-func (r *Replicator) shipTail(t *target, floor bool) error {
-	if t.tail == nil {
-		return nil
-	}
-	t.tailMu.Lock()
-	defer t.tailMu.Unlock()
-	r.mu.Lock()
-	t.lag = 0
-	r.mu.Unlock()
-	tail := t.tail()
-	var firstErr error
-	for _, dir := range t.dests() {
-		if len(tail) > 0 {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-		}
-		tailStart := time.Now()
-		n, err := durable.WriteTailFile(durable.TailFilePath(dir), tail, false)
 		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if n > 0 {
-			r.tailHist.Since(tailStart)
-			r.tailShips.Add(1)
-			r.tailBytes.Add(n)
-			r.tailFrames.Add(int64(len(tail)))
-			if floor {
-				r.tailFloorShips.Add(1)
+			r.fail(&r.fileFailures, region, err)
+		} else if complete && retire[i] > 0 {
+			if err := durable.RemoveTailGens(dir, retire[i]); err != nil {
+				r.fail(&r.tailFailures, region, err)
 			}
 		}
 	}
-	return firstErr
 }
 
 // ShipLatency returns the distribution of replica reconcile durations
@@ -481,15 +474,17 @@ func (r *Replicator) ShipLatency() obs.Snapshot { return r.shipHist.Snapshot() }
 func (r *Replicator) TailShipLatency() obs.Snapshot { return r.tailHist.Snapshot() }
 
 // syncDir makes dir hold exactly the snapshot's SSTables (modulo files
-// newer than the snapshot, which a pending notification owns).
-func (r *Replicator) syncDir(dir string, files []kv.ExportedFile) error {
+// newer than the snapshot, which a pending notification owns). complete
+// reports that dir now holds every file of the snapshot.
+func (r *Replicator) syncDir(dir string, files []kv.ExportedFile) (complete bool, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+		return false, err
 	}
-	have, _, err := listSSTables(dir)
+	have, err := listSSTables(dir)
 	if err != nil {
-		return err
+		return false, err
 	}
+	complete = true
 	want := make(map[uint64]bool, len(files))
 	var maxWant uint64
 	var firstErr error
@@ -501,8 +496,9 @@ func (r *Replicator) syncDir(dir string, files []kv.ExportedFile) error {
 		if have[f.ID] {
 			continue
 		}
-		n, err := CopyFile(f.Path, filepath.Join(dir, filepath.Base(f.Path)))
+		n, err := copySSTable(f.Path, filepath.Join(dir, filepath.Base(f.Path)))
 		if err != nil {
+			complete = false
 			if os.IsNotExist(err) {
 				// Compacted away mid-ship; the splice queued a fresh
 				// notification that will ship its replacement.
@@ -513,8 +509,8 @@ func (r *Replicator) syncDir(dir string, files []kv.ExportedFile) error {
 			}
 			continue
 		}
-		if r.cfg.Budget != nil {
-			r.cfg.Budget.WaitBackground(int(n))
+		if r.budget != nil {
+			r.budget.WaitBackground(int(n))
 		}
 		r.filesShipped.Add(1)
 		r.bytesShipped.Add(n)
@@ -535,37 +531,31 @@ func (r *Replicator) syncDir(dir string, files []kv.ExportedFile) error {
 		}
 		r.filesRetired.Add(1)
 	}
-	if err := syncDirEntry(dir); err != nil && firstErr == nil {
+	if err := durable.SyncDir(dir); err != nil && firstErr == nil {
 		firstErr = err
 	}
-	return firstErr
+	return complete && firstErr == nil, firstErr
 }
 
 // listSSTables enumerates the SSTable IDs already present in dir,
 // removing stale temp files (the debris of a copy killed mid-ship).
-func listSSTables(dir string) (map[uint64]bool, uint64, error) {
+func listSSTables(dir string) (map[uint64]bool, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	have := make(map[uint64]bool)
-	var max uint64
 	for _, e := range entries {
 		name := e.Name()
 		if filepath.Ext(name) == ".tmp" {
 			_ = os.Remove(filepath.Join(dir, name))
 			continue
 		}
-		id, ok := durable.ParseSSTableFileName(name)
-		if !ok {
-			continue
-		}
-		have[id] = true
-		if id > max {
-			max = id
+		if id, ok := durable.ParseSSTableFileName(name); ok {
+			have[id] = true
 		}
 	}
-	return have, max, nil
+	return have, nil
 }
 
 // ListSSTables returns the SSTable IDs present in a replica or snapshot
@@ -573,7 +563,7 @@ func listSSTables(dir string) (map[uint64]bool, uint64, error) {
 // files to copy back into a fresh region directory. A missing directory
 // is an empty replica, not an error.
 func ListSSTables(dir string) ([]uint64, error) {
-	have, _, err := listSSTables(dir)
+	have, err := listSSTables(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, nil
@@ -584,7 +574,7 @@ func ListSSTables(dir string) ([]uint64, error) {
 	for id := range have {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids, nil
 }
 
@@ -624,21 +614,7 @@ func CopyFile(src, dst string) (int64, error) {
 		_ = os.Remove(tmp)
 		return n, err
 	}
-	return n, syncDirEntry(filepath.Dir(dst))
-}
-
-// syncDirEntry fsyncs a directory so renames and removals in it are
-// durable.
-func syncDirEntry(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return n, durable.SyncDir(filepath.Dir(dst))
 }
 
 // Stats is a snapshot of a replicator's activity.
@@ -654,24 +630,22 @@ type Stats struct {
 	BytesShipped int64 `json:"bytes_shipped"`
 	FilesRetired int64 `json:"files_retired"`
 	// Syncs counts reconciliation rounds. Failures counts ships that hit
-	// an I/O error (the next notification or floor tick retries):
-	// TailFailures the WAL-tail ships among them, from a reconcile or
-	// the floor, FileFailures the SSTable reconciles. LastFailure is the
-	// newest one's "<region>: <error>"; a roll-up keeps one of them.
+	// an I/O error (the next sync round or notification retries):
+	// TailFailures the WAL-tail appends, generation starts and
+	// deletions among them, FileFailures the SSTable reconciles.
+	// LastFailure is the newest one's "<region>: <error>"; a roll-up
+	// keeps one of them.
 	Syncs        int64  `json:"syncs"`
 	Failures     int64  `json:"failures"`
 	TailFailures int64  `json:"tail_failures"`
 	FileFailures int64  `json:"file_failures"`
 	LastFailure  string `json:"last_failure,omitempty"`
-	// TailShips / TailBytes / TailFrames count WAL-tail files written to
-	// replica directories, their physical bytes, and the records they
-	// carried (empty tails remove the file and count nothing).
-	// TailFloorShips counts the subset forced by the bounded-lag floor
-	// (K records / T ms) rather than a worker reconcile.
-	TailShips      int64 `json:"tail_ships"`
-	TailBytes      int64 `json:"tail_bytes"`
-	TailFrames     int64 `json:"tail_frames"`
-	TailFloorShips int64 `json:"tail_floor_ships"`
+	// TailShips / TailBytes / TailFrames count the WAL-tail appends and
+	// generation starts that carried records to a follower, their
+	// physical bytes, and the records.
+	TailShips  int64 `json:"tail_ships"`
+	TailBytes  int64 `json:"tail_bytes"`
+	TailFrames int64 `json:"tail_frames"`
 }
 
 // Add returns the element-wise sum of two snapshots (cluster roll-up).
@@ -681,43 +655,41 @@ func (s Stats) Add(o Stats) Stats {
 		last = s.LastFailure
 	}
 	return Stats{
-		QueueDepth:     s.QueueDepth + o.QueueDepth,
-		Active:         s.Active + o.Active,
-		FilesShipped:   s.FilesShipped + o.FilesShipped,
-		BytesShipped:   s.BytesShipped + o.BytesShipped,
-		FilesRetired:   s.FilesRetired + o.FilesRetired,
-		Syncs:          s.Syncs + o.Syncs,
-		Failures:       s.Failures + o.Failures,
-		TailFailures:   s.TailFailures + o.TailFailures,
-		FileFailures:   s.FileFailures + o.FileFailures,
-		LastFailure:    last,
-		TailShips:      s.TailShips + o.TailShips,
-		TailBytes:      s.TailBytes + o.TailBytes,
-		TailFrames:     s.TailFrames + o.TailFrames,
-		TailFloorShips: s.TailFloorShips + o.TailFloorShips,
+		QueueDepth:   s.QueueDepth + o.QueueDepth,
+		Active:       s.Active + o.Active,
+		FilesShipped: s.FilesShipped + o.FilesShipped,
+		BytesShipped: s.BytesShipped + o.BytesShipped,
+		FilesRetired: s.FilesRetired + o.FilesRetired,
+		Syncs:        s.Syncs + o.Syncs,
+		Failures:     s.Failures + o.Failures,
+		TailFailures: s.TailFailures + o.TailFailures,
+		FileFailures: s.FileFailures + o.FileFailures,
+		LastFailure:  last,
+		TailShips:    s.TailShips + o.TailShips,
+		TailBytes:    s.TailBytes + o.TailBytes,
+		TailFrames:   s.TailFrames + o.TailFrames,
 	}
 }
 
 // Stats snapshots the replicator.
 func (r *Replicator) Stats() Stats {
 	r.mu.Lock()
-	depth, active, last := len(r.queue), r.active, r.lastFailure
+	depth, active, last := len(r.stale), r.active, r.lastFailure
 	r.mu.Unlock()
 	tail, file := r.tailFailures.Load(), r.fileFailures.Load()
 	return Stats{
-		QueueDepth:     depth,
-		Active:         active,
-		FilesShipped:   r.filesShipped.Load(),
-		BytesShipped:   r.bytesShipped.Load(),
-		FilesRetired:   r.filesRetired.Load(),
-		Syncs:          r.syncs.Load(),
-		Failures:       tail + file,
-		TailFailures:   tail,
-		FileFailures:   file,
-		LastFailure:    last,
-		TailShips:      r.tailShips.Load(),
-		TailBytes:      r.tailBytes.Load(),
-		TailFrames:     r.tailFrames.Load(),
-		TailFloorShips: r.tailFloorShips.Load(),
+		QueueDepth:   depth,
+		Active:       active,
+		FilesShipped: r.filesShipped.Load(),
+		BytesShipped: r.bytesShipped.Load(),
+		FilesRetired: r.filesRetired.Load(),
+		Syncs:        r.syncs.Load(),
+		Failures:     tail + file,
+		TailFailures: tail,
+		FileFailures: file,
+		LastFailure:  last,
+		TailShips:    r.tailShips.Load(),
+		TailBytes:    r.tailBytes.Load(),
+		TailFrames:   r.tailFrames.Load(),
 	}
 }

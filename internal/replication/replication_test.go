@@ -73,7 +73,7 @@ func TestReplicatorMirrorsFlushesAndCompactions(t *testing.T) {
 	primary := filepath.Join(base, "primary")
 	replica := filepath.Join(base, "replica")
 	s := openDurableStore(t, primary)
-	r := New(Config{})
+	r := New(nil)
 	defer r.Close()
 	track(r, s, "region-a", replica)
 
@@ -131,7 +131,7 @@ func TestReplicaDirectoryOpensAsStore(t *testing.T) {
 	primary := filepath.Join(base, "primary")
 	replica := filepath.Join(base, "replica")
 	s := openDurableStore(t, primary)
-	r := New(Config{})
+	r := New(nil)
 	defer r.Close()
 	track(r, s, "region-a", replica)
 	fill(t, s, 0, 200)
@@ -169,7 +169,7 @@ func TestReplicatorCleansTempDebris(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := openDurableStore(t, primary)
-	r := New(Config{})
+	r := New(nil)
 	defer r.Close()
 	track(r, s, "region-a", replica)
 	fill(t, s, 0, 50)
@@ -190,7 +190,7 @@ func TestReplicatorFansOutToMultipleFollowers(t *testing.T) {
 	f1 := filepath.Join(base, "f1")
 	f2 := filepath.Join(base, "f2")
 	s := openDurableStore(t, primary)
-	r := New(Config{})
+	r := New(nil)
 	defer r.Close()
 	track(r, s, "region-a", f1, f2)
 	fill(t, s, 0, 100)
@@ -211,7 +211,7 @@ func TestUntrackStopsShipping(t *testing.T) {
 	primary := filepath.Join(base, "primary")
 	replica := filepath.Join(base, "replica")
 	s := openDurableStore(t, primary)
-	r := New(Config{})
+	r := New(nil)
 	defer r.Close()
 	track(r, s, "region-a", replica)
 	fill(t, s, 0, 50)
@@ -246,7 +246,7 @@ func TestReplicatorChargesBudget(t *testing.T) {
 	replica := filepath.Join(base, "replica")
 	s := openDurableStore(t, primary)
 	budget := &countingBudget{}
-	r := New(Config{Budget: budget})
+	r := New(budget)
 	defer r.Close()
 	track(r, s, "region-a", replica)
 	fill(t, s, 0, 100)
@@ -275,7 +275,7 @@ func TestInMemoryStoreIsReplicationExempt(t *testing.T) {
 	}
 	s := kv.NewStore(kv.Config{MemstoreFlushBytes: 1 << 10})
 	defer s.Close()
-	r := New(Config{})
+	r := New(nil)
 	defer r.Close()
 	track(r, s, "region-a", replica)
 	r.Notify("region-a")
@@ -307,18 +307,19 @@ func TestFailuresSplitByKind(t *testing.T) {
 		}
 	}
 	down := fmt.Errorf("follower disk down")
-	// Both floors off: the test drives the floor's ship itself.
-	r := New(Config{TailFloorRecords: -1, TailFloorInterval: -1})
+	r := New(nil)
 	defer r.Close()
 
 	r.Track("hot", func() ([]kv.ExportedFile, bool) { return nil, false }, dests("hot"),
-		func() []kv.Entry { return []kv.Entry{{Key: "k", Value: []byte("v"), Timestamp: 1}} })
+		func(uint64) ([]kv.Entry, uint64) {
+			return []kv.Entry{{Key: "k", Value: []byte("v"), Timestamp: 1}}, 2
+		})
 	inj.FailOp("hot", down, 1)
-	r.NoteTailRecords("hot", 1)
-	r.shipLagged(1)
+	r.TailSynced(map[string]bool{"hot": true})
+	r.Quiesce()
 	st := r.Stats()
 	if st.TailFailures != 1 || st.FileFailures != 0 || st.Failures != 1 {
-		t.Fatalf("after a failed floor tail ship: %+v", st)
+		t.Fatalf("after a failed tail ship: %+v", st)
 	}
 	if !strings.HasPrefix(st.LastFailure, "hot: ") || !strings.Contains(st.LastFailure, "not a directory") {
 		t.Fatalf("LastFailure = %q, want hot's mkdir error", st.LastFailure)

@@ -533,7 +533,6 @@ func TestWorkerPageIsTheContract(t *testing.T) {
 		"met_wal_sync_rounds_total" + server,
 		"met_engine_flushes_total" + server,
 		"met_replication_bytes_shipped_total" + server,
-		"met_tail_floor_ships_total" + server,
 		"met_replication_failures_total" + server + `,kind="tail"}`,
 		"met_op_latency_seconds" + server + `,op="put",quantile="0.99"}`,
 		"met_process_goroutines ",

@@ -147,7 +147,7 @@
 // /master/recover again finishes the rest. `metbench -procs 3
 // -failover -durable DIR` drives all of it with real OS processes and
 // kill -9, and CI gates on the loss bounds: zero after a replication
-// quiesce, tail-lag bounded mid-burst.
+// quiesce, at most 2×64 records per dead region mid-burst.
 //
 // # Observability
 //
