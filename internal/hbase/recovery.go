@@ -290,8 +290,8 @@ func (lm *LayoutMaster) electReplicaLocked(deadDataDir string, r LayoutRegion) (
 
 // replicaCoveredTS is the highest timestamp a replica directory can
 // restore: the max SSTable clock across its shipped files, raised by
-// the newest record of any of its WAL-tail generations. Unreadable files count as
-// zero — a corrupt replica simply loses the election to a better one.
+// the newest record of its WAL-tail generations. Unreadable files count
+// as zero — a corrupt replica simply loses the election to a better one.
 func replicaCoveredTS(dir string, ids []uint64) uint64 {
 	var covered uint64
 	for _, id := range ids {
