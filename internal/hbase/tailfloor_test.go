@@ -45,6 +45,10 @@ func wedgedCluster(t *testing.T) (*Master, *Client, *Region, *RegionServer) {
 			t.Fatal(err)
 		}
 	}
+	// Let every reconcile already running finish: one still in flight on
+	// the flusher's previous host would otherwise copy the SSTable below
+	// itself, on that host's budget, and leave nothing to wedge on.
+	m.QuiesceReplication()
 	// Wedge the worker: flush a ~4 KiB SSTable whose replica copy blocks
 	// on the starved budget, compounded by the burst's foreground debt.
 	if err := c.Put("t", "z-big", make([]byte, 4<<10)); err != nil {
