@@ -29,14 +29,10 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
-	"fmt"
 	"io"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -103,9 +99,10 @@ func runMaster(dataDir, addr, addrFile string, logw io.Writer) {
 // address back so clients can route to it.
 func runServer(name, masterAddr, addr, addrFile string, logw io.Writer) {
 	// Phase one: manifest only (empty address — we cannot serve before
-	// the regions are open). The master may still be binding; retry.
-	var man hbase.NodeManifest
-	if err := register(masterAddr, name, "", &man); err != nil {
+	// the regions are open). The master may still be binding; Register
+	// retries.
+	man, err := rpc.Register(masterAddr, name, "")
+	if err != nil {
 		log.Fatalf("metnode: register with master %s: %v", masterAddr, err)
 	}
 	rs, err := hbase.OpenServerNode(man)
@@ -118,7 +115,7 @@ func runServer(name, masterAddr, addr, addrFile string, logw io.Writer) {
 	}
 	// Phase two: announce the bound address; from here the master can
 	// route recovery work (adoptions, epoch pushes) at this process.
-	if err := register(masterAddr, name, node.Addr(), &man); err != nil {
+	if _, err := rpc.Register(masterAddr, name, node.Addr()); err != nil {
 		log.Fatalf("metnode: announce address: %v", err)
 	}
 	writeAddrFile(addrFile, node.Addr())
@@ -131,32 +128,6 @@ func runServer(name, masterAddr, addr, addrFile string, logw io.Writer) {
 	_ = node.Drain(ctx)
 	node.Close()
 	rs.Shutdown()
-}
-
-// register posts one /master/register call, retrying while the master
-// is still coming up (connection refused), and decodes the manifest.
-func register(masterAddr, name, boundAddr string, man *hbase.NodeManifest) error {
-	body, _ := json.Marshal(map[string]string{"server": name, "addr": boundAddr})
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		resp, err := http.Post("http://"+masterAddr+"/master/register",
-			"application/json", bytes.NewReader(body))
-		if err == nil {
-			payload, rerr := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-			resp.Body.Close()
-			if rerr != nil {
-				return rerr
-			}
-			if resp.StatusCode != http.StatusOK {
-				return fmt.Errorf("register %s: %s: %s", name, resp.Status, payload)
-			}
-			return json.Unmarshal(payload, man)
-		}
-		if time.Now().After(deadline) {
-			return err
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
 }
 
 // writeAddrFile publishes the bound address atomically (write-then-

@@ -50,11 +50,10 @@ var Guarded = map[string]bool{
 	"met/internal/durable.WAL":        true,
 	"met/internal/hbase.RegionServer": true,
 
-	// RPC-layer locks guard routing caches and address books that the
+	// RPC-layer locks guard listener handles and address books that the
 	// serving path reads on every request: a network call inside one
 	// stalls every concurrent RPC behind one slow peer.
 	"met/internal/rpc.Server":     true,
-	"met/internal/rpc.Client":     true,
 	"met/internal/rpc.MasterNode": true,
 }
 
@@ -92,6 +91,9 @@ var BlockingFuncs = map[string]bool{
 	"(net/http.Server).Serve": true, "(net/http.Server).ListenAndServe": true,
 	"(net/http.Server).Shutdown":      true,
 	"(net/http.ResponseWriter).Write": true,
+	// The rpc layer's own round trips: the JSON control call and the
+	// worker's registration, which also sleeps between retries.
+	"met/internal/rpc.callJSON": true, "met/internal/rpc.Register": true,
 
 	// Engine-internal blocking entry points. WAL appends are on the
 	// list because the guarded locks must never nest over a log

@@ -28,6 +28,18 @@ func (s *Server) netUnderLock(conn net.Conn, hc *http.Client, req *http.Request)
 	s.mu.Unlock()
 }
 
+// callJSON stands in for met/internal/rpc.callJSON, the rpc layer's one
+// JSON control call; the test lists it as blocking the way
+// BlockingFuncs lists the real one.
+func callJSON(hc *http.Client, method, addr, path string, body, out any) error { return nil }
+
+// A control call under the guarded lock is a full remote round trip.
+func (s *Server) controlCallUnderLock(hc *http.Client) {
+	s.mu.Lock()
+	_ = callJSON(hc, http.MethodPost, s.addrs["rs0"], "/node/epoch", nil, nil) // want `blocking call to locksafe.callJSON`
+	s.mu.Unlock()
+}
+
 // A response writer is a network sink too: the client may drain it
 // arbitrarily slowly.
 func (s *Server) replyUnderLock(w http.ResponseWriter) {

@@ -20,7 +20,10 @@ var ErrNotFound = kv.ErrNotFound
 // ErrServerStopped or kv.ErrClosed: drivers count exactly those two as
 // transient and everything else as a failed operation. Scan returns up
 // to limit entries (all of them when limit < 0) with start <= key < end
-// in key order; an empty end means the end of the table.
+// in key order; an empty end means the end of the table. A call that
+// gives up on a deadline (rpc.Client's Timeout) returns
+// context.DeadlineExceeded, and its outcome is then indeterminate: a
+// Put or Delete that timed out may or may not have been applied.
 type KV interface {
 	Get(table, key string) ([]byte, error)
 	Put(table, key string, value []byte) error
@@ -55,11 +58,11 @@ func NewClient(m *Master) *Client { return &Client{master: m} }
 func (c *Client) withRetry(table, key string, op func(rs *RegionServer) error) error {
 	rt := c.master.layout.routes.Load()
 	for attempt := 0; ; attempt++ {
-		host, err := rt.hostFor(table, key)
+		lr, err := rt.Lookup(table, key)
 		if err != nil {
 			return err
 		}
-		rs, err := c.master.Server(host)
+		rs, err := c.master.Server(lr.Server)
 		if err != nil {
 			return err
 		}
@@ -109,6 +112,28 @@ func (c *Client) Delete(table, key string) error {
 // from the low daughter, and jumping to the parent's end would skip the
 // high daughter's rows without an error.
 func (c *Client) Scan(table, start, end string, limit int) ([]kv.Entry, error) {
+	return StitchScan(start, end, limit, func(cursor string, limit int) ([]kv.Entry, string, error) {
+		var part []kv.Entry
+		var served *Region
+		err := c.withRetry(table, cursor, func(rs *RegionServer) error {
+			var err error
+			part, served, err = rs.scan(table, cursor, end, limit)
+			return err
+		})
+		if err != nil {
+			return nil, "", err
+		}
+		return part, served.EndKey(), nil
+	})
+}
+
+// StitchScan is the scan loop both clients share: it returns up to
+// limit entries (all when limit < 0) with start <= key < end in key
+// order, or an error. scanFrom scans the region serving cursor for up
+// to limit entries and returns them with the end key of the region
+// that served them; the next part starts there.
+func StitchScan(start, end string, limit int,
+	scanFrom func(cursor string, limit int) ([]kv.Entry, string, error)) ([]kv.Entry, error) {
 	var out []kv.Entry
 	cursor := start
 	for {
@@ -119,21 +144,15 @@ func (c *Client) Scan(table, start, end string, limit int) ([]kv.Entry, error) {
 		if limit >= 0 {
 			remaining = limit - len(out)
 		}
-		var part []kv.Entry
-		var served *Region
-		err := c.withRetry(table, cursor, func(rs *RegionServer) error {
-			var err error
-			part, served, err = rs.scan(table, cursor, end, remaining)
-			return err
-		})
+		part, regionEnd, err := scanFrom(cursor, remaining)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, part...)
-		if served.EndKey() == "" || (end != "" && served.EndKey() >= end) {
+		if regionEnd == "" || (end != "" && regionEnd >= end) {
 			return out, nil
 		}
-		cursor = served.EndKey()
+		cursor = regionEnd
 	}
 }
 

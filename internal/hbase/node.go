@@ -141,7 +141,7 @@ type LayoutMaster struct {
 	tables map[string]*tableRow
 	// routes is the route table published from tables at the last
 	// commit: the routing epoch and everything readers route by.
-	routes atomic.Pointer[routeTable]
+	routes atomic.Pointer[RouteTable]
 	// recovering marks members with a failover in flight: one recovery
 	// per server at a time, and neither follower placement nor replica
 	// election may choose a server that is being recovered away.
@@ -265,7 +265,7 @@ func (lm *LayoutMaster) ServerNames() []string {
 // modified.
 func (lm *LayoutMaster) Layout() (int64, []LayoutRegion) {
 	rt := lm.routes.Load()
-	return rt.epoch, slices.Clone(rt.regions)
+	return rt.epoch, rt.Regions()
 }
 
 // Manifest builds the open-time manifest for one worker.

@@ -4,13 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"met/internal/hbase"
@@ -18,28 +17,50 @@ import (
 )
 
 // Client is the networked counterpart of hbase.Client: it caches the
-// master's layout (regions, addresses, epoch) and routes every data
-// operation straight to the worker hosting the key's region. A failed
-// route — connection refused (the worker is dead), 409 wrong-region
-// (the region moved), 409 stale-epoch (the layout changed under us) —
-// re-fetches the layout and retries, bounded; 503 (the region server is
-// stopped or restarting) backs off and retries the refreshed route, and
-// surfaces as hbase.ErrServerStopped once the retries are spent. mu
-// guards the cached layout; calls in flight share it read-mostly.
+// master's layout (the route table and each worker's address) and
+// routes every data operation straight to the worker hosting the key's
+// region. A failed route — connection refused (the worker is dead), 409
+// wrong-region (the region moved), 409 stale-epoch (the layout changed
+// under us) — re-fetches the layout and retries, bounded; 503 (the
+// region server is stopped or restarting) backs off and retries the
+// refreshed route, and surfaces as hbase.ErrServerStopped once the
+// retries are spent. Each fetch publishes a new immutable snapshot;
+// calls in flight load it with one atomic read.
 type Client struct {
 	master string // master base address, "host:port"
 	hc     *http.Client
 
-	// Timeout is the per-operation budget, propagated to servers via
-	// X-Met-Deadline so a slow handler gives up server-side too.
+	// Timeout is the per-operation budget, enforced client-side only:
+	// an operation that runs out of it returns
+	// context.DeadlineExceeded, and its outcome is indeterminate — the
+	// server completes whatever it has started (see "Timeouts" in the
+	// package doc).
 	Timeout time.Duration
 	// Retries bounds route refresh attempts per operation.
 	Retries int
 
-	mu      sync.Mutex
-	epoch   int64
-	regions []hbase.LayoutRegion
-	addrs   map[string]string
+	layout atomic.Pointer[layout]
+}
+
+// layout is one fetched layout: the route table and each worker's
+// address. Never modified once published.
+type layout struct {
+	routes *hbase.RouteTable
+	addrs  map[string]string
+}
+
+// route resolves (table, key) to the owning region and its worker's
+// address.
+func (l *layout) route(table, key string) (hbase.LayoutRegion, string, error) {
+	r, err := l.routes.Lookup(table, key)
+	if err != nil {
+		return r, "", err
+	}
+	addr, ok := l.addrs[r.Server]
+	if !ok {
+		return r, "", fmt.Errorf("%w: no address for %s", errReroute, r.Server)
+	}
+	return r, addr, nil
 }
 
 var _ hbase.KV = (*Client)(nil)
@@ -63,124 +84,69 @@ func Dial(masterAddr string) (*Client, error) {
 
 // Refresh re-fetches the layout from the master.
 func (c *Client) Refresh() error {
-	resp, err := c.hc.Get("http://" + c.master + "/master/layout")
-	if err != nil {
+	var lay LayoutReply
+	if err := callJSON(c.hc, http.MethodGet, c.master, "/master/layout", nil, &lay); err != nil {
 		return fmt.Errorf("rpc: fetch layout: %w", err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("rpc: fetch layout: %s", resp.Status)
-	}
-	var lay LayoutReply
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBody)).Decode(&lay); err != nil {
-		return fmt.Errorf("rpc: decode layout: %w", err)
-	}
-	c.mu.Lock()
-	c.epoch, c.regions, c.addrs = lay.Epoch, lay.Regions, lay.Addrs
-	c.mu.Unlock()
+	c.layout.Store(&layout{routes: hbase.NewRouteTable(lay.Epoch, lay.Regions), addrs: lay.Addrs})
 	return nil
 }
 
 // Epoch returns the cached routing epoch.
-func (c *Client) Epoch() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epoch
-}
+func (c *Client) Epoch() int64 { return c.layout.Load().routes.Epoch() }
 
 // Regions returns a copy of the cached layout's region list.
-func (c *Client) Regions() []hbase.LayoutRegion {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]hbase.LayoutRegion, len(c.regions))
-	copy(out, c.regions)
-	return out
-}
+func (c *Client) Regions() []hbase.LayoutRegion { return c.layout.Load().routes.Regions() }
 
-// route resolves (table, key) to the owning region and its worker's
-// address under the cached layout.
-func (c *Client) route(table, key string) (hbase.LayoutRegion, string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, r := range c.regions {
-		if r.Table != table {
-			continue
-		}
-		if key >= r.Start && (r.End == "" || key < r.End) {
-			addr, ok := c.addrs[r.Server]
-			if !ok {
-				return r, "", fmt.Errorf("%w: no address for %s", errReroute, r.Server)
-			}
-			return r, addr, nil
-		}
-	}
-	return hbase.LayoutRegion{}, "", fmt.Errorf("rpc: no region for %s/%q", table, key)
-}
-
-// call sends one binary data-plane request and classifies the reply.
-// The returned error is errReroute-wrapped whenever a refreshed route
-// should be retried.
-func (c *Client) call(ctx context.Context, addr, path string, body []byte) ([]byte, error) {
+// call sends one binary data-plane request, stamped with the routing
+// epoch it was routed under, and classifies the reply. The returned
+// error is errReroute-wrapped whenever a refreshed route should be
+// retried.
+func (c *Client) call(ctx context.Context, addr, path string, epoch int64, body []byte) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		"http://"+addr+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	req.Header.Set(HeaderEpoch, strconv.FormatInt(c.Epoch(), 10))
-	if dl, ok := ctx.Deadline(); ok {
-		ms := time.Until(dl).Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
-		req.Header.Set(HeaderDeadline, strconv.FormatInt(ms, 10))
-	}
+	req.Header.Set(HeaderEpoch, strconv.FormatInt(epoch, 10))
 	resp, err := c.hc.Do(req)
+	var payload []byte
+	if err == nil {
+		payload, err = io.ReadAll(io.LimitReader(resp.Body, maxBody))
+		resp.Body.Close()
+	}
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, context.DeadlineExceeded
 		}
-		// Connection refused / reset: the worker may be dead and its
-		// regions failed over — refresh and re-route.
+		// Connection refused / reset / a torn reply: the worker may be
+		// dead and its regions failed over — refresh and re-route.
 		return nil, fmt.Errorf("%w: %v", errReroute, err)
 	}
-	defer resp.Body.Close()
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errReroute, err)
-	}
-	switch resp.StatusCode {
+	switch text := bytes.TrimSpace(payload); resp.StatusCode {
 	case http.StatusOK:
 		return payload, nil
 	case http.StatusNotFound:
 		return nil, hbase.ErrNotFound
 	case http.StatusConflict:
 		// wrong-region or stale-epoch: both mean "your layout is old".
-		return nil, fmt.Errorf("%w: %s", errReroute, errBodyText(payload))
+		return nil, fmt.Errorf("%w: %s", errReroute, text)
 	case http.StatusServiceUnavailable:
 		// The only 503 a data call gets is a stopped (restarting or
 		// shut-down) region server; once the retries are spent the
 		// caller sees the same sentinel the in-process client returns.
-		return nil, fmt.Errorf("%w: %w: %s", errReroute, hbase.ErrServerStopped, errBodyText(payload))
-	case http.StatusGatewayTimeout:
-		return nil, context.DeadlineExceeded
+		return nil, fmt.Errorf("%w: %w: %s", errReroute, hbase.ErrServerStopped, text)
 	default:
-		return nil, fmt.Errorf("rpc: %s %s: %s", path, resp.Status, errBodyText(payload))
+		return nil, fmt.Errorf("rpc: %s %s: %s", path, resp.Status, text)
 	}
-}
-
-func errBodyText(payload []byte) string {
-	var eb errorBody
-	if json.Unmarshal(payload, &eb) == nil && eb.Error != "" {
-		return eb.Code + ": " + eb.Error
-	}
-	return string(payload)
 }
 
 // withRetry routes, calls, and — on reroute-class failures — refreshes
 // the layout and tries again, up to c.Retries times within the
-// operation's deadline.
-func (c *Client) withRetry(table, key, path string, body []byte) ([]byte, error) {
+// operation's deadline. It returns the region the successful attempt
+// was routed to.
+func (c *Client) withRetry(table, key, path string, body []byte) ([]byte, hbase.LayoutRegion, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.Timeout)
 	defer cancel()
 	var lastErr error
@@ -191,88 +157,68 @@ func (c *Client) withRetry(table, key, path string, body []byte) ([]byte, error)
 			select {
 			case <-time.After(time.Duration(attempt) * 100 * time.Millisecond):
 			case <-ctx.Done():
-				return nil, context.DeadlineExceeded
+				return nil, hbase.LayoutRegion{}, context.DeadlineExceeded
 			}
 			if err := c.Refresh(); err != nil {
 				lastErr = err
 				continue
 			}
 		}
-		_, addr, err := c.route(table, key)
+		l := c.layout.Load()
+		region, addr, err := l.route(table, key)
 		if err != nil {
 			if errors.Is(err, errReroute) {
 				lastErr = err
 				continue
 			}
-			return nil, err
+			return nil, region, err
 		}
-		payload, err := c.call(ctx, addr, path, body)
+		payload, err := c.call(ctx, addr, path, l.routes.Epoch(), body)
 		if err == nil || !errors.Is(err, errReroute) {
-			return payload, err
+			return payload, region, err
 		}
 		lastErr = err
 	}
-	return nil, fmt.Errorf("rpc: %s %s/%q failed after %d attempts: %w",
+	return nil, hbase.LayoutRegion{}, fmt.Errorf("rpc: %s %s/%q failed after %d attempts: %w",
 		path, table, key, c.Retries+1, lastErr)
 }
 
 // Get returns the newest value of key, or hbase.ErrNotFound.
 func (c *Client) Get(table, key string) ([]byte, error) {
 	body := appendStr(appendStr(nil, table), key)
-	return c.withRetry(table, key, "/node/get", body)
+	v, _, err := c.withRetry(table, key, "/node/get", body)
+	return v, err
 }
 
 // Put writes a value; acknowledged only after the worker's WAL fsync.
 func (c *Client) Put(table, key string, value []byte) error {
 	body := appendBytes(appendStr(appendStr(nil, table), key), value)
-	_, err := c.withRetry(table, key, "/node/put", body)
+	_, _, err := c.withRetry(table, key, "/node/put", body)
 	return err
 }
 
 // Delete removes a key.
 func (c *Client) Delete(table, key string) error {
 	body := appendStr(appendStr(nil, table), key)
-	_, err := c.withRetry(table, key, "/node/delete", body)
+	_, _, err := c.withRetry(table, key, "/node/delete", body)
 	return err
 }
 
 // Scan returns up to limit entries with start <= key < end in key
-// order, stitching per-region scans across workers exactly like the
-// in-process client.
+// order, stitching per-region scans across workers with the in-process
+// client's loop. Each part's cursor advances from the region its
+// request was finally routed to, after any refresh the retries made.
 func (c *Client) Scan(table, start, end string, limit int) ([]kv.Entry, error) {
-	var out []kv.Entry
-	cursor := start
-	for {
-		if limit >= 0 && len(out) >= limit {
-			return out[:limit], nil
-		}
-		region, _, err := c.route(table, cursor)
-		if err != nil {
-			if len(out) > 0 && !errors.Is(err, errReroute) {
-				return out, nil
-			}
-			return nil, err
-		}
-		remaining := -1
-		if limit >= 0 {
-			remaining = limit - len(out)
-		}
+	return hbase.StitchScan(start, end, limit, func(cursor string, limit int) ([]kv.Entry, string, error) {
 		body := appendStr(appendStr(appendStr(nil, table), cursor), end)
-		body = binary.AppendVarint(body, int64(remaining))
-		payload, err := c.withRetry(table, cursor, "/node/scan", body)
+		body = binary.AppendVarint(body, int64(limit))
+		payload, region, err := c.withRetry(table, cursor, "/node/scan", body)
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
 		part, err := decodeEntries(payload)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, part...)
-		if region.End == "" || (end != "" && region.End >= end) {
-			return out, nil
-		}
-		cursor = region.End
-	}
+		return part, region.End, err
+	})
 }
 
 // decodeEntries parses a scan reply.
@@ -311,21 +257,9 @@ func decodeEntries(b []byte) ([]kv.Entry, error) {
 // Quiesce asks every live worker to drain its replication queue — the
 // networked QuiesceReplication barrier.
 func (c *Client) Quiesce() error {
-	c.mu.Lock()
-	addrs := make([]string, 0, len(c.addrs))
-	for _, a := range c.addrs {
-		addrs = append(addrs, a)
-	}
-	c.mu.Unlock()
-	for _, addr := range addrs {
-		resp, err := c.hc.Post("http://"+addr+"/node/quiesce", "application/json", nil)
-		if err != nil {
+	for _, addr := range c.layout.Load().addrs {
+		if err := callJSON(c.hc, http.MethodPost, addr, "/node/quiesce", nil, nil); err != nil {
 			return err
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("rpc: quiesce %s: %s", addr, resp.Status)
 		}
 	}
 	return nil
@@ -333,21 +267,8 @@ func (c *Client) Quiesce() error {
 
 // Recover asks the master to fail a dead worker's regions over.
 func (c *Client) Recover(dead string) (*RecoverReply, error) {
-	buf, _ := json.Marshal(map[string]string{"server": dead})
-	resp, err := c.hc.Post("http://"+c.master+"/master/recover", "application/json", bytes.NewReader(buf))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("rpc: recover: %s: %s", resp.Status, errBodyText(payload))
-	}
 	var reply RecoverReply
-	if err := json.Unmarshal(payload, &reply); err != nil {
+	if err := callJSON(c.hc, http.MethodPost, c.master, "/master/recover", recoverReq{Server: dead}, &reply); err != nil {
 		return nil, err
 	}
 	// The layout changed; re-route immediately rather than on first 409.

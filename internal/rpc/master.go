@@ -1,12 +1,13 @@
 package rpc
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"sync"
+	"syscall"
 	"time"
 
 	"met/internal/hbase"
@@ -55,6 +56,24 @@ type LayoutReply struct {
 type registerReq struct {
 	Server string `json:"server"`
 	Addr   string `json:"addr"`
+}
+
+// Register is a worker's call to POST /master/register: it announces
+// server's serving address (empty for the manifest-only first phase)
+// and returns the server's manifest. A master still binding its
+// listener refuses the connection; Register retries that for up to 30
+// seconds.
+func Register(masterAddr, server, addr string) (hbase.NodeManifest, error) {
+	var man hbase.NodeManifest
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		err := callJSON(http.DefaultClient, http.MethodPost, masterAddr, "/master/register",
+			registerReq{Server: server, Addr: addr}, &man)
+		if !errors.Is(err, syscall.ECONNREFUSED) || time.Now().After(deadline) {
+			return man, err
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
 }
 
 // handleRegister records the worker's address and hands back its
@@ -140,14 +159,14 @@ func (n *MasterNode) recover(dead string) (*RecoverReply, error) {
 			if !ok {
 				return rep, fmt.Errorf("rpc: no address for adopter %s", spec.Source)
 			}
-			err := n.post(addr, "/node/adopt", spec, &rep)
+			err := callJSON(n.hc, http.MethodPost, addr, "/node/adopt", spec, &rep)
 			return rep, err
 		},
 		func(up hbase.FollowerUpdate) {
 			// Best effort: a missed refollow is reconciled by the next
 			// recovery's re-pick.
 			if addr, ok := n.addrOf(up.Server); ok {
-				if err := n.post(addr, "/node/refollow", up, nil); err != nil {
+				if err := callJSON(n.hc, http.MethodPost, addr, "/node/refollow", up, nil); err != nil {
 					n.lg.Printf("recover %s: refollow %s on %s: %v", dead, up.Region, up.Server, err)
 				}
 			}
@@ -163,7 +182,7 @@ func (n *MasterNode) recover(dead string) (*RecoverReply, error) {
 	// stale-route 409s one layout change later than ideal.
 	for _, sn := range n.lm.ServerNames() {
 		if addr, ok := n.addrOf(sn); ok {
-			if err := n.post(addr, "/node/epoch", map[string]int64{"epoch": reply.Epoch}, nil); err != nil {
+			if err := callJSON(n.hc, http.MethodPost, addr, "/node/epoch", map[string]int64{"epoch": reply.Epoch}, nil); err != nil {
 				n.lg.Printf("recover %s: epoch push to %s: %v", dead, sn, err)
 			}
 		}
@@ -177,33 +196,4 @@ func (n *MasterNode) addrOf(server string) (string, bool) {
 	defer n.mu.Unlock()
 	a, ok := n.addrs[server]
 	return a, ok
-}
-
-// post sends one JSON control call to a worker and decodes the reply
-// into out (when non-nil).
-func (n *MasterNode) post(addr, path string, body, out any) error {
-	buf, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	resp, err := n.hc.Post("http://"+addr+path, "application/json", bytes.NewReader(buf))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		var eb errorBody
-		if json.Unmarshal(payload, &eb) == nil && eb.Error != "" {
-			return fmt.Errorf("%s: %s (%s)", resp.Status, eb.Error, eb.Code)
-		}
-		return fmt.Errorf("%s: %s", resp.Status, payload)
-	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(payload, out)
 }

@@ -1,13 +1,11 @@
 package rpc
 
 import (
-	"bytes"
 	"fmt"
 	"log"
 	"net/http"
 	"runtime/debug"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -124,120 +122,29 @@ func (m *Metrics) WriteProm(w *obs.MetricWriter) {
 }
 
 // withMetrics records every request's latency under the route it
-// matches — the pattern minus its method: op="/node/get" — or under
-// "other" when it matches none, so the histogram set is bounded by the
-// route table whatever paths clients probe. debug is mounted on mux as
-// "/"; that match is resolved against debug's own routes. The route is
-// matched here rather than read back from r.Pattern afterwards: under a
-// deadline the mux runs on the deadline ring's goroutine, and a request
-// that times out would race its write. The record is deferred so a
-// panicking handler (resolved to a 500 by the outer recovery ring)
-// still lands in its route's histogram.
-func withMetrics(m *Metrics, mux, debug *http.ServeMux) Middleware {
+// matched — the pattern minus its method: op="/node/get" — or under
+// "other" when it matched none, so the histogram set is bounded by the
+// route table whatever paths clients probe. The route is read back from
+// r.Pattern after the handler: each mux sets it on the request it
+// serves, so the debug plane's nested mux, mounted as "/", refines that
+// match to its own route. The record is deferred so a panicking handler
+// (resolved to a 500 by the outer recovery ring) still lands in its
+// route's histogram.
+func withMetrics(m *Metrics) Middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			start := time.Now()
-			_, route := mux.Handler(r)
-			if route == "/" {
-				_, route = debug.Handler(r)
-			}
-			if _, path, ok := strings.Cut(route, " "); ok {
-				route = path
-			}
-			if route == "" {
-				route = "other"
-			}
-			defer func() { m.hist(route).Record(time.Since(start)) }()
-			next.ServeHTTP(w, r)
-		})
-	}
-}
-
-// bufferedResponse is an http.ResponseWriter the deadline ring hands
-// the handler: everything is staged in memory and copied to the real
-// writer only if the handler beats the deadline, so a timeout reply
-// never interleaves with handler writes.
-type bufferedResponse struct {
-	header http.Header
-	status int
-	body   bytes.Buffer
-}
-
-func newBufferedResponse() *bufferedResponse {
-	return &bufferedResponse{header: make(http.Header)}
-}
-
-func (b *bufferedResponse) Header() http.Header { return b.header }
-
-func (b *bufferedResponse) WriteHeader(code int) {
-	if b.status == 0 {
-		b.status = code
-	}
-}
-
-func (b *bufferedResponse) Write(p []byte) (int, error) {
-	if b.status == 0 {
-		b.status = http.StatusOK
-	}
-	return b.body.Write(p)
-}
-
-// copyTo flushes the staged reply to the real writer.
-func (b *bufferedResponse) copyTo(w http.ResponseWriter) {
-	for k, vs := range b.header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
-	}
-	if b.status == 0 {
-		b.status = http.StatusOK
-	}
-	w.WriteHeader(b.status)
-	_, _ = w.Write(b.body.Bytes())
-}
-
-// withDeadline honors X-Met-Deadline (milliseconds of remaining call
-// budget): the handler runs on its own goroutine against a buffered
-// response; if the budget expires first the client gets 504 and the
-// handler's eventual output is discarded. Requests without the header
-// run inline, paying nothing.
-func withDeadline() Middleware {
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			ms, err := strconv.ParseInt(r.Header.Get(HeaderDeadline), 10, 64)
-			if err != nil || ms <= 0 {
-				if err == nil {
-					// An already-expired budget: don't start work the
-					// caller has given up on.
-					writeError(w, http.StatusGatewayTimeout, CodeDeadline, "deadline already expired")
-					return
+			defer func() {
+				route := r.Pattern
+				if _, path, ok := strings.Cut(route, " "); ok {
+					route = path
 				}
-				next.ServeHTTP(w, r)
-				return
-			}
-			buf := newBufferedResponse()
-			done := make(chan struct{})
-			var panicked any
-			go func() {
-				defer close(done)
-				// The handler runs on this goroutine, outside the recovery
-				// ring's stack: a panic here would kill the whole process if
-				// it weren't re-caught and re-raised on the serving stack.
-				defer func() { panicked = recover() }()
-				next.ServeHTTP(buf, r)
+				if route == "" {
+					route = "other"
+				}
+				m.hist(route).Record(time.Since(start))
 			}()
-			timer := time.NewTimer(time.Duration(ms) * time.Millisecond)
-			defer timer.Stop()
-			select {
-			case <-done:
-				if panicked != nil {
-					panic(panicked) // resolved to a 500 by withRecovery
-				}
-				buf.copyTo(w)
-			case <-timer.C:
-				writeError(w, http.StatusGatewayTimeout, CodeDeadline,
-					fmt.Sprintf("deadline of %dms exceeded", ms))
-			}
+			next.ServeHTTP(w, r)
 		})
 	}
 }

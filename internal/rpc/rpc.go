@@ -20,7 +20,7 @@
 // first:
 //
 //	panic recovery → request logging → per-route latency histograms →
-//	deadline propagation → handler
+//	handler
 //
 // Recovery converts a handler panic into a 500 without killing the
 // process (one bad request must not take a region server down).
@@ -29,11 +29,16 @@
 // buckets the engine's telemetry uses) are keyed by the matched route,
 // never by the raw path, so the set is bounded by the route table:
 // rpc_op_latency_seconds{op="/node/get"}, and one op="other" for every
-// path that matches nothing. Deadline propagation honors the
-// X-Met-Deadline header (milliseconds of budget remaining, set by the
-// client from its per-call timeout): the handler runs against a
-// buffered response writer and the deadline expiring first turns the
-// reply into 504 without racing the handler's writes.
+// path that matches nothing.
+//
+// # Timeouts
+//
+// A deadline belongs to the caller alone: Client.Timeout bounds each
+// operation client-side, and no deadline travels on the wire. A call
+// that returns context.DeadlineExceeded is indeterminate. The server
+// runs every op it has started to completion, so a timed-out Put may
+// or may not have been applied. Drain waits for those handlers too:
+// once it returns, every op the node started has finished.
 //
 // # Routing epochs
 //
@@ -66,22 +71,17 @@
 package rpc
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 )
 
-// Wire headers.
-const (
-	// HeaderEpoch carries the client's cached routing epoch on data
-	// calls; a worker with a newer epoch answers 409 stale-epoch.
-	HeaderEpoch = "X-Met-Epoch"
-	// HeaderDeadline is the call's remaining budget in milliseconds —
-	// relative, not absolute, so the two processes' clocks need not
-	// agree.
-	HeaderDeadline = "X-Met-Deadline"
-)
+// HeaderEpoch carries the client's cached routing epoch on data calls;
+// a worker with a newer epoch answers 409 stale-epoch.
+const HeaderEpoch = "X-Met-Epoch"
 
 // Error codes carried in JSON error bodies ({"code": ..., "error": ...}).
 const (
@@ -89,7 +89,6 @@ const (
 	CodeWrongRegion = "wrong-region"
 	CodeDraining    = "draining"
 	CodeNotFound    = "not-found"
-	CodeDeadline    = "deadline-exceeded"
 )
 
 // errorBody is the JSON error envelope every non-2xx reply carries.
@@ -112,6 +111,46 @@ func writeJSON(w http.ResponseWriter, v any) {
 		// Too late for a status change; the client's decode will fail.
 		return
 	}
+}
+
+// callJSON is the one JSON control call: it sends body, marshalled (no
+// body when nil), to http://addr+path and decodes a 200 reply into out
+// when out is non-nil. Any other status is an error carrying the
+// reply's error envelope.
+func callJSON(hc *http.Client, method, addr, path string, body, out any) error {
+	var rd io.Reader
+	if body != nil {
+		buf, err := json.Marshal(body)
+		if err != nil {
+			return err
+		}
+		rd = bytes.NewReader(buf)
+	}
+	req, err := http.NewRequest(method, "http://"+addr+path, rd)
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := hc.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	payload, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusOK {
+		var eb errorBody
+		if json.Unmarshal(payload, &eb) != nil || eb.Error == "" {
+			eb.Error = string(payload)
+		}
+		return fmt.Errorf("rpc: %s %s: %s: %s (%s)", method, path, resp.Status, eb.Error, eb.Code)
+	}
+	if out == nil {
+		return nil
+	}
+	return json.Unmarshal(payload, out)
 }
 
 // maxBody bounds request bodies (a put's value plus framing slack; the

@@ -10,6 +10,7 @@ import (
 	"os"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -39,7 +40,7 @@ type cluster struct {
 // startCluster bootstraps a durable cluster with one table "t"
 // (in-process master), stops it, and reopens it as layout master +
 // worker nodes over RPC.
-func startCluster(t *testing.T, n int, splits []string) *cluster {
+func startCluster(t testing.TB, n int, splits []string) *cluster {
 	t.Helper()
 	return startClusterWith(t, n, func(m *hbase.Master) {
 		if _, err := m.CreateTable("t", splits); err != nil {
@@ -51,7 +52,7 @@ func startCluster(t *testing.T, n int, splits []string) *cluster {
 // startClusterWith is startCluster with the in-process phase handed to
 // bootstrap: whatever it creates or writes through the live master is
 // what the networked cluster recovers after the hard stop.
-func startClusterWith(t *testing.T, n int, bootstrap func(m *hbase.Master)) *cluster {
+func startClusterWith(t testing.TB, n int, bootstrap func(m *hbase.Master)) *cluster {
 	t.Helper()
 	dir := t.TempDir()
 	m, err := hbase.NewDurableMaster(hdfs.NewNamenode(2), dir)
@@ -91,11 +92,10 @@ func startClusterWith(t *testing.T, n int, bootstrap func(m *hbase.Master)) *clu
 // startWorker runs the real worker startup flow over the wire:
 // register for the manifest, open the server node, serve, re-register
 // with the bound address.
-func (cl *cluster) startWorker(t *testing.T, name string) *ServerNode {
+func (cl *cluster) startWorker(t testing.TB, name string) *ServerNode {
 	t.Helper()
-	var man hbase.NodeManifest
-	if err := postJSON(cl.mn.Addr(), "/master/register",
-		map[string]string{"server": name}, &man); err != nil {
+	man, err := Register(cl.mn.Addr(), name, "")
+	if err != nil {
 		t.Fatal(err)
 	}
 	rs, err := hbase.OpenServerNode(man)
@@ -106,18 +106,22 @@ func (cl *cluster) startWorker(t *testing.T, name string) *ServerNode {
 	if err := node.Serve("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	if err := postJSON(cl.mn.Addr(), "/master/register",
-		map[string]string{"server": name, "addr": node.Addr()}, &man); err != nil {
+	if _, err := Register(cl.mn.Addr(), name, node.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { node.Close(); rs.Shutdown() })
 	return node
 }
 
-// postJSON is a minimal control-plane helper for tests.
-func postJSON(addr, path string, body, out any) error {
-	n := &MasterNode{hc: http.DefaultClient}
-	return n.post(addr, path, body, out)
+// stubClient routes every key of table "t" to the stub server at addr,
+// one attempt per operation within timeout.
+func stubClient(addr string, timeout time.Duration) *Client {
+	c := &Client{hc: &http.Client{}, Timeout: timeout}
+	c.layout.Store(&layout{
+		routes: hbase.NewRouteTable(1, []hbase.LayoutRegion{{Name: "r", Table: "t", Server: "stub"}}),
+		addrs:  map[string]string{"stub": addr},
+	})
+	return c
 }
 
 // quarantine renames a dead worker's primary directories aside, like
@@ -204,12 +208,13 @@ func TestKilledWorkerFailoverReroutes(t *testing.T) {
 
 	// Find the worker hosting the a* region and kill it un-gracefully:
 	// the client's cached layout still routes a* straight at the corpse.
-	region, _, err := cl.c.route("t", "a0000")
+	region, _, err := cl.c.layout.Load().route("t", "a0000")
 	if err != nil {
 		t.Fatal(err)
 	}
 	victim := region.Server
 	epochBefore := cl.c.Epoch()
+	preRecovery := cl.c.layout.Load()
 	cl.workers[victim].Close()
 	cl.workers[victim].RegionServer().Shutdown()
 	quarantine(t, cl.dir, cl.workers[victim].RegionServer())
@@ -253,9 +258,7 @@ func TestKilledWorkerFailoverReroutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale.mu.Lock()
-	stale.epoch = epochBefore // simulate the pre-recovery cache
-	stale.mu.Unlock()
+	stale.layout.Store(preRecovery)
 	for i := 0; i < 40; i++ {
 		for _, k := range []string{fmt.Sprintf("a%04d", i), fmt.Sprintf("z%04d", i)} {
 			if v, err := stale.Get("t", k); err != nil || string(v) != "v" {
@@ -283,7 +286,7 @@ func TestStaleEpochRejected(t *testing.T) {
 	if err := cl.c.Put("t", "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	region, addr, err := cl.c.route("t", "k")
+	region, addr, err := cl.c.layout.Load().route("t", "k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,10 +327,9 @@ func TestStaleEpochRejected(t *testing.T) {
 	}
 }
 
-// TestDeadlinePropagation exercises the deadline ring both ways: a
-// handler that beats the budget replies normally; one that blows it
-// turns into 504 server-side and context.DeadlineExceeded client-side,
-// including mid-Scan.
+// TestDeadlinePropagation: the client's budget bounds each call. A
+// handler that beats it replies normally; one that blows it returns
+// context.DeadlineExceeded on time, including mid-Scan.
 func TestDeadlinePropagation(t *testing.T) {
 	// A stub worker whose scan handler is deliberately slow.
 	mux := http.NewServeMux()
@@ -344,17 +346,13 @@ func TestDeadlinePropagation(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() })
 
-	c := &Client{hc: &http.Client{}, Timeout: 5 * time.Second, Retries: 0}
-	c.regions = []hbase.LayoutRegion{{Name: "r", Table: "t", Server: "stub"}}
-	c.addrs = map[string]string{"stub": srv.Addr()}
-	c.epoch = 1
-
+	c := stubClient(srv.Addr(), 5*time.Second)
 	// Fast path unaffected by the budget.
 	if v, err := c.Get("t", "k"); err != nil || string(v) != "fast" {
 		t.Fatalf("fast get: %q, %v", v, err)
 	}
 	// Slow scan against a 100ms budget: DeadlineExceeded, in ~100ms not
-	// ~300ms (the server gave up too — the handler's reply was discarded).
+	// ~300ms.
 	c.Timeout = 100 * time.Millisecond
 	start := time.Now()
 	_, err := c.Scan("t", "", "", -1)
@@ -362,21 +360,47 @@ func TestDeadlinePropagation(t *testing.T) {
 		t.Fatalf("slow scan: want DeadlineExceeded, got %v", err)
 	}
 	if d := time.Since(start); d > 250*time.Millisecond {
-		t.Fatalf("deadline not enforced server-side: took %v", d)
+		t.Fatalf("deadline not enforced: took %v", d)
 	}
-	// Raw probe: the server itself replies 504 with the deadline code.
-	body := appendStr(appendStr(appendStr(nil, "t"), ""), "")
-	body = append(body, 1) // varint limit 1... (limit -1 encodes as 1)
-	req, _ := http.NewRequest(http.MethodPost, "http://"+srv.Addr()+"/node/scan", bytes.NewReader(body))
-	req.Header.Set(HeaderDeadline, "50")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
+}
+
+// TestTimedOutCallIsIndeterminateAndDrained pins the timeout contract:
+// a put that outlives its client's budget returns
+// context.DeadlineExceeded on time, the server still runs the op it
+// started to completion, and Drain waits for that handler rather than
+// returning while it is still running.
+func TestTimedOutCallIsIndeterminateAndDrained(t *testing.T) {
+	var recorded atomic.Bool
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /node/put", func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(300 * time.Millisecond)
+		recorded.Store(true)
+	})
+	srv := NewServer("stub", mux, io.Discard)
+	if err := srv.Serve("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	payload, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusGatewayTimeout || !strings.Contains(string(payload), CodeDeadline) {
-		t.Fatalf("server deadline: status %d body %s", resp.StatusCode, payload)
+	t.Cleanup(func() { srv.Close() })
+
+	c := stubClient(srv.Addr(), 100*time.Millisecond)
+	start := time.Now()
+	err := c.Put("t", "k", []byte("v"))
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("slow put: want DeadlineExceeded, got %v", err)
+	}
+	if d := time.Since(start); d > 250*time.Millisecond {
+		t.Fatalf("deadline not enforced: took %v", d)
+	}
+	if recorded.Load() {
+		t.Fatal("the handler finished before the client gave up; test proves nothing")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if !recorded.Load() {
+		t.Fatalf("Drain returned after %v with the timed-out put's handler still running", time.Since(start))
 	}
 }
 
@@ -410,18 +434,6 @@ func TestPanicRecoveryAndMetrics(t *testing.T) {
 		t.Fatalf("server died after panic: %v", err)
 	}
 	resp.Body.Close()
-	// Same under a deadline budget: the handler panics on the deadline
-	// ring's goroutine, which must surface as a 500, not kill the process.
-	req, _ := http.NewRequest(http.MethodPost, "http://"+srv.Addr()+"/boom", nil)
-	req.Header.Set(HeaderDeadline, "5000")
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("panic under deadline: status %d, want 500", resp.StatusCode)
-	}
 	if !strings.Contains(logbuf.String(), "kaboom") {
 		t.Fatal("panic not logged")
 	}
@@ -462,6 +474,7 @@ func TestMetricsBoundedByRouteTable(t *testing.T) {
 	}
 	get("/debug/pprof/cmdline")
 	get("/debug/pprof/goroutine")
+	get("/metrics")
 	before := size()
 	for i := 0; i < 1000; i++ {
 		get(fmt.Sprintf("/probe/%d", i))
@@ -478,6 +491,25 @@ func TestMetricsBoundedByRouteTable(t *testing.T) {
 	}
 	if s := other.Snapshot(); s.Count() != 1000 {
 		t.Fatalf(`op="other" holds %d requests, want 1000`, s.Count())
+	}
+	// The debug plane's nested mux names its own routes: an exact match,
+	// its /debug/pprof/ subtree for unknown profiles, and /metrics.
+	srv.metrics.mu.Lock()
+	pprofTree := srv.metrics.ops["/debug/pprof/"]
+	srv.metrics.mu.Unlock()
+	if s := pprofTree.Snapshot(); s.Count() != 1001 {
+		t.Fatalf(`op="/debug/pprof/" holds %d requests, want 1001`, s.Count())
+	}
+	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, op := range []string{`op="/debug/pprof/cmdline"`, `op="/debug/pprof/"`, `op="/metrics"`} {
+		if !strings.Contains(string(page), op) {
+			t.Errorf("/metrics lacks the series %s", op)
+		}
 	}
 }
 
@@ -500,7 +532,7 @@ func TestWorkerPageIsTheContract(t *testing.T) {
 	if _, err := cl.c.Scan("t", "", "", -1); err != nil {
 		t.Fatal(err)
 	}
-	region, _, err := cl.c.route("t", "k0000")
+	region, _, err := cl.c.layout.Load().route("t", "k0000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,7 +613,7 @@ func TestWorkerPageIsTheContract(t *testing.T) {
 // drained worker refuses new work with readiness off.
 func TestDrainWhileServing(t *testing.T) {
 	cl := startCluster(t, 2, nil)
-	region, _, err := cl.c.route("t", "w0000")
+	region, _, err := cl.c.layout.Load().route("t", "w0000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -663,7 +695,7 @@ func TestRecoverPartialFailureResumes(t *testing.T) {
 	if err := cl.c.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
-	region, _, err := cl.c.route("t", "a000")
+	region, _, err := cl.c.layout.Load().route("t", "a000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -825,5 +857,55 @@ func TestRunnerOverBothClients(t *testing.T) {
 	}
 	if got := overRPC.TotalCompleted() + overRPC.Transient(); got != 2*ops {
 		t.Fatalf("completed %d + transient %d != %d", overRPC.TotalCompleted(), overRPC.Transient(), 2*ops)
+	}
+}
+
+// The wire benchmarks time one operation client → loopback HTTP →
+// ServerNode → RegionServer in one process: the rpc layer's whole
+// per-op cost, allocations included, over a durable one-server cluster.
+
+func BenchmarkWireGet(b *testing.B) {
+	cl := startCluster(b, 1, nil)
+	if err := cl.c.Put("t", "k", make([]byte, 100)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cl.c.Get("t", "k"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkWirePut(b *testing.B) {
+	cl := startCluster(b, 1, nil)
+	keys := make([]string, 1024)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%04d", i)
+	}
+	val := make([]byte, 100)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cl.c.Put("t", keys[i%len(keys)], val); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkWireScan(b *testing.B) {
+	cl := startCluster(b, 1, nil)
+	for i := 0; i < 100; i++ {
+		if err := cl.c.Put("t", fmt.Sprintf("k%04d", i), make([]byte, 100)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rows, err := cl.c.Scan("t", "k0000", "", 20); err != nil || len(rows) != 20 {
+			b.Fatalf("scan: %d rows, %v", len(rows), err)
+		}
 	}
 }

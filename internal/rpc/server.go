@@ -34,12 +34,11 @@ func NewServer(name string, mux *http.ServeMux, logw io.Writer) *Server {
 }
 
 // newServer wraps mux in the standard middleware chain (panic recovery
-// outermost, then request logging, per-route histograms, and deadline
-// propagation) and mounts /readyz and the debug plane beside its
-// routes. node is the plane's source; /metrics leads with the route
-// histograms and the process's runtime stats, and without a node.Health
-// /healthz is always 200. logw receives the request log; name tags
-// each line.
+// outermost, then request logging and per-route histograms) and mounts
+// /readyz and the debug plane beside its routes. node is the plane's
+// source; /metrics leads with the route histograms and the process's
+// runtime stats, and without a node.Health /healthz is always 200.
+// logw receives the request log; name tags each line.
 func newServer(name string, mux *http.ServeMux, logw io.Writer, node obs.DebugConfig) *Server {
 	if logw == nil {
 		logw = io.Discard
@@ -59,14 +58,12 @@ func newServer(name string, mux *http.ServeMux, logw io.Writer, node obs.DebugCo
 	if node.Health == nil {
 		node.Health = func() error { return nil }
 	}
-	debug := obs.NewMux(node)
 	mux.HandleFunc("/readyz", s.handleReadyz)
-	mux.Handle("/", debug)
+	mux.Handle("/", obs.NewMux(node))
 	handler := chain(mux,
 		withRecovery(s.lg),
 		withLogging(s.lg),
-		withMetrics(s.metrics, mux, debug),
-		withDeadline(),
+		withMetrics(s.metrics),
 	)
 	s.srv = &http.Server{Handler: handler}
 	return s
@@ -108,7 +105,9 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // balancers and clients stop sending), then the HTTP server shuts
 // down — in-flight requests run to completion, new connections are
 // refused. Every reply that was sent is a fully-processed one; an
-// acknowledged write is never truncated by the stop.
+// acknowledged write is never truncated by the stop. That includes the
+// handlers of calls whose client has already given up on a deadline:
+// Drain returns only once they have finished too.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
 	s.mu.Lock()

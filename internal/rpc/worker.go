@@ -30,10 +30,10 @@ func NewServerNode(rs *hbase.RegionServer, epoch int64, logw io.Writer) *ServerN
 	n := &ServerNode{rs: rs}
 	n.epoch.Store(epoch)
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /node/get", n.handleGet)
-	mux.HandleFunc("POST /node/put", n.handlePut)
-	mux.HandleFunc("POST /node/delete", n.handleDelete)
-	mux.HandleFunc("POST /node/scan", n.handleScan)
+	mux.HandleFunc("POST /node/get", n.data(n.get))
+	mux.HandleFunc("POST /node/put", n.data(n.put))
+	mux.HandleFunc("POST /node/delete", n.data(n.delete))
+	mux.HandleFunc("POST /node/scan", n.data(n.scan))
 	mux.HandleFunc("POST /node/adopt", n.handleAdopt)
 	mux.HandleFunc("POST /node/refollow", n.handleRefollow)
 	mux.HandleFunc("POST /node/epoch", n.handleEpoch)
@@ -69,14 +69,24 @@ func (n *ServerNode) checkEpoch(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// readBody slurps a bounded request body.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad-body", err.Error())
-		return nil, false
+// data is the frame every data op runs in: the epoch gate, the bounded
+// body read, and the mapping of the op's error onto the wire. op keeps
+// only its own steps: decode the body, call the engine, encode the
+// reply.
+func (n *ServerNode) data(op func(w http.ResponseWriter, body []byte) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !n.checkEpoch(w, r) {
+			return
+		}
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "bad-body", err.Error())
+			return
+		}
+		if err := op(w, body); err != nil {
+			dataError(w, err)
+		}
 	}
-	return body, true
 }
 
 // dataError maps engine errors onto the wire: not-found and
@@ -97,109 +107,76 @@ func dataError(w http.ResponseWriter, err error) {
 	}
 }
 
-func (n *ServerNode) handleGet(w http.ResponseWriter, r *http.Request) {
-	if !n.checkEpoch(w, r) {
-		return
-	}
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
+func (n *ServerNode) get(w http.ResponseWriter, body []byte) error {
 	table, rest, err := takeStr(body)
-	if err == nil {
-		var key string
-		key, _, err = takeStr(rest)
-		if err == nil {
-			var v []byte
-			if v, err = n.rs.Get(table, key); err == nil {
-				w.Header().Set("Content-Type", "application/octet-stream")
-				_, _ = w.Write(v)
-				return
-			}
-		}
-	}
-	dataError(w, err)
-}
-
-func (n *ServerNode) handlePut(w http.ResponseWriter, r *http.Request) {
-	if !n.checkEpoch(w, r) {
-		return
-	}
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	table, rest, err := takeStr(body)
-	if err == nil {
-		var key string
-		if key, rest, err = takeStr(rest); err == nil {
-			var val []byte
-			if val, _, err = takeBytes(rest); err == nil {
-				if err = n.rs.Put(table, key, val); err == nil {
-					w.WriteHeader(http.StatusOK)
-					return
-				}
-			}
-		}
-	}
-	dataError(w, err)
-}
-
-func (n *ServerNode) handleDelete(w http.ResponseWriter, r *http.Request) {
-	if !n.checkEpoch(w, r) {
-		return
-	}
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	table, rest, err := takeStr(body)
-	if err == nil {
-		var key string
-		if key, _, err = takeStr(rest); err == nil {
-			if err = n.rs.Delete(table, key); err == nil {
-				w.WriteHeader(http.StatusOK)
-				return
-			}
-		}
-	}
-	dataError(w, err)
-}
-
-// handleScan scans one hosted region's slice of [start, end) and
-// returns up to limit entries, binary-framed: uvarint count, then per
-// entry key | value | uvarint timestamp | flags (bit 0 = tombstone).
-// Cross-region stitching is the client's job (it has the layout).
-func (n *ServerNode) handleScan(w http.ResponseWriter, r *http.Request) {
-	if !n.checkEpoch(w, r) {
-		return
-	}
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	table, rest, err := takeStr(body)
-	var start, end string
-	var limit int64
-	if err == nil {
-		if start, rest, err = takeStr(rest); err == nil {
-			if end, rest, err = takeStr(rest); err == nil {
-				var sz int
-				limit, sz = binary.Varint(rest)
-				if sz <= 0 {
-					err = errors.New("rpc: truncated scan limit")
-				}
-			}
-		}
-	}
 	if err != nil {
-		dataError(w, err)
-		return
+		return err
+	}
+	key, _, err := takeStr(rest)
+	if err != nil {
+		return err
+	}
+	v, err := n.rs.Get(table, key)
+	if err != nil {
+		return err
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	_, _ = w.Write(v)
+	return nil
+}
+
+func (n *ServerNode) put(w http.ResponseWriter, body []byte) error {
+	table, rest, err := takeStr(body)
+	if err != nil {
+		return err
+	}
+	key, rest, err := takeStr(rest)
+	if err != nil {
+		return err
+	}
+	val, _, err := takeBytes(rest)
+	if err != nil {
+		return err
+	}
+	return n.rs.Put(table, key, val)
+}
+
+func (n *ServerNode) delete(w http.ResponseWriter, body []byte) error {
+	table, rest, err := takeStr(body)
+	if err != nil {
+		return err
+	}
+	key, _, err := takeStr(rest)
+	if err != nil {
+		return err
+	}
+	return n.rs.Delete(table, key)
+}
+
+// scan scans one hosted region's slice of [start, end) and returns up
+// to limit entries, binary-framed: uvarint count, then per entry key |
+// value | uvarint timestamp | flags (bit 0 = tombstone). Cross-region
+// stitching is the client's job (it has the layout).
+func (n *ServerNode) scan(w http.ResponseWriter, body []byte) error {
+	table, rest, err := takeStr(body)
+	if err != nil {
+		return err
+	}
+	start, rest, err := takeStr(rest)
+	if err != nil {
+		return err
+	}
+	end, rest, err := takeStr(rest)
+	if err != nil {
+		return err
+	}
+	limit, sz := binary.Varint(rest)
+	if sz <= 0 {
+		return errors.New("rpc: truncated scan limit")
 	}
 	entries, err := n.rs.Scan(table, start, end, int(limit))
 	if err != nil {
-		dataError(w, err)
-		return
+		return err
 	}
 	out := binary.AppendUvarint(nil, uint64(len(entries)))
 	for _, e := range entries {
@@ -214,6 +191,7 @@ func (n *ServerNode) handleScan(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	_, _ = w.Write(out)
+	return nil
 }
 
 // handleAdopt runs the worker half of a failover: seed the new region

@@ -118,11 +118,13 @@
 // — on every operation, and never caches it.) Every layout change bumps
 // a routing epoch; a request carrying a stale epoch bounces with 409 and the
 // client transparently re-fetches and retries, the same path that
-// absorbs connection-refused when a worker dies. Deadlines propagate
-// on the wire (X-Met-Deadline), so a slow server gives up exactly when
-// its caller does, and every node serves /healthz, /readyz and
-// /metrics with graceful drain on SIGTERM — in-flight requests finish,
-// acknowledged writes are never truncated.
+// absorbs connection-refused when a worker dies. A deadline is the
+// caller's alone: a call that times out returns
+// context.DeadlineExceeded with an indeterminate outcome, because the
+// server finishes every op it has started. Every node serves /healthz,
+// /readyz and /metrics with graceful drain on SIGTERM — in-flight
+// requests finish, timed-out ones included, and acknowledged writes are
+// never truncated.
 //
 // Workloads run over rpc.Dial unchanged: the data plane is declared once
 // (hbase.KV — Get, Put, Delete, Scan) and both clients satisfy it, so the
