@@ -127,7 +127,7 @@ func main() {
 	records := flag.Int64("records", 5000, "records to load per table")
 	seed := flag.Uint64("seed", 1, "deterministic seed")
 	concurrency := flag.Int("concurrency", 1, "closed-loop client goroutines (YCSB only; values below 1 mean 1)")
-	withMeT := flag.Bool("met", false, "attach the MeT controller during the run: it samples, and may reconfigure the cluster, between the run's ten batches, at any -concurrency (YCSB only)")
+	withMeT := flag.Bool("met", false, "attach the MeT controller during the run: it samples, and may reconfigure the cluster, between the run's ten batches, at any -concurrency (YCSB only); a failed actuation exits non-zero")
 	durableDir := flag.String("durable", "", "data directory: run region stores on the durable disk backend")
 	jsonOut := flag.String("json", "", "write machine-readable results to this file")
 	sustained := flag.Bool("sustained", false,
@@ -418,6 +418,9 @@ func runYCSB(cluster *met.Cluster, letter string, ops int, records int64, seed u
 	}
 	if ctrl != nil {
 		fmt.Printf("MeT: %d decisions, %d actuations\n", ctrl.Decisions(), ctrl.Actuations())
+		if err := ctrl.Err(); err != nil {
+			log.Fatal(err)
+		}
 	}
 }
 

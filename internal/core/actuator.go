@@ -1,29 +1,44 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"met/internal/hbase"
 	"met/internal/placement"
 )
 
-// Actuator carries out the Decision Maker's output on a concrete
-// deployment (Section 4.3).
-type Actuator interface {
-	// ProvisionNames returns names the Decision Maker may use for new
-	// nodes (e.g. the IaaS namespace). At least n names are returned
-	// when possible.
-	ProvisionNames(n int) []string
-	// Apply brings the cluster to the target distribution: add nodes
-	// named in the target that do not exist, reconfigure and re-place
-	// incrementally, remove nodes left empty, and issue major compacts
-	// where locality demands. It returns an actuation report.
-	Apply(target []placement.NodeState) (ApplyReport, error)
-	// Busy reports whether an earlier Apply is still unfolding (an
-	// asynchronous actuator returns from Apply with the plan scheduled);
-	// the Controller takes no decision until it has finished.
-	Busy() bool
+// Member is one node of a Cluster as the Actuator sees it.
+type Member struct {
+	Name    string
+	Config  hbase.ServerConfig
+	Serving bool
+}
+
+// Cluster is what the Actuator needs of a deployment: MasterCluster
+// adapts the in-process hbase.Master, and the simulated deployment
+// (met/internal/exp) implements it on the virtual clock. AddNode and
+// RestartNode call done once the node serves: before they return on a
+// cluster that acts synchronously, later on one that does not.
+type Cluster interface {
+	// Members returns every node, sorted by name.
+	Members() []Member
+	// Assignment returns a copy of the region -> host map.
+	Assignment() map[string]string
+	// Locality returns a region's locality index and whether it
+	// carries traffic.
+	Locality(region string) (index float64, active bool)
+	AddNode(name string, cfg hbase.ServerConfig, done func()) error
+	RestartNode(name string, cfg hbase.ServerConfig, done func()) error
+	MoveRegion(region, node string) error
+	// RemoveNode drops a node that hosts no region.
+	RemoveNode(name string) error
+	// MajorCompact rewrites a region's data locally and returns the
+	// bytes it rewrites.
+	MajorCompact(region string) (int64, error)
 }
 
 // ApplyReport summarizes what an actuation did; the controller logs it
@@ -37,27 +52,52 @@ type ApplyReport struct {
 	CompactedBytes int64
 }
 
-// FunctionalActuator drives the functional hbase cluster: the real
-// region moves, rolling restarts and major compactions of Section 5's
-// "Taking actions". It reconfigures servers one at a time, draining each
-// server's regions to the not-yet-reconfigured nodes first so data stays
-// available throughout — the paper's incremental strategy.
-type FunctionalActuator struct {
-	Master   *hbase.Master
+// Actuator carries out the Decision Maker's output on a Cluster — the
+// plan of Section 4.3: add the target's new nodes; reconfigure, one at
+// a time in name order, every node that keeps partitions and whose
+// config differs from its profile, draining it first so its data stays
+// available; move every partition to its target; major-compact the
+// regions that carry traffic and whose locality fell below 70% (write
+// profile) or 90% (others); remove the nodes the target left empty.
+//
+// One error rule holds on every cluster: a step that fails is skipped
+// and left out of the report, the plan goes on, and the plan's error
+// joins every failure.
+type Actuator struct {
+	Cluster  Cluster
 	Monitor  *Monitor
 	Params   Params
 	Profiles Profiles
-	// nameSeq mints names for added nodes.
-	nameSeq int
+	// OnStart and OnDone, when set, observe each plan as it starts and
+	// as it completes, with its report and error.
+	OnStart func()
+	OnDone  func(ApplyReport, error)
+
+	plan    *plan // in flight; nil when idle
+	nameSeq int   // mints names for added nodes
+	err     error // the last completed plan's
 }
 
-// NewFunctionalActuator wires an actuator to a running cluster.
-func NewFunctionalActuator(m *hbase.Master, mon *Monitor, params Params, profiles Profiles) *FunctionalActuator {
-	return &FunctionalActuator{Master: m, Monitor: mon, Params: params, Profiles: profiles}
+// plan is one actuation in flight.
+type plan struct {
+	target  []placement.NodeState
+	host    map[string]string // partition -> target node
+	restart []placement.NodeState
+	cfg     map[string]hbase.ServerConfig // each restart's config
+	remove  []string
+	booting int // added nodes not serving yet
+	rep     ApplyReport
+	errs    []error
 }
 
-// ProvisionNames implements Actuator.
-func (a *FunctionalActuator) ProvisionNames(n int) []string {
+// NewActuator wires an actuator to a cluster.
+func NewActuator(c Cluster, mon *Monitor, params Params, profiles Profiles) *Actuator {
+	return &Actuator{Cluster: c, Monitor: mon, Params: params, Profiles: profiles}
+}
+
+// ProvisionNames returns n names the Decision Maker may use for new
+// nodes.
+func (a *Actuator) ProvisionNames(n int) []string {
 	names := make([]string, n)
 	for i := range names {
 		names[i] = fmt.Sprintf("rs-met-%03d", a.nameSeq+i)
@@ -65,153 +105,258 @@ func (a *FunctionalActuator) ProvisionNames(n int) []string {
 	return names
 }
 
-// Busy implements Actuator: Apply runs the whole plan before returning.
-func (a *FunctionalActuator) Busy() bool { return false }
+// Busy reports whether a plan is in flight; the Controller takes no
+// decision until it has completed.
+func (a *Actuator) Busy() bool { return a.plan != nil }
 
-// Apply implements Actuator.
-func (a *FunctionalActuator) Apply(target []placement.NodeState) (ApplyReport, error) {
-	var rep ApplyReport
-	existing := make(map[string]*hbase.RegionServer)
-	for _, rs := range a.Master.Servers() {
-		existing[rs.Name()] = rs
+// Err returns the last completed plan's error.
+func (a *Actuator) Err() error { return a.err }
+
+// Apply starts the plan that brings the cluster to target; while a plan
+// is in flight it does nothing. It returns what the plan has done by
+// the time Apply returns — all of it, with the plan's error, when the
+// cluster's adds and restarts complete before they return.
+func (a *Actuator) Apply(target []placement.NodeState) (ApplyReport, error) {
+	if a.plan != nil {
+		return ApplyReport{}, nil
 	}
-
-	// 1. Add nodes present in the target but not in the cluster.
+	p := &plan{target: target, host: make(map[string]string), cfg: make(map[string]hbase.ServerConfig)}
+	a.plan = p
+	if a.OnStart != nil {
+		a.OnStart()
+	}
+	members := make(map[string]Member)
+	for _, m := range a.Cluster.Members() {
+		members[m.Name] = m
+	}
+	var adds []placement.NodeState
 	for _, ns := range target {
-		if _, ok := existing[ns.Node]; ok {
-			continue
+		for _, part := range ns.Partitions {
+			p.host[part] = ns.Node
 		}
-		cfg := a.Profiles[ns.Type]
-		rs, err := a.Master.AddServer(ns.Node, cfg)
-		if err != nil {
-			return rep, fmt.Errorf("core: add node %s: %w", ns.Node, err)
-		}
-		existing[ns.Node] = rs
-		a.Monitor.SetNodeType(ns.Node, ns.Type)
-		rep.NodesAdded = append(rep.NodesAdded, ns.Node)
-		a.nameSeq++
-	}
-
-	// 2. Reconfigure + re-place, one server at a time. Order servers so
-	// the ones whose profile already matches go last (they may not need
-	// a restart at all).
-	ordered := append([]placement.NodeState(nil), target...)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		ci := a.Monitor.NodeType(ordered[i].Node) != ordered[i].Type
-		cj := a.Monitor.NodeType(ordered[j].Node) != ordered[j].Type
-		if ci != cj {
-			return ci
-		}
-		return ordered[i].Node < ordered[j].Node
-	})
-	targetHost := make(map[string]string)
-	for _, ns := range target {
-		for _, p := range ns.Partitions {
-			targetHost[p] = ns.Node
+		m, ok := members[ns.Node]
+		switch {
+		case !ok:
+			adds = append(adds, ns)
+		case len(ns.Partitions) == 0:
+			p.remove = append(p.remove, ns.Node)
+		default:
+			if cfg := m.Config.WithProfile(a.Profiles[ns.Type]); cfg != m.Config {
+				p.restart = append(p.restart, ns)
+				p.cfg[ns.Node] = cfg
+			}
 		}
 	}
-	for _, ns := range ordered {
-		rs, ok := existing[ns.Node]
-		if !ok {
-			continue
+	sort.Slice(p.restart, func(i, j int) bool { return p.restart[i].Node < p.restart[j].Node })
+	a.nameSeq += len(adds)
+	p.booting = len(adds)
+	// The last add to settle starts the restarts.
+	booted := func() {
+		if p.booting--; p.booting == 0 {
+			a.restartFrom(p, 0)
 		}
-		wantCfg := a.Profiles[ns.Type]
-		// Profiles carry only the paper's tuning knobs; the storage
-		// backend and the compaction subsystem are deployment properties
-		// of the server, so a durable server stays durable — and keeps
-		// its compaction policy, budget and thresholds — across
-		// reprofiles.
-		wantCfg.DataDir = rs.Config().DataDir
-		wantCfg.Compaction = rs.Config().Compaction
-		if !rs.Config().Equal(wantCfg) {
-			// Drain: move hosted regions to their target hosts if those
-			// hosts are up, otherwise to any other server, so data
-			// stays available during the restart.
-			for _, r := range rs.Regions() {
-				dst := targetHost[r.Name()]
-				if dst == "" || dst == ns.Node {
-					dst = a.anyOtherServer(ns.Node)
-				}
-				if dst != "" && dst != ns.Node {
-					if err := a.Master.MoveRegion(r.Name(), dst); err != nil {
-						return rep, err
-					}
-					rep.RegionMoves++
-				}
-			}
-			// Through the master, so a durable cluster's catalog records
-			// the new profile and a cold start re-creates the server as
-			// reprofiled.
-			if err := a.Master.RestartServer(ns.Node, wantCfg); err != nil {
-				return rep, err
-			}
+	}
+	if p.booting == 0 {
+		a.restartFrom(p, 0)
+	}
+	for _, ns := range adds {
+		err := a.Cluster.AddNode(ns.Node, a.Profiles[ns.Type], func() {
 			a.Monitor.SetNodeType(ns.Node, ns.Type)
-			rep.Reconfigured = append(rep.Reconfigured, ns.Node)
-		}
-	}
-
-	// 3. Final placement: move every partition to its target node.
-	for _, ns := range target {
-		for _, p := range ns.Partitions {
-			host, ok := a.Master.HostOf(p)
-			if !ok {
-				continue
-			}
-			if host != ns.Node {
-				if err := a.Master.MoveRegion(p, ns.Node); err != nil {
-					return rep, err
-				}
-				rep.RegionMoves++
-			}
-		}
-	}
-
-	// 4. Remove nodes with no partitions in the target.
-	inTarget := make(map[string]bool)
-	for _, ns := range target {
-		inTarget[ns.Node] = len(ns.Partitions) > 0 || inTarget[ns.Node]
-	}
-	for name := range existing {
-		keep, mentioned := inTarget[name]
-		if mentioned && !keep {
-			if err := a.Master.DecommissionServer(name); err != nil {
-				return rep, err
-			}
-			rep.NodesRemoved = append(rep.NodesRemoved, name)
-		}
-	}
-
-	// 5. Major-compact servers whose locality fell below the profile's
-	// threshold (70% write / 90% others).
-	for _, ns := range target {
-		rs, err := a.Master.Server(ns.Node)
+			p.rep.NodesAdded = append(p.rep.NodesAdded, ns.Node)
+			booted()
+		})
 		if err != nil {
-			continue // removed above
+			p.errs = append(p.errs, fmt.Errorf("core: add node %s: %w", ns.Node, err))
+			booted()
 		}
+	}
+	if a.plan == p {
+		return p.rep, nil
+	}
+	return p.rep, a.err
+}
+
+// restartFrom drains and restarts p.restart[i], then — once it serves
+// again — the next one; after the last it finishes the plan.
+func (a *Actuator) restartFrom(p *plan, i int) {
+	if i == len(p.restart) {
+		a.finish(p)
+		return
+	}
+	ns := p.restart[i]
+	a.drain(p, ns.Node)
+	err := a.Cluster.RestartNode(ns.Node, p.cfg[ns.Node], func() {
+		a.Monitor.SetNodeType(ns.Node, ns.Type)
+		p.rep.Reconfigured = append(p.rep.Reconfigured, ns.Node)
+		a.restartFrom(p, i+1)
+	})
+	if err != nil {
+		p.errs = append(p.errs, fmt.Errorf("core: restart %s: %w", ns.Node, err))
+		a.restartFrom(p, i+1)
+	}
+}
+
+// drain moves every region off node before its restart: to the
+// region's target host if that one serves, otherwise to the serving
+// node with the fewest regions, so drains spread instead of piling up.
+func (a *Actuator) drain(p *plan, node string) {
+	serving := make(map[string]bool)
+	for _, m := range a.Cluster.Members() {
+		serving[m.Name] = m.Serving && m.Name != node
+	}
+	assign := a.Cluster.Assignment()
+	count := make(map[string]int)
+	for _, host := range assign {
+		count[host]++
+	}
+	for _, r := range slices.Sorted(maps.Keys(assign)) {
+		if assign[r] != node {
+			continue
+		}
+		dst := p.host[r]
+		if !serving[dst] {
+			dst = ""
+			for _, n := range slices.Sorted(maps.Keys(serving)) {
+				if serving[n] && (dst == "" || count[n] < count[dst]) {
+					dst = n
+				}
+			}
+		}
+		if dst != "" && a.move(p, r, dst) == nil {
+			count[node]--
+			count[dst]++
+		}
+	}
+}
+
+// move moves one region and counts it.
+func (a *Actuator) move(p *plan, region, node string) error {
+	err := a.Cluster.MoveRegion(region, node)
+	if err != nil {
+		p.errs = append(p.errs, fmt.Errorf("core: move %s to %s: %w", region, node, err))
+	} else {
+		p.rep.RegionMoves++
+	}
+	return err
+}
+
+// finish places every partition on its target node, compacts where
+// locality demands, removes the emptied nodes and ends the plan.
+func (a *Actuator) finish(p *plan) {
+	assign := a.Cluster.Assignment()
+	for _, ns := range p.target {
+		for _, part := range ns.Partitions {
+			if host, ok := assign[part]; ok && host != ns.Node && a.move(p, part, ns.Node) == nil {
+				assign[part] = ns.Node
+			}
+		}
+	}
+	for _, ns := range p.target {
 		threshold := a.Params.LocalityReadThreshold
 		if ns.Type == placement.Write {
 			threshold = a.Params.LocalityWriteThreshold
 		}
-		if rs.Locality() < threshold {
-			for _, r := range rs.Regions() {
-				n, err := rs.MajorCompact(r.Name())
-				if err != nil {
-					return rep, err
-				}
-				rep.MajorCompacts++
-				rep.CompactedBytes += n
+		for _, part := range ns.Partitions {
+			if assign[part] != ns.Node {
+				continue
 			}
+			if index, active := a.Cluster.Locality(part); !active || index >= threshold {
+				continue
+			}
+			n, err := a.Cluster.MajorCompact(part)
+			if err != nil {
+				p.errs = append(p.errs, fmt.Errorf("core: major compact %s: %w", part, err))
+				continue
+			}
+			p.rep.MajorCompacts++
+			p.rep.CompactedBytes += n
 		}
 	}
-	return rep, nil
+	hosting := make(map[string]int)
+	for _, host := range assign {
+		hosting[host]++
+	}
+	for _, n := range p.remove {
+		err := fmt.Errorf("still hosts %d regions", hosting[n])
+		if hosting[n] == 0 {
+			err = a.Cluster.RemoveNode(n)
+		}
+		if err != nil {
+			p.errs = append(p.errs, fmt.Errorf("core: remove node %s: %w", n, err))
+			continue
+		}
+		p.rep.NodesRemoved = append(p.rep.NodesRemoved, n)
+	}
+	a.plan, a.err = nil, errors.Join(p.errs...)
+	if a.OnDone != nil {
+		a.OnDone(p.rep, a.err)
+	}
 }
 
-// anyOtherServer picks a running server other than exclude.
-func (a *FunctionalActuator) anyOtherServer(exclude string) string {
-	for _, rs := range a.Master.Servers() {
-		if rs.Name() != exclude && rs.Running() {
-			return rs.Name()
-		}
+// MasterCluster is the in-process hbase.Master as a Cluster. Its adds
+// and restarts complete before they return, so a plan on it runs to the
+// end inside Apply. Every hosted region counts as carrying traffic.
+type MasterCluster struct{ *hbase.Master }
+
+// Members implements Cluster.
+func (c MasterCluster) Members() []Member {
+	var out []Member
+	for _, rs := range c.Servers() {
+		out = append(out, Member{Name: rs.Name(), Config: rs.Config(), Serving: rs.Running()})
 	}
-	return ""
+	return out
+}
+
+// Locality implements Cluster from the host's namenode index over the
+// region's files.
+func (c MasterCluster) Locality(region string) (float64, bool) {
+	rs, ok := c.host(region)
+	if !ok {
+		return 1, false
+	}
+	return rs.RegionLocality(region), true
+}
+
+// AddNode implements Cluster. Through the master, so a durable
+// cluster's catalog records the new server.
+func (c MasterCluster) AddNode(name string, cfg hbase.ServerConfig, done func()) error {
+	_, err := c.AddServer(name, cfg)
+	return then(err, done)
+}
+
+// RestartNode implements Cluster. Through the master, so a durable
+// cluster's catalog records the new profile and a cold start re-creates
+// the server as reprofiled.
+func (c MasterCluster) RestartNode(name string, cfg hbase.ServerConfig, done func()) error {
+	return then(c.RestartServer(name, cfg), done)
+}
+
+// then calls done when a synchronous step succeeded.
+func then(err error, done func()) error {
+	if err == nil {
+		done()
+	}
+	return err
+}
+
+// RemoveNode implements Cluster.
+func (c MasterCluster) RemoveNode(name string) error { return c.DecommissionServer(name) }
+
+// MajorCompact implements Cluster on the region's host.
+func (c MasterCluster) MajorCompact(region string) (int64, error) {
+	rs, ok := c.host(region)
+	if !ok {
+		return 0, fmt.Errorf("core: region %q has no live host", region)
+	}
+	return rs.MajorCompact(region)
+}
+
+// host returns the server the layout assigns region.
+func (c MasterCluster) host(region string) (*hbase.RegionServer, bool) {
+	name, ok := c.HostOf(region)
+	if !ok {
+		return nil, false
+	}
+	rs, err := c.Server(name)
+	return rs, err == nil
 }

@@ -15,7 +15,7 @@ import (
 type Controller struct {
 	Monitor  *Monitor
 	Decision *DecisionMaker
-	Actuator Actuator
+	Actuator *Actuator
 
 	// SampleInterval is the Monitor period (30 s in the paper).
 	SampleInterval sim.Time
@@ -24,15 +24,15 @@ type Controller struct {
 
 	decisions  int
 	actuations int
-	lastErr    error
 }
 
-// NewController assembles a controller with the paper's cadence.
-func NewController(mon *Monitor, dm *DecisionMaker, act Actuator) *Controller {
+// NewController assembles a controller with the paper's cadence that
+// acts on c with the Decision Maker's parameters and profiles.
+func NewController(mon *Monitor, dm *DecisionMaker, c Cluster) *Controller {
 	return &Controller{
 		Monitor:        mon,
 		Decision:       dm,
-		Actuator:       act,
+		Actuator:       NewActuator(c, mon, dm.Params, dm.Profiles),
 		SampleInterval: 30 * sim.Second,
 	}
 }
@@ -65,8 +65,8 @@ func (c *Controller) Tick(now sim.Time) {
 	c.decisions++
 	var rep ApplyReport
 	if d.Reconfigure {
-		rep, c.lastErr = c.Actuator.Apply(d.Target)
-		if c.lastErr == nil {
+		var err error
+		if rep, err = c.Actuator.Apply(d.Target); err == nil {
 			c.actuations++
 		}
 	}
@@ -82,13 +82,14 @@ func (c *Controller) Tick(now sim.Time) {
 // Decisions returns how many decisions have run.
 func (c *Controller) Decisions() int { return c.decisions }
 
-// Actuations returns how many successful actuations have run.
+// Actuations returns how many actuations have started without Apply
+// reporting an error.
 func (c *Controller) Actuations() int { return c.actuations }
 
-// Err returns the last actuation error, if any.
+// Err returns the last completed actuation's error, if any.
 func (c *Controller) Err() error {
-	if c.lastErr != nil {
-		return fmt.Errorf("core: last actuation: %w", c.lastErr)
+	if err := c.Actuator.Err(); err != nil {
+		return fmt.Errorf("core: last actuation: %w", err)
 	}
 	return nil
 }

@@ -56,8 +56,7 @@ func newTestController(m *hbase.Master) *Controller {
 	params.MinSamples = 2
 	params.MinNodes = 2
 	dm := NewDecisionMaker(params, Table1Profiles())
-	act := NewFunctionalActuator(m, mon, params, Table1Profiles())
-	return NewController(mon, dm, act)
+	return NewController(mon, dm, MasterCluster{m})
 }
 
 func TestControllerInitialReconfiguration(t *testing.T) {
@@ -143,8 +142,7 @@ func TestControllerHealthyClusterUntouched(t *testing.T) {
 	params.MinSamples = 2
 	params.CPULow = 0 // nothing is ever "underloaded"
 	dm := NewDecisionMaker(params, Table1Profiles())
-	act := NewFunctionalActuator(m, mon, params, Table1Profiles())
-	ctrl := NewController(mon, dm, act)
+	ctrl := NewController(mon, dm, MasterCluster{m})
 	driveLoad(t, c, 100)
 	ctrl.Tick(0)
 	driveLoad(t, c, 100)
@@ -183,7 +181,7 @@ func TestFunctionalActuatorAddAndRemove(t *testing.T) {
 	src := NewClusterSource(m, 50, 30*sim.Second)
 	mon := NewMonitor(src, 0.5)
 	params := DefaultParams()
-	act := NewFunctionalActuator(m, mon, params, Table1Profiles())
+	act := NewActuator(MasterCluster{m}, mon, params, Table1Profiles())
 
 	driveLoad(t, c, 100)
 	// Target: spread everything over rs0 plus a new node, dropping rs1.
@@ -228,7 +226,7 @@ func TestFunctionalActuatorAddAndRemove(t *testing.T) {
 }
 
 func TestProvisionNames(t *testing.T) {
-	act := &FunctionalActuator{}
+	act := &Actuator{}
 	names := act.ProvisionNames(3)
 	if len(names) != 3 {
 		t.Fatalf("names = %v", names)
@@ -284,8 +282,5 @@ func TestMonitorNodeTypes(t *testing.T) {
 	mon.SetNodeType("rs0", placement.Scan)
 	if mon.NodeType("rs0") != placement.Scan {
 		t.Fatal("type not recorded")
-	}
-	if mon.Locality("unknown") != 1 {
-		t.Fatal("unknown locality should be 1")
 	}
 }

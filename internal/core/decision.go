@@ -37,8 +37,8 @@ type Params struct {
 	// decision (6 in the paper: 3-minute decisions on 30 s samples).
 	MinSamples int
 	// LocalityWriteThreshold / LocalityReadThreshold trigger major
-	// compaction when a server's locality index falls below them (70%
-	// for write-profile servers, 90% for the rest).
+	// compaction when a region's locality index falls below them (70%
+	// on write-profile servers, 90% on the rest).
 	LocalityWriteThreshold float64
 	LocalityReadThreshold  float64
 }

@@ -116,11 +116,3 @@ func (m *Monitor) View() ClusterView {
 	}
 	return view
 }
-
-// Locality returns the last observed locality index for a node.
-func (m *Monitor) Locality(node string) float64 {
-	if l, ok := m.lastLocality[node]; ok {
-		return l
-	}
-	return 1
-}

@@ -11,9 +11,10 @@
 //	        matching that minimizes moves and reconfigurations.
 //
 // The controller is substrate-agnostic: it sees the cluster through the
-// Monitor's ClusterView and acts through the Actuator interface, which is
-// implemented both for the functional hbase cluster (this package) and
-// for the simulated deployment (met/internal/exp).
+// Monitor's ClusterView and acts through the Actuator, one plan over
+// the small Cluster interface that both the functional hbase cluster
+// (MasterCluster, this package) and the simulated deployment
+// (met/internal/exp) implement.
 package core
 
 import (

@@ -1,17 +1,21 @@
 // Package exp is the experiment harness: it assembles the paper's
 // evaluation scenarios on top of the performance model
-// (met/internal/perfmodel), drives them on the virtual clock, hosts the
-// simulated Actuators for MeT and Tiramola, and contains one runner per
+// (met/internal/perfmodel), drives them on the virtual clock through a
+// Deployment — the core.Cluster MeT's one Actuator acts on, and the
+// cluster the Tiramola baseline scales — and contains one runner per
 // table and figure of the paper's evaluation (Figure 1, Figure 4,
 // Table 2, Figure 5, Figure 6).
 package exp
 
 import (
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 
+	"met/internal/core"
 	"met/internal/hbase"
+	"met/internal/iaas"
 	"met/internal/metrics"
 	"met/internal/perfmodel"
 	"met/internal/sim"
@@ -29,7 +33,8 @@ type TickSample struct {
 // solving, data growth, node lifecycle (boot, restart, warmup,
 // termination), region moves with locality degradation, and major
 // compactions with their disk load and duration. It implements
-// metrics.Source so MeT's Monitor can poll it like a real cluster.
+// metrics.Source so MeT's Monitor can poll it like a real cluster, and
+// core.Cluster so MeT's Actuator can act on it.
 type Deployment struct {
 	Sched *sim.Scheduler
 	Model *perfmodel.Model
@@ -48,6 +53,9 @@ type Deployment struct {
 	MoveLocality float64
 	// RampUp scales client threads linearly from 0 over this window.
 	RampUp sim.Time
+	// Provider supplies the boot delay of added nodes; nil adds them
+	// instantly.
+	Provider *iaas.Provider
 
 	// Series is the recorded timeline.
 	Series []TickSample
@@ -57,9 +65,8 @@ type Deployment struct {
 	lastSolution perfmodel.Solution
 	// regionCum accumulates per-region request counters for Observe.
 	regionCum map[string]*metrics.RequestCounts
-	// nodeTypes is informative only (Observe does not need it).
+	// warmUntil is when each cold node's cache is warm again.
 	warmUntil map[string]sim.Time
-	stopped   bool
 }
 
 // NewDeployment builds a deployment over a model with paper-calibrated
@@ -84,16 +91,13 @@ func NewDeployment(sched *sim.Scheduler, model *perfmodel.Model) *Deployment {
 // deadline.
 func (d *Deployment) Start(until sim.Time) {
 	d.Sched.EachTick(d.Sched.Now(), d.Tick, func(now sim.Time) bool {
-		if d.stopped || now > until {
+		if now > until {
 			return false
 		}
 		d.step(now)
 		return now+d.Tick <= until
 	})
 }
-
-// Stop halts ticking at the next tick boundary.
-func (d *Deployment) Stop() { d.stopped = true }
 
 // step advances the deployment by one tick.
 func (d *Deployment) step(now sim.Time) {
@@ -128,7 +132,7 @@ func (d *Deployment) step(now sim.Time) {
 	d.lastSolution = sol
 
 	dt := d.Tick.Seconds()
-	sample := TickSample{At: now, PerWL: make(map[string]float64), Nodes: d.liveNodes()}
+	sample := TickSample{At: now, PerWL: make(map[string]float64), Nodes: len(d.serving(""))}
 	for _, w := range d.Model.Workloads {
 		x := sol.ThroughputOps[w.Name]
 		sample.PerWL[w.Name] = x
@@ -163,19 +167,17 @@ func (d *Deployment) step(now sim.Time) {
 	d.Series = append(d.Series, sample)
 }
 
-// liveNodes counts online nodes.
-func (d *Deployment) liveNodes() int {
-	n := 0
-	for _, node := range d.Model.Nodes {
-		if !node.Offline {
-			n++
+// serving returns the names of the serving nodes other than exclude,
+// sorted.
+func (d *Deployment) serving(exclude string) []string {
+	var out []string
+	for _, m := range d.Members() {
+		if m.Serving && m.Name != exclude {
+			out = append(out, m.Name)
 		}
 	}
-	return n
+	return out
 }
-
-// LastSolution returns the most recent solver output.
-func (d *Deployment) LastSolution() perfmodel.Solution { return d.lastSolution }
 
 // TotalOps sums completed operations across workloads.
 func (d *Deployment) TotalOps() float64 {
@@ -188,11 +190,50 @@ func (d *Deployment) TotalOps() float64 {
 
 // --- cluster actions -------------------------------------------------
 
-// AddNode inserts a booted node (callers model boot delay via the
-// scheduler or iaas.Provider before calling this). The cache starts cold.
-func (d *Deployment) AddNode(name string, cfg hbase.ServerConfig) {
-	d.Model.Nodes[name] = &perfmodel.NodePerf{Name: name, Config: cfg, ColdFraction: 1}
-	d.warmUntil[name] = d.Sched.Now() + d.WarmupDuration
+// Members implements core.Cluster.
+func (d *Deployment) Members() []core.Member {
+	var out []core.Member
+	for _, name := range slices.Sorted(maps.Keys(d.Model.Nodes)) {
+		n := d.Model.Nodes[name]
+		out = append(out, core.Member{Name: name, Config: n.Config, Serving: !n.Offline})
+	}
+	return out
+}
+
+// Assignment implements core.Cluster.
+func (d *Deployment) Assignment() map[string]string { return maps.Clone(d.Model.Placement) }
+
+// Locality implements core.Cluster: a region carries traffic when an
+// active workload routes requests to it.
+func (d *Deployment) Locality(region string) (float64, bool) {
+	r, ok := d.Model.Regions[region]
+	if !ok {
+		return 1, false
+	}
+	for _, w := range d.Model.Workloads {
+		if w.Active && w.RegionShares[region] > 0 {
+			return r.Locality, true
+		}
+	}
+	return r.Locality, false
+}
+
+// AddNode boots a node through Provider — instantly when there is none
+// or the launch fails on quota or flavor, so the caller's plan still
+// completes — and inserts it with a cold cache. done fires once it
+// serves.
+func (d *Deployment) AddNode(name string, cfg hbase.ServerConfig, done func()) error {
+	ready := func() {
+		d.Model.Nodes[name] = &perfmodel.NodePerf{Name: name, Config: cfg, ColdFraction: 1}
+		d.warmUntil[name] = d.Sched.Now() + d.WarmupDuration
+		done()
+	}
+	if d.Provider == nil {
+		ready()
+	} else if _, err := d.Provider.Launch(name, "m1.medium", func(*iaas.Instance) { ready() }); err != nil {
+		ready()
+	}
+	return nil
 }
 
 // RemoveNode drops a node; its regions must have been moved off first.
@@ -226,9 +267,9 @@ func (d *Deployment) MoveRegion(region, node string) error {
 }
 
 // RestartNode takes a node offline for RestartDuration, then brings it
-// back with the new configuration and a cold cache. onDone (optional)
-// fires when the node is serving again.
-func (d *Deployment) RestartNode(name string, cfg hbase.ServerConfig, onDone func(now sim.Time)) error {
+// back with the new configuration and a cold cache. done fires when the
+// node is serving again.
+func (d *Deployment) RestartNode(name string, cfg hbase.ServerConfig, done func()) error {
 	n, ok := d.Model.Nodes[name]
 	if !ok {
 		return fmt.Errorf("exp: unknown node %s", name)
@@ -241,29 +282,27 @@ func (d *Deployment) RestartNode(name string, cfg hbase.ServerConfig, onDone fun
 			n2.ColdFraction = 1
 			d.warmUntil[name] = now + d.WarmupDuration
 		}
-		if onDone != nil {
-			onDone(now)
-		}
+		done()
 	})
 	return nil
 }
 
 // MajorCompact rewrites a region's data locally: it applies disk load on
 // the hosting node at CompactBytesPerSec for size/rate, then restores the
-// region's locality to 1. onDone (optional) fires at completion.
-func (d *Deployment) MajorCompact(region string, onDone func(now sim.Time)) error {
+// region's locality to 1. It returns the region's size.
+func (d *Deployment) MajorCompact(region string) (int64, error) {
 	r, ok := d.Model.Regions[region]
 	if !ok {
-		return fmt.Errorf("exp: unknown region %s", region)
+		return 0, fmt.Errorf("exp: unknown region %s", region)
 	}
 	host := d.Model.Placement[region]
 	n, ok := d.Model.Nodes[host]
 	if !ok {
-		return fmt.Errorf("exp: region %s unplaced", region)
+		return 0, fmt.Errorf("exp: region %s unplaced", region)
 	}
 	duration := sim.Time(float64(sim.Second) * r.SizeBytes / d.CompactBytesPerSec)
 	n.BackgroundDiskBytesPerSec += d.CompactBytesPerSec
-	d.Sched.ScheduleAfter(duration, func(now sim.Time) {
+	d.Sched.ScheduleAfter(duration, func(sim.Time) {
 		if n2, ok := d.Model.Nodes[host]; ok {
 			n2.BackgroundDiskBytesPerSec -= d.CompactBytesPerSec
 			if n2.BackgroundDiskBytesPerSec < 0 {
@@ -273,11 +312,8 @@ func (d *Deployment) MajorCompact(region string, onDone func(now sim.Time)) erro
 		if r2, ok := d.Model.Regions[region]; ok {
 			r2.Locality = 1
 		}
-		if onDone != nil {
-			onDone(now)
-		}
 	})
-	return nil
+	return int64(r.SizeBytes), nil
 }
 
 // --- metrics.Source --------------------------------------------------
@@ -286,12 +322,7 @@ func (d *Deployment) MajorCompact(region string, onDone func(now sim.Time)) erro
 func (d *Deployment) Observe(now sim.Time) ([]metrics.NodeObservation, []metrics.RegionObservation) {
 	sol := d.lastSolution
 	var nodes []metrics.NodeObservation
-	names := make([]string, 0, len(d.Model.Nodes))
-	for n := range d.Model.Nodes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(d.Model.Nodes)) {
 		n := d.Model.Nodes[name]
 		if n.Offline {
 			continue // a down node reports nothing, like real Ganglia
@@ -322,12 +353,7 @@ func (d *Deployment) Observe(now sim.Time) ([]metrics.NodeObservation, []metrics
 		})
 	}
 	var regions []metrics.RegionObservation
-	rnames := make([]string, 0, len(d.Model.Placement))
-	for r := range d.Model.Placement {
-		rnames = append(rnames, r)
-	}
-	sort.Strings(rnames)
-	for _, r := range rnames {
+	for _, r := range slices.Sorted(maps.Keys(d.Model.Placement)) {
 		cum := d.regionCum[r]
 		if cum == nil {
 			cum = &metrics.RequestCounts{}

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"met/internal/autoscale"
 	"met/internal/core"
@@ -44,25 +45,45 @@ const elasticityMinutes = 60
 // at 43, WorkloadA at 53, leaving only WorkloadC.
 func RunElasticity(seed uint64) *ElasticityResult {
 	res := &ElasticityResult{Phase1End: 33 * sim.Minute}
-	res.MeT = runElasticityMeT(seed)
-	res.Tiramola = runElasticityTiramola(seed)
+	res.MeT = runElasticity("MeT", seed, func(sc *Scenario, d *Deployment) {
+		params := core.DefaultParams()
+		params.MinNodes = 6
+		params.MaxNodes = 12
+		runner := NewMeTRunner(d, params)
+		seedTypes(runner, sc)
+		runner.Start(d.Sched, 2*sim.Minute, elasticityMinutes*sim.Minute)
+	})
+	res.Tiramola = runElasticity("Tiramola", seed, func(_ *Scenario, d *Deployment) {
+		params := autoscale.DefaultParams()
+		params.MinNodes = 6
+		params.MaxNodes = 12
+		// Trigger on sustained moderate pressure; with HBase's random
+		// balancer wrecking locality after every addition, waiting for 85%
+		// average CPU would starve the controller of signal entirely.
+		params.CPUHigh = 0.72
+		runner := NewTiramolaRunner(d, params, sim.NewRNG(seed+9))
+		runner.Start(d.Sched, 2*sim.Minute, elasticityMinutes*sim.Minute)
+	})
 	return res
 }
 
-// elasticityScenario builds the overloaded starting cluster.
-func elasticityScenario(seed uint64) (*Scenario, *sim.Scheduler, *Deployment, *iaas.Provider) {
+// runElasticity runs one system on the overloaded starting cluster,
+// whose added nodes boot through an OpenStack-like provider; attach
+// wires the system's controller to the deployment.
+func runElasticity(system string, seed uint64, attach func(*Scenario, *Deployment)) ElasticityRun {
 	sc := BuildYCSBScenario(6, 1.2) // extra client threads overload the 6 servers
 	sc.ApplyStrategy(ManualHomogeneous, sim.NewRNG(seed))
-	sched := sim.NewScheduler()
-	d := NewDeployment(sched, sc.Model)
-	d.RampUp = 2 * sim.Minute
-	prov := iaas.NewProvider(sched, 90*sim.Second, 16)
-	// Bill the pre-existing instances so quota covers them too.
-	for range sc.NodeNames() {
-		_, _ = prov.Launch("pre-existing", "m1.medium", nil)
-	}
-	scheduleSwitchOffs(sched, sc)
-	return sc, sched, d, prov
+	d := sc.run(elasticityMinutes*sim.Minute, func(d *Deployment) {
+		prov := iaas.NewProvider(d.Sched, 90*sim.Second, 16)
+		// Bill the pre-existing instances so quota covers them too.
+		for range sc.NodeNames() {
+			_, _ = prov.Launch("pre-existing", "m1.medium", nil)
+		}
+		d.Provider = prov
+		scheduleSwitchOffs(d.Sched, sc)
+		attach(sc, d)
+	})
+	return summarizeElasticity(system, d)
 }
 
 // scheduleSwitchOffs applies the paper's phase-2 schedule.
@@ -80,40 +101,10 @@ func scheduleSwitchOffs(sched *sim.Scheduler, sc *Scenario) {
 	})
 }
 
-func runElasticityMeT(seed uint64) ElasticityRun {
-	sc, sched, d, prov := elasticityScenario(seed)
-	params := core.DefaultParams()
-	params.MinNodes = 6
-	params.MaxNodes = 12
-	runner := NewMeTRunner(d, params, prov)
-	seedTypes(runner, sc)
-	d.Start(elasticityMinutes * sim.Minute)
-	runner.Start(sched, 2*sim.Minute, elasticityMinutes*sim.Minute)
-	sched.RunUntil(elasticityMinutes * sim.Minute)
-	return summarizeElasticity("MeT", d)
-}
-
-func runElasticityTiramola(seed uint64) ElasticityRun {
-	_, sched, d, prov := elasticityScenario(seed)
-	params := autoscale.DefaultParams()
-	params.MinNodes = 6
-	params.MaxNodes = 12
-	// Trigger on sustained moderate pressure; with HBase's random
-	// balancer wrecking locality after every addition, waiting for 85%
-	// average CPU would starve the controller of signal entirely.
-	params.CPUHigh = 0.72
-	runner := NewTiramolaRunner(d, params, prov, sim.NewRNG(seed+9))
-	d.Start(elasticityMinutes * sim.Minute)
-	runner.Start(sched, 2*sim.Minute, elasticityMinutes*sim.Minute)
-	sched.RunUntil(elasticityMinutes * sim.Minute)
-	return summarizeElasticity("Tiramola", d)
-}
-
 func summarizeElasticity(system string, d *Deployment) ElasticityRun {
 	run := ElasticityRun{System: system}
 	run.Throughput = perMinute(d.Series, elasticityMinutes)
 	run.Nodes = make([]int, elasticityMinutes)
-	counts := make([]int, elasticityMinutes)
 	cum := 0.0
 	run.CumulativeOps = make([]float64, elasticityMinutes)
 	for _, s := range d.Series {
@@ -124,20 +115,13 @@ func summarizeElasticity(system string, d *Deployment) ElasticityRun {
 		if s.Nodes > run.Nodes[m] {
 			run.Nodes[m] = s.Nodes
 		}
-		counts[m]++
 	}
 	for i, thr := range run.Throughput {
 		cum += thr * 60
 		run.CumulativeOps[i] = cum
 	}
-	for _, n := range run.Nodes {
-		if n > run.PeakNodes {
-			run.PeakNodes = n
-		}
-	}
-	if len(run.Nodes) > 0 {
-		run.FinalNodes = run.Nodes[len(run.Nodes)-1]
-	}
+	run.PeakNodes = slices.Max(run.Nodes)
+	run.FinalNodes = run.Nodes[len(run.Nodes)-1]
 	return run
 }
 
@@ -157,16 +141,9 @@ func (r *ElasticityResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "%-7s %10s %6s %12s %6s\n", "minute", "MeT ops/s", "nodes", "Tira ops/s", "nodes")
 	for i := 0; i < elasticityMinutes; i++ {
 		fmt.Fprintf(w, "%-7d %10.0f %6d %12.0f %6d\n", i+1,
-			at(r.MeT.Throughput, i), atInt(r.MeT.Nodes, i),
-			at(r.Tiramola.Throughput, i), atInt(r.Tiramola.Nodes, i))
+			at(r.MeT.Throughput, i), at(r.MeT.Nodes, i),
+			at(r.Tiramola.Throughput, i), at(r.Tiramola.Nodes, i))
 	}
 	fmt.Fprintf(w, "\nPeak nodes: MeT %d (paper: 9), Tiramola %d (paper: 11)\n", r.MeT.PeakNodes, r.Tiramola.PeakNodes)
 	fmt.Fprintf(w, "Final nodes: MeT %d (paper: back to 6), Tiramola %d (paper: stays high)\n", r.MeT.FinalNodes, r.Tiramola.FinalNodes)
-}
-
-func atInt(s []int, i int) int {
-	if i < 0 || i >= len(s) {
-		return 0
-	}
-	return s[i]
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -138,18 +139,21 @@ func TestDeploymentMajorCompactRestoresLocality(t *testing.T) {
 	}
 	sc.Model.Regions[region].Locality = 0.25
 	host := sc.Model.Placement[region]
-	done := false
-	if err := d.MajorCompact(region, func(sim.Time) { done = true }); err != nil {
+	n, err := d.MajorCompact(region)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if n != int64(sc.Model.Regions[region].SizeBytes) {
+		t.Fatalf("compacted bytes = %d, want the region size", n)
 	}
 	if sc.Model.Nodes[host].BackgroundDiskBytesPerSec <= 0 {
 		t.Fatal("no compaction disk load")
 	}
+	if sc.Model.Regions[region].Locality == 1 {
+		t.Fatal("compaction completed before any time passed")
+	}
 	// 275 MB at ~1 GB/min: well within 1 minute.
 	sched.RunUntil(2 * sim.Minute)
-	if !done {
-		t.Fatal("compaction never completed")
-	}
 	if sc.Model.Regions[region].Locality != 1 {
 		t.Fatal("locality not restored")
 	}
@@ -165,7 +169,7 @@ func TestDeploymentRestartNode(t *testing.T) {
 	d := NewDeployment(sched, sc.Model)
 	cfg := core.Table1Profiles()[placement.Read]
 	done := false
-	if err := d.RestartNode("rs0", cfg, func(sim.Time) { done = true }); err != nil {
+	if err := d.RestartNode("rs0", cfg, func() { done = true }); err != nil {
 		t.Fatal(err)
 	}
 	if !sc.Model.Nodes["rs0"].Offline {
@@ -346,7 +350,9 @@ func TestElasticityShape(t *testing.T) {
 	}
 }
 
-func TestMeTRunnerReconfiguresDeployment(t *testing.T) {
+// runMeTScenario runs MeT for 15 minutes over a Random-Homogeneous
+// 5-node cluster and returns the run with every completed plan's report.
+func runMeTScenario() (*Scenario, *Deployment, *MeTRunner, []core.ApplyReport) {
 	sc := BuildYCSBScenario(5, 1)
 	sc.ApplyStrategy(RandomHomogeneous, sim.NewRNG(5))
 	sched := sim.NewScheduler()
@@ -355,15 +361,26 @@ func TestMeTRunnerReconfiguresDeployment(t *testing.T) {
 	params := core.DefaultParams()
 	params.MinNodes = 5
 	params.MaxNodes = 5
-	runner := NewMeTRunner(d, params, nil)
+	runner := NewMeTRunner(d, params)
+	var reports []core.ApplyReport
+	onDone := runner.Actuator.OnDone
+	runner.Actuator.OnDone = func(rep core.ApplyReport, err error) {
+		onDone(rep, err)
+		reports = append(reports, rep)
+	}
 	seedTypes(runner, sc)
 	d.Start(15 * sim.Minute)
 	runner.Start(sched, sim.Minute, 15*sim.Minute)
 	sched.RunUntil(15 * sim.Minute)
+	return sc, d, runner, reports
+}
+
+func TestMeTRunnerReconfiguresDeployment(t *testing.T) {
+	sc, _, runner, _ := runMeTScenario()
 	if runner.Decisions() == 0 {
 		t.Fatal("no decisions")
 	}
-	if len(runner.Sim.Reports) == 0 {
+	if runner.plans == 0 || runner.Window[1] == 0 {
 		t.Fatal("no completed actuations")
 	}
 	configs := map[string]bool{}
@@ -375,13 +392,51 @@ func TestMeTRunnerReconfiguresDeployment(t *testing.T) {
 	}
 }
 
+// TestMeTRunnerDeterministic guards the figures against map-iteration
+// order leaking into the plan: two identical runs must act identically
+// and record the same series. Throughputs are compared to a relative
+// 1e-9: the performance model sums floats in map order, which moves
+// them by ~1e-12 between runs, while a different plan moves them by
+// whole percents.
+func TestMeTRunnerDeterministic(t *testing.T) {
+	_, d1, r1, reps1 := runMeTScenario()
+	_, d2, r2, reps2 := runMeTScenario()
+	if len(reps1) == 0 {
+		t.Fatal("no completed actuations")
+	}
+	same := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b)) }
+	if len(d1.Series) != len(d2.Series) {
+		t.Fatalf("series lengths %d and %d", len(d1.Series), len(d2.Series))
+	}
+	for i, a := range d1.Series {
+		b := d2.Series[i]
+		if a.At != b.At || a.Nodes != b.Nodes || !same(a.Total, b.Total) || len(a.PerWL) != len(b.PerWL) {
+			t.Fatalf("tick %d: %+v vs %+v", i, a, b)
+		}
+		for w, x := range a.PerWL {
+			if !same(x, b.PerWL[w]) {
+				t.Fatalf("tick %d workload %s: %v vs %v", i, w, x, b.PerWL[w])
+			}
+		}
+	}
+	if !reflect.DeepEqual(reps1, reps2) || r1.Window != r2.Window {
+		t.Fatalf("two identical runs acted differently:\n%+v %v\n%+v %v", reps1, r1.Window, reps2, r2.Window)
+	}
+}
+
 func TestSimActuatorBusyGate(t *testing.T) {
 	sc := BuildYCSBScenario(3, 1)
 	sc.ApplyStrategy(RandomHomogeneous, sim.NewRNG(6))
 	sched := sim.NewScheduler()
 	d := NewDeployment(sched, sc.Model)
-	mon := core.NewMonitor(d, 0.5)
-	act := NewSimActuator(d, mon, core.DefaultParams(), core.Table1Profiles(), nil)
+	runner := NewMeTRunner(d, core.DefaultParams())
+	act := runner.Actuator
+	var reports []core.ApplyReport
+	onDone := act.OnDone
+	act.OnDone = func(rep core.ApplyReport, err error) {
+		onDone(rep, err)
+		reports = append(reports, rep)
+	}
 	// A target that re-types every node, forcing restarts.
 	ns := simpleTarget(sc)
 	if _, err := act.Apply(ns); err != nil {
@@ -394,15 +449,15 @@ func TestSimActuatorBusyGate(t *testing.T) {
 	if _, err := act.Apply(ns); err != nil {
 		t.Fatal(err)
 	}
-	if len(act.BusyWindows) != 1 {
-		t.Fatalf("busy windows = %d", len(act.BusyWindows))
+	if runner.plans != 1 {
+		t.Fatalf("busy windows = %d", runner.plans)
 	}
 	sched.RunUntil(10 * sim.Minute)
 	if act.Busy() {
 		t.Fatal("actuator stuck busy")
 	}
-	if len(act.Reports) != 1 {
-		t.Fatalf("reports = %d", len(act.Reports))
+	if len(reports) != 1 {
+		t.Fatalf("reports = %d", len(reports))
 	}
 }
 
@@ -430,7 +485,7 @@ func TestTiramolaRunnerAddsUnderLoad(t *testing.T) {
 	params := autoscale.DefaultParams()
 	params.CPUHigh = 0.7
 	params.CooldownEvaluations = 2
-	runner := NewTiramolaRunner(d, params, nil, sim.NewRNG(9))
+	runner := NewTiramolaRunner(d, params, sim.NewRNG(9))
 	d.Start(20 * sim.Minute)
 	runner.Start(sched, sim.Minute, 20*sim.Minute)
 	sched.RunUntil(20 * sim.Minute)

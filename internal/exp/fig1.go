@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"met/internal/core"
 	"met/internal/metrics"
@@ -59,11 +58,7 @@ func RunFig1(runs int, seed uint64) *Fig1Result {
 func runFig1Once(strat Strategy, seed uint64) (map[string]float64, float64) {
 	sc := BuildYCSBScenario(5, 1)
 	sc.ApplyStrategy(strat, sim.NewRNG(seed))
-	sched := sim.NewScheduler()
-	d := NewDeployment(sched, sc.Model)
-	d.RampUp = 2 * sim.Minute
-	d.Start(30 * sim.Minute)
-	sched.RunUntil(30 * sim.Minute)
+	d := sc.run(30*sim.Minute, nil)
 	skip := int((2 * sim.Minute) / d.Tick) // drop ramp-up samples
 	return meanTailPerWL(d.Series, skip), meanTail(d.Series, skip)
 }
@@ -116,17 +111,15 @@ func RunFig4(seed uint64) *Fig4Result {
 	// MeT run.
 	sc := BuildYCSBScenario(5, 1)
 	sc.ApplyStrategy(RandomHomogeneous, sim.NewRNG(seed))
-	sched := sim.NewScheduler()
-	d := NewDeployment(sched, sc.Model)
-	d.RampUp = 2 * sim.Minute
-	params := core.DefaultParams()
-	params.MinNodes = 5
-	params.MaxNodes = 5 // Figure 4 studies reconfiguration, not scaling
-	runner := NewMeTRunner(d, params, nil)
-	seedTypes(runner, sc)
-	d.Start(30 * sim.Minute)
-	runner.Start(sched, 2*sim.Minute, 30*sim.Minute)
-	sched.RunUntil(30 * sim.Minute)
+	var runner *MeTRunner
+	d := sc.run(30*sim.Minute, func(d *Deployment) {
+		params := core.DefaultParams()
+		params.MinNodes = 5
+		params.MaxNodes = 5 // Figure 4 studies reconfiguration, not scaling
+		runner = NewMeTRunner(d, params)
+		seedTypes(runner, sc)
+		runner.Start(d.Sched, 2*sim.Minute, 30*sim.Minute)
+	})
 	res.MeT = perMinute(d.Series, 30)
 
 	// Reconfiguration window: first actuation start to last busy tick.
@@ -167,19 +160,13 @@ func perMinute(series []TickSample, minutes int) []float64 {
 	return out
 }
 
-// reconfigWindow reports when MeT's first actuation began and ended,
-// extended to cover any in-flight major compactions (background disk
-// load visible in the deployment).
+// reconfigWindow reports when MeT's first actuation began and ended —
+// the run's end if it is still in flight.
 func reconfigWindow(d *Deployment, m *MeTRunner) (sim.Time, sim.Time) {
-	if len(m.Sim.BusyWindows) == 0 {
-		return 0, 0
+	if m.plans == 1 && m.Actuator.Busy() {
+		return m.Window[0], d.Sched.Now()
 	}
-	w := m.Sim.BusyWindows[0]
-	start, end := w[0], w[1]
-	if end == 0 {
-		end = d.Sched.Now() // still busy at run end
-	}
-	return start, end
+	return m.Window[0], m.Window[1]
 }
 
 // minBetween returns the minimum total throughput between two times.
@@ -207,11 +194,7 @@ func bestStaticRun(strat Strategy, seed uint64, n int) []float64 {
 	for i := 0; i < n; i++ {
 		sc := BuildYCSBScenario(5, 1)
 		sc.ApplyStrategy(strat, sim.NewRNG(seed+uint64(i)*31))
-		sched := sim.NewScheduler()
-		d := NewDeployment(sched, sc.Model)
-		d.RampUp = 2 * sim.Minute
-		d.Start(30 * sim.Minute)
-		sched.RunUntil(30 * sim.Minute)
+		d := sc.run(30*sim.Minute, nil)
 		mean := meanTail(d.Series, int((2*sim.Minute)/d.Tick))
 		if mean > bestMean {
 			bestMean = mean
@@ -244,19 +227,10 @@ func (r *Fig4Result) Print(w io.Writer) {
 	}
 }
 
-func at(s []float64, i int) float64 {
+// at returns s[i], or zero when i is out of range.
+func at[T int | float64](s []T, i int) T {
 	if i < 0 || i >= len(s) {
 		return 0
 	}
 	return s[i]
-}
-
-// sortStrategies is a helper for deterministic map iteration in reports.
-func sortStrategies(m map[Strategy]map[string]metrics.CDF) []Strategy {
-	var out []Strategy
-	for s := range m {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

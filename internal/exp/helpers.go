@@ -1,12 +1,5 @@
 package exp
 
-import "met/internal/metrics"
-
-// metricsCounts is a small constructor keeping scenario code readable.
-func metricsCounts(reads, writes, scans int64) metrics.RequestCounts {
-	return metrics.RequestCounts{Reads: reads, Writes: writes, Scans: scans}
-}
-
 // meanTail averages the Total throughput of the samples from a timeline,
 // skipping the first skip samples (ramp-up).
 func meanTail(series []TickSample, skip int) float64 {

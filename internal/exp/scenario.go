@@ -2,11 +2,13 @@ package exp
 
 import (
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 
 	"met/internal/core"
 	"met/internal/hbase"
+	"met/internal/metrics"
 	"met/internal/perfmodel"
 	"met/internal/placement"
 	"met/internal/sim"
@@ -42,7 +44,6 @@ func (s Strategy) String() string {
 type regionMeta struct {
 	name     string
 	workload ycsb.Workload
-	index    int
 	share    float64 // fraction of the workload's requests
 	accType  placement.AccessType
 }
@@ -51,9 +52,6 @@ type regionMeta struct {
 type Scenario struct {
 	Model   *perfmodel.Model
 	Regions []regionMeta
-	// ThreadScale multiplies every workload's thread count (the
-	// elasticity experiment overloads the cluster this way).
-	ThreadScale float64
 }
 
 // regionName builds the canonical region identifier.
@@ -94,7 +92,7 @@ func mixOf(w ycsb.Workload) perfmodel.OpMix {
 // shares and within-partition popularity, and `servers` nodes. Placement
 // and configuration are applied separately via ApplyStrategy.
 func BuildYCSBScenario(servers int, threadScale float64) *Scenario {
-	sc := &Scenario{Model: perfmodel.NewModel(), ThreadScale: threadScale}
+	sc := &Scenario{Model: perfmodel.NewModel()}
 	recordBytes := 1100.0 // 1 KB value + key/qualifier overhead
 
 	for _, w := range ycsb.PaperWorkloads() {
@@ -144,7 +142,7 @@ func BuildYCSBScenario(servers int, threadScale float64) *Scenario {
 			}
 			wl.RegionShares[rname] = shares[p]
 			sc.Regions = append(sc.Regions, regionMeta{
-				name: rname, workload: w, index: p, share: shares[p], accType: accessTypeOf(w),
+				name: rname, workload: w, share: shares[p], accType: accessTypeOf(w),
 			})
 		}
 		sc.Model.Workloads = append(sc.Model.Workloads, wl)
@@ -157,13 +155,20 @@ func BuildYCSBScenario(servers int, threadScale float64) *Scenario {
 }
 
 // NodeNames returns the scenario's node names, sorted.
-func (sc *Scenario) NodeNames() []string {
-	out := make([]string, 0, len(sc.Model.Nodes))
-	for n := range sc.Model.Nodes {
-		out = append(out, n)
+func (sc *Scenario) NodeNames() []string { return slices.Sorted(maps.Keys(sc.Model.Nodes)) }
+
+// run drives a deployment of the scenario for duration, clients ramping
+// up over the first 2 minutes; attach (optional) wires a controller to
+// the deployment once it ticks.
+func (sc *Scenario) run(duration sim.Time, attach func(*Deployment)) *Deployment {
+	d := NewDeployment(sim.NewScheduler(), sc.Model)
+	d.RampUp = 2 * sim.Minute
+	d.Start(duration)
+	if attach != nil {
+		attach(d)
 	}
-	sort.Strings(out)
-	return out
+	d.Sched.RunUntil(duration)
+	return d
 }
 
 // partitionsByLoad converts the scenario regions to placement partitions
@@ -179,7 +184,7 @@ func (sc *Scenario) partitionsByLoad() []placement.Partition {
 		scans := int64(load * 1000 * rm.workload.ScanFraction())
 		parts = append(parts, placement.Partition{
 			Name:     rm.name,
-			Requests: metricsCounts(reads, writes, scans),
+			Requests: metrics.RequestCounts{Reads: reads, Writes: writes, Scans: scans},
 		})
 	}
 	return parts
@@ -190,25 +195,20 @@ func (sc *Scenario) partitionsByLoad() []placement.Partition {
 // different seed per run to reproduce the paper's variance).
 func (sc *Scenario) ApplyStrategy(s Strategy, rng *sim.RNG) {
 	nodes := sc.NodeNames()
-	switch s {
-	case RandomHomogeneous:
+	if s == RandomHomogeneous || s == ManualHomogeneous {
 		for _, n := range nodes {
 			sc.Model.Nodes[n].Config = hbase.DefaultServerConfig()
 		}
+	}
+	switch s {
+	case RandomHomogeneous:
 		// HBase's random balancer: even counts, random identity.
 		var regions []string
 		for _, rm := range sc.Regions {
 			regions = append(regions, rm.name)
 		}
-		sort.Strings(regions)
-		rng.Shuffle(len(regions), func(i, j int) { regions[i], regions[j] = regions[j], regions[i] })
-		for i, r := range regions {
-			sc.Model.Placement[r] = nodes[i%len(nodes)]
-		}
+		maps.Copy(sc.Model.Placement, (&hbase.RandomBalancer{RNG: rng}).Assign(regions, nodes))
 	case ManualHomogeneous:
-		for _, n := range nodes {
-			sc.Model.Nodes[n].Config = hbase.DefaultServerConfig()
-		}
 		// The paper's method: hot partitions dispersed, and "data
 		// partitions were distributed so that the number of read/write
 		// requests would be evenly balanced across all nodes", then an
@@ -217,7 +217,8 @@ func (sc *Scenario) ApplyStrategy(s Strategy, rng *sim.RNG) {
 		// candidate therefore spreads the write-heavy partitions
 		// round-robin (every node carries a similar write load — the
 		// opposite of isolation) and shuffles the rest for balanced
-		// counts; the measured throughput is the model's solved total.
+		// counts, continuing the round robin where the writes left off;
+		// the measured throughput is the model's solved total.
 		var writeRegions, otherRegions []string
 		for _, rm := range sc.Regions {
 			if rm.accType == placement.Write {
@@ -226,33 +227,20 @@ func (sc *Scenario) ApplyStrategy(s Strategy, rng *sim.RNG) {
 				otherRegions = append(otherRegions, rm.name)
 			}
 		}
-		sort.Strings(writeRegions)
-		sort.Strings(otherRegions)
-		best := make(map[string]string)
+		k := len(writeRegions) % len(nodes)
+		rotated := append(append([]string(nil), nodes[k:]...), nodes[:k]...)
+		balancer := &hbase.RandomBalancer{RNG: rng}
+		var best map[string]string
 		bestTotal := -1.0
 		for trial := 0; trial < 15; trial++ {
-			wcand := append([]string(nil), writeRegions...)
-			ocand := append([]string(nil), otherRegions...)
-			rng.Shuffle(len(wcand), func(i, j int) { wcand[i], wcand[j] = wcand[j], wcand[i] })
-			rng.Shuffle(len(ocand), func(i, j int) { ocand[i], ocand[j] = ocand[j], ocand[i] })
-			for i, r := range wcand {
-				sc.Model.Placement[r] = nodes[i%len(nodes)]
-			}
-			for i, r := range ocand {
-				// Continue the round robin where the writes left off so
-				// counts stay balanced.
-				sc.Model.Placement[r] = nodes[(i+len(wcand))%len(nodes)]
-			}
+			maps.Copy(sc.Model.Placement, balancer.Assign(writeRegions, nodes))
+			maps.Copy(sc.Model.Placement, balancer.Assign(otherRegions, rotated))
 			if total := sc.Model.Solve().Total(); total > bestTotal {
 				bestTotal = total
-				for r, n := range sc.Model.Placement {
-					best[r] = n
-				}
+				best = maps.Clone(sc.Model.Placement)
 			}
 		}
-		for r, n := range best {
-			sc.Model.Placement[r] = n
-		}
+		maps.Copy(sc.Model.Placement, best)
 	case ManualHeterogeneous:
 		sc.applyHeterogeneous(nodes)
 	}

@@ -123,68 +123,36 @@ func RunTable2(seed uint64) *Table2Result {
 	duration := 45 * sim.Minute
 
 	// Setting (i): manual homogeneous baseline.
-	res.ManualHomogeneous = tpmcOf(runTPCC(seed, duration, nil))
+	res.ManualHomogeneous = tpmcOf(BuildTPCCScenario(6).run(duration, nil))
 
 	// Setting (ii): MeT from minute 4.
-	withMeT := func(d *Deployment, sched *sim.Scheduler) *MeTRunner {
+	sc := BuildTPCCScenario(6)
+	converged := sc.run(duration, func(d *Deployment) {
 		params := core.DefaultParams()
 		params.MinNodes = len(d.Model.Nodes)
 		params.MaxNodes = len(d.Model.Nodes) // Table 2 studies reconfiguration only
-		runner := NewMeTRunner(d, params, nil)
-		for n := range d.Model.Nodes {
-			runner.Monitor.SetNodeType(n, 0)
-		}
-		runner.Start(sched, 4*sim.Minute, duration)
-		return runner
-	}
-	var converged *perfmodel.Model
-	res.MeTWithReconfig = tpmcOf(runTPCCAnd(seed, duration, withMeT, &converged))
+		runner := NewMeTRunner(d, params)
+		seedTypes(runner, sc)
+		runner.Start(d.Sched, 4*sim.Minute, duration)
+	})
+	res.MeTWithReconfig = tpmcOf(converged)
 
 	// Setting (iii): MeT's converged configuration from the start.
-	if converged != nil {
-		sched := sim.NewScheduler()
-		sc := BuildTPCCScenario(6)
-		// Copy configs and placement from the converged model; locality
-		// fully restored (the paper's setting iii starts clean).
-		for name, n := range converged.Nodes {
-			if _, ok := sc.Model.Nodes[name]; ok {
-				sc.Model.Nodes[name].Config = n.Config
-			}
+	sc = BuildTPCCScenario(6)
+	// Copy configs and placement from the converged model; locality
+	// fully restored (the paper's setting iii starts clean).
+	for name, n := range converged.Model.Nodes {
+		if _, ok := sc.Model.Nodes[name]; ok {
+			sc.Model.Nodes[name].Config = n.Config
 		}
-		for r, host := range converged.Placement {
-			if _, ok := sc.Model.Nodes[host]; ok {
-				sc.Model.Placement[r] = host
-			}
-		}
-		d := NewDeployment(sched, sc.Model)
-		d.RampUp = 2 * sim.Minute
-		d.Start(duration)
-		sched.RunUntil(duration)
-		res.MeTNoReconfig = tpmcOf(d)
 	}
+	for r, host := range converged.Model.Placement {
+		if _, ok := sc.Model.Nodes[host]; ok {
+			sc.Model.Placement[r] = host
+		}
+	}
+	res.MeTNoReconfig = tpmcOf(sc.run(duration, nil))
 	return res
-}
-
-// runTPCC executes one plain 45-minute TPC-C run.
-func runTPCC(seed uint64, duration sim.Time, _ *struct{}) *Deployment {
-	return runTPCCAnd(seed, duration, nil, nil)
-}
-
-// runTPCCAnd optionally attaches a controller factory to the run.
-func runTPCCAnd(seed uint64, duration sim.Time, attach func(*Deployment, *sim.Scheduler) *MeTRunner, out **perfmodel.Model) *Deployment {
-	sched := sim.NewScheduler()
-	sc := BuildTPCCScenario(6)
-	d := NewDeployment(sched, sc.Model)
-	d.RampUp = 2 * sim.Minute
-	d.Start(duration)
-	if attach != nil {
-		attach(d, sched)
-	}
-	sched.RunUntil(duration)
-	if out != nil {
-		*out = sc.Model
-	}
-	return d
 }
 
 // tpmcOf converts a deployment's completed record operations into tpmC.

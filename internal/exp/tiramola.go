@@ -2,11 +2,11 @@ package exp
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"met/internal/autoscale"
 	"met/internal/hbase"
-	"met/internal/iaas"
 	"met/internal/sim"
 )
 
@@ -16,11 +16,11 @@ import (
 // when every node is underutilized. Placement stays with the database's
 // random balancer — after every membership change the regions are
 // redistributed for even counts, destroying locality — and nodes are
-// never reconfigured nor compacted.
+// never reconfigured nor compacted. Added nodes boot through the
+// deployment's Provider.
 type TiramolaRunner struct {
 	D          *Deployment
 	Controller *autoscale.Tiramola
-	Provider   *iaas.Provider
 	RNG        *sim.RNG
 
 	nameSeq int
@@ -30,11 +30,10 @@ type TiramolaRunner struct {
 }
 
 // NewTiramolaRunner assembles the baseline over a deployment.
-func NewTiramolaRunner(d *Deployment, params autoscale.Params, prov *iaas.Provider, rng *sim.RNG) *TiramolaRunner {
+func NewTiramolaRunner(d *Deployment, params autoscale.Params, rng *sim.RNG) *TiramolaRunner {
 	return &TiramolaRunner{
 		D:          d,
 		Controller: autoscale.NewTiramola(params),
-		Provider:   prov,
 		RNG:        rng,
 	}
 }
@@ -52,51 +51,33 @@ func (t *TiramolaRunner) Start(sched *sim.Scheduler, start, deadline sim.Time) {
 
 // Tick evaluates the thresholds against the latest modeled CPU.
 func (t *TiramolaRunner) Tick(now sim.Time) {
-	sol := t.D.LastSolution()
+	sol := t.D.lastSolution
 	cpus := make(map[string]float64)
-	for name, n := range t.D.Model.Nodes {
-		if !n.Offline {
-			// Tiramola watches system metrics; a node pegged on disk
-			// I/O is as saturated as one pegged on CPU.
-			u := sol.NodeCPU[name]
-			if sol.NodeDisk[name] > u {
-				u = sol.NodeDisk[name]
-			}
-			cpus[name] = u
-		}
+	for _, name := range t.D.serving("") {
+		// Tiramola watches system metrics; a node pegged on disk I/O is
+		// as saturated as one pegged on CPU.
+		cpus[name] = max(sol.NodeCPU[name], sol.NodeDisk[name])
 	}
 	switch t.Controller.Evaluate(cpus) {
 	case autoscale.ActionAddNode:
-		t.addNode(now)
+		t.addNode()
 	case autoscale.ActionRemoveNode:
 		t.removeNode(now)
 	}
 }
 
-func (t *TiramolaRunner) addNode(now sim.Time) {
+func (t *TiramolaRunner) addNode() {
 	name := fmt.Sprintf("rs-tira-%03d", t.nameSeq)
 	t.nameSeq++
-	ready := func() {
-		t.D.AddNode(name, hbase.DefaultServerConfig())
+	_ = t.D.AddNode(name, hbase.DefaultServerConfig(), func() {
 		t.rebalance()
 		t.Adds = append(t.Adds, t.D.Sched.Now())
-	}
-	if t.Provider == nil {
-		ready()
-		return
-	}
-	if _, err := t.Provider.Launch(name, "m1.medium", func(*iaas.Instance) { ready() }); err != nil {
-		ready()
-	}
+	})
 }
 
 func (t *TiramolaRunner) removeNode(now sim.Time) {
 	// Tiramola retracts the most recently added instance.
-	var names []string
-	for n := range t.D.Model.Nodes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := slices.Sorted(maps.Keys(t.D.Model.Nodes))
 	if len(names) <= 1 {
 		return
 	}
@@ -117,13 +98,7 @@ func (t *TiramolaRunner) removeNode(now sim.Time) {
 }
 
 func (t *TiramolaRunner) randomOtherNode(exclude string) string {
-	var names []string
-	for n, node := range t.D.Model.Nodes {
-		if n != exclude && !node.Offline {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
+	names := t.D.serving(exclude)
 	if len(names) == 0 {
 		return ""
 	}
@@ -133,23 +108,13 @@ func (t *TiramolaRunner) randomOtherNode(exclude string) string {
 // rebalance applies HBase's random balancer: even region counts, random
 // identity, locality destroyed for every region that moves.
 func (t *TiramolaRunner) rebalance() {
-	var nodes []string
-	for n, node := range t.D.Model.Nodes {
-		if !node.Offline {
-			nodes = append(nodes, n)
-		}
-	}
-	sort.Strings(nodes)
+	nodes := t.D.serving("")
 	if len(nodes) == 0 {
 		return
 	}
-	var regions []string
-	for r := range t.D.Model.Placement {
-		regions = append(regions, r)
-	}
-	sort.Strings(regions)
-	t.RNG.Shuffle(len(regions), func(i, j int) { regions[i], regions[j] = regions[j], regions[i] })
-	for i, r := range regions {
-		_ = t.D.MoveRegion(r, nodes[i%len(nodes)])
+	regions := slices.Sorted(maps.Keys(t.D.Model.Placement))
+	plan := (&hbase.RandomBalancer{RNG: t.RNG}).Assign(regions, nodes)
+	for _, r := range regions {
+		_ = t.D.MoveRegion(r, plan[r])
 	}
 }

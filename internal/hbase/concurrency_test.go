@@ -213,7 +213,10 @@ func TestClientConcurrentAcrossServers(t *testing.T) {
 // continuously reopen the stores underneath them; each acknowledged key
 // must be readable afterwards. Before the store-seal fix, a write could
 // slip into the old store after reopen's copy scan and vanish while
-// still returning nil to the client.
+// still returning nil to the client. Writers keep putting until the
+// restarts are over and then make a fixed number of further puts, so
+// every writer's last puts land on a serving server however the
+// scheduler interleaves the two.
 func TestRestartNeverLosesAcknowledgedWrites(t *testing.T) {
 	m, _ := newCluster(t, 1)
 	rs, _ := m.Server("rs0")
@@ -221,14 +224,21 @@ func TestRestartNeverLosesAcknowledgedWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const writers = 4
+	const writers, after = 4, 100
 	acked := make([][]string, writers)
+	restarted := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 600; i++ {
+			left := after
+			for i := 0; left > 0; i++ {
+				select {
+				case <-restarted:
+					left--
+				default:
+				}
 				k := fmt.Sprintf("w%d-%04d", w, i)
 				if err := rs.Put("t", k, []byte(k)); err == nil {
 					acked[w] = append(acked[w], k)
@@ -242,6 +252,7 @@ func TestRestartNeverLosesAcknowledgedWrites(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer close(restarted)
 		for i := 0; i < 8; i++ {
 			if err := rs.Restart(DefaultServerConfig()); err != nil {
 				t.Errorf("restart: %v", err)

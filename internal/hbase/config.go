@@ -79,7 +79,7 @@ type ServerConfig struct {
 	DataDir string
 	// Compaction tunes the server-wide background compaction subsystem
 	// (met/internal/compaction). Like DataDir it is a deployment
-	// property, not a paper tuning knob: the Actuator carries it across
+	// property, not a paper tuning knob: WithProfile carries it across
 	// profile changes unchanged. The zero value means defaults.
 	Compaction CompactionConfig
 	// SlowOpThreshold arms per-op tracing (met/internal/obs): an
@@ -88,7 +88,7 @@ type ServerConfig struct {
 	// bloom, block cache, SSTable reads, WAL append/sync, flush). Zero
 	// (the default) disables tracing entirely — the serving path then
 	// pays only a nil check per stage. Like DataDir and Compaction this
-	// is a deployment property the Actuator carries across profiles.
+	// is a deployment property WithProfile carries across profiles.
 	SlowOpThreshold time.Duration
 	// SlowOpLogSize is the slow-op ring capacity; 0 means
 	// obs.DefaultSlowLogSize.
@@ -199,9 +199,19 @@ func (c ServerConfig) MemstoreBytes() int64 {
 	return int64(float64(c.HeapBytes) * c.MemstoreFraction)
 }
 
-// Equal reports whether two configurations are identical; the Output
-// Computation stage uses it to decide whether a server needs a restart.
+// Equal reports whether two configurations are identical; the Actuator
+// uses it to decide whether a server needs a restart.
 func (c ServerConfig) Equal(o ServerConfig) bool { return c == o }
+
+// WithProfile returns c with a profile's five paper knobs — HeapBytes,
+// BlockCacheFraction, MemstoreFraction, BlockBytes and Handlers — and
+// every other field of c kept: DataDir, Compaction and the slow-op
+// settings are deployment properties that survive a re-profile.
+func (c ServerConfig) WithProfile(p ServerConfig) ServerConfig {
+	c.HeapBytes, c.BlockCacheFraction, c.MemstoreFraction = p.HeapBytes, p.BlockCacheFraction, p.MemstoreFraction
+	c.BlockBytes, c.Handlers = p.BlockBytes, p.Handlers
+	return c
+}
 
 // String summarises the config as "cache/memstore/block".
 func (c ServerConfig) String() string {

@@ -780,6 +780,16 @@ func (s *RegionServer) Locality() float64 {
 	return s.namenode.Locality(s.name, files)
 }
 
+// RegionLocality returns one hosted region's locality index, the
+// per-region share of Locality (1 when the region is not hosted here).
+func (s *RegionServer) RegionLocality(name string) float64 {
+	r := s.region(name)
+	if r == nil {
+		return 1
+	}
+	return s.namenode.Locality(s.name, r.Files())
+}
+
 // Requests returns the server-level cumulative counters.
 func (s *RegionServer) Requests() metrics.RequestCounts {
 	return s.requests.Snapshot()

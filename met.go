@@ -14,7 +14,8 @@
 //     a functional cluster;
 //   - the experiment runners (RunFigure1, RunFigure4, RunTable2,
 //     RunElasticity) that regenerate every table and figure of the
-//     paper's evaluation on the performance-model deployment.
+//     paper's evaluation on the performance-model deployment, through
+//     the same Actuator that reconfigures the functional cluster.
 //
 // # Choosing a storage backend
 //
@@ -378,10 +379,8 @@ func (c *Cluster) ServeDebug(addr string) (*obs.DebugServer, error) {
 func NewController(c *Cluster, params Params, nominalOpsPerSec float64) *Controller {
 	src := core.NewClusterSource(c.Master, nominalOpsPerSec, 30*sim.Second)
 	mon := core.NewMonitor(src, 0.5)
-	profiles := core.Table1Profiles()
-	dm := core.NewDecisionMaker(params, profiles)
-	act := core.NewFunctionalActuator(c.Master, mon, params, profiles)
-	return core.NewController(mon, dm, act)
+	dm := core.NewDecisionMaker(params, core.Table1Profiles())
+	return core.NewController(mon, dm, core.MasterCluster{Master: c.Master})
 }
 
 // Experiment result aliases.
