@@ -381,20 +381,18 @@ func runYCSB(cluster *met.Cluster, letter string, ops int, records int64, seed u
 		params.MinNodes = len(cluster.Master.Servers())
 		params.MaxNodes = params.MinNodes
 		ctrl = met.NewController(cluster, params, 100)
-		ctrl.Tick(0)
+		ctrl.Tick()
 		ctrl.Monitor.Reset()
 	}
 	fmt.Printf("running %d operations of Workload%s (%s) across %d goroutines...\n", ops, letter, spec.Scenario, concurrency)
 	batch := max(ops/10, 1)
-	now := 30 * sim.Second
 	start := time.Now()
 	for done := 0; done < ops; done += batch {
 		if err := runner.Run(min(batch, ops-done)); err != nil {
 			log.Fatal(err)
 		}
 		if ctrl != nil {
-			ctrl.Tick(now)
-			now += 30 * sim.Second
+			ctrl.Tick()
 		}
 	}
 	elapsed := time.Since(start)

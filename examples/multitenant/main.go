@@ -56,19 +56,17 @@ func main() {
 
 	// Prime the monitor so the bulk-load writes above do not count as
 	// workload traffic, then interleave load with monitoring samples
-	// (30 virtual seconds per round). Each runner's key stream carries
-	// over from one Run to the next, so every round is fresh traffic.
-	ctrl.Tick(0)
+	// (one per round). Each runner's key stream carries over from one
+	// Run to the next, so every round is fresh traffic.
+	ctrl.Tick()
 	ctrl.Monitor.Reset()
-	now := 30 * sim.Second
 	for round := 0; round < 6; round++ {
 		for _, r := range runners {
 			if err := r.Run(400); err != nil {
 				log.Fatal(err)
 			}
 		}
-		ctrl.Tick(now)
-		now += 30 * sim.Second
+		ctrl.Tick()
 	}
 	if err := ctrl.Err(); err != nil {
 		log.Fatal(err)

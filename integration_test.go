@@ -49,10 +49,9 @@ func TestIntegrationYCSBUnderMeT(t *testing.T) {
 	params.MinNodes = 5
 	params.MaxNodes = 5
 	ctrl := NewController(cluster, params, 8)
-	ctrl.Tick(0) // prime: absorb the bulk-load counters
+	ctrl.Tick() // prime: absorb the bulk-load counters
 	ctrl.Monitor.Reset()
 
-	now := 30 * sim.Second
 	for round := 0; round < 5; round++ {
 		for _, r := range runners {
 			if err := r.Run(300); err != nil {
@@ -61,8 +60,7 @@ func TestIntegrationYCSBUnderMeT(t *testing.T) {
 		}
 		// Splits interleave with controller decisions.
 		cluster.Master.AutoSplit(256 << 10)
-		ctrl.Tick(now)
-		now += 30 * sim.Second
+		ctrl.Tick()
 	}
 	if err := ctrl.Err(); err != nil {
 		t.Fatal(err)
@@ -227,9 +225,8 @@ func TestIntegrationDecisionMakerOnFunctionalCounters(t *testing.T) {
 		cluster.Get("readonly", "k000")
 		cluster.Get("readonly", "k000")
 	}
-	src := core.NewClusterSource(cluster.Master, 50, 30*sim.Second)
-	mon := core.NewMonitor(src, 0.5)
-	mon.Poll(0)
+	mon := core.NewMonitor(&core.MasterCluster{Master: cluster.Master, NominalOpsPerSec: 50})
+	mon.Poll()
 	view := mon.View()
 	var readType, writeType AccessType
 	params := DefaultParams()

@@ -1,16 +1,12 @@
-// Package autoscale implements the systems MeT is compared against in
-// Section 6.4: Tiramola (Konstantinou et al., CIKM 2011) and the
-// CloudWatch + Auto Scaling rule pattern. Both are oblivious to the
-// database: they watch system-level metrics only, add or remove whole
-// nodes, never reconfigure them, never move data deliberately (the
-// database's random balancer redistributes), and never restore locality.
+// Package autoscale implements the system MeT is compared against in
+// Section 6.4: Tiramola (Konstantinou et al., CIKM 2011). It is
+// oblivious to the database: it watches system-level metrics only, adds
+// or removes whole nodes, never reconfigures them, never moves data
+// deliberately (the database's random balancer redistributes), and
+// never restores locality.
 package autoscale
 
-import (
-	"fmt"
-
-	"met/internal/metrics"
-)
+import "fmt"
 
 // Action is an autoscaler's verdict for one evaluation.
 type Action int
@@ -108,55 +104,3 @@ func (t *Tiramola) Evaluate(nodeCPU map[string]float64) Action {
 
 // Actions returns how many scale actions have been taken.
 func (t *Tiramola) Actions() int { return t.actions }
-
-// Rule is one CloudWatch-style threshold rule: when Metric crosses
-// Threshold in the given direction for Periods consecutive evaluations,
-// Action fires.
-type Rule struct {
-	Name      string
-	Metric    string // "cpu", "iowait", "memory"
-	Above     bool   // true: fire when metric > threshold
-	Threshold float64
-	Periods   int
-	Action    Action
-
-	streak int
-}
-
-// RuleEngine evaluates a set of rules over aggregate metrics, mimicking
-// CloudWatch alarms driving Auto Scaling policies.
-type RuleEngine struct {
-	Rules []*Rule
-}
-
-// Evaluate feeds one aggregate sample to every rule; the first rule whose
-// streak completes wins (rules are priority-ordered).
-func (e *RuleEngine) Evaluate(sample metrics.SystemMetrics) Action {
-	value := func(metric string) float64 {
-		switch metric {
-		case "cpu":
-			return sample.CPUUtilization
-		case "iowait":
-			return sample.IOWait
-		case "memory":
-			return sample.MemoryUsage
-		default:
-			return 0
-		}
-	}
-	var fired Action = ActionNone
-	for _, r := range e.Rules {
-		v := value(r.Metric)
-		crossed := (r.Above && v > r.Threshold) || (!r.Above && v < r.Threshold)
-		if crossed {
-			r.streak++
-		} else {
-			r.streak = 0
-		}
-		if r.streak >= r.Periods && fired == ActionNone {
-			fired = r.Action
-			r.streak = 0
-		}
-	}
-	return fired
-}

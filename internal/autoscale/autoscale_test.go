@@ -1,10 +1,6 @@
 package autoscale
 
-import (
-	"testing"
-
-	"met/internal/metrics"
-)
+import "testing"
 
 func cpus(vals ...float64) map[string]float64 {
 	out := make(map[string]float64, len(vals))
@@ -92,53 +88,5 @@ func TestActionString(t *testing.T) {
 		if a.String() == "" {
 			t.Fatal("empty action string")
 		}
-	}
-}
-
-func TestRuleEngineStreaks(t *testing.T) {
-	e := &RuleEngine{Rules: []*Rule{
-		{Name: "scale-up", Metric: "cpu", Above: true, Threshold: 0.8, Periods: 2, Action: ActionAddNode},
-		{Name: "scale-down", Metric: "cpu", Above: false, Threshold: 0.2, Periods: 3, Action: ActionRemoveNode},
-	}}
-	hot := metrics.SystemMetrics{CPUUtilization: 0.9}
-	cold := metrics.SystemMetrics{CPUUtilization: 0.1}
-	if e.Evaluate(hot) != ActionNone {
-		t.Fatal("fired before streak complete")
-	}
-	if e.Evaluate(hot) != ActionAddNode {
-		t.Fatal("did not fire after streak")
-	}
-	// Streak reset after firing.
-	if e.Evaluate(hot) != ActionNone {
-		t.Fatal("no reset after firing")
-	}
-	// Broken streaks reset.
-	e.Evaluate(cold)
-	e.Evaluate(cold)
-	e.Evaluate(hot)
-	if e.Evaluate(cold) != ActionNone {
-		t.Fatal("broken streak counted")
-	}
-	e.Evaluate(cold)
-	if e.Evaluate(cold) != ActionRemoveNode {
-		t.Fatal("scale-down did not fire")
-	}
-}
-
-func TestRuleEngineMetrics(t *testing.T) {
-	e := &RuleEngine{Rules: []*Rule{
-		{Metric: "iowait", Above: true, Threshold: 0.5, Periods: 1, Action: ActionAddNode},
-		{Metric: "memory", Above: true, Threshold: 0.9, Periods: 1, Action: ActionAddNode},
-		{Metric: "bogus", Above: true, Threshold: 0.1, Periods: 1, Action: ActionRemoveNode},
-	}}
-	if e.Evaluate(metrics.SystemMetrics{IOWait: 0.7}) != ActionAddNode {
-		t.Fatal("iowait rule missed")
-	}
-	if e.Evaluate(metrics.SystemMetrics{MemoryUsage: 0.95}) != ActionAddNode {
-		t.Fatal("memory rule missed")
-	}
-	// Unknown metrics evaluate to 0 and never fire an Above rule.
-	if e.Evaluate(metrics.SystemMetrics{}) != ActionNone {
-		t.Fatal("bogus rule fired")
 	}
 }

@@ -10,20 +10,24 @@ import (
 
 	"met/internal/hbase"
 	"met/internal/hdfs"
+	"met/internal/metrics"
 	"met/internal/placement"
 )
 
 // fakeCluster is a Cluster that logs every verb. With async set, adds
-// and restarts complete only when the test calls run.
+// and restarts complete only when the test calls run. Observe returns
+// nodeObs and regionObs.
 type fakeCluster struct {
-	async    bool
-	members  map[string]*Member
-	assign   map[string]string
-	locality map[string]float64
-	idle     map[string]bool // regions that carry no traffic
-	failMove map[string]bool
-	log      []string
-	pending  []func()
+	async     bool
+	nodeObs   []metrics.NodeObservation
+	regionObs []metrics.RegionObservation
+	members   map[string]*Member
+	assign    map[string]string
+	locality  map[string]float64
+	idle      map[string]bool // regions that carry no traffic
+	failMove  map[string]bool
+	log       []string
+	pending   []func()
 }
 
 func newFakeCluster(async bool, assign map[string]string) *fakeCluster {
@@ -33,6 +37,10 @@ func newFakeCluster(async bool, assign map[string]string) *fakeCluster {
 		f.members[host] = &Member{Name: host, Config: hbase.DefaultServerConfig(), Serving: true}
 	}
 	return f
+}
+
+func (f *fakeCluster) Observe() ([]metrics.NodeObservation, []metrics.RegionObservation) {
+	return f.nodeObs, f.regionObs
 }
 
 func (f *fakeCluster) Members() []Member {
@@ -133,7 +141,7 @@ func TestActuatorPlanOrder(t *testing.T) {
 	f.locality["d"] = 0.5  // low, but idle: kept
 	f.idle["d"] = true
 	f.locality["f"] = 0.75 // above the write threshold of 70%: kept
-	mon := NewMonitor(nil, 0.5)
+	mon := NewMonitor(f)
 	act := NewActuator(f, mon, DefaultParams(), profiles)
 	var reports []ApplyReport
 	act.OnDone = func(rep ApplyReport, err error) {
@@ -199,7 +207,7 @@ func TestActuatorPlanOrder(t *testing.T) {
 func TestActuatorSkipsFailedSteps(t *testing.T) {
 	f := newFakeCluster(false, map[string]string{"a": "rs0", "b": "rs0", "c": "rs1"})
 	f.failMove["a"] = true
-	act := NewActuator(f, NewMonitor(nil, 0.5), DefaultParams(), Table1Profiles())
+	act := NewActuator(f, NewMonitor(f), DefaultParams(), Table1Profiles())
 	rep, err := act.Apply([]placement.NodeState{
 		{Node: "rs1", Type: placement.ReadWrite, Partitions: []string{"a", "b", "c"}},
 		{Node: "rs0", Type: placement.ReadWrite},
@@ -240,7 +248,8 @@ func TestActuatorKeepsDeploymentProperties(t *testing.T) {
 	for _, r := range slices.Sorted(maps.Keys(before)) {
 		hosted[before[r]] = append(hosted[before[r]], r)
 	}
-	act := NewActuator(MasterCluster{m}, NewMonitor(nil, 0.5), DefaultParams(), Table1Profiles())
+	mc := &MasterCluster{Master: m}
+	act := NewActuator(mc, NewMonitor(mc), DefaultParams(), Table1Profiles())
 	rep, err := act.Apply([]placement.NodeState{
 		{Node: "rs0", Type: placement.Read, Partitions: hosted["rs0"]},
 		{Node: "rs1", Type: placement.Write, Partitions: hosted["rs1"]},

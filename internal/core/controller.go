@@ -1,61 +1,45 @@
 package core
 
-import (
-	"fmt"
+import "fmt"
 
-	"met/internal/sim"
-)
-
-// Controller ties the three components together on the virtual clock:
-// the Monitor polls every SampleInterval, and once MinSamples have
-// accumulated the Decision Maker runs and its output goes to the
-// Actuator. After every actuation the Monitor resets, so the next
+// Controller ties the three components together over one Cluster: each
+// Tick the Monitor polls it, and once MinSamples have accumulated the
+// Decision Maker runs and its output goes to the Actuator, which acts on
+// the same Cluster. After every decision the Monitor resets, so the next
 // decision sees only post-action observations — the paper's smoothing
-// discipline.
+// discipline. Whoever drives the Controller ticks it every SamplePeriod
+// on its own clock.
 type Controller struct {
 	Monitor  *Monitor
 	Decision *DecisionMaker
 	Actuator *Actuator
 
-	// SampleInterval is the Monitor period (30 s in the paper).
-	SampleInterval sim.Time
 	// OnDecision, when set, observes every decision (telemetry).
-	OnDecision func(now sim.Time, d Decision, rep ApplyReport)
+	OnDecision func(d Decision, rep ApplyReport)
 
 	decisions  int
 	actuations int
 }
 
-// NewController assembles a controller with the paper's cadence that
-// acts on c with the Decision Maker's parameters and profiles.
-func NewController(mon *Monitor, dm *DecisionMaker, c Cluster) *Controller {
+// NewController assembles MeT over c: a Monitor that polls c and an
+// Actuator that acts on c with the Decision Maker's parameters and
+// profiles.
+func NewController(c Cluster, dm *DecisionMaker) *Controller {
+	mon := NewMonitor(c)
 	return &Controller{
-		Monitor:        mon,
-		Decision:       dm,
-		Actuator:       NewActuator(c, mon, dm.Params, dm.Profiles),
-		SampleInterval: 30 * sim.Second,
+		Monitor:  mon,
+		Decision: dm,
+		Actuator: NewActuator(c, mon, dm.Params, dm.Profiles),
 	}
-}
-
-// Start schedules the monitor/decide loop on sched until deadline.
-func (c *Controller) Start(sched *sim.Scheduler, start, deadline sim.Time) {
-	sched.EachTick(start, c.SampleInterval, func(now sim.Time) bool {
-		if now > deadline {
-			return false
-		}
-		c.Tick(now)
-		return true
-	})
 }
 
 // Tick performs one monitor sample and, when enough samples are in and
 // no earlier actuation is still unfolding, one decision + actuation:
 // while the actuator is busy sampling continues and the decision waits,
 // as in the paper's evaluation, where a 6-minute reconfiguration spans
-// several decision intervals. Exposed so harnesses can drive the
-// controller without a scheduler.
-func (c *Controller) Tick(now sim.Time) {
-	c.Monitor.Poll(now)
+// several decision intervals.
+func (c *Controller) Tick() {
+	c.Monitor.Poll()
 	if c.Monitor.Samples() < c.Decision.Params.MinSamples || c.Actuator.Busy() {
 		return
 	}
@@ -75,7 +59,7 @@ func (c *Controller) Tick(now sim.Time) {
 	// and a healthy cluster's next decision should see fresh ones too.
 	c.Monitor.Reset()
 	if c.OnDecision != nil {
-		c.OnDecision(now, d, rep)
+		c.OnDecision(d, rep)
 	}
 }
 

@@ -50,25 +50,21 @@ func driveLoad(t *testing.T, c *hbase.Client, n int) {
 
 func newTestController(m *hbase.Master) *Controller {
 	// Nominal capacity low enough that the drive loads read as heavy.
-	src := NewClusterSource(m, 20, 30*sim.Second)
-	mon := NewMonitor(src, 0.5)
 	params := DefaultParams()
 	params.MinSamples = 2
 	params.MinNodes = 2
 	dm := NewDecisionMaker(params, Table1Profiles())
-	return NewController(mon, dm, MasterCluster{m})
+	return NewController(&MasterCluster{Master: m, NominalOpsPerSec: 20}, dm)
 }
 
 func TestControllerInitialReconfiguration(t *testing.T) {
 	m, c := buildCluster(t, 3)
 	ctrl := newTestController(m)
-	now := sim.Time(0)
 	// Two monitoring rounds with load in between.
 	driveLoad(t, c, 300)
-	ctrl.Tick(now)
-	now += 30 * sim.Second
+	ctrl.Tick()
 	driveLoad(t, c, 300)
-	ctrl.Tick(now)
+	ctrl.Tick()
 	if err := ctrl.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -94,16 +90,14 @@ func TestControllerClassifiesNodesByWorkload(t *testing.T) {
 	m, c := buildCluster(t, 3)
 	ctrl := newTestController(m)
 	var lastDecision Decision
-	ctrl.OnDecision = func(_ sim.Time, d Decision, _ ApplyReport) {
+	ctrl.OnDecision = func(d Decision, _ ApplyReport) {
 		if d.Reconfigure {
 			lastDecision = d
 		}
 	}
-	now := sim.Time(0)
 	for round := 0; round < 3; round++ {
 		driveLoad(t, c, 200)
-		ctrl.Tick(now)
-		now += 30 * sim.Second
+		ctrl.Tick()
 	}
 	if err := ctrl.Err(); err != nil {
 		t.Fatal(err)
@@ -136,17 +130,15 @@ func TestControllerClassifiesNodesByWorkload(t *testing.T) {
 
 func TestControllerHealthyClusterUntouched(t *testing.T) {
 	m, c := buildCluster(t, 2)
-	src := NewClusterSource(m, 1e9, 30*sim.Second) // huge nominal: never loaded
-	mon := NewMonitor(src, 0.5)
 	params := DefaultParams()
 	params.MinSamples = 2
 	params.CPULow = 0 // nothing is ever "underloaded"
 	dm := NewDecisionMaker(params, Table1Profiles())
-	ctrl := NewController(mon, dm, MasterCluster{m})
+	ctrl := NewController(&MasterCluster{Master: m, NominalOpsPerSec: 1e9}, dm) // huge nominal: never loaded
 	driveLoad(t, c, 100)
-	ctrl.Tick(0)
+	ctrl.Tick()
 	driveLoad(t, c, 100)
-	ctrl.Tick(30 * sim.Second)
+	ctrl.Tick()
 	if ctrl.Actuations() != 0 {
 		t.Fatalf("actuated %d times on a healthy cluster", ctrl.Actuations())
 	}
@@ -166,7 +158,13 @@ func TestControllerSchedulerIntegration(t *testing.T) {
 		driveLoad(t, c, 100)
 		return now < 5*sim.Minute
 	})
-	ctrl.Start(sched, 15*sim.Second, 5*sim.Minute)
+	sched.EachTick(15*sim.Second, 30*sim.Second, func(now sim.Time) bool {
+		if now > 5*sim.Minute {
+			return false
+		}
+		ctrl.Tick()
+		return true
+	})
 	sched.RunUntil(5 * sim.Minute)
 	if ctrl.Decisions() == 0 {
 		t.Fatal("no decisions on scheduler")
@@ -178,10 +176,9 @@ func TestControllerSchedulerIntegration(t *testing.T) {
 
 func TestFunctionalActuatorAddAndRemove(t *testing.T) {
 	m, c := buildCluster(t, 2)
-	src := NewClusterSource(m, 50, 30*sim.Second)
-	mon := NewMonitor(src, 0.5)
+	mc := &MasterCluster{Master: m, NominalOpsPerSec: 50}
 	params := DefaultParams()
-	act := NewActuator(MasterCluster{m}, mon, params, Table1Profiles())
+	act := NewActuator(mc, NewMonitor(mc), params, Table1Profiles())
 
 	driveLoad(t, c, 100)
 	// Target: spread everything over rs0 plus a new node, dropping rs1.
@@ -242,12 +239,11 @@ func TestProvisionNames(t *testing.T) {
 
 func TestMonitorAccumulatesDeltas(t *testing.T) {
 	m, c := buildCluster(t, 2)
-	src := NewClusterSource(m, 50, 30*sim.Second)
-	mon := NewMonitor(src, 0.5)
+	mon := NewMonitor(&MasterCluster{Master: m, NominalOpsPerSec: 50})
 	driveLoad(t, c, 100)
-	mon.Poll(0)
+	mon.Poll()
 	driveLoad(t, c, 100)
-	mon.Poll(30 * sim.Second)
+	mon.Poll()
 	view := mon.View()
 	if len(view.Nodes) != 2 {
 		t.Fatalf("nodes = %d", len(view.Nodes))
@@ -275,7 +271,7 @@ func TestMonitorAccumulatesDeltas(t *testing.T) {
 }
 
 func TestMonitorNodeTypes(t *testing.T) {
-	mon := NewMonitor(nil, 0.5)
+	mon := NewMonitor(nil)
 	if mon.NodeType("rs0") != placement.ReadWrite {
 		t.Fatal("default type should be ReadWrite")
 	}

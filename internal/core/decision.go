@@ -74,12 +74,11 @@ func DefaultParams() Params {
 
 // NodeView is one node as the Decision Maker sees it.
 type NodeView struct {
-	Name     string
-	Type     placement.AccessType
-	CPU      float64
-	IOWait   float64
-	Memory   float64
-	Locality float64
+	Name   string
+	Type   placement.AccessType
+	CPU    float64
+	IOWait float64
+	Memory float64
 }
 
 // PartitionView is one data partition as the Decision Maker sees it.
@@ -87,7 +86,6 @@ type PartitionView struct {
 	Name     string
 	Node     string
 	Requests metrics.RequestCounts // over the monitoring window
-	SizeMB   float64
 }
 
 // ClusterView is the Monitor's digest handed to the Decision Maker.

@@ -15,7 +15,7 @@ func rc(r, w, s int64) metrics.RequestCounts {
 func healthyView(nodes int) ClusterView {
 	var v ClusterView
 	for i := 0; i < nodes; i++ {
-		v.Nodes = append(v.Nodes, NodeView{Name: fmt.Sprintf("rs%d", i), CPU: 0.5, Locality: 1})
+		v.Nodes = append(v.Nodes, NodeView{Name: fmt.Sprintf("rs%d", i), CPU: 0.5})
 	}
 	return v
 }

@@ -1,43 +1,51 @@
 package core
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
 	"met/internal/metrics"
 	"met/internal/placement"
-	"met/internal/sim"
 )
 
-// Monitor is MeT's monitoring component: it polls a metrics.Source (the
-// Ganglia + JMX stand-in) every interval, smooths system metrics with
-// exponential smoothing, accumulates per-partition request deltas since
-// the last actuation, and digests everything into the ClusterView the
-// Decision Maker consumes.
+// alpha is the weight Brown's smoothing gives the newest sample. The
+// paper does not publish its alpha; 0.5 weighs the latest sample most
+// while still requiring a sustained trend to move the estimate.
+const alpha = 0.5
+
+// Monitor is MeT's monitoring component: it polls a Cluster (the
+// Ganglia + JMX stand-in) every SamplePeriod, smooths each node's system
+// metrics with Brown's exponential smoothing, accumulates per-partition
+// requests since the last Reset, and digests everything into the
+// ClusterView the Decision Maker consumes.
 type Monitor struct {
-	collector *metrics.Collector
+	cluster Cluster
 	// nodeTypes tracks the profile each node currently runs, which the
 	// Decision Maker needs to minimize reconfigurations.
 	nodeTypes map[string]placement.AccessType
 
-	// accumulated request deltas per partition since last Reset.
+	nodes   map[string]*nodeMetrics
+	samples int // polls since the last Reset
+
+	// partitionReqs accumulates requests per partition since the last
+	// Reset; partitionPrev is each partition's last cumulative counter.
 	partitionReqs map[string]metrics.RequestCounts
 	partitionPrev map[string]metrics.RequestCounts
 	partitionNode map[string]string
-	partitionSize map[string]float64
-	lastLocality  map[string]float64
 }
 
-// NewMonitor builds a monitor over src with smoothing factor alpha
-// (0.5 unless the deployment overrides it).
-func NewMonitor(src metrics.Source, alpha float64) *Monitor {
+// nodeMetrics is one node's smoothed system metrics.
+type nodeMetrics struct{ cpu, io, mem metrics.Smoother }
+
+// NewMonitor builds a monitor that polls c.
+func NewMonitor(c Cluster) *Monitor {
 	return &Monitor{
-		collector:     metrics.NewCollector(src, alpha),
+		cluster:       c,
 		nodeTypes:     make(map[string]placement.AccessType),
+		nodes:         make(map[string]*nodeMetrics),
 		partitionReqs: make(map[string]metrics.RequestCounts),
 		partitionPrev: make(map[string]metrics.RequestCounts),
 		partitionNode: make(map[string]string),
-		partitionSize: make(map[string]float64),
-		lastLocality:  make(map[string]float64),
 	}
 }
 
@@ -52,66 +60,70 @@ func (m *Monitor) NodeType(node string) placement.AccessType {
 	return m.nodeTypes[node]
 }
 
-// Poll takes one sample. Call every 30 (virtual) seconds.
-func (m *Monitor) Poll(now sim.Time) {
-	nodes, regions := m.collector.Poll(now)
+// Poll takes one sample of the cluster.
+func (m *Monitor) Poll() {
+	nodes, regions := m.cluster.Observe()
 	for _, n := range nodes {
-		m.lastLocality[n.Node] = n.Locality
+		s := m.nodes[n.Node]
+		if s == nil {
+			fresh := metrics.Smoother{Alpha: alpha}
+			s = &nodeMetrics{fresh, fresh, fresh}
+			m.nodes[n.Node] = s
+		}
+		s.cpu.Observe(n.System.CPUUtilization)
+		s.io.Observe(n.System.IOWait)
+		s.mem.Observe(n.System.MemoryUsage)
 	}
 	for _, r := range regions {
-		// Region observations carry deltas when the source computes
-		// them, but cumulative counters are also supported: detect by
-		// monotonicity against the previous cumulative value.
+		// Counters are cumulative (see RegionObservation): one that
+		// rose contributes the difference, one seen for the first time
+		// or that fell because it restarted contributes its value.
 		prev := m.partitionPrev[r.Region]
 		delta := r.Requests
-		if r.Requests.Reads >= prev.Reads && r.Requests.Writes >= prev.Writes &&
-			r.Requests.Scans >= prev.Scans && prev.Total() > 0 {
+		if r.Requests.Reads >= prev.Reads && r.Requests.Writes >= prev.Writes && r.Requests.Scans >= prev.Scans {
 			delta = r.Requests.Sub(prev)
 		}
 		m.partitionPrev[r.Region] = r.Requests
 		m.partitionReqs[r.Region] = m.partitionReqs[r.Region].Add(delta)
 		m.partitionNode[r.Region] = r.Node
-		m.partitionSize[r.Region] = r.SizeMB
 	}
+	m.samples++
 }
 
 // Samples returns how many polls accumulated since the last Reset.
-func (m *Monitor) Samples() int { return m.collector.Observations() }
+func (m *Monitor) Samples() int { return m.samples }
 
-// Reset drops accumulated state; the controller calls this after every
-// actuation, per the paper.
+// Reset drops the smoothed metrics and the accumulated requests; the
+// controller calls this after every decision, per the paper ("storing
+// only the observations after each Actuator's action").
 func (m *Monitor) Reset() {
-	m.collector.Reset()
+	for _, s := range m.nodes {
+		s.cpu.Reset()
+		s.io.Reset()
+		s.mem.Reset()
+	}
+	m.samples = 0
 	m.partitionReqs = make(map[string]metrics.RequestCounts)
 }
 
 // View digests the current state for the Decision Maker.
 func (m *Monitor) View() ClusterView {
 	var view ClusterView
-	cpu := m.collector.SmoothedCPU()
-	io := m.collector.SmoothedIOWait()
-	mem := m.collector.SmoothedMemory()
-	for _, name := range m.collector.Nodes() {
+	for _, name := range slices.Sorted(maps.Keys(m.nodes)) {
+		s := m.nodes[name]
 		view.Nodes = append(view.Nodes, NodeView{
-			Name:     name,
-			Type:     m.nodeTypes[name],
-			CPU:      cpu[name],
-			IOWait:   io[name],
-			Memory:   mem[name],
-			Locality: m.lastLocality[name],
+			Name:   name,
+			Type:   m.nodeTypes[name],
+			CPU:    s.cpu.Value(),
+			IOWait: s.io.Value(),
+			Memory: s.mem.Value(),
 		})
 	}
-	var parts []string
-	for p := range m.partitionNode {
-		parts = append(parts, p)
-	}
-	sort.Strings(parts)
-	for _, p := range parts {
+	for _, p := range slices.Sorted(maps.Keys(m.partitionNode)) {
 		view.Partitions = append(view.Partitions, PartitionView{
 			Name:     p,
 			Node:     m.partitionNode[p],
 			Requests: m.partitionReqs[p],
-			SizeMB:   m.partitionSize[p],
 		})
 	}
 	return view

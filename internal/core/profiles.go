@@ -10,11 +10,14 @@
 //	StageD  Output Computation — Algorithm 3's set-intersection
 //	        matching that minimizes moves and reconfigurations.
 //
-// The controller is substrate-agnostic: it sees the cluster through the
-// Monitor's ClusterView and acts through the Actuator, one plan over
-// the small Cluster interface that both the functional hbase cluster
-// (MasterCluster, this package) and the simulated deployment
-// (met/internal/exp) implement.
+// The controller is substrate-agnostic and clock-agnostic. It sees and
+// changes a deployment only through the small Cluster interface: the
+// Monitor observes it and the Actuator runs one plan on it. Both the
+// functional hbase cluster (MasterCluster, this package) and the
+// simulated deployment (met/internal/exp) implement Cluster. Nothing in
+// the package keeps time: the caller ticks the Controller once per
+// SamplePeriod, on the virtual clock of the experiments or between the
+// batches of a real run.
 package core
 
 import (

@@ -33,8 +33,8 @@ type TickSample struct {
 // solving, data growth, node lifecycle (boot, restart, warmup,
 // termination), region moves with locality degradation, and major
 // compactions with their disk load and duration. It implements
-// metrics.Source so MeT's Monitor can poll it like a real cluster, and
-// core.Cluster so MeT's Actuator can act on it.
+// core.Cluster, so MeT's Monitor polls it like a real cluster and MeT's
+// Actuator acts on it.
 type Deployment struct {
 	Sched *sim.Scheduler
 	Model *perfmodel.Model
@@ -64,7 +64,7 @@ type Deployment struct {
 
 	lastSolution perfmodel.Solution
 	// regionCum accumulates per-region request counters for Observe.
-	regionCum map[string]*metrics.RequestCounts
+	regionCum map[string]metrics.RequestCounts
 	// warmUntil is when each cold node's cache is warm again.
 	warmUntil map[string]sim.Time
 }
@@ -82,7 +82,7 @@ func NewDeployment(sched *sim.Scheduler, model *perfmodel.Model) *Deployment {
 		MoveLocality:       0.25,
 		RampUp:             0,
 		OpsTotal:           make(map[string]float64),
-		regionCum:          make(map[string]*metrics.RequestCounts),
+		regionCum:          make(map[string]metrics.RequestCounts),
 		warmUntil:          make(map[string]sim.Time),
 	}
 }
@@ -96,6 +96,18 @@ func (d *Deployment) Start(until sim.Time) {
 		}
 		d.step(now)
 		return now+d.Tick <= until
+	})
+}
+
+// control ticks a controller — MeT's or Tiramola's — every
+// core.SamplePeriod of virtual time from start until deadline.
+func (d *Deployment) control(start, deadline sim.Time, tick func()) {
+	d.Sched.EachTick(start, sim.Time(core.SamplePeriod), func(now sim.Time) bool {
+		if now > deadline {
+			return false
+		}
+		tick()
+		return true
 	})
 }
 
@@ -143,15 +155,12 @@ func (d *Deployment) step(now sim.Time) {
 		}
 		// Accumulate per-region counters for the Monitor.
 		for r, share := range w.RegionShares {
-			cum := d.regionCum[r]
-			if cum == nil {
-				cum = &metrics.RequestCounts{}
-				d.regionCum[r] = cum
-			}
 			ops := x * share * dt
-			cum.Reads += int64(ops * (w.Mix.Read + w.Mix.RMW))
-			cum.Writes += int64(ops * (w.Mix.Write + w.Mix.RMW))
-			cum.Scans += int64(ops * w.Mix.Scan)
+			d.regionCum[r] = d.regionCum[r].Add(metrics.RequestCounts{
+				Reads:  int64(ops * (w.Mix.Read + w.Mix.RMW)),
+				Writes: int64(ops * (w.Mix.Write + w.Mix.RMW)),
+				Scans:  int64(ops * w.Mix.Scan),
+			})
 		}
 		// Data growth from inserts (WorkloadD's fast-growing log).
 		if w.GrowthBytesPerOp > 0 {
@@ -316,55 +325,26 @@ func (d *Deployment) MajorCompact(region string) (int64, error) {
 	return int64(r.SizeBytes), nil
 }
 
-// --- metrics.Source --------------------------------------------------
-
-// Observe implements metrics.Source over the last solution.
-func (d *Deployment) Observe(now sim.Time) ([]metrics.NodeObservation, []metrics.RegionObservation) {
+// Observe implements core.Cluster over the last solution.
+func (d *Deployment) Observe() ([]metrics.NodeObservation, []metrics.RegionObservation) {
 	sol := d.lastSolution
 	var nodes []metrics.NodeObservation
 	for _, name := range slices.Sorted(maps.Keys(d.Model.Nodes)) {
-		n := d.Model.Nodes[name]
-		if n.Offline {
+		if d.Model.Nodes[name].Offline {
 			continue // a down node reports nothing, like real Ganglia
 		}
-		// Locality index: byte-weighted over hosted regions.
-		var bytes, local float64
-		for r, host := range d.Model.Placement {
-			if host != name {
-				continue
-			}
-			reg := d.Model.Regions[r]
-			bytes += reg.SizeBytes
-			local += reg.SizeBytes * reg.Locality
-		}
-		loc := 1.0
-		if bytes > 0 {
-			loc = local / bytes
-		}
 		nodes = append(nodes, metrics.NodeObservation{
-			At:   now,
 			Node: name,
 			System: metrics.SystemMetrics{
 				CPUUtilization: sol.NodeCPU[name],
 				IOWait:         sol.NodeDisk[name],
 				MemoryUsage:    0.5,
 			},
-			Locality: loc,
 		})
 	}
 	var regions []metrics.RegionObservation
 	for _, r := range slices.Sorted(maps.Keys(d.Model.Placement)) {
-		cum := d.regionCum[r]
-		if cum == nil {
-			cum = &metrics.RequestCounts{}
-		}
-		regions = append(regions, metrics.RegionObservation{
-			At:       now,
-			Region:   r,
-			Node:     d.Model.Placement[r],
-			Requests: *cum, // cumulative; core.Monitor diffs it
-			SizeMB:   d.Model.Regions[r].SizeBytes / (1 << 20),
-		})
+		regions = append(regions, metrics.RegionObservation{Region: r, Node: d.Model.Placement[r], Requests: d.regionCum[r]})
 	}
 	return nodes, regions
 }

@@ -51,7 +51,7 @@ func RunElasticity(seed uint64) *ElasticityResult {
 		params.MaxNodes = 12
 		runner := NewMeTRunner(d, params)
 		seedTypes(runner, sc)
-		runner.Start(d.Sched, 2*sim.Minute, elasticityMinutes*sim.Minute)
+		d.control(2*sim.Minute, elasticityMinutes*sim.Minute, runner.Tick)
 	})
 	res.Tiramola = runElasticity("Tiramola", seed, func(_ *Scenario, d *Deployment) {
 		params := autoscale.DefaultParams()
@@ -62,7 +62,7 @@ func RunElasticity(seed uint64) *ElasticityResult {
 		// average CPU would starve the controller of signal entirely.
 		params.CPUHigh = 0.72
 		runner := NewTiramolaRunner(d, params, sim.NewRNG(seed+9))
-		runner.Start(d.Sched, 2*sim.Minute, elasticityMinutes*sim.Minute)
+		d.control(2*sim.Minute, elasticityMinutes*sim.Minute, runner.Tick)
 	})
 	return res
 }

@@ -370,7 +370,7 @@ func runMeTScenario() (*Scenario, *Deployment, *MeTRunner, []core.ApplyReport) {
 	}
 	seedTypes(runner, sc)
 	d.Start(15 * sim.Minute)
-	runner.Start(sched, sim.Minute, 15*sim.Minute)
+	d.control(sim.Minute, 15*sim.Minute, runner.Tick)
 	sched.RunUntil(15 * sim.Minute)
 	return sc, d, runner, reports
 }
@@ -487,7 +487,7 @@ func TestTiramolaRunnerAddsUnderLoad(t *testing.T) {
 	params.CooldownEvaluations = 2
 	runner := NewTiramolaRunner(d, params, sim.NewRNG(9))
 	d.Start(20 * sim.Minute)
-	runner.Start(sched, sim.Minute, 20*sim.Minute)
+	d.control(sim.Minute, 20*sim.Minute, runner.Tick)
 	sched.RunUntil(20 * sim.Minute)
 	if len(runner.Adds) == 0 {
 		t.Fatal("tiramola never added a node under overload")

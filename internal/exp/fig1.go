@@ -118,7 +118,7 @@ func RunFig4(seed uint64) *Fig4Result {
 		params.MaxNodes = 5 // Figure 4 studies reconfiguration, not scaling
 		runner = NewMeTRunner(d, params)
 		seedTypes(runner, sc)
-		runner.Start(d.Sched, 2*sim.Minute, 30*sim.Minute)
+		d.control(2*sim.Minute, 30*sim.Minute, runner.Tick)
 	})
 	res.MeT = perMinute(d.Series, 30)
 

@@ -6,11 +6,11 @@ import (
 )
 
 // MeTRunner is the MeT control loop over a Deployment: the one
-// core.Controller (Monitor polls every 30 s; after MinSamples the
-// Decision Maker runs unless a plan is still in flight) acting on the
-// deployment through core's Actuator, whose adds and restarts unfold on
-// the virtual clock — the paper's 6-minute reconfigurations span
-// several decision intervals.
+// core.Controller (its Monitor polls the deployment every tick; after
+// MinSamples the Decision Maker runs unless a plan is still in flight)
+// acting on the deployment through core's Actuator, whose adds and
+// restarts unfold on the virtual clock — the paper's 6-minute
+// reconfigurations span several decision intervals.
 type MeTRunner struct {
 	*core.Controller
 	// Window brackets the first actuation on the virtual clock, Figure
@@ -22,8 +22,7 @@ type MeTRunner struct {
 // NewMeTRunner assembles MeT over a deployment with the paper's
 // parameters and Table 1 profiles.
 func NewMeTRunner(d *Deployment, params core.Params) *MeTRunner {
-	mon := core.NewMonitor(d, 0.5)
-	r := &MeTRunner{Controller: core.NewController(mon, core.NewDecisionMaker(params, core.Table1Profiles()), d)}
+	r := &MeTRunner{Controller: core.NewController(d, core.NewDecisionMaker(params, core.Table1Profiles()))}
 	r.Actuator.OnStart = func() {
 		if r.plans++; r.plans == 1 {
 			r.Window[0] = d.Sched.Now()

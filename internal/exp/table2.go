@@ -133,7 +133,7 @@ func RunTable2(seed uint64) *Table2Result {
 		params.MaxNodes = len(d.Model.Nodes) // Table 2 studies reconfiguration only
 		runner := NewMeTRunner(d, params)
 		seedTypes(runner, sc)
-		runner.Start(d.Sched, 4*sim.Minute, duration)
+		d.control(4*sim.Minute, duration, runner.Tick)
 	})
 	res.MeTWithReconfig = tpmcOf(converged)
 

@@ -38,19 +38,8 @@ func NewTiramolaRunner(d *Deployment, params autoscale.Params, rng *sim.RNG) *Ti
 	}
 }
 
-// Start schedules the evaluation loop every 30 s until deadline.
-func (t *TiramolaRunner) Start(sched *sim.Scheduler, start, deadline sim.Time) {
-	sched.EachTick(start, 30*sim.Second, func(now sim.Time) bool {
-		if now > deadline {
-			return false
-		}
-		t.Tick(now)
-		return true
-	})
-}
-
 // Tick evaluates the thresholds against the latest modeled CPU.
-func (t *TiramolaRunner) Tick(now sim.Time) {
+func (t *TiramolaRunner) Tick() {
 	sol := t.D.lastSolution
 	cpus := make(map[string]float64)
 	for _, name := range t.D.serving("") {
@@ -62,7 +51,7 @@ func (t *TiramolaRunner) Tick(now sim.Time) {
 	case autoscale.ActionAddNode:
 		t.addNode()
 	case autoscale.ActionRemoveNode:
-		t.removeNode(now)
+		t.removeNode()
 	}
 }
 
@@ -75,7 +64,7 @@ func (t *TiramolaRunner) addNode() {
 	})
 }
 
-func (t *TiramolaRunner) removeNode(now sim.Time) {
+func (t *TiramolaRunner) removeNode() {
 	// Tiramola retracts the most recently added instance.
 	names := slices.Sorted(maps.Keys(t.D.Model.Nodes))
 	if len(names) <= 1 {
@@ -92,7 +81,7 @@ func (t *TiramolaRunner) removeNode(now sim.Time) {
 		}
 	}
 	if err := t.D.RemoveNode(victim); err == nil {
-		t.Removes = append(t.Removes, now)
+		t.Removes = append(t.Removes, t.D.Sched.Now())
 		t.rebalance()
 	}
 }

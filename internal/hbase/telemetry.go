@@ -128,7 +128,7 @@ type RegionStats struct {
 // ServerStats is everything one region server reports about itself at
 // one instant: each layer's own snapshot plus the quantities derived
 // from more than one counter. The /metrics page (WriteServerMetrics),
-// metbench's report and the controller's monitor (core.ClusterSource)
+// metbench's report and the controller's monitor (core.MasterCluster)
 // all read it, so a number means the same thing wherever it shows up.
 // A plain value: copy it, marshal it, Add it.
 type ServerStats struct {

@@ -1,105 +1,68 @@
-// Package metrics implements the monitoring substrate MeT relies on: it
-// plays the role of Ganglia (system-level metrics: CPU utilization, I/O
-// wait, memory usage) and of the HBase JMX exporter (per-node and
-// per-region read/write/scan request counts and the locality index).
+// Package metrics holds what MeT's Monitor observes: the Ganglia-level
+// system metrics of a node (CPU utilization, I/O wait, memory usage) and
+// the JMX-level read/write/scan request counters of a region, as one
+// poll's NodeObservation and RegionObservation. Region servers count
+// requests on the serving path with AtomicCounts.
 //
 // The package also provides Brown's simple exponential smoothing, which
 // the paper uses to damp temporary load spikes before feeding samples to
-// the Decision Maker, and small time-series containers used throughout
-// the experiment harness.
+// the Decision Maker, and the percentile summary Figure 1 reports.
 package metrics
 
 import (
 	"fmt"
 	"math"
 	"sort"
-
-	"met/internal/sim"
 )
 
-// Sample is a single observation of a scalar metric at a virtual time.
-type Sample struct {
-	At    sim.Time
-	Value float64
+// SystemMetrics are the Ganglia-level metrics MeT monitors per node.
+// Simulated clusters synthesize the three fractions; a durable cluster
+// derives MemoryUsage from the process's real runtime sample.
+type SystemMetrics struct {
+	CPUUtilization float64 // fraction of CPU busy, 0..1
+	IOWait         float64 // fraction of time waiting on disk, 0..1
+	MemoryUsage    float64 // fraction of memory in use, 0..1
 }
 
-// Series is an append-only time series of samples.
-type Series struct {
-	Name    string
-	Samples []Sample
+// RequestCounts are cumulative operation counters, per node or per region,
+// matching the JMX metrics the paper collects (the scan counter is the
+// one the authors added to HBase themselves).
+type RequestCounts struct {
+	Reads  int64 `json:"reads"`
+	Writes int64 `json:"writes"`
+	Scans  int64 `json:"scans"`
 }
 
-// Append records a new observation. Observations must be appended in
-// non-decreasing time order.
-func (s *Series) Append(at sim.Time, v float64) {
-	if n := len(s.Samples); n > 0 && at < s.Samples[n-1].At {
-		panic(fmt.Sprintf("metrics: out-of-order sample on %q: %v after %v", s.Name, at, s.Samples[n-1].At))
-	}
-	s.Samples = append(s.Samples, Sample{At: at, Value: v})
+// Total returns the total number of requests.
+func (c RequestCounts) Total() int64 { return c.Reads + c.Writes + c.Scans }
+
+// Add returns the element-wise sum of two counters.
+func (c RequestCounts) Add(o RequestCounts) RequestCounts {
+	return RequestCounts{Reads: c.Reads + o.Reads, Writes: c.Writes + o.Writes, Scans: c.Scans + o.Scans}
 }
 
-// Len returns the number of samples.
-func (s *Series) Len() int { return len(s.Samples) }
-
-// Last returns the most recent sample, or a zero Sample when empty.
-func (s *Series) Last() Sample {
-	if len(s.Samples) == 0 {
-		return Sample{}
-	}
-	return s.Samples[len(s.Samples)-1]
+// Sub returns the element-wise difference c - o, useful for converting
+// cumulative counters into per-interval deltas.
+func (c RequestCounts) Sub(o RequestCounts) RequestCounts {
+	return RequestCounts{Reads: c.Reads - o.Reads, Writes: c.Writes - o.Writes, Scans: c.Scans - o.Scans}
 }
 
-// Since returns the samples observed at or after t.
-func (s *Series) Since(t sim.Time) []Sample {
-	i := sort.Search(len(s.Samples), func(i int) bool { return s.Samples[i].At >= t })
-	return s.Samples[i:]
+// NodeObservation is one poll's sample of one serving node.
+type NodeObservation struct {
+	Node   string
+	System SystemMetrics
 }
 
-// Values extracts the raw values.
-func (s *Series) Values() []float64 {
-	out := make([]float64, len(s.Samples))
-	for i, smp := range s.Samples {
-		out[i] = smp.Value
-	}
-	return out
-}
-
-// Mean returns the arithmetic mean of all samples (0 when empty).
-func (s *Series) Mean() float64 { return Mean(s.Values()) }
-
-// Mean returns the arithmetic mean of vs (0 for an empty slice).
-func Mean(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range vs {
-		sum += v
-	}
-	return sum / float64(len(vs))
-}
-
-// Sum returns the sum of vs.
-func Sum(vs []float64) float64 {
-	var sum float64
-	for _, v := range vs {
-		sum += v
-	}
-	return sum
-}
-
-// StdDev returns the population standard deviation of vs.
-func StdDev(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	m := Mean(vs)
-	var ss float64
-	for _, v := range vs {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(vs)))
+// RegionObservation is one poll's sample of one region.
+//
+// Requests is the region's cumulative counter since its host started
+// counting, not a delta: the Monitor diffs consecutive polls. A counter
+// that fell since the previous poll was restarted (the region reopened
+// elsewhere), and the Monitor counts its new value whole.
+type RegionObservation struct {
+	Region   string
+	Node     string
+	Requests RequestCounts
 }
 
 // Percentile returns the p-th percentile (0..100) of vs using linear

@@ -8,66 +8,6 @@ import (
 	"met/internal/sim"
 )
 
-func TestSeriesAppendAndQuery(t *testing.T) {
-	var s Series
-	s.Name = "cpu"
-	s.Append(0, 0.1)
-	s.Append(sim.Second, 0.2)
-	s.Append(2*sim.Second, 0.3)
-	if s.Len() != 3 {
-		t.Fatalf("len = %d", s.Len())
-	}
-	if last := s.Last(); last.Value != 0.3 || last.At != 2*sim.Second {
-		t.Fatalf("last = %+v", last)
-	}
-	if got := s.Since(sim.Second); len(got) != 2 || got[0].Value != 0.2 {
-		t.Fatalf("since = %+v", got)
-	}
-	if m := s.Mean(); math.Abs(m-0.2) > 1e-12 {
-		t.Fatalf("mean = %v", m)
-	}
-}
-
-func TestSeriesEmpty(t *testing.T) {
-	var s Series
-	if s.Last() != (Sample{}) {
-		t.Fatal("empty Last should be zero")
-	}
-	if s.Mean() != 0 {
-		t.Fatal("empty Mean should be 0")
-	}
-	if got := s.Since(0); len(got) != 0 {
-		t.Fatal("empty Since should be empty")
-	}
-}
-
-func TestSeriesOutOfOrderPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	var s Series
-	s.Append(sim.Second, 1)
-	s.Append(0, 2)
-}
-
-func TestMeanSumStdDev(t *testing.T) {
-	vs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if m := Mean(vs); m != 5 {
-		t.Errorf("mean = %v", m)
-	}
-	if s := Sum(vs); s != 40 {
-		t.Errorf("sum = %v", s)
-	}
-	if sd := StdDev(vs); sd != 2 {
-		t.Errorf("stddev = %v, want 2", sd)
-	}
-	if StdDev(nil) != 0 || Mean(nil) != 0 {
-		t.Error("empty stats should be 0")
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	vs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	cases := []struct {
@@ -200,16 +140,6 @@ func TestSmootherAlphaClamped(t *testing.T) {
 	}
 }
 
-func TestSmoothOneShot(t *testing.T) {
-	got := Smooth([]float64{1, 1, 1, 9}, 0.5)
-	if got != 5 {
-		t.Fatalf("Smooth = %v, want 5", got)
-	}
-	if Smooth(nil, 0.5) != 0 {
-		t.Fatal("empty Smooth should be 0")
-	}
-}
-
 func TestRequestCountsArithmetic(t *testing.T) {
 	a := RequestCounts{Reads: 10, Writes: 5, Scans: 2}
 	b := RequestCounts{Reads: 3, Writes: 1, Scans: 1}
@@ -221,88 +151,5 @@ func TestRequestCountsArithmetic(t *testing.T) {
 	}
 	if a.Total() != 17 {
 		t.Fatalf("total = %d", a.Total())
-	}
-}
-
-type fakeSource struct {
-	cpu  map[string]float64
-	regs []RegionObservation
-}
-
-func (f *fakeSource) Observe(now sim.Time) ([]NodeObservation, []RegionObservation) {
-	var nodes []NodeObservation
-	for n, c := range f.cpu {
-		nodes = append(nodes, NodeObservation{
-			At: now, Node: n,
-			System:   SystemMetrics{CPUUtilization: c, IOWait: c / 2, MemoryUsage: c / 4},
-			Locality: 1,
-		})
-	}
-	return nodes, f.regs
-}
-
-func TestCollectorSmoothsPerNode(t *testing.T) {
-	src := &fakeSource{cpu: map[string]float64{"rs1": 0.9, "rs2": 0.1}}
-	c := NewCollector(src, 0.5)
-	for i := 0; i < 6; i++ {
-		c.Poll(sim.Time(i) * 30 * sim.Second)
-	}
-	if c.Observations() != 6 {
-		t.Fatalf("observations = %d", c.Observations())
-	}
-	cpu := c.SmoothedCPU()
-	if math.Abs(cpu["rs1"]-0.9) > 1e-6 || math.Abs(cpu["rs2"]-0.1) > 1e-6 {
-		t.Fatalf("smoothed cpu = %v", cpu)
-	}
-	io := c.SmoothedIOWait()
-	if math.Abs(io["rs1"]-0.45) > 1e-6 {
-		t.Fatalf("smoothed io = %v", io)
-	}
-	mem := c.SmoothedMemory()
-	if math.Abs(mem["rs2"]-0.025) > 1e-6 {
-		t.Fatalf("smoothed mem = %v", mem)
-	}
-}
-
-func TestCollectorReset(t *testing.T) {
-	src := &fakeSource{cpu: map[string]float64{"rs1": 0.5}}
-	c := NewCollector(src, 0.5)
-	c.Poll(0)
-	c.Reset()
-	if c.Observations() != 0 {
-		t.Fatal("observations not reset")
-	}
-	if len(c.SmoothedCPU()) != 0 {
-		t.Fatal("smoothed values survive reset")
-	}
-	// Polling again re-primes from fresh state.
-	c.Poll(sim.Minute)
-	if got := c.SmoothedCPU()["rs1"]; got != 0.5 {
-		t.Fatalf("post-reset cpu = %v", got)
-	}
-}
-
-func TestCollectorNodesSorted(t *testing.T) {
-	src := &fakeSource{cpu: map[string]float64{"rs2": 0.5, "rs1": 0.2, "rs3": 0.7}}
-	c := NewCollector(src, 0.5)
-	c.Poll(0)
-	nodes := c.Nodes()
-	if len(nodes) != 3 || nodes[0] != "rs1" || nodes[2] != "rs3" {
-		t.Fatalf("nodes = %v", nodes)
-	}
-}
-
-func TestCollectorKeepsLastObservations(t *testing.T) {
-	src := &fakeSource{
-		cpu:  map[string]float64{"rs1": 0.5},
-		regs: []RegionObservation{{Region: "r0", Node: "rs1", SizeMB: 250}},
-	}
-	c := NewCollector(src, 0.5)
-	c.Poll(0)
-	if len(c.LastNodes()) != 1 || len(c.LastRegions()) != 1 {
-		t.Fatal("last observations not retained")
-	}
-	if c.LastRegions()[0].Region != "r0" {
-		t.Fatalf("region = %+v", c.LastRegions()[0])
 	}
 }

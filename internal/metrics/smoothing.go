@@ -59,13 +59,3 @@ func (s *Smoother) Reset() {
 	s.primed = false
 	s.n = 0
 }
-
-// Smooth applies Brown smoothing over a whole slice and returns the final
-// estimate; convenient for one-shot summaries of a window.
-func Smooth(vs []float64, alpha float64) float64 {
-	s := NewSmoother(alpha)
-	for _, v := range vs {
-		s.Observe(v)
-	}
-	return s.Value()
-}

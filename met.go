@@ -168,7 +168,7 @@
 // hbase.WriteServerMetrics renders such values as the met_* Prometheus
 // series, and everything that reports reads it: the debug plane below,
 // `metbench -json` (per server and summed) and the controller's
-// monitor (core.ClusterSource). The tree is served in two places, by
+// monitor (core.MasterCluster). The tree is served in two places, by
 // the same code:
 //
 //	srv, err := cluster.ServeDebug("127.0.0.1:6060")
@@ -202,7 +202,6 @@ import (
 	"met/internal/hdfs"
 	"met/internal/obs"
 	"met/internal/placement"
-	"met/internal/sim"
 )
 
 // Re-exported substrate types for embedding users.
@@ -373,14 +372,16 @@ func (c *Cluster) ServeDebug(addr string) (*obs.DebugServer, error) {
 	return obs.ServeDebug(addr, c.Master.DebugConfig())
 }
 
-// NewController attaches MeT to a functional cluster. nominalOpsPerSec
-// calibrates the synthetic CPU metric of the functional layer (the
-// request rate one node counts as fully busy).
+// NewController attaches MeT to a functional cluster: its Monitor polls
+// the cluster's servers and its Actuator reconfigures them, both through
+// the one core.MasterCluster over c.Master. nominalOpsPerSec calibrates
+// the synthetic CPU metric of the functional layer (the request rate one
+// node counts as fully busy). The caller ticks the controller once per
+// monitoring sample (core.SamplePeriod in the paper); the first tick
+// counts every request the regions have served so far.
 func NewController(c *Cluster, params Params, nominalOpsPerSec float64) *Controller {
-	src := core.NewClusterSource(c.Master, nominalOpsPerSec, 30*sim.Second)
-	mon := core.NewMonitor(src, 0.5)
-	dm := core.NewDecisionMaker(params, core.Table1Profiles())
-	return core.NewController(mon, dm, core.MasterCluster{Master: c.Master})
+	mc := &core.MasterCluster{Master: c.Master, NominalOpsPerSec: nominalOpsPerSec}
+	return core.NewController(mc, core.NewDecisionMaker(params, core.Table1Profiles()))
 }
 
 // Experiment result aliases.

@@ -84,7 +84,7 @@ func TestControllerOverPublicAPI(t *testing.T) {
 			c.Get("reads", key)
 			c.Get("reads", key)
 		}
-		ctrl.Tick(0)
+		ctrl.Tick()
 	}
 	if err := ctrl.Err(); err != nil {
 		t.Fatal(err)
