@@ -103,10 +103,10 @@ type result struct {
 func writeResultJSON(path string, res *result) {
 	buf, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
-		log.Fatal(err)
+		fatalf("%v", err)
 	}
 	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		log.Fatal(err)
+		fatalf("%v", err)
 	}
 	fmt.Printf("results written to %s\n", path)
 }

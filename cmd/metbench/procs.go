@@ -28,8 +28,11 @@ type child struct {
 	name string
 	cmd  *exec.Cmd
 	addr string
-	done chan error // closed by the reaper with the exit status
+	done chan struct{} // closed by the reaper once the process exited
 }
+
+// children are every metnode process this run spawned.
+var children []*child
 
 // spawn starts one metnode and reaps it on exit so kills never leave
 // zombies behind.
@@ -38,11 +41,25 @@ func spawn(bin string, args ...string) *child {
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
-		log.Fatalf("metbench: spawn %s %v: %v", bin, args, err)
+		fatalf("metbench: spawn %s %v: %v", bin, args, err)
 	}
-	c := &child{cmd: cmd, done: make(chan error, 1)}
-	go func() { c.done <- cmd.Wait() }()
+	c := &child{cmd: cmd, done: make(chan struct{})}
+	go func() {
+		_ = cmd.Wait()
+		close(c.done)
+	}()
+	children = append(children, c)
 	return c
+}
+
+// fatalf is log.Fatalf for every path that may run after spawn: it
+// kills and reaps each child still running first, because log.Fatalf
+// exits without running the deferred cleanup.
+func fatalf(format string, v ...any) {
+	for _, c := range children {
+		c.kill9()
+	}
+	log.Fatalf(format, v...)
 }
 
 // kill9 delivers an un-catchable SIGKILL — the real process-death the
@@ -71,7 +88,7 @@ func waitAddrFile(path string) string {
 			return strings.TrimSpace(string(b))
 		}
 		if time.Now().After(deadline) {
-			log.Fatalf("metbench: timed out waiting for %s", path)
+			fatalf("metbench: timed out waiting for %s", path)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
@@ -89,7 +106,7 @@ func waitReady(addr string) {
 			}
 		}
 		if time.Now().After(deadline) {
-			log.Fatalf("metbench: %s never became ready", addr)
+			fatalf("metbench: %s never became ready", addr)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
@@ -110,7 +127,7 @@ func findNodeBin(flagVal string) string {
 	if p, err := exec.LookPath("metnode"); err == nil {
 		return p
 	}
-	log.Fatal("metbench: -procs needs the metnode binary (build cmd/metnode and pass -node-bin, or put it next to metbench)")
+	fatalf("metbench: -procs needs the metnode binary (build cmd/metnode and pass -node-bin, or put it next to metbench)")
 	return ""
 }
 
@@ -148,7 +165,7 @@ func runProcs(dataDir string, cfg met.ServerConfig, servers, ops int, seed uint6
 	// Bootstrap in-process: committed membership, tables, nothing else.
 	cluster, err := met.NewClusterConfig(servers, cfg)
 	if err != nil {
-		log.Fatal(err)
+		fatalf("%v", err)
 	}
 	bootstrapTables(cluster.Master)
 	var names []string
@@ -160,7 +177,7 @@ func runProcs(dataDir string, cfg met.ServerConfig, servers, ops int, seed uint6
 	// Restart as real processes.
 	runDir := filepath.Join(dataDir, "run")
 	if err := os.MkdirAll(runDir, 0o755); err != nil {
-		log.Fatal(err)
+		fatalf("%v", err)
 	}
 	fmt.Printf("procs: starting 1 master + %d server processes (%s)...\n", servers, nodeBin)
 	masterFile := filepath.Join(runDir, "master.addr")
@@ -193,7 +210,7 @@ func runProcs(dataDir string, cfg met.ServerConfig, servers, ops int, seed uint6
 
 	c, err := rpc.Dial(masterAddr)
 	if err != nil {
-		log.Fatalf("metbench: dial master: %v", err)
+		fatalf("metbench: dial master: %v", err)
 	}
 	acked := newAckLog(seed)
 	fmt.Printf("procs: writing %d rows over RPC across %d worker processes...\n", ops, servers)
@@ -212,7 +229,7 @@ func runProcs(dataDir string, cfg met.ServerConfig, servers, ops int, seed uint6
 	// regions died with it.
 	killAndRecover := func(phase string) (deadRegions int) {
 		if err := c.Refresh(); err != nil {
-			log.Fatal(err)
+			fatalf("%v", err)
 		}
 		assignment := make(map[string]string)
 		for _, r := range c.Regions() {
@@ -227,7 +244,7 @@ func runProcs(dataDir string, cfg met.ServerConfig, servers, ops int, seed uint6
 		procs.Killed = append(procs.Killed, victim)
 		reply, err := c.Recover(victim)
 		if err != nil {
-			log.Fatalf("metbench: procs recover %s: %v", victim, err)
+			fatalf("metbench: procs recover %s: %v", victim, err)
 		}
 		for _, rr := range reply.Regions {
 			fmt.Printf("procs: %s -> %s on %s (%d replica SSTables, %d tail records, recovered ts %d)\n",
@@ -241,7 +258,7 @@ func runProcs(dataDir string, cfg met.ServerConfig, servers, ops int, seed uint6
 	// (SSTables + shipped WAL tail) cover every acknowledged write, so a
 	// process death plus total disk loss must cost nothing.
 	if err := c.Quiesce(); err != nil {
-		log.Fatalf("metbench: procs quiesce: %v", err)
+		fatalf("metbench: procs quiesce: %v", err)
 	}
 	killAndRecover("phase A, after quiesce")
 	acked.mustVerify(c, "procs phase A (quiesced kill — must be exactly zero)")
@@ -256,12 +273,12 @@ func runProcs(dataDir string, cfg met.ServerConfig, servers, ops int, seed uint6
 	fmt.Printf("procs: after mid-burst kill — %d acked rows, %d missing\n", len(acked.rows), missing)
 	bound := tailLossBound * deadRegions
 	if missing > bound {
-		log.Fatalf("metbench: procs phase B lost %d acknowledged writes; the bound is %d (%d records x %d regions)",
+		fatalf("metbench: procs phase B lost %d acknowledged writes; the bound is %d (%d records x %d regions)",
 			missing, bound, tailLossBound, deadRegions)
 	}
 	// The cluster keeps serving on the survivors.
 	if err := c.Put("users", "zz-post-failover", []byte("alive")); err != nil {
-		log.Fatalf("metbench: procs cluster dead after recovery: %v", err)
+		fatalf("metbench: procs cluster dead after recovery: %v", err)
 	}
 	fmt.Printf("procs: OK — quiesced kill lost 0, mid-burst kill lost %d <= %d bound, %d processes driven, 2 killed\n",
 		missing, bound, servers+1)

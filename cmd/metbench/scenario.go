@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"log"
 	"os"
 	"sort"
 
@@ -24,7 +23,7 @@ func bootstrapTables(m *hbase.Master) {
 	splits := map[string][]string{"users": {"g", "p"}, "orders": {"m"}}
 	for _, tn := range scenarioTables {
 		if _, err := m.CreateTable(tn, splits[tn]); err != nil {
-			log.Fatal(err)
+			fatalf("%v", err)
 		}
 	}
 }
@@ -50,7 +49,7 @@ func (a *ackLog) write(c hbase.KV, n int, tag string) {
 		key := fmt.Sprintf("%c%07x", byte('a'+a.rng.Intn(26)), a.rng.Uint64()&0xfffffff)
 		val := fmt.Sprintf("%s/%s/%s%d", tn, key, tag, i)
 		if err := c.Put(tn, key, []byte(val)); err != nil {
-			log.Fatalf("metbench: put %s/%s: %v", tn, key, err)
+			fatalf("metbench: put %s/%s: %v", tn, key, err)
 		}
 		a.rows[[2]string{tn, key}] = val
 	}
@@ -74,7 +73,7 @@ func (a *ackLog) verify(c hbase.KV) (missing int) {
 // mustVerify is verify for the phases that tolerate no loss at all.
 func (a *ackLog) mustVerify(c hbase.KV, phase string) {
 	if missing := a.verify(c); missing != 0 {
-		log.Fatalf("metbench: %s lost %d of %d acknowledged writes", phase, missing, len(a.rows))
+		fatalf("metbench: %s lost %d of %d acknowledged writes", phase, missing, len(a.rows))
 	}
 }
 
@@ -92,7 +91,7 @@ func pickVictim(assignment map[string]string) (victim string, regions []string) 
 		}
 	}
 	if victim == "" {
-		log.Fatal("metbench: no server hosts a region to kill")
+		fatalf("metbench: no server hosts a region to kill")
 	}
 	sort.Strings(regions)
 	return victim, regions
@@ -113,7 +112,7 @@ func quarantine(dataDir string, regions []string, walOfServer string) {
 	for _, dir := range dirs {
 		if _, err := os.Stat(dir); err == nil {
 			if err := os.Rename(dir, dir+".quarantine"); err != nil {
-				log.Fatal(err)
+				fatalf("%v", err)
 			}
 		}
 	}
