@@ -60,10 +60,14 @@ func (m *Monitor) NodeType(node string) placement.AccessType {
 	return m.nodeTypes[node]
 }
 
-// Poll takes one sample of the cluster.
+// Poll takes one sample of the cluster. A node the sample leaves out
+// has left the cluster or is down: its smoothed metrics are dropped, so
+// the view lists only the nodes of the latest sample.
 func (m *Monitor) Poll() {
 	nodes, regions := m.cluster.Observe()
+	seen := make(map[string]bool, len(nodes))
 	for _, n := range nodes {
+		seen[n.Node] = true
 		s := m.nodes[n.Node]
 		if s == nil {
 			fresh := metrics.Smoother{Alpha: alpha}
@@ -74,6 +78,7 @@ func (m *Monitor) Poll() {
 		s.io.Observe(n.System.IOWait)
 		s.mem.Observe(n.System.MemoryUsage)
 	}
+	maps.DeleteFunc(m.nodes, func(name string, _ *nodeMetrics) bool { return !seen[name] })
 	for _, r := range regions {
 		// Counters are cumulative (see RegionObservation): one that
 		// rose contributes the difference, one seen for the first time
@@ -97,11 +102,7 @@ func (m *Monitor) Samples() int { return m.samples }
 // controller calls this after every decision, per the paper ("storing
 // only the observations after each Actuator's action").
 func (m *Monitor) Reset() {
-	for _, s := range m.nodes {
-		s.cpu.Reset()
-		s.io.Reset()
-		s.mem.Reset()
-	}
+	clear(m.nodes)
 	m.samples = 0
 	m.partitionReqs = make(map[string]metrics.RequestCounts)
 }

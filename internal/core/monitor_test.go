@@ -63,7 +63,7 @@ func TestMonitorResetsSmoothing(t *testing.T) {
 	if mon.Samples() != 0 {
 		t.Fatal("observations not reset")
 	}
-	if cpu, _, _ := nodeMetricsOf(mon.View()); cpu["rs1"] != 0 {
+	if len(mon.View().Nodes) != 0 {
 		t.Fatal("smoothed values survive reset")
 	}
 	// Polling again re-primes from fresh state.
@@ -82,6 +82,30 @@ func TestMonitorNodesSorted(t *testing.T) {
 	nodes := mon.View().Nodes
 	if len(nodes) != 3 || nodes[0].Name != "rs1" || nodes[2].Name != "rs3" {
 		t.Fatalf("nodes = %v", nodes)
+	}
+}
+
+// TestMonitorDropsRemovedNode: a node that left the cluster leaves the
+// view with the next poll, so the Decision Maker never sees an idle
+// phantom node and MeT never re-adds what it removed.
+func TestMonitorDropsRemovedNode(t *testing.T) {
+	m, c := buildCluster(t, 3)
+	mon := NewMonitor(&MasterCluster{Master: m, NominalOpsPerSec: 50})
+	driveLoad(t, c, 50)
+	mon.Poll()
+	if err := m.DecommissionServer("rs2"); err != nil {
+		t.Fatal(err)
+	}
+	driveLoad(t, c, 50)
+	mon.Poll()
+	view := mon.View()
+	for _, n := range view.Nodes {
+		if n.Name == "rs2" {
+			t.Fatal("view lists removed node rs2")
+		}
+	}
+	if len(view.Nodes) != 2 {
+		t.Fatalf("view nodes = %+v", view.Nodes)
 	}
 }
 

@@ -45,14 +45,7 @@ const elasticityMinutes = 60
 // at 43, WorkloadA at 53, leaving only WorkloadC.
 func RunElasticity(seed uint64) *ElasticityResult {
 	res := &ElasticityResult{Phase1End: 33 * sim.Minute}
-	res.MeT = runElasticity("MeT", seed, func(sc *Scenario, d *Deployment) {
-		params := core.DefaultParams()
-		params.MinNodes = 6
-		params.MaxNodes = 12
-		runner := NewMeTRunner(d, params)
-		seedTypes(runner, sc)
-		d.control(2*sim.Minute, elasticityMinutes*sim.Minute, runner.Tick)
-	})
+	res.MeT = runElasticity("MeT", seed, func(sc *Scenario, d *Deployment) { elasticMeT(sc, d) })
 	res.Tiramola = runElasticity("Tiramola", seed, func(_ *Scenario, d *Deployment) {
 		params := autoscale.DefaultParams()
 		params.MinNodes = 6
@@ -65,6 +58,18 @@ func RunElasticity(seed uint64) *ElasticityResult {
 		d.control(2*sim.Minute, elasticityMinutes*sim.Minute, runner.Tick)
 	})
 	return res
+}
+
+// elasticMeT attaches MeT, free to grow to 12 nodes and to shrink back
+// to the starting 6, to an elasticity run's deployment.
+func elasticMeT(sc *Scenario, d *Deployment) *MeTRunner {
+	params := core.DefaultParams()
+	params.MinNodes = 6
+	params.MaxNodes = 12
+	runner := NewMeTRunner(d, params)
+	seedTypes(runner, sc)
+	d.control(2*sim.Minute, elasticityMinutes*sim.Minute, runner.Tick)
+	return runner
 }
 
 // runElasticity runs one system on the overloaded starting cluster,

@@ -1,8 +1,10 @@
 package exp
 
 import (
+	"maps"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -421,6 +423,35 @@ func TestMeTRunnerDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(reps1, reps2) || r1.Window != r2.Window {
 		t.Fatalf("two identical runs acted differently:\n%+v %v\n%+v %v", reps1, r1.Window, reps2, r2.Window)
+	}
+}
+
+// TestMeTRunnerNeverReaddsRemovedNode: across Figure 6's MeT run, no
+// node one plan removed is added back by a later plan — the Monitor
+// forgets a node once it left the cluster.
+func TestMeTRunnerNeverReaddsRemovedNode(t *testing.T) {
+	removed := map[string]bool{}
+	var readded []string
+	runElasticity("MeT", 1, func(sc *Scenario, d *Deployment) {
+		act := elasticMeT(sc, d).Actuator
+		onDone := act.OnDone
+		act.OnDone = func(rep core.ApplyReport, err error) {
+			onDone(rep, err)
+			for _, n := range rep.NodesAdded {
+				if removed[n] {
+					readded = append(readded, n)
+				}
+			}
+			for _, n := range rep.NodesRemoved {
+				removed[n] = true
+			}
+		}
+	})
+	if len(removed) == 0 {
+		t.Fatal("MeT never removed a node")
+	}
+	if len(readded) != 0 {
+		t.Fatalf("plans re-added removed nodes %v (removed %v)", readded, slices.Sorted(maps.Keys(removed)))
 	}
 }
 
