@@ -8,9 +8,8 @@ import (
 	"met/internal/placement"
 )
 
-// alpha is the weight Brown's smoothing gives the newest sample. The
-// paper does not publish its alpha; 0.5 weighs the latest sample most
-// while still requiring a sustained trend to move the estimate.
+// alpha is the weight the Monitor's smoothing gives the newest sample
+// (see metrics.Smoother).
 const alpha = 0.5
 
 // Monitor is MeT's monitoring component: it polls a Cluster (the
@@ -35,7 +34,7 @@ type Monitor struct {
 }
 
 // nodeMetrics is one node's smoothed system metrics.
-type nodeMetrics struct{ cpu, io, mem metrics.Smoother }
+type nodeMetrics struct{ cpu, io, mem *metrics.Smoother }
 
 // NewMonitor builds a monitor that polls c.
 func NewMonitor(c Cluster) *Monitor {
@@ -70,8 +69,7 @@ func (m *Monitor) Poll() {
 		seen[n.Node] = true
 		s := m.nodes[n.Node]
 		if s == nil {
-			fresh := metrics.Smoother{Alpha: alpha}
-			s = &nodeMetrics{fresh, fresh, fresh}
+			s = &nodeMetrics{metrics.NewSmoother(alpha), metrics.NewSmoother(alpha), metrics.NewSmoother(alpha)}
 			m.nodes[n.Node] = s
 		}
 		s.cpu.Observe(n.System.CPUUtilization)

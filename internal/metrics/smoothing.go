@@ -6,8 +6,8 @@ package metrics
 // with earlier observations decaying exponentially — exactly the
 // behaviour MeT's Monitor uses to avoid reacting to temporary spikes.
 //
-// The Monitor additionally discards all history after each Actuator
-// action; Reset implements that.
+// The Monitor additionally discards all history after each decision
+// and starts fresh smoothers; Reset returns one to that state.
 type Smoother struct {
 	// Alpha in (0,1]: weight of the newest observation. The paper does
 	// not publish its alpha; 0.5 weighs the latest sample most while
@@ -52,8 +52,7 @@ func (s *Smoother) Value() float64 { return s.value }
 // before acting.
 func (s *Smoother) Count() int { return s.n }
 
-// Reset discards all state. The Monitor calls this after every Actuator
-// action so decisions are based only on post-action observations.
+// Reset discards all state, as if the smoother were new.
 func (s *Smoother) Reset() {
 	s.value = 0
 	s.primed = false
