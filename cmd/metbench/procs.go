@@ -197,7 +197,7 @@ func runProcs(dataDir string, cfg met.ServerConfig, servers, ops int, seed uint6
 	defer func() {
 		for _, w := range workers {
 			if w != nil {
-				_ = w.cmd.Process.Kill()
+				w.kill9()
 			}
 		}
 		masterProc.terminate()
