@@ -3,6 +3,8 @@ package met
 import (
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -224,9 +226,9 @@ func BenchmarkAblationAssignment(b *testing.B) {
 	nodes := []string{"n0", "n1", "n2", "n3", "n4", "n5"}
 	var lpt, ff, rr float64
 	for i := 0; i < b.N; i++ {
-		lpt = placement.AssignLPT(nodes, parts, 4).Imbalance()
-		ff = placement.AssignFirstFit(nodes, parts, 4).Imbalance()
-		rr = placement.AssignRoundRobin(nodes, parts).Imbalance()
+		lpt = imbalance(placement.AssignLPT(nodes, parts, 4))
+		ff = imbalance(assignFirstFit(nodes, parts, 4))
+		rr = imbalance(assignRoundRobin(nodes, parts))
 	}
 	b.ReportMetric(lpt, "lpt-imbalance")
 	b.ReportMetric(ff, "firstfit-imbalance")
@@ -250,13 +252,154 @@ func BenchmarkAblationOutputComputation(b *testing.B) {
 	var matched, naive int
 	for i := 0; i < b.N; i++ {
 		out := placement.ComputeOutput(current, optimal, false)
-		matched = placement.ComputeDiff(current, out).PartitionMoves
+		matched = partitionMoves(current, out)
 		// Naive: apply sets to nodes in order, ignoring similarity.
 		naiveOut := placement.ComputeOutput(current, optimal, true)
-		naive = placement.ComputeDiff(current, naiveOut).PartitionMoves
+		naive = partitionMoves(current, naiveOut)
 	}
 	b.ReportMetric(float64(matched), "moves-matched")
 	b.ReportMetric(float64(naive), "moves-naive")
+}
+
+// assignFirstFit is an ablation baseline: place each partition (in
+// input order) on the first node with room under max partitions per
+// node (<= 0: uncapped). It ignores load entirely.
+func assignFirstFit(nodes []string, partitions []placement.Partition, max int) placement.Assignment {
+	out := make(placement.Assignment, len(nodes))
+	for _, n := range nodes {
+		out[n] = nil
+	}
+	if len(nodes) == 0 {
+		return out
+	}
+	nodeOrder := slices.Sorted(slices.Values(nodes))
+	for _, p := range partitions {
+		dst := nodeOrder[0] // every node full: overflow onto the first
+		for _, n := range nodeOrder {
+			if max <= 0 || len(out[n]) < max {
+				dst = n
+				break
+			}
+		}
+		out[dst] = append(out[dst], p)
+	}
+	return out
+}
+
+// assignRoundRobin is a second ablation baseline: deal partitions to
+// nodes in turn, balancing counts but not load — the behaviour of
+// HBase's default balancer.
+func assignRoundRobin(nodes []string, partitions []placement.Partition) placement.Assignment {
+	out := make(placement.Assignment, len(nodes))
+	for _, n := range nodes {
+		out[n] = nil
+	}
+	if len(nodes) == 0 {
+		return out
+	}
+	nodeOrder := slices.Sorted(slices.Values(nodes))
+	for i, p := range partitions {
+		n := nodeOrder[i%len(nodeOrder)]
+		out[n] = append(out[n], p)
+	}
+	return out
+}
+
+// imbalance returns an assignment's makespan (its largest per-node
+// load) divided by the mean per-node load: 1.0 is perfectly balanced.
+func imbalance(a placement.Assignment) float64 {
+	var sum, max float64
+	for _, parts := range a {
+		var load float64
+		for _, p := range parts {
+			load += p.Load()
+		}
+		sum += load
+		max = math.Max(max, load)
+	}
+	if sum == 0 {
+		return 1
+	}
+	return max / (sum / float64(len(a)))
+}
+
+// partitionMoves counts the partitions target hosts on another node
+// than current does: the actuation cost Algorithm 3 minimizes.
+func partitionMoves(current, target []placement.NodeState) int {
+	host := make(map[string]string)
+	for _, n := range current {
+		for _, p := range n.Partitions {
+			host[p] = n.Node
+		}
+	}
+	moves := 0
+	for _, n := range target {
+		for _, p := range n.Partitions {
+			if host[p] != n.Node {
+				moves++
+			}
+		}
+	}
+	return moves
+}
+
+// loadParts returns one partition per load, named p00, p01, ...
+func loadParts(loads ...float64) []placement.Partition {
+	out := make([]placement.Partition, len(loads))
+	for i, l := range loads {
+		out[i] = placement.Partition{Name: fmt.Sprintf("p%02d", i), Requests: metrics.RequestCounts{Reads: int64(l)}}
+	}
+	return out
+}
+
+func TestAssignFirstFitAndRoundRobin(t *testing.T) {
+	parts := loadParts(10, 1, 1, 1)
+	ff := assignFirstFit([]string{"n0", "n1"}, parts, 2)
+	if len(ff["n0"]) != 2 || len(ff["n1"]) != 2 {
+		t.Fatalf("first fit = %v", ff)
+	}
+	rr := assignRoundRobin([]string{"n0", "n1"}, parts)
+	if len(rr["n0"]) != 2 || len(rr["n1"]) != 2 {
+		t.Fatalf("round robin = %v", rr)
+	}
+	// LPT beats first-fit on makespan here. Both spread the same load
+	// over the same nodes, so imbalance orders them as makespan does.
+	lpt := placement.AssignLPT([]string{"n0", "n1"}, parts, 0)
+	if imbalance(lpt) > imbalance(ff) {
+		t.Fatalf("LPT %v worse than first-fit %v", imbalance(lpt), imbalance(ff))
+	}
+	// Degenerate inputs.
+	if len(assignFirstFit(nil, parts, 0)) != 0 || len(assignRoundRobin(nil, parts)) != 0 {
+		t.Fatal("no-node baselines misbehaved")
+	}
+	// Overflowing cap still places everything.
+	ff = assignFirstFit([]string{"n0"}, parts, 1)
+	if len(ff["n0"]) != 4 {
+		t.Fatalf("cap overflow = %v", ff)
+	}
+}
+
+func TestImbalance(t *testing.T) {
+	a := placement.Assignment{
+		"n0": loadParts(10),
+		"n1": loadParts(10),
+	}
+	if ib := imbalance(a); math.Abs(ib-1) > 1e-9 {
+		t.Fatalf("balanced imbalance = %v", ib)
+	}
+	b := placement.Assignment{
+		"n0": loadParts(20),
+		"n1": nil,
+	}
+	if ib := imbalance(b); math.Abs(ib-2) > 1e-9 {
+		t.Fatalf("skewed imbalance = %v", ib)
+	}
+	if imbalance(placement.Assignment{}) != 1 {
+		t.Fatal("empty imbalance != 1")
+	}
+	if imbalance(placement.Assignment{"n0": nil}) != 1 {
+		t.Fatal("zero-load imbalance != 1")
+	}
 }
 
 // BenchmarkAblationSmoothing measures decision stability under a load

@@ -13,8 +13,8 @@ import (
 )
 
 // TestIntegrationYCSBUnderMeT drives the six paper workloads against the
-// functional cluster while MeT reconfigures it, with automatic region
-// splits enabled — the full functional stack in one scenario.
+// functional cluster while MeT reconfigures it and every table's largest
+// region splits each round — the full functional stack in one scenario.
 func TestIntegrationYCSBUnderMeT(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-stack workload run")
@@ -59,7 +59,9 @@ func TestIntegrationYCSBUnderMeT(t *testing.T) {
 			}
 		}
 		// Splits interleave with controller decisions.
-		cluster.Master.AutoSplit(256 << 10)
+		for _, name := range cluster.Master.Tables() {
+			splitLargest(t, cluster.Master, name)
+		}
 		ctrl.Tick()
 	}
 	if err := ctrl.Err(); err != nil {
@@ -89,12 +91,30 @@ func TestIntegrationYCSBUnderMeT(t *testing.T) {
 	for _, name := range cluster.Master.Tables() {
 		tbl, _ := cluster.Master.Table(name)
 		w := wByTable(name)
-		if w != nil && tbl.NumRegions() > w.Partitions {
+		if w != nil && len(tbl.Regions()) > w.Partitions {
 			split = true
 		}
 	}
 	if !split {
-		t.Log("note: no table exceeded the split threshold in this run")
+		t.Fatal("no table split")
+	}
+}
+
+// splitLargest splits the region of table holding the most data.
+func splitLargest(t *testing.T, m *hbase.Master, table string) {
+	t.Helper()
+	tbl, err := m.Table(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var largest *hbase.Region
+	for _, r := range tbl.Regions() {
+		if largest == nil || r.DataBytes() > largest.DataBytes() {
+			largest = r
+		}
+	}
+	if err := m.SplitRegion(largest.Name()); err != nil {
+		t.Fatalf("split %s: %v", largest.Name(), err)
 	}
 }
 
@@ -172,7 +192,7 @@ func TestIntegrationLocalityLifecycle(t *testing.T) {
 		}
 	}
 	tbl, _ := cluster.Master.Table("t")
-	region := tbl.RegionNames()[0]
+	region := tbl.Regions()[0].Name()
 	host, _ := cluster.Master.HostOf(region)
 	rs, _ := cluster.Master.Server(host)
 	tbl.Regions()[0].Store().Flush()

@@ -63,7 +63,6 @@ func DefaultParams() Params {
 type Tiramola struct {
 	Params   Params
 	cooldown int
-	actions  int
 }
 
 // NewTiramola returns a controller with the given parameters.
@@ -91,16 +90,11 @@ func (t *Tiramola) Evaluate(nodeCPU map[string]float64) Action {
 	switch {
 	case avg > t.Params.CPUHigh && n < t.Params.MaxNodes:
 		t.cooldown = t.Params.CooldownEvaluations
-		t.actions++
 		return ActionAddNode
 	case allLow && n > t.Params.MinNodes:
 		t.cooldown = t.Params.CooldownEvaluations
-		t.actions++
 		return ActionRemoveNode
 	default:
 		return ActionNone
 	}
 }
-
-// Actions returns how many scale actions have been taken.
-func (t *Tiramola) Actions() int { return t.actions }

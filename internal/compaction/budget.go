@@ -42,9 +42,6 @@ func NewBudget(bytesPerSec int64) *Budget {
 	return b
 }
 
-// Unlimited reports whether the budget throttles at all.
-func (b *Budget) Unlimited() bool { return b.rate <= 0 }
-
 // refillLocked credits tokens for the time elapsed since the last call.
 func (b *Budget) refillLocked(now time.Time) {
 	if elapsed := now.Sub(b.last).Seconds(); elapsed > 0 {

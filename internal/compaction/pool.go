@@ -185,9 +185,6 @@ func NewPool(cfg Config) *Pool {
 // accounting.
 func (p *Pool) Budget() *Budget { return p.budget }
 
-// Policy returns the active file-selection policy.
-func (p *Pool) Policy() Policy { return p.cfg.Policy }
-
 // CompactionNeeded implements kv.CompactionTrigger: the engine calls it
 // (outside its locks) when a flush pushes a store over the soft
 // threshold.

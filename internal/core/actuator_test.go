@@ -195,7 +195,7 @@ func TestActuatorPlanOrder(t *testing.T) {
 		t.Fatalf("reports = %+v, want one %+v", reports, wantRep)
 	}
 	for node, typ := range map[string]placement.AccessType{"rs9": placement.Read, "rs0": placement.Read, "rs1": placement.Scan} {
-		if got := mon.NodeType(node); got != typ {
+		if got := mon.nodeTypes[node]; got != typ {
 			t.Errorf("monitor types %s as %v, want %v", node, got, typ)
 		}
 	}

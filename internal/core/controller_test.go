@@ -185,7 +185,9 @@ func TestFunctionalActuatorAddAndRemove(t *testing.T) {
 	var parts []string
 	for _, tbl := range []string{"reads", "writes", "mixed"} {
 		tb, _ := m.Table(tbl)
-		parts = append(parts, tb.RegionNames()...)
+		for _, r := range tb.Regions() {
+			parts = append(parts, r.Name())
+		}
 	}
 	target := []placement.NodeState{
 		{Node: "rs0", Type: placement.Read, Partitions: parts[:3]},
@@ -272,11 +274,11 @@ func TestMonitorAccumulatesDeltas(t *testing.T) {
 
 func TestMonitorNodeTypes(t *testing.T) {
 	mon := NewMonitor(nil)
-	if mon.NodeType("rs0") != placement.ReadWrite {
+	if mon.nodeTypes["rs0"] != placement.ReadWrite {
 		t.Fatal("default type should be ReadWrite")
 	}
 	mon.SetNodeType("rs0", placement.Scan)
-	if mon.NodeType("rs0") != placement.Scan {
+	if mon.nodeTypes["rs0"] != placement.Scan {
 		t.Fatal("type not recorded")
 	}
 }

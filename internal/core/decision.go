@@ -343,8 +343,5 @@ func (d *DecisionMaker) Decide(view ClusterView, newNodeNames []string) Decision
 	return dec
 }
 
-// FirstTime reports whether the InitialReconfiguration is still pending.
-func (d *DecisionMaker) FirstTime() bool { return d.firstTime }
-
 // PendingGrowth exposes Algorithm 1's counter (for tests and telemetry).
 func (d *DecisionMaker) PendingGrowth() int { return d.nodesToChange }

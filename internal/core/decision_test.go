@@ -22,8 +22,10 @@ func healthyView(nodes int) ClusterView {
 
 func TestTable1ProfilesValid(t *testing.T) {
 	p := Table1Profiles()
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
+	for _, cfg := range p {
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rd := p[placement.Read]
 	if rd.BlockCacheFraction != 0.55 || rd.MemstoreFraction != 0.10 || rd.BlockBytes != 32<<10 {
@@ -226,7 +228,7 @@ func TestDecideInitialReconfiguration(t *testing.T) {
 	if len(d.Target) != 2 {
 		t.Fatalf("target = %v", d.Target)
 	}
-	if dm.FirstTime() {
+	if dm.firstTime {
 		t.Fatal("firstTime not cleared")
 	}
 	total := 0

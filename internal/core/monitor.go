@@ -54,11 +54,6 @@ func (m *Monitor) SetNodeType(node string, t placement.AccessType) {
 	m.nodeTypes[node] = t
 }
 
-// NodeType returns the recorded profile for a node (ReadWrite default).
-func (m *Monitor) NodeType(node string) placement.AccessType {
-	return m.nodeTypes[node]
-}
-
 // Poll takes one sample of the cluster. A node the sample leaves out
 // has left the cluster or is down: its smoothed metrics are dropped, so
 // the view lists only the nodes of the latest sample.

@@ -53,13 +53,3 @@ func Table1Profiles() Profiles {
 		placement.Scan:      mk(0.55, 0.10, 128),
 	}
 }
-
-// Validate checks every profile against HBase's configuration rules.
-func (p Profiles) Validate() error {
-	for _, cfg := range p {
-		if err := cfg.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
-}

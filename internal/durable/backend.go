@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"met/internal/kv"
 )
@@ -26,11 +25,6 @@ type Backend struct {
 	mu      sync.Mutex
 	readers map[uint64]*sstable // every open reader, including unlinked ones
 	closed  bool
-
-	// Physical I/O accounting (see IOStats); WAL bytes are tracked by
-	// the WAL itself.
-	sstBytesWritten atomic.Int64
-	sstBytesRead    atomic.Int64
 }
 
 // Open creates (or reopens) a durable backend rooted at dir. With
@@ -60,9 +54,6 @@ func Opener(dir string, opts Options) func() (kv.StorageBackend, error) {
 	return func() (kv.StorageBackend, error) { return Open(dir, opts) }
 }
 
-// Dir returns the backend's directory.
-func (b *Backend) Dir() string { return b.dir }
-
 // WAL implements kv.StorageBackend; nil under Options.ExternalWAL (the
 // engine is wired to a shared-log handle instead).
 func (b *Backend) WAL() kv.WAL {
@@ -71,10 +62,6 @@ func (b *Backend) WAL() kv.WAL {
 	}
 	return b.log
 }
-
-// Log exposes the concrete WAL (tests, tooling); nil under
-// Options.ExternalWAL.
-func (b *Backend) Log() *WAL { return b.wal }
 
 func (b *Backend) sstPath(id uint64) string {
 	return filepath.Join(b.dir, SSTableFileName(id))
@@ -123,7 +110,7 @@ func (b *Backend) CreateWithMaxTS(id uint64, entries []kv.Entry, blockBytes int,
 	}
 	b.mu.Unlock()
 	path := b.sstPath(id)
-	if _, err := writeSSTable(path, entries, blockBytes, b.opts, &b.sstBytesWritten, maxTS); err != nil {
+	if _, err := writeSSTable(path, entries, blockBytes, b.opts, maxTS); err != nil {
 		return nil, fmt.Errorf("durable: write sstable %d: %w", id, err)
 	}
 	if err := syncDir(b.dir, b.opts.NoSync); err != nil {
@@ -138,7 +125,6 @@ func (b *Backend) openFile(id uint64, path string) (*kv.StoreFile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("durable: open sstable %d: %w", id, err)
 	}
-	t.readBytes = &b.sstBytesRead
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -197,20 +183,6 @@ func (b *Backend) Load(blockBytes int) ([]*kv.StoreFile, error) {
 	return files, nil
 }
 
-// IOStats snapshots the backend's physical I/O counters. Under
-// Options.ExternalWAL the log's bytes are accounted by its owner.
-func (b *Backend) IOStats() IOStats {
-	var wal int64
-	if b.wal != nil {
-		wal = b.wal.BytesAppended()
-	}
-	return IOStats{
-		BytesWritten: b.sstBytesWritten.Load() + wal,
-		BytesRead:    b.sstBytesRead.Load(),
-		WALBytes:     wal,
-	}
-}
-
 // Reader returns the open reader for file id (tests).
 func (b *Backend) Reader(id uint64) *sstable {
 	b.mu.Lock()
@@ -241,16 +213,6 @@ func (b *Backend) Close() error {
 		if cerr := t.Close(); err == nil {
 			err = cerr
 		}
-	}
-	return err
-}
-
-// Destroy closes the backend and deletes its directory; a region split
-// uses it to reclaim the parent's store after the daughters take over.
-func (b *Backend) Destroy() error {
-	err := b.Close()
-	if rerr := os.RemoveAll(b.dir); err == nil {
-		err = rerr
 	}
 	return err
 }

@@ -13,7 +13,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 
 	"met/internal/kv"
@@ -107,8 +106,7 @@ func FuzzSSTableOpen(f *testing.F) {
 		{Key: "d", Value: []byte("4"), Timestamp: 4},
 	}
 	seed := filepath.Join(f.TempDir(), "seed.sst")
-	var written atomic.Int64
-	if _, err := writeSSTable(seed, entries, 32, Options{NoSync: true}, &written, 0); err != nil {
+	if _, err := writeSSTable(seed, entries, 32, Options{NoSync: true}, 0); err != nil {
 		f.Fatal(err)
 	}
 	data, err := os.ReadFile(seed)

@@ -5,49 +5,25 @@ import (
 	"sync/atomic"
 )
 
-// IOStats snapshots a backend's physical I/O counters, so embedders can
-// observe real disk traffic (and compute write amplification) without
-// instrumenting the filesystem.
-type IOStats struct {
-	// BytesWritten is everything written through the backend: WAL
-	// frames plus SSTable builds (flushes and compactions).
-	BytesWritten int64
-	// BytesRead is data-block bytes physically read (cache misses and
-	// compaction reads).
-	BytesRead int64
-	// WALBytes is the WAL-append share of BytesWritten.
-	WALBytes int64
-}
-
-// meteredWriter wraps the backend's file writes with I/O accounting and
-// optional arbitration against a shared budget:
+// meteredWriter wraps the WAL's file writes with I/O accounting:
 //
-//   - count accumulates physical bytes for IOStats;
+//   - count accumulates the physical bytes the log appends
+//     (WAL.BytesAppended);
 //   - account (never blocks) charges foreground bytes to the shared
-//     compaction/serving budget so background work yields to them;
-//   - throttle (may block) rate-limits the write before it happens —
-//     the background side of the same budget.
+//     compaction/serving budget so background work yields to them.
 //
-// The WAL append path uses count+account (a client is waiting on the
-// fsync, so it must never block on compaction's budget); SSTable builds
-// use count and leave arbitration to the engine, which knows whether
-// the build is a foreground flush or a background compaction.
+// A client waits on the append's fsync, so the WAL never blocks on
+// compaction's budget.
 type meteredWriter struct {
-	w        io.Writer
-	count    *atomic.Int64
-	account  func(bytes int)
-	throttle func(bytes int)
+	w       io.Writer
+	count   *atomic.Int64
+	account func(bytes int)
 }
 
 func (m meteredWriter) Write(p []byte) (int, error) {
-	if m.throttle != nil {
-		m.throttle(len(p))
-	}
 	n, err := m.w.Write(p)
 	if n > 0 {
-		if m.count != nil {
-			m.count.Add(int64(n))
-		}
+		m.count.Add(int64(n))
 		if m.account != nil {
 			m.account(n)
 		}

@@ -30,10 +30,9 @@ type blockSpan struct {
 // writeSSTable persists sorted entries as one SSTable at path, atomically
 // (write to temp, fsync, rename, fsync dir). Blocks are packed with the
 // same rule as the in-memory backend. It returns the file's metadata with
-// Bytes set to the real on-disk size. written, when non-nil, accumulates
-// the physical bytes (backend I/O accounting). maxTSFloor raises the
-// recorded max-timestamp property (see Backend.CreateWithMaxTS).
-func writeSSTable(path string, entries []kv.Entry, blockBytes int, opts Options, written *atomic.Int64, maxTSFloor uint64) (kv.FileMeta, error) {
+// Bytes set to the real on-disk size. maxTSFloor raises the recorded
+// max-timestamp property (see Backend.CreateWithMaxTS).
+func writeSSTable(path string, entries []kv.Entry, blockBytes int, opts Options, maxTSFloor uint64) (kv.FileMeta, error) {
 	blocks, meta := kv.PackBlocks(entries, blockBytes)
 	if meta.MaxTS < maxTSFloor {
 		meta.MaxTS = maxTSFloor
@@ -95,7 +94,7 @@ func writeSSTable(path string, entries []kv.Entry, blockBytes int, opts Options,
 	if err != nil {
 		return kv.FileMeta{}, err
 	}
-	if _, err := (meteredWriter{w: f, count: written}).Write(buf); err != nil {
+	if _, err := f.Write(buf); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return kv.FileMeta{}, err
@@ -142,11 +141,8 @@ type sstable struct {
 	bloom *bloomFilter
 
 	// blockReads counts physical data-block reads; the bloom filter
-	// tests assert it stays at zero for negative lookups. readBytes,
-	// when set by the owning backend, accumulates physical bytes read
-	// across the backend's files (IOStats).
+	// tests assert it stays at zero for negative lookups.
 	blockReads atomic.Int64
-	readBytes  *atomic.Int64
 	closed     atomic.Bool
 }
 
@@ -352,9 +348,6 @@ func (t *sstable) LoadBlock(i int) (*kv.Block, error) {
 		return nil, fmt.Errorf("sstable %s block %d: %w", t.path, i, err)
 	}
 	t.blockReads.Add(1)
-	if t.readBytes != nil {
-		t.readBytes.Add(int64(len(buf)))
-	}
 	return kv.NewBlock(entries), nil
 }
 

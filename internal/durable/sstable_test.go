@@ -25,7 +25,7 @@ func TestSSTableRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sst-1.sst")
 	entries := sortedEntries(500)
-	meta, err := writeSSTable(path, entries, 1<<10, Options{}.withDefaults(), nil, 0)
+	meta, err := writeSSTable(path, entries, 1<<10, Options{}.withDefaults(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSSTableRoundtrip(t *testing.T) {
 func TestSSTableEmpty(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sst-2.sst")
-	if _, err := writeSSTable(path, nil, 1<<10, Options{}.withDefaults(), nil, 0); err != nil {
+	if _, err := writeSSTable(path, nil, 1<<10, Options{}.withDefaults(), 0); err != nil {
 		t.Fatal(err)
 	}
 	r, err := openSSTable(path)
@@ -92,7 +92,7 @@ func TestSSTableEmpty(t *testing.T) {
 func TestSSTableCorruptBlockChecksum(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sst-3.sst")
-	if _, err := writeSSTable(path, sortedEntries(100), 1<<10, Options{}.withDefaults(), nil, 0); err != nil {
+	if _, err := writeSSTable(path, sortedEntries(100), 1<<10, Options{}.withDefaults(), 0); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY, 0)
@@ -117,7 +117,7 @@ func TestSSTableCorruptBlockChecksum(t *testing.T) {
 func TestSSTableUnlinkWhileOpen(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sst-4.sst")
-	if _, err := writeSSTable(path, sortedEntries(100), 1<<10, Options{}.withDefaults(), nil, 0); err != nil {
+	if _, err := writeSSTable(path, sortedEntries(100), 1<<10, Options{}.withDefaults(), 0); err != nil {
 		t.Fatal(err)
 	}
 	r, err := openSSTable(path)

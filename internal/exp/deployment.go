@@ -15,7 +15,6 @@ import (
 
 	"met/internal/core"
 	"met/internal/hbase"
-	"met/internal/iaas"
 	"met/internal/metrics"
 	"met/internal/perfmodel"
 	"met/internal/sim"
@@ -53,9 +52,9 @@ type Deployment struct {
 	MoveLocality float64
 	// RampUp scales client threads linearly from 0 over this window.
 	RampUp sim.Time
-	// Provider supplies the boot delay of added nodes; nil adds them
-	// instantly.
-	Provider *iaas.Provider
+	// BootDelay is how long an added node's VM takes to boot before it
+	// serves; 0 adds nodes instantly.
+	BootDelay sim.Time
 
 	// Series is the recorded timeline.
 	Series []TickSample
@@ -227,20 +226,18 @@ func (d *Deployment) Locality(region string) (float64, bool) {
 	return r.Locality, false
 }
 
-// AddNode boots a node through Provider — instantly when there is none
-// or the launch fails on quota or flavor, so the caller's plan still
-// completes — and inserts it with a cold cache. done fires once it
-// serves.
+// AddNode boots a node, BootDelay after the call (at once when it is 0),
+// and inserts it with a cold cache. done fires once it serves.
 func (d *Deployment) AddNode(name string, cfg hbase.ServerConfig, done func()) error {
 	ready := func() {
 		d.Model.Nodes[name] = &perfmodel.NodePerf{Name: name, Config: cfg, ColdFraction: 1}
 		d.warmUntil[name] = d.Sched.Now() + d.WarmupDuration
 		done()
 	}
-	if d.Provider == nil {
+	if d.BootDelay == 0 {
 		ready()
-	} else if _, err := d.Provider.Launch(name, "m1.medium", func(*iaas.Instance) { ready() }); err != nil {
-		ready()
+	} else {
+		d.Sched.ScheduleAfter(d.BootDelay, func(sim.Time) { ready() })
 	}
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 
 	"met/internal/autoscale"
 	"met/internal/core"
-	"met/internal/iaas"
 	"met/internal/sim"
 )
 
@@ -26,7 +25,8 @@ type ElasticityRun struct {
 }
 
 // ElasticityResult reproduces Figures 5 and 6: MeT against Tiramola on
-// an OpenStack-backed cluster under overload, then progressive underload.
+// a cluster whose added VMs take 90 s to boot, under overload, then
+// progressive underload.
 type ElasticityResult struct {
 	MeT      ElasticityRun
 	Tiramola ElasticityRun
@@ -73,18 +73,13 @@ func elasticMeT(sc *Scenario, d *Deployment) *MeTRunner {
 }
 
 // runElasticity runs one system on the overloaded starting cluster,
-// whose added nodes boot through an OpenStack-like provider; attach
-// wires the system's controller to the deployment.
+// whose added nodes take a VM boot (90 s) to serve; attach wires the
+// system's controller to the deployment.
 func runElasticity(system string, seed uint64, attach func(*Scenario, *Deployment)) ElasticityRun {
 	sc := BuildYCSBScenario(6, 1.2) // extra client threads overload the 6 servers
 	sc.ApplyStrategy(ManualHomogeneous, sim.NewRNG(seed))
 	d := sc.run(elasticityMinutes*sim.Minute, func(d *Deployment) {
-		prov := iaas.NewProvider(d.Sched, 90*sim.Second, 16)
-		// Bill the pre-existing instances so quota covers them too.
-		for range sc.NodeNames() {
-			_, _ = prov.Launch("pre-existing", "m1.medium", nil)
-		}
-		d.Provider = prov
+		d.BootDelay = 90 * sim.Second
 		scheduleSwitchOffs(d.Sched, sc)
 		attach(sc, d)
 	})

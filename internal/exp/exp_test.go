@@ -181,7 +181,7 @@ func TestDeploymentRestartNode(t *testing.T) {
 	if !done || sc.Model.Nodes["rs0"].Offline {
 		t.Fatal("restart did not complete")
 	}
-	if !sc.Model.Nodes["rs0"].Config.Equal(cfg) {
+	if sc.Model.Nodes["rs0"].Config != cfg {
 		t.Fatal("config not applied")
 	}
 	if sc.Model.Nodes["rs0"].ColdFraction <= 0 {

@@ -16,8 +16,8 @@ import (
 // when every node is underutilized. Placement stays with the database's
 // random balancer — after every membership change the regions are
 // redistributed for even counts, destroying locality — and nodes are
-// never reconfigured nor compacted. Added nodes boot through the
-// deployment's Provider.
+// never reconfigured nor compacted. Added nodes serve after the
+// deployment's BootDelay.
 type TiramolaRunner struct {
 	D          *Deployment
 	Controller *autoscale.Tiramola

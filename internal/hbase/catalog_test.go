@@ -278,9 +278,9 @@ func TestColdStartCrashPoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		names := t2.RegionNames()
-		if len(names) != 2 || names[0] != parent {
-			t.Fatalf("uncommitted split half-applied: regions %v", names)
+		regions := t2.Regions()
+		if len(regions) != 2 || regions[0].Name() != parent {
+			t.Fatalf("uncommitted split half-applied: %d regions", len(regions))
 		}
 		// Daughter directories (minted with a ".gen" suffix) were swept.
 		for _, d := range regionDirNames(t, f.dir) {
@@ -309,7 +309,7 @@ func TestColdStartCrashPoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := len(t2.RegionNames()); n != 3 {
+		if n := len(t2.Regions()); n != 3 {
 			t.Fatalf("committed split lost: %d regions, want 3 (two daughters + sibling)", n)
 		}
 		if _, ok := m2.HostOf(parent); ok {
@@ -404,14 +404,14 @@ func TestColdStartRecoversReprofiledServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rs0.Config(); !got.Equal(reprofiled) {
+	if got := rs0.Config(); got != reprofiled {
 		t.Fatalf("cold start lost the reprofile: %v, want %v", got, reprofiled)
 	}
 	rs1, err := m2.Server("rs1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rs1.Config(); !got.Equal(durableConfig(dir)) {
+	if got := rs1.Config(); got != durableConfig(dir) {
 		t.Fatalf("untouched server's profile drifted: %v", got)
 	}
 	c2 := NewClient(m2)
@@ -464,8 +464,8 @@ func TestCreateTablePartialFailureUnwinds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("retry after unwound create: %v", err)
 	}
-	if tbl.NumRegions() != 3 {
-		t.Fatalf("retried table has %d regions, want 3", tbl.NumRegions())
+	if n := len(tbl.Regions()); n != 3 {
+		t.Fatalf("retried table has %d regions, want 3", n)
 	}
 }
 
@@ -495,8 +495,8 @@ func TestCreateTableConcurrentDuplicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.NumRegions() != 2 {
-		t.Fatalf("winner created %d regions, want 2", tbl.NumRegions())
+	if n := len(tbl.Regions()); n != 2 {
+		t.Fatalf("winner created %d regions, want 2", n)
 	}
 	if got := len(m.Assignment()); got != 2 {
 		t.Fatalf("assignment holds %d regions, want 2", got)

@@ -7,9 +7,17 @@ import (
 	"testing"
 	"time"
 
+	"met/internal/compaction"
 	"met/internal/hdfs"
 	"met/internal/sim"
 )
+
+// compactorOf returns s's background pool (nil only after Shutdown).
+func compactorOf(s *RegionServer) *compaction.Pool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.compactor
+}
 
 func TestCompactionConfigValidate(t *testing.T) {
 	good := DefaultServerConfig()
@@ -50,7 +58,7 @@ func TestBackgroundCompactionBoundsFileCount(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rs.Compactor() == nil {
+			if compactorOf(rs) == nil {
 				t.Fatal("no background pool")
 			}
 			if _, err := m.CreateTable("t", nil); err != nil {
@@ -150,21 +158,21 @@ func TestRestartSwapsCompactorOnKnobChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	same := rs.Compactor()
+	same := compactorOf(rs)
 	if err := rs.Restart(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if rs.Compactor() != same {
+	if compactorOf(rs) != same {
 		t.Fatal("unchanged knobs must keep the pool")
 	}
 	cfg.Compaction.Policy = "leveled"
 	if err := rs.Restart(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if rs.Compactor() == same {
+	if compactorOf(rs) == same {
 		t.Fatal("changed knobs must rebuild the pool")
 	}
-	if rs.Compactor().Policy().Name() != "leveled" {
+	if rs.Config().Compaction.Policy != "leveled" {
 		t.Fatal("new policy not applied")
 	}
 }

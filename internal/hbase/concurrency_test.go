@@ -189,9 +189,9 @@ func TestClientConcurrentAcrossServers(t *testing.T) {
 		tbl, _ := m.Table("t")
 		servers := m.Servers()
 		for i := 0; i < 20; i++ {
-			for _, r := range tbl.RegionNames() {
+			for _, r := range tbl.Regions() {
 				dst := servers[i%len(servers)].Name()
-				if err := m.MoveRegion(r, dst); err != nil && !benign(err) {
+				if err := m.MoveRegion(r.Name(), dst); err != nil && !benign(err) {
 					hardErr.CompareAndSwap(nil, fmt.Sprintf("move: %v", err))
 				}
 			}

@@ -3,8 +3,8 @@
 // architecture the paper manages — HTables horizontally partitioned into
 // Regions, Regions hosted by RegionServers whose block cache / memstore /
 // block size are configurable per server, a Master that assigns regions
-// through pluggable balancers (including the randomized out-of-the-box
-// one the paper criticizes), and a client that routes operations by key.
+// with the randomized out-of-the-box balancer the paper criticizes, and
+// a client that routes operations by key.
 //
 // RegionServers are co-located with simulated HDFS datanodes
 // (met/internal/hdfs): flushed and compacted region files are written
@@ -198,10 +198,6 @@ func (c ServerConfig) BlockCacheBytes() int64 {
 func (c ServerConfig) MemstoreBytes() int64 {
 	return int64(float64(c.HeapBytes) * c.MemstoreFraction)
 }
-
-// Equal reports whether two configurations are identical; the Actuator
-// uses it to decide whether a server needs a restart.
-func (c ServerConfig) Equal(o ServerConfig) bool { return c == o }
 
 // WithProfile returns c with a profile's five paper knobs — HeapBytes,
 // BlockCacheFraction, MemstoreFraction, BlockBytes and Handlers — and

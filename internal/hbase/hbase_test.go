@@ -63,9 +63,6 @@ func TestServerConfigDerived(t *testing.T) {
 	if want := int64(heap * 0.1); cfg.MemstoreBytes() != want {
 		t.Fatalf("memstore bytes = %d, want %d", cfg.MemstoreBytes(), want)
 	}
-	if !cfg.Equal(cfg) {
-		t.Fatal("config not equal to itself")
-	}
 	if cfg.String() == "" {
 		t.Fatal("empty String")
 	}
@@ -78,8 +75,8 @@ func TestCreateTableAndCRUD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.NumRegions() != 4 {
-		t.Fatalf("regions = %d, want 4", tbl.NumRegions())
+	if n := len(tbl.Regions()); n != 4 {
+		t.Fatalf("regions = %d, want 4", n)
 	}
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("k%03d", i)
@@ -128,11 +125,21 @@ func TestCreateTableErrors(t *testing.T) {
 	}
 }
 
+// regionFor returns the region of tbl whose range holds key.
+func regionFor(tbl *Table, key string) *Region {
+	for _, r := range tbl.Regions() {
+		if r.Contains(key) {
+			return r
+		}
+	}
+	return nil
+}
+
 func TestRegionRouting(t *testing.T) {
 	m, _ := newCluster(t, 2)
 	tbl, _ := m.CreateTable("t", []string{"m"})
-	lo := tbl.RegionFor("a")
-	hi := tbl.RegionFor("z")
+	lo := regionFor(tbl, "a")
+	hi := regionFor(tbl, "z")
 	if lo == hi {
 		t.Fatal("same region for both halves")
 	}
@@ -187,7 +194,7 @@ func TestScanWholeTable(t *testing.T) {
 func TestMoveRegionKeepsData(t *testing.T) {
 	m, c := newCluster(t, 2)
 	tbl, _ := m.CreateTable("t", nil) // single region
-	rname := tbl.RegionNames()[0]
+	rname := tbl.Regions()[0].Name()
 	c.Put("t", "k", []byte("v"))
 	src, _ := m.HostOf(rname)
 	dst := "rs0"
@@ -245,7 +252,7 @@ func TestBareFlushReachesMirror(t *testing.T) {
 func TestLocalityDegradesOnMoveAndRecoversOnCompact(t *testing.T) {
 	m, c := newCluster(t, 2)
 	tbl, _ := m.CreateTable("t", nil)
-	rname := tbl.RegionNames()[0]
+	rname := tbl.Regions()[0].Name()
 	// Write enough to force flushes (files land local to the host).
 	host, _ := m.HostOf(rname)
 	rs, _ := m.Server(host)
@@ -317,7 +324,7 @@ func TestRestartWithNewConfigKeepsData(t *testing.T) {
 	if err := rs.Restart(newCfg); err != nil {
 		t.Fatal(err)
 	}
-	if !rs.Config().Equal(newCfg) {
+	if rs.Config() != newCfg {
 		t.Fatal("config not applied")
 	}
 	if rs.Restarts() != 1 {
@@ -375,42 +382,6 @@ func TestRandomBalancerVariesBySeed(t *testing.T) {
 	}
 	if diff == 0 {
 		t.Fatal("different seeds produced identical placements")
-	}
-}
-
-func TestManualBalancer(t *testing.T) {
-	b := &ManualBalancer{Plan: map[string]string{"r0": "s1", "r1": "s0"}}
-	plan := b.Assign([]string{"r0", "r1", "r2"}, []string{"s0", "s1"})
-	if plan["r0"] != "s1" || plan["r1"] != "s0" {
-		t.Fatalf("plan = %v", plan)
-	}
-	if plan["r2"] == "" {
-		t.Fatal("unplanned region unassigned")
-	}
-}
-
-func TestRebalanceAppliesBalancer(t *testing.T) {
-	m, _ := newCluster(t, 2)
-	tbl, _ := m.CreateTable("t", []string{"b", "c", "d"})
-	// Force everything onto rs0, then rebalance with a manual plan that
-	// moves two regions to rs1.
-	for _, r := range tbl.RegionNames() {
-		m.MoveRegion(r, "rs0")
-	}
-	names := tbl.RegionNames()
-	m.SetBalancer(&ManualBalancer{Plan: map[string]string{
-		names[0]: "rs0", names[1]: "rs1", names[2]: "rs0", names[3]: "rs1",
-	}})
-	moved, err := m.Rebalance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved != 2 {
-		t.Fatalf("moved = %d, want 2", moved)
-	}
-	rs1, _ := m.Server("rs1")
-	if rs1.NumRegions() != 2 {
-		t.Fatalf("rs1 regions = %d", rs1.NumRegions())
 	}
 }
 
@@ -472,11 +443,11 @@ func TestRequestCountersPerRegionAndServer(t *testing.T) {
 	if req.Writes != 2 || req.Reads != 1 || req.Scans != 1 {
 		t.Fatalf("server counters = %+v", req)
 	}
-	lo := tbl.RegionFor("a")
+	lo := regionFor(tbl, "a")
 	if lr := lo.Requests(); lr.Writes != 1 || lr.Reads != 1 || lr.Scans != 1 {
 		t.Fatalf("lo region counters = %+v", lr)
 	}
-	hi := tbl.RegionFor("z")
+	hi := regionFor(tbl, "z")
 	if hr := hi.Requests(); hr.Writes != 1 || hr.Reads != 0 {
 		t.Fatalf("hi region counters = %+v", hr)
 	}

@@ -31,15 +31,6 @@ var ErrTableExists = errors.New("hbase: table exists")
 // with OpenCluster instead.
 var ErrClusterExists = errors.New("hbase: data directory already holds a cluster")
 
-// Balancer decides where regions go. The paper contrasts HBase's
-// randomized out-of-the-box placement with informed strategies; both are
-// implemented behind this interface.
-type Balancer interface {
-	// Assign maps each region name to a server name. Implementations
-	// must assign every region to one of the given servers.
-	Assign(regions []string, servers []string) map[string]string
-}
-
 // RandomBalancer reproduces HBase's default randomized placement: it
 // evenly distributes the *number* of regions per server but is oblivious
 // to their load — precisely the behaviour the paper shows "leaves
@@ -50,7 +41,7 @@ type RandomBalancer struct {
 	RNG *sim.RNG
 }
 
-// Assign implements Balancer.
+// Assign maps each region name to one of servers.
 func (b *RandomBalancer) Assign(regions []string, servers []string) map[string]string {
 	out := make(map[string]string, len(regions))
 	if len(servers) == 0 {
@@ -67,44 +58,17 @@ func (b *RandomBalancer) Assign(regions []string, servers []string) map[string]s
 	return out
 }
 
-// ManualBalancer applies a fixed mapping, the vehicle for the paper's
-// Manual-Homogeneous and Manual-Heterogeneous strategies (and for MeT's
-// computed placements). Regions missing from the plan fall back to
-// round-robin.
-type ManualBalancer struct {
-	Plan map[string]string
-}
-
-// Assign implements Balancer.
-func (b *ManualBalancer) Assign(regions []string, servers []string) map[string]string {
-	out := make(map[string]string, len(regions))
-	if len(servers) == 0 {
-		return out
-	}
-	i := 0
-	sorted := append([]string(nil), regions...)
-	sort.Strings(sorted)
-	for _, r := range sorted {
-		if s, ok := b.Plan[r]; ok {
-			out[r] = s
-			continue
-		}
-		out[r] = servers[i%len(servers)]
-		i++
-	}
-	return out
-}
-
 // Master is the in-process cluster coordinator: it runs the live
-// RegionServers, claims what operations have in flight, and places
-// regions through its balancer. The layout itself — which regions
-// exist, which server hosts each, which servers follow it — is its
-// LayoutMaster's committed table rows and nothing else: every layout
-// verb does its region-server work with direct calls, then makes one
-// row edit there, and clients, HostOf, Assignment and Table read the
-// route table that edit published. mu guards only the membership, the
-// reservations and the balancer; the client hot path takes it shared,
-// once per operation, to find the server its route names.
+// RegionServers, claims what operations have in flight, and places new
+// regions with a RandomBalancer whose RNG is nil — the sorted regions
+// round-robin over the sorted servers open to them. The layout itself —
+// which regions exist, which server hosts each, which servers follow it
+// — is its LayoutMaster's committed table rows and nothing else: every
+// layout verb does its region-server work with direct calls, then makes
+// one row edit there, and clients, HostOf, Assignment and Table read the
+// route table that edit published. mu guards only the membership and
+// the reservations; the client hot path takes it shared, once per
+// operation, to find the server its route names.
 type Master struct {
 	mu sync.RWMutex
 
@@ -123,12 +87,11 @@ type Master struct {
 	// "leaving/<server>" for a decommission drain — the server still
 	// serves what it hosts, but takes no new regions.
 	reserved map[string]bool
-	balancer Balancer
 	moves    atomic.Int64
 }
 
-// NewMaster creates a master over the given namenode with the default
-// randomized balancer and in-memory-only metadata (no catalog).
+// NewMaster creates a master over the given namenode with in-memory-only
+// metadata (no catalog).
 func NewMaster(nn *hdfs.Namenode) *Master {
 	return newMaster(nn, newLayoutMaster(nil, nn.Replication()))
 }
@@ -139,7 +102,6 @@ func newMaster(nn *hdfs.Namenode, layout *LayoutMaster) *Master {
 		layout:   layout,
 		servers:  make(map[string]*RegionServer),
 		reserved: make(map[string]bool),
-		balancer: &RandomBalancer{},
 	}
 }
 
@@ -197,8 +159,8 @@ func (m *Master) release(key string) {
 }
 
 // placement lists the servers open to new regions — every member not
-// being drained — sorted, with the balancer that places over them.
-func (m *Master) placement() ([]string, Balancer) {
+// being drained — sorted.
+func (m *Master) placement() []string {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	names := make([]string, 0, len(m.servers))
@@ -208,7 +170,7 @@ func (m *Master) placement() ([]string, Balancer) {
 		}
 	}
 	sort.Strings(names)
-	return names, m.balancer
+	return names
 }
 
 // target returns a server that may take a region: a member that is not
@@ -221,13 +183,6 @@ func (m *Master) target(name string) (*RegionServer, error) {
 		return nil, ErrUnknownServer
 	}
 	return rs, nil
-}
-
-// SetBalancer swaps the placement policy.
-func (m *Master) SetBalancer(b Balancer) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.balancer = b
 }
 
 // AddServer registers a new region server with the cluster. With a
@@ -281,7 +236,7 @@ func (m *Master) DecommissionServer(name string) error {
 		return ErrUnknownServer
 	}
 	defer m.release(key)
-	names, _ := m.placement()
+	names := m.placement()
 	var targets []*RegionServer
 	for _, n := range names {
 		if t, err := m.target(n); err == nil {
@@ -397,13 +352,13 @@ func (st staged) discard() {
 }
 
 // stage builds the regions of rows — each carrying a name and bounds —
-// on the servers the balancer places them on, and completes each row
-// with its host and followers: the region-server work of CreateTable and
-// RestoreSnapshot. seed, when set, fills region i's directory under its
-// host's data root before the store opens. On an error every region
-// built so far is discarded.
+// on the servers a nil-RNG RandomBalancer places them on, and completes
+// each row with its host and followers: the region-server work of
+// CreateTable and RestoreSnapshot. seed, when set, fills region i's
+// directory under its host's data root before the store opens. On an
+// error every region built so far is discarded.
 func (m *Master) stage(table string, rows []regionRow, seed func(dataDir string, i int) error) (staged, error) {
-	servers, balancer := m.placement()
+	servers := m.placement()
 	if len(servers) == 0 {
 		return staged{}, ErrNoServers
 	}
@@ -411,7 +366,7 @@ func (m *Master) stage(table string, rows []regionRow, seed func(dataDir string,
 	for i, rr := range rows {
 		names[i] = rr.Name
 	}
-	plan := balancer.Assign(names, servers)
+	plan := (&RandomBalancer{}).Assign(names, servers)
 	var st staged
 	var placed []string // hosts of the regions built so far: follower placement and memstore shares count them
 	for i := range rows {
@@ -500,7 +455,7 @@ func (m *Master) Table(name string) (*Table, error) {
 	if !ok {
 		return nil, ErrUnknownTable
 	}
-	t := &Table{name: name, regions: make([]*Region, 0, len(rows))}
+	t := &Table{regions: make([]*Region, 0, len(rows))}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	for _, lr := range rows {
@@ -612,29 +567,6 @@ func (m *Master) moveRegion(name string, dst *RegionServer) error {
 // Moves returns the cumulative number of region moves, an actuation-cost
 // metric the Output Computation stage minimizes.
 func (m *Master) Moves() int64 { return m.moves.Load() }
-
-// Rebalance re-runs the current balancer over all regions and applies the
-// resulting moves. It returns the number of regions moved.
-func (m *Master) Rebalance() (int, error) {
-	servers, balancer := m.placement()
-	if len(servers) == 0 {
-		return 0, ErrNoServers
-	}
-	regions := slices.Sorted(maps.Keys(m.Assignment()))
-	plan := balancer.Assign(regions, servers)
-	moved := 0
-	for _, r := range regions {
-		dst := plan[r]
-		cur, _ := m.HostOf(r)
-		if dst != "" && dst != cur {
-			if err := m.MoveRegion(r, dst); err != nil {
-				return moved, err
-			}
-			moved++
-		}
-	}
-	return moved, nil
-}
 
 func regionName(table, startKey string) string {
 	return fmt.Sprintf("%s,%s", table, startKey)

@@ -40,7 +40,7 @@ func testMoveRegionUnderLoad(t *testing.T, m *Master, c *Client) {
 			t.Fatal(err)
 		}
 	}
-	region := tbl.RegionNames()[0]
+	region := tbl.Regions()[0].Name()
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -76,17 +76,12 @@ type mirrorAdd struct {
 	bytes int64
 }
 
-// NewRegion creates a region over a fresh store with the given engine
-// config (derived from the hosting server's ServerConfig). With a
-// durable config (OpenBackend set) the store recovers whatever its
-// directory already holds.
-func NewRegion(table, startKey, endKey string, storeCfg kv.Config) (*Region, error) {
-	return newRegionNamed(fmt.Sprintf("%s,%s", table, startKey), table, startKey, endKey, storeCfg)
-}
-
-// newRegionNamed creates a region with an explicit name; splits use it to
-// mint daughter names distinct from the parent's (real HBase encodes a
-// region id for the same reason).
+// newRegionNamed creates a region called name over a fresh store with
+// the given engine config (derived from the hosting server's
+// ServerConfig). With a durable config (OpenBackend set) the store
+// recovers whatever its directory already holds. Splits mint daughter
+// names distinct from the parent's (real HBase encodes a region id for
+// the same reason).
 func newRegionNamed(name, table, startKey, endKey string, storeCfg kv.Config) (*Region, error) {
 	r := &Region{
 		name:     name,

@@ -818,14 +818,6 @@ func (s *RegionServer) CompactionStats() compaction.PoolStats {
 	return pool.Stats()
 }
 
-// Compactor exposes the background pool (tests; nil only after
-// Shutdown).
-func (s *RegionServer) Compactor() *compaction.Pool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.compactor
-}
-
 // Shutdown stops the server permanently: serving stops, the background
 // compactor drains, and the replicator stops shipping (a dead server
 // pushes nothing — its followers already hold whatever was shipped).

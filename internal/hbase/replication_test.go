@@ -862,7 +862,7 @@ func TestSnapshotRestoreCrashPoints(t *testing.T) {
 			}
 		}
 		tbl, _ := m.Table("t")
-		oldNames := tbl.RegionNames()
+		old := tbl.Regions()
 		crashAt(t, m, "restore.committed", func() { m.RestoreSnapshot("t", "s1") })
 		m2 := reopen(t, m, dir)
 		// The restore won: snapshot contents serve, and the superseded
@@ -870,8 +870,8 @@ func TestSnapshotRestoreCrashPoints(t *testing.T) {
 		verifyBase(t, m2, "base")
 		for _, d := range regionDirNames(t, dir) {
 			un, _ := url.PathUnescape(d)
-			for _, old := range oldNames {
-				if un == old {
+			for _, r := range old {
+				if un == r.Name() {
 					t.Fatalf("superseded region directory %q survived the sweep", d)
 				}
 			}

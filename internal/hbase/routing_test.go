@@ -22,7 +22,7 @@ func newTestServer(t *testing.T, name string) *RegionServer {
 // openRegion creates and opens a region on rs for the given range.
 func openRegion(t *testing.T, rs *RegionServer, table, start, end string) *Region {
 	t.Helper()
-	r, err := NewRegion(table, start, end, kv.Config{MemstoreFlushBytes: 1 << 20})
+	r, err := newRegionNamed(regionName(table, start), table, start, end, kv.Config{MemstoreFlushBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,14 +139,14 @@ func TestLookupAfterSplitAndMove(t *testing.T) {
 		}
 	}
 	tbl, _ := m.Table("t")
-	parent := tbl.RegionNames()[0]
+	parent := tbl.Regions()[0].Name()
 	host, _ := m.HostOf(parent)
 	rs, _ := m.Server(host)
 	if err := m.SplitRegion(parent); err != nil {
 		t.Fatal(err)
 	}
 	tbl, _ = m.Table("t") // a snapshot: re-fetch after the split
-	if n := tbl.NumRegions(); n != 2 {
+	if n := len(tbl.Regions()); n != 2 {
 		t.Fatalf("regions after split = %d", n)
 	}
 	// Both daughters route on the same host; the parent name is gone.

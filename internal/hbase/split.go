@@ -5,10 +5,6 @@ import (
 	"sort"
 )
 
-// DefaultSplitThresholdBytes is HBase's default automatic-partitioning
-// threshold the paper cites (a region splits when it grows past 250 MB).
-const DefaultSplitThresholdBytes = 250 << 20
-
 // SplitRegion splits a region at the median of its live keys into two
 // daughter regions hosted by the same server, reproducing HBase's
 // automatic partitioning (Section 2: "the automatic partitioning of a
@@ -132,27 +128,4 @@ func (m *Master) SplitRegion(regionName string) error {
 	// logs and SSTables.
 	discardRegionStore(rs, parent)
 	return nil
-}
-
-// AutoSplit scans every table and splits regions larger than threshold
-// bytes (<= 0 uses the 250 MB default). It returns the regions split.
-func (m *Master) AutoSplit(threshold int64) []string {
-	if threshold <= 0 {
-		threshold = DefaultSplitThresholdBytes
-	}
-	var split []string
-	for _, name := range m.Tables() {
-		t, err := m.Table(name)
-		if err != nil {
-			continue
-		}
-		for _, r := range t.Regions() {
-			if r.DataBytes() > threshold {
-				if err := m.SplitRegion(r.Name()); err == nil {
-					split = append(split, r.Name())
-				}
-			}
-		}
-	}
-	return split
 }

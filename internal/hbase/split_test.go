@@ -5,10 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"met/internal/hdfs"
-	"met/internal/metrics"
-	"met/internal/sim"
 )
 
 func TestSplitRegionKeepsData(t *testing.T) {
@@ -17,13 +13,13 @@ func TestSplitRegionKeepsData(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		c.Put("t", fmt.Sprintf("k%03d", i), []byte(fmt.Sprintf("v%d", i)))
 	}
-	parent := tbl.RegionNames()[0]
+	parent := tbl.Regions()[0].Name()
 	if err := m.SplitRegion(parent); err != nil {
 		t.Fatal(err)
 	}
 	tbl, _ = m.Table("t") // a snapshot: re-fetch after the split
-	if tbl.NumRegions() != 2 {
-		t.Fatalf("regions = %d, want 2", tbl.NumRegions())
+	if n := len(tbl.Regions()); n != 2 {
+		t.Fatalf("regions = %d, want 2", n)
 	}
 	// Daughters partition the key space at the median.
 	regions := tbl.Regions()
@@ -63,37 +59,12 @@ func TestSplitRegionErrors(t *testing.T) {
 	}
 	// Too little data.
 	c.Put("t", "only", []byte("v"))
-	if err := m.SplitRegion(tbl.RegionNames()[0]); err == nil {
+	if err := m.SplitRegion(tbl.Regions()[0].Name()); err == nil {
 		t.Fatal("split of single-row region accepted")
 	}
 	// Region still serves after the refused split.
 	if _, err := c.Get("t", "only"); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAutoSplitThreshold(t *testing.T) {
-	m, c := newCluster(t, 1)
-	tbl, _ := m.CreateTable("t", nil)
-	for i := 0; i < 300; i++ {
-		c.Put("t", fmt.Sprintf("k%04d", i), make([]byte, 1024))
-	}
-	// Nothing splits below the threshold.
-	if split := m.AutoSplit(1 << 30); len(split) != 0 {
-		t.Fatalf("split %v below threshold", split)
-	}
-	// A tiny threshold splits the region.
-	split := m.AutoSplit(64 << 10)
-	if len(split) != 1 {
-		t.Fatalf("split = %v, want 1 region", split)
-	}
-	tbl, _ = m.Table("t")
-	if tbl.NumRegions() != 2 {
-		t.Fatalf("regions = %d", tbl.NumRegions())
-	}
-	// Defaults: <=0 uses the 250 MB default (nothing here is that big).
-	if split := m.AutoSplit(0); len(split) != 0 {
-		t.Fatalf("default threshold split %v", split)
 	}
 }
 
@@ -104,11 +75,16 @@ func TestSplitRepeatedlyMaintainsOrder(t *testing.T) {
 		c.Put("t", fmt.Sprintf("k%04d", i), make([]byte, 256))
 	}
 	for round := 0; round < 3; round++ {
-		m.AutoSplit(8 << 10)
+		tbl, _ = m.Table("t")
+		for _, r := range tbl.Regions() {
+			if r.DataBytes() > 8<<10 {
+				m.SplitRegion(r.Name())
+			}
+		}
 	}
 	tbl, _ = m.Table("t")
-	if tbl.NumRegions() < 4 {
-		t.Fatalf("regions = %d after repeated splits", tbl.NumRegions())
+	if n := len(tbl.Regions()); n < 4 {
+		t.Fatalf("regions = %d after repeated splits", n)
 	}
 	// Regions tile the key space in order.
 	regions := tbl.Regions()
@@ -124,138 +100,6 @@ func TestSplitRepeatedlyMaintainsOrder(t *testing.T) {
 	got, err := c.Scan("t", "", "", -1)
 	if err != nil || len(got) != 400 {
 		t.Fatalf("scan = %d, %v", len(got), err)
-	}
-}
-
-func TestStochasticBalancerBalancesLoad(t *testing.T) {
-	loads := map[string]metrics.RequestCounts{}
-	var regions []string
-	for i := 0; i < 12; i++ {
-		r := fmt.Sprintf("r%02d", i)
-		regions = append(regions, r)
-		load := int64(10)
-		if i < 3 {
-			load = 300 // three hot regions
-		}
-		loads[r] = metrics.RequestCounts{Reads: load}
-	}
-	b := &StochasticBalancer{
-		RNG:    sim.NewRNG(5),
-		LoadOf: func(r string) metrics.RequestCounts { return loads[r] },
-	}
-	plan := b.Assign(regions, []string{"s0", "s1", "s2"})
-	if len(plan) != 12 {
-		t.Fatalf("plan covers %d regions", len(plan))
-	}
-	// The three hot regions end up on three distinct servers.
-	hotHosts := map[string]bool{}
-	for i := 0; i < 3; i++ {
-		hotHosts[plan[fmt.Sprintf("r%02d", i)]] = true
-	}
-	if len(hotHosts) != 3 {
-		t.Fatalf("hot regions on %d servers, want 3 (plan %v)", len(hotHosts), plan)
-	}
-}
-
-func TestStochasticBalancerBeatsRandomOnSkew(t *testing.T) {
-	loads := map[string]metrics.RequestCounts{}
-	var regions []string
-	rng := sim.NewRNG(7)
-	for i := 0; i < 20; i++ {
-		r := fmt.Sprintf("r%02d", i)
-		regions = append(regions, r)
-		loads[r] = metrics.RequestCounts{Reads: int64(rng.Intn(100)) + 1}
-	}
-	servers := []string{"s0", "s1", "s2", "s3"}
-	loadOf := func(r string) metrics.RequestCounts { return loads[r] }
-
-	imbalance := func(plan map[string]string) float64 {
-		per := map[string]float64{}
-		var total float64
-		for r, s := range plan {
-			per[s] += float64(loads[r].Total())
-			total += float64(loads[r].Total())
-		}
-		mean := total / float64(len(servers))
-		worst := 0.0
-		for _, s := range servers {
-			if per[s] > worst {
-				worst = per[s]
-			}
-		}
-		return worst / mean
-	}
-	stoch := &StochasticBalancer{RNG: sim.NewRNG(1), LoadOf: loadOf}
-	random := &RandomBalancer{RNG: sim.NewRNG(1)}
-	si := imbalance(stoch.Assign(regions, servers))
-	ri := imbalance(random.Assign(regions, servers))
-	if si >= ri {
-		t.Fatalf("stochastic imbalance %.3f not below random %.3f", si, ri)
-	}
-	if si > 1.25 {
-		t.Fatalf("stochastic imbalance %.3f too high", si)
-	}
-}
-
-func TestStochasticBalancerLocalityTerm(t *testing.T) {
-	regions := []string{"r0", "r1"}
-	servers := []string{"s0", "s1"}
-	// r0's data lives on s1, r1's on s0: the locality term should pin
-	// each region to its data.
-	b := &StochasticBalancer{
-		RNG: sim.NewRNG(2),
-		LocalityOf: func(r, n string) float64 {
-			if (r == "r0" && n == "s1") || (r == "r1" && n == "s0") {
-				return 1
-			}
-			return 0
-		},
-		LocalityWeight: 10,
-	}
-	plan := b.Assign(regions, servers)
-	if plan["r0"] != "s1" || plan["r1"] != "s0" {
-		t.Fatalf("plan ignored locality: %v", plan)
-	}
-}
-
-func TestStochasticBalancerDeterministicWithoutRNG(t *testing.T) {
-	regions := []string{"a", "b", "c", "d"}
-	servers := []string{"s0", "s1"}
-	b := &StochasticBalancer{}
-	p1 := b.Assign(regions, servers)
-	p2 := b.Assign(regions, servers)
-	for r := range p1 {
-		if p1[r] != p2[r] {
-			t.Fatal("deterministic mode diverged")
-		}
-	}
-	// Degenerate inputs.
-	if len(b.Assign(nil, servers)) != 0 || len(b.Assign(regions, nil)) != 0 {
-		t.Fatal("degenerate inputs mishandled")
-	}
-}
-
-func TestStochasticBalancerAsMasterBalancer(t *testing.T) {
-	nn := hdfs.NewNamenode(2)
-	m := NewMaster(nn)
-	for i := 0; i < 3; i++ {
-		if _, err := m.AddServer(fmt.Sprintf("rs%d", i), DefaultServerConfig()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m.SetBalancer(&StochasticBalancer{RNG: sim.NewRNG(3)})
-	tbl, err := m.CreateTable("t", []string{"b", "c", "d", "e", "f"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.NumRegions() != 6 {
-		t.Fatalf("regions = %d", tbl.NumRegions())
-	}
-	// Every region assigned to a live server.
-	for _, r := range tbl.RegionNames() {
-		if host, ok := m.HostOf(r); !ok || host == "" {
-			t.Fatalf("region %s unassigned", r)
-		}
 	}
 }
 

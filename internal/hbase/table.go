@@ -14,38 +14,11 @@ import (
 // use a single family). A snapshot does not follow later splits or
 // moves; Master.Table takes a fresh one.
 type Table struct {
-	name    string
 	regions []*Region // sorted by start key
 }
 
-// Name returns the table name.
-func (t *Table) Name() string { return t.name }
-
 // Regions returns the table's regions in key order.
 func (t *Table) Regions() []*Region { return slices.Clone(t.regions) }
-
-// NumRegions returns the number of regions.
-func (t *Table) NumRegions() int { return len(t.regions) }
-
-// RegionFor returns the region containing key, or nil when the snapshot
-// holds none (its region was mid-split when the snapshot was taken).
-func (t *Table) RegionFor(key string) *Region {
-	// Last region whose start key <= key.
-	i := sort.Search(len(t.regions), func(i int) bool { return t.regions[i].StartKey() > key })
-	if i == 0 || !t.regions[i-1].Contains(key) {
-		return nil
-	}
-	return t.regions[i-1]
-}
-
-// RegionNames returns the region names in key order.
-func (t *Table) RegionNames() []string {
-	out := make([]string, len(t.regions))
-	for i, r := range t.regions {
-		out[i] = r.Name()
-	}
-	return out
-}
 
 // RouteTable is one routing epoch's layout, immutable once built:
 // every region in table-then-key order, each table's run of that list,

@@ -89,7 +89,7 @@ func killAndRecover(t *testing.T, m *Master, hot *Region, rs *RegionServer, ship
 			t.Logf("region %s on %s, followers %v", r.Name(), host, r.Followers())
 		}
 		for _, srv := range m.Servers() {
-			t.Logf("server %s: %+v, budget %+v", srv.Name(), srv.ReplicationStats(), srv.Compactor().Budget().Stats())
+			t.Logf("server %s: %+v, budget %+v", srv.Name(), srv.ReplicationStats(), compactorOf(srv).Budget().Stats())
 		}
 		t.Fatalf("no tail ships while the reconcile worker was wedged (active %d, ships %d -> %d); the starved-worker scenario is not being exercised",
 			st.Active, shipsBefore, st.TailShips)

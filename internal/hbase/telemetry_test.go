@@ -323,7 +323,7 @@ func TestStatsOneDefinition(t *testing.T) {
 	rs.QuiesceReplication()
 
 	compacting, shipping := newGate(), newGate()
-	region.Store().SetCompaction(rs.Compactor(), compacting, 0)
+	region.Store().SetCompaction(compactorOf(rs), compacting, 0)
 	compacted := make(chan error, 1)
 	go func() {
 		_, err := rs.MajorCompact(region.Name())

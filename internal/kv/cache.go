@@ -27,8 +27,6 @@ type BlockCache struct {
 	used     int
 	order    *list.List // front = most recently used
 	items    map[blockKey]*list.Element
-
-	hits, misses, evictions int64
 }
 
 type cacheItem struct {
@@ -53,10 +51,8 @@ func (c *BlockCache) get(k blockKey) (*Block, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.items[k]
 	if !ok {
-		c.misses++
 		return nil, false
 	}
-	c.hits++
 	c.order.MoveToFront(el)
 	return el.Value.(*cacheItem).block, true
 }
@@ -93,7 +89,6 @@ func (c *BlockCache) evictOldestLocked() {
 	c.order.Remove(el)
 	delete(c.items, item.key)
 	c.used -= item.block.Bytes()
-	c.evictions++
 }
 
 // invalidateFile drops every cached block of the given file; called when
@@ -111,19 +106,6 @@ func (c *BlockCache) invalidateFile(fileID uint64) {
 	}
 }
 
-// Resize changes the capacity, evicting as needed. This supports node
-// reconfiguration in tests; the simulated cluster instead restarts the
-// store, as real HBase must (the paper calls out the lack of online
-// reconfiguration as the dominant actuation cost).
-func (c *BlockCache) Resize(capacity int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.capacity = capacity
-	for c.used > c.capacity {
-		c.evictOldestLocked()
-	}
-}
-
 // Used returns the current cached bytes.
 func (c *BlockCache) Used() int {
 	c.mu.Lock()
@@ -131,33 +113,9 @@ func (c *BlockCache) Used() int {
 	return c.used
 }
 
-// Capacity returns the configured byte capacity.
-func (c *BlockCache) Capacity() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.capacity
-}
-
 // Len returns the number of cached blocks.
 func (c *BlockCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
-}
-
-// HitRatio returns hits/(hits+misses) observed by the cache itself.
-func (c *BlockCache) HitRatio() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.hits+c.misses == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(c.hits+c.misses)
-}
-
-// Evictions returns the number of blocks evicted so far.
-func (c *BlockCache) Evictions() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evictions
 }

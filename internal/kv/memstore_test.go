@@ -262,8 +262,8 @@ func TestBlockCacheLRU(t *testing.T) {
 	if _, ok := c.get(blockKey{1, 0}); !ok {
 		t.Fatal("recently used block evicted")
 	}
-	if c.Evictions() != 1 {
-		t.Fatalf("evictions = %d", c.Evictions())
+	if c.Len() != 3 {
+		t.Fatalf("len = %d, want 3 after one eviction", c.Len())
 	}
 }
 
@@ -286,33 +286,6 @@ func TestBlockCacheInvalidateFile(t *testing.T) {
 	}
 	if _, ok := c.get(blockKey{2, 0}); !ok {
 		t.Fatal("unrelated file evicted")
-	}
-}
-
-func TestBlockCacheResize(t *testing.T) {
-	c := NewBlockCache(1000)
-	for i := 0; i < 10; i++ {
-		c.put(blockKey{1, i}, &Block{bytes: 100})
-	}
-	c.Resize(250)
-	if c.Used() > 250 {
-		t.Fatalf("used = %d after resize", c.Used())
-	}
-	if c.Capacity() != 250 {
-		t.Fatalf("capacity = %d", c.Capacity())
-	}
-}
-
-func TestBlockCacheHitRatio(t *testing.T) {
-	c := NewBlockCache(1000)
-	if c.HitRatio() != 0 {
-		t.Fatal("empty cache ratio != 0")
-	}
-	c.put(blockKey{1, 0}, &Block{bytes: 10})
-	c.get(blockKey{1, 0})
-	c.get(blockKey{9, 9})
-	if c.HitRatio() != 0.5 {
-		t.Fatalf("ratio = %v", c.HitRatio())
 	}
 }
 

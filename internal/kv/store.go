@@ -235,17 +235,16 @@ func (st *storeStats) snapshot() Stats {
 // A crash can therefore lose only writes that were never acknowledged
 // (readers may have glimpsed them, the same window HBase exposes).
 type Store struct {
-	mu        sync.RWMutex
-	cfg       Config
-	mem       *Memstore
-	files     []*StoreFile // newest first
-	cache     *BlockCache
-	backend   StorageBackend
-	stats     storeStats
-	seq       uint64 // logical clock for timestamps; mutated under mu (write)
-	recovered int    // WAL entries replayed at open
-	sealed    bool
-	closed    bool
+	mu      sync.RWMutex
+	cfg     Config
+	mem     *Memstore
+	files   []*StoreFile // newest first
+	cache   *BlockCache
+	backend StorageBackend
+	stats   storeStats
+	seq     uint64 // logical clock for timestamps; mutated under mu (write)
+	sealed  bool
+	closed  bool
 
 	// Retired-file reclamation: compaction may retire files while
 	// lock-free scans still iterate them, so backend removal (which
@@ -377,7 +376,6 @@ func OpenStore(cfg Config) (*Store, error) {
 			if e.Timestamp > s.seq {
 				s.seq = e.Timestamp
 			}
-			s.recovered++
 		}
 	}
 	// A recovered stack can already be over the compaction threshold
@@ -491,10 +489,6 @@ func (s *Store) notifyFilesChanged() {
 	}
 	(*fn)()
 }
-
-// Recovered returns the number of WAL entries replayed when the store
-// was opened (0 for in-memory stores).
-func (s *Store) Recovered() int { return s.recovered }
 
 // MaxTimestamp returns the store's logical clock: the timestamp of the
 // newest mutation ever applied (acknowledged or in flight). Because
@@ -958,11 +952,6 @@ func (s *Store) ExportFiles() ([]ExportedFile, bool) {
 		}
 	}
 	return out, true
-}
-
-// CacheHitRatio exposes the block cache's observed hit ratio.
-func (s *Store) CacheHitRatio() float64 {
-	return s.cache.HitRatio()
 }
 
 // Seal stops accepting mutations — Put and Delete fail with ErrClosed —

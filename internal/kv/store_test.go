@@ -258,8 +258,8 @@ func TestCacheServesRepeatedReads(t *testing.T) {
 	if st.CacheHits == 0 {
 		t.Fatal("no cache hits")
 	}
-	if s.CacheHitRatio() < 0.9 {
-		t.Fatalf("hit ratio %.2f too low", s.CacheHitRatio())
+	if st.CacheHitRatio() < 0.9 {
+		t.Fatalf("hit ratio %.2f too low", st.CacheHitRatio())
 	}
 }
 

@@ -53,7 +53,7 @@ func TestTraceCapturesSlowSSTableRead(t *testing.T) {
 	}
 
 	log := obs.NewSlowLog(4)
-	log.Observe(tr, tr.Elapsed())
+	log.Observe(tr, time.Since(tr.Start()))
 	ops := log.Snapshot()
 	if len(ops) != 1 {
 		t.Fatalf("slow log holds %d ops, want 1", len(ops))
@@ -116,7 +116,7 @@ func TestTracedOpsConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				log.Observe(tr, tr.Elapsed())
+				log.Observe(tr, time.Since(tr.Start()))
 			}
 		}()
 	}

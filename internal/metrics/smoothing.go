@@ -16,7 +16,6 @@ type Smoother struct {
 
 	value  float64
 	primed bool
-	n      int
 }
 
 // NewSmoother returns a smoother with the given alpha. Alpha is clamped
@@ -40,21 +39,14 @@ func (s *Smoother) Observe(v float64) float64 {
 	} else {
 		s.value = s.Alpha*v + (1-s.Alpha)*s.value
 	}
-	s.n++
 	return s.value
 }
 
 // Value returns the current smoothed estimate (0 before any observation).
 func (s *Smoother) Value() float64 { return s.value }
 
-// Count returns the number of observations since the last Reset. The
-// Decision Maker requires a minimum number of samples (6 in the paper)
-// before acting.
-func (s *Smoother) Count() int { return s.n }
-
 // Reset discards all state, as if the smoother were new.
 func (s *Smoother) Reset() {
 	s.value = 0
 	s.primed = false
-	s.n = 0
 }

@@ -152,9 +152,6 @@ func (s *Snapshot) Count() int64 { return s.count }
 // Sum returns the exact sum of all recorded values in nanoseconds.
 func (s *Snapshot) Sum() int64 { return s.sum }
 
-// Max returns the largest recorded value in nanoseconds.
-func (s *Snapshot) Max() int64 { return s.max }
-
 // Mean returns the exact mean in nanoseconds (0 when empty).
 func (s *Snapshot) Mean() float64 {
 	if s.count == 0 {

@@ -86,8 +86,8 @@ func TestPercentileVsSortedOracle(t *testing.T) {
 		if s.Sum() != sum {
 			t.Fatalf("%s: sum %d != %d", name, s.Sum(), sum)
 		}
-		if s.Max() != vals[len(vals)-1] {
-			t.Fatalf("%s: max %d != %d", name, s.Max(), vals[len(vals)-1])
+		if s.max != vals[len(vals)-1] {
+			t.Fatalf("%s: max %d != %d", name, s.max, vals[len(vals)-1])
 		}
 		for _, p := range []float64{0.5, 0.9, 0.95, 0.99, 0.999, 1.0} {
 			want := oracle(vals, p)

@@ -56,7 +56,7 @@ func TestSlowLogObserve(t *testing.T) {
 	tr := StartTrace("get", "tbl", "row9")
 	st := tr.StartSpan()
 	tr.EndSpan("memstore", st)
-	tr.AddSpan("sstable-read", 5*time.Millisecond)
+	tr.spans = append(tr.spans, Span{Stage: "sstable-read", Dur: 5 * time.Millisecond})
 	l.Observe(tr, 6*time.Millisecond)
 	ops := l.Snapshot()
 	if len(ops) != 1 {
@@ -78,8 +78,7 @@ func TestNilTraceIsInert(t *testing.T) {
 		t.Fatal("nil trace StartSpan read the clock")
 	}
 	tr.EndSpan("x", st)
-	tr.AddSpan("y", time.Second)
-	if tr.Spans() != nil || tr.Elapsed() != 0 || !tr.Start().IsZero() {
+	if tr.Spans() != nil || !tr.Start().IsZero() {
 		t.Fatal("nil trace not inert")
 	}
 }

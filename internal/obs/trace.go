@@ -51,23 +51,6 @@ func (t *Trace) EndSpan(stage string, start time.Time) {
 	t.spans = append(t.spans, Span{Stage: stage, Dur: time.Since(start)})
 }
 
-// AddSpan records a span with an externally measured duration, for
-// stages whose timing is already being taken for a histogram.
-func (t *Trace) AddSpan(stage string, d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.spans = append(t.spans, Span{Stage: stage, Dur: d})
-}
-
-// Elapsed returns the time since the trace started (0 on nil).
-func (t *Trace) Elapsed() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Since(t.start)
-}
-
 // Start returns the trace's start time (zero on nil).
 func (t *Trace) Start() time.Time {
 	if t == nil {

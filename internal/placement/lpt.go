@@ -5,51 +5,6 @@ import "sort"
 // Assignment maps node names to the partitions they host.
 type Assignment map[string][]Partition
 
-// Loads returns the total load per node.
-func (a Assignment) Loads() map[string]float64 {
-	out := make(map[string]float64, len(a))
-	for node, parts := range a {
-		var sum float64
-		for _, p := range parts {
-			sum += p.Load()
-		}
-		out[node] = sum
-	}
-	return out
-}
-
-// Makespan returns the maximum per-node load, the quantity LPT minimizes.
-func (a Assignment) Makespan() float64 {
-	var m float64
-	for _, l := range a.Loads() {
-		if l > m {
-			m = l
-		}
-	}
-	return m
-}
-
-// Imbalance returns makespan divided by the mean load (1.0 = perfectly
-// balanced); it is the skew metric the ablation benchmarks report.
-func (a Assignment) Imbalance() float64 {
-	loads := a.Loads()
-	if len(loads) == 0 {
-		return 1
-	}
-	var sum, max float64
-	for _, l := range loads {
-		sum += l
-		if l > max {
-			max = l
-		}
-	}
-	if sum == 0 {
-		return 1
-	}
-	mean := sum / float64(len(loads))
-	return max / mean
-}
-
 // PartitionsPerNodeCap returns the paper's per-node partition bound:
 // ceil(#partitions / #nodes), "estimated by dividing the number of data
 // partitions in the group by the number of nodes in the group".
@@ -107,118 +62,4 @@ func AssignLPT(nodes []string, partitions []Partition, max int) Assignment {
 		loads[best] += p.Load()
 	}
 	return out
-}
-
-// AssignFirstFit is an ablation baseline: place each partition (in input
-// order) on the first node with room. It ignores load entirely.
-func AssignFirstFit(nodes []string, partitions []Partition, max int) Assignment {
-	out := make(Assignment, len(nodes))
-	for _, n := range nodes {
-		out[n] = nil
-	}
-	if len(nodes) == 0 {
-		return out
-	}
-	nodeOrder := append([]string(nil), nodes...)
-	sort.Strings(nodeOrder)
-	for _, p := range partitions {
-		placed := false
-		for _, n := range nodeOrder {
-			if max > 0 && len(out[n]) >= max {
-				continue
-			}
-			out[n] = append(out[n], p)
-			placed = true
-			break
-		}
-		if !placed {
-			out[nodeOrder[0]] = append(out[nodeOrder[0]], p)
-		}
-	}
-	return out
-}
-
-// AssignRoundRobin is a second ablation baseline: deal partitions to
-// nodes in turn, balancing counts but not load — the behaviour of HBase's
-// default balancer.
-func AssignRoundRobin(nodes []string, partitions []Partition) Assignment {
-	out := make(Assignment, len(nodes))
-	for _, n := range nodes {
-		out[n] = nil
-	}
-	if len(nodes) == 0 {
-		return out
-	}
-	nodeOrder := append([]string(nil), nodes...)
-	sort.Strings(nodeOrder)
-	for i, p := range partitions {
-		n := nodeOrder[i%len(nodeOrder)]
-		out[n] = append(out[n], p)
-	}
-	return out
-}
-
-// AssignExhaustive finds a minimum-makespan assignment by branch and
-// bound over all partition->node mappings. It is exponential and guarded
-// to small inputs — it exists to reproduce the paper's Manual-* method,
-// where the authors exhaustively searched placements by hand. maxItems
-// bounds partitions (<= 0 defaults to 12).
-func AssignExhaustive(nodes []string, partitions []Partition, maxItems int) Assignment {
-	if maxItems <= 0 {
-		maxItems = 12
-	}
-	if len(partitions) > maxItems || len(nodes) == 0 {
-		// Too large to enumerate; fall back to LPT, which is within
-		// 4/3 of optimal anyway (Graham's bound).
-		return AssignLPT(nodes, partitions, 0)
-	}
-	nodeOrder := append([]string(nil), nodes...)
-	sort.Strings(nodeOrder)
-	sorted := append([]Partition(nil), partitions...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Load() > sorted[j].Load() })
-
-	best := AssignLPT(nodeOrder, sorted, 0)
-	bestSpan := best.Makespan()
-	loads := make([]float64, len(nodeOrder))
-	cur := make([]int, len(sorted)) // partition -> node index
-
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(sorted) {
-			span := 0.0
-			for _, l := range loads {
-				if l > span {
-					span = l
-				}
-			}
-			if span < bestSpan {
-				bestSpan = span
-				b := make(Assignment, len(nodeOrder))
-				for _, n := range nodeOrder {
-					b[n] = nil
-				}
-				for pi, ni := range cur {
-					b[nodeOrder[ni]] = append(b[nodeOrder[ni]], sorted[pi])
-				}
-				best = b
-			}
-			return
-		}
-		seen := make(map[float64]bool) // symmetry break: skip equal-load nodes
-		for ni := range nodeOrder {
-			if seen[loads[ni]] {
-				continue
-			}
-			seen[loads[ni]] = true
-			if loads[ni]+sorted[i].Load() >= bestSpan {
-				continue // bound
-			}
-			loads[ni] += sorted[i].Load()
-			cur[i] = ni
-			rec(i + 1)
-			loads[ni] -= sorted[i].Load()
-		}
-	}
-	rec(0)
-	return best
 }

@@ -113,38 +113,6 @@ func ComputeOutput(current []NodeState, optimal []TargetSet, firstTime bool) []N
 	return assigned
 }
 
-// Diff quantifies the actuation cost of going from current to target:
-// how many partitions must move and how many nodes must restart with a
-// new configuration. These are the quantities Algorithm 3 minimizes.
-type Diff struct {
-	PartitionMoves int
-	Reconfigs      int
-}
-
-// ComputeDiff compares two distributions node-by-node.
-func ComputeDiff(current, target []NodeState) Diff {
-	curHost := make(map[string]string)
-	curType := make(map[string]AccessType)
-	for _, n := range current {
-		curType[n.Node] = n.Type
-		for _, p := range n.Partitions {
-			curHost[p] = n.Node
-		}
-	}
-	var d Diff
-	for _, n := range target {
-		if t, ok := curType[n.Node]; !ok || t != n.Type {
-			d.Reconfigs++
-		}
-		for _, p := range n.Partitions {
-			if curHost[p] != n.Node {
-				d.PartitionMoves++
-			}
-		}
-	}
-	return d
-}
-
 func intersectionSize(a, b []string) int {
 	set := make(map[string]bool, len(a))
 	for _, x := range a {

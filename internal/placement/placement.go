@@ -61,11 +61,6 @@ type Thresholds struct {
 	ScanFraction  float64
 }
 
-// DefaultThresholds returns the paper's 60% rules.
-func DefaultThresholds() Thresholds {
-	return Thresholds{ReadFraction: 0.6, WriteFraction: 0.6, ScanFraction: 0.6}
-}
-
 // Classify assigns one partition's request counters to a group. Reads
 // and scans are both "read requests" for the read rule; the scan rule
 // then separates scan-dominated partitions, mirroring the paper's

@@ -3,6 +3,7 @@ package placement
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -14,8 +15,132 @@ func rc(reads, writes, scans int64) metrics.RequestCounts {
 	return metrics.RequestCounts{Reads: reads, Writes: writes, Scans: scans}
 }
 
+// paperThresholds are the paper's 60% rules.
+var paperThresholds = Thresholds{ReadFraction: 0.6, WriteFraction: 0.6, ScanFraction: 0.6}
+
+// loads returns the total load per node.
+func (a Assignment) loads() map[string]float64 {
+	out := make(map[string]float64, len(a))
+	for node, parts := range a {
+		var sum float64
+		for _, p := range parts {
+			sum += p.Load()
+		}
+		out[node] = sum
+	}
+	return out
+}
+
+// makespan returns the maximum per-node load, the quantity LPT minimizes.
+func (a Assignment) makespan() float64 {
+	var m float64
+	for _, l := range a.loads() {
+		if l > m {
+			m = l
+		}
+	}
+	return m
+}
+
+// assignExhaustive finds a minimum-makespan assignment by branch and
+// bound over all partition->node mappings — the optimum LPT is checked
+// against. It is exponential and guarded to small inputs: maxItems
+// bounds partitions (<= 0 defaults to 12), beyond which it returns LPT's
+// assignment.
+func assignExhaustive(nodes []string, partitions []Partition, maxItems int) Assignment {
+	if maxItems <= 0 {
+		maxItems = 12
+	}
+	if len(partitions) > maxItems || len(nodes) == 0 {
+		// Too large to enumerate; fall back to LPT, which is within
+		// 4/3 of optimal anyway (Graham's bound).
+		return AssignLPT(nodes, partitions, 0)
+	}
+	nodeOrder := append([]string(nil), nodes...)
+	sort.Strings(nodeOrder)
+	sorted := append([]Partition(nil), partitions...)
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Load() > sorted[j].Load() })
+
+	best := AssignLPT(nodeOrder, sorted, 0)
+	bestSpan := best.makespan()
+	loads := make([]float64, len(nodeOrder))
+	cur := make([]int, len(sorted)) // partition -> node index
+
+	var rec func(i int)
+	rec = func(i int) {
+		if i == len(sorted) {
+			span := 0.0
+			for _, l := range loads {
+				if l > span {
+					span = l
+				}
+			}
+			if span < bestSpan {
+				bestSpan = span
+				b := make(Assignment, len(nodeOrder))
+				for _, n := range nodeOrder {
+					b[n] = nil
+				}
+				for pi, ni := range cur {
+					b[nodeOrder[ni]] = append(b[nodeOrder[ni]], sorted[pi])
+				}
+				best = b
+			}
+			return
+		}
+		seen := make(map[float64]bool) // symmetry break: skip equal-load nodes
+		for ni := range nodeOrder {
+			if seen[loads[ni]] {
+				continue
+			}
+			seen[loads[ni]] = true
+			if loads[ni]+sorted[i].Load() >= bestSpan {
+				continue // bound
+			}
+			loads[ni] += sorted[i].Load()
+			cur[i] = ni
+			rec(i + 1)
+			loads[ni] -= sorted[i].Load()
+		}
+	}
+	rec(0)
+	return best
+}
+
+// diff quantifies the actuation cost of going from current to target:
+// how many partitions must move and how many nodes must restart with a
+// new configuration. These are the quantities Algorithm 3 minimizes.
+type diff struct {
+	PartitionMoves int
+	Reconfigs      int
+}
+
+// computeDiff compares two distributions node-by-node.
+func computeDiff(current, target []NodeState) diff {
+	curHost := make(map[string]string)
+	curType := make(map[string]AccessType)
+	for _, n := range current {
+		curType[n.Node] = n.Type
+		for _, p := range n.Partitions {
+			curHost[p] = n.Node
+		}
+	}
+	var d diff
+	for _, n := range target {
+		if t, ok := curType[n.Node]; !ok || t != n.Type {
+			d.Reconfigs++
+		}
+		for _, p := range n.Partitions {
+			if curHost[p] != n.Node {
+				d.PartitionMoves++
+			}
+		}
+	}
+	return d
+}
+
 func TestClassifyPaperRules(t *testing.T) {
-	th := DefaultThresholds()
+	th := paperThresholds
 	cases := []struct {
 		name string
 		c    metrics.RequestCounts
@@ -64,7 +189,7 @@ func TestClassifyAll(t *testing.T) {
 		{Name: "s", Requests: rc(0, 5, 95)},
 		{Name: "rw", Requests: rc(50, 50, 0)},
 	}
-	groups := ClassifyAll(parts, DefaultThresholds())
+	groups := ClassifyAll(parts, paperThresholds)
 	if len(groups[Read]) != 1 || len(groups[Write]) != 1 || len(groups[Scan]) != 1 || len(groups[ReadWrite]) != 1 {
 		t.Fatalf("groups = %v", groups)
 	}
@@ -172,10 +297,10 @@ func TestAssignLPTBalances(t *testing.T) {
 	// within Graham's 7/6 bound for m=2.
 	parts := loadParts(7, 6, 5, 4, 3)
 	a := AssignLPT([]string{"n0", "n1"}, parts, 0)
-	if got := a.Makespan(); got != 14 {
+	if got := a.makespan(); got != 14 {
 		t.Fatalf("makespan = %v, want 14", got)
 	}
-	if opt := AssignExhaustive([]string{"n0", "n1"}, parts, 12).Makespan(); opt != 13 {
+	if opt := assignExhaustive([]string{"n0", "n1"}, parts, 12).makespan(); opt != 13 {
 		t.Fatalf("optimal makespan = %v, want 13", opt)
 	}
 	total := 0
@@ -193,7 +318,7 @@ func TestAssignLPTHotspotSpread(t *testing.T) {
 	// the hotspot alone with a cold partition, not with the intermediate.
 	parts := loadParts(34, 26, 20, 20)
 	a := AssignLPT([]string{"n0", "n1"}, parts, 2)
-	loads := a.Loads()
+	loads := a.loads()
 	if math.Abs(loads["n0"]-loads["n1"]) > 8 {
 		t.Fatalf("imbalanced: %v", loads)
 	}
@@ -264,8 +389,8 @@ func TestAssignLPTWithinGrahamBound(t *testing.T) {
 		for i := range nodes {
 			nodes[i] = fmt.Sprintf("n%d", i)
 		}
-		lpt := AssignLPT(nodes, parts, 0).Makespan()
-		opt := AssignExhaustive(nodes, parts, 12).Makespan()
+		lpt := AssignLPT(nodes, parts, 0).makespan()
+		opt := assignExhaustive(nodes, parts, 12).makespan()
 		bound := (4.0/3.0 - 1.0/(3.0*float64(n))) * opt
 		if lpt > bound+1e-9 {
 			t.Fatalf("trial %d: LPT %v exceeds Graham bound %v (opt %v)", trial, lpt, bound, opt)
@@ -276,47 +401,21 @@ func TestAssignLPTWithinGrahamBound(t *testing.T) {
 func TestAssignExhaustiveOptimal(t *testing.T) {
 	// 3,3,2,2,2 on 2 nodes: OPT = 6 (3+3 / 2+2+2).
 	parts := loadParts(3, 3, 2, 2, 2)
-	a := AssignExhaustive([]string{"n0", "n1"}, parts, 12)
-	if got := a.Makespan(); got != 6 {
+	a := assignExhaustive([]string{"n0", "n1"}, parts, 12)
+	if got := a.makespan(); got != 6 {
 		t.Fatalf("makespan = %v, want 6", got)
 	}
 }
 
 func TestAssignExhaustiveFallsBackWhenLarge(t *testing.T) {
 	parts := mkParts("p", 20)
-	a := AssignExhaustive([]string{"n0", "n1"}, parts, 12)
+	a := assignExhaustive([]string{"n0", "n1"}, parts, 12)
 	total := 0
 	for _, ps := range a {
 		total += len(ps)
 	}
 	if total != 20 {
 		t.Fatalf("fallback lost partitions: %d", total)
-	}
-}
-
-func TestAssignFirstFitAndRoundRobin(t *testing.T) {
-	parts := loadParts(10, 1, 1, 1)
-	ff := AssignFirstFit([]string{"n0", "n1"}, parts, 2)
-	if len(ff["n0"]) != 2 || len(ff["n1"]) != 2 {
-		t.Fatalf("first fit = %v", ff)
-	}
-	rr := AssignRoundRobin([]string{"n0", "n1"}, parts)
-	if len(rr["n0"]) != 2 || len(rr["n1"]) != 2 {
-		t.Fatalf("round robin = %v", rr)
-	}
-	// LPT beats first-fit on makespan here.
-	lpt := AssignLPT([]string{"n0", "n1"}, parts, 0)
-	if lpt.Makespan() > ff.Makespan() {
-		t.Fatalf("LPT %v worse than first-fit %v", lpt.Makespan(), ff.Makespan())
-	}
-	// Degenerate inputs.
-	if len(AssignFirstFit(nil, parts, 0)) != 0 || len(AssignRoundRobin(nil, parts)) != 0 {
-		t.Fatal("no-node baselines misbehaved")
-	}
-	// Overflowing cap still places everything.
-	ff = AssignFirstFit([]string{"n0"}, parts, 1)
-	if len(ff["n0"]) != 4 {
-		t.Fatalf("cap overflow = %v", ff)
 	}
 }
 
@@ -329,29 +428,6 @@ func TestPartitionsPerNodeCap(t *testing.T) {
 	}
 	if got := PartitionsPerNodeCap(5, 0); got != 5 {
 		t.Fatalf("cap(5,0) = %d", got)
-	}
-}
-
-func TestImbalance(t *testing.T) {
-	a := Assignment{
-		"n0": loadParts(10),
-		"n1": loadParts(10),
-	}
-	if ib := a.Imbalance(); math.Abs(ib-1) > 1e-9 {
-		t.Fatalf("balanced imbalance = %v", ib)
-	}
-	b := Assignment{
-		"n0": loadParts(20),
-		"n1": nil,
-	}
-	if ib := b.Imbalance(); math.Abs(ib-2) > 1e-9 {
-		t.Fatalf("skewed imbalance = %v", ib)
-	}
-	if (Assignment{}).Imbalance() != 1 {
-		t.Fatal("empty imbalance != 1")
-	}
-	if (Assignment{"n0": nil}).Imbalance() != 1 {
-		t.Fatal("zero-load imbalance != 1")
 	}
 }
 
@@ -385,7 +461,7 @@ func TestComputeOutputMatchesSimilarSets(t *testing.T) {
 		{Type: Read, Partitions: []string{"a", "b"}},
 	}
 	got := ComputeOutput(current, optimal, false)
-	d := ComputeDiff(current, got)
+	d := computeDiff(current, got)
 	if d.PartitionMoves != 0 {
 		t.Fatalf("moves = %d, want 0 (got %v)", d.PartitionMoves, got)
 	}
@@ -405,7 +481,7 @@ func TestComputeOutputMinimizesMoves(t *testing.T) {
 		{Type: Read, Partitions: []string{"d", "e", "c"}},
 	}
 	got := ComputeOutput(current, optimal, false)
-	d := ComputeDiff(current, got)
+	d := computeDiff(current, got)
 	if d.PartitionMoves != 2 {
 		t.Fatalf("moves = %d, want 2 (got %v)", d.PartitionMoves, got)
 	}
@@ -460,13 +536,13 @@ func TestComputeOutputShrinkingCluster(t *testing.T) {
 func TestComputeDiffReconfigs(t *testing.T) {
 	current := []NodeState{{Node: "rs0", Type: Read, Partitions: []string{"a"}}}
 	target := []NodeState{{Node: "rs0", Type: Write, Partitions: []string{"a"}}}
-	d := ComputeDiff(current, target)
+	d := computeDiff(current, target)
 	if d.Reconfigs != 1 || d.PartitionMoves != 0 {
 		t.Fatalf("diff = %+v", d)
 	}
 	// A brand-new node counts as a reconfig (it must be configured).
 	target = append(target, NodeState{Node: "rs9", Type: Read, Partitions: []string{"z"}})
-	d = ComputeDiff(current, target)
+	d = computeDiff(current, target)
 	if d.Reconfigs != 2 || d.PartitionMoves != 1 {
 		t.Fatalf("diff = %+v", d)
 	}

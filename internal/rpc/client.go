@@ -92,9 +92,6 @@ func (c *Client) Refresh() error {
 	return nil
 }
 
-// Epoch returns the cached routing epoch.
-func (c *Client) Epoch() int64 { return c.layout.Load().routes.Epoch() }
-
 // Regions returns a copy of the cached layout's region list.
 func (c *Client) Regions() []hbase.LayoutRegion { return c.layout.Load().routes.Regions() }
 

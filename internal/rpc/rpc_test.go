@@ -213,7 +213,7 @@ func TestKilledWorkerFailoverReroutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := region.Server
-	epochBefore := cl.c.Epoch()
+	epochBefore := cl.c.layout.Load().routes.Epoch()
 	preRecovery := cl.c.layout.Load()
 	cl.workers[victim].Close()
 	cl.workers[victim].RegionServer().Shutdown()
@@ -266,8 +266,8 @@ func TestKilledWorkerFailoverReroutes(t *testing.T) {
 			}
 		}
 	}
-	if stale.Epoch() < reply.Epoch {
-		t.Fatalf("client never refreshed past the recovery epoch: %d < %d", stale.Epoch(), reply.Epoch)
+	if stale.layout.Load().routes.Epoch() < reply.Epoch {
+		t.Fatalf("client never refreshed past the recovery epoch: %d < %d", stale.layout.Load().routes.Epoch(), reply.Epoch)
 	}
 	// And writes route to the adopter too.
 	if err := cl.c.Put("t", "a9999", []byte("post")); err != nil {
@@ -300,8 +300,8 @@ func TestStaleEpochRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if node.Epoch() != 99 {
-		t.Fatalf("epoch push not applied: %d", node.Epoch())
+	if node.epoch.Load() != 99 {
+		t.Fatalf("epoch push not applied: %d", node.epoch.Load())
 	}
 	// A raw data call with the old epoch must bounce 409 stale-epoch.
 	body := appendStr(appendStr(nil, "t"), "k")
@@ -322,8 +322,8 @@ func TestStaleEpochRejected(t *testing.T) {
 	if resp, err := http.DefaultClient.Do(req); err == nil {
 		resp.Body.Close()
 	}
-	if node.Epoch() != 99 {
-		t.Fatalf("epoch regressed on a lower push: %d", node.Epoch())
+	if node.epoch.Load() != 99 {
+		t.Fatalf("epoch regressed on a lower push: %d", node.epoch.Load())
 	}
 }
 

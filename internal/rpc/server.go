@@ -98,9 +98,6 @@ func (s *Server) Addr() string {
 	return s.lis.Addr().String()
 }
 
-// Draining reports whether Drain has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Drain gracefully stops serving: readiness flips off first (load
 // balancers and clients stop sending), then the HTTP server shuts
 // down — in-flight requests run to completion, new connections are

@@ -45,9 +45,6 @@ func NewServerNode(rs *hbase.RegionServer, epoch int64, logw io.Writer) *ServerN
 // RegionServer exposes the wrapped server (for tests and metnode).
 func (n *ServerNode) RegionServer() *hbase.RegionServer { return n.rs }
 
-// Epoch returns the node's current routing epoch.
-func (n *ServerNode) Epoch() int64 { return n.epoch.Load() }
-
 // checkEpoch rejects data calls routed with a stale layout: a client
 // epoch below the node's means the client missed at least one layout
 // change and may be talking to the wrong server entirely.

@@ -27,14 +27,8 @@ func (t Time) Seconds() float64 { return time.Duration(t).Seconds() }
 // Minutes returns the time as a floating-point number of minutes.
 func (t Time) Minutes() float64 { return time.Duration(t).Minutes() }
 
-// Duration converts t to a time.Duration.
-func (t Time) Duration() time.Duration { return time.Duration(t) }
-
 // String formats the time like a time.Duration.
 func (t Time) String() string { return time.Duration(t).String() }
-
-// At returns the Time corresponding to d since the epoch.
-func At(d time.Duration) Time { return Time(d) }
 
 // Clock tracks the current virtual time. It only moves forward.
 type Clock struct {

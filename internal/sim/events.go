@@ -2,41 +2,30 @@ package sim
 
 import "container/heap"
 
-// Event is a callback scheduled to run at a virtual time.
-type Event struct {
-	At Time
-	Fn func(now Time)
-
-	seq   uint64 // tie-break so same-time events run in scheduling order
-	index int    // heap bookkeeping; -1 when not queued
+// event is a callback scheduled to run at a virtual time.
+type event struct {
+	at  Time
+	fn  func(now Time)
+	seq uint64 // tie-break so same-time events run in scheduling order
 }
 
-// eventHeap implements container/heap ordered by (At, seq).
-type eventHeap []*Event
+// eventHeap implements container/heap ordered by (at, seq).
+type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.index = -1
 	*h = old[:n-1]
 	return e
 }
@@ -58,36 +47,22 @@ func NewScheduler() *Scheduler {
 // Now returns the current virtual time.
 func (s *Scheduler) Now() Time { return s.clock.Now() }
 
-// Clock exposes the underlying clock (read-only use expected).
-func (s *Scheduler) Clock() *Clock { return s.clock }
-
 // Len reports the number of pending events.
 func (s *Scheduler) Len() int { return len(s.queue) }
 
 // ScheduleAt queues fn to run at absolute time t. Scheduling in the past
 // panics: it would silently reorder causality.
-func (s *Scheduler) ScheduleAt(t Time, fn func(now Time)) *Event {
+func (s *Scheduler) ScheduleAt(t Time, fn func(now Time)) {
 	if t < s.clock.Now() {
 		panic("sim: event scheduled in the past")
 	}
-	e := &Event{At: t, Fn: fn, seq: s.seq}
+	heap.Push(&s.queue, &event{at: t, fn: fn, seq: s.seq})
 	s.seq++
-	heap.Push(&s.queue, e)
-	return e
 }
 
 // ScheduleAfter queues fn to run d after the current time.
-func (s *Scheduler) ScheduleAfter(d Time, fn func(now Time)) *Event {
-	return s.ScheduleAt(s.clock.Now()+d, fn)
-}
-
-// Cancel removes a pending event. Cancelling an already-run or already-
-// cancelled event is a no-op.
-func (s *Scheduler) Cancel(e *Event) {
-	if e == nil || e.index < 0 || e.index >= len(s.queue) || s.queue[e.index] != e {
-		return
-	}
-	heap.Remove(&s.queue, e.index)
+func (s *Scheduler) ScheduleAfter(d Time, fn func(now Time)) {
+	s.ScheduleAt(s.clock.Now()+d, fn)
 }
 
 // Step runs the single earliest event. It reports false when the queue is
@@ -96,27 +71,20 @@ func (s *Scheduler) Step() bool {
 	if len(s.queue) == 0 {
 		return false
 	}
-	e := heap.Pop(&s.queue).(*Event)
-	s.clock.Advance(e.At)
-	e.Fn(e.At)
+	e := heap.Pop(&s.queue).(*event)
+	s.clock.Advance(e.at)
+	e.fn(e.at)
 	return true
 }
 
 // RunUntil executes events until the queue is empty or the next event is
 // after deadline. The clock finishes exactly at deadline.
 func (s *Scheduler) RunUntil(deadline Time) {
-	for len(s.queue) > 0 && s.queue[0].At <= deadline {
+	for len(s.queue) > 0 && s.queue[0].at <= deadline {
 		s.Step()
 	}
 	if deadline > s.clock.Now() {
 		s.clock.Advance(deadline)
-	}
-}
-
-// Run executes all pending events (including ones scheduled while
-// running). Use RunUntil for open-ended simulations.
-func (s *Scheduler) Run() {
-	for s.Step() {
 	}
 }
 

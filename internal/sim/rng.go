@@ -1,7 +1,5 @@
 package sim
 
-import "math"
-
 // RNG is a small, fast, deterministic pseudo-random number generator
 // (splitmix64 for seeding + xoshiro256** for the stream). Every stochastic
 // component takes an *RNG so experiments are exactly reproducible from a
@@ -30,11 +28,6 @@ func NewRNG(seed uint64) *RNG {
 	}
 	return r
 }
-
-// Split derives an independent generator from the current stream; useful
-// for giving each workload or node its own stream while preserving
-// determinism when components are added or removed.
-func (r *RNG) Split() *RNG { return NewRNG(r.Uint64()) }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
@@ -70,42 +63,6 @@ func (r *RNG) Int63n(n int64) int64 {
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// NormFloat64 returns a standard normal variate (Box–Muller).
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u == 0 {
-			continue
-		}
-		v := r.Float64()
-		return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
-	}
-}
-
-// ExpFloat64 returns an exponentially distributed variate with mean 1.
-func (r *RNG) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u == 0 {
-			continue
-		}
-		return -math.Log(u)
-	}
-}
-
-// Perm returns a random permutation of [0, n) (Fisher–Yates).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // Shuffle permutes a slice in place using the supplied swap function.

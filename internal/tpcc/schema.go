@@ -48,20 +48,6 @@ type Config struct {
 	ValueFiller int
 }
 
-// Standard returns the paper's configuration: 30 warehouses (≈15 GB with
-// full row fillers), 10 districts per warehouse, 3000 customers per
-// district, 100k items.
-func Standard() Config {
-	return Config{
-		Warehouses:           30,
-		DistrictsPerWH:       10,
-		CustomersPerDistrict: 3000,
-		Items:                100_000,
-		InitialOrdersPerDist: 3000,
-		ValueFiller:          400,
-	}
-}
-
 // Small returns a test-scale configuration.
 func Small() Config {
 	return Config{

@@ -31,24 +31,11 @@ func newLoadedCluster(t *testing.T, cfg Config, servers int) (*hbase.Master, *hb
 }
 
 func TestConfigValidate(t *testing.T) {
-	if err := Standard().Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if err := Small().Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if (Config{}).Validate() == nil {
 		t.Fatal("zero config accepted")
-	}
-}
-
-func TestStandardMatchesPaper(t *testing.T) {
-	cfg := Standard()
-	if cfg.Warehouses != 30 {
-		t.Fatalf("warehouses = %d, want 30 per Section 6.3", cfg.Warehouses)
-	}
-	if cfg.DistrictsPerWH != 10 || cfg.CustomersPerDistrict != 3000 || cfg.Items != 100_000 {
-		t.Fatalf("standard sizes wrong: %+v", cfg)
 	}
 }
 
@@ -342,17 +329,15 @@ func TestWarehousePartitioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.NumRegions() != 2 {
-		t.Fatalf("stock regions = %d, want 2", tbl.NumRegions())
+	if len(tbl.Regions()) != 2 {
+		t.Fatalf("stock regions = %d, want 2", len(tbl.Regions()))
 	}
 	itemTbl, _ := m.Table(TableItem)
-	if itemTbl.NumRegions() != 1 {
-		t.Fatalf("item regions = %d, want 1", itemTbl.NumRegions())
+	if len(itemTbl.Regions()) != 1 {
+		t.Fatalf("item regions = %d, want 1", len(itemTbl.Regions()))
 	}
 	// Rows route by warehouse: stock of wh1 and wh2 in different regions.
-	r1 := tbl.RegionFor(StockKey(1, 1))
-	r2 := tbl.RegionFor(StockKey(2, 1))
-	if r1 == r2 {
+	if lo := tbl.Regions()[0]; !lo.Contains(StockKey(1, 1)) || lo.Contains(StockKey(2, 1)) {
 		t.Fatal("warehouses share a region")
 	}
 }

@@ -1,25 +1,19 @@
 // Package ycsb reimplements the YCSB workload generator (Cooper et al.,
 // SoCC 2010) as used by the paper: the six standard workloads A–F with
 // the paper's modified proportions (WorkloadB: 100% update, WorkloadD: 5%
-// read / 95% insert), the hotspot key distribution configured so that 50%
-// of requests hit 40% of the key space, and zipfian / latest / uniform
-// generators for completeness. A closed-loop runner drives the functional
-// hbase cluster for examples and integration tests; the experiment
-// harness uses the same specs to parameterize the performance model.
+// read / 95% insert) and the two key distributions runs draw from: the
+// hotspot configured so that 50% of requests hit 40% of the key space,
+// and uniform. A closed-loop runner drives the functional hbase cluster
+// for examples and integration tests; the experiment harness uses the
+// same specs to parameterize the performance model.
 package ycsb
 
-import (
-	"math"
+import "met/internal/sim"
 
-	"met/internal/sim"
-)
-
-// Generator produces keys indices in [0, Count()).
+// Generator draws key indices from a key space [0, N).
 type Generator interface {
 	// Next returns the next key index.
 	Next(r *sim.RNG) int64
-	// Count returns the current key-space size.
-	Count() int64
 }
 
 // Uniform picks keys uniformly at random.
@@ -32,9 +26,6 @@ func NewUniform(n int64) *Uniform { return &Uniform{N: n} }
 
 // Next implements Generator.
 func (u *Uniform) Next(r *sim.RNG) int64 { return r.Int63n(u.N) }
-
-// Count implements Generator.
-func (u *Uniform) Count() int64 { return u.N }
 
 // Hotspot is YCSB's hotspot distribution: HotOpnFraction of operations
 // target the first HotsetFraction of the key space (uniformly), the rest
@@ -66,115 +57,3 @@ func (h *Hotspot) Next(r *sim.RNG) int64 {
 	}
 	return hot + r.Int63n(h.N-hot)
 }
-
-// Count implements Generator.
-func (h *Hotspot) Count() int64 { return h.N }
-
-// Zipfian implements the Gray et al. quick zipfian sampler YCSB uses,
-// with constant 0.99.
-type Zipfian struct {
-	n              int64
-	theta          float64
-	alpha          float64
-	zetan          float64
-	eta            float64
-	zeta2theta     float64
-	countForZeta   int64
-	allowDecrement bool
-}
-
-// ZipfianConstant is YCSB's default skew.
-const ZipfianConstant = 0.99
-
-// NewZipfian returns a zipfian generator over [0, n).
-func NewZipfian(n int64) *Zipfian {
-	z := &Zipfian{n: n, theta: ZipfianConstant}
-	z.zeta2theta = zetaStatic(2, z.theta)
-	z.alpha = 1.0 / (1.0 - z.theta)
-	z.zetan = zetaStatic(n, z.theta)
-	z.countForZeta = n
-	z.eta = (1 - math.Pow(2.0/float64(n), 1-z.theta)) / (1 - z.zeta2theta/z.zetan)
-	return z
-}
-
-func zetaStatic(n int64, theta float64) float64 {
-	var sum float64
-	for i := int64(1); i <= n; i++ {
-		sum += 1 / math.Pow(float64(i), theta)
-	}
-	return sum
-}
-
-// Next implements Generator.
-func (z *Zipfian) Next(r *sim.RNG) int64 {
-	u := r.Float64()
-	uz := u * z.zetan
-	if uz < 1 {
-		return 0
-	}
-	if uz < 1+math.Pow(0.5, z.theta) {
-		return 1
-	}
-	return int64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
-}
-
-// Count implements Generator.
-func (z *Zipfian) Count() int64 { return z.n }
-
-// Scrambled wraps a zipfian so popular items are spread over the key
-// space (YCSB's ScrambledZipfian), avoiding adjacency of hot keys.
-type Scrambled struct {
-	Z *Zipfian
-}
-
-// NewScrambled returns a scrambled zipfian over [0, n).
-func NewScrambled(n int64) *Scrambled { return &Scrambled{Z: NewZipfian(n)} }
-
-// Next implements Generator.
-func (s *Scrambled) Next(r *sim.RNG) int64 {
-	raw := s.Z.Next(r)
-	return int64(fnv64(uint64(raw)) % uint64(s.Z.n))
-}
-
-// Count implements Generator.
-func (s *Scrambled) Count() int64 { return s.Z.n }
-
-func fnv64(v uint64) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= prime
-		v >>= 8
-	}
-	return h
-}
-
-// Latest favors recently inserted records (YCSB's latest distribution,
-// used by workload D in stock YCSB). It reads the insert counter owned by
-// the keyspace.
-type Latest struct {
-	Counter *int64
-	z       *Zipfian
-}
-
-// NewLatest returns a latest-skewed generator tracking counter.
-func NewLatest(counter *int64) *Latest {
-	return &Latest{Counter: counter, z: NewZipfian(*counter + 1)}
-}
-
-// Next implements Generator.
-func (l *Latest) Next(r *sim.RNG) int64 {
-	n := *l.Counter
-	if n <= 0 {
-		return 0
-	}
-	if l.z.n != n {
-		l.z = NewZipfian(n)
-	}
-	off := l.z.Next(r)
-	return n - 1 - off
-}
-
-// Count implements Generator.
-func (l *Latest) Count() int64 { return *l.Counter }

@@ -243,6 +243,3 @@ func (r *Runner) Errors() int64 { return r.errors.Load() }
 // (server restarting, store retired by a split); they are neither
 // completed nor hard errors.
 func (r *Runner) Transient() int64 { return r.transient.Load() }
-
-// Inserts returns the current keyspace size (initial + inserted).
-func (r *Runner) Inserts() int64 { return r.inserts.Load() }

@@ -57,7 +57,7 @@ func TestRunnerParallelMatchesWorkloadMix(t *testing.T) {
 }
 
 // TestRunnerParallelInsertsExtendKeyspace verifies the atomic insert
-// cursor: concurrent inserts mint unique keys and grow Inserts().
+// cursor: concurrent inserts mint unique keys and grow the keyspace.
 func TestRunnerParallelInsertsExtendKeyspace(t *testing.T) {
 	m, c := newTestCluster(t, 3)
 	w := PaperWorkloads()[3] // D: 5% read / 95% insert
@@ -81,11 +81,11 @@ func TestRunnerParallelInsertsExtendKeyspace(t *testing.T) {
 	if inserted == 0 {
 		t.Fatal("no inserts in a 95% insert workload")
 	}
-	if got := p.Inserts(); got != w.RecordCount+inserted {
+	if got := p.inserts.Load(); got != w.RecordCount+inserted {
 		t.Fatalf("keyspace = %d, want %d + %d", got, w.RecordCount, inserted)
 	}
 	// Every minted key actually landed: read back the full tail.
-	for i := w.RecordCount; i < p.Inserts(); i++ {
+	for i := w.RecordCount; i < p.inserts.Load(); i++ {
 		if _, err := c.Get(w.TableName(), w.Key(i)); err != nil {
 			t.Fatalf("inserted key %d missing: %v", i, err)
 		}
