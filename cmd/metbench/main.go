@@ -20,7 +20,7 @@
 // code path, and N > 1 exercises the cluster's concurrent serving path.
 // The run is split into ten batches; with -met the MeT controller is
 // attached and takes a monitoring sample — and possibly reconfigures
-// the cluster — between batches, at any -concurrency.
+// the cluster — between batches, at any -concurrency, printing why.
 //
 // With -durable DIR every region store runs on the on-disk backend
 // (met/internal/durable): group-committed WAL, SSTables, crash
@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"met"
+	"met/internal/core"
 	"met/internal/hbase"
 	"met/internal/kv"
 	"met/internal/obs"
@@ -380,7 +381,13 @@ func runYCSB(cluster *met.Cluster, letter string, ops int, records int64, seed u
 		params.MinSamples = 2
 		params.MinNodes = len(cluster.Master.Servers())
 		params.MaxNodes = params.MinNodes
-		ctrl = met.NewController(cluster, params, 100)
+		ctrl = met.NewController(cluster, params)
+		ctrl.OnDecision = func(d core.Decision, _ core.ApplyReport) {
+			fmt.Printf("MeT decision: %s (add %d, reconfigure %v)\n", d.Health, d.NodesToAdd, d.Reconfigure)
+			for _, n := range d.Nodes {
+				fmt.Printf("  %-8s cpu %.3f  iowait %.3f  mem %.3f\n", n.Name, n.CPU, n.IOWait, n.Memory)
+			}
+		}
 		ctrl.Tick()
 		ctrl.Monitor.Reset()
 	}

@@ -46,13 +46,14 @@ func main() {
 	}
 	fmt.Println("loaded 6 tenants")
 
-	// MeT over the cluster: nominal capacity tuned so this example's
-	// load reads as heavy.
+	// MeT over the cluster. One sequential client busies at most one of
+	// a server's ten handlers, so a 1% CPU threshold reads as heavy.
 	params := met.DefaultParams()
 	params.MinSamples = 2
 	params.MinNodes = 5
 	params.MaxNodes = 5
-	ctrl := met.NewController(cluster, params, 40)
+	params.CPUHigh = 0.01
+	ctrl := met.NewController(cluster, params)
 
 	// Prime the monitor so the bulk-load writes above do not count as
 	// workload traffic, then interleave load with monitoring samples

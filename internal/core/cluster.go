@@ -6,12 +6,10 @@ import (
 
 	"met/internal/hbase"
 	"met/internal/metrics"
-	"met/internal/obs"
 )
 
 // SamplePeriod is the Monitor's polling period, 30 s in the paper: the
-// period at which whoever drives a Controller ticks it, and the one over
-// which MasterCluster turns request counts into rates.
+// period at which whoever drives a Controller ticks it.
 const SamplePeriod = 30 * time.Second
 
 // Member is one node of a Cluster as the Actuator sees it.
@@ -52,62 +50,31 @@ type Cluster interface {
 // and restarts complete before they return, so a plan on it runs to the
 // end inside Apply. Every hosted region counts as carrying traffic.
 //
-// System metrics have no physical meaning in the functional layer, so
-// Observe derives CPU and I/O wait from each server's request rate over
-// the last SamplePeriod against NominalOpsPerSec — enough for StageA's
-// thresholds to respond to real load imbalance. The simulated
-// deployment supplies modeled utilizations instead.
+// Observe measures each server's CPU, I/O wait and memory from its
+// previous and current stats snapshots (hbase.SystemUsage); the
+// simulated deployment supplies modeled utilizations instead.
 type MasterCluster struct {
 	*hbase.Master
-	// NominalOpsPerSec is the per-node request rate counted as 100%
-	// CPU.
-	NominalOpsPerSec float64
 
-	prevNode map[string]metrics.RequestCounts
+	prev map[string]hbase.ServerStats // each server's last snapshot
 }
 
 // Observe implements Cluster from one Stats snapshot per server.
 func (c *MasterCluster) Observe() ([]metrics.NodeObservation, []metrics.RegionObservation) {
-	if c.prevNode == nil {
-		c.prevNode = make(map[string]metrics.RequestCounts)
-	}
 	var nodes []metrics.NodeObservation
 	var regions []metrics.RegionObservation
-	// One real runtime sample per poll; it describes the whole process,
-	// so every durable node in this single-process cluster shares it.
-	memory := -1.0
+	next := make(map[string]hbase.ServerStats)
 	for _, rs := range c.Servers() {
 		// The node's whole state in one snapshot; a decision rule that
 		// wants engine, WAL or replication health finds it in st too.
 		st := rs.Stats()
-		delta := st.Requests.Sub(c.prevNode[st.Name])
-		c.prevNode[st.Name] = st.Requests
-		rate := float64(delta.Total()) / SamplePeriod.Seconds()
-		util := 0.0
-		if c.NominalOpsPerSec > 0 {
-			util = rate / c.NominalOpsPerSec
-		}
-		if util > 1 {
-			util = 1
-		}
-		sys := metrics.SystemMetrics{
-			CPUUtilization: util,
-			IOWait:         util * 0.4,
-			MemoryUsage:    0.5,
-		}
-		if rs.Config().DataDir != "" {
-			// Durable nodes are a real process: report the runtime's
-			// memory pressure instead of the simulation placeholder.
-			if memory < 0 {
-				memory = obs.ReadProcessStats().MemoryFraction()
-			}
-			sys.MemoryUsage = memory
-		}
-		nodes = append(nodes, metrics.NodeObservation{Node: st.Name, System: sys})
+		nodes = append(nodes, metrics.NodeObservation{Node: st.Name, System: hbase.SystemUsage(c.prev[st.Name], st)})
+		next[st.Name] = st
 		for _, r := range st.PerRegion {
 			regions = append(regions, metrics.RegionObservation{Region: r.Name, Node: st.Name, Requests: r.Requests})
 		}
 	}
+	c.prev = next // forget servers that left
 	return nodes, regions
 }
 

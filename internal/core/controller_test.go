@@ -49,12 +49,15 @@ func driveLoad(t *testing.T, c *hbase.Client, n int) {
 }
 
 func newTestController(m *hbase.Master) *Controller {
-	// Nominal capacity low enough that the drive loads read as heavy.
 	params := DefaultParams()
 	params.MinSamples = 2
 	params.MinNodes = 2
+	// One sequential client keeps a node's handlers busy 1-3% of the
+	// time (measured): driveLoad reads as heavy, so the controller
+	// decides on overload.
+	params.CPUHigh = 0.005
 	dm := NewDecisionMaker(params, Table1Profiles())
-	return NewController(&MasterCluster{Master: m, NominalOpsPerSec: 20}, dm)
+	return NewController(&MasterCluster{Master: m}, dm)
 }
 
 func TestControllerInitialReconfiguration(t *testing.T) {
@@ -134,7 +137,7 @@ func TestControllerHealthyClusterUntouched(t *testing.T) {
 	params.MinSamples = 2
 	params.CPULow = 0 // nothing is ever "underloaded"
 	dm := NewDecisionMaker(params, Table1Profiles())
-	ctrl := NewController(&MasterCluster{Master: m, NominalOpsPerSec: 1e9}, dm) // huge nominal: never loaded
+	ctrl := NewController(&MasterCluster{Master: m}, dm)
 	driveLoad(t, c, 100)
 	ctrl.Tick()
 	driveLoad(t, c, 100)
@@ -176,7 +179,7 @@ func TestControllerSchedulerIntegration(t *testing.T) {
 
 func TestFunctionalActuatorAddAndRemove(t *testing.T) {
 	m, c := buildCluster(t, 2)
-	mc := &MasterCluster{Master: m, NominalOpsPerSec: 50}
+	mc := &MasterCluster{Master: m}
 	params := DefaultParams()
 	act := NewActuator(mc, NewMonitor(mc), params, Table1Profiles())
 
@@ -241,7 +244,7 @@ func TestProvisionNames(t *testing.T) {
 
 func TestMonitorAccumulatesDeltas(t *testing.T) {
 	m, c := buildCluster(t, 2)
-	mon := NewMonitor(&MasterCluster{Master: m, NominalOpsPerSec: 50})
+	mon := NewMonitor(&MasterCluster{Master: m})
 	driveLoad(t, c, 100)
 	mon.Poll()
 	driveLoad(t, c, 100)

@@ -130,8 +130,8 @@ type Decision struct {
 	// Target is StageD's distribution for the (possibly resized)
 	// cluster, including the profile each node must run.
 	Target []placement.NodeState
-	// SubOptimalFraction is the fraction of sub-optimal nodes observed.
-	SubOptimalFraction float64
+	// Nodes are the smoothed per-node inputs StageA judged.
+	Nodes []NodeView
 }
 
 // DecisionMaker holds the state Algorithm 1 keeps between invocations.
@@ -304,7 +304,7 @@ func currentState(view ClusterView) []placement.NodeState {
 // Actuator's provisioning namespace); only the first NodesToAdd are used.
 func (d *DecisionMaker) Decide(view ClusterView, newNodeNames []string) Decision {
 	health, subOptimal := d.stageA(view)
-	dec := Decision{Health: health, SubOptimalFraction: subOptimal}
+	dec := Decision{Health: health, Nodes: view.Nodes}
 	if health == HealthAcceptable {
 		d.ResetGrowth()
 		return dec

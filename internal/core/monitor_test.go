@@ -90,7 +90,7 @@ func TestMonitorNodesSorted(t *testing.T) {
 // phantom node and MeT never re-adds what it removed.
 func TestMonitorDropsRemovedNode(t *testing.T) {
 	m, c := buildCluster(t, 3)
-	mon := NewMonitor(&MasterCluster{Master: m, NominalOpsPerSec: 50})
+	mon := NewMonitor(&MasterCluster{Master: m})
 	driveLoad(t, c, 50)
 	mon.Poll()
 	if err := m.DecommissionServer("rs2"); err != nil {

@@ -67,7 +67,9 @@ type ServerConfig struct {
 	// BlockBytes is the HFile block size (64 KB default; 32 KB favors
 	// random reads, 128 KB favors scans).
 	BlockBytes int
-	// Handlers is the RPC handler count (default 10).
+	// Handlers is the RPC handler count (default 10): the CPU capacity
+	// SystemUsage divides a server's op time by. Nothing enforces it,
+	// so more concurrent ops than Handlers read as a full CPU.
 	Handlers int
 	// DataDir, when non-empty, switches every region store hosted by
 	// this server to the durable disk backend (met/internal/durable):
@@ -90,9 +92,6 @@ type ServerConfig struct {
 	// pays only a nil check per stage. Like DataDir and Compaction this
 	// is a deployment property WithProfile carries across profiles.
 	SlowOpThreshold time.Duration
-	// SlowOpLogSize is the slow-op ring capacity; 0 means
-	// obs.DefaultSlowLogSize.
-	SlowOpLogSize int
 }
 
 // CompactionConfig exposes the background compaction knobs through the
@@ -182,9 +181,6 @@ func (c ServerConfig) Validate() error {
 	}
 	if c.SlowOpThreshold < 0 {
 		return fmt.Errorf("hbase: negative slow-op threshold %v", c.SlowOpThreshold)
-	}
-	if c.SlowOpLogSize < 0 {
-		return fmt.Errorf("hbase: negative slow-op log size %d", c.SlowOpLogSize)
 	}
 	return c.Compaction.Validate()
 }

@@ -57,6 +57,7 @@ type RegionServer struct {
 	requests metrics.AtomicCounts
 	running  bool
 	restarts int
+	started  time.Time // creation, the start of a first Stats period
 
 	// compactor is the server-wide background compaction pool shared by
 	// every hosted region's store (HBase's per-server compaction
@@ -100,8 +101,9 @@ func NewRegionServer(name string, cfg ServerConfig, nn *hdfs.Namenode) (*RegionS
 		index:    make(map[string][]*Region),
 		cache:    kv.NewBlockCache(int(cfg.BlockCacheBytes())),
 		running:  true,
+		started:  time.Now(),
 	}
-	s.tel.slowLog = obs.NewSlowLog(cfg.SlowOpLogSize)
+	s.tel.slowLog = obs.NewSlowLog(obs.DefaultSlowLogSize)
 	s.tel.setConfig(cfg)
 	s.compactor = newCompactorPool(cfg.Compaction)
 	s.replicator = newReplicator(cfg, s.compactor)
@@ -271,6 +273,7 @@ func (s *RegionServer) storeConfigFor(regionName string, numRegions int) kv.Conf
 	// Keyed by name, so the hook survives store swaps (restarts reopen
 	// with a fresh config carrying the same hook).
 	cfg.OnFilesChanged = func() { s.filesChanged(regionName) }
+	cfg.OnIOWait = s.tel.noteIOWait
 	var opts durable.Options
 	if s.compactor != nil {
 		// Background compaction: the store asks the shared pool for
@@ -323,10 +326,12 @@ func (s *RegionServer) OpenRegion(r *Region) {
 	s.adoptWAL(r)
 	s.rewireStore(r.Store())
 	// A store arriving from another server still carries that server's
-	// files-changed hook; from here on its flushes and compactions are
-	// ours to mirror and ship.
+	// files-changed and I/O-wait hooks; from here on its flushes and
+	// compactions are ours to mirror and ship, its flush and stall time
+	// ours to count.
 	name := r.Name()
 	r.Store().SetFilesChanged(func() { s.filesChanged(name) })
+	r.Store().SetIOWait(s.tel.noteIOWait)
 	s.trackReplication(r)
 	s.mu.Lock()
 	s.regions[name] = r

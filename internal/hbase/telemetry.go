@@ -30,6 +30,20 @@ type serverTelemetry struct {
 	lat       opHists
 	slowLog   *obs.SlowLog
 	slowNanos atomic.Int64 // 0 = tracing disabled
+	// flush and stallNanos are the memstore flushes and write stalls of
+	// the stores while hosted here (kv.Config.OnIOWait): a moved store's
+	// history stays with the server it ran on.
+	flush      obs.Histogram
+	stallNanos atomic.Int64
+}
+
+// noteIOWait is every hosted store's kv.Config.OnIOWait.
+func (t *serverTelemetry) noteIOWait(d time.Duration, stall bool) {
+	if stall {
+		t.stallNanos.Add(int64(d))
+	} else {
+		t.flush.Record(d)
+	}
 }
 
 // beginOp starts a trace for an operation when tracing is armed.
@@ -59,16 +73,15 @@ func (s *RegionServer) SlowOps() []obs.SlowOp { return s.tel.slowLog.Snapshot() 
 func (s *RegionServer) SlowOpsTotal() int64 { return s.tel.slowLog.Total() }
 
 // LatencyStats is a server's full latency snapshot: the three serving
-// histograms plus every engine-side duration distribution, with the
-// per-region flush histograms merged server-wide. Zero-valued snapshots
-// mean the subsystem is absent (no WAL on the in-memory backend, no
-// replicator without a DataDir).
+// histograms plus every engine-side duration distribution. Zero-valued
+// snapshots mean the subsystem is absent (no WAL on the in-memory
+// backend, no replicator without a DataDir).
 type LatencyStats struct {
 	Get             obs.Snapshot `json:"get"`
 	Put             obs.Snapshot `json:"put"`
 	Scan            obs.Snapshot `json:"scan"`
 	Fsync           obs.Snapshot `json:"fsync"`            // shared-WAL commit fsync rounds
-	Flush           obs.Snapshot `json:"flush"`            // memstore flushes, all hosted regions
+	Flush           obs.Snapshot `json:"flush"`            // memstore flushes while hosted here
 	Compaction      obs.Snapshot `json:"compaction"`       // background pool merges
 	ReplicationShip obs.Snapshot `json:"replication_ship"` // SSTable reconciles that copied data
 	TailShip        obs.Snapshot `json:"tail_ship"`        // WAL-tail frame-file ships
@@ -92,12 +105,10 @@ func (ls *LatencyStats) Classes() []LatencyClass {
 // LatencyStats snapshots the server's latency histograms.
 func (s *RegionServer) LatencyStats() LatencyStats {
 	ls := LatencyStats{
-		Get:  s.tel.lat.get.Snapshot(),
-		Put:  s.tel.lat.put.Snapshot(),
-		Scan: s.tel.lat.scan.Snapshot(),
-	}
-	for _, r := range s.Regions() {
-		ls.Flush.Merge(r.Store().FlushLatency())
+		Get:   s.tel.lat.get.Snapshot(),
+		Put:   s.tel.lat.put.Snapshot(),
+		Scan:  s.tel.lat.scan.Snapshot(),
+		Flush: s.tel.flush.Snapshot(),
 	}
 	s.mu.RLock()
 	wal, pool, repl := s.wal, s.compactor, s.replicator
@@ -128,12 +139,17 @@ type RegionStats struct {
 // ServerStats is everything one region server reports about itself at
 // one instant: each layer's own snapshot plus the quantities derived
 // from more than one counter. The /metrics page (WriteServerMetrics),
-// metbench's report and the controller's monitor (core.MasterCluster)
-// all read it, so a number means the same thing wherever it shows up.
-// A plain value: copy it, marshal it, Add it.
+// metbench's report and the controller's monitor (core.MasterCluster,
+// through SystemUsage) all read it, so a number means the same thing
+// wherever it shows up. A plain value: copy it, marshal it, Add it.
 type ServerStats struct {
 	Name        string                `json:"name,omitempty"`
 	Up          bool                  `json:"up,omitempty"`
+	At          time.Time             `json:"at"`          // when taken: SystemUsage's periods end here
+	Started     time.Time             `json:"started"`     // when the server was created
+	CacheBytes  int64                 `json:"cache_bytes"` // block cache in use
+	HeapBytes   int64                 `json:"heap_bytes"`
+	Handlers    int                   `json:"handlers"`
 	Regions     int                   `json:"regions"`
 	Requests    metrics.RequestCounts `json:"requests"` // cumulative
 	Locality    float64               `json:"locality,omitempty"`
@@ -143,6 +159,9 @@ type ServerStats struct {
 	WAL         WALStats              `json:"wal"`
 	Latency     LatencyStats          `json:"latency"`
 	SlowOps     int64                 `json:"slow_ops"`
+	// StallNanos is the write-stall time of the stores while hosted
+	// here; Engine.StallNanos sums the hosted stores', moving with them.
+	StallNanos int64 `json:"stall_ns"`
 
 	// Derived (see derive). A backlog is work queued plus in flight:
 	// stores awaiting compaction, regions whose replicas are behind — a
@@ -167,11 +186,52 @@ func (st *ServerStats) derive() {
 	}
 }
 
+// SystemUsage derives StageA's inputs from two snapshots of a server,
+// each capped at 1. CPU is Get/Put/Scan time over Handlers × the
+// period: handler-busy time, which includes the fsync and stall waits
+// inside Puts, so it is not CPU time alone. I/O wait is fsync, flush and
+// stall time over the period. Memory is memstore plus block cache over
+// the heap. Without a prev of cur's server the period starts at its
+// start; a sum that fell counts whole.
+func SystemUsage(prev, cur ServerStats) metrics.SystemMetrics {
+	if !prev.Started.Equal(cur.Started) {
+		prev = ServerStats{At: cur.Started}
+	}
+	period := float64(cur.At.Sub(prev.At))
+	p, c := &prev.Latency, &cur.Latency
+	busy := grown(p.Get.Sum(), c.Get.Sum()) + grown(p.Put.Sum(), c.Put.Sum()) + grown(p.Scan.Sum(), c.Scan.Sum())
+	wait := grown(p.Fsync.Sum(), c.Fsync.Sum()) + grown(p.Flush.Sum(), c.Flush.Sum()) + grown(prev.StallNanos, cur.StallNanos)
+	return metrics.SystemMetrics{
+		CPUUtilization: fraction(busy, period*float64(cur.Handlers)),
+		IOWait:         fraction(wait, period),
+		MemoryUsage:    fraction(float64(cur.Engine.MemstoreCurrent+cur.CacheBytes), float64(cur.HeapBytes)),
+	}
+}
+
+// grown is a cumulative sum's growth; one that fell restarted.
+func grown(prev, cur int64) float64 {
+	if cur < prev {
+		prev = 0
+	}
+	return float64(cur - prev)
+}
+
+// fraction is n/d capped at 1, and 0 over an empty d.
+func fraction(n, d float64) float64 {
+	if d <= 0 {
+		return 0
+	}
+	return min(n/d, 1)
+}
+
 // Add returns the roll-up of two servers' snapshots: counters and
 // gauges sum, histograms merge, derived fields are recomputed. Name,
-// Up, Locality and PerRegion describe one server and come out zero.
+// Up, At, Started, Locality and PerRegion describe one server and come
+// out zero.
 func (st ServerStats) Add(o ServerStats) ServerStats {
-	st.Name, st.Up, st.Locality, st.PerRegion = "", false, 0, nil
+	st.Name, st.Up, st.At, st.Started, st.Locality, st.PerRegion = "", false, time.Time{}, time.Time{}, 0, nil
+	st.CacheBytes, st.HeapBytes, st.Handlers = st.CacheBytes+o.CacheBytes, st.HeapBytes+o.HeapBytes, st.Handlers+o.Handlers
+	st.StallNanos += o.StallNanos
 	st.Regions += o.Regions
 	st.Requests = st.Requests.Add(o.Requests)
 	st.Engine = st.Engine.Add(o.Engine)
@@ -195,9 +255,18 @@ func (st ServerStats) Add(o ServerStats) ServerStats {
 // serving path calls it.
 func (s *RegionServer) Stats() ServerStats {
 	regions := s.Regions()
+	s.mu.RLock()
+	cfg, cache := s.cfg, s.cache
+	s.mu.RUnlock()
 	st := ServerStats{
 		Name:        s.name,
 		Up:          s.Running(),
+		At:          time.Now(),
+		Started:     s.started,
+		CacheBytes:  int64(cache.Used()),
+		HeapBytes:   cfg.HeapBytes,
+		Handlers:    cfg.Handlers,
+		StallNanos:  s.tel.stallNanos.Load(),
 		Regions:     len(regions),
 		Requests:    s.Requests(),
 		Locality:    s.Locality(),

@@ -3,6 +3,7 @@ package hbase
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"met/internal/hdfs"
 	"met/internal/kv"
+	"met/internal/metrics"
 	"met/internal/obs"
 )
 
@@ -111,7 +113,6 @@ func TestSlowOpCaptureAndRing(t *testing.T) {
 	m := NewMaster(nn)
 	cfg := DefaultServerConfig()
 	cfg.SlowOpThreshold = time.Nanosecond // everything is slow
-	cfg.SlowOpLogSize = 8
 	if _, err := m.AddServer("rs0", cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -119,18 +120,18 @@ func TestSlowOpCaptureAndRing(t *testing.T) {
 	if _, err := m.CreateTable("t", nil); err != nil {
 		t.Fatal(err)
 	}
-	drive(t, c, "t", 20) // 40 point ops + 1 scan, ring holds 8
+	drive(t, c, "t", 70) // 140 point ops + 1 scan, ring holds 128
 
 	rs, err := m.Server("rs0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total := rs.SlowOpsTotal(); total != 41 {
-		t.Fatalf("slow-op total = %d, want 41", total)
+	if total := rs.SlowOpsTotal(); total != 141 {
+		t.Fatalf("slow-op total = %d, want 141", total)
 	}
 	ops := rs.SlowOps()
-	if len(ops) != 8 {
-		t.Fatalf("ring retained %d ops, want capacity 8", len(ops))
+	if len(ops) != obs.DefaultSlowLogSize {
+		t.Fatalf("ring retained %d ops, want capacity %d", len(ops), obs.DefaultSlowLogSize)
 	}
 	for _, op := range ops {
 		if op.Total <= 0 {
@@ -153,8 +154,8 @@ func TestSlowOpCaptureAndRing(t *testing.T) {
 	}
 
 	// Master-level aggregation sees the same entries.
-	if agg := m.SlowOps(); len(agg) != 8 {
-		t.Fatalf("master aggregation returned %d ops, want 8", len(agg))
+	if agg := m.SlowOps(); len(agg) != obs.DefaultSlowLogSize {
+		t.Fatalf("master aggregation returned %d ops, want %d", len(agg), obs.DefaultSlowLogSize)
 	}
 }
 
@@ -378,6 +379,141 @@ func TestStatsOneDefinition(t *testing.T) {
 		}
 		if got := report[g.field]; got != float64(g.want) {
 			t.Errorf("JSON %s = %v, want %d", g.field, got, g.want)
+		}
+	}
+}
+
+// TestSystemUsage pins the one derivation of a node's CPU, I/O wait
+// and memory from two snapshots of its server: each input alone, the
+// cap at 1, a first snapshot measured from the server's start, a new
+// server under an old name, a sum that fell counted whole, and the
+// hosted stores' own stall time left out.
+func TestSystemUsage(t *testing.T) {
+	started := time.Unix(1000, 0)
+	at := started.Add(10 * time.Second)
+	// lat records each duration once into a fresh histogram.
+	lat := func(ds ...time.Duration) obs.Snapshot {
+		var h obs.Histogram
+		for _, d := range ds {
+			h.Record(d)
+		}
+		return h.Snapshot()
+	}
+	// stats is one snapshot of a 10-handler, 1000-byte-heap server.
+	stats := func(at time.Time, edit func(*ServerStats)) ServerStats {
+		st := ServerStats{At: at, Started: started, Handlers: 10, HeapBytes: 1000}
+		if edit != nil {
+			edit(&st)
+		}
+		return st
+	}
+	prev := stats(at, func(st *ServerStats) {
+		st.Latency.Get = lat(time.Second)
+		st.Latency.Fsync = lat(time.Second)
+		st.StallNanos = int64(time.Second)
+	})
+	later := at.Add(time.Second)
+	for _, tc := range []struct {
+		name string
+		prev ServerStats
+		cur  ServerStats
+		want metrics.SystemMetrics
+	}{
+		{"cpu is op time over handlers and period", prev, stats(later, func(st *ServerStats) {
+			st.Latency.Get = lat(time.Second, time.Second)
+			st.Latency.Put = lat(500 * time.Millisecond)
+			st.Latency.Scan = lat(500 * time.Millisecond)
+			st.Latency.Fsync, st.StallNanos = prev.Latency.Fsync, prev.StallNanos
+		}), metrics.SystemMetrics{CPUUtilization: 0.2}},
+		{"io wait is fsync, flush and stall time over the period", prev, stats(later, func(st *ServerStats) {
+			st.Latency.Get = prev.Latency.Get
+			st.Latency.Fsync = lat(time.Second, 100*time.Millisecond)
+			st.Latency.Flush = lat(200 * time.Millisecond)
+			st.StallNanos = int64(1300 * time.Millisecond)
+		}), metrics.SystemMetrics{IOWait: 0.6}},
+		{"the hosted stores' own stall time is not the server's", prev, stats(later, func(st *ServerStats) {
+			st.Latency.Get, st.Latency.Fsync, st.StallNanos = prev.Latency.Get, prev.Latency.Fsync, prev.StallNanos
+			st.Engine.StallNanos = int64(time.Minute) // a store moved in with its history
+		}), metrics.SystemMetrics{}},
+		{"memory is memstore and cache over heap", prev, stats(later, func(st *ServerStats) {
+			st.Latency.Get, st.Latency.Fsync, st.StallNanos = prev.Latency.Get, prev.Latency.Fsync, prev.StallNanos
+			st.Engine.MemstoreCurrent, st.CacheBytes = 100, 200
+		}), metrics.SystemMetrics{MemoryUsage: 0.3}},
+		{"each is capped at 1", prev, stats(later, func(st *ServerStats) {
+			st.Latency.Get = lat(time.Second, 20*time.Second)
+			st.Latency.Fsync = lat(time.Second, 2*time.Second)
+			st.StallNanos = prev.StallNanos
+			st.Engine.MemstoreCurrent, st.CacheBytes = 600, 600
+		}), metrics.SystemMetrics{CPUUtilization: 1, IOWait: 1, MemoryUsage: 1}},
+		{"a first snapshot measures from the server's start", ServerStats{}, prev,
+			metrics.SystemMetrics{CPUUtilization: 0.01, IOWait: 0.2}},
+		{"a new server under an old name measures from its start", prev, stats(at, func(st *ServerStats) {
+			st.Started = at.Add(-2 * time.Second)
+			st.Latency.Get = lat(2 * time.Second)
+		}), metrics.SystemMetrics{CPUUtilization: 0.1}},
+		{"a sum that fell counts whole", prev, stats(later, func(st *ServerStats) {
+			st.Latency.Get = lat(500 * time.Millisecond)
+			st.Latency.Fsync = prev.Latency.Fsync
+			st.StallNanos = int64(300 * time.Millisecond)
+		}), metrics.SystemMetrics{CPUUtilization: 0.05, IOWait: 0.3}},
+	} {
+		got := SystemUsage(tc.prev, tc.cur)
+		near := func(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
+		if !near(got.CPUUtilization, tc.want.CPUUtilization) || !near(got.IOWait, tc.want.IOWait) || !near(got.MemoryUsage, tc.want.MemoryUsage) {
+			t.Errorf("%s: got %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestMoveLeavesIOWaitWithItsServer: a region's store carries its flush
+// history when it moves, but that history happened on the old server.
+// Across a move and nothing else, neither server's I/O wait may move:
+// the destination must not take in the moved store's past flushes, nor
+// the source be charged its remaining stores' whole history.
+func TestMoveLeavesIOWaitWithItsServer(t *testing.T) {
+	m := NewMaster(hdfs.NewNamenode(2))
+	cfg := DefaultServerConfig()
+	cfg.HeapBytes = 64 << 10 // a flush every few KB per region
+	for _, name := range []string{"rs0", "rs1"} {
+		if _, err := m.AddServer(name, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := NewClient(m)
+	tbl, err := m.CreateTable("t", []string{"k1", "k2", "k3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := make([]byte, 512)
+	for i := 0; i < 400; i++ {
+		if err := c.Put("t", fmt.Sprintf("k%d%03d", i%4, i), value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	region := tbl.Regions()[0]
+	if region.Store().Stats().Flushes == 0 {
+		t.Fatalf("region %s has no flush history to carry", region.Name())
+	}
+	src, _ := m.HostOf(region.Name())
+	dst := "rs0"
+	if src == "rs0" {
+		dst = "rs1"
+	}
+	before := map[string]ServerStats{}
+	for _, rs := range m.Servers() {
+		if st := rs.Stats(); st.Regions < 2 || st.Latency.Flush.Count() == 0 {
+			t.Fatalf("%s: %d regions, %d flushes; want 2+ regions with flushes", st.Name, st.Regions, st.Latency.Flush.Count())
+		} else {
+			before[st.Name] = st
+		}
+	}
+	if err := m.MoveRegion(region.Name(), dst); err != nil {
+		t.Fatal(err)
+	}
+	for _, rs := range m.Servers() {
+		st := rs.Stats()
+		if got := SystemUsage(before[st.Name], st).IOWait; got != 0 {
+			t.Errorf("%s: I/O wait across the move = %v, want 0", st.Name, got)
 		}
 	}
 }

@@ -369,6 +369,7 @@ func (s *Store) maybeStall() {
 	_ = s.maybeTriggerCompaction()
 	var start time.Time
 	var timer *time.Timer
+stall:
 	for {
 		gate := s.stallGateChan()
 		// Re-read the wiring every pass: a rewire (region move) releases
@@ -389,12 +390,13 @@ func (s *Store) maybeStall() {
 		select {
 		case <-gate:
 		case <-timer.C:
-			s.stats.stallNanos.Add(int64(time.Since(start)))
-			return
+			break stall
 		}
 	}
 	if !start.IsZero() {
 		timer.Stop()
-		s.stats.stallNanos.Add(int64(time.Since(start)))
+		d := time.Since(start)
+		s.stats.stallNanos.Add(int64(d))
+		s.noteIOWait(d, true)
 	}
 }

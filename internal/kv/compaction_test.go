@@ -322,10 +322,19 @@ func TestFlushTriggersCompactorInsteadOfInline(t *testing.T) {
 
 // TestWriteStallAccountsAndReleases: at the hard ceiling a writer
 // stalls; the stall is accounted (never hidden) and a compaction that
-// shrinks the stack releases it long before the stall timeout.
+// shrinks the stack releases it long before the stall timeout. The
+// I/O-wait hook hears of every flush and stall as it ends.
 func TestWriteStallAccountsAndReleases(t *testing.T) {
 	trig := &recordingTrigger{}
+	var stalled, flushes atomic.Int64
 	s := NewStore(Config{
+		OnIOWait: func(d time.Duration, stall bool) {
+			if stall {
+				stalled.Add(int64(d))
+			} else {
+				flushes.Add(1)
+			}
+		},
 		MemstoreFlushBytes: 1 << 30,
 		MaxStoreFiles:      2,
 		HardMaxStoreFiles:  3,
@@ -352,6 +361,9 @@ func TestWriteStallAccountsAndReleases(t *testing.T) {
 	st := s.Stats()
 	if st.StallNanos < int64(100*time.Millisecond) || st.StalledWrites == 0 {
 		t.Fatalf("stall not accounted: %+v", st)
+	}
+	if stalled.Load() != st.StallNanos || flushes.Load() != 3 {
+		t.Fatalf("I/O-wait hook heard %d ns of stall and %d flushes, want %d ns and 3", stalled.Load(), flushes.Load(), st.StallNanos)
 	}
 
 	// Now stall again, but release via a compaction: the Put must

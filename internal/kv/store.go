@@ -130,6 +130,12 @@ type Config struct {
 	// SetFilesChanged (a region move re-homes the store onto another
 	// server's replicator).
 	OnFilesChanged func()
+	// OnIOWait, when set, receives each memstore flush's duration
+	// (stall false) and each ended write stall's (stall true), for the
+	// host that counts them: the store's own Stats move with it. Called
+	// under engine locks, so it must not block; SetIOWait swaps it when
+	// the store changes hosts.
+	OnIOWait func(d time.Duration, stall bool)
 }
 
 func (c Config) withDefaults() Config {
@@ -284,11 +290,7 @@ type Store struct {
 	// region move can swap it (SetFilesChanged) without racing a flush.
 	onFilesChanged atomic.Pointer[func()]
 	filesDirty     atomic.Bool
-
-	// flushHist is the lock-free distribution of memstore-flush
-	// durations (met/internal/obs); the telemetry plane merges it
-	// across a server's regions.
-	flushHist obs.Histogram
+	onIOWait       atomic.Pointer[func(time.Duration, bool)] // Config.OnIOWait
 }
 
 // compactionWiring bundles the rewirable background-compaction hooks.
@@ -321,6 +323,7 @@ func NewStore(cfg Config) *Store {
 		fn := cfg.OnFilesChanged
 		s.onFilesChanged.Store(&fn)
 	}
+	s.SetIOWait(cfg.OnIOWait)
 	return s
 }
 
@@ -474,6 +477,16 @@ func (s *Store) SetFilesChanged(fn func()) {
 		return
 	}
 	s.onFilesChanged.Store(&fn)
+}
+
+// SetIOWait atomically rewires the I/O-wait hook (Config.OnIOWait).
+func (s *Store) SetIOWait(fn func(d time.Duration, stall bool)) { s.onIOWait.Store(&fn) }
+
+// noteIOWait hands one flush's or stall's duration to the hook.
+func (s *Store) noteIOWait(d time.Duration, stall bool) {
+	if fn := s.onIOWait.Load(); fn != nil && *fn != nil {
+		(*fn)(d, stall)
+	}
 }
 
 // notifyFilesChanged fires the files-changed hook if a flush or
@@ -746,10 +759,6 @@ func (s *Store) ScanTraced(start, end string, limit int, tr *obs.Trace) ([]Entry
 	return out, nil
 }
 
-// FlushLatency returns the distribution of this store's memstore-flush
-// durations.
-func (s *Store) FlushLatency() obs.Snapshot { return s.flushHist.Snapshot() }
-
 // Flush forces the memstore to a new store file.
 func (s *Store) Flush() error {
 	s.mu.Lock()
@@ -779,7 +788,7 @@ func (s *Store) flushLocked() error {
 	s.filesDirty.Store(true)
 	s.stats.flushes.Add(1)
 	s.stats.flushedBytes.Add(int64(f.Bytes()))
-	s.flushHist.Since(flushStart)
+	s.noteIOWait(time.Since(flushStart), false)
 	w := s.wiring.Load()
 	if w.budget != nil {
 		// Flush I/O is foreground: it is accounted against the shared

@@ -1,4 +1,4 @@
-// Package metrics holds what MeT's Monitor observes: the Ganglia-level
+// Package metrics holds what MeT's Monitor observes: the measured
 // system metrics of a node (CPU utilization, I/O wait, memory usage) and
 // the JMX-level read/write/scan request counters of a region, as one
 // poll's NodeObservation and RegionObservation. Region servers count
@@ -15,9 +15,10 @@ import (
 	"sort"
 )
 
-// SystemMetrics are the Ganglia-level metrics MeT monitors per node.
-// Simulated clusters synthesize the three fractions; a durable cluster
-// derives MemoryUsage from the process's real runtime sample.
+// SystemMetrics are the Ganglia-level metrics MeT monitors per node,
+// measured from two server snapshots (hbase.SystemUsage) or modeled.
+// Measured, CPUUtilization is handler-busy time, which includes the
+// disk waits inside writes, not CPU time alone.
 type SystemMetrics struct {
 	CPUUtilization float64 // fraction of CPU busy, 0..1
 	IOWait         float64 // fraction of time waiting on disk, 0..1

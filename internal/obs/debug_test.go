@@ -104,7 +104,7 @@ func TestReadProcessStats(t *testing.T) {
 	if p.Goroutines < 1 {
 		t.Fatalf("goroutines = %d", p.Goroutines)
 	}
-	if f := p.MemoryFraction(); f <= 0 || f > 1 {
-		t.Fatalf("memory fraction %v out of (0,1]", f)
+	if p.HeapLiveBytes > p.TotalBytes {
+		t.Fatalf("live heap %d exceeds runtime-owned memory %d", p.HeapLiveBytes, p.TotalBytes)
 	}
 }

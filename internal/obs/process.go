@@ -6,8 +6,7 @@ import (
 	"time"
 )
 
-// ProcessStats is a point-in-time sample of the Go runtime — the real
-// counterpart of the Ganglia host metrics the paper's Monitor consumes.
+// ProcessStats is a sample of the Go runtime for a node's /metrics page.
 type ProcessStats struct {
 	// HeapLiveBytes is the live heap (bytes occupied by reachable
 	// objects plus not-yet-swept garbage).
@@ -21,20 +20,6 @@ type ProcessStats struct {
 	GCPauseP99 time.Duration `json:"gc_pause_p99_ns"`
 	// Goroutines is the current live goroutine count.
 	Goroutines int `json:"goroutines"`
-}
-
-// MemoryFraction returns live heap as a fraction of runtime-owned
-// memory — the closest honest analogue of Ganglia's memory-usage gauge
-// for a single-process cluster.
-func (p ProcessStats) MemoryFraction() float64 {
-	if p.TotalBytes == 0 {
-		return 0
-	}
-	f := float64(p.HeapLiveBytes) / float64(p.TotalBytes)
-	if f > 1 {
-		f = 1
-	}
-	return f
 }
 
 var processSamples = []metrics.Sample{

@@ -27,15 +27,11 @@ type SlowLog struct {
 	total int64 // ops ever recorded, including overwritten ones
 }
 
-// DefaultSlowLogSize is the ring capacity when none is configured.
+// DefaultSlowLogSize is the ring capacity a region server keeps.
 const DefaultSlowLogSize = 128
 
-// NewSlowLog returns a ring holding the most recent capacity entries
-// (DefaultSlowLogSize when capacity <= 0).
+// NewSlowLog returns a ring of the most recent capacity (> 0) entries.
 func NewSlowLog(capacity int) *SlowLog {
-	if capacity <= 0 {
-		capacity = DefaultSlowLogSize
-	}
 	return &SlowLog{buf: make([]SlowOp, 0, capacity)}
 }
 

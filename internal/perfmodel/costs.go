@@ -101,9 +101,6 @@ type CostModel struct {
 	FlushPressureStall float64
 	GCStallMax         float64
 
-	// UtilizationCap bounds resource utilization in the solver.
-	UtilizationCap float64
-
 	// OfflinePenalty is the response time charged to operations routed
 	// to a region whose server is down (client retry/timeout loops).
 	OfflinePenalty float64
@@ -135,7 +132,6 @@ func DefaultCostModel() CostModel {
 		HostedReplicationFactor: 2,
 		FlushPressureStall:      550,
 		GCStallMax:              25e-3,
-		UtilizationCap:          0.985,
 		OfflinePenalty:          1.5,
 	}
 }

@@ -374,13 +374,13 @@ func (c *Cluster) ServeDebug(addr string) (*obs.DebugServer, error) {
 
 // NewController attaches MeT to a functional cluster: its Monitor polls
 // the cluster's servers and its Actuator reconfigures them, both through
-// the one core.MasterCluster over c.Master. nominalOpsPerSec calibrates
-// the synthetic CPU metric of the functional layer (the request rate one
-// node counts as fully busy). The caller ticks the controller once per
-// monitoring sample (core.SamplePeriod in the paper); the first tick
-// counts every request the regions have served so far.
-func NewController(c *Cluster, params Params, nominalOpsPerSec float64) *Controller {
-	mc := &core.MasterCluster{Master: c.Master, NominalOpsPerSec: nominalOpsPerSec}
+// the one core.MasterCluster over c.Master, which measures each node's
+// CPU, I/O wait and memory from its server's stats (hbase.SystemUsage).
+// The caller ticks the controller once per monitoring sample
+// (core.SamplePeriod in the paper); the first tick measures everything
+// since the servers started.
+func NewController(c *Cluster, params Params) *Controller {
+	mc := &core.MasterCluster{Master: c.Master}
 	return core.NewController(mc, core.NewDecisionMaker(params, core.Table1Profiles()))
 }
 
