@@ -25,7 +25,6 @@ type procState struct {
 
 // child is one spawned metnode process.
 type child struct {
-	name string
 	cmd  *exec.Cmd
 	addr string
 	done chan struct{} // closed by the reaper once the process exited
@@ -188,7 +187,6 @@ func runProcs(dataDir string, cfg met.ServerConfig, servers, ops int, seed uint6
 		f := filepath.Join(runDir, name+".addr")
 		workers[name] = spawn(nodeBin, "-role", "server", "-name", name,
 			"-master", masterAddr, "-addr-file", f)
-		workers[name].name = name
 	}
 	for _, name := range names {
 		workers[name].addr = waitAddrFile(filepath.Join(runDir, name+".addr"))

@@ -1,7 +1,8 @@
-// metlint is the project's static-analysis gate: five analyzers
-// (locksafe, atomicfield, nolockcopy, syncerr, crashpoint) enforcing
-// the engine's concurrency and durability invariants. See
-// internal/analysis and the per-analyzer package docs.
+// metlint is the project's static-analysis gate: six analyzers
+// (locksafe, atomicfield, nolockcopy, syncerr, crashpoint, deadfield)
+// enforcing the engine's concurrency and durability invariants and
+// keeping dead struct fields out. See internal/analysis and the
+// per-analyzer package docs.
 //
 // It runs in two modes:
 //
@@ -17,7 +18,9 @@
 //
 // is the standalone mode: it shells out to `go list -export` to load
 // the same export data and analyzes every listed package in-process,
-// defaulting to ./... — convenient during development.
+// defaulting to ./.... Having every package at once, it also checks the
+// exported fields of internal packages module-wide (deadfield.Module);
+// CI runs both modes.
 //
 // Exit status: 0 clean, 1 tool/typecheck error, 2 findings.
 package main
@@ -31,6 +34,7 @@ import (
 	"met/internal/analysis"
 	"met/internal/analysis/atomicfield"
 	"met/internal/analysis/crashpoint"
+	"met/internal/analysis/deadfield"
 	"met/internal/analysis/locksafe"
 	"met/internal/analysis/nolockcopy"
 	"met/internal/analysis/syncerr"
@@ -42,6 +46,7 @@ var analyzers = []*analysis.Analyzer{
 	nolockcopy.Analyzer,
 	syncerr.Analyzer,
 	crashpoint.Analyzer,
+	deadfield.Analyzer,
 }
 
 func main() {

@@ -3,14 +3,17 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"met/internal/analysis"
+	"met/internal/analysis/deadfield"
 )
 
 // listedPackage is the slice of `go list -json` output the
@@ -25,11 +28,27 @@ type listedPackage struct {
 	DepOnly    bool
 }
 
-// standaloneMain loads packages via `go list -export` and analyzes
-// every package of this module, preferring the test variant of a
-// package (production + test files) when one exists so crashpoint
-// sees test coverage.
+// standaloneMain lints the packages patterns match (default ./...)
+// and prints the findings.
 func standaloneMain(patterns []string) int {
+	findings, err := lint(patterns)
+	printFindings(findings)
+	switch {
+	case err != nil:
+		fmt.Fprintf(os.Stderr, "metlint: %v\n", err)
+		return 1
+	case len(findings) > 0:
+		return 2
+	}
+	return 0
+}
+
+// lint loads packages via `go list -export` and analyzes every package
+// of this module, preferring the test variant of a package (production
+// + test files) when one exists so crashpoint sees test coverage. All
+// of them are loaded before any is analyzed: deadfield judges an
+// exported field by the uses of every package (deadfield.Module).
+func lint(patterns []string) ([]analysis.Finding, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -41,12 +60,11 @@ func standaloneMain(patterns []string) int {
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "metlint: go list: %v\n", err)
-		return 1
+		return nil, fmt.Errorf("go list: %w", err)
 	}
 
 	exportOf := map[string]string{}
-	var pkgs []*listedPackage
+	var listed []*listedPackage
 	hasTestVariant := map[string]bool{}
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
@@ -54,20 +72,20 @@ func standaloneMain(patterns []string) int {
 		if err := dec.Decode(&p); err == io.EOF {
 			break
 		} else if err != nil {
-			fmt.Fprintf(os.Stderr, "metlint: decoding go list output: %v\n", err)
-			return 1
+			return nil, fmt.Errorf("decoding go list output: %w", err)
 		}
 		if p.Export != "" {
 			exportOf[p.ImportPath] = p.Export
 		}
-		pkgs = append(pkgs, &p)
+		listed = append(listed, &p)
 		if p.ForTest != "" && !strings.HasSuffix(p.ImportPath, ".test") {
 			hasTestVariant[p.ForTest] = true
 		}
 	}
 
-	exit := 0
-	for _, p := range pkgs {
+	var errs []error
+	var pkgs []*analysis.Package
+	for _, p := range listed {
 		if !analyzable(p, hasTestVariant) {
 			continue
 		}
@@ -90,24 +108,24 @@ func standaloneMain(patterns []string) int {
 				return os.Open(file)
 			})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "metlint: %s: %v\n", p.ImportPath, err)
-			exit = 1
+			errs = append(errs, fmt.Errorf("%s: %w", p.ImportPath, err))
 			continue
 		}
-		findings, err := analysis.RunPackage(pkg, analyzers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "metlint: %s: %v\n", p.ImportPath, err)
-			exit = 1
-			continue
-		}
-		if len(findings) > 0 {
-			printFindings(findings)
-			if exit == 0 {
-				exit = 2
-			}
-		}
+		pkgs = append(pkgs, pkg)
 	}
-	return exit
+
+	run := slices.Clone(analyzers)
+	run[slices.Index(run, deadfield.Analyzer)] = deadfield.Module(pkgs)
+	var findings []analysis.Finding
+	for _, pkg := range pkgs {
+		fs, err := analysis.RunPackage(pkg, run)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("%s: %w", pkg.Types.Path(), err))
+			continue
+		}
+		findings = append(findings, fs...)
+	}
+	return findings, errors.Join(errs...)
 }
 
 // analyzable selects this module's real packages: skip dependencies

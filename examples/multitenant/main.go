@@ -9,7 +9,6 @@ import (
 	"log"
 
 	"met"
-	"met/internal/hbase"
 	"met/internal/sim"
 	"met/internal/ycsb"
 )
@@ -94,5 +93,4 @@ func main() {
 		total += r.TotalCompleted()
 	}
 	fmt.Printf("completed %d operations with 0 errors\n", total)
-	_ = hbase.DefaultServerConfig() // keep the import for doc purposes
 }

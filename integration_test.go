@@ -159,10 +159,10 @@ func TestIntegrationTPCCSurvivesReconfiguration(t *testing.T) {
 	// Reconfigure every server to a different profile mid-benchmark
 	// (the functional actuator's rolling restart would interleave; here
 	// we exercise the restart path directly between batches).
-	profiles := Table1Profiles()
+	profiles := core.Table1Profiles()
 	for i, rs := range cluster.Master.Servers() {
-		ty := []AccessType{Read, Write, ReadWrite}[i%3]
-		if err := rs.Restart(profiles[ty]); err != nil {
+		ty := []placement.AccessType{placement.Read, placement.Write, placement.ReadWrite}[i%3]
+		if err := rs.Restart(rs.Config().WithProfile(profiles[ty])); err != nil {
 			t.Fatal(err)
 		}
 		if err := driver.Run(100); err != nil {
@@ -252,7 +252,7 @@ func TestIntegrationDecisionMakerOnFunctionalCounters(t *testing.T) {
 	mon := core.NewMonitor(&core.MasterCluster{Master: cluster.Master})
 	mon.Poll()
 	view := mon.View()
-	var readType, writeType AccessType
+	var readType, writeType placement.AccessType
 	params := DefaultParams()
 	for _, p := range view.Partitions {
 		ty := placement.Classify(p.Requests, params.Classify)
@@ -263,11 +263,10 @@ func TestIntegrationDecisionMakerOnFunctionalCounters(t *testing.T) {
 			writeType = ty
 		}
 	}
-	if readType != Read {
+	if readType != placement.Read {
 		t.Errorf("readonly table classified %v", readType)
 	}
-	if writeType != Write {
+	if writeType != placement.Write {
 		t.Errorf("writeonly table classified %v", writeType)
 	}
-	_ = hbase.DefaultServerConfig()
 }

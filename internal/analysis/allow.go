@@ -22,7 +22,6 @@ const allowPrefix = "lint:allow"
 // An allowEntry is one parsed //lint:allow annotation.
 type allowEntry struct {
 	analyzer string
-	reason   string
 	pos      token.Pos // of the comment, for malformed-annotation reports
 	line     int       // source line the annotation applies to
 }
@@ -58,7 +57,6 @@ func parseAllows(fset *token.FileSet, files []*ast.File) (entries []allowEntry, 
 				}
 				entries = append(entries, allowEntry{
 					analyzer: name,
-					reason:   reason,
 					pos:      c.Pos(),
 					line:     line,
 				})

@@ -12,19 +12,21 @@
 //
 // The deliberate differences from x/tools are:
 //
-//   - No facts, no modular analysis: every analyzer here is strictly
-//     intraprocedural and per-package, so cross-package state is
-//     unnecessary. cmd/metlint still speaks the `go vet -vettool`
-//     unitchecker protocol (including writing empty .vetx facts
-//     files) so the go command can drive it.
+//   - No facts, no modular analysis: every analyzer here runs per
+//     package. The one cross-package check, deadfield's module-wide
+//     pass, is built by the standalone driver from every loaded
+//     package (deadfield.Module) rather than from facts. cmd/metlint
+//     still speaks the `go vet -vettool` unitchecker protocol
+//     (including writing empty .vetx facts files) so the go command
+//     can drive it.
 //   - Central allowlist handling: the driver strips diagnostics
 //     carrying a `//lint:allow <analyzer> <reason>` annotation (see
 //     allow.go) so individual analyzers never need to know about
 //     suppression.
 //
 // Analyzers live in subpackages (locksafe, atomicfield, nolockcopy,
-// syncerr, crashpoint); each has an analysistest-style fixture suite
-// under its testdata/src directory.
+// syncerr, crashpoint, deadfield); each has an analysistest-style
+// fixture suite under its testdata/src directory.
 package analysis
 
 import (
@@ -53,7 +55,6 @@ type Analyzer struct {
 // function. The same package may be analyzed several times by
 // different analyzers; passes are never shared between analyzers.
 type Pass struct {
-	Analyzer  *Analyzer
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Pkg       *types.Package

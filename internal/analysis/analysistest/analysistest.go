@@ -44,6 +44,13 @@ import (
 // applies the analyzer and diffs diagnostics against want comments.
 func Run(t *testing.T, pkg string, a *analysis.Analyzer) {
 	t.Helper()
+	Check(t, Load(t, pkg), a)
+}
+
+// Load parses and type-checks the fixture package at testdata/src/<pkg>;
+// pkg is also its import path.
+func Load(t *testing.T, pkg string) *analysis.Package {
+	t.Helper()
 	dir := filepath.Join("testdata", "src", pkg)
 	names, err := fixtureFiles(dir)
 	if err != nil {
@@ -72,17 +79,18 @@ func Run(t *testing.T, pkg string, a *analysis.Analyzer) {
 		t.Fatalf("typechecking fixture %s: %v", pkg, err)
 	}
 
-	findings, err := analysis.RunPackage(&analysis.Package{
-		Fset:  fset,
-		Files: files,
-		Types: tpkg,
-		Info:  info,
-	}, []*analysis.Analyzer{a})
+	return &analysis.Package{Fset: fset, Files: files, Types: tpkg, Info: info}
+}
+
+// Check applies the analyzer to a loaded fixture package and diffs its
+// diagnostics against the want comments.
+func Check(t *testing.T, p *analysis.Package, a *analysis.Analyzer) {
+	t.Helper()
+	findings, err := analysis.RunPackage(p, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}
-
-	checkExpectations(t, fset, files, findings)
+	checkExpectations(t, p.Fset, p.Files, findings)
 }
 
 // fixtureFiles lists the .go files of a fixture directory in a stable

@@ -44,11 +44,7 @@ var Analyzer = &analysis.Analyzer{
 var HookNames = map[string]bool{"crash": true}
 
 func run(pass *analysis.Pass) error {
-	type reg struct {
-		pos  token.Pos
-		dupe bool
-	}
-	first := make(map[string]*reg)
+	first := make(map[string]token.Pos) // where each label is registered
 	var order []string
 	hasTests := false
 
@@ -74,13 +70,12 @@ func run(pass *analysis.Pass) error {
 			}
 			label := constant.StringVal(tv.Value)
 			if prev, ok := first[label]; ok {
-				prev.dupe = true
 				pass.Reportf(call.Pos(),
 					"duplicate crash-point label %q (first registered at %s)",
-					label, pass.Fset.Position(prev.pos))
+					label, pass.Fset.Position(prev))
 				return true
 			}
-			first[label] = &reg{pos: call.Pos()}
+			first[label] = call.Pos()
 			order = append(order, label)
 			return true
 		})
@@ -119,7 +114,7 @@ func run(pass *analysis.Pass) error {
 		if coveredByComposition(label, tested) {
 			continue
 		}
-		pass.Reportf(first[label].pos,
+		pass.Reportf(first[label],
 			"crash point %q is not exercised by any test in this package", label)
 	}
 	return nil

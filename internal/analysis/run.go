@@ -28,7 +28,6 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
 	var findings []Finding
 	for _, a := range analyzers {
 		pass := &Pass{
-			Analyzer:  a,
 			Fset:      pkg.Fset,
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,

@@ -96,8 +96,10 @@ func (a *Actuator) Apply(target []placement.NodeState) (ApplyReport, error) {
 		a.OnStart()
 	}
 	members := make(map[string]Member)
+	base := hbase.DefaultServerConfig() // a new node's machine: a member's, if there is one
 	for _, m := range a.Cluster.Members() {
 		members[m.Name] = m
+		base = m.Config
 	}
 	var adds []placement.NodeState
 	for _, ns := range target {
@@ -130,7 +132,7 @@ func (a *Actuator) Apply(target []placement.NodeState) (ApplyReport, error) {
 		a.restartFrom(p, 0)
 	}
 	for _, ns := range adds {
-		err := a.Cluster.AddNode(ns.Node, a.Profiles[ns.Type], func() {
+		err := a.Cluster.AddNode(ns.Node, base.WithProfile(a.Profiles[ns.Type]), func() {
 			a.Monitor.SetNodeType(ns.Node, ns.Type)
 			p.rep.NodesAdded = append(p.rep.NodesAdded, ns.Node)
 			booted()

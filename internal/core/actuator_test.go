@@ -134,7 +134,7 @@ func TestActuatorPlanOrder(t *testing.T) {
 		"a": "rs0", "b": "rs0", "c": "rs1", "d": "rs1", "e": "rs2", "f": "rs3",
 	})
 	profiles := Table1Profiles()
-	f.members["rs3"].Config = profiles[placement.Write]
+	f.members["rs3"].Config = hbase.DefaultServerConfig().WithProfile(profiles[placement.Write])
 	f.locality["e"] = 0.5  // below 90%: compacted
 	f.locality["a"] = 0.95 // above 90%: kept
 	f.locality["c"] = 0.8  // below 90% on a scan node: compacted
@@ -231,7 +231,7 @@ func TestActuatorSkipsFailedSteps(t *testing.T) {
 // nor restarted; rs1 is, and both keep their slow-op threshold.
 func TestActuatorKeepsDeploymentProperties(t *testing.T) {
 	m := hbase.NewMaster(hdfs.NewNamenode(2))
-	read := Table1Profiles()[placement.Read]
+	read := hbase.DefaultServerConfig().WithProfile(Table1Profiles()[placement.Read])
 	read.SlowOpThreshold = time.Millisecond
 	for _, name := range []string{"rs0", "rs1"} {
 		if _, err := m.AddServer(name, read); err != nil {
@@ -272,5 +272,46 @@ func TestActuatorKeepsDeploymentProperties(t *testing.T) {
 	}
 	if rs1.Config().MemstoreFraction != 0.55 {
 		t.Fatalf("rs1 not write-profiled: %v", rs1.Config())
+	}
+}
+
+// TestActuatorKeepsDeploymentHeap: a profile is relative to the
+// deployment's machine. A plan that re-profiles both servers of a
+// 1 MiB-heap cluster and adds a third leaves every server on that heap,
+// each memstore budget inside it.
+func TestActuatorKeepsDeploymentHeap(t *testing.T) {
+	m := hbase.NewMaster(hdfs.NewNamenode(2))
+	cfg := hbase.DefaultServerConfig()
+	cfg.HeapBytes = 1 << 20
+	for _, name := range []string{"rs0", "rs1"} {
+		if _, err := m.AddServer(name, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.CreateTable("t", []string{"m"}); err != nil {
+		t.Fatal(err)
+	}
+	hosted := map[string][]string{}
+	for r, host := range m.Assignment() {
+		hosted[host] = append(hosted[host], r)
+	}
+	mc := &MasterCluster{Master: m}
+	act := NewActuator(mc, NewMonitor(mc), DefaultParams(), Table1Profiles())
+	rep, err := act.Apply([]placement.NodeState{
+		{Node: "rs0", Type: placement.Read, Partitions: hosted["rs0"]},
+		{Node: "rs1", Type: placement.Write, Partitions: hosted["rs1"]},
+		{Node: "rs-met-000", Type: placement.Scan},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Reconfigured) == 0 || len(rep.NodesAdded) != 1 {
+		t.Fatalf("reconfigured = %v, added = %v", rep.Reconfigured, rep.NodesAdded)
+	}
+	for _, rs := range m.Servers() {
+		c := rs.Config()
+		if c.HeapBytes != 1<<20 || c.MemstoreBytes() > c.HeapBytes {
+			t.Errorf("%s heap = %d, memstore = %d after the plan", rs.Name(), c.HeapBytes, c.MemstoreBytes())
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"met/internal/hbase"
 	"met/internal/metrics"
 	"met/internal/placement"
 )
@@ -23,7 +24,7 @@ func healthyView(nodes int) ClusterView {
 func TestTable1ProfilesValid(t *testing.T) {
 	p := Table1Profiles()
 	for _, cfg := range p {
-		if err := cfg.Validate(); err != nil {
+		if err := hbase.DefaultServerConfig().WithProfile(cfg).Validate(); err != nil {
 			t.Fatal(err)
 		}
 	}

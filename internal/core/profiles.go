@@ -26,7 +26,9 @@ import (
 )
 
 // Profiles maps each access-pattern group to the node configuration MeT
-// applies to servers assigned to that group — Table 1 of the paper.
+// applies to servers assigned to that group — Table 1 of the paper. A
+// profile sets only the knobs ServerConfig.WithProfile copies; the heap
+// and everything else stay the deployment's.
 type Profiles map[placement.AccessType]hbase.ServerConfig
 
 // Table1Profiles returns the paper's node configuration profiles:
@@ -39,7 +41,6 @@ type Profiles map[placement.AccessType]hbase.ServerConfig
 func Table1Profiles() Profiles {
 	mk := func(cache, mem float64, blockKB int) hbase.ServerConfig {
 		return hbase.ServerConfig{
-			HeapBytes:          3 << 30,
 			BlockCacheFraction: cache,
 			MemstoreFraction:   mem,
 			BlockBytes:         blockKB << 10,

@@ -134,7 +134,7 @@ type Options struct {
 	// NoSync skips every fsync. Only for tests and benchmarks that
 	// measure non-durability costs; a crash can lose acknowledged
 	// writes.
-	NoSync bool
+	NoSync bool //lint:allow deadfield tests and fuzzers that measure no durability skip fsync with it
 	// Account, when non-nil, receives the byte count of every
 	// foreground serving-path write the backend performs (WAL frames —
 	// bytes a client is actively waiting on). It feeds the I/O budget

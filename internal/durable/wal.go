@@ -54,7 +54,6 @@ type walRecord struct {
 
 // walSegment is the in-memory record of one sealed on-disk segment.
 type walSegment struct {
-	idx  uint64
 	path string
 	// maxTS maps each region with live records in this segment to its
 	// newest timestamp here. The segment may be deleted only when every
@@ -191,7 +190,7 @@ func OpenWAL(dir string, opts Options) (*WAL, error) {
 		if _, err := fmt.Sscanf(filepath.Base(p), "wal-%d.log", &idx); err != nil {
 			continue
 		}
-		seg := walSegment{idx: idx, path: p, maxTS: make(map[string]uint64)}
+		seg := walSegment{path: p, maxTS: make(map[string]uint64)}
 		// Scan for metadata; torn tails are fine here (recovery proper
 		// re-reads the segment and stops at the same point). A drop
 		// marker voids the region's records in every earlier segment, so
@@ -292,7 +291,7 @@ func (w *WAL) rotateLocked() error {
 		return err
 	}
 	w.sealed = append(w.sealed, walSegment{
-		idx: w.activeIdx, path: w.activePath, maxTS: w.activeMaxTS, count: w.activeCount,
+		path: w.activePath, maxTS: w.activeMaxTS, count: w.activeCount,
 	})
 	seq := w.seq
 	if err := w.openSegmentLocked(w.activeIdx + 1); err != nil {
@@ -694,12 +693,12 @@ func (w *WAL) DropAbsent(live map[string]bool) ([]string, error) {
 // ReplayReport describes what recovery found.
 type ReplayReport struct {
 	// Replayed is the number of records returned.
-	Replayed int
+	Replayed int //lint:allow deadfield test oracle: WAL.Replay's report
 	// Torn is true when replay stopped before the end of the log —
 	// a torn tail after a crash, or mid-log corruption.
-	Torn bool
+	Torn bool //lint:allow deadfield test oracle: WAL.Replay's report
 	// TornSegment is the path of the segment replay stopped in.
-	TornSegment string
+	TornSegment string //lint:allow deadfield test oracle: WAL.Replay's report
 }
 
 // replayRecords reads every intact record, oldest segment first, in
@@ -710,7 +709,7 @@ func (w *WAL) replayRecords() ([]walRecord, ReplayReport, error) {
 	var report ReplayReport
 	segs := append([]walSegment(nil), w.sealed...)
 	if w.activeCount > 0 {
-		segs = append(segs, walSegment{idx: w.activeIdx, path: w.activePath})
+		segs = append(segs, walSegment{path: w.activePath})
 	}
 	for _, seg := range segs {
 		err := readSegment(seg.path, func(r walRecord) {

@@ -12,7 +12,6 @@ import (
 
 // ElasticityRun is one system's 60-minute elasticity timeline.
 type ElasticityRun struct {
-	System string
 	// PerMinute total throughput (ops/s) and node counts.
 	Throughput []float64
 	Nodes      []int
@@ -45,8 +44,8 @@ const elasticityMinutes = 60
 // at 43, WorkloadA at 53, leaving only WorkloadC.
 func RunElasticity(seed uint64) *ElasticityResult {
 	res := &ElasticityResult{Phase1End: 33 * sim.Minute}
-	res.MeT = runElasticity("MeT", seed, func(sc *Scenario, d *Deployment) { elasticMeT(sc, d) })
-	res.Tiramola = runElasticity("Tiramola", seed, func(_ *Scenario, d *Deployment) {
+	res.MeT = runElasticity(seed, func(sc *Scenario, d *Deployment) { elasticMeT(sc, d) })
+	res.Tiramola = runElasticity(seed, func(_ *Scenario, d *Deployment) {
 		params := autoscale.DefaultParams()
 		params.MinNodes = 6
 		params.MaxNodes = 12
@@ -75,7 +74,7 @@ func elasticMeT(sc *Scenario, d *Deployment) *MeTRunner {
 // runElasticity runs one system on the overloaded starting cluster,
 // whose added nodes take a VM boot (90 s) to serve; attach wires the
 // system's controller to the deployment.
-func runElasticity(system string, seed uint64, attach func(*Scenario, *Deployment)) ElasticityRun {
+func runElasticity(seed uint64, attach func(*Scenario, *Deployment)) ElasticityRun {
 	sc := BuildYCSBScenario(6, 1.2) // extra client threads overload the 6 servers
 	sc.ApplyStrategy(ManualHomogeneous, sim.NewRNG(seed))
 	d := sc.run(elasticityMinutes*sim.Minute, func(d *Deployment) {
@@ -83,7 +82,7 @@ func runElasticity(system string, seed uint64, attach func(*Scenario, *Deploymen
 		scheduleSwitchOffs(d.Sched, sc)
 		attach(sc, d)
 	})
-	return summarizeElasticity(system, d)
+	return summarizeElasticity(d)
 }
 
 // scheduleSwitchOffs applies the paper's phase-2 schedule.
@@ -101,8 +100,8 @@ func scheduleSwitchOffs(sched *sim.Scheduler, sc *Scenario) {
 	})
 }
 
-func summarizeElasticity(system string, d *Deployment) ElasticityRun {
-	run := ElasticityRun{System: system}
+func summarizeElasticity(d *Deployment) ElasticityRun {
+	var run ElasticityRun
 	run.Throughput = perMinute(d.Series, elasticityMinutes)
 	run.Nodes = make([]int, elasticityMinutes)
 	cum := 0.0

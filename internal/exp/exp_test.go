@@ -169,7 +169,7 @@ func TestDeploymentRestartNode(t *testing.T) {
 	sc.ApplyStrategy(RandomHomogeneous, sim.NewRNG(3))
 	sched := sim.NewScheduler()
 	d := NewDeployment(sched, sc.Model)
-	cfg := core.Table1Profiles()[placement.Read]
+	cfg := sc.Model.Nodes["rs0"].Config.WithProfile(core.Table1Profiles()[placement.Read])
 	done := false
 	if err := d.RestartNode("rs0", cfg, func() { done = true }); err != nil {
 		t.Fatal(err)
@@ -432,7 +432,7 @@ func TestMeTRunnerDeterministic(t *testing.T) {
 func TestMeTRunnerNeverReaddsRemovedNode(t *testing.T) {
 	removed := map[string]bool{}
 	var readded []string
-	runElasticity("MeT", 1, func(sc *Scenario, d *Deployment) {
+	runElasticity(1, func(sc *Scenario, d *Deployment) {
 		act := elasticMeT(sc, d).Actuator
 		onDone := act.OnDone
 		act.OnDone = func(rep core.ApplyReport, err error) {

@@ -134,7 +134,6 @@ func BuildYCSBScenario(servers int, threadScale float64) *Scenario {
 				hotTrafficFrac = hotTraffic / share
 			}
 			sc.Model.Regions[rname] = &perfmodel.RegionPerf{
-				Name:           rname,
 				SizeBytes:      per * recordBytes,
 				HotDataFrac:    hotDataFrac,
 				HotTrafficFrac: hotTrafficFrac,
@@ -281,7 +280,8 @@ func (sc *Scenario) applyHeterogeneous(nodes []string) {
 			slot = nodes[len(nodes)-1:]
 		}
 		for _, name := range slot {
-			sc.Model.Nodes[name].Config = profiles[t]
+			n := sc.Model.Nodes[name]
+			n.Config = n.Config.WithProfile(profiles[t])
 		}
 		assign := placement.AssignLPT(slot, ps, placement.PartitionsPerNodeCap(len(ps), len(slot)))
 		for n, parts := range assign {

@@ -64,7 +64,6 @@ func BuildTPCCScenario(servers int) *Scenario {
 		for i := 0; i < g.regions; i++ {
 			rname := fmt.Sprintf("tpcc_%s,w%d", g.name, i)
 			sc.Model.Regions[rname] = &perfmodel.RegionPerf{
-				Name:      rname,
 				SizeBytes: g.sizeBytes / float64(g.regions),
 				// NURand gives mild skew within a warehouse range.
 				HotDataFrac:    0.25,

@@ -21,17 +21,12 @@ package hbase
 //	                             compaction knobs), rev}
 //	table/<name>             -> {splitKeys, regions: [{name, start,
 //	                             end, server, followers}], rev}
-//	snapshot/<table>/<name>  -> {table, regions: [{name, start, end,
-//	                             files: [sstable ids], maxTS (the WAL
-//	                             high-water mark the snapshot
-//	                             covers)}], rev}
 //
 // A region's followers — the servers holding replica copies of its
 // SSTables (met/internal/replication) — ride inside its table row, so
 // replica placement commits atomically with the layout that created
-// it. Snapshot rows are the manifest of Master.Snapshot: the exact
-// SSTable set archived under <DataDir>/snapshots, one fsynced Put as
-// the commit point.
+// it. loadAll skips keys outside these families, so a catalog holding
+// rows of a family this build does not know still opens.
 //
 // One row per table — not one per region — so every layout change a
 // single operation makes (create, move, split) commits as ONE durable
@@ -75,17 +70,6 @@ package hbase
 //	                   delete the server row — a crash mid-drain
 //	                   cold-starts into the partially drained layout,
 //	                   which is consistent.
-//	Snapshot           flush and archive every region's SSTables under
-//	                   snapshots/, THEN put the snapshot row (the
-//	                   commit point) — a crash between leaves an
-//	                   orphan archive directory that OpenCluster
-//	                   sweeps; the snapshot is cleanly absent.
-//	RestoreSnapshot    bump splitSeq, build fresh gen-suffixed regions
-//	                   from the archived files, THEN put the table row
-//	                   (old layout atomically replaced), THEN reclaim
-//	                   the old regions' directories. Either side of a
-//	                   crash is a complete table; the losing side's
-//	                   directories are the orphans.
 //	RecoverServer      (LayoutMaster.RecoverServer — the one failover
 //	                   path, whether Master or rpc.MasterNode runs it)
 //	                   bump splitSeq, then per dead region: the elected
@@ -118,11 +102,11 @@ package hbase
 //	       truncated away — BEFORE the table row commits the new
 //	       assignment, so a cold start never needs a log the assignment
 //	       no longer points at.
-//	Abandoned regions (failed create, superseded split parent,
-//	       restore's old layout)   discarding the store appends a
-//	       durable drop marker to the shared log; without it, segments
-//	       pinned by the abandoned region would replay its records into
-//	       a future region re-minted under the same name.
+//	Abandoned regions (failed create, superseded split parent)
+//	       discarding the store appends a durable drop marker to the
+//	       shared log; without it, segments pinned by the abandoned
+//	       region would replay its records into a future region
+//	       re-minted under the same name.
 //	RecoverServer   never reads the dead server's WAL directory (it
 //	       stands in for a lost disk). What survives of the memstore is
 //	       the replica's shipped tail (its wal-tail-<g>.log
@@ -135,16 +119,15 @@ package hbase
 //
 // # Recovery order
 //
-// OpenCluster loads the whole catalog (openLayout: the cluster row,
-// server rows, table rows), then opens each member from its manifest —
-// its persisted config and the regions the table rows assign to it
-// (openServer, the same open a worker process runs) — rebuilds routing
-// over the opened regions, and finally sweeps the region directories no
-// table row references.
+// OpenCluster loads the whole catalog (OpenLayoutMaster: the cluster
+// row, server rows, table rows), then opens each member from its
+// manifest — its persisted config and the regions the table rows assign
+// to it (openServer, the same open a worker process runs) — rebuilds
+// routing over the opened regions, and finally sweeps the region
+// directories no table row references.
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -159,7 +142,6 @@ const (
 	catalogClusterKey  = "cluster"
 	catalogServerPfx   = "server/"
 	catalogTablePfx    = "table/"
-	catalogSnapshotPfx = "snapshot/"
 	catalogDirName     = "meta"
 	catalogMemstore    = 1 << 20
 	catalogStoreSplits = 4
@@ -199,38 +181,12 @@ type regionRow struct {
 	Followers []string `json:"followers,omitempty"`
 }
 
-// snapshotRow is the manifest of one point-in-time table snapshot: the
-// exact SSTable set archived per region, plus each region's WAL
-// high-water mark (the store's logical clock at snapshot time — every
-// mutation with a timestamp at or below it is inside the archived
-// files, everything above is not part of the snapshot).
-type snapshotRow struct {
-	Table   string           `json:"table"`
-	Regions []snapshotRegion `json:"regions"`
-	Rev     uint64           `json:"rev"`
-}
-
-// snapshotRegion is one region's contribution to a snapshot manifest.
-type snapshotRegion struct {
-	Name  string   `json:"name"`
-	Start string   `json:"start"`
-	End   string   `json:"end,omitempty"`
-	Files []uint64 `json:"files"`
-	MaxTS uint64   `json:"max_ts"`
-}
-
-// snapshotKey builds the catalog key of one snapshot row.
-func snapshotKey(table, name string) string {
-	return catalogSnapshotPfx + table + "/" + name
-}
-
 // catalog is the LayoutMaster's handle on the META store. All writes
 // serialize on mu (layout changes are rare; the serving path never
 // touches the catalog), so row revisions are strictly ordered.
 type catalog struct {
 	mu    sync.Mutex
 	store *kv.Store
-	dir   string // the cluster DataDir the catalog lives under
 	rev   uint64 // last revision handed out
 }
 
@@ -255,7 +211,7 @@ func openCatalog(dataDir string) (*catalog, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hbase: open catalog: %w", err)
 	}
-	return &catalog{store: store, dir: dataDir}, nil
+	return &catalog{store: store}, nil
 }
 
 // put stamps row (through rev, its Rev field) with the next revision,
@@ -284,29 +240,12 @@ func (c *catalog) delete(key string) error {
 	return nil
 }
 
-// get reads and unmarshals one row into out; ok=false when absent.
-func (c *catalog) get(key string, out any) (bool, error) {
-	buf, err := c.store.Get(key)
-	if err != nil {
-		if errors.Is(err, kv.ErrNotFound) {
-			return false, nil
-		}
-		return false, fmt.Errorf("hbase: catalog read %s: %w", key, err)
-	}
-	if err := json.Unmarshal(buf, out); err != nil {
-		return false, fmt.Errorf("hbase: catalog decode %s: %w", key, err)
-	}
-	return true, nil
-}
-
 // catalogState is everything loadAll recovers: the typed rows of the
-// whole catalog, keyed the way recovery consumes them (snapshots by
-// "<table>/<name>").
+// whole catalog, keyed the way recovery consumes them.
 type catalogState struct {
-	cluster   clusterRow
-	servers   map[string]serverRow
-	tables    map[string]tableRow
-	snapshots map[string]snapshotRow
+	cluster clusterRow
+	servers map[string]serverRow
+	tables  map[string]tableRow
 }
 
 // loadAll scans the whole catalog into its typed rows, restoring the
@@ -315,10 +254,9 @@ func (c *catalog) loadAll() (catalogState, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := catalogState{
-		cluster:   clusterRow{Replication: 2},
-		servers:   make(map[string]serverRow),
-		tables:    make(map[string]tableRow),
-		snapshots: make(map[string]snapshotRow),
+		cluster: clusterRow{Replication: 2},
+		servers: make(map[string]serverRow),
+		tables:  make(map[string]tableRow),
 	}
 	entries, err := c.store.Scan("", "", -1)
 	if err != nil {
@@ -338,13 +276,6 @@ func (c *catalog) loadAll() (catalogState, error) {
 				return st, fmt.Errorf("hbase: catalog decode %s: %w", e.Key, err)
 			}
 			st.servers[e.Key[len(catalogServerPfx):]] = row
-			rev = row.Rev
-		case strings.HasPrefix(e.Key, catalogSnapshotPfx):
-			var row snapshotRow
-			if err := json.Unmarshal(e.Value, &row); err != nil {
-				return st, fmt.Errorf("hbase: catalog decode %s: %w", e.Key, err)
-			}
-			st.snapshots[e.Key[len(catalogSnapshotPfx):]] = row
 			rev = row.Rev
 		case strings.HasPrefix(e.Key, catalogTablePfx):
 			var row tableRow

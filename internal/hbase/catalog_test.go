@@ -375,6 +375,54 @@ func TestNewDurableMasterRefusesExistingCluster(t *testing.T) {
 	}
 }
 
+// TestColdStartIgnoresSnapshotRows: an older build also kept table
+// snapshots, as snapshot/<table>/<name> catalog rows and archives under
+// DataDir/snapshots. A catalog holding such a row still cold-starts,
+// serves every row, and leaves the row unread and in place.
+func TestColdStartIgnoresSnapshotRows(t *testing.T) {
+	dir := t.TempDir()
+	m, c := newCatalogCluster(t, 2, dir, durableConfig(dir))
+	if _, err := m.CreateTable("t", []string{"m"}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if err := c.Put("t", fmt.Sprintf("%c%03d", 'a'+byte(i%26), i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	row := []byte(`{"table":"t","regions":[{"name":"t,","start":"","files":[1],"max_ts":7}],"rev":99}`)
+	if err := m.layout.cat.store.Put("snapshot/t/s", row); err != nil {
+		t.Fatal(err)
+	}
+	archive := filepath.Join(dir, "snapshots", "t", "s", url.PathEscape("t,"))
+	if err := os.MkdirAll(archive, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(archive, "sst-000001.sst"), []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m.HardStop()
+
+	m2, err := OpenCluster(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m2.HardStop)
+	c2 := NewClient(m2)
+	for i := 0; i < 100; i++ {
+		k := fmt.Sprintf("%c%03d", 'a'+byte(i%26), i)
+		if _, err := c2.Get("t", k); err != nil {
+			t.Fatalf("row %s after cold start: %v", k, err)
+		}
+	}
+	if got := m2.Tables(); !reflect.DeepEqual(got, []string{"t"}) {
+		t.Fatalf("tables = %v", got)
+	}
+	if got, err := m2.layout.cat.store.Get("snapshot/t/s"); err != nil || string(got) != string(row) {
+		t.Fatalf("snapshot row = %q, %v; want it left as written", got, err)
+	}
+}
+
 // TestColdStartRecoversReprofiledServer: a reprofile issued through the
 // master (the Actuator's path) must survive a cold start — the server
 // comes back with the new configuration, not the one it was added with.

@@ -30,7 +30,7 @@ import (
 // history from before the stop is not preserved (as after any full
 // HBase cluster restart, a major compaction restores it).
 func OpenCluster(dataDir string) (*Master, error) {
-	lm, snapshots, err := openLayout(dataDir)
+	lm, err := OpenLayoutMaster(dataDir)
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +69,6 @@ func OpenCluster(dataDir string) (*Master, error) {
 	sweepOrphanRegions(dataDir, live)
 	sweepOrphanReplicas(dataDir, live, isMember)
 	sweepOrphanWALs(dataDir, isMember)
-	sweepOrphanSnapshots(dataDir, snapshots)
 	return m, nil
 }
 
@@ -137,35 +136,6 @@ func sweepOrphanWALs(dataDir string, isMember func(string) bool) {
 		name, uerr := url.PathUnescape(d.Name())
 		if uerr != nil || !isMember(name) {
 			_ = os.RemoveAll(filepath.Join(root, d.Name()))
-		}
-	}
-}
-
-// sweepOrphanSnapshots removes snapshot archive directories whose
-// manifest row never committed (Master.Snapshot crashed between the
-// archive copy and the catalog write): the snapshot is cleanly absent.
-func sweepOrphanSnapshots(dataDir string, snapshots map[string]snapshotRow) {
-	root := filepath.Join(dataDir, "snapshots")
-	tables, err := os.ReadDir(root)
-	if err != nil {
-		return // no snapshots yet
-	}
-	for _, td := range tables {
-		tn, terr := url.PathUnescape(td.Name())
-		names, err := os.ReadDir(filepath.Join(root, td.Name()))
-		if terr != nil || err != nil {
-			_ = os.RemoveAll(filepath.Join(root, td.Name()))
-			continue
-		}
-		for _, nd := range names {
-			sn, serr := url.PathUnescape(nd.Name())
-			if serr != nil {
-				_ = os.RemoveAll(filepath.Join(root, td.Name(), nd.Name()))
-				continue
-			}
-			if _, ok := snapshots[tn+"/"+sn]; !ok {
-				_ = os.RemoveAll(filepath.Join(root, td.Name(), nd.Name()))
-			}
 		}
 	}
 }

@@ -58,7 +58,9 @@ import (
 // and their sum must not exceed 65% of it (the constraint HBase documents
 // and Table 1 respects).
 type ServerConfig struct {
-	// HeapBytes is the region server heap (3 GB in the paper).
+	// HeapBytes is the region server heap (3 GB in the paper). It is
+	// the machine's, not a profile's: WithProfile keeps it, and the
+	// fractions below divide it.
 	HeapBytes int64
 	// BlockCacheFraction of the heap for the read block cache.
 	BlockCacheFraction float64
@@ -195,12 +197,12 @@ func (c ServerConfig) MemstoreBytes() int64 {
 	return int64(float64(c.HeapBytes) * c.MemstoreFraction)
 }
 
-// WithProfile returns c with a profile's five paper knobs — HeapBytes,
+// WithProfile returns c with a profile's four paper knobs —
 // BlockCacheFraction, MemstoreFraction, BlockBytes and Handlers — and
-// every other field of c kept: DataDir, Compaction and the slow-op
-// settings are deployment properties that survive a re-profile.
+// every other field of c kept: HeapBytes, DataDir, Compaction and the
+// slow-op settings are deployment properties that survive a re-profile.
 func (c ServerConfig) WithProfile(p ServerConfig) ServerConfig {
-	c.HeapBytes, c.BlockCacheFraction, c.MemstoreFraction = p.HeapBytes, p.BlockCacheFraction, p.MemstoreFraction
+	c.BlockCacheFraction, c.MemstoreFraction = p.BlockCacheFraction, p.MemstoreFraction
 	c.BlockBytes, c.Handlers = p.BlockBytes, p.Handlers
 	return c
 }

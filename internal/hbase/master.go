@@ -81,9 +81,7 @@ type Master struct {
 	// reserved claims what operations have in flight, keyed by kind:
 	// "table/<name>" for CreateTable and "server/<name>" for AddServer,
 	// so two concurrent calls for one name cannot both pass the
-	// existence check; "snapshot/<table>/<name>" for Snapshot, whose
-	// error path deletes the shared archive directory and must never
-	// race a committer; "region/<name>" for a move or split; and
+	// existence check; "region/<name>" for a move or split; and
 	// "leaving/<server>" for a decommission drain — the server still
 	// serves what it hosts, but takes no new regions.
 	reserved map[string]bool
@@ -329,76 +327,6 @@ func (m *Master) Servers() []*RegionServer {
 	return out
 }
 
-// staged is a new layout's regions, built on their hosts ahead of the
-// row edit that names them; nothing serves them yet.
-type staged struct {
-	regions []*Region
-	hosts   []*RegionServer
-}
-
-// open starts serving the regions once the row naming them committed.
-func (st staged) open() {
-	for i, r := range st.regions {
-		st.hosts[i].OpenRegion(r)
-	}
-}
-
-// discard abandons the regions when that row edit did not happen: each
-// store closes and its durable directory is reclaimed.
-func (st staged) discard() {
-	for i, r := range st.regions {
-		discardRegionStore(st.hosts[i], r)
-	}
-}
-
-// stage builds the regions of rows — each carrying a name and bounds —
-// on the servers a nil-RNG RandomBalancer places them on, and completes
-// each row with its host and followers: the region-server work of
-// CreateTable and RestoreSnapshot. seed, when set, fills region i's
-// directory under its host's data root before the store opens. On an
-// error every region built so far is discarded.
-func (m *Master) stage(table string, rows []regionRow, seed func(dataDir string, i int) error) (staged, error) {
-	servers := m.placement()
-	if len(servers) == 0 {
-		return staged{}, ErrNoServers
-	}
-	names := make([]string, len(rows))
-	for i, rr := range rows {
-		names[i] = rr.Name
-	}
-	plan := (&RandomBalancer{}).Assign(names, servers)
-	var st staged
-	var placed []string // hosts of the regions built so far: follower placement and memstore shares count them
-	for i := range rows {
-		rr := &rows[i]
-		rs, err := m.target(plan[rr.Name])
-		if err == nil && seed != nil {
-			err = seed(rs.Config().DataDir, i)
-		}
-		var r *Region
-		if err == nil {
-			n := rs.NumRegions() + 1
-			for _, h := range placed {
-				if h == rs.Name() {
-					n++
-				}
-			}
-			r, err = newRegionNamed(rr.Name, table, rr.Start, rr.End, rs.storeConfigFor(rr.Name, n))
-		}
-		if err != nil {
-			st.discard()
-			return staged{}, err
-		}
-		rr.Server = rs.Name()
-		rr.Followers = m.layout.pickFollowers(rr.Server, placed)
-		r.SetFollowers(rr.Followers)
-		st.regions = append(st.regions, r)
-		st.hosts = append(st.hosts, rs)
-		placed = append(placed, rr.Server)
-	}
-	return st, nil
-}
-
 // CreateTable creates a table pre-split into the given regions.
 // splitKeys must be sorted; n split keys produce n+1 regions.
 //
@@ -426,23 +354,63 @@ func (m *Master) CreateTable(name string, splitKeys []string) (*Table, error) {
 	m.mu.Unlock()
 	defer m.release(key)
 
+	servers := m.placement()
+	if len(servers) == 0 {
+		return nil, fmt.Errorf("hbase: create table %q: %w", name, ErrNoServers)
+	}
 	// n split keys bound n+1 regions: ["", k0), [k0, k1), ..., [kn-1, "").
-	rows := make([]regionRow, 0, len(splitKeys)+1)
+	var rows []regionRow
+	var names []string
 	start := ""
 	for _, end := range append(slices.Clone(splitKeys), "") {
 		rows = append(rows, regionRow{Name: regionName(name, start), Start: start, End: end})
+		names = append(names, regionName(name, start))
 		start = end
 	}
-	st, err := m.stage(name, rows, nil)
-	if err != nil {
-		return nil, fmt.Errorf("hbase: create table %q: %w", name, err)
+	// Build each region on the server a nil-RNG RandomBalancer places it
+	// on and complete its row with host and followers; nothing serves it
+	// until the row commits.
+	plan := (&RandomBalancer{}).Assign(names, servers)
+	var regions []*Region
+	var hosts []*RegionServer
+	discard := func() {
+		for i, r := range regions {
+			discardRegionStore(hosts[i], r)
+		}
+	}
+	var placed []string // hosts of the regions built so far: follower placement and memstore shares count them
+	for i := range rows {
+		rr := &rows[i]
+		rs, err := m.target(plan[rr.Name])
+		var r *Region
+		if err == nil {
+			n := rs.NumRegions() + 1
+			for _, h := range placed {
+				if h == rs.Name() {
+					n++
+				}
+			}
+			r, err = newRegionNamed(rr.Name, name, rr.Start, rr.End, rs.storeConfigFor(rr.Name, n))
+		}
+		if err != nil {
+			discard()
+			return nil, fmt.Errorf("hbase: create table %q: %w", name, err)
+		}
+		rr.Server = rs.Name()
+		rr.Followers = m.layout.pickFollowers(rr.Server, placed)
+		r.SetFollowers(rr.Followers)
+		regions = append(regions, r)
+		hosts = append(hosts, rs)
+		placed = append(placed, rr.Server)
 	}
 	m.layout.crash("createtable.regions-open")
 	if err := m.layout.putTable(name, tableRow{SplitKeys: slices.Clone(splitKeys), Regions: rows}); err != nil {
-		st.discard()
+		discard()
 		return nil, err
 	}
-	st.open()
+	for i, r := range regions {
+		hosts[i].OpenRegion(r)
+	}
 	return m.Table(name)
 }
 

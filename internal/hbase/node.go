@@ -23,8 +23,8 @@ package hbase
 //
 // Both run the same code for the three things a layout owner does to
 // region servers. Cold start: OpenCluster loads the catalog through
-// OpenLayoutMaster's loader (openLayout) and opens every member through
-// OpenServerNode's per-manifest open (openServer). Follower placement:
+// OpenLayoutMaster and opens every member through OpenServerNode's
+// per-manifest open (openServer). Follower placement:
 // pickFollowersLocked, from hosted-region counts in the layout alone.
 // Failover: LayoutMaster.RecoverServer (recovery.go) plans, adopts and
 // commits one dead region at a time, handed the two steps that touch a
@@ -150,7 +150,7 @@ type LayoutMaster struct {
 	// crashHook, when non-nil, is invoked at named crash points inside
 	// mutating operations — tests use it to simulate a hard process
 	// kill between a catalog write and the region work it describes.
-	crashHook func(point string)
+	crashHook func(point string) //lint:allow deadfield test fault hook: crashAt sets it
 }
 
 func newLayoutMaster(cat *catalog, replication int) *LayoutMaster {
@@ -165,32 +165,32 @@ func newLayoutMaster(cat *catalog, replication int) *LayoutMaster {
 	return lm
 }
 
-// openLayout opens the cluster catalog under dataDir exclusively and
-// loads the committed layout: the one loader behind OpenLayoutMaster
-// and OpenCluster. The snapshot manifests ride along for the cold
-// start's orphan sweep.
-func openLayout(dataDir string) (*LayoutMaster, map[string]snapshotRow, error) {
+// OpenLayoutMaster opens the cluster catalog under dataDir exclusively
+// and loads the committed layout: the one loader behind a master
+// process and OpenCluster. No region store is opened; workers own
+// those.
+func OpenLayoutMaster(dataDir string) (*LayoutMaster, error) {
 	// Refuse before creating anything: opening the catalog would mint a
 	// fresh (empty) meta directory, silently "recovering" a zero-server
 	// cluster from a typo'd path.
 	if _, err := os.Stat(catalogDir(dataDir)); err != nil {
-		return nil, nil, fmt.Errorf("hbase: open %q: no META catalog: %w", dataDir, err)
+		return nil, fmt.Errorf("hbase: open %q: no META catalog: %w", dataDir, err)
 	}
 	cat, err := openCatalog(dataDir)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	st, err := cat.loadAll()
 	if err != nil {
 		cat.close()
-		return nil, nil, err
+		return nil, err
 	}
 	if len(st.servers) == 0 {
 		// A catalog with no committed membership is not a recoverable
 		// cluster (at most a cluster row from a creation that died before
 		// its first AddServer commit).
 		cat.close()
-		return nil, nil, fmt.Errorf("hbase: open %q: catalog holds no committed servers", dataDir)
+		return nil, fmt.Errorf("hbase: open %q: catalog holds no committed servers", dataDir)
 	}
 	lm := newLayoutMaster(cat, st.cluster.Replication)
 	lm.splitSeq = st.cluster.SplitSeq
@@ -201,14 +201,7 @@ func openLayout(dataDir string) (*LayoutMaster, map[string]snapshotRow, error) {
 		lm.tables[name] = &row
 	}
 	lm.routes.Store(newRouteTable(1, lm.tables))
-	return lm, st.snapshots, nil
-}
-
-// OpenLayoutMaster opens the cluster catalog exclusively and loads the
-// committed layout. No region store is opened; workers own those.
-func OpenLayoutMaster(dataDir string) (*LayoutMaster, error) {
-	lm, _, err := openLayout(dataDir)
-	return lm, err
+	return lm, nil
 }
 
 // Close releases the catalog store. Every commit was fsynced when it
@@ -222,13 +215,6 @@ func (lm *LayoutMaster) Close() {
 	if cat != nil {
 		cat.close()
 	}
-}
-
-// catalog returns the META store handle (nil without one).
-func (lm *LayoutMaster) catalog() *catalog {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	return lm.cat
 }
 
 // crash fires the test-only crash hook. Never called under lm.mu: the
@@ -353,10 +339,10 @@ func (lm *LayoutMaster) commitClusterLocked() error {
 }
 
 // nextGen bumps the split sequence and persists it before the caller
-// creates anything named after it: a split, restore or recovery
-// replayed after a crash can never mint region names — and therefore
-// data directories — that collide with the first attempt's leftovers.
-// A failure merely skips a generation number.
+// creates anything named after it: a split or recovery replayed after
+// a crash can never mint region names — and therefore data directories
+// — that collide with the first attempt's leftovers. A failure merely
+// skips a generation number.
 func (lm *LayoutMaster) nextGen() (int64, error) {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
@@ -391,8 +377,8 @@ func (lm *LayoutMaster) putTableLocked(name string, row tableRow) error {
 	return nil
 }
 
-// putTable commits a whole new row for a table: the one row edit of
-// CreateTable and RestoreSnapshot.
+// putTable commits a whole new row for a table: CreateTable's one row
+// edit.
 func (lm *LayoutMaster) putTable(name string, row tableRow) error {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
@@ -573,8 +559,8 @@ func (s *RegionServer) AdoptRegion(spec AdoptSpec) (AdoptionReport, error) {
 }
 
 // seedRegionDir creates a fresh region directory holding copies of the
-// SSTables ids of src — a replica copy (failover) or a snapshot archive
-// (restore) — for the region's store to open like any cold store.
+// SSTables ids of src — a replica copy (failover) — for the region's
+// store to open like any cold store.
 func seedRegionDir(dir, src string, ids []uint64) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err

@@ -41,7 +41,7 @@ type RegionRecovery struct {
 	// the normal result of a primary or follower dying mid-append, or of
 	// a failed append the shipper abandoned for a fresh generation. The
 	// intact prefix of every generation was still replayed.
-	TailTorn bool
+	TailTorn bool //lint:allow deadfield reported to RecoverServer's caller; TestFailoverTornShippedTail pins it
 	// LostWrites counts the acknowledged mutations the replica did not
 	// cover — after the tail replay, only the records no tail append
 	// reached. Those are a suffix of the region's history (a follower
@@ -56,7 +56,6 @@ type RegionRecovery struct {
 // where, and precisely how much was lost. A zero LostWrites means every
 // acknowledged write survived the server's death.
 type RecoveryReport struct {
-	Server     string
 	Regions    []RegionRecovery
 	LostWrites int64
 }
@@ -105,7 +104,7 @@ func (m *Master) RecoverServer(name string) (*RecoveryReport, error) {
 		return rep, nil
 	}, m.refollow)
 
-	report := &RecoveryReport{Server: name}
+	report := &RecoveryReport{}
 	for _, a := range adopted {
 		rec := RegionRecovery{
 			Region: a.Spec.Region, NewRegion: a.Spec.NewRegion, Source: a.Spec.Source,

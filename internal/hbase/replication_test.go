@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -668,215 +667,6 @@ func TestReplicaCrashDebrisIsSweptAndHarmless(t *testing.T) {
 			t.Fatalf("row %s lost: %v", k, err)
 		}
 	}
-}
-
-// TestSnapshotRestoreRoundTrip: a committed snapshot restores the table
-// to its exact point-in-time contents — later writes gone, deleted rows
-// back — and the restored regions replicate like any others.
-func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	m, c := newCatalogCluster(t, 3, dir, durableConfig(dir))
-	t.Cleanup(m.HardStop)
-	if _, err := m.CreateTable("t", []string{"m"}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		if err := c.Put("t", fmt.Sprintf("k%05d", i), []byte("snapshotted")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := m.Snapshot("t", "before"); err != nil {
-		t.Fatal(err)
-	}
-	if names, err := m.Snapshots("t"); err != nil || len(names) != 1 || names[0] != "before" {
-		t.Fatalf("Snapshots() = %v, %v", names, err)
-	}
-	if err := m.Snapshot("t", "before"); !errors.Is(err, ErrSnapshotExists) {
-		t.Fatalf("duplicate snapshot name: %v", err)
-	}
-	// Mutate after the snapshot: overwrite, add, delete.
-	for i := 0; i < 50; i++ {
-		if err := c.Put("t", fmt.Sprintf("k%05d", i), []byte("overwritten")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Put("t", "new-row", []byte("post-snapshot")); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Delete("t", "k00100"); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := m.RestoreSnapshot("t", "before"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		k := fmt.Sprintf("k%05d", i)
-		v, err := c.Get("t", k)
-		if err != nil || string(v) != "snapshotted" {
-			t.Fatalf("restored row %s = %q, %v; want the snapshot value", k, v, err)
-		}
-	}
-	if _, err := c.Get("t", "new-row"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("post-snapshot row survived restore: %v", err)
-	}
-	// Restored regions carry followers and keep replicating; a failover
-	// on the restored table works.
-	flushAll(t, m)
-	m.QuiesceReplication()
-	victim, _ := victimAndKeys(t, m, "t")
-	victim.Shutdown()
-	quarantineServerDirs(t, victim)
-	report, err := m.RecoverServer(victim.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.LostWrites != 0 {
-		t.Fatalf("failover on restored table lost %d writes", report.LostWrites)
-	}
-	if v, err := c.Get("t", "k00000"); err != nil || string(v) != "snapshotted" {
-		t.Fatalf("restored row lost after failover: %q, %v", v, err)
-	}
-
-	// The whole thing cold-starts: restored layout, snapshot still
-	// listed, data intact.
-	m.HardStop()
-	m2, err := OpenCluster(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(m2.HardStop)
-	if names, err := m2.Snapshots("t"); err != nil || len(names) != 1 {
-		t.Fatalf("snapshot manifest lost across cold start: %v, %v", names, err)
-	}
-	c2 := NewClient(m2)
-	if v, err := c2.Get("t", "k00199"); err != nil || string(v) != "snapshotted" {
-		t.Fatalf("restored row lost across cold start: %q, %v", v, err)
-	}
-}
-
-// TestSnapshotRestoreCrashPoints drives the snapshot and restore commit
-// points through the fault harness: on the uncommitted side the
-// operation is cleanly absent and its directories are swept; on the
-// committed side it is fully applied and the superseded directories are
-// the orphans.
-func TestSnapshotRestoreCrashPoints(t *testing.T) {
-	setup := func(t *testing.T) (*Master, *Client, string) {
-		dir := t.TempDir()
-		m, c := newCatalogCluster(t, 2, dir, durableConfig(dir))
-		if _, err := m.CreateTable("t", []string{"m"}); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 200; i++ {
-			if err := c.Put("t", fmt.Sprintf("k%05d", i), []byte("base")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return m, c, dir
-	}
-	reopen := func(t *testing.T, m *Master, dir string) *Master {
-		m.HardStop()
-		m2, err := OpenCluster(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(m2.HardStop)
-		return m2
-	}
-	verifyBase := func(t *testing.T, m2 *Master, want string) {
-		c2 := NewClient(m2)
-		for i := 0; i < 200; i++ {
-			k := fmt.Sprintf("k%05d", i)
-			if v, err := c2.Get("t", k); err != nil || string(v) != want {
-				t.Fatalf("row %s = %q, %v; want %q", k, v, err, want)
-			}
-		}
-	}
-
-	t.Run("snapshot-uncommitted", func(t *testing.T) {
-		m, _, dir := setup(t)
-		crashAt(t, m, "snapshot.files-copied", func() { m.Snapshot("t", "s1") })
-		m2 := reopen(t, m, dir)
-		if names, err := m2.Snapshots("t"); err != nil || len(names) != 0 {
-			t.Fatalf("uncommitted snapshot surfaced: %v, %v", names, err)
-		}
-		if _, err := os.Stat(snapshotDir(dir, "t", "s1")); !os.IsNotExist(err) {
-			t.Fatalf("uncommitted snapshot archive survived the sweep: %v", err)
-		}
-		verifyBase(t, m2, "base")
-		// The name is free: retaking the snapshot works.
-		if err := m2.Snapshot("t", "s1"); err != nil {
-			t.Fatalf("retake after crashed snapshot: %v", err)
-		}
-	})
-
-	t.Run("snapshot-committed", func(t *testing.T) {
-		m, _, dir := setup(t)
-		crashAt(t, m, "snapshot.committed", func() { m.Snapshot("t", "s1") })
-		m2 := reopen(t, m, dir)
-		// The catalog row landed before the crash: the snapshot is
-		// visible, its archive survives the sweep, and it restores.
-		if names, err := m2.Snapshots("t"); err != nil || len(names) != 1 || names[0] != "s1" {
-			t.Fatalf("committed snapshot not listed: %v, %v", names, err)
-		}
-		if _, err := os.Stat(snapshotDir(dir, "t", "s1")); err != nil {
-			t.Fatalf("committed snapshot archive missing: %v", err)
-		}
-		if err := m2.RestoreSnapshot("t", "s1"); err != nil {
-			t.Fatalf("restore of committed snapshot: %v", err)
-		}
-		verifyBase(t, m2, "base")
-	})
-
-	t.Run("restore-uncommitted", func(t *testing.T) {
-		m, c, dir := setup(t)
-		if err := m.Snapshot("t", "s1"); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 200; i++ {
-			if err := c.Put("t", fmt.Sprintf("k%05d", i), []byte("after")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		crashAt(t, m, "restore.regions-ready", func() { m.RestoreSnapshot("t", "s1") })
-		m2 := reopen(t, m, dir)
-		// The current table won: post-snapshot writes intact, the
-		// seeded restore directories swept.
-		verifyBase(t, m2, "after")
-		for _, d := range regionDirNames(t, dir) {
-			un, _ := url.PathUnescape(d)
-			if strings.Contains(un, ".") {
-				t.Fatalf("uncommitted restore directory %q survived the sweep", d)
-			}
-		}
-	})
-
-	t.Run("restore-committed", func(t *testing.T) {
-		m, c, dir := setup(t)
-		if err := m.Snapshot("t", "s1"); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 200; i++ {
-			if err := c.Put("t", fmt.Sprintf("k%05d", i), []byte("after")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		tbl, _ := m.Table("t")
-		old := tbl.Regions()
-		crashAt(t, m, "restore.committed", func() { m.RestoreSnapshot("t", "s1") })
-		m2 := reopen(t, m, dir)
-		// The restore won: snapshot contents serve, and the superseded
-		// regions' directories are the orphans.
-		verifyBase(t, m2, "base")
-		for _, d := range regionDirNames(t, dir) {
-			un, _ := url.PathUnescape(d)
-			for _, r := range old {
-				if un == r.Name() {
-					t.Fatalf("superseded region directory %q survived the sweep", d)
-				}
-			}
-		}
-	})
 }
 
 // TestRecoverServerPartialFailureResumes: a recovery that fails midway

@@ -15,7 +15,6 @@ package hdfs
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 )
@@ -30,24 +29,14 @@ var ErrUnknownFile = errors.New("hdfs: unknown file")
 // real default of 64 MB).
 const BlockSize int64 = 64 << 20
 
-// BlockID identifies one block of one file.
-type BlockID struct {
-	File  string
-	Index int
-}
-
-func (b BlockID) String() string { return fmt.Sprintf("%s#%d", b.File, b.Index) }
-
 // blockInfo records where a block's replicas live.
 type blockInfo struct {
-	id       BlockID
 	size     int64
 	replicas []string // datanode names
 }
 
 // fileInfo is the namenode's record of one file.
 type fileInfo struct {
-	name   string
 	size   int64
 	blocks []blockInfo
 }
@@ -158,7 +147,7 @@ func (n *Namenode) WriteFile(name string, size int64, localNode string) error {
 	if old, ok := n.files[name]; ok {
 		n.releaseFile(old)
 	}
-	f := &fileInfo{name: name, size: size}
+	f := &fileInfo{size: size}
 	numBlocks := int((size + BlockSize - 1) / BlockSize)
 	if numBlocks == 0 {
 		numBlocks = 1
@@ -175,7 +164,6 @@ func (n *Namenode) WriteFile(name string, size int64, localNode string) error {
 			n.datanodes[r].used += bsize
 		}
 		f.blocks = append(f.blocks, blockInfo{
-			id:       BlockID{File: name, Index: i},
 			size:     bsize,
 			replicas: replicas,
 		})
@@ -333,49 +321,4 @@ func (n *Namenode) TotalBytes() int64 {
 		total += f.size
 	}
 	return total
-}
-
-// Rebalance re-replicates under-replicated blocks (after datanode loss)
-// onto the least-used live datanodes. It returns the number of new
-// replicas created.
-func (n *Namenode) Rebalance() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	created := 0
-	for _, f := range n.files {
-		for bi := range f.blocks {
-			b := &f.blocks[bi]
-			live := n.liveReplicas(b.replicas)
-			for len(live) < n.replication {
-				target := n.pickLeastUsedExcluding(live)
-				if target == "" {
-					break
-				}
-				b.replicas = append(live, target)
-				n.datanodes[target].used += b.size
-				live = n.liveReplicas(b.replicas)
-				created++
-			}
-		}
-	}
-	return created
-}
-
-func (n *Namenode) pickLeastUsedExcluding(exclude []string) string {
-	excluded := make(map[string]bool, len(exclude))
-	for _, e := range exclude {
-		excluded[e] = true
-	}
-	best := ""
-	var bestUsed int64
-	for _, dn := range n.datanodes {
-		if !dn.alive || excluded[dn.name] {
-			continue
-		}
-		if best == "" || dn.used < bestUsed || (dn.used == bestUsed && dn.name < best) {
-			best = dn.name
-			bestUsed = dn.used
-		}
-	}
-	return best
 }

@@ -145,31 +145,12 @@ func TestLocalityEmptyAndMissing(t *testing.T) {
 	}
 }
 
-func TestRemoveDatanodeAndRebalance(t *testing.T) {
+func TestRemoveDatanode(t *testing.T) {
 	n := newCluster(t, 3, 2)
 	n.WriteFile("f", 64<<20, "a-dn")
 	n.RemoveDatanode("a-dn")
 	if len(n.Datanodes()) != 2 {
 		t.Fatalf("live = %v", n.Datanodes())
-	}
-	created := n.Rebalance()
-	if created == 0 {
-		t.Fatal("rebalance created no replicas")
-	}
-	// Both survivors now hold the block.
-	if lb, _ := n.LocalBytes("f", "b-dn"); lb == 0 {
-		if lb2, _ := n.LocalBytes("f", "c-dn"); lb2 == 0 {
-			t.Fatal("no survivor holds data")
-		}
-	}
-}
-
-func TestRebalanceNoTargets(t *testing.T) {
-	n := newCluster(t, 1, 2)
-	n.WriteFile("f", 1<<20, "a-dn")
-	// Only one node: can't reach replication 2, must not loop forever.
-	if created := n.Rebalance(); created != 0 {
-		t.Fatalf("created = %d on single node", created)
 	}
 }
 
@@ -206,12 +187,6 @@ func TestReplicationClamped(t *testing.T) {
 	n := NewNamenode(0)
 	if n.Replication() != 1 {
 		t.Fatalf("replication = %d", n.Replication())
-	}
-}
-
-func TestBlockIDString(t *testing.T) {
-	if (BlockID{File: "f", Index: 3}).String() != "f#3" {
-		t.Fatal("bad BlockID string")
 	}
 }
 

@@ -32,12 +32,11 @@ var (
 // FileStat describes one immutable store file for compaction planning,
 // in the same newest-first order as the file stack.
 type FileStat struct {
-	ID           uint64
-	Bytes        int64
-	Entries      int
-	MinKey       string
-	MaxKey       string
-	MaxTimestamp uint64
+	ID      uint64
+	Bytes   int64
+	Entries int
+	MinKey  string
+	MaxKey  string
 }
 
 // Overlaps reports whether the key ranges of two files intersect —
@@ -59,12 +58,11 @@ func (s *Store) FileStats() []FileStat {
 	for i, f := range s.files {
 		minKey, maxKey := f.KeyRange()
 		out[i] = FileStat{
-			ID:           f.ID(),
-			Bytes:        int64(f.Bytes()),
-			Entries:      f.Entries(),
-			MinKey:       minKey,
-			MaxKey:       maxKey,
-			MaxTimestamp: f.MaxTimestamp(),
+			ID:      f.ID(),
+			Bytes:   int64(f.Bytes()),
+			Entries: f.Entries(),
+			MinKey:  minKey,
+			MaxKey:  maxKey,
 		}
 	}
 	return out
@@ -112,7 +110,6 @@ type CompactionSelection struct {
 
 // CompactionResult reports what a CompactFiles call did.
 type CompactionResult struct {
-	FilesIn  int
 	BytesIn  int64
 	BytesOut int64
 }
@@ -187,7 +184,6 @@ func (s *Store) CompactFiles(sel CompactionSelection) (CompactionResult, error) 
 			maxTSFloor = f.MaxTimestamp()
 		}
 	}
-	res.FilesIn = len(run)
 	it := newDedupIterator(newMergeIterator(sources), dropTombstones)
 	var entries []Entry
 	var outBytes int

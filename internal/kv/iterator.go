@@ -10,7 +10,6 @@ import "container/heap"
 type mergeIterator struct {
 	h       mergeHeap
 	current Entry
-	started bool
 }
 
 type mergeSource struct {
@@ -61,7 +60,6 @@ func (m *mergeIterator) Next() bool {
 	} else {
 		heap.Pop(&m.h)
 	}
-	m.started = true
 	return true
 }
 

@@ -920,16 +920,14 @@ func (s *Store) FileInfos() []FileInfo {
 }
 
 // ExportedFile names one immutable store file by its on-disk path, for
-// byte-level shipping: replication copies it to follower servers,
-// snapshots archive it. The file at Path is immutable while it remains
-// in the stack; a compaction may unlink it after the snapshot is taken,
-// in which case an opener sees ENOENT and the file's contents are
-// guaranteed to live on in a newer (higher-ID) exported file.
+// byte-level shipping: replication copies it to follower servers. The
+// file at Path is immutable while it remains in the stack; a compaction
+// may unlink it after the stack is exported, in which case an opener
+// sees ENOENT and the file's contents are guaranteed to live on in a
+// newer (higher-ID) exported file.
 type ExportedFile struct {
-	ID    uint64
-	Bytes int64
-	MaxTS uint64
-	Path  string
+	ID   uint64
+	Path string
 }
 
 // FileExporter is an optional StorageBackend extension for backends
@@ -953,12 +951,7 @@ func (s *Store) ExportFiles() ([]ExportedFile, bool) {
 	}
 	out := make([]ExportedFile, len(s.files))
 	for i, f := range s.files {
-		out[i] = ExportedFile{
-			ID:    f.ID(),
-			Bytes: int64(f.Bytes()),
-			MaxTS: f.MaxTimestamp(),
-			Path:  exp.FilePath(f.ID()),
-		}
+		out[i] = ExportedFile{ID: f.ID(), Path: exp.FilePath(f.ID())}
 	}
 	return out, true
 }

@@ -10,7 +10,6 @@ import (
 
 // RegionPerf describes one data partition to the model.
 type RegionPerf struct {
-	Name      string
 	SizeBytes float64
 	// HotDataFrac of the region's bytes receive HotTrafficFrac of its
 	// requests (the within-region popularity curve; the paper's YCSB

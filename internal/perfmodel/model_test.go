@@ -24,7 +24,7 @@ func simpleModel(cfg hbase.ServerConfig, mix OpMix, regionBytes float64, localit
 	m := NewModel()
 	m.Nodes["rs0"] = &NodePerf{Name: "rs0", Config: cfg}
 	m.Regions["r0"] = &RegionPerf{
-		Name: "r0", SizeBytes: regionBytes,
+		SizeBytes:   regionBytes,
 		HotDataFrac: 0.4, HotTrafficFrac: 0.5, Locality: locality,
 	}
 	m.Placement["r0"] = "rs0"
@@ -101,7 +101,7 @@ func TestBiggerMemstoreHelpsWrites(t *testing.T) {
 		shares := map[string]float64{}
 		for i := 0; i < 4; i++ {
 			r := fmt.Sprintf("r%d", i)
-			m.Regions[r] = &RegionPerf{Name: r, SizeBytes: 250e6, HotDataFrac: 0.4, HotTrafficFrac: 0.5, Locality: 1}
+			m.Regions[r] = &RegionPerf{SizeBytes: 250e6, HotDataFrac: 0.4, HotTrafficFrac: 0.5, Locality: 1}
 			m.Placement[r] = "rs0"
 			shares[r] = 0.25
 		}
@@ -195,7 +195,7 @@ func TestMoreNodesMoreThroughput(t *testing.T) {
 		shares := map[string]float64{}
 		for i := 0; i < 8; i++ {
 			r := fmt.Sprintf("r%d", i)
-			m.Regions[r] = &RegionPerf{Name: r, SizeBytes: 2e9, HotDataFrac: 0.4, HotTrafficFrac: 0.5, Locality: 1}
+			m.Regions[r] = &RegionPerf{SizeBytes: 2e9, HotDataFrac: 0.4, HotTrafficFrac: 0.5, Locality: 1}
 			shares[r] = 1.0 / 8
 		}
 		for i := 0; i < nodes; i++ {
@@ -225,7 +225,7 @@ func TestSkewedPlacementUnderperformsBalanced(t *testing.T) {
 		// skew — not cache pressure — is what differentiates placements.
 		shares := map[string]float64{"hot": 0.34, "mid": 0.26, "c1": 0.2, "c2": 0.2}
 		for r := range shares {
-			m.Regions[r] = &RegionPerf{Name: r, SizeBytes: 250e6, HotDataFrac: 0.4, HotTrafficFrac: 0.5, Locality: 1}
+			m.Regions[r] = &RegionPerf{SizeBytes: 250e6, HotDataFrac: 0.4, HotTrafficFrac: 0.5, Locality: 1}
 		}
 		m.Nodes["rs0"] = &NodePerf{Name: "rs0", Config: profile(0.39, 0.26, 64)}
 		m.Nodes["rs1"] = &NodePerf{Name: "rs1", Config: profile(0.39, 0.26, 64)}
@@ -328,7 +328,7 @@ func BenchmarkSolve(b *testing.B) {
 	shares := map[string]float64{}
 	for i := 0; i < 21; i++ {
 		r := fmt.Sprintf("r%d", i)
-		m.Regions[r] = &RegionPerf{Name: r, SizeBytes: 1e9, HotDataFrac: 0.4, HotTrafficFrac: 0.5, Locality: 1}
+		m.Regions[r] = &RegionPerf{SizeBytes: 1e9, HotDataFrac: 0.4, HotTrafficFrac: 0.5, Locality: 1}
 		shares[r] = 1.0 / 21
 	}
 	for i := 0; i < 5; i++ {

@@ -55,7 +55,7 @@
 // hard-stops a loaded cluster mid-run, reopens it, and verifies every
 // acknowledged write is readable through normal routing.
 //
-// # Replication & snapshots
+// # Replication
 //
 // On the durable backend, region data is really replicated: each
 // region server owns a replicator (met/internal/replication) that
@@ -65,7 +65,7 @@
 // Shipping runs in the background, charged to the compaction I/O
 // budget, so it yields to serving. When a server dies,
 //
-//	report, err := cluster.RecoverServer(name)
+//	report, err := cluster.Master.RecoverServer(name)
 //
 // reopens its regions on the followers holding their replica copies —
 // from the copies alone, never the dead server's own directories —
@@ -73,17 +73,10 @@
 // not cover (the unflushed memstore; zero after a clean flush with
 // replication quiesced). Loss is always reported, never silent.
 //
-// Snapshots are the same machinery pointed at time instead of
-// failure: Cluster.Snapshot(table, name) archives every region's
-// SSTable set (plus its WAL high-water mark) under DataDir/snapshots
-// and commits a manifest row; RestoreSnapshot(table, name) rebuilds
-// the table to exactly that point — later writes gone, deletes
-// undone — with the same atomic table-row commit discipline as splits
-// and cold starts. `metbench -failover -durable DIR` drives the
-// kill-and-recover path end to end (and CI gates on it under -race):
-// it hard-kills a server, renames its primary region directories away,
-// and requires 100% of acknowledged rows back from replicas with zero
-// reported loss.
+// `metbench -failover -durable DIR` drives the kill-and-recover path
+// end to end (and CI gates on it under -race): it hard-kills a server,
+// renames its primary region directories away, and requires 100% of
+// acknowledged rows back from replicas with zero reported loss.
 //
 // On either backend, compaction runs in the background: each region
 // server owns a compactor pool (met/internal/compaction) that merges
@@ -142,7 +135,7 @@
 // cold start opens every member the way a worker process does, a
 // region's followers are the members hosting the fewest regions
 // whichever master placed them, and a killed worker is recovered by
-// the very loop Cluster.RecoverServer runs — one region at a time: elect
+// the very loop Master.RecoverServer runs — one region at a time: elect
 // the best replica copy on the shared disk, have that survivor adopt
 // the region, commit its table row — with POST /node/adopt in place of
 // a direct call. A recovery that fails mid-way leaves the regions it
@@ -201,7 +194,6 @@ import (
 	"met/internal/hbase"
 	"met/internal/hdfs"
 	"met/internal/obs"
-	"met/internal/placement"
 )
 
 // Re-exported substrate types for embedding users.
@@ -218,20 +210,6 @@ type (
 	Controller = core.Controller
 	// Params are MeT's decision parameters.
 	Params = core.Params
-	// AccessType is a workload access-pattern class.
-	AccessType = placement.AccessType
-	// RecoveryReport is RecoverServer's accounting: which regions were
-	// reopened from which follower's replica SSTables, and exactly how
-	// many acknowledged writes the replicas did not cover.
-	RecoveryReport = hbase.RecoveryReport
-)
-
-// Access pattern classes (Table 1 profiles exist for each).
-const (
-	ReadWrite = placement.ReadWrite
-	Read      = placement.Read
-	Write     = placement.Write
-	Scan      = placement.Scan
 )
 
 // Sentinel errors re-exported for embedders steering cluster lifecycle.
@@ -243,13 +221,6 @@ var (
 	// cold start already recovered it.
 	ErrTableExists = hbase.ErrTableExists
 )
-
-// DefaultServerConfig returns an out-of-the-box tuned homogeneous node
-// configuration.
-func DefaultServerConfig() ServerConfig { return hbase.DefaultServerConfig() }
-
-// Table1Profiles returns the paper's per-group node profiles.
-func Table1Profiles() map[AccessType]ServerConfig { return core.Table1Profiles() }
 
 // DefaultParams returns the paper's Decision Maker parameters.
 func DefaultParams() Params { return core.DefaultParams() }
@@ -338,29 +309,6 @@ func (c *Cluster) Scan(table, start, end string, limit int) (keys []string, valu
 		values = append(values, e.Value)
 	}
 	return keys, values, nil
-}
-
-// Snapshot archives a point-in-time copy of a table — the exact
-// SSTable set of every region plus its WAL high-water mark — committed
-// as one fsynced META manifest row. Durable clusters only.
-func (c *Cluster) Snapshot(table, name string) error {
-	return c.Master.Snapshot(table, name)
-}
-
-// RestoreSnapshot rebuilds a table to a committed snapshot's exact
-// contents: writes after the snapshot are gone, deleted rows are back.
-// The switch is one atomic table-row commit; a crash on either side
-// leaves a complete table.
-func (c *Cluster) RestoreSnapshot(table, name string) error {
-	return c.Master.RestoreSnapshot(table, name)
-}
-
-// RecoverServer fails over a dead (stopped) server: its regions reopen
-// on the followers holding their replica SSTables, and the report
-// counts precisely the acknowledged writes the replicas did not cover
-// — zero after a clean flush with replication quiesced.
-func (c *Cluster) RecoverServer(name string) (*RecoveryReport, error) {
-	return c.Master.RecoverServer(name)
 }
 
 // ServeDebug starts the cluster's HTTP debug plane on addr (host:port;

@@ -50,13 +50,8 @@ func TestClusterCRUDRoundTrip(t *testing.T) {
 }
 
 func TestDefaultConfigsValid(t *testing.T) {
-	if err := DefaultServerConfig().Validate(); err != nil {
+	if err := hbase.DefaultServerConfig().Validate(); err != nil {
 		t.Fatal(err)
-	}
-	for ty, cfg := range Table1Profiles() {
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("%v profile: %v", ty, err)
-		}
 	}
 	p := DefaultParams()
 	if p.SubOptimalNodesThreshold != 0.5 || p.MinSamples != 6 {
@@ -106,16 +101,6 @@ func TestControllerOverPublicAPI(t *testing.T) {
 	// Data remains available.
 	if _, err := c.Get("reads", "k005"); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAccessTypeConstants(t *testing.T) {
-	profiles := Table1Profiles()
-	if profiles[Read].BlockBytes != 32<<10 || profiles[Scan].BlockBytes != 128<<10 {
-		t.Fatal("profile constants wired wrong")
-	}
-	if profiles[Write].MemstoreFraction != 0.55 || profiles[ReadWrite].BlockCacheFraction != 0.45 {
-		t.Fatal("profile fractions wired wrong")
 	}
 }
 
