@@ -129,9 +129,10 @@ func lint(patterns []string) ([]analysis.Finding, error) {
 }
 
 // analyzable selects this module's real packages: skip dependencies
-// outside the module, generated .test binaries, and the plain
-// variant of any package that also has a test variant (the variant's
-// file set is a superset).
+// outside the module, generated .test binaries, the variants of a
+// package recompiled for another package's test (they repeat its plain
+// build), and the plain variant of any package that also has its own
+// test variant (the variant's file set is a superset).
 func analyzable(p *listedPackage, hasTestVariant map[string]bool) bool {
 	if p.DepOnly || len(p.GoFiles) == 0 {
 		return false
@@ -143,8 +144,13 @@ func analyzable(p *listedPackage, hasTestVariant map[string]bool) bool {
 	if strings.HasSuffix(ip, ".test") {
 		return false // generated test main
 	}
-	if p.ForTest == "" && hasTestVariant[ip] {
-		return false // superseded by its test variant
+	if p.ForTest != "" {
+		// "met/internal/kv [met/internal/kv.test]" and its external test
+		// package "met/internal/kv_test [...]" belong to kv's test;
+		// "met/internal/durable [met/internal/kv.test]" is durable
+		// recompiled for it.
+		base, _, _ := strings.Cut(ip, " ")
+		return base == p.ForTest || base == p.ForTest+"_test"
 	}
-	return true
+	return !hasTestVariant[ip] // superseded by its test variant
 }

@@ -15,17 +15,24 @@
 // manifest (config, assigned regions, routing epoch) from the master
 // over RPC instead, so exactly one process owns each WAL.
 //
-// The same listener serves the debug plane — /metrics (a server's whole
-// met_* tree beside the rpc histograms and process stats), /healthz,
+// A server process serves its data plane on its one listener too:
+// clients upgrade a connection (GET /node/stream, Upgrade: met-frames)
+// to a persistent frame stream and run their get/put/delete/scan ops
+// on it, so no second port or address file is needed. The same
+// listener serves the debug plane — /metrics (a server's whole met_*
+// tree beside the rpc histograms and process stats), /healthz,
 // /readyz, /debug/slowops, /debug/vars, /debug/pprof/ — so `curl
-// HOST:PORT/metrics` shows what any node is doing.
+// HOST:PORT/metrics` shows what any node is doing. With -v the process
+// logs one line per HTTP request and one per data-plane op.
 //
 // With -addr-file the process writes its bound address (host:port,
 // one line) to the file once it is serving — listeners default to
 // port 0, so parents discover the chosen port by reading the file.
-// SIGINT/SIGTERM drain gracefully: in-flight requests finish, the
-// readiness probe flips to 503, and the engine shuts down cleanly.
-// SIGKILL is the failure mode the cluster is built to survive.
+// SIGINT/SIGTERM drain gracefully within 10 s: the readiness probe
+// flips to 503 and new streams are refused, in-flight requests and ops
+// finish and reply, idle streams close at once, and the engine shuts
+// down cleanly. SIGKILL is the failure mode the cluster is built to
+// survive.
 package main
 
 import (
@@ -49,7 +56,7 @@ func main() {
 	master := flag.String("master", "", "master address host:port (role=server)")
 	addr := flag.String("addr", "127.0.0.1:0", "listen address (port 0 picks a free port)")
 	addrFile := flag.String("addr-file", "", "write the bound address here once serving")
-	verbose := flag.Bool("v", false, "log every RPC request (one line each) to stderr")
+	verbose := flag.Bool("v", false, "log every HTTP request and every data-plane op (one line per op) to stderr")
 	flag.Parse()
 
 	logw := io.Writer(io.Discard)

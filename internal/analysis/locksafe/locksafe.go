@@ -55,6 +55,10 @@ var Guarded = map[string]bool{
 	// stalls every concurrent RPC behind one slow peer.
 	"met/internal/rpc.Server":     true,
 	"met/internal/rpc.MasterNode": true,
+	// The client's stream pool: every op takes its lock to pop or push
+	// an idle stream, so a dial or an upgrade under it would hold every
+	// other op to that process behind one slow connect.
+	"met/internal/rpc.connPool": true,
 }
 
 // BlockingFuncs maps fully-qualified functions, methods and
@@ -94,6 +98,11 @@ var BlockingFuncs = map[string]bool{
 	// The rpc layer's own round trips: the JSON control call and the
 	// worker's registration, which also sleeps between retries.
 	"met/internal/rpc.callJSON": true, "met/internal/rpc.Register": true,
+	// The data plane's frame stream: reading or writing a frame blocks
+	// on the peer, and opening a stream is a connect plus an HTTP
+	// upgrade round trip.
+	"met/internal/rpc.readFrame": true, "met/internal/rpc.writeFrame": true,
+	"met/internal/rpc.dialStream": true,
 
 	// Engine-internal blocking entry points. WAL appends are on the
 	// list because the guarded locks must never nest over a log

@@ -1,9 +1,13 @@
 // Fixture for the RPC-layer additions: network I/O under a guarded
-// lock. The test registers locksafe.Server as a guarded type, standing
-// in for met/internal/rpc.Server / Client / MasterNode.
+// lock. The test registers locksafe.Server and locksafe.connPool as
+// guarded types, standing in for met/internal/rpc.Server / MasterNode
+// and the client's stream pool.
 package locksafe
 
 import (
+	"bufio"
+	"context"
+	"io"
 	"net"
 	"net/http"
 	"sync"
@@ -66,4 +70,55 @@ func (s *Server) drainFarewell(conn net.Conn) {
 	s.mu.Lock()
 	_, _ = conn.Write([]byte("bye")) //lint:allow locksafe drain-path farewell; runs once at shutdown with serving already stopped
 	s.mu.Unlock()
+}
+
+// connPool mimics rpc.connPool: mu guards the idle streams every op
+// pops and pushes.
+type connPool struct {
+	mu   sync.Mutex
+	idle []net.Conn
+}
+
+// readFrame, writeFrame and dialStream stand in for the rpc data
+// plane's frame helpers; the test lists them as blocking the way
+// BlockingFuncs lists the real ones.
+func readFrame(r *bufio.Reader, buf []byte) ([]byte, error)         { return buf, nil }
+func writeFrame(w io.Writer, b []byte) ([]byte, error)              { return b, nil }
+func dialStream(ctx context.Context, addr string) (net.Conn, error) { return nil, nil }
+
+// Dialing a new stream under the pool lock holds every other op behind
+// one connect and upgrade.
+func (p *connPool) dialUnderLock(ctx context.Context, addr string) net.Conn {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.idle) == 0 {
+		nc, _ := dialStream(ctx, addr) // want `blocking call to locksafe.dialStream`
+		return nc
+	}
+	nc := p.idle[len(p.idle)-1]
+	p.idle = p.idle[:len(p.idle)-1]
+	return nc
+}
+
+// A frame exchanged under the pool lock waits on the peer's reply.
+func (p *connPool) frameUnderLock(br *bufio.Reader, nc net.Conn, buf []byte) {
+	p.mu.Lock()
+	buf, _ = writeFrame(nc, buf) // want `blocking call to locksafe.writeFrame`
+	_, _ = readFrame(br, buf)    // want `blocking call to locksafe.readFrame`
+	p.mu.Unlock()
+}
+
+// The right shape: pop under the lock, dial and talk after releasing
+// it.
+func (p *connPool) popThenDial(ctx context.Context, addr string) net.Conn {
+	p.mu.Lock()
+	if n := len(p.idle); n > 0 {
+		nc := p.idle[n-1]
+		p.idle = p.idle[:n-1]
+		p.mu.Unlock()
+		return nc
+	}
+	p.mu.Unlock()
+	nc, _ := dialStream(ctx, addr) // unlocked: no diagnostic
+	return nc
 }

@@ -1,14 +1,16 @@
 package rpc
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
+	"net"
 	"net/http"
-	"strconv"
+	"os"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,13 +21,14 @@ import (
 // Client is the networked counterpart of hbase.Client: it caches the
 // master's layout (the route table and each worker's address) and
 // routes every data operation straight to the worker hosting the key's
-// region. A failed route — connection refused (the worker is dead), 409
-// wrong-region (the region moved), 409 stale-epoch (the layout changed
-// under us) — re-fetches the layout and retries, bounded; 503 (the
-// region server is stopped or restarting) backs off and retries the
-// refreshed route, and surfaces as hbase.ErrServerStopped once the
-// retries are spent. Each fetch publishes a new immutable snapshot;
-// calls in flight load it with one atomic read.
+// region, over a pool of frame streams per worker. A failed route —
+// connection refused or reset (the worker is dead), a reroute reply
+// (the region moved, or the layout changed under us) — re-fetches the
+// layout and retries, bounded; a stopped reply (the region server is
+// stopped or restarting) backs off and retries the refreshed route, and
+// surfaces as hbase.ErrServerStopped once the retries are spent. Each
+// fetch publishes a new immutable snapshot; calls in flight load it
+// with one atomic read.
 type Client struct {
 	master string // master base address, "host:port"
 	hc     *http.Client
@@ -40,6 +43,7 @@ type Client struct {
 	Retries int
 
 	layout atomic.Pointer[layout]
+	pool   connPool
 }
 
 // layout is one fetched layout: the route table and each worker's
@@ -95,47 +99,53 @@ func (c *Client) Refresh() error {
 // Regions returns a copy of the cached layout's region list.
 func (c *Client) Regions() []hbase.LayoutRegion { return c.layout.Load().routes.Regions() }
 
-// call sends one binary data-plane request, stamped with the routing
+// do runs one op on a pooled stream to addr, stamped with the routing
 // epoch it was routed under, and classifies the reply. The returned
 // error is errReroute-wrapped whenever a refreshed route should be
-// retried.
-func (c *Client) call(ctx context.Context, addr, path string, epoch int64, body []byte) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		"http://"+addr+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	req.Header.Set(HeaderEpoch, strconv.FormatInt(epoch, 10))
-	resp, err := c.hc.Do(req)
-	var payload []byte
+// retried. The reply payload is the caller's.
+func (c *Client) do(ctx context.Context, addr string, op byte, epoch int64, body []byte) ([]byte, error) {
+	cn, err := c.pool.get(ctx, addr)
+	var f frame
 	if err == nil {
-		payload, err = io.ReadAll(io.LimitReader(resp.Body, maxBody))
-		resp.Body.Close()
+		if f, err = cn.roundTrip(ctx, op, epoch, body); err != nil {
+			cn.nc.Close()
+			if cn.pooled {
+				// The worker may have restarted or drained: its other idle
+				// streams are as dead as this one.
+				c.pool.drop(addr)
+			}
+		}
 	}
 	if err != nil {
-		if ctx.Err() != nil {
+		if ctx.Err() != nil || errors.Is(err, os.ErrDeadlineExceeded) {
 			return nil, context.DeadlineExceeded
 		}
-		// Connection refused / reset / a torn reply: the worker may be
-		// dead and its regions failed over — refresh and re-route.
+		// Connection refused / reset / a torn or corrupt reply: the
+		// worker may be dead and its regions failed over — refresh and
+		// re-route.
 		return nil, fmt.Errorf("%w: %v", errReroute, err)
 	}
-	switch text := bytes.TrimSpace(payload); resp.StatusCode {
-	case http.StatusOK:
+	// The payload aliases the stream's buffer: copy it out before the
+	// stream goes back to the pool.
+	payload := bytes.Clone(f.payload)
+	c.pool.put(cn)
+	switch f.kind {
+	case statusOK:
 		return payload, nil
-	case http.StatusNotFound:
+	case statusNotFound:
 		return nil, hbase.ErrNotFound
-	case http.StatusConflict:
+	case statusReroute:
 		// wrong-region or stale-epoch: both mean "your layout is old".
-		return nil, fmt.Errorf("%w: %s", errReroute, text)
-	case http.StatusServiceUnavailable:
-		// The only 503 a data call gets is a stopped (restarting or
-		// shut-down) region server; once the retries are spent the
-		// caller sees the same sentinel the in-process client returns.
-		return nil, fmt.Errorf("%w: %w: %s", errReroute, hbase.ErrServerStopped, text)
+		return nil, fmt.Errorf("%w: %s", errReroute, payload)
+	case statusStopped:
+		// A stopped (restarting or shut-down) region server; once the
+		// retries are spent the caller sees the same sentinel the
+		// in-process client returns.
+		return nil, fmt.Errorf("%w: %w: %s", errReroute, hbase.ErrServerStopped, payload)
+	case statusBadRequest, statusInternal:
+		return nil, fmt.Errorf("rpc: %s: %s: %s", opRoutes[op], statusNames[f.kind], payload)
 	default:
-		return nil, fmt.Errorf("rpc: %s %s: %s", path, resp.Status, text)
+		return nil, fmt.Errorf("rpc: %s: unknown status %d: %s", opRoutes[op], f.kind, payload)
 	}
 }
 
@@ -143,7 +153,7 @@ func (c *Client) call(ctx context.Context, addr, path string, epoch int64, body 
 // the layout and tries again, up to c.Retries times within the
 // operation's deadline. It returns the region the successful attempt
 // was routed to.
-func (c *Client) withRetry(table, key, path string, body []byte) ([]byte, hbase.LayoutRegion, error) {
+func (c *Client) withRetry(table, key string, op byte, body []byte) ([]byte, hbase.LayoutRegion, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.Timeout)
 	defer cancel()
 	var lastErr error
@@ -170,34 +180,35 @@ func (c *Client) withRetry(table, key, path string, body []byte) ([]byte, hbase.
 			}
 			return nil, region, err
 		}
-		payload, err := c.call(ctx, addr, path, l.routes.Epoch(), body)
+		payload, err := c.do(ctx, addr, op, l.routes.Epoch(), body)
 		if err == nil || !errors.Is(err, errReroute) {
 			return payload, region, err
 		}
 		lastErr = err
 	}
 	return nil, hbase.LayoutRegion{}, fmt.Errorf("rpc: %s %s/%q failed after %d attempts: %w",
-		path, table, key, c.Retries+1, lastErr)
+		opRoutes[op], table, key, c.Retries+1, lastErr)
 }
 
 // Get returns the newest value of key, or hbase.ErrNotFound.
 func (c *Client) Get(table, key string) ([]byte, error) {
-	body := appendStr(appendStr(nil, table), key)
-	v, _, err := c.withRetry(table, key, "/node/get", body)
+	var buf [64]byte
+	v, _, err := c.withRetry(table, key, opGet, appendStr(appendStr(buf[:0], table), key))
 	return v, err
 }
 
 // Put writes a value; acknowledged only after the worker's WAL fsync.
 func (c *Client) Put(table, key string, value []byte) error {
-	body := appendBytes(appendStr(appendStr(nil, table), key), value)
-	_, _, err := c.withRetry(table, key, "/node/put", body)
+	var buf [64]byte
+	body := appendBytes(appendStr(appendStr(buf[:0], table), key), value)
+	_, _, err := c.withRetry(table, key, opPut, body)
 	return err
 }
 
 // Delete removes a key.
 func (c *Client) Delete(table, key string) error {
-	body := appendStr(appendStr(nil, table), key)
-	_, _, err := c.withRetry(table, key, "/node/delete", body)
+	var buf [64]byte
+	_, _, err := c.withRetry(table, key, opDelete, appendStr(appendStr(buf[:0], table), key))
 	return err
 }
 
@@ -209,7 +220,7 @@ func (c *Client) Scan(table, start, end string, limit int) ([]kv.Entry, error) {
 	return hbase.StitchScan(start, end, limit, func(cursor string, limit int) ([]kv.Entry, string, error) {
 		body := appendStr(appendStr(appendStr(nil, table), cursor), end)
 		body = binary.AppendVarint(body, int64(limit))
-		payload, region, err := c.withRetry(table, cursor, "/node/scan", body)
+		payload, region, err := c.withRetry(table, cursor, opScan, body)
 		if err != nil {
 			return nil, "", err
 		}
@@ -222,9 +233,12 @@ func (c *Client) Scan(table, start, end string, limit int) ([]kv.Entry, error) {
 func decodeEntries(b []byte) ([]kv.Entry, error) {
 	count, sz := binary.Uvarint(b)
 	if sz <= 0 {
-		return nil, errors.New("rpc: truncated scan count")
+		return nil, fmt.Errorf("%w: truncated scan count", errMalformed)
 	}
 	b = b[sz:]
+	if count > uint64(len(b)) { // every entry takes at least four bytes
+		return nil, fmt.Errorf("%w: %d entries in %d bytes", errMalformed, count, len(b))
+	}
 	entries := make([]kv.Entry, 0, count)
 	for i := uint64(0); i < count; i++ {
 		key, rest, err := takeStr(b)
@@ -237,11 +251,11 @@ func decodeEntries(b []byte) ([]kv.Entry, error) {
 		}
 		ts, sz := binary.Uvarint(rest)
 		if sz <= 0 {
-			return nil, errors.New("rpc: truncated scan timestamp")
+			return nil, fmt.Errorf("%w: truncated scan timestamp", errMalformed)
 		}
 		rest = rest[sz:]
 		if len(rest) < 1 {
-			return nil, errors.New("rpc: truncated scan flags")
+			return nil, fmt.Errorf("%w: truncated scan flags", errMalformed)
 		}
 		entries = append(entries, kv.Entry{
 			Key: key, Value: val, Timestamp: ts, Tombstone: rest[0]&1 != 0,
@@ -268,7 +282,98 @@ func (c *Client) Recover(dead string) (*RecoverReply, error) {
 	if err := callJSON(c.hc, http.MethodPost, c.master, "/master/recover", recoverReq{Server: dead}, &reply); err != nil {
 		return nil, err
 	}
-	// The layout changed; re-route immediately rather than on first 409.
+	// The layout changed; re-route immediately rather than on the first
+	// reroute reply.
 	_ = c.Refresh()
 	return &reply, nil
+}
+
+// conn is one client stream: a connection upgraded to frames, with its
+// read buffer and one frame buffer reused by every op it carries. It
+// carries one op at a time, so it needs no request ids: a reply is the
+// reply to the last request. A conn that fails an op is closed, never
+// pooled, so no late reply can be read as the next op's.
+type conn struct {
+	addr   string
+	nc     net.Conn
+	br     *bufio.Reader
+	buf    []byte
+	pooled bool // it has waited in the pool, where it may have gone stale
+}
+
+// roundTrip sends one request frame and reads its reply within ctx's
+// deadline. The reply's payload aliases cn.buf.
+func (cn *conn) roundTrip(ctx context.Context, op byte, epoch int64, body []byte) (frame, error) {
+	dl, _ := ctx.Deadline() // none: the zero time clears the last op's
+	if err := cn.nc.SetDeadline(dl); err != nil {
+		return frame{}, err
+	}
+	var err error
+	if cn.buf, err = writeFrame(cn.nc, append(beginFrame(cn.buf, op, epoch), body...)); err != nil {
+		return frame{}, err
+	}
+	f, buf, err := readFrame(cn.br, cn.buf)
+	cn.buf = buf
+	return f, err
+}
+
+// maxIdlePerAddr bounds the idle streams kept per worker: enough for
+// the closed-loop clients one process runs, without keeping a burst's
+// worth of sockets open forever.
+const maxIdlePerAddr = 64
+
+// maxKeptBuf is the largest frame buffer a stream keeps between ops; a
+// larger one (a big value or a long scan) is released after its op.
+const maxKeptBuf = 1 << 20
+
+// connPool keeps idle streams per worker address. mu guards the idle
+// lists only: dialing and upgrading happen outside it.
+type connPool struct {
+	mu   sync.Mutex
+	idle map[string][]*conn
+}
+
+// get pops an idle stream to addr, or dials a new one.
+func (p *connPool) get(ctx context.Context, addr string) (*conn, error) {
+	p.mu.Lock()
+	if list := p.idle[addr]; len(list) > 0 {
+		cn := list[len(list)-1]
+		p.idle[addr] = list[:len(list)-1]
+		p.mu.Unlock()
+		return cn, nil
+	}
+	p.mu.Unlock()
+	return dialStream(ctx, addr)
+}
+
+// put returns a healthy stream to the pool, or closes it when the pool
+// for its address is full.
+func (p *connPool) put(cn *conn) {
+	if cap(cn.buf) > maxKeptBuf {
+		cn.buf = nil
+	}
+	cn.pooled = true
+	p.mu.Lock()
+	if p.idle == nil {
+		p.idle = make(map[string][]*conn)
+	}
+	if list := p.idle[cn.addr]; len(list) < maxIdlePerAddr {
+		p.idle[cn.addr] = append(list, cn)
+		cn = nil
+	}
+	p.mu.Unlock()
+	if cn != nil {
+		cn.nc.Close()
+	}
+}
+
+// drop closes every idle stream to addr.
+func (p *connPool) drop(addr string) {
+	p.mu.Lock()
+	list := p.idle[addr]
+	delete(p.idle, addr)
+	p.mu.Unlock()
+	for _, cn := range list {
+		cn.nc.Close()
+	}
 }

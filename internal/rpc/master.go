@@ -179,7 +179,7 @@ func (n *MasterNode) recover(dead string) (*RecoverReply, error) {
 	n.mu.Unlock()
 	reply := &RecoverReply{Epoch: n.lm.Epoch(), Regions: regions}
 	// Best effort too: a worker that misses the push just keeps serving
-	// stale-route 409s one layout change later than ideal.
+	// stale-route reroutes one layout change later than ideal.
 	for _, sn := range n.lm.ServerNames() {
 		if addr, ok := n.addrOf(sn); ok {
 			if err := callJSON(n.hc, http.MethodPost, addr, "/node/epoch", map[string]int64{"epoch": reply.Epoch}, nil); err != nil {

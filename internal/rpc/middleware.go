@@ -37,6 +37,10 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
+// Unwrap lets http.ResponseController reach the writer beneath, so the
+// stream upgrade can hijack its connection through the chain.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 func (w *statusWriter) Write(p []byte) (int, error) {
 	if w.status == 0 {
 		w.status = http.StatusOK
@@ -78,7 +82,8 @@ func withLogging(lg *log.Logger) Middleware {
 }
 
 // Metrics is the per-op latency surface: one lock-free obs.Histogram
-// per route, created on first hit. The map is guarded by mu; recording
+// per HTTP route, created on first hit, and one per data-plane op,
+// created with its server. The map is guarded by mu; recording
 // itself is atomic (the serving path never blocks on another
 // recorder).
 type Metrics struct {
@@ -122,7 +127,7 @@ func (m *Metrics) WriteProm(w *obs.MetricWriter) {
 }
 
 // withMetrics records every request's latency under the route it
-// matched — the pattern minus its method: op="/node/get" — or under
+// matched — the pattern minus its method: op="/master/layout" — or under
 // "other" when it matched none, so the histogram set is bounded by the
 // route table whatever paths clients probe. The route is read back from
 // r.Pattern after the handler: each mux sets it on the request it

@@ -279,7 +279,7 @@ func TestKilledWorkerFailoverReroutes(t *testing.T) {
 }
 
 // TestStaleEpochRejected proves the worker-side epoch gate: a data
-// call carrying an older epoch bounces with 409 stale-epoch before
+// frame carrying an older epoch bounces with a stale-epoch reroute before
 // touching the store.
 func TestStaleEpochRejected(t *testing.T) {
 	cl := startCluster(t, 2, nil)
@@ -303,18 +303,19 @@ func TestStaleEpochRejected(t *testing.T) {
 	if node.epoch.Load() != 99 {
 		t.Fatalf("epoch push not applied: %d", node.epoch.Load())
 	}
-	// A raw data call with the old epoch must bounce 409 stale-epoch.
-	body := appendStr(appendStr(nil, "t"), "k")
-	req, _ = http.NewRequest(http.MethodPost, "http://"+addr+"/node/get", bytes.NewReader(body))
-	req.Header.Set(HeaderEpoch, "1")
-	resp, err = http.DefaultClient.Do(req)
+	// A raw frame with the old epoch must bounce with a stale-epoch
+	// reroute, before touching the store.
+	cn := dialRaw(t, addr)
+	f, err := cn.roundTrip(context.Background(), opGet, 1, appendStr(appendStr(nil, "t"), "k"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict || !strings.Contains(string(payload), CodeStaleEpoch) {
-		t.Fatalf("stale epoch: status %d body %s", resp.StatusCode, payload)
+	if f.kind != statusReroute || !strings.Contains(string(f.payload), CodeStaleEpoch) {
+		t.Fatalf("stale epoch: status %d payload %s", f.kind, f.payload)
+	}
+	// The same stream serves an op routed under the current epoch.
+	if f, err = cn.roundTrip(context.Background(), opGet, 99, appendStr(appendStr(nil, "t"), "k")); err != nil || f.kind != statusOK || string(f.payload) != "v" {
+		t.Fatalf("current epoch: status %d payload %q, %v", f.kind, f.payload, err)
 	}
 	// The push is monotonic: a lower epoch never regresses the gate.
 	req, _ = http.NewRequest(http.MethodPost, "http://"+addr+"/node/epoch",
@@ -327,24 +328,21 @@ func TestStaleEpochRejected(t *testing.T) {
 	}
 }
 
-// TestDeadlinePropagation: the client's budget bounds each call. A
-// handler that beats it replies normally; one that blows it returns
+// TestDeadlinePropagation: the client's budget bounds each call. An op
+// that beats it replies normally; one that blows it returns
 // context.DeadlineExceeded on time, including mid-Scan.
 func TestDeadlinePropagation(t *testing.T) {
-	// A stub worker whose scan handler is deliberately slow.
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /node/scan", func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(300 * time.Millisecond)
-		_, _ = w.Write([]byte{0}) // empty entry set
+	// A stub worker whose scan is deliberately slow.
+	srv := stubServer(t, func(op byte, epoch int64, payload, out []byte) ([]byte, error) {
+		switch op {
+		case opScan:
+			time.Sleep(300 * time.Millisecond)
+			return append(out, 0), nil // empty entry set
+		case opGet:
+			return append(out, "fast"...), nil
+		}
+		return out, errors.New("unexpected op")
 	})
-	mux.HandleFunc("POST /node/get", func(w http.ResponseWriter, r *http.Request) {
-		_, _ = w.Write([]byte("fast"))
-	})
-	srv := NewServer("stub", mux, io.Discard)
-	if err := srv.Serve("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
 
 	c := stubClient(srv.Addr(), 5*time.Second)
 	// Fast path unaffected by the budget.
@@ -367,20 +365,15 @@ func TestDeadlinePropagation(t *testing.T) {
 // TestTimedOutCallIsIndeterminateAndDrained pins the timeout contract:
 // a put that outlives its client's budget returns
 // context.DeadlineExceeded on time, the server still runs the op it
-// started to completion, and Drain waits for that handler rather than
+// started to completion, and Drain waits for that op rather than
 // returning while it is still running.
 func TestTimedOutCallIsIndeterminateAndDrained(t *testing.T) {
 	var recorded atomic.Bool
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /node/put", func(w http.ResponseWriter, r *http.Request) {
+	srv := stubServer(t, func(op byte, epoch int64, payload, out []byte) ([]byte, error) {
 		time.Sleep(300 * time.Millisecond)
 		recorded.Store(true)
+		return out, nil
 	})
-	srv := NewServer("stub", mux, io.Discard)
-	if err := srv.Serve("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
 
 	c := stubClient(srv.Addr(), 100*time.Millisecond)
 	start := time.Now()
@@ -392,7 +385,7 @@ func TestTimedOutCallIsIndeterminateAndDrained(t *testing.T) {
 		t.Fatalf("deadline not enforced: took %v", d)
 	}
 	if recorded.Load() {
-		t.Fatal("the handler finished before the client gave up; test proves nothing")
+		t.Fatal("the op finished before the client gave up; test proves nothing")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -400,7 +393,7 @@ func TestTimedOutCallIsIndeterminateAndDrained(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 	if !recorded.Load() {
-		t.Fatalf("Drain returned after %v with the timed-out put's handler still running", time.Since(start))
+		t.Fatalf("Drain returned after %v with the timed-out put still running", time.Since(start))
 	}
 }
 
@@ -860,7 +853,7 @@ func TestRunnerOverBothClients(t *testing.T) {
 	}
 }
 
-// The wire benchmarks time one operation client → loopback HTTP →
+// The wire benchmarks time one operation client → loopback stream →
 // ServerNode → RegionServer in one process: the rpc layer's whole
 // per-op cost, allocations included, over a durable one-server cluster.
 

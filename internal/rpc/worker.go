@@ -4,9 +4,9 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 
 	"met/internal/hbase"
@@ -14,8 +14,8 @@ import (
 )
 
 // ServerNode is one worker process's RPC front: the data plane
-// (get/put/delete/scan, binary-framed) plus the control endpoints the
-// master drives failover through (adopt, refollow, epoch push,
+// (get/put/delete/scan on frame streams) plus the control endpoints
+// the master drives failover through (adopt, refollow, epoch push,
 // quiesce), all behind the standard middleware chain.
 type ServerNode struct {
 	*Server
@@ -30,152 +30,147 @@ func NewServerNode(rs *hbase.RegionServer, epoch int64, logw io.Writer) *ServerN
 	n := &ServerNode{rs: rs}
 	n.epoch.Store(epoch)
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /node/get", n.data(n.get))
-	mux.HandleFunc("POST /node/put", n.data(n.put))
-	mux.HandleFunc("POST /node/delete", n.data(n.delete))
-	mux.HandleFunc("POST /node/scan", n.data(n.scan))
 	mux.HandleFunc("POST /node/adopt", n.handleAdopt)
 	mux.HandleFunc("POST /node/refollow", n.handleRefollow)
 	mux.HandleFunc("POST /node/epoch", n.handleEpoch)
 	mux.HandleFunc("POST /node/quiesce", n.handleQuiesce)
-	n.Server = newServer(rs.Name(), mux, logw, rs.DebugConfig())
+	n.Server = newServer(rs.Name(), mux, logw, rs.DebugConfig(), n.dispatch)
 	return n
 }
 
 // RegionServer exposes the wrapped server (for tests and metnode).
 func (n *ServerNode) RegionServer() *hbase.RegionServer { return n.rs }
 
-// checkEpoch rejects data calls routed with a stale layout: a client
-// epoch below the node's means the client missed at least one layout
-// change and may be talking to the wrong server entirely.
-func (n *ServerNode) checkEpoch(w http.ResponseWriter, r *http.Request) bool {
-	h := r.Header.Get(HeaderEpoch)
-	if h == "" {
-		return true
-	}
-	ce, err := strconv.ParseInt(h, 10, 64)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad-epoch", err.Error())
-		return false
-	}
-	if ce < n.epoch.Load() {
-		writeError(w, http.StatusConflict, CodeStaleEpoch,
-			"client epoch "+h+" behind node epoch "+strconv.FormatInt(n.epoch.Load(), 10))
-		return false
-	}
-	return true
+// dataOps is the data plane's dispatch table, indexed by op code. Each op
+// decodes its request payload, calls the engine and appends its reply
+// payload to out.
+var dataOps = [numOps]func(n *ServerNode, payload, out []byte) ([]byte, error){
+	opGet:    (*ServerNode).get,
+	opPut:    (*ServerNode).put,
+	opDelete: (*ServerNode).delete,
+	opScan:   (*ServerNode).scan,
 }
 
-// data is the frame every data op runs in: the epoch gate, the bounded
-// body read, and the mapping of the op's error onto the wire. op keeps
-// only its own steps: decode the body, call the engine, encode the
-// reply.
-func (n *ServerNode) data(op func(w http.ResponseWriter, body []byte) error) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if !n.checkEpoch(w, r) {
-			return
-		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad-body", err.Error())
-			return
-		}
-		if err := op(w, body); err != nil {
-			dataError(w, err)
-		}
+var (
+	// errStaleEpoch rejects an op routed with a layout older than the
+	// node's: the client missed at least one layout change and may be
+	// talking to the wrong server entirely.
+	errStaleEpoch = errors.New(CodeStaleEpoch)
+	// errMalformed marks a request payload that does not decode.
+	errMalformed = errors.New("rpc: malformed payload")
+)
+
+// dispatch is the node's data plane: the epoch gate, then the op.
+func (n *ServerNode) dispatch(op byte, epoch int64, payload, out []byte) ([]byte, error) {
+	if cur := n.epoch.Load(); epoch < cur {
+		return out, fmt.Errorf("%w: client epoch %d behind node epoch %d", errStaleEpoch, epoch, cur)
 	}
+	return dataOps[op](n, payload, out)
 }
 
-// dataError maps engine errors onto the wire: not-found and
-// wrong-region are routing facts the client handles, everything else
-// is a server fault.
-func dataError(w http.ResponseWriter, err error) {
+// statusOf maps an op's error onto the wire: not-found and reroute are
+// routing facts the client handles, everything else is a fault.
+func statusOf(err error) byte {
 	switch {
 	case errors.Is(err, kv.ErrNotFound):
-		writeError(w, http.StatusNotFound, CodeNotFound, err.Error())
-	case errors.Is(err, hbase.ErrWrongRegionServer), errors.Is(err, kv.ErrClosed):
-		// A moved/split/recovered region: the client must re-fetch the
-		// layout and re-route, same as a stale epoch.
-		writeError(w, http.StatusConflict, CodeWrongRegion, err.Error())
+		return statusNotFound
+	case errors.Is(err, errStaleEpoch), errors.Is(err, hbase.ErrWrongRegionServer), errors.Is(err, kv.ErrClosed):
+		// A stale layout or a moved/split/recovered region: the client
+		// must re-fetch the layout and re-route.
+		return statusReroute
 	case errors.Is(err, hbase.ErrServerStopped):
-		writeError(w, http.StatusServiceUnavailable, "stopped", err.Error())
+		return statusStopped
+	case errors.Is(err, errMalformed):
+		return statusBadRequest
 	default:
-		writeError(w, http.StatusInternalServerError, "internal", err.Error())
+		return statusInternal
 	}
 }
 
-func (n *ServerNode) get(w http.ResponseWriter, body []byte) error {
-	table, rest, err := takeStr(body)
+// decodeKey decodes a get or delete request: table | key.
+func decodeKey(payload []byte) (table, key string, err error) {
+	table, rest, err := takeStr(payload)
 	if err != nil {
-		return err
+		return "", "", err
 	}
-	key, _, err := takeStr(rest)
+	key, _, err = takeStr(rest)
+	return table, key, err
+}
+
+// decodePut decodes a put request: table | key | value. value aliases
+// payload.
+func decodePut(payload []byte) (table, key string, value []byte, err error) {
+	table, rest, err := takeStr(payload)
 	if err != nil {
-		return err
+		return "", "", nil, err
+	}
+	if key, rest, err = takeStr(rest); err != nil {
+		return "", "", nil, err
+	}
+	value, _, err = takeBytes(rest)
+	return table, key, value, err
+}
+
+// decodeScan decodes a scan request: table | start | end | varint limit.
+func decodeScan(payload []byte) (table, start, end string, limit int, err error) {
+	table, rest, err := takeStr(payload)
+	if err != nil {
+		return "", "", "", 0, err
+	}
+	if start, rest, err = takeStr(rest); err != nil {
+		return "", "", "", 0, err
+	}
+	if end, rest, err = takeStr(rest); err != nil {
+		return "", "", "", 0, err
+	}
+	l, sz := binary.Varint(rest)
+	if sz <= 0 {
+		return "", "", "", 0, fmt.Errorf("%w: truncated scan limit", errMalformed)
+	}
+	return table, start, end, int(l), nil
+}
+
+func (n *ServerNode) get(payload, out []byte) ([]byte, error) {
+	table, key, err := decodeKey(payload)
+	if err != nil {
+		return out, err
 	}
 	v, err := n.rs.Get(table, key)
-	if err != nil {
-		return err
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(v)
-	return nil
+	return append(out, v...), err
 }
 
-func (n *ServerNode) put(w http.ResponseWriter, body []byte) error {
-	table, rest, err := takeStr(body)
+// put hands the engine a value that aliases the stream's read buffer;
+// the store copies it before Put returns.
+func (n *ServerNode) put(payload, out []byte) ([]byte, error) {
+	table, key, value, err := decodePut(payload)
 	if err != nil {
-		return err
+		return out, err
 	}
-	key, rest, err := takeStr(rest)
-	if err != nil {
-		return err
-	}
-	val, _, err := takeBytes(rest)
-	if err != nil {
-		return err
-	}
-	return n.rs.Put(table, key, val)
+	return out, n.rs.Put(table, key, value)
 }
 
-func (n *ServerNode) delete(w http.ResponseWriter, body []byte) error {
-	table, rest, err := takeStr(body)
+func (n *ServerNode) delete(payload, out []byte) ([]byte, error) {
+	table, key, err := decodeKey(payload)
 	if err != nil {
-		return err
+		return out, err
 	}
-	key, _, err := takeStr(rest)
-	if err != nil {
-		return err
-	}
-	return n.rs.Delete(table, key)
+	return out, n.rs.Delete(table, key)
 }
 
 // scan scans one hosted region's slice of [start, end) and returns up
-// to limit entries, binary-framed: uvarint count, then per entry key |
-// value | uvarint timestamp | flags (bit 0 = tombstone). Cross-region
-// stitching is the client's job (it has the layout).
-func (n *ServerNode) scan(w http.ResponseWriter, body []byte) error {
-	table, rest, err := takeStr(body)
+// to limit entries: uvarint count, then per entry key | value | uvarint
+// timestamp | flags (bit 0 = tombstone). Cross-region stitching is the
+// client's job (it has the layout).
+func (n *ServerNode) scan(payload, out []byte) ([]byte, error) {
+	table, start, end, limit, err := decodeScan(payload)
 	if err != nil {
-		return err
+		return out, err
 	}
-	start, rest, err := takeStr(rest)
+	entries, err := n.rs.Scan(table, start, end, limit)
 	if err != nil {
-		return err
+		return out, err
 	}
-	end, rest, err := takeStr(rest)
-	if err != nil {
-		return err
-	}
-	limit, sz := binary.Varint(rest)
-	if sz <= 0 {
-		return errors.New("rpc: truncated scan limit")
-	}
-	entries, err := n.rs.Scan(table, start, end, int(limit))
-	if err != nil {
-		return err
-	}
-	out := binary.AppendUvarint(nil, uint64(len(entries)))
+	out = binary.AppendUvarint(out, uint64(len(entries)))
 	for _, e := range entries {
 		out = appendStr(out, e.Key)
 		out = appendBytes(out, e.Value)
@@ -186,9 +181,7 @@ func (n *ServerNode) scan(w http.ResponseWriter, body []byte) error {
 		}
 		out = append(out, flags)
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(out)
-	return nil
+	return out, nil
 }
 
 // handleAdopt runs the worker half of a failover: seed the new region
@@ -223,7 +216,7 @@ func (n *ServerNode) handleRefollow(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleEpoch accepts the master's epoch push after a layout change;
-// data calls carrying older epochs start bouncing with 409.
+// ops carrying older epochs start bouncing with a reroute reply.
 func (n *ServerNode) handleEpoch(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Epoch int64 `json:"epoch"`

@@ -97,9 +97,10 @@
 // (met/internal/rpc) and the metnode command turn the same durable
 // data directory into a real multi-process deployment: one layout
 // master process owning the META catalog, plus one region-server
-// process per catalog member, talking HTTP — a JSON control plane for
-// registration/layout/recovery and a length-prefixed binary data plane
-// for get/put/delete/scan. Exactly one process owns each WAL: workers
+// process per catalog member — a JSON-over-HTTP control plane for
+// registration/layout/recovery, and a data plane of persistent,
+// length-prefixed, CRC'd frame streams for get/put/delete/scan that
+// clients open with an HTTP upgrade on each worker's listener. Exactly one process owns each WAL: workers
 // never open the catalog, they fetch a manifest (config, assigned
 // regions, routing epoch) from the master at startup instead.
 //
@@ -110,15 +111,15 @@
 // straight to its hosting worker. (In one process, hbase.Client reads
 // the same layout — the route table its master's last commit published
 // — on every operation, and never caches it.) Every layout change bumps
-// a routing epoch; a request carrying a stale epoch bounces with 409 and the
-// client transparently re-fetches and retries, the same path that
-// absorbs connection-refused when a worker dies. A deadline is the
+// a routing epoch; a request frame carrying a stale epoch bounces with a
+// reroute reply and the client transparently re-fetches and retries,
+// the same path that absorbs connection-refused when a worker dies. A deadline is the
 // caller's alone: a call that times out returns
 // context.DeadlineExceeded with an indeterminate outcome, because the
 // server finishes every op it has started. Every node serves /healthz,
 // /readyz and /metrics with graceful drain on SIGTERM — in-flight
-// requests finish, timed-out ones included, and acknowledged writes are
-// never truncated.
+// requests and ops finish, timed-out ones included, and acknowledged
+// writes are never truncated.
 //
 // Workloads run over rpc.Dial unchanged: the data plane is declared once
 // (hbase.KV — Get, Put, Delete, Scan) and both clients satisfy it, so the
