@@ -382,8 +382,12 @@ func runYCSB(cluster *met.Cluster, letter string, ops int, records int64, seed u
 		params.MinNodes = len(cluster.Master.Servers())
 		params.MaxNodes = params.MinNodes
 		ctrl = met.NewController(cluster, params)
-		ctrl.OnDecision = func(d core.Decision, _ core.ApplyReport) {
+		ctrl.OnDecision = func(d core.Decision, rep core.ApplyReport) {
 			fmt.Printf("MeT decision: %s (add %d, reconfigure %v)\n", d.Health, d.NodesToAdd, d.Reconfigure)
+			if d.Reconfigure {
+				fmt.Printf("  plan: added %v, removed %v, reconfigured %v, %d moves, %d major compactions (%d B)\n",
+					rep.NodesAdded, rep.NodesRemoved, rep.Reconfigured, rep.RegionMoves, rep.MajorCompacts, rep.CompactedBytes)
+			}
 			for _, n := range d.Nodes {
 				fmt.Printf("  %-8s cpu %.3f  iowait %.3f  mem %.3f\n", n.Name, n.CPU, n.IOWait, n.Memory)
 			}

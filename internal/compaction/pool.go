@@ -180,9 +180,8 @@ func NewPool(cfg Config) *Pool {
 	return p
 }
 
-// Budget returns the pool's shared I/O budget, for wiring into
-// kv.Config.CompactionBudget and the durable backend's foreground
-// accounting.
+// Budget returns the pool's shared I/O budget, for a store's
+// kv.Host.Budget and the durable backend's foreground accounting.
 func (p *Pool) Budget() *Budget { return p.budget }
 
 // CompactionNeeded implements kv.CompactionTrigger: the engine calls it

@@ -17,8 +17,7 @@ func newPoolStore(t *testing.T, pool *Pool, maxFiles int) *kv.Store {
 		MemstoreFlushBytes: 1 << 30,
 		MaxStoreFiles:      maxFiles,
 		BlockBytes:         256,
-		Compactor:          pool,
-		CompactionBudget:   pool.Budget(),
+		Host:               kv.Host{Compactor: pool, Budget: pool.Budget()},
 	})
 	t.Cleanup(s.Close)
 	return s

@@ -22,6 +22,11 @@ type ApplyReport struct {
 	CompactedBytes int64
 }
 
+// Changed reports whether the plan did anything to the cluster.
+func (r ApplyReport) Changed() bool {
+	return len(r.NodesAdded)+len(r.NodesRemoved)+len(r.Reconfigured)+r.RegionMoves+r.MajorCompacts > 0
+}
+
 // Actuator carries out the Decision Maker's output on a Cluster — the
 // plan of Section 4.3: add the target's new nodes; reconfigure, one at
 // a time in name order, every node that keeps partitions and whose
@@ -46,6 +51,7 @@ type Actuator struct {
 	plan    *plan // in flight; nil when idle
 	nameSeq int   // mints names for added nodes
 	err     error // the last completed plan's
+	changed int   // completed plans that changed something
 }
 
 // plan is one actuation in flight.
@@ -260,6 +266,9 @@ func (a *Actuator) finish(p *plan) {
 		p.rep.NodesRemoved = append(p.rep.NodesRemoved, n)
 	}
 	a.plan, a.err = nil, errors.Join(p.errs...)
+	if p.rep.Changed() {
+		a.changed++
+	}
 	if a.OnDone != nil {
 		a.OnDone(p.rep, a.err)
 	}

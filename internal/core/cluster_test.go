@@ -8,7 +8,6 @@ import (
 
 	"met/internal/hbase"
 	"met/internal/hdfs"
-	"met/internal/kv"
 )
 
 // TestStalledServerReadsOverloaded: two durable servers take the same
@@ -71,21 +70,16 @@ func TestStalledServerReadsOverloaded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A stall counts once it ends, so the sample spans one: from the
-	// moment the starved writer parks to the moment it is released.
-	waitFor := func(what string, done func(kv.Stats) bool) {
-		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); !done(rs1.Stats().Engine); time.Sleep(5 * time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("the starved server's writer never %s", what)
-			}
+	// A stall under way counts, so the sample may end inside one.
+	for deadline := time.Now().Add(10 * time.Second); rs1.Stats().Engine.StalledWrites == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the starved server's writer never stalled")
 		}
 	}
 	mon := NewMonitor(&MasterCluster{Master: m})
-	waitFor("stalled", func(st kv.Stats) bool { return st.StalledWrites > 0 })
 	mon.Poll() // the period up to the stall
 	mon.Reset()
-	waitFor("resumed", func(st kv.Stats) bool { return st.StallNanos > 0 })
+	time.Sleep(300 * time.Millisecond)
 	mon.Poll()
 
 	params := DefaultParams()

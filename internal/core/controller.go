@@ -14,11 +14,11 @@ type Controller struct {
 	Decision *DecisionMaker
 	Actuator *Actuator
 
-	// OnDecision, when set, observes every decision (telemetry).
+	// OnDecision, when set, observes every decision (telemetry) with
+	// what its plan had done when Apply returned.
 	OnDecision func(d Decision, rep ApplyReport)
 
-	decisions  int
-	actuations int
+	decisions int
 }
 
 // NewController assembles MeT over c: a Monitor that polls c and an
@@ -49,10 +49,7 @@ func (c *Controller) Tick() {
 	c.decisions++
 	var rep ApplyReport
 	if d.Reconfigure {
-		var err error
-		if rep, err = c.Actuator.Apply(d.Target); err == nil {
-			c.actuations++
-		}
+		rep, _ = c.Actuator.Apply(d.Target) // Err reports it
 	}
 	// Every decision restarts the sampling window: after an action —
 	// even a failed one — stale samples would poison the next decision,
@@ -66,9 +63,10 @@ func (c *Controller) Tick() {
 // Decisions returns how many decisions have run.
 func (c *Controller) Decisions() int { return c.decisions }
 
-// Actuations returns how many actuations have started without Apply
-// reporting an error.
-func (c *Controller) Actuations() int { return c.actuations }
+// Actuations returns how many plans have completed having changed
+// something: a decision whose target is the current layout is no
+// actuation.
+func (c *Controller) Actuations() int { return c.Actuator.changed }
 
 // Err returns the last completed actuation's error, if any.
 func (c *Controller) Err() error {

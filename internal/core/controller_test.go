@@ -6,6 +6,7 @@ import (
 
 	"met/internal/hbase"
 	"met/internal/hdfs"
+	"met/internal/metrics"
 	"met/internal/placement"
 	"met/internal/sim"
 )
@@ -283,5 +284,43 @@ func TestMonitorNodeTypes(t *testing.T) {
 	mon.SetNodeType("rs0", placement.Scan)
 	if mon.nodeTypes["rs0"] != placement.Scan {
 		t.Fatal("type not recorded")
+	}
+}
+
+// TestControllerEmptyPlanIsNoActuation: a decision whose target is the
+// layout the cluster already has — the second of two identical
+// overloaded decisions, after the first applied its plan — changes
+// nothing and counts as no actuation.
+func TestControllerEmptyPlanIsNoActuation(t *testing.T) {
+	f := newFakeCluster(false, map[string]string{"r0": "rs0", "r1": "rs1"})
+	observe(f, map[string]float64{"rs0": 0.95, "rs1": 0.5})
+	params := DefaultParams()
+	params.MinSamples = 2
+	params.MinNodes, params.MaxNodes = 2, 2
+	ctrl := NewController(f, NewDecisionMaker(params, Table1Profiles()))
+	var reps []ApplyReport
+	ctrl.OnDecision = func(d Decision, rep ApplyReport) {
+		if !d.Reconfigure {
+			t.Fatalf("decision %d does not reconfigure: %+v", len(reps), d)
+		}
+		reps = append(reps, rep)
+	}
+	var n int64
+	for len(reps) < 2 {
+		n += 100
+		f.regionObs = []metrics.RegionObservation{
+			{Region: "r0", Node: f.assign["r0"], Requests: rc(n, 0, 0)},
+			{Region: "r1", Node: f.assign["r1"], Requests: rc(0, n, 0)},
+		}
+		ctrl.Tick()
+	}
+	if err := ctrl.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if !reps[0].Changed() || reps[1].Changed() {
+		t.Fatalf("reports = %+v, want the first plan to change the cluster and the second not", reps)
+	}
+	if got := ctrl.Actuations(); got != 1 {
+		t.Fatalf("actuations = %d over one plan that changed something and one that did not, want 1", got)
 	}
 }

@@ -479,7 +479,7 @@ func TestCreateTablePartialFailureUnwinds(t *testing.T) {
 	m, _ := newCatalogCluster(t, 2, dir, durableConfig(dir))
 	// Block the LAST region's directory with a regular file: regions
 	// "t," and "t,g" open first and must be unwound when "t,p" fails.
-	blocker := regionDataDir(dir, regionName("t", "p"))
+	blocker := RegionDataDir(dir, regionName("t", "p"))
 	if err := os.MkdirAll(filepath.Dir(blocker), 0o755); err != nil {
 		t.Fatal(err)
 	}

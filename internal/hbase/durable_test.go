@@ -179,7 +179,7 @@ func TestDurableSplitReclaimsParentDir(t *testing.T) {
 	}
 	tbl, _ := m.Table("t")
 	parent := tbl.Regions()[0]
-	parentDir := regionDataDir(dir, parent.Name())
+	parentDir := RegionDataDir(dir, parent.Name())
 	if _, err := os.Stat(parentDir); err != nil {
 		t.Fatalf("parent region dir missing before split: %v", err)
 	}
@@ -229,7 +229,7 @@ func TestDurableMirrorSizesMatchDisk(t *testing.T) {
 		mirrored += sz
 	}
 	var onDisk int64
-	ssts, _ := filepath.Glob(filepath.Join(regionDataDir(dir, region.Name()), "sst-*.sst"))
+	ssts, _ := filepath.Glob(filepath.Join(RegionDataDir(dir, region.Name()), "sst-*.sst"))
 	for _, p := range ssts {
 		st, err := os.Stat(p)
 		if err != nil {

@@ -426,7 +426,7 @@ func (lm *LayoutMaster) removeServer(name string, refollow func(FollowerUpdate))
 	}
 	delete(lm.servers, name)
 	if cfg.DataDir != "" {
-		_ = os.RemoveAll(serverWALDir(cfg.DataDir, name))
+		_ = os.RemoveAll(ServerWALDir(cfg.DataDir, name))
 	}
 	var updates []FollowerUpdate
 	var errs []error
@@ -527,7 +527,7 @@ func (s *RegionServer) AdoptRegion(spec AdoptSpec) (AdoptionReport, error) {
 			return rep, err
 		}
 	}
-	if err := seedRegionDir(regionDataDir(s.Config().DataDir, spec.NewRegion), spec.ReplicaDir, ids); err != nil {
+	if err := seedRegionDir(RegionDataDir(s.Config().DataDir, spec.NewRegion), spec.ReplicaDir, ids); err != nil {
 		return rep, err
 	}
 	rep.ReplicaFiles = len(ids)

@@ -216,7 +216,7 @@ func (lm *LayoutMaster) RecoverServer(dead string,
 		done = append(done, RecoveredRegion{Spec: spec, Report: rep})
 		// The catalog no longer references the superseded directories:
 		// the dead primary and every follower's replica copy.
-		_ = os.RemoveAll(regionDataDir(cfg.DataDir, r.Name))
+		_ = os.RemoveAll(RegionDataDir(cfg.DataDir, r.Name))
 		for _, f := range r.Followers {
 			_ = os.RemoveAll(replicaDir(cfg.DataDir, f, r.Name))
 		}

@@ -106,14 +106,14 @@ func NewRegionServer(name string, cfg ServerConfig, nn *hdfs.Namenode) (*RegionS
 	s.tel.slowLog = obs.NewSlowLog(obs.DefaultSlowLogSize)
 	s.tel.setConfig(cfg)
 	s.compactor = newCompactorPool(cfg.Compaction)
-	s.replicator = newReplicator(cfg, s.compactor)
 	if cfg.DataDir != "" {
-		w, err := durable.OpenWAL(serverWALDir(cfg.DataDir, name), s.walOptions())
+		// The in-memory backend exports no files: only a durable server
+		// ships, its SSTable copies charged to the pool's budget.
+		s.replicator = replication.New(s.compactor.Budget())
+		w, err := durable.OpenWAL(ServerWALDir(cfg.DataDir, name), s.walOptions())
 		if err != nil {
 			s.compactor.Close()
-			if s.replicator != nil {
-				s.replicator.Close()
-			}
+			s.replicator.Close()
 			nn.RemoveDatanode(name)
 			return nil, fmt.Errorf("hbase: open server wal for %s: %w", name, err)
 		}
@@ -122,20 +122,14 @@ func NewRegionServer(name string, cfg ServerConfig, nn *hdfs.Namenode) (*RegionS
 	return s, nil
 }
 
-// serverWALDir is the shared log's directory: keyed by server — unlike
+// ServerWALDir is the shared log's directory: keyed by server — unlike
 // region directories — because the log IS the server's (one fsync
 // stream for all its regions). RecoverServer reclaims it when the
 // server dies; a cold start reopens it and replays the unflushed tail.
-func serverWALDir(dataDir, server string) string {
-	return filepath.Join(dataDir, "wal", url.PathEscape(server))
-}
-
-// ServerWALDir exposes the shared-log directory mapping for tooling:
-// the metbench failover gate renames a killed server's WAL directory
-// aside along with its region directories, proving the recovered tail
-// comes from the shipped replica copies, not the dead server's disk.
+// The metbench failover gate renames a killed server's aside, proving
+// the recovered tail comes from the shipped replica copies.
 func ServerWALDir(dataDir, server string) string {
-	return serverWALDir(dataDir, server)
+	return filepath.Join(dataDir, "wal", url.PathEscape(server))
 }
 
 // walOptions derives the shared log's options from the server's pool
@@ -158,17 +152,6 @@ func (s *RegionServer) walOptions() durable.Options {
 		}
 	}
 	return opts
-}
-
-// newReplicator builds the server's SSTable and WAL-tail shipper; nil
-// without a data directory (the in-memory backend exports no files).
-// The compactor pool's token-bucket budget rate-limits SSTable copies
-// as background I/O.
-func newReplicator(cfg ServerConfig, pool *compaction.Pool) *replication.Replicator {
-	if cfg.DataDir == "" {
-		return nil
-	}
-	return replication.New(pool.Budget())
 }
 
 // replicaDir is the directory follower keeps its copy of a region's
@@ -213,22 +196,16 @@ func (s *RegionServer) Restarts() int {
 	return s.restarts
 }
 
-// regionDataDir maps a region name to its on-disk directory under the
+// RegionDataDir maps a region name to its on-disk directory under the
 // cluster data root. The directory is keyed by region name only — not by
 // server — so a region keeps its files when it moves between servers
 // (the single-process deployment shares the data root, as HDFS would).
 // Region names may contain arbitrary key bytes; path-escaping keeps the
-// mapping injective and filesystem-safe.
-func regionDataDir(dataDir, regionName string) string {
-	return filepath.Join(dataDir, "regions", url.PathEscape(regionName))
-}
-
-// RegionDataDir exposes the primary-directory mapping for tooling: the
-// metbench failover gate renames a killed server's region directories
-// aside before RecoverServer, proving recovery reads replica copies
-// only.
+// mapping injective and filesystem-safe. The metbench failover gate
+// renames a killed server's aside, proving recovery reads replica
+// copies only.
 func RegionDataDir(dataDir, regionName string) string {
-	return regionDataDir(dataDir, regionName)
+	return filepath.Join(dataDir, "regions", url.PathEscape(regionName))
 }
 
 // discardRegionStore closes r's store and reclaims its durable
@@ -247,7 +224,7 @@ func discardRegionStore(rs *RegionServer, r *Region) {
 		_ = h.Owner().Drop(h.Name())
 	}
 	if dd := rs.Config().DataDir; dd != "" {
-		_ = os.RemoveAll(regionDataDir(dd, r.Name()))
+		_ = os.RemoveAll(RegionDataDir(dd, r.Name()))
 	}
 }
 
@@ -261,6 +238,7 @@ func (s *RegionServer) storeConfigFor(regionName string, numRegions int) kv.Conf
 	if numRegions < 1 {
 		numRegions = 1
 	}
+	host := s.hostFor(regionName)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	cfg := kv.Config{
@@ -269,21 +247,12 @@ func (s *RegionServer) storeConfigFor(regionName string, numRegions int) kv.Conf
 		Cache:              s.cache,
 		Seed:               uint64(len(s.name)) + uint64(numRegions),
 		MaxStoreFiles:      s.cfg.Compaction.MaxStoreFiles,
+		Host:               host,
 	}
-	// Keyed by name, so the hook survives store swaps (restarts reopen
-	// with a fresh config carrying the same hook).
-	cfg.OnFilesChanged = func() { s.filesChanged(regionName) }
-	cfg.OnIOWait = s.tel.noteIOWait
 	var opts durable.Options
 	if s.compactor != nil {
-		// Background compaction: the store asks the shared pool for
-		// service instead of compacting on its writers' goroutines,
-		// stalls writers at the hard ceiling, and shares one I/O budget
-		// with the pool — into which the durable WAL accounts its
-		// foreground bytes.
-		cfg.Compactor = s.compactor
-		cfg.HardMaxStoreFiles = s.cfg.Compaction.StallStoreFiles
-		cfg.CompactionBudget = s.compactor.Budget()
+		// The durable backend accounts its foreground bytes into the
+		// budget the store's compactions share with the pool.
 		opts.Account = s.compactor.Budget().NoteForeground
 	}
 	if s.cfg.DataDir != "" {
@@ -294,9 +263,25 @@ func (s *RegionServer) storeConfigFor(regionName string, numRegions int) kv.Conf
 			cfg.WAL = s.wal.Region(regionName)
 			opts.ExternalWAL = true
 		}
-		cfg.OpenBackend = durable.Opener(regionDataDir(s.cfg.DataDir, regionName), opts)
+		cfg.OpenBackend = durable.Opener(RegionDataDir(s.cfg.DataDir, regionName), opts)
 	}
 	return cfg
+}
+
+// hostFor is the kv.Host of region name's store while it is hosted
+// here: the server's compaction pool, I/O budget and stall ceiling —
+// none after Shutdown, when the store compacts on its own writers — the
+// server's engine counters, and the files-changed hook that mirrors and
+// ships the store's stack. The hook is keyed by name, so it survives
+// store swaps.
+func (s *RegionServer) hostFor(name string) kv.Host {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	h := kv.Host{Counters: &s.tel.engine, OnFilesChanged: func() { s.filesChanged(name) }}
+	if s.compactor != nil {
+		h.Compactor, h.Budget, h.HardMaxStoreFiles = s.compactor, s.compactor.Budget(), s.cfg.Compaction.StallStoreFiles
+	}
+	return h
 }
 
 // rebuildIndexLocked recomputes the per-table sorted routing index from
@@ -315,23 +300,17 @@ func (s *RegionServer) rebuildIndexLocked() {
 }
 
 // OpenRegion starts hosting a region. The region's store keeps its data;
-// only bookkeeping changes hands — plus the compaction plumbing: the
-// store arrives wired to its previous host's compactor pool and I/O
-// budget, and without rewiring it would keep charging (and being
-// serviced by) a server it no longer lives on until its next reopen.
+// only bookkeeping changes hands — plus the store's host: a store
+// arriving from another server is still that server's, and without the
+// move it would keep being compacted, charged and counted there, and
+// mirrored and shipped by it, until its next reopen.
 func (s *RegionServer) OpenRegion(r *Region) {
 	// The store (and its engine file IDs) travels with the region, so
 	// existing mirror bookkeeping stays valid.
 	r.resetMirror(r.Store(), true)
-	s.adoptWAL(r)
-	s.rewireStore(r.Store())
-	// A store arriving from another server still carries that server's
-	// files-changed and I/O-wait hooks; from here on its flushes and
-	// compactions are ours to mirror and ship, its flush and stall time
-	// ours to count.
 	name := r.Name()
-	r.Store().SetFilesChanged(func() { s.filesChanged(name) })
-	r.Store().SetIOWait(s.tel.noteIOWait)
+	r.Store().SetHost(s.hostFor(name))
+	s.adoptWAL(r)
 	s.trackReplication(r)
 	s.mu.Lock()
 	s.regions[name] = r
@@ -398,7 +377,7 @@ func (s *RegionServer) trackReplication(r *Region) {
 }
 
 // filesChanged is the one subscriber to a hosted store's file stack
-// (kv.Config.OnFilesChanged): whenever a flush adds a file or a
+// (kv.Host.OnFilesChanged): whenever a flush adds a file or a
 // compaction — background, self-service or major — splices one in, the
 // HDFS locality mirror reconciles and the replicator ships the new
 // SSTable and retires the compacted-away ones from the followers. Both
@@ -507,25 +486,6 @@ func (s *RegionServer) ReplicationStats() replication.Stats {
 		return replication.Stats{}
 	}
 	return rep.Stats()
-}
-
-// rewireStore re-homes a store's background-compaction attribution onto
-// this server: compaction requests route to this server's pool, flush
-// and compaction bytes charge this server's I/O budget, writers stall
-// against this server's hard file ceiling. (WAL bytes need no rewiring:
-// adoptWAL has moved the store onto this server's shared log, which
-// charges this server's budget.) With no pool here — the server was shut
-// down — the store compacts on its own writers' goroutines.
-func (s *RegionServer) rewireStore(st *kv.Store) {
-	s.mu.RLock()
-	pool := s.compactor
-	stall := s.cfg.Compaction.StallStoreFiles
-	s.mu.RUnlock()
-	if pool != nil {
-		st.SetCompaction(pool, pool.Budget(), stall)
-	} else {
-		st.SetCompaction(nil, nil, -1)
-	}
 }
 
 // handOff stops shipping a hosted region — its next host ships it from
@@ -800,13 +760,15 @@ func (s *RegionServer) Requests() metrics.RequestCounts {
 	return s.requests.Snapshot()
 }
 
-// EngineStats aggregates the kv engine counters (flushes, compactions,
-// write amplification, stall time, queue depth, ...) across every
-// hosted region's store.
+// EngineStats snapshots the server's engine counters (flushes,
+// compactions, write amplification, stall time, ...), which every store
+// counts into while hosted here, plus the hosted stores' gauges.
 func (s *RegionServer) EngineStats() kv.Stats {
-	var total kv.Stats
+	total := s.tel.engine.Snapshot()
 	for _, r := range s.Regions() {
-		total = total.Add(r.Store().Stats())
+		st := r.Store().Stats()
+		total.MemstoreCurrent += st.MemstoreCurrent
+		total.CompactionQueueDepth += st.CompactionQueueDepth
 	}
 	return total
 }
@@ -887,7 +849,7 @@ func (s *RegionServer) Restart(cfg ServerConfig) error {
 	}
 	s.running = false
 	rewire := cfg.Compaction != s.cfg.Compaction
-	oldPool, oldRep := s.compactor, s.replicator
+	oldPool := s.compactor
 	s.cfg = cfg
 	s.cache = kv.NewBlockCache(int(cfg.BlockCacheBytes()))
 	s.tel.setConfig(cfg)
@@ -895,11 +857,12 @@ func (s *RegionServer) Restart(cfg ServerConfig) error {
 		// New compaction knobs take effect like any other restart-only
 		// HBase setting: the old pool drains and a fresh one (new
 		// budget, policy, workers) serves the reopened stores. The
-		// replicator budgets through the pool, so it is rebuilt too, and
-		// the WAL's foreground bytes charge the fresh budget from the
-		// next append on.
+		// replicator and the WAL's foreground bytes charge the fresh
+		// budget from their next ship and append on.
 		s.compactor = newCompactorPool(cfg.Compaction)
-		s.replicator = newReplicator(cfg, s.compactor)
+		if s.replicator != nil {
+			s.replicator.SetBudget(s.compactor.Budget())
+		}
 		if s.wal != nil {
 			var account func(int)
 			if s.compactor != nil {
@@ -916,9 +879,6 @@ func (s *RegionServer) Restart(cfg ServerConfig) error {
 	s.mu.Unlock()
 	if rewire && oldPool != nil {
 		oldPool.Close()
-	}
-	if rewire && oldRep != nil {
-		oldRep.Close()
 	}
 
 	sort.Slice(regions, func(i, j int) bool { return regions[i].Name() < regions[j].Name() })
@@ -945,11 +905,8 @@ func (s *RegionServer) Restart(cfg ServerConfig) error {
 			}
 			continue
 		}
-		// Re-track against the (possibly fresh) replicator — the shipper
-		// must know the region, or post-restart flushes would never
-		// replicate — and catch the mirror and the followers up on the
-		// reopened store's stack.
-		s.trackReplication(r)
+		// Catch the mirror and the followers up on the reopened store's
+		// stack.
 		s.filesChanged(r.Name())
 	}
 	s.mu.Lock()

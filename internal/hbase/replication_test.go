@@ -33,14 +33,14 @@ func quarantineServerDirs(t *testing.T, rs *RegionServer) {
 	t.Helper()
 	dd := rs.Config().DataDir
 	for _, r := range rs.Regions() {
-		dir := regionDataDir(dd, r.Name())
+		dir := RegionDataDir(dd, r.Name())
 		if _, err := os.Stat(dir); err == nil {
 			if err := os.Rename(dir, dir+".quarantine"); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	wd := serverWALDir(dd, rs.Name())
+	wd := ServerWALDir(dd, rs.Name())
 	if _, err := os.Stat(wd); err == nil {
 		if err := os.Rename(wd, wd+".quarantine"); err != nil {
 			t.Fatal(err)
@@ -709,7 +709,7 @@ func TestRecoverServerPartialFailureResumes(t *testing.T) {
 	m.layout.mu.Lock()
 	gen := m.layout.splitSeq + 1
 	m.layout.mu.Unlock()
-	blocker := regionDataDir(dir, fmt.Sprintf("%s.%d", regions[1].Name(), gen))
+	blocker := RegionDataDir(dir, fmt.Sprintf("%s.%d", regions[1].Name(), gen))
 	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -30,20 +30,10 @@ type serverTelemetry struct {
 	lat       opHists
 	slowLog   *obs.SlowLog
 	slowNanos atomic.Int64 // 0 = tracing disabled
-	// flush and stallNanos are the memstore flushes and write stalls of
-	// the stores while hosted here (kv.Config.OnIOWait): a moved store's
-	// history stays with the server it ran on.
-	flush      obs.Histogram
-	stallNanos atomic.Int64
-}
-
-// noteIOWait is every hosted store's kv.Config.OnIOWait.
-func (t *serverTelemetry) noteIOWait(d time.Duration, stall bool) {
-	if stall {
-		t.stallNanos.Add(int64(d))
-	} else {
-		t.flush.Record(d)
-	}
+	// engine is what every store counts while hosted here (kv.Host):
+	// a moved store's history stays with the server it ran on, and a
+	// restart's reopened stores count on.
+	engine kv.Counters
 }
 
 // beginOp starts a trace for an operation when tracing is armed.
@@ -108,7 +98,7 @@ func (s *RegionServer) LatencyStats() LatencyStats {
 		Get:   s.tel.lat.get.Snapshot(),
 		Put:   s.tel.lat.put.Snapshot(),
 		Scan:  s.tel.lat.scan.Snapshot(),
-		Flush: s.tel.flush.Snapshot(),
+		Flush: s.tel.engine.Flush.Snapshot(),
 	}
 	s.mu.RLock()
 	wal, pool, repl := s.wal, s.compactor, s.replicator
@@ -142,6 +132,10 @@ type RegionStats struct {
 // metbench's report and the controller's monitor (core.MasterCluster,
 // through SystemUsage) all read it, so a number means the same thing
 // wherever it shows up. A plain value: copy it, marshal it, Add it.
+//
+// A cumulative counter counts what happened on this server since
+// Started: it never falls, and a region move or a restart moves none of
+// it. What belongs to a region lives in PerRegion and travels with it.
 type ServerStats struct {
 	Name        string                `json:"name,omitempty"`
 	Up          bool                  `json:"up,omitempty"`
@@ -159,9 +153,6 @@ type ServerStats struct {
 	WAL         WALStats              `json:"wal"`
 	Latency     LatencyStats          `json:"latency"`
 	SlowOps     int64                 `json:"slow_ops"`
-	// StallNanos is the write-stall time of the stores while hosted
-	// here; Engine.StallNanos sums the hosted stores', moving with them.
-	StallNanos int64 `json:"stall_ns"`
 
 	// Derived (see derive). A backlog is work queued plus in flight:
 	// stores awaiting compaction, regions whose replicas are behind — a
@@ -200,7 +191,7 @@ func SystemUsage(prev, cur ServerStats) metrics.SystemMetrics {
 	period := float64(cur.At.Sub(prev.At))
 	p, c := &prev.Latency, &cur.Latency
 	busy := grown(p.Get.Sum(), c.Get.Sum()) + grown(p.Put.Sum(), c.Put.Sum()) + grown(p.Scan.Sum(), c.Scan.Sum())
-	wait := grown(p.Fsync.Sum(), c.Fsync.Sum()) + grown(p.Flush.Sum(), c.Flush.Sum()) + grown(prev.StallNanos, cur.StallNanos)
+	wait := grown(p.Fsync.Sum(), c.Fsync.Sum()) + grown(p.Flush.Sum(), c.Flush.Sum()) + grown(prev.Engine.StallNanos, cur.Engine.StallNanos)
 	return metrics.SystemMetrics{
 		CPUUtilization: fraction(busy, period*float64(cur.Handlers)),
 		IOWait:         fraction(wait, period),
@@ -231,7 +222,6 @@ func fraction(n, d float64) float64 {
 func (st ServerStats) Add(o ServerStats) ServerStats {
 	st.Name, st.Up, st.At, st.Started, st.Locality, st.PerRegion = "", false, time.Time{}, time.Time{}, 0, nil
 	st.CacheBytes, st.HeapBytes, st.Handlers = st.CacheBytes+o.CacheBytes, st.HeapBytes+o.HeapBytes, st.Handlers+o.Handlers
-	st.StallNanos += o.StallNanos
 	st.Regions += o.Regions
 	st.Requests = st.Requests.Add(o.Requests)
 	st.Engine = st.Engine.Add(o.Engine)
@@ -266,7 +256,6 @@ func (s *RegionServer) Stats() ServerStats {
 		CacheBytes:  int64(cache.Used()),
 		HeapBytes:   cfg.HeapBytes,
 		Handlers:    cfg.Handlers,
-		StallNanos:  s.tel.stallNanos.Load(),
 		Regions:     len(regions),
 		Requests:    s.Requests(),
 		Locality:    s.Locality(),

@@ -324,7 +324,9 @@ func TestStatsOneDefinition(t *testing.T) {
 	rs.QuiesceReplication()
 
 	compacting, shipping := newGate(), newGate()
-	region.Store().SetCompaction(compactorOf(rs), compacting, 0)
+	host := rs.hostFor(region.Name())
+	host.Budget = compacting
+	region.Store().SetHost(host)
 	compacted := make(chan error, 1)
 	go func() {
 		_, err := rs.MajorCompact(region.Name())
@@ -386,8 +388,7 @@ func TestStatsOneDefinition(t *testing.T) {
 // TestSystemUsage pins the one derivation of a node's CPU, I/O wait
 // and memory from two snapshots of its server: each input alone, the
 // cap at 1, a first snapshot measured from the server's start, a new
-// server under an old name, a sum that fell counted whole, and the
-// hosted stores' own stall time left out.
+// server under an old name, and a sum that fell counted whole.
 func TestSystemUsage(t *testing.T) {
 	started := time.Unix(1000, 0)
 	at := started.Add(10 * time.Second)
@@ -410,7 +411,7 @@ func TestSystemUsage(t *testing.T) {
 	prev := stats(at, func(st *ServerStats) {
 		st.Latency.Get = lat(time.Second)
 		st.Latency.Fsync = lat(time.Second)
-		st.StallNanos = int64(time.Second)
+		st.Engine.StallNanos = int64(time.Second)
 	})
 	later := at.Add(time.Second)
 	for _, tc := range []struct {
@@ -423,26 +424,22 @@ func TestSystemUsage(t *testing.T) {
 			st.Latency.Get = lat(time.Second, time.Second)
 			st.Latency.Put = lat(500 * time.Millisecond)
 			st.Latency.Scan = lat(500 * time.Millisecond)
-			st.Latency.Fsync, st.StallNanos = prev.Latency.Fsync, prev.StallNanos
+			st.Latency.Fsync, st.Engine.StallNanos = prev.Latency.Fsync, prev.Engine.StallNanos
 		}), metrics.SystemMetrics{CPUUtilization: 0.2}},
 		{"io wait is fsync, flush and stall time over the period", prev, stats(later, func(st *ServerStats) {
 			st.Latency.Get = prev.Latency.Get
 			st.Latency.Fsync = lat(time.Second, 100*time.Millisecond)
 			st.Latency.Flush = lat(200 * time.Millisecond)
-			st.StallNanos = int64(1300 * time.Millisecond)
+			st.Engine.StallNanos = int64(1300 * time.Millisecond)
 		}), metrics.SystemMetrics{IOWait: 0.6}},
-		{"the hosted stores' own stall time is not the server's", prev, stats(later, func(st *ServerStats) {
-			st.Latency.Get, st.Latency.Fsync, st.StallNanos = prev.Latency.Get, prev.Latency.Fsync, prev.StallNanos
-			st.Engine.StallNanos = int64(time.Minute) // a store moved in with its history
-		}), metrics.SystemMetrics{}},
 		{"memory is memstore and cache over heap", prev, stats(later, func(st *ServerStats) {
-			st.Latency.Get, st.Latency.Fsync, st.StallNanos = prev.Latency.Get, prev.Latency.Fsync, prev.StallNanos
+			st.Latency.Get, st.Latency.Fsync, st.Engine.StallNanos = prev.Latency.Get, prev.Latency.Fsync, prev.Engine.StallNanos
 			st.Engine.MemstoreCurrent, st.CacheBytes = 100, 200
 		}), metrics.SystemMetrics{MemoryUsage: 0.3}},
 		{"each is capped at 1", prev, stats(later, func(st *ServerStats) {
 			st.Latency.Get = lat(time.Second, 20*time.Second)
 			st.Latency.Fsync = lat(time.Second, 2*time.Second)
-			st.StallNanos = prev.StallNanos
+			st.Engine.StallNanos = prev.Engine.StallNanos
 			st.Engine.MemstoreCurrent, st.CacheBytes = 600, 600
 		}), metrics.SystemMetrics{CPUUtilization: 1, IOWait: 1, MemoryUsage: 1}},
 		{"a first snapshot measures from the server's start", ServerStats{}, prev,
@@ -454,7 +451,7 @@ func TestSystemUsage(t *testing.T) {
 		{"a sum that fell counts whole", prev, stats(later, func(st *ServerStats) {
 			st.Latency.Get = lat(500 * time.Millisecond)
 			st.Latency.Fsync = prev.Latency.Fsync
-			st.StallNanos = int64(300 * time.Millisecond)
+			st.Engine.StallNanos = int64(300 * time.Millisecond)
 		}), metrics.SystemMetrics{CPUUtilization: 0.05, IOWait: 0.3}},
 	} {
 		got := SystemUsage(tc.prev, tc.cur)
@@ -465,15 +462,17 @@ func TestSystemUsage(t *testing.T) {
 	}
 }
 
-// TestMoveLeavesIOWaitWithItsServer: a region's store carries its flush
-// history when it moves, but that history happened on the old server.
-// Across a move and nothing else, neither server's I/O wait may move:
-// the destination must not take in the moved store's past flushes, nor
-// the source be charged its remaining stores' whole history.
+// TestMoveLeavesIOWaitWithItsServer: a region's store carries its
+// data when it moves, but its history happened on the old server.
+// Across a move and nothing else, neither server's I/O wait may move,
+// nor any cumulative engine counter: the destination must not take in
+// the moved store's past flushes, compactions, user bytes, cache hits
+// or stall time, nor the source lose them.
 func TestMoveLeavesIOWaitWithItsServer(t *testing.T) {
 	m := NewMaster(hdfs.NewNamenode(2))
 	cfg := DefaultServerConfig()
 	cfg.HeapBytes = 64 << 10 // a flush every few KB per region
+	cfg.BlockBytes = 1 << 10 // blocks the small cache can hold
 	for _, name := range []string{"rs0", "rs1"} {
 		if _, err := m.AddServer(name, cfg); err != nil {
 			t.Fatal(err)
@@ -490,22 +489,45 @@ func TestMoveLeavesIOWaitWithItsServer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	region := tbl.Regions()[0]
-	if region.Store().Stats().Flushes == 0 {
-		t.Fatalf("region %s has no flush history to carry", region.Name())
+	for _, r := range tbl.Regions() {
+		host, _ := m.HostOf(r.Name())
+		rs, _ := m.Server(host)
+		if _, err := rs.MajorCompact(r.Name()); err != nil {
+			t.Fatal(err)
+		}
 	}
+	for i := 0; i < 800; i++ {
+		if _, err := c.Get("t", fmt.Sprintf("k%d%03d", i/2%4, i/2)); err != nil { // twice each: a cache hit
+			t.Fatal(err)
+		}
+	}
+	region := tbl.Regions()[0]
 	src, _ := m.HostOf(region.Name())
 	dst := "rs0"
 	if src == "rs0" {
 		dst = "rs1"
 	}
+	// Let background compactions settle, so nothing but the move acts
+	// between the two snapshots.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		idle := true
+		for _, rs := range m.Servers() {
+			idle = idle && rs.Stats().CompactionBacklog == 0
+		}
+		if idle {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("background compactions never settled")
+		}
+	}
 	before := map[string]ServerStats{}
 	for _, rs := range m.Servers() {
-		if st := rs.Stats(); st.Regions < 2 || st.Latency.Flush.Count() == 0 {
-			t.Fatalf("%s: %d regions, %d flushes; want 2+ regions with flushes", st.Name, st.Regions, st.Latency.Flush.Count())
-		} else {
-			before[st.Name] = st
+		st := rs.Stats()
+		if e := st.Engine; st.Regions < 2 || st.Latency.Flush.Count() == 0 || e.Flushes == 0 || e.Compactions == 0 || e.UserBytes == 0 || e.CacheHits == 0 {
+			t.Fatalf("%s: %d regions, engine %+v; want 2+ regions with flushes, compactions, user bytes and cache hits", st.Name, st.Regions, e)
 		}
+		before[st.Name] = st
 	}
 	if err := m.MoveRegion(region.Name(), dst); err != nil {
 		t.Fatal(err)
@@ -515,5 +537,70 @@ func TestMoveLeavesIOWaitWithItsServer(t *testing.T) {
 		if got := SystemUsage(before[st.Name], st).IOWait; got != 0 {
 			t.Errorf("%s: I/O wait across the move = %v, want 0", st.Name, got)
 		}
+		b, a := before[st.Name].Engine, st.Engine
+		for _, c := range []struct {
+			name          string
+			before, after int64
+		}{
+			{"flushes", b.Flushes, a.Flushes},
+			{"compactions", b.Compactions, a.Compactions},
+			{"user bytes", b.UserBytes, a.UserBytes},
+			{"cache hits", b.CacheHits, a.CacheHits},
+			{"stall ns", b.StallNanos, a.StallNanos},
+		} {
+			if c.before != c.after {
+				t.Errorf("%s: %s went from %d to %d across the move", st.Name, c.name, c.before, c.after)
+			}
+		}
+	}
+}
+
+// TestStallUnderWayReadsIOWait: a sample taken inside one long write
+// stall, with nothing else waiting on I/O, reads the stall as I/O wait
+// at once rather than only after the stall ends.
+func TestStallUnderWayReadsIOWait(t *testing.T) {
+	m := NewMaster(hdfs.NewNamenode(2))
+	cfg := DefaultServerConfig()
+	cfg.Compaction = CompactionConfig{MaxStoreFiles: 1, StallStoreFiles: 2}
+	rs, err := m.AddServer("rs0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := m.CreateTable("t", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	region := tbl.Regions()[0]
+	// The compaction that would release the stall parks on its budget.
+	held := newGate()
+	host := rs.hostFor(region.Name())
+	host.Budget = held
+	store := region.Store()
+	store.SetHost(host)
+	for i := 0; i < 2; i++ {
+		if err := store.Put(fmt.Sprintf("k%d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-held.entered
+	done := make(chan error, 1)
+	go func() { done <- store.Put("stalled", []byte("v")) }()
+	for deadline := time.Now().Add(10 * time.Second); rs.Stats().Engine.StalledWrites == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the writer never stalled")
+		}
+	}
+	prev := rs.Stats()
+	time.Sleep(50 * time.Millisecond)
+	cur := rs.Stats()
+	close(held.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := SystemUsage(prev, cur).IOWait; got < 0.5 {
+		t.Fatalf("I/O wait inside a stall = %v, want the stall's share of the period (about 1)", got)
 	}
 }

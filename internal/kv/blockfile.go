@@ -192,7 +192,7 @@ func (f *StoreFile) blockFor(key string) int {
 // bloom-filtered file reads no data block at all. A non-nil trace
 // records a span per consulted stage (bloom negative, cache hit, or
 // SSTable read).
-func (f *StoreFile) get(key string, cache *BlockCache, stats *storeStats, tr *obs.Trace) (Entry, bool, error) {
+func (f *StoreFile) get(key string, cache *BlockCache, stats *Counters, tr *obs.Trace) (Entry, bool, error) {
 	bi := f.blockFor(key)
 	if bi < 0 {
 		return Entry{}, false, nil
@@ -221,7 +221,7 @@ func (f *StoreFile) get(key string, cache *BlockCache, stats *storeStats, tr *ob
 // loadBlock fetches block bi through the cache, recording hit/miss
 // stats and — when traced — a "block-cache" span for a hit or an
 // "sstable-read" span for a source load.
-func (f *StoreFile) loadBlock(bi int, cache *BlockCache, stats *storeStats, tr *obs.Trace) (*Block, error) {
+func (f *StoreFile) loadBlock(bi int, cache *BlockCache, stats *Counters, tr *obs.Trace) (*Block, error) {
 	st := tr.StartSpan()
 	if cache == nil {
 		if stats != nil {
@@ -254,12 +254,12 @@ func (f *StoreFile) loadBlock(bi int, cache *BlockCache, stats *storeStats, tr *
 }
 
 // iterator walks the whole file in order, loading blocks through cache.
-func (f *StoreFile) iterator(cache *BlockCache, stats *storeStats) Iterator {
+func (f *StoreFile) iterator(cache *BlockCache, stats *Counters) Iterator {
 	return &fileIter{f: f, cache: cache, stats: stats, block: -1}
 }
 
 // iteratorFrom positions at the first entry with key >= start.
-func (f *StoreFile) iteratorFrom(start string, cache *BlockCache, stats *storeStats) Iterator {
+func (f *StoreFile) iteratorFrom(start string, cache *BlockCache, stats *Counters) Iterator {
 	it := &fileIter{f: f, cache: cache, stats: stats, block: -1}
 	if f.meta.Entries == 0 || start > f.meta.MaxKey {
 		it.block = len(f.firstKeys) // exhausted
@@ -287,7 +287,7 @@ func (f *StoreFile) iteratorFrom(start string, cache *BlockCache, stats *storeSt
 type fileIter struct {
 	f     *StoreFile
 	cache *BlockCache
-	stats *storeStats
+	stats *Counters
 	block int
 	cur   *Block
 	idx   int

@@ -3,6 +3,7 @@ package kv
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -77,9 +78,10 @@ type CompactionPressure struct {
 }
 
 // CompactionTrigger is how a store asks a background scheduler for
-// service. The engine fires it outside all engine locks, after the flush
-// that crossed Config.MaxStoreFiles; implementations must enqueue and
-// return quickly, and must not call back into the store synchronously.
+// service (Host.Compactor). The engine fires it outside all engine
+// locks, after the flush that crossed Config.MaxStoreFiles;
+// implementations must enqueue and return quickly, and must not call
+// back into the store synchronously.
 type CompactionTrigger interface {
 	CompactionNeeded(s *Store, p CompactionPressure)
 }
@@ -120,8 +122,8 @@ type CompactionResult struct {
 //	phase 1 (read lock, brief): resolve the selection against the
 //	        current stack and pin the selected *StoreFile values;
 //	phase 2 (no lock): merge-iterate the files, build the replacement
-//	        through the backend — rate-limited by Config.
-//	        CompactionBudget — while Gets, Puts and Scans proceed;
+//	        through the backend — rate-limited by the host's Budget —
+//	        while Gets, Puts and Scans proceed;
 //	phase 3 (write lock, brief): splice the merged file into the stack
 //	        in place of the run, retire the inputs, wake stalled
 //	        writers.
@@ -171,7 +173,7 @@ func (s *Store) CompactFiles(sel CompactionSelection) (CompactionResult, error) 
 	// Phase 2: merge with no engine lock held. Reads bypass the block
 	// cache (compaction must not evict the serving working set) and are
 	// charged to the background I/O budget up front, file by file.
-	budget := s.wiring.Load().budget
+	budget := s.host.Load().Budget
 	sources := make([]Iterator, 0, len(run))
 	var maxTSFloor uint64
 	for _, f := range run {
@@ -233,9 +235,10 @@ func (s *Store) CompactFiles(sel CompactionSelection) (CompactionResult, error) 
 			s.retiredMu.Unlock()
 		}
 	}
-	s.stats.compactions.Add(1)
-	s.stats.compactedBytes.Add(res.BytesIn)
-	s.stats.compactionBytesWritten.Add(res.BytesOut)
+	c := s.host.Load().Counters
+	c.compactions.Add(1)
+	c.compactedBytes.Add(res.BytesIn)
+	c.compactionBytesWritten.Add(res.BytesOut)
 	s.mu.Unlock()
 
 	// Announce the new stack before the unlink-and-fsync of the retired
@@ -289,7 +292,7 @@ func (s *Store) discardFile(f *StoreFile) {
 // this store entered (+1) or left (-1) a scheduler queue; the gauge is
 // surfaced as Stats.CompactionQueueDepth.
 func (s *Store) NoteCompactionQueued(delta int64) {
-	s.stats.compactionQueued.Add(delta)
+	s.compactionQueued.Add(delta)
 }
 
 // maybeTriggerCompaction serves the request a flush latched when it
@@ -312,7 +315,7 @@ func (s *Store) maybeTriggerCompaction() error {
 	if closed || s.cfg.MaxStoreFiles <= 0 || p.NumFiles <= s.cfg.MaxStoreFiles {
 		return nil
 	}
-	if trigger := s.wiring.Load().trigger; trigger != nil {
+	if trigger := s.host.Load().Compactor; trigger != nil {
 		trigger.CompactionNeeded(s, p)
 		return nil
 	}
@@ -346,41 +349,42 @@ func (s *Store) releaseStall() {
 }
 
 // maybeStall blocks a writer while the store's file count sits at or
-// above the hard ceiling, giving background compaction room to catch up
-// — HBase's blockingStoreFiles behavior. It runs before the write lock
-// is taken, so an in-flight compaction's swap (phase 3) can always
-// proceed and wake us. The wait is bounded by Config.StallTimeout: a
-// wedged compactor degrades the store to unbounded file counts rather
-// than wedging writers forever. Every stalled nanosecond is accounted.
+// above its host's hard ceiling, giving background compaction room to
+// catch up — HBase's blockingStoreFiles behavior. It runs before the
+// write lock is taken, so an in-flight compaction's swap (phase 3) can
+// always proceed and wake us. The wait is bounded by
+// Config.StallTimeout: a wedged compactor degrades the store to
+// unbounded file counts rather than wedging writers forever. Every
+// stalled nanosecond is accounted, the stall under way included (see
+// Counters.Snapshot).
 func (s *Store) maybeStall() {
-	w := s.wiring.Load()
-	if w.trigger == nil || w.hardMax <= 0 {
+	h := s.host.Load()
+	if h.Compactor == nil || h.HardMaxStoreFiles <= 0 {
 		return
 	}
 	// Never park on a gate while a compaction request is still latched
 	// but unsent — the release we would wait for might otherwise never
-	// be scheduled. (Firing a trigger cannot fail; only a store rewired
-	// to no scheduler since the check above compacts here, and then the
-	// next flush re-latches whatever this attempt left undone.)
+	// be scheduled. (Firing a trigger cannot fail; only a store moved
+	// since the check above to a host without one compacts here, and
+	// the next flush re-latches whatever this attempt left undone.)
 	_ = s.maybeTriggerCompaction()
-	var start time.Time
+	var from *int64 // the stall's start on its current host, once stalled
 	var timer *time.Timer
 stall:
 	for {
 		gate := s.stallGateChan()
-		// Re-read the wiring every pass: a rewire (region move) releases
-		// the gate, and the waiter must judge the ceiling — or its
-		// absence — against the store's new home, not the old one.
-		w = s.wiring.Load()
+		// Re-read the host every pass: SetHost releases the gate, and
+		// the waiter must judge the ceiling — or its absence — against
+		// the store's new home, not the old one.
+		h = s.host.Load()
 		s.mu.RLock()
-		over := !s.closed && !s.sealed && w.trigger != nil && w.hardMax > 0 && len(s.files) >= w.hardMax
+		over := !s.closed && !s.sealed && h.Compactor != nil && h.HardMaxStoreFiles > 0 && len(s.files) >= h.HardMaxStoreFiles
 		s.mu.RUnlock()
 		if !over {
 			break
 		}
-		if start.IsZero() {
-			start = time.Now()
-			s.stats.stalledWrites.Add(1)
+		if from == nil {
+			from = s.beginStall()
 			timer = time.NewTimer(s.cfg.StallTimeout)
 		}
 		select {
@@ -389,10 +393,28 @@ stall:
 			break stall
 		}
 	}
-	if !start.IsZero() {
+	if from != nil {
 		timer.Stop()
-		d := time.Since(start)
-		s.stats.stallNanos.Add(int64(d))
-		s.noteIOWait(d, true)
+		s.endStall(from)
 	}
+}
+
+// beginStall counts a writer's stall on the host from now on, where
+// SetHost can split it.
+func (s *Store) beginStall() *int64 {
+	s.stallMu.Lock()
+	defer s.stallMu.Unlock()
+	c := s.host.Load().Counters
+	c.stalledWrites.Add(1)
+	from := c.beginStall()
+	s.stalls = append(s.stalls, &from)
+	return &from
+}
+
+// endStall ends a beginStall stall on the host that counts it now.
+func (s *Store) endStall(from *int64) {
+	s.stallMu.Lock()
+	defer s.stallMu.Unlock()
+	s.stalls = slices.DeleteFunc(s.stalls, func(p *int64) bool { return p == from })
+	s.host.Load().Counters.endStall(*from)
 }

@@ -271,12 +271,11 @@ func (r *recordingTrigger) CompactionNeeded(_ *Store, p CompactionPressure) {
 	r.mu.Unlock()
 }
 
-// TestFlushTriggersCompactorInsteadOfInline: with a Compactor
-// configured, crossing MaxStoreFiles must notify the trigger and leave
+// TestFlushTriggersCompactorInsteadOfInline: with a host Compactor, crossing MaxStoreFiles must notify the trigger and leave
 // the files alone (no inline merge under the lock).
 func TestFlushTriggersCompactorInsteadOfInline(t *testing.T) {
 	trig := &recordingTrigger{}
-	s := NewStore(Config{MemstoreFlushBytes: 1 << 30, MaxStoreFiles: 2, BlockBytes: 256, Compactor: trig})
+	s := NewStore(Config{MemstoreFlushBytes: 1 << 30, MaxStoreFiles: 2, BlockBytes: 256, Host: Host{Compactor: trig}})
 	defer s.Close()
 	for b := 0; b < 4; b++ {
 		s.Put(fmt.Sprintf("k%d", b), []byte("v"))
@@ -323,24 +322,16 @@ func TestFlushTriggersCompactorInsteadOfInline(t *testing.T) {
 // TestWriteStallAccountsAndReleases: at the hard ceiling a writer
 // stalls; the stall is accounted (never hidden) and a compaction that
 // shrinks the stack releases it long before the stall timeout. The
-// I/O-wait hook hears of every flush and stall as it ends.
+// host's counters hear of every flush and stall.
 func TestWriteStallAccountsAndReleases(t *testing.T) {
 	trig := &recordingTrigger{}
-	var stalled, flushes atomic.Int64
+	var host Counters
 	s := NewStore(Config{
-		OnIOWait: func(d time.Duration, stall bool) {
-			if stall {
-				stalled.Add(int64(d))
-			} else {
-				flushes.Add(1)
-			}
-		},
 		MemstoreFlushBytes: 1 << 30,
 		MaxStoreFiles:      2,
-		HardMaxStoreFiles:  3,
 		StallTimeout:       100 * time.Millisecond,
 		BlockBytes:         256,
-		Compactor:          trig,
+		Host:               Host{Compactor: trig, HardMaxStoreFiles: 3, Counters: &host},
 	})
 	defer s.Close()
 	for b := 0; b < 3; b++ {
@@ -362,8 +353,9 @@ func TestWriteStallAccountsAndReleases(t *testing.T) {
 	if st.StallNanos < int64(100*time.Millisecond) || st.StalledWrites == 0 {
 		t.Fatalf("stall not accounted: %+v", st)
 	}
-	if stalled.Load() != st.StallNanos || flushes.Load() != 3 {
-		t.Fatalf("I/O-wait hook heard %d ns of stall and %d flushes, want %d ns and 3", stalled.Load(), flushes.Load(), st.StallNanos)
+	flushTimes := host.Flush.Snapshot()
+	if stalled, flushes := host.Snapshot().StallNanos, flushTimes.Count(); stalled != st.StallNanos || flushes != 3 {
+		t.Fatalf("host counted %d ns of stall and %d timed flushes, want %d ns and 3", stalled, flushes, st.StallNanos)
 	}
 
 	// Now stall again, but release via a compaction: the Put must

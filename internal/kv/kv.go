@@ -50,19 +50,24 @@
 // Compaction I/O never runs under the store write lock. CompactFiles
 // merges a selected contiguous run of files in three phases — snapshot
 // under a brief read lock, merge and persist with no lock held
-// (rate-limited by a shared IOBudget), splice under a brief write lock
-// — so Gets, Puts and Scans proceed throughout a compaction. That is
-// the only merge implementation; Config.Compactor decides only which
-// goroutine runs it. Set, a flush that pushes the file count over
-// MaxStoreFiles fires the trigger (outside all locks) and a scheduler
-// (met/internal/compaction) plans and executes CompactFiles on worker
-// goroutines; at Config.HardMaxStoreFiles writers stall — outside the
-// locks, bounded by StallTimeout, accounted in Stats.StallNanos — until
-// compaction catches up. Nil (the catalog store, in-memory stores), the
-// write or Flush whose flush crossed the threshold merges the whole
-// stack itself, after releasing the write lock and before returning,
-// and reports a failure as that call's error; such a store never
-// stalls, having nothing asynchronous to wait for.
+// (rate-limited by the host's IOBudget), splice under a brief write
+// lock — so Gets, Puts and Scans proceed throughout a compaction. That
+// is the only merge implementation; the store's Host decides only which
+// goroutine runs it. With a Host.Compactor, a flush that pushes the
+// file count over MaxStoreFiles fires the trigger (outside all locks)
+// and a scheduler (met/internal/compaction) plans and executes
+// CompactFiles on worker goroutines; at Host.HardMaxStoreFiles writers
+// stall — outside the locks, bounded by StallTimeout, accounted in
+// Stats.StallNanos — until compaction catches up. Without one (the
+// catalog store, in-memory stores), the write or Flush whose flush
+// crossed the threshold merges the whole stack itself, after releasing
+// the write lock and before returning, and reports a failure as that
+// call's error; such a store never stalls, having nothing asynchronous
+// to wait for.
+//
+// The cumulative Stats fields live in the Host's Counters, not in the
+// store, so a server whose stores share one Counters counts what
+// happened on it, and no move or restart lowers them.
 //
 // # Static analysis & invariants
 //
@@ -144,8 +149,9 @@ type Iterator interface {
 	Entry() Entry
 }
 
-// Stats aggregates engine activity counters. All counters are cumulative
-// since store creation.
+// Stats aggregates engine activity counters. All but the gauges
+// (MemstoreCurrent, CompactionQueueDepth) are cumulative over the life
+// of the Counters they were read from (see Host).
 type Stats struct {
 	Gets            int64 `json:"gets"`
 	Puts            int64 `json:"puts"`
@@ -170,8 +176,9 @@ type Stats struct {
 	CompactionBytesWritten int64 `json:"compaction_bytes_written"`
 	// StallNanos is the cumulative time writers spent blocked on the
 	// hard store-file ceiling waiting for background compaction to
-	// catch up. Reported, never hidden: a stalled serving path shows up
-	// here rather than as unexplained latency.
+	// catch up, the stalls still under way included. Reported, never
+	// hidden: a stalled serving path shows up here rather than as
+	// unexplained latency.
 	StallNanos int64 `json:"stall_ns"`
 	// StalledWrites counts mutations that hit the stall path at all.
 	StalledWrites int64 `json:"stalled_writes"`

@@ -98,44 +98,15 @@ type Config struct {
 	// of its regions' stores, as HBase does.
 	Cache *BlockCache
 
-	// Compactor decides who runs the compaction a flush asks for when it
-	// pushes the file count over MaxStoreFiles. Either way the request is
-	// served outside the engine locks, by the same CompactFiles merge.
-	// Set, the trigger is fired and the scheduler is expected to call
-	// CompactFiles on a goroutine of its own. Nil, the store serves
-	// itself: the goroutine whose write or Flush crossed the threshold
-	// merges the whole stack before its call returns.
-	Compactor CompactionTrigger
-	// HardMaxStoreFiles is the file count at which writers stall until
-	// background compaction catches up (HBase's blockingStoreFiles).
-	// Only meaningful with a Compactor — a store that compacts on its
-	// own writers' goroutines has nothing asynchronous to wait for;
-	// 0 defaults to 3×MaxStoreFiles, negative disables stalling.
-	HardMaxStoreFiles int
-	// StallTimeout bounds a single write's stall; past it the write
-	// proceeds and the file count grows unbounded (reported via
-	// Stats.StallNanos either way). 0 defaults to 10s.
+	// StallTimeout bounds a single write's stall at its host's
+	// HardMaxStoreFiles; past it the write proceeds and the file count
+	// grows unbounded (reported via Stats.StallNanos either way). 0
+	// defaults to 10s.
 	StallTimeout time.Duration
-	// CompactionBudget, when set, rate-limits CompactFiles I/O and
-	// receives foreground accounting from flushes, so compaction and
-	// serving share one disk-bandwidth budget.
-	CompactionBudget IOBudget
-	// OnFilesChanged, when set, is invoked outside all engine locks
-	// after the immutable file stack changes — a flush added a file, or
-	// a compaction spliced one in. Embedders that mirror the stack into
-	// an external system (HDFS bookkeeping, SSTable replication) use it
-	// as their wake-up; consecutive changes may coalesce into one call,
-	// so implementations must reconcile against the current stack rather
-	// than assume one event per file. Swappable at runtime with
-	// SetFilesChanged (a region move re-homes the store onto another
-	// server's replicator).
-	OnFilesChanged func()
-	// OnIOWait, when set, receives each memstore flush's duration
-	// (stall false) and each ended write stall's (stall true), for the
-	// host that counts them: the store's own Stats move with it. Called
-	// under engine locks, so it must not block; SetIOWait swaps it when
-	// the store changes hosts.
-	OnIOWait func(d time.Duration, stall bool)
+	// Host is where the store starts out (see Host); SetHost moves it.
+	// The zero Host compacts on the store's own writers and counts into
+	// a private Counters.
+	Host Host
 }
 
 func (c Config) withDefaults() Config {
@@ -153,67 +124,10 @@ func (c Config) withDefaults() Config {
 	if c.MaxStoreFiles == 0 {
 		c.MaxStoreFiles = 8
 	}
-	// The stall ceiling is only safe when every stall has a compaction
-	// request pending to release it: automatic compaction must be on,
-	// and the ceiling must sit above the trigger threshold. Incoherent
-	// combinations are normalized rather than left to wedge writers.
-	if c.MaxStoreFiles < 0 {
-		c.HardMaxStoreFiles = -1
-	} else if c.HardMaxStoreFiles == 0 {
-		c.HardMaxStoreFiles = 3 * c.MaxStoreFiles
-	} else if c.HardMaxStoreFiles > 0 && c.HardMaxStoreFiles <= c.MaxStoreFiles {
-		c.HardMaxStoreFiles = c.MaxStoreFiles + 1
-	}
 	if c.StallTimeout == 0 {
 		c.StallTimeout = 10 * time.Second
 	}
 	return c
-}
-
-// storeStats holds the engine counters as atomics so the concurrent read
-// path (Get/Scan under the store's read lock) can bump them without an
-// exclusive lock. Stats() snapshots them into the exported Stats value.
-type storeStats struct {
-	gets, puts, deletes    atomic.Int64
-	scans, scannedEntries  atomic.Int64
-	cacheHits, cacheMisses atomic.Int64
-	flushes, flushedBytes  atomic.Int64
-	compactions            atomic.Int64
-	compactedBytes         atomic.Int64
-	blocksRead             atomic.Int64
-	filterNegatives        atomic.Int64
-	userBytes              atomic.Int64
-	compactionBytesWritten atomic.Int64
-	stallNanos             atomic.Int64
-	stalledWrites          atomic.Int64
-	compactionQueued       atomic.Int64
-}
-
-func (st *storeStats) snapshot() Stats {
-	s := Stats{
-		Gets:                   st.gets.Load(),
-		Puts:                   st.puts.Load(),
-		Deletes:                st.deletes.Load(),
-		Scans:                  st.scans.Load(),
-		ScannedEntries:         st.scannedEntries.Load(),
-		CacheHits:              st.cacheHits.Load(),
-		CacheMisses:            st.cacheMisses.Load(),
-		Flushes:                st.flushes.Load(),
-		FlushedBytes:           st.flushedBytes.Load(),
-		Compactions:            st.compactions.Load(),
-		CompactedBytes:         st.compactedBytes.Load(),
-		BlocksRead:             st.blocksRead.Load(),
-		FilterNegatives:        st.filterNegatives.Load(),
-		UserBytes:              st.userBytes.Load(),
-		CompactionBytesWritten: st.compactionBytesWritten.Load(),
-		StallNanos:             st.stallNanos.Load(),
-		StalledWrites:          st.stalledWrites.Load(),
-		CompactionQueueDepth:   st.compactionQueued.Load(),
-	}
-	if s.UserBytes > 0 {
-		s.WriteAmplification = float64(s.FlushedBytes+s.CompactionBytesWritten) / float64(s.UserBytes)
-	}
-	return s
 }
 
 // Store is the LSM engine: one memstore plus a stack of immutable store
@@ -247,7 +161,6 @@ type Store struct {
 	files   []*StoreFile // newest first
 	cache   *BlockCache
 	backend StorageBackend
-	stats   storeStats
 	seq     uint64 // logical clock for timestamps; mutated under mu (write)
 	sealed  bool
 	closed  bool
@@ -268,36 +181,24 @@ type Store struct {
 	// per store; compactionWanted latches "a flush crossed the soft
 	// threshold" under the write lock for the trigger fired after it is
 	// released; stallMu+stallGate park writers at the hard file-count
-	// ceiling until a compaction shrinks the stack.
+	// ceiling until a compaction shrinks the stack, stalls holding each
+	// one's start on the current host. compactionQueued is the
+	// Stats.CompactionQueueDepth gauge.
 	compactMu        sync.Mutex
 	compactionWanted atomic.Bool
 	stallMu          sync.Mutex
 	stallGate        chan struct{}
+	stalls           []*int64
+	compactionQueued atomic.Int64
 
-	// wiring is the store's attribution plumbing — which scheduler
-	// services it, which I/O budget its bytes charge, where writers
-	// stall. It starts as the Config values but is swappable at runtime
-	// (SetCompaction) because a region move re-homes a live store onto
-	// another server's compactor pool; an atomic pointer keeps the
-	// lock-free readers (maybeStall, maybeTriggerCompaction, phase-2
-	// compaction I/O) racing a rewire safe.
-	wiring atomic.Pointer[compactionWiring]
-
-	// File-stack change notification (Config.OnFilesChanged): flushes
-	// and compaction splices latch filesDirty under the write lock; the
-	// mutation paths fire the hook once outside every lock, exactly like
-	// the compaction trigger. The hook itself is an atomic pointer so a
-	// region move can swap it (SetFilesChanged) without racing a flush.
-	onFilesChanged atomic.Pointer[func()]
-	filesDirty     atomic.Bool
-	onIOWait       atomic.Pointer[func(time.Duration, bool)] // Config.OnIOWait
-}
-
-// compactionWiring bundles the rewirable background-compaction hooks.
-type compactionWiring struct {
-	trigger CompactionTrigger
-	budget  IOBudget
-	hardMax int
+	// host is where the store runs (see Host). An atomic pointer keeps
+	// the lock-free readers — the serving path's counters, maybeStall,
+	// maybeTriggerCompaction, phase-2 compaction I/O — racing a SetHost
+	// safe. Flushes and compaction splices latch filesDirty under the
+	// write lock; the mutation paths fire host.OnFilesChanged once
+	// outside every lock, exactly like the compaction trigger.
+	host       atomic.Pointer[Host]
+	filesDirty atomic.Bool
 }
 
 // NewStore creates an empty in-memory store with the given configuration.
@@ -314,16 +215,7 @@ func NewStore(cfg Config) *Store {
 		mem:   NewMemstore(cfg.Seed),
 		cache: cache,
 	}
-	s.wiring.Store(&compactionWiring{
-		trigger: cfg.Compactor,
-		budget:  cfg.CompactionBudget,
-		hardMax: cfg.HardMaxStoreFiles,
-	})
-	if cfg.OnFilesChanged != nil {
-		fn := cfg.OnFilesChanged
-		s.onFilesChanged.Store(&fn)
-	}
-	s.SetIOWait(cfg.OnIOWait)
+	s.host.Store(cfg.host(cfg.Host))
 	return s
 }
 
@@ -395,19 +287,19 @@ func OpenStore(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// Config returns the store's configuration. Note that the background-
-// compaction hooks (Compactor, CompactionBudget, HardMaxStoreFiles) may
-// have been rewired since the store was opened — see SetCompaction —
-// and the WAL may have been swapped (SwitchWAL).
+// Config returns the store's configuration, with its current Host
+// (see SetHost) and WAL (see SwitchWAL).
 func (s *Store) Config() Config {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.cfg
+	cfg := s.cfg
+	cfg.Host = *s.host.Load()
+	return cfg
 }
 
 // WAL exposes the store's write-ahead log (nil for stores that do not
-// log). Embedders that re-home a store use it to swap log-level
-// accounting hooks alongside SetCompaction.
+// log). Embedders that re-home a store use it to decide whether the
+// store must SwitchWAL.
 func (s *Store) WAL() WAL {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -441,66 +333,18 @@ func (s *Store) SwitchWAL(w WAL) error {
 	return nil
 }
 
-// SetCompaction rewires the store's background-compaction plumbing to a
-// new scheduler, I/O budget and hard file ceiling — the engine half of
-// re-homing a live store onto a different server (a region move): from
-// the next flush on, compaction requests go to trigger, compaction and
-// flush bytes charge budget, and writers stall against hardMax.
-// hardMax is normalized exactly like Config.HardMaxStoreFiles (0 =
-// 3×MaxStoreFiles, negative disables); with a nil trigger the store
-// serves its own compactions (see Config.Compactor). The swap is
-// atomic: a concurrent writer observes either the old wiring or the
-// new, never a mix.
-func (s *Store) SetCompaction(trigger CompactionTrigger, budget IOBudget, hardMax int) {
-	if s.cfg.MaxStoreFiles < 0 {
-		hardMax = -1
-	} else if hardMax == 0 {
-		hardMax = 3 * s.cfg.MaxStoreFiles
-	} else if hardMax > 0 && hardMax <= s.cfg.MaxStoreFiles {
-		hardMax = s.cfg.MaxStoreFiles + 1
-	}
-	s.wiring.Store(&compactionWiring{trigger: trigger, budget: budget, hardMax: hardMax})
-	// A writer parked on the old server's stall gate must not wait for a
-	// pool that no longer services this store; wake it to re-evaluate
-	// against the new wiring.
-	s.releaseStall()
-}
-
-// SetFilesChanged rewires the store's file-stack change hook (see
-// Config.OnFilesChanged) — the engine half of re-homing a live store's
-// replication onto a different server. nil disables notification. The
-// swap is atomic; a flush racing it fires either the old hook or the
-// new, never a torn pointer.
-func (s *Store) SetFilesChanged(fn func()) {
-	if fn == nil {
-		s.onFilesChanged.Store(nil)
-		return
-	}
-	s.onFilesChanged.Store(&fn)
-}
-
-// SetIOWait atomically rewires the I/O-wait hook (Config.OnIOWait).
-func (s *Store) SetIOWait(fn func(d time.Duration, stall bool)) { s.onIOWait.Store(&fn) }
-
-// noteIOWait hands one flush's or stall's duration to the hook.
-func (s *Store) noteIOWait(d time.Duration, stall bool) {
-	if fn := s.onIOWait.Load(); fn != nil && *fn != nil {
-		(*fn)(d, stall)
-	}
-}
-
-// notifyFilesChanged fires the files-changed hook if a flush or
+// notifyFilesChanged fires the host's files-changed hook if a flush or
 // compaction latched a stack change since the last call. Called outside
 // all engine locks by afterFlush and CompactFiles.
 func (s *Store) notifyFilesChanged() {
-	fn := s.onFilesChanged.Load()
+	fn := s.host.Load().OnFilesChanged
 	if fn == nil {
 		return
 	}
 	if !s.filesDirty.CompareAndSwap(true, false) {
 		return
 	}
-	(*fn)()
+	fn()
 }
 
 // MaxTimestamp returns the store's logical clock: the timestamp of the
@@ -531,13 +375,14 @@ func (s *Store) MaxTimestamp() uint64 {
 // (logged, never acknowledged) and the clock rests on the last of them,
 // so timestamps stay dense — no timestamp names a record the log never
 // saw.
-func (s *Store) write(entries []Entry, keepTS bool, counter *atomic.Int64, tr *obs.Trace) (int, error) {
+func (s *Store) write(entries []Entry, keepTS bool, count func(*Counters) *atomic.Int64, tr *obs.Trace) (int, error) {
 	s.maybeStall()
 	s.mu.Lock()
 	if s.closed || s.sealed {
 		s.mu.Unlock()
 		return 0, ErrClosed
 	}
+	c := s.host.Load().Counters
 	var commit func() error
 	applied := 0
 	for i := range entries {
@@ -561,10 +406,10 @@ func (s *Store) write(entries []Entry, keepTS bool, counter *atomic.Int64, tr *o
 		st := tr.StartSpan()
 		s.mem.Add(*e)
 		tr.EndSpan("memstore", st)
-		if counter != nil {
-			counter.Add(1)
+		if count != nil {
+			count(c).Add(1)
 		}
-		s.stats.userBytes.Add(int64(e.Size()))
+		c.userBytes.Add(int64(e.Size()))
 		applied++
 	}
 	var flushErr error
@@ -614,7 +459,7 @@ func (s *Store) Put(key string, value []byte) error {
 // nil trace is free.
 func (s *Store) PutTraced(key string, value []byte, tr *obs.Trace) error {
 	one := [1]Entry{{Key: key, Value: append([]byte(nil), value...)}}
-	_, err := s.write(one[:], false, &s.stats.puts, tr)
+	_, err := s.write(one[:], false, puts, tr)
 	return err
 }
 
@@ -626,9 +471,13 @@ func (s *Store) Delete(key string) error {
 // DeleteTraced is Delete with a trace context.
 func (s *Store) DeleteTraced(key string, tr *obs.Trace) error {
 	one := [1]Entry{{Key: key, Tombstone: true}}
-	_, err := s.write(one[:], false, &s.stats.deletes, tr)
+	_, err := s.write(one[:], false, deletes, tr)
 	return err
 }
+
+// puts and deletes pick the counter a write bumps per entry.
+func puts(c *Counters) *atomic.Int64    { return &c.puts }
+func deletes(c *Counters) *atomic.Int64 { return &c.deletes }
 
 // copyBatch deep-copies entries into the scratch slice write consumes.
 func copyBatch(entries []Entry) []Entry {
@@ -646,7 +495,7 @@ func copyBatch(entries []Entry) []Entry {
 // of one per entry. Entries are re-timestamped in order, so they shadow
 // nothing newer than themselves.
 func (s *Store) ImportEntries(entries []Entry) error {
-	_, err := s.write(copyBatch(entries), false, &s.stats.puts, nil)
+	_, err := s.write(copyBatch(entries), false, puts, nil)
 	return err
 }
 
@@ -678,7 +527,8 @@ func (s *Store) GetTraced(key string, tr *obs.Trace) ([]byte, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	s.stats.gets.Add(1)
+	c := s.host.Load().Counters
+	c.gets.Add(1)
 	st := tr.StartSpan()
 	best, ok := s.mem.Get(key)
 	tr.EndSpan("memstore", st)
@@ -686,7 +536,7 @@ func (s *Store) GetTraced(key string, tr *obs.Trace) ([]byte, error) {
 		if ok && best.Timestamp >= f.MaxTimestamp() {
 			break // nothing newer can exist in older files
 		}
-		e, found, err := f.get(key, s.cache, &s.stats, tr)
+		e, found, err := f.get(key, s.cache, c, tr)
 		if err != nil {
 			return nil, fmt.Errorf("kv: read file %d: %w", f.ID(), err)
 		}
@@ -733,12 +583,13 @@ func (s *Store) ScanTraced(start, end string, limit int, tr *obs.Trace) ([]Entry
 	}()
 	tr.EndSpan("snapshot", st)
 
-	s.stats.scans.Add(1)
+	c := s.host.Load().Counters
+	c.scans.Add(1)
 	st = tr.StartSpan()
 	sources := make([]Iterator, 0, len(files)+1)
 	sources = append(sources, mem.IteratorFrom(start))
 	for _, f := range files {
-		sources = append(sources, f.iteratorFrom(start, s.cache, &s.stats))
+		sources = append(sources, f.iteratorFrom(start, s.cache, c))
 	}
 	it := newLimitIterator(newBoundIterator(newDedupIterator(newMergeIterator(sources), true), end), limit)
 	var out []Entry
@@ -750,7 +601,7 @@ func (s *Store) ScanTraced(start, end string, limit int, tr *obs.Trace) ([]Entry
 		scanned++
 	}
 	tr.EndSpan("iterate", st)
-	s.stats.scannedEntries.Add(scanned)
+	c.scannedEntries.Add(scanned)
 	for _, src := range sources {
 		if err := iterErr(src); err != nil {
 			return nil, fmt.Errorf("kv: scan: %w", err)
@@ -777,7 +628,7 @@ func (s *Store) flushLocked() error {
 	for it.Next() {
 		entries = append(entries, it.Entry())
 	}
-	f, err := s.createFile(nextFileID(), entries)
+	f, err := s.createFileWithFloor(nextFileID(), entries, 0)
 	if err != nil {
 		// Keep the memstore: the data stays readable and logged; the
 		// next flush retries.
@@ -786,14 +637,14 @@ func (s *Store) flushLocked() error {
 	maxTS := s.mem.MaxTimestamp()
 	s.files = append([]*StoreFile{f}, s.files...)
 	s.filesDirty.Store(true)
-	s.stats.flushes.Add(1)
-	s.stats.flushedBytes.Add(int64(f.Bytes()))
-	s.noteIOWait(time.Since(flushStart), false)
-	w := s.wiring.Load()
-	if w.budget != nil {
+	h := s.host.Load()
+	h.Counters.flushes.Add(1)
+	h.Counters.flushedBytes.Add(int64(f.Bytes()))
+	h.Counters.Flush.Since(flushStart)
+	if h.Budget != nil {
 		// Flush I/O is foreground: it is accounted against the shared
 		// budget (so compaction yields to it) but never blocked.
-		w.budget.NoteForeground(f.Bytes())
+		h.Budget.NoteForeground(f.Bytes())
 	}
 	s.mem = NewMemstore(s.cfg.Seed + f.ID())
 	if s.cfg.WAL != nil {
@@ -807,17 +658,13 @@ func (s *Store) flushLocked() error {
 	return nil
 }
 
-// createFile persists sorted entries through the backend (or in memory).
-func (s *Store) createFile(id uint64, entries []Entry) (*StoreFile, error) {
-	return s.createFileWithFloor(id, entries, 0)
-}
-
-// createFileWithFloor is createFile with the file's recorded max
-// timestamp raised to at least maxTSFloor — compactions pass the
-// maximum of their inputs so dropping a newest-version entry cannot
-// regress the output's clock (see TimestampFloorCreator). Backends
-// without the extension get an in-memory clamp, which preserves the
-// clock for the life of this process.
+// createFileWithFloor persists sorted entries through the backend (or
+// in memory), the file's recorded max timestamp raised to at least
+// maxTSFloor — compactions pass the maximum of their inputs so dropping
+// a newest-version entry cannot regress the output's clock (see
+// TimestampFloorCreator). Backends without the extension get an
+// in-memory clamp, which preserves the clock for the life of this
+// process.
 func (s *Store) createFileWithFloor(id uint64, entries []Entry, maxTSFloor uint64) (*StoreFile, error) {
 	var f *StoreFile
 	var err error
@@ -873,13 +720,15 @@ func (s *Store) drainRetired(force bool) {
 	}
 }
 
-// Stats returns a snapshot of the engine counters.
+// Stats returns the store's gauges over its host's counters: a store
+// sharing its host's Counters reports what every store there did.
 func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	memBytes := int64(s.mem.Bytes())
 	s.mu.RUnlock()
-	st := s.stats.snapshot()
+	st := s.host.Load().Counters.Snapshot()
 	st.MemstoreCurrent = memBytes
+	st.CompactionQueueDepth = s.compactionQueued.Load()
 	return st
 }
 

@@ -9,7 +9,7 @@
 // Each region server owns one Replicator (like its compactor pool).
 // The replicator tracks the server's hosted regions; whenever a
 // region's store changes its file stack — a flush added an SSTable, a
-// compaction replaced a run (kv.Config.OnFilesChanged) — the region is
+// compaction replaced a run (kv.Host.OnFilesChanged) — the region is
 // enqueued and a background worker *reconciles* each follower's replica directory
 // against the primary's current stack:
 //
@@ -130,12 +130,11 @@ type followerTail struct {
 // the newest stack, and sync rounds arriving while the shipper appends
 // merge into its next pass.
 type Replicator struct {
-	budget kv.IOBudget
-
 	mu       sync.Mutex
-	idle     *sync.Cond // a worker or shipper pass ended (Quiesce)
-	fileWake *sync.Cond // stale gained a region
-	tailWake *sync.Cond // dirty gained a region
+	budget   kv.IOBudget // see SetBudget
+	idle     *sync.Cond  // a worker or shipper pass ended (Quiesce)
+	fileWake *sync.Cond  // stale gained a region
+	tailWake *sync.Cond  // dirty gained a region
 	targets  map[string]*target
 	stale    map[string]bool // regions to reconcile
 	dirty    map[string]bool // regions with synced records to ship
@@ -180,6 +179,15 @@ func New(budget kv.IOBudget) *Replicator {
 	go r.loop(r.fileWake, r.stale, &r.active, r.reconcile)
 	go r.loop(r.tailWake, r.dirty, &r.shipping, r.shipTail)
 	return r
+}
+
+// SetBudget charges SSTable copies to budget from the next copy on:
+// a server restarted with new compaction knobs has a new budget, and
+// its replicator, whose counters must not restart, stays.
+func (r *Replicator) SetBudget(budget kv.IOBudget) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.budget = budget
 }
 
 // Track registers a region for replication. files snapshots the
@@ -509,8 +517,11 @@ func (r *Replicator) syncDir(dir string, files []kv.ExportedFile) (complete bool
 			}
 			continue
 		}
-		if r.budget != nil {
-			r.budget.WaitBackground(int(n))
+		r.mu.Lock()
+		budget := r.budget
+		r.mu.Unlock()
+		if budget != nil {
+			budget.WaitBackground(int(n))
 		}
 		r.filesShipped.Add(1)
 		r.bytesShipped.Add(n)

@@ -14,13 +14,14 @@ import (
 )
 
 // openDurableStore builds a small durable store that flushes often.
-func openDurableStore(t *testing.T, dir string) *kv.Store {
+func openDurableStore(t *testing.T, dir string, host kv.Host) *kv.Store {
 	t.Helper()
 	s, err := kv.OpenStore(kv.Config{
 		MemstoreFlushBytes: 2 << 10,
 		BlockBytes:         1 << 10,
 		MaxStoreFiles:      -1, // no automatic compaction; tests drive it
 		OpenBackend:        durable.Opener(dir, durable.Options{}),
+		Host:               host,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,10 +42,16 @@ func fill(t *testing.T, s *kv.Store, lo, hi int) {
 	}
 }
 
-// track wires a store to a replicator under one region name and dest.
+// notifies is the host of a store whose file-stack changes notify r
+// under one region name.
+func notifies(r *Replicator, region string) kv.Host {
+	return kv.Host{OnFilesChanged: func() { r.Notify(region) }}
+}
+
+// track registers a store with a replicator under one region name and
+// dest.
 func track(r *Replicator, s *kv.Store, region string, dests ...string) {
 	r.Track(region, s.ExportFiles, func() []string { return dests }, nil)
-	s.SetFilesChanged(func() { r.Notify(region) })
 }
 
 // replicaIDs reads the SSTable IDs in dir (empty when absent).
@@ -72,9 +79,9 @@ func TestReplicatorMirrorsFlushesAndCompactions(t *testing.T) {
 	base := t.TempDir()
 	primary := filepath.Join(base, "primary")
 	replica := filepath.Join(base, "replica")
-	s := openDurableStore(t, primary)
 	r := New(nil)
 	defer r.Close()
+	s := openDurableStore(t, primary, notifies(r, "region-a"))
 	track(r, s, "region-a", replica)
 
 	for round := 0; round < 3; round++ {
@@ -130,9 +137,9 @@ func TestReplicaDirectoryOpensAsStore(t *testing.T) {
 	base := t.TempDir()
 	primary := filepath.Join(base, "primary")
 	replica := filepath.Join(base, "replica")
-	s := openDurableStore(t, primary)
 	r := New(nil)
 	defer r.Close()
+	s := openDurableStore(t, primary, notifies(r, "region-a"))
 	track(r, s, "region-a", replica)
 	fill(t, s, 0, 200)
 	r.Quiesce()
@@ -168,9 +175,9 @@ func TestReplicatorCleansTempDebris(t *testing.T) {
 	if err := os.WriteFile(debris, []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s := openDurableStore(t, primary)
 	r := New(nil)
 	defer r.Close()
+	s := openDurableStore(t, primary, notifies(r, "region-a"))
 	track(r, s, "region-a", replica)
 	fill(t, s, 0, 50)
 	r.Quiesce()
@@ -189,9 +196,9 @@ func TestReplicatorFansOutToMultipleFollowers(t *testing.T) {
 	primary := filepath.Join(base, "primary")
 	f1 := filepath.Join(base, "f1")
 	f2 := filepath.Join(base, "f2")
-	s := openDurableStore(t, primary)
 	r := New(nil)
 	defer r.Close()
+	s := openDurableStore(t, primary, notifies(r, "region-a"))
 	track(r, s, "region-a", f1, f2)
 	fill(t, s, 0, 100)
 	r.Quiesce()
@@ -210,9 +217,9 @@ func TestUntrackStopsShipping(t *testing.T) {
 	base := t.TempDir()
 	primary := filepath.Join(base, "primary")
 	replica := filepath.Join(base, "replica")
-	s := openDurableStore(t, primary)
 	r := New(nil)
 	defer r.Close()
+	s := openDurableStore(t, primary, notifies(r, "region-a"))
 	track(r, s, "region-a", replica)
 	fill(t, s, 0, 50)
 	r.Quiesce()
@@ -244,10 +251,10 @@ func TestReplicatorChargesBudget(t *testing.T) {
 	base := t.TempDir()
 	primary := filepath.Join(base, "primary")
 	replica := filepath.Join(base, "replica")
-	s := openDurableStore(t, primary)
 	budget := &countingBudget{}
 	r := New(budget)
 	defer r.Close()
+	s := openDurableStore(t, primary, notifies(r, "region-a"))
 	track(r, s, "region-a", replica)
 	fill(t, s, 0, 100)
 	r.Quiesce()
@@ -273,10 +280,10 @@ func TestInMemoryStoreIsReplicationExempt(t *testing.T) {
 	if err := os.WriteFile(keep, []byte("data"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s := kv.NewStore(kv.Config{MemstoreFlushBytes: 1 << 10})
-	defer s.Close()
 	r := New(nil)
 	defer r.Close()
+	s := kv.NewStore(kv.Config{MemstoreFlushBytes: 1 << 10, Host: notifies(r, "region-a")})
+	defer s.Close()
 	track(r, s, "region-a", replica)
 	r.Notify("region-a")
 	r.Quiesce()
@@ -325,7 +332,7 @@ func TestFailuresSplitByKind(t *testing.T) {
 		t.Fatalf("LastFailure = %q, want hot's mkdir error", st.LastFailure)
 	}
 
-	s := openDurableStore(t, filepath.Join(base, "primary"))
+	s := openDurableStore(t, filepath.Join(base, "primary"), kv.Host{})
 	fill(t, s, 0, 50)
 	r.Track("cold", s.ExportFiles, dests("cold"), nil)
 	inj.FailOp("cold", down, 1)

@@ -48,7 +48,7 @@ func newTailRig(t *testing.T, copy func(src, dst string) (int64, error)) *tailRi
 		MaxStoreFiles:      -1,
 		WAL:                w.Region(rigRegion),
 		OpenBackend:        durable.Opener(filepath.Join(base, "primary"), durable.Options{ExternalWAL: true}),
-		OnFilesChanged:     func() { rig.r.Notify(rigRegion) },
+		Host:               kv.Host{OnFilesChanged: func() { rig.r.Notify(rigRegion) }},
 	})
 	if err != nil {
 		t.Fatal(err)
