@@ -2,7 +2,6 @@ package compaction
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -30,14 +29,13 @@ type Budget struct {
 	tokens float64
 	last   time.Time
 
-	backgroundBytes atomic.Int64
-	foregroundBytes atomic.Int64
-	waitNanos       atomic.Int64
+	ctr *Counters // its byte and wait counters
 }
 
-// NewBudget creates a budget refilling at bytesPerSec (<= 0: unlimited).
-func NewBudget(bytesPerSec int64) *Budget {
-	b := &Budget{rate: float64(bytesPerSec), burst: float64(bytesPerSec), last: time.Now()}
+// newBudget creates a budget refilling at bytesPerSec (<= 0: unlimited)
+// that counts into ctr.
+func newBudget(bytesPerSec int64, ctr *Counters) *Budget {
+	b := &Budget{rate: float64(bytesPerSec), burst: float64(bytesPerSec), last: time.Now(), ctr: ctr}
 	b.tokens = b.burst
 	return b
 }
@@ -59,7 +57,7 @@ func (b *Budget) WaitBackground(n int) {
 	if n <= 0 {
 		return
 	}
-	b.backgroundBytes.Add(int64(n))
+	b.ctr.backgroundBytes.Add(int64(n))
 	if b.rate <= 0 {
 		return
 	}
@@ -88,7 +86,7 @@ func (b *Budget) WaitBackground(n int) {
 			waited += int64(sleep)
 		}
 	}
-	b.waitNanos.Add(waited)
+	b.ctr.waitNanos.Add(waited)
 }
 
 // NoteForeground implements kv.IOBudget: consume n bytes without
@@ -97,7 +95,7 @@ func (b *Budget) NoteForeground(n int) {
 	if n <= 0 {
 		return
 	}
-	b.foregroundBytes.Add(int64(n))
+	b.ctr.foregroundBytes.Add(int64(n))
 	if b.rate <= 0 {
 		return
 	}
@@ -119,13 +117,4 @@ type BudgetStats struct {
 	// WaitNanos is the cumulative time background callers spent blocked
 	// waiting for tokens.
 	WaitNanos int64 `json:"wait_ns"`
-}
-
-// Stats snapshots the budget counters.
-func (b *Budget) Stats() BudgetStats {
-	return BudgetStats{
-		BackgroundBytes: b.backgroundBytes.Load(),
-		ForegroundBytes: b.foregroundBytes.Load(),
-		WaitNanos:       b.waitNanos.Load(),
-	}
 }

@@ -80,6 +80,9 @@ type Config struct {
 	// MaxStoreFiles is the soft per-store threshold the policy plans
 	// against. Defaults to 8 (the engine default).
 	MaxStoreFiles int
+	// Counters receives the pool's and its budget's counts; nil means
+	// the pool's own.
+	Counters *Counters
 }
 
 func (c Config) withDefaults() Config {
@@ -91,6 +94,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxStoreFiles == 0 {
 		c.MaxStoreFiles = 8
+	}
+	if c.Counters == nil {
+		c.Counters = new(Counters)
 	}
 	return c
 }
@@ -155,6 +161,14 @@ type Pool struct {
 	closed  bool
 	wg      sync.WaitGroup
 
+	ctr *Counters // what the pool and its budget count
+}
+
+// Counters is what a pool and its budget count. A pool counts into the
+// Counters its Config names, so an embedder that replaces a pool (new
+// knobs) or closes one keeps one running total, as kv.Host's counters do
+// for the engine.
+type Counters struct {
 	compactions     atomic.Int64
 	conflicts       atomic.Int64
 	failures        atomic.Int64
@@ -162,15 +176,41 @@ type Pool struct {
 	bytesOut        atomic.Int64
 	compactionNanos atomic.Int64
 	durHist         obs.Histogram // per-merge CompactFiles durations
+
+	backgroundBytes atomic.Int64
+	foregroundBytes atomic.Int64
+	waitNanos       atomic.Int64
 }
+
+// Stats snapshots the counters: a PoolStats without the queue gauges.
+func (c *Counters) Stats() PoolStats {
+	return PoolStats{
+		Compactions:     c.compactions.Load(),
+		Conflicts:       c.conflicts.Load(),
+		Failures:        c.failures.Load(),
+		BytesIn:         c.bytesIn.Load(),
+		BytesOut:        c.bytesOut.Load(),
+		CompactionNanos: c.compactionNanos.Load(),
+		Budget: BudgetStats{
+			BackgroundBytes: c.backgroundBytes.Load(),
+			ForegroundBytes: c.foregroundBytes.Load(),
+			WaitNanos:       c.waitNanos.Load(),
+		},
+	}
+}
+
+// Latency returns the distribution of completed per-merge CompactFiles
+// durations.
+func (c *Counters) Latency() obs.Snapshot { return c.durHist.Snapshot() }
 
 // NewPool starts a pool with cfg.Workers background workers.
 func NewPool(cfg Config) *Pool {
 	cfg = cfg.withDefaults()
 	p := &Pool{
 		cfg:     cfg,
-		budget:  NewBudget(cfg.BudgetBytesPerSec),
+		budget:  newBudget(cfg.BudgetBytesPerSec, cfg.Counters),
 		byStore: make(map[*kv.Store]*task),
+		ctr:     cfg.Counters,
 	}
 	p.cond = sync.NewCond(&p.mu)
 	p.wg.Add(cfg.Workers)
@@ -279,10 +319,10 @@ func (p *Pool) runTask(t *task) error {
 		res, err := t.store.CompactFiles(sel)
 		switch {
 		case err == nil:
-			p.compactions.Add(1)
-			p.bytesIn.Add(res.BytesIn)
-			p.bytesOut.Add(res.BytesOut)
-			p.compactionNanos.Add(int64(p.durHist.Since(start)))
+			p.ctr.compactions.Add(1)
+			p.ctr.bytesIn.Add(res.BytesIn)
+			p.ctr.bytesOut.Add(res.BytesOut)
+			p.ctr.compactionNanos.Add(int64(p.ctr.durHist.Since(start)))
 			if t.major {
 				return nil
 			}
@@ -291,12 +331,12 @@ func (p *Pool) runTask(t *task) error {
 			// backlog.
 			continue
 		case errors.Is(err, kv.ErrCompactionConflict):
-			p.conflicts.Add(1)
+			p.ctr.conflicts.Add(1)
 			continue
 		case errors.Is(err, kv.ErrClosed):
 			return err
 		default:
-			p.failures.Add(1)
+			p.ctr.failures.Add(1)
 			return err
 		}
 	}
@@ -365,26 +405,14 @@ func (s PoolStats) Add(o PoolStats) PoolStats {
 	}
 }
 
-// CompactionLatency returns the distribution of completed per-merge
-// CompactFiles durations.
-func (p *Pool) CompactionLatency() obs.Snapshot { return p.durHist.Snapshot() }
-
-// Stats snapshots the pool.
+// Stats snapshots the pool: its queue gauges and its Counters.
 func (p *Pool) Stats() PoolStats {
 	p.mu.Lock()
 	depth, running := len(p.queue), p.running
 	p.mu.Unlock()
-	return PoolStats{
-		QueueDepth:      depth,
-		Running:         running,
-		Compactions:     p.compactions.Load(),
-		Conflicts:       p.conflicts.Load(),
-		Failures:        p.failures.Load(),
-		BytesIn:         p.bytesIn.Load(),
-		BytesOut:        p.bytesOut.Load(),
-		CompactionNanos: p.compactionNanos.Load(),
-		Budget:          p.budget.Stats(),
-	}
+	st := p.ctr.Stats()
+	st.QueueDepth, st.Running = depth, running
+	return st
 }
 
 var _ kv.CompactionTrigger = (*Pool)(nil)

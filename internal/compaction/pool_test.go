@@ -168,10 +168,11 @@ func TestPoolCoalescesRequests(t *testing.T) {
 // TestBudgetAccounting: the token bucket counts both classes, only
 // blocks background, and clamps foreground debt.
 func TestBudgetAccounting(t *testing.T) {
-	b := NewBudget(0) // unlimited
+	var ctr Counters
+	b := newBudget(0, &ctr) // unlimited
 	b.WaitBackground(1 << 20)
 	b.NoteForeground(1 << 20)
-	st := b.Stats()
+	st := ctr.Stats().Budget
 	if st.BackgroundBytes != 1<<20 || st.ForegroundBytes != 1<<20 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -179,7 +180,8 @@ func TestBudgetAccounting(t *testing.T) {
 		t.Fatal("unlimited budget must not wait")
 	}
 
-	lim := NewBudget(64 << 20) // 64 MB/s, full bucket
+	var limCtr Counters
+	lim := newBudget(64<<20, &limCtr) // 64 MB/s, full bucket
 	start := time.Now()
 	lim.NoteForeground(1 << 30) // huge foreground burst: must not block
 	if time.Since(start) > time.Second {
@@ -193,7 +195,7 @@ func TestBudgetAccounting(t *testing.T) {
 	if e := time.Since(start); e > 5*time.Second {
 		t.Fatalf("background wait %v; debt clamp failed", e)
 	}
-	if lim.Stats().WaitNanos == 0 {
+	if limCtr.Stats().Budget.WaitNanos == 0 {
 		t.Fatal("background wait not accounted")
 	}
 }

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"fmt"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 
@@ -118,6 +119,32 @@ func BenchmarkWALAppend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.Timestamp = uint64(i + 1)
 		if err := h.Append(e); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLoadBlock times one block-cache miss at the benchmark's
+// shape: pread, CRC check and kv.ParseBlock of a 64 KiB block of
+// 1 000 B values, with the page cache warm.
+func BenchmarkLoadBlock(b *testing.B) {
+	entries := make([]kv.Entry, 1024)
+	for i := range entries {
+		entries[i] = kv.Entry{Key: fmt.Sprintf("user%015d", i), Value: make([]byte, 1000), Timestamp: uint64(i + 1)}
+	}
+	path := filepath.Join(b.TempDir(), "sst-1.sst")
+	if _, err := writeSSTable(path, entries, 64<<10, Options{}.withDefaults(), 0); err != nil {
+		b.Fatal(err)
+	}
+	r, err := openSSTable(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { r.Close() })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.LoadBlock(i % (r.NumBlocks() - 1)); err != nil {
 			b.Fatal(err)
 		}
 	}

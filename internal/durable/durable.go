@@ -68,8 +68,10 @@
 //	           propsOff | propsLen  (6 × u32, LE)
 //	           | reserved (16) | magic "METSFOOT" (8)
 //
-// Data blocks use the kv wire encoding (kv.EncodeBlock), so the packing
-// is bit-identical to the in-memory backend's blocks. The index and the
+// A data block's payload is a kv.Block's encoded form, written as
+// kv.PackBlocks packed it, so it is bit-identical to the in-memory
+// backend's blocks; a read verifies the CRC and indexes the payload in
+// place (kv.ParseBlock), copying no entry. The index and the
 // bloom filter are loaded into memory at open; a Get that the bloom
 // filter rejects performs zero data-block reads.
 //

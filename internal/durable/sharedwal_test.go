@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"sync"
 	"testing"
@@ -300,7 +301,7 @@ func TestSharedWALFailedFsyncNotCounted(t *testing.T) {
 
 // syncedTail is every durable-but-unflushed record of region.
 func syncedTail(w *WAL, region string) []kv.Entry {
-	tail, _ := w.TailFrom(region, 0)
+	tail, _ := w.TailFrom(region, 0, math.MaxUint64)
 	return tail
 }
 
@@ -325,7 +326,7 @@ func TestSharedWALSyncedTailLifecycle(t *testing.T) {
 	if err := commit(); err != nil {
 		t.Fatal(err)
 	}
-	tail, next := w.TailFrom("r", 0)
+	tail, next := w.TailFrom("r", 0, math.MaxUint64)
 	if len(tail) != 1 || tail[0].Timestamp != 1 {
 		t.Fatalf("synced tail = %+v, want the one committed record", tail)
 	}
@@ -333,7 +334,7 @@ func TestSharedWALSyncedTailLifecycle(t *testing.T) {
 	if err := h.Append(regionEntry("r", 2)); err != nil {
 		t.Fatal(err)
 	}
-	tail, next2 := w.TailFrom("r", next)
+	tail, next2 := w.TailFrom("r", next, math.MaxUint64)
 	if len(tail) != 1 || tail[0].Timestamp != 2 {
 		t.Fatalf("tail from position %d = %+v, want only record 2", next, tail)
 	}
@@ -346,10 +347,10 @@ func TestSharedWALSyncedTailLifecycle(t *testing.T) {
 	// passed: syncedTail left it at 0, so both records stay for the
 	// shipper until a flush finds the cursor past them.
 	h.Truncate(2)
-	if tail, _ := w.TailFrom("r", next); len(tail) != 1 || tail[0].Timestamp != 2 {
+	if tail, _ := w.TailFrom("r", next, math.MaxUint64); len(tail) != 1 || tail[0].Timestamp != 2 {
 		t.Fatalf("flushed but unshipped record 2 not held for the shipper: %+v", tail)
 	}
-	if tail, _ := w.TailFrom("r", next2); len(tail) != 0 {
+	if tail, _ := w.TailFrom("r", next2, math.MaxUint64); len(tail) != 0 {
 		t.Fatalf("records returned again past the cursor: %+v", tail)
 	}
 	h.Truncate(2)
@@ -388,12 +389,12 @@ func TestSharedWALTailSurvivesReopen(t *testing.T) {
 	}
 	defer w2.Close()
 	h2 := w2.Region("r")
-	tail, next := w2.TailFrom("r", 0)
+	tail, next := w2.TailFrom("r", 0, math.MaxUint64)
 	if len(tail) != 4 {
 		t.Fatalf("reopened tail has %d records, want the 4 unflushed ones", len(tail))
 	}
 	// Recovered records sit at position 0: a cursor past it skips them.
-	if tail, _ := w2.TailFrom("r", next); len(tail) != 0 {
+	if tail, _ := w2.TailFrom("r", next, math.MaxUint64); len(tail) != 0 {
 		t.Fatalf("recovered records returned again from position %d: %+v", next, tail)
 	}
 	if got := syncedTail(w2, "gone"); len(got) != 0 {

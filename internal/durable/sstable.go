@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -29,32 +30,46 @@ type blockSpan struct {
 
 // writeSSTable persists sorted entries as one SSTable at path, atomically
 // (write to temp, fsync, rename, fsync dir). Blocks are packed with the
-// same rule as the in-memory backend. It returns the file's metadata with
-// Bytes set to the real on-disk size. maxTSFloor raises the recorded
-// max-timestamp property (see Backend.CreateWithMaxTS).
+// same rule as the in-memory backend, and each block's payload is written
+// as packed through one small buffer, so a flush holds one encoded copy
+// of its data. It returns the file's metadata with Bytes set to the real
+// on-disk size. maxTSFloor raises the recorded max-timestamp property
+// (see Backend.CreateWithMaxTS).
 func writeSSTable(path string, entries []kv.Entry, blockBytes int, opts Options, maxTSFloor uint64) (kv.FileMeta, error) {
 	blocks, meta := kv.PackBlocks(entries, blockBytes)
 	if meta.MaxTS < maxTSFloor {
 		meta.MaxTS = maxTSFloor
 	}
 
-	var buf []byte
-	buf = append(buf, sstMagic...)
-	buf = append(buf, sstVersion)
-
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return kv.FileMeta{}, err
+	}
+	// A bufio.Writer keeps its first error and Flush returns it, so the
+	// writes below are checked once, at the Flush.
+	w := bufio.NewWriterSize(f, 256<<10)
+	w.WriteString(sstMagic)
+	w.WriteByte(sstVersion)
+	off := sstHeaderSize
 	spans := make([]blockSpan, 0, len(blocks))
+	var sum [4]byte
 	for _, b := range blocks {
-		payload := kv.EncodeBlock(b.Entries())
+		payload := b.Payload()
 		spans = append(spans, blockSpan{
-			firstKey: b.Entries()[0].Key,
-			off:      uint64(len(buf)),
+			firstKey: b.Entry(0).Key,
+			off:      uint64(off),
 			length:   uint64(len(payload) + 4),
 		})
-		buf = append(buf, payload...)
-		buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
+		binary.LittleEndian.PutUint32(sum[:], crc32.Checksum(payload, castagnoli))
+		w.Write(payload)
+		w.Write(sum[:])
+		off += len(payload) + 4
 	}
 
-	indexOff := len(buf)
+	// The metadata sections follow the blocks; their offsets in buf are
+	// relative to off.
+	var buf []byte
 	buf = binary.AppendUvarint(buf, uint64(len(spans)))
 	for _, sp := range spans {
 		buf = binary.AppendUvarint(buf, uint64(len(sp.firstKey)))
@@ -62,7 +77,7 @@ func writeSSTable(path string, entries []kv.Entry, blockBytes int, opts Options,
 		buf = binary.AppendUvarint(buf, sp.off)
 		buf = binary.AppendUvarint(buf, sp.length)
 	}
-	indexLen := len(buf) - indexOff
+	indexLen := len(buf)
 
 	bloom := newBloomFilter(distinctKeys(entries), opts.BitsPerKey)
 	for _, e := range entries {
@@ -81,38 +96,28 @@ func writeSSTable(path string, entries []kv.Entry, blockBytes int, opts Options,
 	buf = append(buf, meta.MaxKey...)
 	propsLen := len(buf) - propsOff
 
-	footer := make([]byte, 0, sstFooterSize)
-	for _, v := range []int{indexOff, indexLen, bloomOff, bloomLen, propsOff, propsLen} {
-		footer = binary.LittleEndian.AppendUint32(footer, uint32(v))
+	for _, v := range []int{off, indexLen, off + bloomOff, bloomLen, off + propsOff, propsLen} {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
 	}
-	footer = append(footer, make([]byte, 16)...) // reserved
-	footer = append(footer, sstFooterMagic...)
-	buf = append(buf, footer...)
+	buf = append(buf, make([]byte, 16)...) // reserved
+	buf = append(buf, sstFooterMagic...)
+	w.Write(buf)
 
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	err = w.Flush()
+	if err == nil {
+		err = syncFile(f, opts.NoSync)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
 	if err != nil {
-		return kv.FileMeta{}, err
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
 		os.Remove(tmp)
 		return kv.FileMeta{}, err
 	}
-	if err := syncFile(f, opts.NoSync); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return kv.FileMeta{}, err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return kv.FileMeta{}, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return kv.FileMeta{}, err
-	}
-	meta.Bytes = len(buf)
+	meta.Bytes = off + len(buf)
 	return meta, nil
 }
 
@@ -129,7 +134,7 @@ func distinctKeys(entries []kv.Entry) int {
 
 // sstable reads one SSTable through an open file handle, implementing
 // kv.BlockSource: the block index and bloom filter live in memory, data
-// blocks are pread + checksum-verified + decoded on demand (the kv
+// blocks are pread + checksum-verified + indexed on demand (the kv
 // engine caches them). The handle stays open for the reader's lifetime,
 // so a compaction may unlink the file while lock-free scans are still
 // reading it (unlink-while-open).
@@ -148,41 +153,39 @@ type sstable struct {
 
 // openSSTable opens and validates path: header, footer, index, bloom
 // filter and properties are read eagerly; data blocks stay on disk.
-func openSSTable(path string) (*sstable, error) {
+func openSSTable(path string) (_ *sstable, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
 	st, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
 	size := st.Size()
 	if size < sstHeaderSize+sstFooterSize {
-		f.Close()
 		return nil, corruptf("sstable %s too short", path)
 	}
 	hdr := make([]byte, sstHeaderSize)
 	if _, err := f.ReadAt(hdr, 0); err != nil {
-		f.Close()
 		return nil, err
 	}
 	if string(hdr[:4]) != sstMagic {
-		f.Close()
 		return nil, corruptf("sstable %s magic", path)
 	}
 	if hdr[4] != sstVersion {
-		f.Close()
 		return nil, fmt.Errorf("durable: unsupported sstable version %d in %s", hdr[4], path)
 	}
 	footer := make([]byte, sstFooterSize)
 	if _, err := f.ReadAt(footer, size-sstFooterSize); err != nil {
-		f.Close()
 		return nil, err
 	}
 	if string(footer[len(footer)-8:]) != sstFooterMagic {
-		f.Close()
 		return nil, corruptf("sstable %s footer magic", path)
 	}
 	sec := make([]uint32, 6)
@@ -195,7 +198,6 @@ func openSSTable(path string) (*sstable, error) {
 	limit := size - sstFooterSize
 	for _, span := range [][2]int64{{indexOff, indexLen}, {bloomOff, bloomLen}, {propsOff, propsLen}} {
 		if span[0] < 0 || span[1] < 0 || span[0]+span[1] > limit {
-			f.Close()
 			return nil, corruptf("sstable %s section out of bounds", path)
 		}
 	}
@@ -210,102 +212,84 @@ func openSSTable(path string) (*sstable, error) {
 	}
 	idxBuf, err := readSection(indexOff, indexLen)
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	count, n := binary.Uvarint(idxBuf)
-	if n <= 0 {
-		f.Close()
-		return nil, corruptf("sstable %s index count", path)
-	}
-	idxBuf = idxBuf[n:]
-	for i := uint64(0); i < count; i++ {
-		klen, n := binary.Uvarint(idxBuf)
-		if n <= 0 || uint64(len(idxBuf)-n) < klen {
-			f.Close()
-			return nil, corruptf("sstable %s index key", path)
-		}
-		key := string(idxBuf[n : n+int(klen)])
-		idxBuf = idxBuf[n+int(klen):]
-		off, n := binary.Uvarint(idxBuf)
-		if n <= 0 {
-			f.Close()
-			return nil, corruptf("sstable %s index offset", path)
-		}
-		idxBuf = idxBuf[n:]
-		length, n := binary.Uvarint(idxBuf)
-		if n <= 0 {
-			f.Close()
-			return nil, corruptf("sstable %s index length", path)
-		}
-		idxBuf = idxBuf[n:]
+	idx := section{buf: idxBuf}
+	for i, count := uint64(0), idx.uvarint(); !idx.bad && i < count; i++ {
+		key, off, length := idx.str(), idx.uvarint(), idx.uvarint()
 		// Validate the span now so LoadBlock can trust it: a corrupt
 		// length would otherwise size an allocation (and a pread)
 		// straight from disk bytes. Every block lives between the
 		// header and the footer and carries at least a CRC trailer.
-		if length < 4 || off < sstHeaderSize || off > uint64(limit) ||
-			length > uint64(limit)-off {
-			f.Close()
+		if !idx.bad && (length < 4 || off < sstHeaderSize || off > uint64(limit) ||
+			length > uint64(limit)-off) {
 			return nil, corruptf("sstable %s index span out of bounds", path)
 		}
 		t.index = append(t.index, blockSpan{firstKey: key, off: off, length: length})
 	}
+	if idx.bad {
+		return nil, corruptf("sstable %s index", path)
+	}
 
 	bloomBuf, err := readSection(bloomOff, bloomLen)
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
 	if t.bloom, err = unmarshalBloom(bloomBuf); err != nil {
-		f.Close()
 		return nil, err
 	}
 
 	propsBuf, err := readSection(propsOff, propsLen)
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
 	if err := t.parseProps(propsBuf); err != nil {
-		f.Close()
 		return nil, err
 	}
 	return t, nil
 }
 
 func (t *sstable) parseProps(buf []byte) error {
-	entries, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return corruptf("sstable %s props entries", t.path)
-	}
-	buf = buf[n:]
-	maxTS, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return corruptf("sstable %s props maxTS", t.path)
-	}
-	buf = buf[n:]
-	readStr := func() (string, error) {
-		l, n := binary.Uvarint(buf)
-		if n <= 0 || uint64(len(buf)-n) < l {
-			return "", corruptf("sstable %s props key", t.path)
-		}
-		s := string(buf[n : n+int(l)])
-		buf = buf[n+int(l):]
-		return s, nil
-	}
-	minKey, err := readStr()
-	if err != nil {
-		return err
-	}
-	maxKey, err := readStr()
-	if err != nil {
-		return err
+	props := section{buf: buf}
+	entries, maxTS := props.uvarint(), props.uvarint()
+	minKey, maxKey := props.str(), props.str()
+	if props.bad {
+		return corruptf("sstable %s props", t.path)
 	}
 	t.meta.Entries = int(entries)
 	t.meta.MaxTS = maxTS
 	t.meta.MinKey = minKey
 	t.meta.MaxKey = maxKey
 	return nil
+}
+
+// section decodes the uvarints and length-prefixed strings of a
+// metadata section in order. A malformed field sets bad, and every
+// later read returns zero.
+type section struct {
+	buf []byte
+	bad bool
+}
+
+func (s *section) uvarint() uint64 {
+	v, n := binary.Uvarint(s.buf)
+	if s.bad || n <= 0 {
+		s.bad = true
+		return 0
+	}
+	s.buf = s.buf[n:]
+	return v
+}
+
+func (s *section) str() string {
+	l := s.uvarint()
+	if s.bad || uint64(len(s.buf)) < l {
+		s.bad = true
+		return ""
+	}
+	v := string(s.buf[:l])
+	s.buf = s.buf[l:]
+	return v
 }
 
 // Meta returns the file metadata (Bytes = real on-disk size).
@@ -324,9 +308,10 @@ func (t *sstable) FirstKey(i int) string { return t.index[i].firstKey }
 func (t *sstable) MayContain(key string) bool { return t.bloom.mayContain(key) }
 
 // LoadBlock implements kv.BlockSource: pread the block, verify its
-// checksum, decode. Reads racing a Close (store retired under a
-// lock-free scan) surface kv.ErrClosed, which the serving layer already
-// absorbs.
+// checksum, index its entries (kv.ParseBlock); the block keeps the read
+// buffer, so no entry is copied. Reads racing a Close (store retired
+// under a lock-free scan) surface kv.ErrClosed, which the serving layer
+// already absorbs.
 func (t *sstable) LoadBlock(i int) (*kv.Block, error) {
 	sp := t.index[i]
 	buf := make([]byte, sp.length)
@@ -343,12 +328,12 @@ func (t *sstable) LoadBlock(i int) (*kv.Block, error) {
 	if crc32.Checksum(payload, castagnoli) != sum {
 		return nil, corruptf("sstable %s block %d checksum", t.path, i)
 	}
-	entries, err := kv.DecodeBlock(payload)
+	b, err := kv.ParseBlock(payload)
 	if err != nil {
 		return nil, fmt.Errorf("sstable %s block %d: %w", t.path, i, err)
 	}
 	t.blockReads.Add(1)
-	return kv.NewBlock(entries), nil
+	return b, nil
 }
 
 // Close releases the file handle.

@@ -1,7 +1,10 @@
 package durable
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -57,11 +60,11 @@ func TestSSTableRoundtrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b.Entries()[0].Key != r.FirstKey(bi) {
+		if b.Entry(0).Key != r.FirstKey(bi) {
 			t.Fatalf("block %d first key index mismatch", bi)
 		}
-		for _, e := range b.Entries() {
-			want := entries[i]
+		for j := 0; j < b.Len(); j++ {
+			e, want := b.Entry(j), entries[i]
 			if e.Key != want.Key || string(e.Value) != string(want.Value) || e.Timestamp != want.Timestamp {
 				t.Fatalf("entry %d mangled: %+v", i, e)
 			}
@@ -111,6 +114,50 @@ func TestSSTableCorruptBlockChecksum(t *testing.T) {
 	defer r.Close()
 	if _, err := r.LoadBlock(0); err == nil {
 		t.Fatal("corrupt block loaded without error")
+	}
+}
+
+// TestSSTableMalformedBlockWithGoodChecksum: a block whose CRC matches
+// but whose payload does not parse (a writer bug, not bit rot) is
+// refused by LoadBlock with kv.ErrCorrupt, not served.
+func TestSSTableMalformedBlockWithGoodChecksum(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "sst-5.sst")
+	if _, err := writeSSTable(path, sortedEntries(100), 1<<10, Options{}.withDefaults(), 0); err != nil {
+		t.Fatal(err)
+	}
+	r, err := openSSTable(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := r.index[0]
+	r.Close()
+	// Raise the block's entry count by one and re-seal it with a
+	// matching CRC: the count now claims an entry the bytes do not hold.
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := raw[sp.off : sp.off+sp.length-4]
+	if payload[0] >= 0x7f {
+		t.Fatalf("first block holds %d entries; the test needs a one-byte count", payload[0])
+	}
+	payload[0]++
+	binary.LittleEndian.PutUint32(raw[sp.off+sp.length-4:], crc32.Checksum(payload, castagnoli))
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err = openSSTable(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := r.LoadBlock(0); !errors.Is(err, kv.ErrCorrupt) {
+		t.Fatalf("LoadBlock of a malformed block = %v, want kv.ErrCorrupt", err)
+	}
+	if _, err := r.LoadBlock(1); err != nil {
+		t.Fatalf("LoadBlock of the next, intact block: %v", err)
 	}
 }
 

@@ -775,36 +775,38 @@ func (w *WAL) replayRegion(region string) ([]kv.Entry, error) {
 	return entries, nil
 }
 
-// TailFrom returns region's synced tail records at log positions from
-// pos on, and the position that follows them: everything an fsync has
-// covered that no flush has truncated yet. It is the replicator's
-// cursor into the log — a follower's tail starts with TailFrom(region,
-// 0) and then grows by TailFrom(region, next) on each later sync round.
-// pos is also the cursor a flush truncates against: flushed records at
-// or past it stay in the tail until the region's next flush, so a
-// lagging shipper still reads what it has not shipped. A position
-// counts appended records; records recovered at open sit at position
-// 0, and a position past every record lets the next flush drop all.
-// Requires Options.KeepTail.
-func (w *WAL) TailFrom(region string, pos uint64) ([]kv.Entry, uint64) {
+// TailFrom returns region's synced tail records at log positions in
+// [from, to), and the position that follows them: everything an fsync
+// has covered that no flush has truncated yet, up to to. It is the
+// replicator's cursor into the log — a follower's tail starts with
+// TailFrom(region, 0, math.MaxUint64) and then grows by
+// TailFrom(region, next, math.MaxUint64) on each later sync round; a
+// bounded to re-reads exactly what an earlier call covered. from is
+// also the cursor a flush truncates against: flushed records at or past
+// it stay in the tail until the region's next flush, so a lagging
+// shipper still reads what it has not shipped. A position counts
+// appended records; records recovered at open sit at position 0, and a
+// position past every record lets the next flush drop all. Requires
+// Options.KeepTail.
+func (w *WAL) TailFrom(region string, from, to uint64) ([]kv.Entry, uint64) {
 	c := &w.committer
 	c.mu.Lock()
-	synced := c.synced
+	to = min(to, c.synced+1)
 	c.mu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.cursor[region] = pos
+	w.cursor[region] = from
 	var out []kv.Entry
-	i := sort.Search(len(w.tail), func(i int) bool { return w.tail[i].seq >= pos })
+	i := sort.Search(len(w.tail), func(i int) bool { return w.tail[i].seq >= from })
 	for _, rec := range w.tail[i:] {
-		if rec.seq > synced {
+		if rec.seq >= to {
 			break
 		}
 		if rec.region == region {
 			out = append(out, rec.e)
 		}
 	}
-	return out, synced + 1
+	return out, to
 }
 
 // readSegment streams a segment's intact records into fn. A torn or

@@ -2,6 +2,7 @@ package hbase
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
 	"testing"
 )
@@ -80,7 +81,7 @@ func TestColdStartReclaimsMovedAwayRegionsWALRecords(t *testing.T) {
 	}
 	// The open-time reclaim must have voided the moved-away region's
 	// records: nothing of it may remain shippable from src's log.
-	if tail, _ := rs.SharedWAL().TailFrom(moved.Name(), 0); len(tail) != 0 {
+	if tail, _ := rs.SharedWAL().TailFrom(moved.Name(), 0, math.MaxUint64); len(tail) != 0 {
 		t.Fatalf("moved-away region still in %s's shippable tail: %d records", src, len(tail))
 	}
 	// Flush the region still hosted on src. With the orphan dropped this

@@ -298,3 +298,54 @@ func TestBackgroundCompactionChaos(t *testing.T) {
 		rs.Shutdown()
 	}
 }
+
+// TestReprofilingRestartKeepsCompactionCounts: a restart with new
+// compaction knobs replaces the server's pool, and the fresh pool counts
+// on from the old one's totals — ServerStats.Compaction and
+// Latency.Compaction never fall — and so does a Shutdown.
+func TestReprofilingRestartKeepsCompactionCounts(t *testing.T) {
+	dir := t.TempDir()
+	cfg := compactionConfig(dir, "tiered")
+	m, c := newDurableCluster(t, 0, dir)
+	rs, err := m.AddServer("rs0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.CreateTable("t", nil); err != nil {
+		t.Fatal(err)
+	}
+	val := make([]byte, 1024)
+	for i := 0; i < 800; i++ {
+		if err := c.Put("t", fmt.Sprintf("k%05d", i%200), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); rs.Stats().CompactionBacklog > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("compactions never settled")
+		}
+	}
+	before := rs.Stats()
+	if before.Compaction.Compactions == 0 || before.Latency.Compaction.Count() == 0 {
+		t.Fatalf("no background compaction to carry: %+v", before.Compaction)
+	}
+
+	next := cfg
+	next.Compaction.MaxStoreFiles++
+	if err := m.RestartServer("rs0", next); err != nil {
+		t.Fatal(err)
+	}
+	carried := func(step string, st ServerStats) {
+		t.Helper()
+		if st.Compaction.Compactions < before.Compaction.Compactions ||
+			st.Compaction.BytesIn < before.Compaction.BytesIn ||
+			st.Compaction.Budget.BackgroundBytes < before.Compaction.Budget.BackgroundBytes ||
+			st.Latency.Compaction.Count() < before.Latency.Compaction.Count() {
+			t.Fatalf("after %s: compaction %+v (latency count %d) fell from %+v (latency count %d)",
+				step, st.Compaction, st.Latency.Compaction.Count(), before.Compaction, before.Latency.Compaction.Count())
+		}
+	}
+	carried("a re-profiling restart", rs.Stats())
+	rs.Shutdown()
+	carried("shutdown", rs.Stats())
+}

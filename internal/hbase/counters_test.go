@@ -48,7 +48,8 @@ func scrape(t *testing.T, rs *RegionServer) map[string]float64 {
 
 // TestServerCountersNeverFall runs seeded random sequences of Put,
 // flush, major compaction, move, split, restart (one of them with new
-// compaction knobs), decommission and recover on a durable cluster.
+// compaction knobs), decommission and hard stop then recover on a
+// durable cluster.
 // After every step each server's /metrics must show no met_*_total
 // counter below its previous reading, unless the server was started
 // anew (Stats.Started) in between. A bare move must add to
@@ -211,8 +212,11 @@ func counterWalk(t *testing.T, seed uint64) {
 			}
 			addServer()
 		case "recover":
+			// A hard stop first: the stopped server is still a member,
+			// and its counters must hold until recovery removes it.
 			rs, _ := pick()
 			rs.Shutdown()
+			check("hardstop")
 			if _, err := m.RecoverServer(rs.Name()); err != nil {
 				t.Fatal(err)
 			}

@@ -80,6 +80,15 @@ type RegionServer struct {
 	// backend.
 	wal *durable.WAL
 
+	// shut keeps the replicator and log that Shutdown closed, for the
+	// stats getters alone (statLayers): a shut-down member's counters
+	// hold their last values until RecoverServer or a decommission
+	// removes it.
+	shut struct {
+		replicator *replication.Replicator
+		wal        *durable.WAL
+	}
+
 	// tel is the server's observability state: always-on lock-free
 	// latency histograms per op class, and the slow-op trace machinery
 	// armed by ServerConfig.SlowOpThreshold (see telemetry.go).
@@ -105,7 +114,7 @@ func NewRegionServer(name string, cfg ServerConfig, nn *hdfs.Namenode) (*RegionS
 	}
 	s.tel.slowLog = obs.NewSlowLog(obs.DefaultSlowLogSize)
 	s.tel.setConfig(cfg)
-	s.compactor = newCompactorPool(cfg.Compaction)
+	s.compactor = newCompactorPool(cfg.Compaction, &s.tel.compaction)
 	if cfg.DataDir != "" {
 		// The in-memory backend exports no files: only a durable server
 		// ships, its SSTable copies charged to the pool's budget.
@@ -162,13 +171,14 @@ func replicaDir(dataDir, follower, regionName string) string {
 }
 
 // newCompactorPool builds the server-wide pool from the configured
-// knobs.
-func newCompactorPool(cc CompactionConfig) *compaction.Pool {
+// knobs, counting into the server's ctr.
+func newCompactorPool(cc CompactionConfig, ctr *compaction.Counters) *compaction.Pool {
 	return compaction.NewPool(compaction.Config{
 		Workers:           cc.Workers,
 		BudgetBytesPerSec: cc.BudgetBytesPerSec,
 		Policy:            compaction.NewPolicy(cc.Policy),
 		MaxStoreFiles:     cc.MaxStoreFiles,
+		Counters:          ctr,
 	})
 }
 
@@ -373,7 +383,7 @@ func (s *RegionServer) trackReplication(r *Region) {
 		// durable-but-unflushed records from the server's shared log
 		// (there is one whenever there is a replicator), so a failover
 		// loses at most the records no tail append reached yet.
-		func(pos uint64) ([]kv.Entry, uint64) { return w.TailFrom(name, pos) })
+		func(from, to uint64) ([]kv.Entry, uint64) { return w.TailFrom(name, from, to) })
 }
 
 // filesChanged is the one subscriber to a hosted store's file stack
@@ -453,11 +463,10 @@ type WALStats struct {
 	Segments   int   `json:"segments"`
 }
 
-// WALStats snapshots the shared log (zero value without one).
+// WALStats snapshots the shared log (zero value without one; its last
+// values after Shutdown).
 func (s *RegionServer) WALStats() WALStats {
-	s.mu.RLock()
-	w := s.wal
-	s.mu.RUnlock()
+	_, w := s.statLayers()
 	if w == nil {
 		return WALStats{}
 	}
@@ -477,15 +486,24 @@ func (s *RegionServer) SharedWAL() *durable.WAL {
 }
 
 // ReplicationStats snapshots the server's SSTable shipper (zero value
-// without one).
+// without one; its last values after Shutdown).
 func (s *RegionServer) ReplicationStats() replication.Stats {
-	s.mu.RLock()
-	rep := s.replicator
-	s.mu.RUnlock()
+	rep, _ := s.statLayers()
 	if rep == nil {
 		return replication.Stats{}
 	}
 	return rep.Stats()
+}
+
+// statLayers returns the replicator and log whose counters the stats
+// getters read: the live ones, or the ones Shutdown closed.
+func (s *RegionServer) statLayers() (*replication.Replicator, *durable.WAL) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.replicator == nil && s.wal == nil {
+		return s.shut.replicator, s.shut.wal
+	}
+	return s.replicator, s.wal
 }
 
 // handOff stops shipping a hosted region — its next host ships it from
@@ -631,7 +649,8 @@ func (s *RegionServer) Delete(table, key string) error {
 }
 
 // Scan reads up to limit entries in [start, end) within one region. The
-// client stitches multi-region scans together.
+// client stitches multi-region scans together. As with kv.Store.Scan,
+// the values alias the store and must not be written.
 func (s *RegionServer) Scan(table, start, end string, limit int) ([]kv.Entry, error) {
 	out, _, err := s.scan(table, start, end, limit)
 	return out, err
@@ -773,14 +792,15 @@ func (s *RegionServer) EngineStats() kv.Stats {
 	return total
 }
 
-// CompactionStats snapshots the server's background compactor (zero
-// value after Shutdown).
+// CompactionStats snapshots the server's background compactor: the
+// counts of every pool it has run, and the live pool's queue (none
+// after Shutdown).
 func (s *RegionServer) CompactionStats() compaction.PoolStats {
 	s.mu.RLock()
 	pool := s.compactor
 	s.mu.RUnlock()
 	if pool == nil {
-		return compaction.PoolStats{}
+		return s.tel.compaction.Stats()
 	}
 	return pool.Stats()
 }
@@ -799,6 +819,9 @@ func (s *RegionServer) Shutdown() {
 	s.replicator = nil
 	w := s.wal
 	s.wal = nil
+	if rep != nil || w != nil { // a second Shutdown keeps the first's
+		s.shut.replicator, s.shut.wal = rep, w
+	}
 	s.mu.Unlock()
 	if pool != nil {
 		pool.Close()
@@ -859,7 +882,7 @@ func (s *RegionServer) Restart(cfg ServerConfig) error {
 		// budget, policy, workers) serves the reopened stores. The
 		// replicator and the WAL's foreground bytes charge the fresh
 		// budget from their next ship and append on.
-		s.compactor = newCompactorPool(cfg.Compaction)
+		s.compactor = newCompactorPool(cfg.Compaction, &s.tel.compaction)
 		if s.replicator != nil {
 			s.replicator.SetBudget(s.compactor.Budget())
 		}

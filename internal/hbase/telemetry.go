@@ -34,6 +34,10 @@ type serverTelemetry struct {
 	// a moved store's history stays with the server it ran on, and a
 	// restart's reopened stores count on.
 	engine kv.Counters
+	// compaction is what the server's compaction pools count, so a
+	// re-profiling restart's fresh pool counts on from the old one's
+	// totals, and a shut-down server keeps them.
+	compaction compaction.Counters
 }
 
 // beginOp starts a trace for an operation when tracing is armed.
@@ -100,14 +104,10 @@ func (s *RegionServer) LatencyStats() LatencyStats {
 		Scan:  s.tel.lat.scan.Snapshot(),
 		Flush: s.tel.engine.Flush.Snapshot(),
 	}
-	s.mu.RLock()
-	wal, pool, repl := s.wal, s.compactor, s.replicator
-	s.mu.RUnlock()
+	ls.Compaction = s.tel.compaction.Latency()
+	repl, wal := s.statLayers()
 	if wal != nil {
 		ls.Fsync = wal.FsyncLatency()
-	}
-	if pool != nil {
-		ls.Compaction = pool.CompactionLatency()
 	}
 	if repl != nil {
 		ls.ReplicationShip = repl.ShipLatency()

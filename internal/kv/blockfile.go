@@ -12,31 +12,45 @@ import (
 // reads (small blocks load less extraneous data) against sequential scans
 // (large blocks amortize per-block overhead), mirroring HBase's HFile
 // block size knob.
+//
+// A block stays in its encoded form (the payload format in encoding.go,
+// the bytes a durable SSTable stores) beside each entry's offset, and an
+// entry is decoded when it is read. Entries read from a block alias its
+// payload, which the block cache shares between readers, so a block and
+// every Value read from it are immutable.
 type Block struct {
-	entries []Entry
-	bytes   int
-}
-
-// NewBlock builds a block from sorted entries, computing its logical byte
-// size. Block sources outside this package (met/internal/durable) use it
-// to hand decoded data blocks back to the engine.
-func NewBlock(entries []Entry) *Block {
-	b := &Block{entries: entries}
-	for _, e := range entries {
-		b.bytes += e.Size()
-	}
-	return b
+	data  []byte   // the encoded payload
+	offs  []uint32 // offs[i] is where entry i starts in data
+	bytes int      // the entries' summed Entry.Size (cache accounting)
 }
 
 // Len returns the number of entries in the block.
-func (b *Block) Len() int { return len(b.entries) }
+func (b *Block) Len() int { return len(b.offs) }
 
 // Bytes returns the approximate byte size of the block.
 func (b *Block) Bytes() int { return b.bytes }
 
-// Entries returns the block's entries (shared, not copied; callers must
-// treat them as immutable).
-func (b *Block) Entries() []Entry { return b.entries }
+// Payload returns the block's encoded payload (shared, not copied).
+func (b *Block) Payload() []byte { return b.data }
+
+// Entry decodes entry i. Its Value aliases the block (see rawEntry.entry).
+func (b *Block) Entry(i int) Entry {
+	r := b.raw(i)
+	return r.entry(string(r.key))
+}
+
+// raw returns entry i's fields; ParseBlock or encodeBlock vouched for them.
+func (b *Block) raw(i int) rawEntry {
+	r, _ := readEntry(b.data[b.offs[i]:])
+	return r
+}
+
+// search returns the index of the first entry whose key is >= key.
+// Entries are (key asc, ts desc), so that is the newest version of key
+// when the block holds it.
+func (b *Block) search(key string) int {
+	return sort.Search(len(b.offs), func(i int) bool { return string(b.raw(i).key) >= key })
+}
 
 // BlockSource is the storage behind a StoreFile: an ordered sequence of
 // immutable blocks plus an optional membership filter. The engine layers
@@ -49,7 +63,7 @@ type BlockSource interface {
 	// FirstKey returns the first key of block i (the sparse index).
 	FirstKey(i int) string
 	// LoadBlock materializes block i. The engine caches the result, so a
-	// source may read and decode from disk on every call.
+	// source may read and parse it from disk on every call.
 	LoadBlock(i int) (*Block, error)
 	// MayContain is a fast membership filter: false means the key is
 	// definitely absent and no block needs to be read (bloom filter);
@@ -97,12 +111,12 @@ type memorySource struct {
 }
 
 func (m *memorySource) NumBlocks() int                  { return len(m.blocks) }
-func (m *memorySource) FirstKey(i int) string           { return m.blocks[i].entries[0].Key }
+func (m *memorySource) FirstKey(i int) string           { return m.blocks[i].Entry(0).Key }
 func (m *memorySource) LoadBlock(i int) (*Block, error) { return m.blocks[i], nil }
 func (m *memorySource) MayContain(key string) bool      { return true }
 
 // PackBlocks partitions sorted entries (key asc, timestamp desc) into
-// blocks of at most blockSize bytes and returns them with the file
+// encoded blocks of at most blockSize bytes and returns them with the file
 // metadata. A block boundary never falls between two versions of one
 // key (the block grows past blockSize instead): the sparse index names
 // only each block's first key, so blockFor(key) must land on the block
@@ -117,17 +131,16 @@ func PackBlocks(entries []Entry, blockSize int) ([]*Block, FileMeta) {
 	}
 	var blocks []*Block
 	var meta FileMeta
-	var cur *Block
+	start, bytes := 0, 0
 	for i, e := range entries {
 		if i > 0 && less(e, entries[i-1]) {
 			panic(fmt.Sprintf("kv: unsorted entries packing blocks (%q after %q)", e.Key, entries[i-1].Key))
 		}
-		if cur == nil || (cur.bytes+e.Size() > blockSize && e.Key != entries[i-1].Key) {
-			cur = &Block{}
-			blocks = append(blocks, cur)
+		if i > start && bytes+e.Size() > blockSize && e.Key != entries[i-1].Key {
+			blocks = append(blocks, encodeBlock(entries[start:i]))
+			start, bytes = i, 0
 		}
-		cur.entries = append(cur.entries, e)
-		cur.bytes += e.Size()
+		bytes += e.Size()
 		meta.Bytes += e.Size()
 		meta.Entries++
 		if e.Timestamp > meta.MaxTS {
@@ -135,6 +148,7 @@ func PackBlocks(entries []Entry, blockSize int) ([]*Block, FileMeta) {
 		}
 	}
 	if meta.Entries > 0 {
+		blocks = append(blocks, encodeBlock(entries[start:]))
 		meta.MinKey = entries[0].Key
 		meta.MaxKey = entries[len(entries)-1].Key
 	}
@@ -209,11 +223,10 @@ func (f *StoreFile) get(key string, cache *BlockCache, stats *Counters, tr *obs.
 	if err != nil {
 		return Entry{}, false, err
 	}
-	// Entries are (key asc, ts desc); find first entry >= (key, maxTS).
-	probe := Entry{Key: key, Timestamp: ^uint64(0)}
-	i := sort.Search(len(b.entries), func(i int) bool { return !less(b.entries[i], probe) })
-	if i < len(b.entries) && b.entries[i].Key == key {
-		return b.entries[i], true, nil
+	if i := b.search(key); i < b.Len() {
+		if r := b.raw(i); string(r.key) == key {
+			return r.entry(key), true, nil // the caller's key: no string is built
+		}
 	}
 	return Entry{}, false, nil
 }
@@ -223,28 +236,23 @@ func (f *StoreFile) get(key string, cache *BlockCache, stats *Counters, tr *obs.
 // "sstable-read" span for a source load.
 func (f *StoreFile) loadBlock(bi int, cache *BlockCache, stats *Counters, tr *obs.Trace) (*Block, error) {
 	st := tr.StartSpan()
-	if cache == nil {
-		if stats != nil {
-			stats.cacheMisses.Add(1)
-			stats.blocksRead.Add(1)
-		}
-		b, err := f.src.LoadBlock(bi)
-		tr.EndSpan("sstable-read", st)
-		return b, err
-	}
 	key := blockKey{file: f.id, block: bi}
-	if b, ok := cache.get(key); ok {
-		if stats != nil {
-			stats.cacheHits.Add(1)
+	if cache != nil {
+		if b, ok := cache.get(key); ok {
+			if stats != nil {
+				stats.cacheHits.Add(1)
+			}
+			tr.EndSpan("block-cache", st)
+			return b, nil
 		}
-		tr.EndSpan("block-cache", st)
-		return b, nil
 	}
 	b, err := f.src.LoadBlock(bi)
 	if err != nil {
 		return nil, err
 	}
-	cache.put(key, b)
+	if cache != nil {
+		cache.put(key, b)
+	}
 	if stats != nil {
 		stats.cacheMisses.Add(1)
 		stats.blocksRead.Add(1)
@@ -253,32 +261,17 @@ func (f *StoreFile) loadBlock(bi int, cache *BlockCache, stats *Counters, tr *ob
 	return b, nil
 }
 
-// iterator walks the whole file in order, loading blocks through cache.
-func (f *StoreFile) iterator(cache *BlockCache, stats *Counters) Iterator {
-	return &fileIter{f: f, cache: cache, stats: stats, block: -1}
-}
-
-// iteratorFrom positions at the first entry with key >= start.
+// iteratorFrom positions at the first entry with key >= start ("" for
+// the whole file), loading blocks through cache.
 func (f *StoreFile) iteratorFrom(start string, cache *BlockCache, stats *Counters) Iterator {
-	it := &fileIter{f: f, cache: cache, stats: stats, block: -1}
+	it := &fileIter{f: f, cache: cache, stats: stats, block: len(f.firstKeys)} // exhausted
 	if f.meta.Entries == 0 || start > f.meta.MaxKey {
-		it.block = len(f.firstKeys) // exhausted
 		return it
 	}
-	bi := f.blockFor(start)
-	if bi < 0 {
-		bi = 0
+	it.block = max(f.blockFor(start), 0)
+	if it.cur, it.err = f.loadBlock(it.block, cache, stats, nil); it.err == nil {
+		it.idx = it.cur.search(start) - 1
 	}
-	it.block = bi
-	cur, err := f.loadBlock(bi, cache, stats, nil)
-	if err != nil {
-		it.err = err
-		it.block = len(f.firstKeys)
-		return it
-	}
-	it.cur = cur
-	probe := Entry{Key: start, Timestamp: ^uint64(0)}
-	it.idx = sort.Search(len(it.cur.entries), func(i int) bool { return !less(it.cur.entries[i], probe) }) - 1
 	return it
 }
 
@@ -295,36 +288,23 @@ type fileIter struct {
 }
 
 func (it *fileIter) Next() bool {
-	if it.err != nil {
-		return false
-	}
-	for {
-		if it.block >= len(it.f.firstKeys) {
+	for it.err == nil {
+		if it.cur != nil && it.idx+1 < it.cur.Len() {
+			it.idx++
+			return true
+		}
+		if it.block+1 >= len(it.f.firstKeys) {
 			return false
 		}
-		if it.cur == nil || it.idx+1 >= len(it.cur.entries) {
-			it.block++
-			if it.block >= len(it.f.firstKeys) {
-				return false
-			}
-			cur, err := it.f.loadBlock(it.block, it.cache, it.stats, nil)
-			if err != nil {
-				it.err = err
-				it.block = len(it.f.firstKeys)
-				return false
-			}
-			it.cur = cur
-			it.idx = -1
-			if len(it.cur.entries) == 0 {
-				continue
-			}
-		}
-		it.idx++
-		return true
+		it.block++
+		it.cur, it.err = it.f.loadBlock(it.block, it.cache, it.stats, nil)
+		it.idx = -1
 	}
+	return false
 }
 
-func (it *fileIter) Entry() Entry { return it.cur.entries[it.idx] }
+// Entry decodes the current entry; each call decodes it afresh.
+func (it *fileIter) Entry() Entry { return it.cur.Entry(it.idx) }
 
 // Err reports a block-load failure encountered during iteration.
 func (it *fileIter) Err() error { return it.err }

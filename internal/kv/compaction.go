@@ -180,7 +180,7 @@ func (s *Store) CompactFiles(sel CompactionSelection) (CompactionResult, error) 
 		if budget != nil {
 			budget.WaitBackground(f.Bytes())
 		}
-		sources = append(sources, f.iterator(nil, nil))
+		sources = append(sources, f.iteratorFrom("", nil, nil))
 		res.BytesIn += int64(f.Bytes())
 		if f.MaxTimestamp() > maxTSFloor {
 			maxTSFloor = f.MaxTimestamp()

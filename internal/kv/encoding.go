@@ -5,9 +5,9 @@ import (
 	"fmt"
 )
 
-// Wire format for a store-file block's payload — the packing durable
-// SSTables store their data blocks in (met/internal/durable frames each
-// payload with its own CRC and index):
+// Wire format for a store-file block's payload — the form a Block keeps
+// in memory and durable SSTables store their data blocks in
+// (met/internal/durable frames each payload with its own CRC and index):
 //
 //	payload:= entryCount(varint) entry*
 //	entry  := flags(1) keyLen(varint) key valLen(varint) val ts(varint)
@@ -19,74 +19,101 @@ const flagTombstone byte = 1 << 0
 // ErrCorrupt is returned when decoding fails integrity checks.
 var ErrCorrupt = fmt.Errorf("kv: corrupt file data")
 
-// EncodeBlock serializes one block's entries to the wire payload.
-func EncodeBlock(entries []Entry) []byte {
-	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(len(entries)))
+// encodeBlock packs entries, in the order given, into one block.
+func encodeBlock(entries []Entry) *Block {
+	b := &Block{offs: make([]uint32, len(entries))}
 	for _, e := range entries {
+		b.bytes += e.Size()
+	}
+	// Entry.Size's 16 B of overhead covers an entry's flags and three
+	// varints for all but very large keys, so the payload fits without
+	// a regrowth.
+	b.data = make([]byte, 0, b.bytes+binary.MaxVarintLen64)
+	b.data = binary.AppendUvarint(b.data, uint64(len(entries)))
+	for i, e := range entries {
+		b.offs[i] = uint32(len(b.data))
 		var flags byte
 		if e.Tombstone {
 			flags |= flagTombstone
 		}
-		buf = append(buf, flags)
-		buf = binary.AppendUvarint(buf, uint64(len(e.Key)))
-		buf = append(buf, e.Key...)
-		buf = binary.AppendUvarint(buf, uint64(len(e.Value)))
-		buf = append(buf, e.Value...)
-		buf = binary.AppendUvarint(buf, e.Timestamp)
+		b.data = append(b.data, flags)
+		b.data = binary.AppendUvarint(b.data, uint64(len(e.Key)))
+		b.data = append(b.data, e.Key...)
+		b.data = binary.AppendUvarint(b.data, uint64(len(e.Value)))
+		b.data = append(b.data, e.Value...)
+		b.data = binary.AppendUvarint(b.data, e.Timestamp)
 	}
-	return buf
+	return b
 }
 
-// DecodeBlock parses a block payload back into entries.
-func DecodeBlock(buf []byte) ([]Entry, error) {
-	count, n := binary.Uvarint(buf)
+// ParseBlock indexes a block payload in one pass and keeps it as the
+// block's data, so the caller must not write payload afterwards. It
+// refuses with ErrCorrupt a count larger than the bytes allow, a
+// truncated varint, a field running past the payload, and trailing
+// bytes.
+func ParseBlock(payload []byte) (*Block, error) {
+	count, n := binary.Uvarint(payload)
 	if n <= 0 {
 		return nil, ErrCorrupt
 	}
-	buf = buf[n:]
 	// Each entry takes at least 4 bytes (flags + three 1-byte
 	// varints), so a count implying more entries than the payload can
 	// hold is corruption — and must not size the allocation below.
-	if count > uint64(len(buf))/4 {
+	if count > uint64(len(payload)-n)/4 {
 		return nil, ErrCorrupt
 	}
-	entries := make([]Entry, 0, count)
-	for i := uint64(0); i < count; i++ {
-		if len(buf) < 1 {
+	b := &Block{data: payload, offs: make([]uint32, count)}
+	for i := range b.offs {
+		b.offs[i] = uint32(n)
+		r, size := readEntry(payload[n:])
+		if size == 0 {
 			return nil, ErrCorrupt
 		}
-		flags := buf[0]
-		buf = buf[1:]
-		key, rest, err := readBytes(buf)
-		if err != nil {
-			return nil, err
-		}
-		val, rest2, err := readBytes(rest)
-		if err != nil {
-			return nil, err
-		}
-		ts, n := binary.Uvarint(rest2)
-		if n <= 0 {
-			return nil, ErrCorrupt
-		}
-		buf = rest2[n:]
-		e := Entry{Key: string(key), Timestamp: ts, Tombstone: flags&flagTombstone != 0}
-		if len(val) > 0 {
-			e.Value = append([]byte(nil), val...)
-		}
-		entries = append(entries, e)
+		b.bytes += len(r.key) + len(r.val) + 16 // Entry.Size
+		n += size
 	}
-	if len(buf) != 0 {
+	if n != len(payload) {
 		return nil, ErrCorrupt
 	}
-	return entries, nil
+	return b, nil
 }
 
-func readBytes(buf []byte) (data, rest []byte, err error) {
-	l, n := binary.Uvarint(buf)
-	if n <= 0 || uint64(len(buf)-n) < l {
-		return nil, nil, ErrCorrupt
+// rawEntry is one encoded entry's fields, aliasing the payload.
+type rawEntry struct {
+	flags    byte
+	key, val []byte
+	ts       uint64
+}
+
+// entry builds the Entry under key. Its Value aliases the payload, with
+// its capacity clipped so that an append by a reader copies instead of
+// overwriting the next entry.
+func (r rawEntry) entry(key string) Entry {
+	e := Entry{Key: key, Timestamp: r.ts, Tombstone: r.flags&flagTombstone != 0}
+	if len(r.val) > 0 {
+		e.Value = r.val[:len(r.val):len(r.val)]
 	}
-	return buf[n : n+int(l)], buf[n+int(l):], nil
+	return e
+}
+
+// readEntry decodes the entry at the start of buf and returns it with
+// its encoded size, or a size of 0 when it is malformed.
+func readEntry(buf []byte) (r rawEntry, n int) {
+	if len(buf) == 0 {
+		return r, 0
+	}
+	r.flags, n = buf[0], 1
+	for _, field := range [2]*[]byte{&r.key, &r.val} {
+		l, m := binary.Uvarint(buf[n:])
+		if m <= 0 || uint64(len(buf)-n-m) < l {
+			return r, 0
+		}
+		*field, n = buf[n+m:n+m+int(l)], n+m+int(l)
+	}
+	ts, m := binary.Uvarint(buf[n:])
+	if m <= 0 {
+		return r, 0
+	}
+	r.ts = ts
+	return r, n + m
 }

@@ -513,7 +513,7 @@ func (s *Store) ApplyReplayed(entries []Entry) (int, error) {
 
 // Get returns the newest live value for key, or ErrNotFound. Gets run
 // concurrently with each other and with Scans; they only exclude
-// writers.
+// writers. The value is the caller's copy; Scan's values are not.
 func (s *Store) Get(key string) ([]byte, error) {
 	return s.GetTraced(key, nil)
 }
@@ -558,7 +558,9 @@ func (s *Store) GetTraced(key string, tr *obs.Trace) ([]byte, error) {
 // immutable file stack; the iteration itself runs lock-free, so long
 // scans never stall writers. The snapshot is consistent at the moment it
 // is taken; entries written afterwards may or may not be observed, which
-// matches HBase's scanner semantics.
+// matches HBase's scanner semantics. Each returned Value aliases the
+// memstore or a cached block, so the caller must not write it; its
+// capacity is clipped, so appending to it copies.
 func (s *Store) Scan(start, end string, limit int) ([]Entry, error) {
 	return s.ScanTraced(start, end, limit, nil)
 }
@@ -596,7 +598,7 @@ func (s *Store) ScanTraced(start, end string, limit int, tr *obs.Trace) ([]Entry
 	scanned := int64(0)
 	for it.Next() {
 		e := it.Entry()
-		e.Value = append([]byte(nil), e.Value...)
+		e.Value = e.Value[:len(e.Value):len(e.Value)]
 		out = append(out, e)
 		scanned++
 	}

@@ -512,7 +512,7 @@ func TestGetNewestVersionAcrossBlockBoundary(t *testing.T) {
 	for _, f := range s.files {
 		for i := 1; i < f.NumBlocks(); i++ {
 			prev, _ := f.src.LoadBlock(i - 1)
-			if last := prev.entries[prev.Len()-1].Key; last == f.firstKeys[i] {
+			if last := prev.Entry(prev.Len() - 1).Key; last == f.firstKeys[i] {
 				t.Fatalf("block boundary %d falls between two versions of %q", i, last)
 			}
 		}

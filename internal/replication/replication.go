@@ -45,7 +45,7 @@
 // while a write burst has drained the budget — exactly when it matters.
 // A flush racing the shipper leaves the records the shipper has not
 // read yet in the log's tail until the region's next flush. A failed
-// append may have torn the generation, so the next ship starts a fresh
+// append may have torn the generation, so the same pass starts a fresh
 // one with a snapshot of the whole synced tail instead.
 //
 // Cut: only the reconcile worker drops records from a follower, and
@@ -108,7 +108,7 @@ type target struct {
 	mu    sync.Mutex
 	files func() ([]kv.ExportedFile, bool)
 	dests func() []string
-	tail  func(pos uint64) ([]kv.Entry, uint64)
+	tail  func(from, to uint64) ([]kv.Entry, uint64)
 	pos   uint64                   // the first log position not yet shipped
 	tails map[string]*followerTail // by replica directory
 }
@@ -194,11 +194,11 @@ func (r *Replicator) SetBudget(budget kv.IOBudget) {
 // region's current primary SSTable stack (kv.Store.ExportFiles of
 // whatever store currently backs it); dests returns the absolute
 // replica directories to keep in sync (one per follower); tail, when
-// non-nil, reads the region's synced WAL records from a log position on
-// (durable.WAL.TailFrom) for tail streaming — nil disables it (no
+// non-nil, reads the region's synced WAL records in a range of log
+// positions (durable.WAL.TailFrom) for tail streaming — nil disables it (no
 // shared log, or an in-memory store). Tracking is idempotent by region
 // name; re-tracking replaces the closures.
-func (r *Replicator) Track(region string, files func() ([]kv.ExportedFile, bool), dests func() []string, tail func(pos uint64) ([]kv.Entry, uint64)) {
+func (r *Replicator) Track(region string, files func() ([]kv.ExportedFile, bool), dests func() []string, tail func(from, to uint64) ([]kv.Entry, uint64)) {
 	r.mu.Lock()
 	t := r.targets[region]
 	if t == nil {
@@ -224,7 +224,7 @@ func (r *Replicator) Untrack(region string) {
 	if t != nil {
 		t.mu.Lock()
 		if t.tail != nil {
-			t.tail(math.MaxUint64)
+			t.tail(math.MaxUint64, math.MaxUint64)
 		}
 		t.tail = nil
 		t.mu.Unlock()
@@ -336,38 +336,41 @@ func (r *Replicator) loop(wake *sync.Cond, pending map[string]bool, busy *int, h
 
 // shipTail appends the region's records synced since its last ship to
 // every follower's current generation; a follower without a live
-// generation gets a fresh one holding the whole synced tail.
+// generation, or whose append just failed, gets a fresh one holding the
+// whole synced tail in the same pass, so a failed append needs no later
+// wake-up to be repaired.
 func (r *Replicator) shipTail(region string, t *target) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.tail == nil {
 		return
 	}
-	entries, next := t.tail(t.pos)
+	entries, next := t.tail(t.pos, math.MaxUint64)
 	var snap []kv.Entry
 	for _, dir := range t.dests() {
 		ft := t.follower(dir)
-		var err error
-		switch {
-		case ft.live && len(entries) > 0:
+		if ft.live && len(entries) > 0 {
 			start := time.Now()
-			var n int64
-			if n, err = durable.AppendTail(dir, ft.gen, entries); err == nil {
+			n, err := durable.AppendTail(dir, ft.gen, entries)
+			if err != nil {
+				ft.live = false // possibly torn: never append after it
+				r.fail(&r.tailFailures, region, err)
+			} else {
 				r.noteTailShip(start, n, len(entries))
 			}
-			ft.live = err == nil // possibly torn: never append after it
-		case !ft.live:
-			// Read after entries, so the snapshot covers them (a record
-			// synced in between ships twice; replay dedups).
-			if snap == nil {
-				snap, _ = t.tail(0)
-			}
-			if len(snap) > 0 {
-				err = r.startGen(dir, ft, snap)
-			}
 		}
-		if err != nil {
-			r.fail(&r.tailFailures, region, err)
+		if ft.live {
+			continue
+		}
+		// The fresh generation holds the tail up to next: what the
+		// other followers hold after this pass, so nothing ships twice.
+		if snap == nil {
+			snap, _ = t.tail(0, next)
+		}
+		if len(snap) > 0 {
+			if err := r.startGen(dir, ft, snap); err != nil {
+				r.fail(&r.tailFailures, region, err)
+			}
 		}
 	}
 	t.pos = next
@@ -446,7 +449,7 @@ func (r *Replicator) reconcile(region string, t *target) {
 			// The shipper's next append repeats what the snapshot holds
 			// past t.pos; replay dedups.
 			if snap == nil {
-				snap, _ = t.tail(0)
+				snap, _ = t.tail(0, math.MaxUint64)
 			}
 			if err := r.startGen(dir, ft, snap); err != nil {
 				r.fail(&r.tailFailures, region, err)

@@ -318,7 +318,7 @@ func TestFailuresSplitByKind(t *testing.T) {
 	defer r.Close()
 
 	r.Track("hot", func() ([]kv.ExportedFile, bool) { return nil, false }, dests("hot"),
-		func(uint64) ([]kv.Entry, uint64) {
+		func(_, _ uint64) ([]kv.Entry, uint64) {
 			return []kv.Entry{{Key: "k", Value: []byte("v"), Timestamp: 1}}, 2
 		})
 	inj.FailOp("hot", down, 1)

@@ -56,7 +56,7 @@ func newTailRig(t *testing.T, copy func(src, dst string) (int64, error)) *tailRi
 	t.Cleanup(s.Close)
 	rig.s = s
 	rig.r.Track(rigRegion, s.ExportFiles, func() []string { return []string{rig.replica} },
-		func(pos uint64) ([]kv.Entry, uint64) { return w.TailFrom(rigRegion, pos) })
+		func(from, to uint64) ([]kv.Entry, uint64) { return w.TailFrom(rigRegion, from, to) })
 	return rig
 }
 
