@@ -1,7 +1,9 @@
 package durable
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -162,4 +164,75 @@ func TestCrashAfterMergedSSTableDurable(t *testing.T) {
 // merged file was installed but before any retired input was unlinked.
 func TestCrashBeforeRetiredInputsUnlinked(t *testing.T) {
 	testCrashMidCompaction(t, 2)
+}
+
+// TestReopenDuringStalledMerge closes a store and reopens its directory,
+// as hbase.Region.reopen does, while a merge on the old store is stalled
+// right after writing its output. Close must wait for the merge, which
+// then discards its output: a Close that returned at once would let the
+// new store open the output file that the old store's merge unlinks
+// when it resumes.
+func TestReopenDuringStalledMerge(t *testing.T) {
+	dir := t.TempDir()
+	var cb *crashBackend
+	s, err := kv.OpenStore(crashStoreConfig(dir, &cb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 300
+	for i := 0; i < n; i++ {
+		if err := s.Put(fmt.Sprintf("k%04d", i), []byte(fmt.Sprintf("value-%04d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.NumFiles() < 2 {
+		t.Fatalf("only %d SSTables; not enough to compact", s.NumFiles())
+	}
+	cb.mode.Store(1)
+	merged := make(chan error, 1)
+	go func() {
+		_, err := s.CompactFiles(kv.CompactionSelection{})
+		merged <- err
+	}()
+	select {
+	case <-cb.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the merge never wrote its output")
+	}
+	// Resume the merge once the new store is open, or after a while when
+	// Close is (rightly) waiting for it.
+	reopened := make(chan struct{})
+	go func() {
+		select {
+		case <-reopened:
+		case <-time.After(200 * time.Millisecond):
+		}
+		close(cb.frozen)
+	}()
+	s.Close()
+	fresh, err := kv.OpenStore(kv.Config{
+		MemstoreFlushBytes: 4 << 10,
+		BlockBytes:         1 << 10,
+		MaxStoreFiles:      1000,
+		OpenBackend:        func() (kv.StorageBackend, error) { return Open(dir, Options{}) },
+	})
+	close(reopened)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer fresh.Close()
+	if err := <-merged; !errors.Is(err, kv.ErrClosed) {
+		t.Fatalf("merge on the closed store = %v, want kv.ErrClosed", err)
+	}
+	files, _ := fresh.ExportFiles()
+	for _, f := range files {
+		if _, err := os.Stat(f.Path); err != nil {
+			t.Fatalf("SSTable %d of the reopened store is gone: %v", f.ID, err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if got, err := fresh.Get(fmt.Sprintf("k%04d", i)); err != nil || string(got) != fmt.Sprintf("value-%04d", i) {
+			t.Fatalf("k%04d = %q, %v after the reopen", i, got, err)
+		}
+	}
 }

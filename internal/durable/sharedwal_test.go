@@ -425,7 +425,7 @@ func TestTailFileRoundtripAndTornFrame(t *testing.T) {
 	if _, err := CreateTailGen(dir, 1, want[:2]); err == nil {
 		t.Fatal("an existing generation was overwritten")
 	}
-	if _, err := AppendTail(dir, 1, want[2:]); err != nil {
+	if _, err := AppendTail(TailGenPath(dir, 1), want[2:]); err != nil {
 		t.Fatal(err)
 	}
 	got, torn, err := ReadTail(dir)

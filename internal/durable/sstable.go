@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"met/internal/kv"
@@ -307,14 +309,42 @@ func (t *sstable) FirstKey(i int) string { return t.index[i].firstKey }
 // MayContain implements kv.BlockSource via the bloom filter.
 func (t *sstable) MayContain(key string) bool { return t.bloom.mayContain(key) }
 
-// LoadBlock implements kv.BlockSource: pread the block, verify its
-// checksum, index its entries (kv.ParseBlock); the block keeps the read
-// buffer, so no entry is copied. Reads racing a Close (store retired
-// under a lock-free scan) surface kv.ErrClosed, which the serving layer
+// blockPool holds the blocks whose last pin was dropped, each with its
+// read buffer and entry offsets, for the next LoadBlock to read into:
+// a block-cache miss then costs no allocation, and the block its
+// insertion evicted feeds the next one.
+var blockPool = sync.Pool{New: func() any { return new(kv.Block) }}
+
+func recycleBlock(b *kv.Block) { blockPool.Put(b) }
+
+// readBuffer returns n bytes to read into: the buffer of b's last
+// payload when that is large enough, else a new one. Grow rounds the
+// new one's capacity up to what the allocator reserves anyway (a size
+// class, or whole pages), so it can take a slightly larger block when
+// it is recycled.
+func readBuffer(b *kv.Block, n int) []byte {
+	if buf := b.Payload(); cap(buf) >= n {
+		return buf[:n]
+	}
+	return slices.Grow([]byte(nil), n)[:n]
+}
+
+// LoadBlock implements kv.BlockSource: pread the block into a recycled
+// buffer, verify its checksum, index its entries (kv.Block.Parse); the
+// block keeps the read buffer, so no entry is copied, and goes back to
+// blockPool when its last pin is released. A failed load returns its
+// block to the pool itself. Reads racing a Close (store retired under
+// a lock-free scan) surface kv.ErrClosed, which the serving layer
 // already absorbs.
-func (t *sstable) LoadBlock(i int) (*kv.Block, error) {
+func (t *sstable) LoadBlock(i int) (_ *kv.Block, err error) {
 	sp := t.index[i]
-	buf := make([]byte, sp.length)
+	b := blockPool.Get().(*kv.Block)
+	defer func() {
+		if err != nil {
+			blockPool.Put(b) // unpinned and unseen: no reader holds it
+		}
+	}()
+	buf := readBuffer(b, int(sp.length))
 	if _, err := t.f.ReadAt(buf, int64(sp.off)); err != nil {
 		if errors.Is(err, os.ErrClosed) {
 			return nil, kv.ErrClosed
@@ -328,8 +358,7 @@ func (t *sstable) LoadBlock(i int) (*kv.Block, error) {
 	if crc32.Checksum(payload, castagnoli) != sum {
 		return nil, corruptf("sstable %s block %d checksum", t.path, i)
 	}
-	b, err := kv.ParseBlock(payload)
-	if err != nil {
+	if err := b.Parse(payload, recycleBlock); err != nil {
 		return nil, fmt.Errorf("sstable %s block %d: %w", t.path, i, err)
 	}
 	t.blockReads.Add(1)

@@ -5,7 +5,10 @@ package durable
 // which runs against a real store (tiny blocks, ~1 KB memstore, a soft
 // file threshold of 2–3, so flush, block and compaction boundaries are
 // crossed constantly) and against a map-of-versions model; every Get,
-// every Scan and the logical clock are compared after each step. Unlike
+// every Scan and the logical clock are compared after each step, and a
+// Scan's rows are checked again after later steps (Gets, flushes,
+// compactions) have churned a block cache of two or three blocks, which
+// recycles evicted blocks' buffers on every miss. Unlike
 // kv's in-memory TestStoreMatchesModel it covers the paths that change
 // how a write enters the engine — ImportEntries, ApplyReplayed (with
 // records at or below the clock) — and close-and-reopen on the same
@@ -34,7 +37,8 @@ const (
 	opImport  = 9  // count, then (key, value length) each
 	opReplay  = 10 // how far below the clock to start, count, then (key, value length) each, then a gap each
 	opReopen  = 11
-	modelOps  = 12
+	opRecheck = 12 // the last Scan's rows, held since
+	modelOps  = 13
 
 	modelKeys   = 16
 	maxModelOps = 4000 // bounds one fuzz execution
@@ -51,8 +55,13 @@ type storeModel struct {
 	prefix string
 	shared bool
 
-	data      []byte
-	versions  map[string][]kv.Entry
+	data     []byte
+	versions map[string][]kv.Entry
+	// held is the last Scan's rows and heldWant the values the model
+	// gave them then: Scan's values alias blocks, and must not change
+	// while the caller holds them.
+	held      []kv.Entry
+	heldWant  []kv.Entry
 	clock     uint64
 	step      int
 	mutations int
@@ -132,6 +141,18 @@ func (m *storeModel) checkScan(start string, limit int) error {
 		w := want[i]
 		if e.Key != w.Key || !bytes.Equal(e.Value, w.Value) || (!m.shared && e.Timestamp != w.Timestamp) {
 			return fmt.Errorf("Scan(%q, %d)[%d] = %v %q, want %v %q", start, limit, i, e, e.Value, w, w.Value)
+		}
+	}
+	m.held, m.heldWant = got, want
+	return nil
+}
+
+// recheck compares the held Scan rows with what the model gave them
+// when they were scanned.
+func (m *storeModel) recheck() error {
+	for i, e := range m.held {
+		if w := m.heldWant[i]; !bytes.Equal(e.Value, w.Value) {
+			return fmt.Errorf("held Scan row %d (%s) now reads %q, scanned as %q", i, e.Key, e.Value, w.Value)
 		}
 	}
 	return nil
@@ -227,6 +248,8 @@ func (m *storeModel) apply(op, a, b byte) error {
 				return err
 			}
 		}
+	case opRecheck:
+		return m.recheck()
 	}
 	return nil
 }
@@ -250,14 +273,22 @@ func (m *storeModel) batch(n int) []kv.Entry {
 }
 
 // modelStoreOpener returns the open-on-dir function a schedule's first
-// byte configures: 128/192/256-byte blocks, a 1 KB memstore and a soft
-// file threshold of 2 or 3. The private log runs with NoSync — the
-// schedules close cleanly, so fsync would only slow the fuzzer down.
+// byte configures: 128/192/256-byte blocks, a 1 KB memstore, a soft
+// file threshold of 2 or 3 (bit 2) and, with bit 3 set, a block cache
+// of two or three blocks (bit 4) instead of the default, so that misses
+// evict. The private log runs with NoSync — the schedules close
+// cleanly, so fsync would only slow the fuzzer down.
 func modelStoreOpener(t *testing.T, dir string, cfg byte) func() *kv.Store {
+	blockBytes := 128 + 64*int(cfg%3)
+	var cacheBytes int
+	if cfg&8 != 0 {
+		cacheBytes = (2 + int(cfg>>4)&1) * blockBytes
+	}
 	return func() *kv.Store {
 		s, err := kv.OpenStore(kv.Config{
 			MemstoreFlushBytes: 1 << 10,
-			BlockBytes:         128 + 64*int(cfg%3),
+			BlockBytes:         blockBytes,
+			BlockCacheBytes:    cacheBytes,
 			MaxStoreFiles:      2 + int(cfg>>2)&1,
 			OpenBackend:        Opener(dir, Options{NoSync: true, SegmentBytes: 2 << 10}),
 		})
@@ -325,7 +356,23 @@ func storeModelSeeds() map[string][]byte {
 			entry = entry.op(opCompact, 1, 0).op(opFlush, 0, 0)
 		}
 	}
-	return map[string][]byte{"straddle": straddle, "churn": churn, "entry": entry}
+	// A three-block cache under rewrites, reads of every key, both
+	// compaction kinds and a reopen: each Scan's rows are held and
+	// re-checked after the Gets that evicted and recycled blocks.
+	evict := sched{8 | 16 | 4}
+	for round := 0; round < 6; round++ {
+		evict = evict.puts(32, round, 1, 30+round).op(opFlush, 0, 0).
+			op(opScan, byte(round), 0)
+		for k := 0; k < modelKeys; k++ {
+			evict = evict.op(opGet, byte(k+round), 0)
+		}
+		evict = evict.op(opRecheck, 0, 0).op(opCompact, byte(round), 0).
+			op(opGet, byte(round), 0).op(opRecheck, 0, 0)
+		if round%2 == 1 {
+			evict = evict.op(opReopen, 0, 0).op(opRecheck, 0, 0)
+		}
+	}
+	return map[string][]byte{"straddle": straddle, "churn": churn, "entry": entry, "evict": evict}
 }
 
 func FuzzStoreModel(f *testing.F) {

@@ -61,12 +61,12 @@ func CreateTailGen(replicaDir string, gen uint64, entries []kv.Entry) (int64, er
 	return n, err
 }
 
-// AppendTail appends entries to generation gen in replicaDir and fsyncs
-// it, returning the physical bytes written. A failed append may leave a
-// torn frame at the end of the generation: the caller must not append
-// to it again, but start a new generation.
-func AppendTail(replicaDir string, gen uint64, entries []kv.Entry) (int64, error) {
-	return writeTail(TailGenPath(replicaDir, gen), os.O_APPEND, nil, entries)
+// AppendTail appends entries to the tail generation at path (see
+// TailGenPath) and fsyncs it, returning the physical bytes written. A
+// failed append may leave a torn frame at the end of the generation:
+// the caller must not append to it again, but start a new generation.
+func AppendTail(path string, entries []kv.Entry) (int64, error) {
+	return writeTail(path, os.O_APPEND, nil, entries)
 }
 
 // writeTail opens path for writing with the extra flag, writes buf

@@ -62,6 +62,10 @@ type Region struct {
 	// table row, and re-picks when the set degenerates (the primary
 	// moved onto a follower, or a follower left the cluster).
 	followers []string
+	// dirs caches the followers' replica directories under dirsRoot
+	// (replicaDirs); SetFollowers clears it.
+	dirs     []string
+	dirsRoot string
 }
 
 // mirrorFile is one engine file's HDFS reflection.
@@ -136,6 +140,23 @@ func (r *Region) SetFollowers(followers []string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.followers = append([]string(nil), followers...)
+	r.dirs = nil
+}
+
+// replicaDirs returns the replica directories of the region's
+// followers under dataDir, built once per follower set: the tail
+// shipper asks on every ship. The slice is shared; callers must not
+// write it.
+func (r *Region) replicaDirs(dataDir string) []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.dirs == nil || r.dirsRoot != dataDir {
+		r.dirs, r.dirsRoot = make([]string, len(r.followers)), dataDir
+		for i, f := range r.followers {
+			r.dirs[i] = replicaDir(dataDir, f, r.name)
+		}
+	}
+	return r.dirs
 }
 
 // Requests returns the cumulative request counters.

@@ -371,14 +371,7 @@ func (s *RegionServer) trackReplication(r *Region) {
 	name := r.Name()
 	rep.Track(name,
 		func() ([]kv.ExportedFile, bool) { return r.Store().ExportFiles() },
-		func() []string {
-			followers := r.Followers()
-			dests := make([]string, 0, len(followers))
-			for _, f := range followers {
-				dests = append(dests, replicaDir(dataDir, f, r.Name()))
-			}
-			return dests
-		},
+		func() []string { return r.replicaDirs(dataDir) },
 		// Tail streaming: followers also hold the region's
 		// durable-but-unflushed records from the server's shared log
 		// (there is one whenever there is a replicator), so a failover

@@ -6,10 +6,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"met/internal/durable"
+	"met/internal/kv"
 	"met/internal/replication"
 )
 
@@ -901,5 +903,28 @@ func TestReplicationShipsThroughStack(t *testing.T) {
 	}()
 	if st == 0 {
 		t.Fatal("no bytes accounted as shipped")
+	}
+}
+
+// TestReplicaDirsFollowFollowerSet checks the tail shipper's cached
+// destinations: built once per follower set, rebuilt when the
+// followers change.
+func TestReplicaDirsFollowFollowerSet(t *testing.T) {
+	r, err := newRegionNamed("t,a", "t", "", "", kv.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.SetFollowers([]string{"rs1", "rs/2"})
+	dirs := r.replicaDirs("/data")
+	want := []string{replicaDir("/data", "rs1", "t,a"), replicaDir("/data", "rs/2", "t,a")}
+	if !slices.Equal(dirs, want) {
+		t.Fatalf("replicaDirs = %q, want %q", dirs, want)
+	}
+	if again := r.replicaDirs("/data"); &again[0] != &dirs[0] {
+		t.Fatal("replicaDirs rebuilt the directories for an unchanged follower set")
+	}
+	r.SetFollowers([]string{"rs3"})
+	if got, want := r.replicaDirs("/data"), []string{replicaDir("/data", "rs3", "t,a")}; !slices.Equal(got, want) {
+		t.Fatalf("after a re-pick, replicaDirs = %q, want %q", got, want)
 	}
 }

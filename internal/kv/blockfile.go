@@ -3,6 +3,7 @@ package kv
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"met/internal/obs"
 )
@@ -17,11 +18,38 @@ import (
 // the bytes a durable SSTable stores) beside each entry's offset, and an
 // entry is decoded when it is read. Entries read from a block alias its
 // payload, which the block cache shares between readers, so a block and
-// every Value read from it are immutable.
+// every Value read from it are immutable while anyone holds it.
+//
+// Pins say who holds a block. A source hands each loaded block out with
+// one pin, its caller's; the block cache holds one more for as long as
+// the block is resident, taken under the cache's lock together with the
+// lookup. Release drops a pin, and dropping the last one hands the block
+// to its recycle hook, which may overwrite the payload at once: only
+// durable blocks set one (Block.Parse), so they return their read buffer
+// to the SSTable reader's free list, while a block without a hook (the
+// memory backend's) is left to the GC. The Get path copies the value
+// out before it releases its pin. Iterators never release theirs,
+// because Scan's values alias their blocks for as long as the caller
+// keeps them: a block an iterator touched is pinned for good and freed
+// by the GC, never recycled.
 type Block struct {
-	data  []byte   // the encoded payload
-	offs  []uint32 // offs[i] is where entry i starts in data
-	bytes int      // the entries' summed Entry.Size (cache accounting)
+	data    []byte   // the encoded payload
+	offs    []uint32 // offs[i] is where entry i starts in data
+	bytes   int      // the entries' summed Entry.Size (cache accounting)
+	pins    atomic.Int32
+	recycle func(*Block) // called when the last pin drops; nil leaves the block to the GC
+}
+
+// pin takes one more pin on b.
+func (b *Block) pin() { b.pins.Add(1) }
+
+// Release drops one pin on b (nil-safe). Dropping the last pin recycles
+// a block that has a recycle hook, so the caller must not read b, or
+// any Value read from it, afterwards.
+func (b *Block) Release() {
+	if b != nil && b.pins.Add(-1) == 0 && b.recycle != nil {
+		b.recycle(b)
+	}
 }
 
 // Len returns the number of entries in the block.
@@ -39,7 +67,7 @@ func (b *Block) Entry(i int) Entry {
 	return r.entry(string(r.key))
 }
 
-// raw returns entry i's fields; ParseBlock or encodeBlock vouched for them.
+// raw returns entry i's fields; Parse or encodeBlock vouched for them.
 func (b *Block) raw(i int) rawEntry {
 	r, _ := readEntry(b.data[b.offs[i]:])
 	return r
@@ -63,7 +91,11 @@ type BlockSource interface {
 	// FirstKey returns the first key of block i (the sparse index).
 	FirstKey(i int) string
 	// LoadBlock materializes block i. The engine caches the result, so a
-	// source may read and parse it from disk on every call.
+	// source may read and parse it from disk on every call. A block it
+	// reads afresh carries one pin, the caller's; a source that recycles
+	// buffers sets the block's recycle hook (Block.Parse) and gets the
+	// block back when its last pin is released. A source that keeps its
+	// blocks (the memory backend) sets none, and pins on them are moot.
 	LoadBlock(i int) (*Block, error)
 	// MayContain is a fast membership filter: false means the key is
 	// definitely absent and no block needs to be read (bloom filter);
@@ -203,13 +235,15 @@ func (f *StoreFile) blockFor(key string) int {
 // get looks up the newest version of key, loading the candidate block
 // through the cache. found=false with a nil error means the key is not in
 // this file; the filter check comes first, so a negative lookup on a
-// bloom-filtered file reads no data block at all. A non-nil trace
+// bloom-filtered file reads no data block at all. A found entry comes
+// with its block, pinned: its Value aliases the block, so the caller
+// releases the block once it is done with the Value. A non-nil trace
 // records a span per consulted stage (bloom negative, cache hit, or
 // SSTable read).
-func (f *StoreFile) get(key string, cache *BlockCache, stats *Counters, tr *obs.Trace) (Entry, bool, error) {
+func (f *StoreFile) get(key string, cache *BlockCache, stats *Counters, tr *obs.Trace) (Entry, *Block, bool, error) {
 	bi := f.blockFor(key)
 	if bi < 0 {
-		return Entry{}, false, nil
+		return Entry{}, nil, false, nil
 	}
 	st := tr.StartSpan()
 	if !f.src.MayContain(key) {
@@ -217,23 +251,24 @@ func (f *StoreFile) get(key string, cache *BlockCache, stats *Counters, tr *obs.
 			stats.filterNegatives.Add(1)
 		}
 		tr.EndSpan("bloom-negative", st)
-		return Entry{}, false, nil
+		return Entry{}, nil, false, nil
 	}
 	b, err := f.loadBlock(bi, cache, stats, tr)
 	if err != nil {
-		return Entry{}, false, err
+		return Entry{}, nil, false, err
 	}
 	if i := b.search(key); i < b.Len() {
 		if r := b.raw(i); string(r.key) == key {
-			return r.entry(key), true, nil // the caller's key: no string is built
+			return r.entry(key), b, true, nil // the caller's key: no string is built
 		}
 	}
-	return Entry{}, false, nil
+	b.Release()
+	return Entry{}, nil, false, nil
 }
 
-// loadBlock fetches block bi through the cache, recording hit/miss
-// stats and — when traced — a "block-cache" span for a hit or an
-// "sstable-read" span for a source load.
+// loadBlock fetches block bi through the cache, pinned for the caller,
+// recording hit/miss stats and — when traced — a "block-cache" span for
+// a hit or an "sstable-read" span for a source load.
 func (f *StoreFile) loadBlock(bi int, cache *BlockCache, stats *Counters, tr *obs.Trace) (*Block, error) {
 	st := tr.StartSpan()
 	key := blockKey{file: f.id, block: bi}
@@ -262,7 +297,9 @@ func (f *StoreFile) loadBlock(bi int, cache *BlockCache, stats *Counters, tr *ob
 }
 
 // iteratorFrom positions at the first entry with key >= start ("" for
-// the whole file), loading blocks through cache.
+// the whole file), loading blocks through cache. The iterator keeps the
+// pin of every block it loads (see Block): its entries' Values alias
+// them for as long as the caller holds them.
 func (f *StoreFile) iteratorFrom(start string, cache *BlockCache, stats *Counters) Iterator {
 	it := &fileIter{f: f, cache: cache, stats: stats, block: len(f.firstKeys)} // exhausted
 	if f.meta.Entries == 0 || start > f.meta.MaxKey {

@@ -21,6 +21,10 @@ type blockKey struct {
 // LRU recency list, so even get takes the internal mutex; the critical
 // sections are a few pointer moves, which keeps the cache far from being
 // the bottleneck the coarse store lock used to be.
+//
+// The cache holds one pin on every resident block (see Block) and drops
+// it when the block leaves: on eviction, when put replaces it, and when
+// invalidateFile retires its file.
 type BlockCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -45,7 +49,9 @@ func NewBlockCache(capacity int) *BlockCache {
 	}
 }
 
-// get returns the cached block and promotes it to most recently used.
+// get returns the cached block, pinned for the caller, and promotes it
+// to most recently used. The pin is taken under the lock, so no
+// eviction can drop the block's last pin between the lookup and it.
 func (c *BlockCache) get(k blockKey) (*Block, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -54,21 +60,26 @@ func (c *BlockCache) get(k blockKey) (*Block, bool) {
 		return nil, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheItem).block, true
+	b := el.Value.(*cacheItem).block
+	b.pin()
+	return b, true
 }
 
-// put inserts a block, evicting least-recently-used blocks as needed.
-// Blocks larger than the whole capacity are not cached.
+// put inserts a block, evicting least-recently-used blocks as needed; the
+// cache takes its own pin, and the caller keeps its own. Blocks larger
+// than the whole capacity are not cached.
 func (c *BlockCache) put(k blockKey, b *Block) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if b.Bytes() > c.capacity {
 		return
 	}
+	b.pin()
 	if el, ok := c.items[k]; ok {
 		c.order.MoveToFront(el)
 		old := el.Value.(*cacheItem)
 		c.used += b.Bytes() - old.block.Bytes()
+		old.block.Release()
 		old.block = b
 	} else {
 		el := c.order.PushFront(&cacheItem{key: k, block: b})
@@ -89,6 +100,7 @@ func (c *BlockCache) evictOldestLocked() {
 	c.order.Remove(el)
 	delete(c.items, item.key)
 	c.used -= item.block.Bytes()
+	item.block.Release()
 }
 
 // invalidateFile drops every cached block of the given file; called when
@@ -102,6 +114,7 @@ func (c *BlockCache) invalidateFile(fileID uint64) {
 			c.order.Remove(el)
 			delete(c.items, k)
 			c.used -= item.block.Bytes()
+			item.block.Release()
 		}
 	}
 }

@@ -128,9 +128,10 @@ type CompactionResult struct {
 //	        in place of the run, retire the inputs, wake stalled
 //	        writers.
 //
-// Concurrent CompactFiles calls on the same store serialize; a selection
-// that no longer matches the stack fails with ErrCompactionConflict so
-// the scheduler can re-plan. A crash after phase 2 but before the
+// Concurrent CompactFiles calls on the same store serialize, and Close
+// waits for the one in flight, which then writes no output or discards
+// it; a selection that no longer matches the stack fails with
+// ErrCompactionConflict so the scheduler can re-plan. A crash after phase 2 but before the
 // retired inputs are unlinked leaves both the merged file and its inputs
 // on disk; recovery tolerates the duplication (identical entries dedup
 // at read time) and the next compaction reclaims the space.
@@ -201,6 +202,14 @@ func (s *Store) CompactFiles(sel CompactionSelection) (CompactionResult, error) 
 	}
 	if budget != nil {
 		budget.WaitBackground(outBytes)
+	}
+	// Close waits for this merge; one that began meanwhile gets no
+	// output written.
+	s.mu.RLock()
+	closed := s.closed
+	s.mu.RUnlock()
+	if closed {
+		return res, ErrClosed
 	}
 	merged, err := s.createFileWithFloor(nextFileID(), entries, maxTSFloor)
 	if err != nil {

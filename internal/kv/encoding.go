@@ -46,36 +46,46 @@ func encodeBlock(entries []Entry) *Block {
 	return b
 }
 
-// ParseBlock indexes a block payload in one pass and keeps it as the
-// block's data, so the caller must not write payload afterwards. It
-// refuses with ErrCorrupt a count larger than the bytes allow, a
-// truncated varint, a field running past the payload, and trailing
-// bytes.
-func ParseBlock(payload []byte) (*Block, error) {
+// Parse indexes a block payload in one pass and keeps it as b's data,
+// so the caller must not write payload afterwards. b must be new or
+// recycled (no reader holds it); its entry-offset slice is reused. On
+// success b carries one pin, the caller's, and recycle (nil for none)
+// is called when its last pin drops. Parse refuses with ErrCorrupt a
+// count larger than the bytes allow, a truncated varint, a field
+// running past the payload, and trailing bytes; either way b keeps
+// payload as its data (Payload), so a reader can reuse the buffer.
+func (b *Block) Parse(payload []byte, recycle func(*Block)) error {
+	b.data, b.bytes = payload, 0
 	count, n := binary.Uvarint(payload)
 	if n <= 0 {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
 	// Each entry takes at least 4 bytes (flags + three 1-byte
 	// varints), so a count implying more entries than the payload can
 	// hold is corruption — and must not size the allocation below.
 	if count > uint64(len(payload)-n)/4 {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
-	b := &Block{data: payload, offs: make([]uint32, count)}
+	if uint64(cap(b.offs)) >= count {
+		b.offs = b.offs[:count]
+	} else {
+		b.offs = make([]uint32, count)
+	}
 	for i := range b.offs {
 		b.offs[i] = uint32(n)
 		r, size := readEntry(payload[n:])
 		if size == 0 {
-			return nil, ErrCorrupt
+			return ErrCorrupt
 		}
 		b.bytes += len(r.key) + len(r.val) + 16 // Entry.Size
 		n += size
 	}
 	if n != len(payload) {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
-	return b, nil
+	b.pins.Store(1)
+	b.recycle = recycle
+	return nil
 }
 
 // rawEntry is one encoded entry's fields, aliasing the payload.

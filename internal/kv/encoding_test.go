@@ -8,9 +8,18 @@ import (
 	"met/internal/sim"
 )
 
+// parseBlock indexes payload into a new block with no recycle hook.
+func parseBlock(payload []byte) (*Block, error) {
+	b := new(Block)
+	if err := b.Parse(payload, nil); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
 // parseEntries parses an encoded payload and decodes every entry.
 func parseEntries(payload []byte) ([]Entry, error) {
-	b, err := ParseBlock(payload)
+	b, err := parseBlock(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +70,7 @@ func TestBlockCodecProperty(t *testing.T) {
 			})
 		}
 		enc := encodeBlock(entries)
-		parsed, err := ParseBlock(enc.Payload())
+		parsed, err := parseBlock(enc.Payload())
 		if err != nil || parsed.Len() != len(entries) || parsed.Bytes() != enc.Bytes() {
 			return false
 		}
@@ -90,7 +99,7 @@ func TestParseBlockCorrupt(t *testing.T) {
 		{0x01, 0x00, 0xff}, // bogus key length
 	}
 	for i, c := range cases {
-		if _, err := ParseBlock(c); err != ErrCorrupt {
+		if _, err := parseBlock(c); err != ErrCorrupt {
 			t.Errorf("case %d: corrupt block parsed (err %v)", i, err)
 		}
 	}
@@ -109,7 +118,7 @@ func TestBlockBytesIsEntrySizeSum(t *testing.T) {
 	if len(blocks) != 1 || blocks[0].Bytes() != want {
 		t.Fatalf("packed: %d blocks, Bytes %d; want 1 block of %d", len(blocks), blocks[0].Bytes(), want)
 	}
-	parsed, err := ParseBlock(blocks[0].Payload())
+	parsed, err := parseBlock(blocks[0].Payload())
 	if err != nil || parsed.Bytes() != want {
 		t.Fatalf("parsed: Bytes %d, %v; want %d", parsed.Bytes(), err, want)
 	}
@@ -162,7 +171,7 @@ func TestReturnedValuesDoNotWriteBlocks(t *testing.T) {
 	for _, r := range rows {
 		r.Value = append(r.Value, "YYYYYYYY"...)
 	}
-	e, found, err := f.get("a", s.cache, nil, nil)
+	e, _, found, err := f.get("a", s.cache, nil, nil)
 	if err != nil || !found {
 		t.Fatalf("file get: %v, %v", found, err)
 	}

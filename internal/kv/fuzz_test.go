@@ -22,7 +22,7 @@ func FuzzParseBlock(f *testing.F) {
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := ParseBlock(data)
+		b, err := parseBlock(data)
 		if err != nil {
 			if err != ErrCorrupt {
 				t.Fatalf("refused with %v, want ErrCorrupt", err)
@@ -36,7 +36,7 @@ func FuzzParseBlock(f *testing.F) {
 				t.Fatalf("entry %d: value cap %d > len %d", i, cap(v), len(v))
 			}
 		}
-		again, err := ParseBlock(encodeBlock(entries).Payload())
+		again, err := parseBlock(encodeBlock(entries).Payload())
 		if err != nil {
 			t.Fatalf("re-parse of re-encoded block: %v", err)
 		}

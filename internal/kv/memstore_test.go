@@ -181,14 +181,14 @@ func TestBuildStoreFileBlocks(t *testing.T) {
 	}
 	// Every key is findable.
 	for i := 0; i < 100; i++ {
-		if _, ok, _ := f.get(fmt.Sprintf("k%03d", i), nil, nil, nil); !ok {
+		if _, _, ok, _ := f.get(fmt.Sprintf("k%03d", i), nil, nil, nil); !ok {
 			t.Fatalf("k%03d missing", i)
 		}
 	}
-	if _, ok, _ := f.get("k100", nil, nil, nil); ok {
+	if _, _, ok, _ := f.get("k100", nil, nil, nil); ok {
 		t.Fatal("found key past range")
 	}
-	if _, ok, _ := f.get("a", nil, nil, nil); ok {
+	if _, _, ok, _ := f.get("a", nil, nil, nil); ok {
 		t.Fatal("found key before range")
 	}
 }
@@ -207,7 +207,7 @@ func TestStoreFileEmpty(t *testing.T) {
 	if f.Entries() != 0 || f.NumBlocks() != 0 {
 		t.Fatal("empty file not empty")
 	}
-	if _, ok, _ := f.get("k", nil, nil, nil); ok {
+	if _, _, ok, _ := f.get("k", nil, nil, nil); ok {
 		t.Fatal("empty file found key")
 	}
 	it := f.iteratorFrom("", nil, nil)

@@ -513,7 +513,9 @@ func (s *Store) ApplyReplayed(entries []Entry) (int, error) {
 
 // Get returns the newest live value for key, or ErrNotFound. Gets run
 // concurrently with each other and with Scans; they only exclude
-// writers. The value is the caller's copy; Scan's values are not.
+// writers. The value is the caller's copy, made while the Get still
+// pins the block it came from, so the block may be recycled the moment
+// Get returns; Scan's values are not copies.
 func (s *Store) Get(key string) ([]byte, error) {
 	return s.GetTraced(key, nil)
 }
@@ -532,24 +534,38 @@ func (s *Store) GetTraced(key string, tr *obs.Trace) ([]byte, error) {
 	st := tr.StartSpan()
 	best, ok := s.mem.Get(key)
 	tr.EndSpan("memstore", st)
+	// held pins best's block while best came from a file: its Value
+	// aliases the block until the copy below.
+	var held *Block
 	for _, f := range s.files {
 		if ok && best.Timestamp >= f.MaxTimestamp() {
 			break // nothing newer can exist in older files
 		}
-		e, found, err := f.get(key, s.cache, c, tr)
+		e, b, found, err := f.get(key, s.cache, c, tr)
 		if err != nil {
+			held.Release()
 			return nil, fmt.Errorf("kv: read file %d: %w", f.ID(), err)
 		}
-		if found {
-			if !ok || e.supersedes(best) {
-				best, ok = e, true
-			}
+		if !found {
+			continue
 		}
+		if ok && !e.supersedes(best) {
+			b.Release()
+			continue
+		}
+		held.Release()
+		best, held, ok = e, b, true
 	}
-	if !ok || best.Tombstone {
+	live := ok && !best.Tombstone
+	var v []byte
+	if live {
+		v = append([]byte(nil), best.Value...)
+	}
+	held.Release() // only after the copy: the last pin may recycle the block
+	if !live {
 		return nil, ErrNotFound
 	}
-	return append([]byte(nil), best.Value...), nil
+	return v, nil
 }
 
 // Scan returns up to limit live entries with start <= key < end, in key
@@ -559,8 +575,10 @@ func (s *Store) GetTraced(key string, tr *obs.Trace) ([]byte, error) {
 // scans never stall writers. The snapshot is consistent at the moment it
 // is taken; entries written afterwards may or may not be observed, which
 // matches HBase's scanner semantics. Each returned Value aliases the
-// memstore or a cached block, so the caller must not write it; its
-// capacity is clipped, so appending to it copies.
+// memstore or a block, so the caller must not write it; its capacity is
+// clipped, so appending to it copies. It stays valid for as long as the
+// caller holds it: the scan's iterators keep their blocks' pins, so
+// those blocks are never recycled, only freed by the GC.
 func (s *Store) Scan(start, end string, limit int) ([]Entry, error) {
 	return s.ScanTraced(start, end, limit, nil)
 }
@@ -832,19 +850,24 @@ func (s *Store) Unseal() {
 
 // Close marks the store closed and releases its backend (open file
 // handles, WAL); subsequent operations fail with ErrClosed. A durable
-// store must be closed before its directory is reopened.
+// store must be closed before its directory is reopened. Close waits
+// for an in-flight merge (CompactFiles), which sees the store closed
+// and discards its output, so that nothing of this store writes to or
+// removes from the directory once Close has returned.
 func (s *Store) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
+	already := s.closed
 	s.closed = true
-	if s.backend != nil {
-		s.drainRetired(true)
-		//lint:allow syncerr the close error is unreportable from a void Close; acknowledged data was fsynced by its own commit round
-		_ = s.backend.Close() //lint:allow locksafe exclusive shutdown: closed=true fences every other path, so nothing can stall behind the final release
-	}
 	s.mu.Unlock()
 	s.releaseStall()
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
+	if already || s.backend == nil {
+		return
+	}
+	s.mu.Lock()
+	s.drainRetired(true)
+	//lint:allow syncerr the close error is unreportable from a void Close; acknowledged data was fsynced by its own commit round
+	_ = s.backend.Close() //lint:allow locksafe exclusive shutdown: closed=true fences every other path, so nothing can stall behind the final release
+	s.mu.Unlock()
 }

@@ -39,7 +39,7 @@ func TestTraceCapturesSlowSSTableRead(t *testing.T) {
 	f := slowFile(t, delay)
 
 	tr := obs.StartTrace("get", "t", "a")
-	if _, found, err := f.get("a", nil, nil, tr); err != nil || !found {
+	if _, _, found, err := f.get("a", nil, nil, tr); err != nil || !found {
 		t.Fatalf("get: found=%v err=%v", found, err)
 	}
 	var read time.Duration
@@ -79,11 +79,11 @@ func TestTraceCacheHitSpan(t *testing.T) {
 	cache := NewBlockCache(1 << 20)
 
 	tr := obs.StartTrace("get", "t", "a")
-	if _, _, err := f.get("a", cache, nil, tr); err != nil {
+	if _, _, _, err := f.get("a", cache, nil, tr); err != nil {
 		t.Fatal(err)
 	}
 	tr2 := obs.StartTrace("get", "t", "a")
-	if _, _, err := f.get("a", cache, nil, tr2); err != nil {
+	if _, _, _, err := f.get("a", cache, nil, tr2); err != nil {
 		t.Fatal(err)
 	}
 	want := func(tr *obs.Trace, stage string) {
@@ -112,7 +112,7 @@ func TestTracedOpsConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				tr := obs.StartTrace("get", "t", "a")
-				if _, _, err := f.get("a", nil, nil, tr); err != nil {
+				if _, _, _, err := f.get("a", nil, nil, tr); err != nil {
 					t.Error(err)
 					return
 				}

@@ -116,6 +116,7 @@ type target struct {
 // followerTail is one follower's copy of a region's WAL tail.
 type followerTail struct {
 	gen  uint64 // the generation appends go to
+	path string // gen's file, set with gen
 	live bool   // gen holds a snapshot and every append since succeeded
 	// cut is the file stack the last cut saw; retire is the newest
 	// generation that goes once the follower holds a stack taken after
@@ -193,7 +194,8 @@ func (r *Replicator) SetBudget(budget kv.IOBudget) {
 // Track registers a region for replication. files snapshots the
 // region's current primary SSTable stack (kv.Store.ExportFiles of
 // whatever store currently backs it); dests returns the absolute
-// replica directories to keep in sync (one per follower); tail, when
+// replica directories to keep in sync (one per follower), in a slice
+// the replicator only reads, so dests may hand out a cached one; tail, when
 // non-nil, reads the region's synced WAL records in a range of log
 // positions (durable.WAL.TailFrom) for tail streaming — nil disables it (no
 // shared log, or an in-memory store). Tracking is idempotent by region
@@ -351,7 +353,7 @@ func (r *Replicator) shipTail(region string, t *target) {
 		ft := t.follower(dir)
 		if ft.live && len(entries) > 0 {
 			start := time.Now()
-			n, err := durable.AppendTail(dir, ft.gen, entries)
+			n, err := durable.AppendTail(ft.path, entries)
 			if err != nil {
 				ft.live = false // possibly torn: never append after it
 				r.fail(&r.tailFailures, region, err)
@@ -407,7 +409,7 @@ func (r *Replicator) startGen(dir string, ft *followerTail, entries []kv.Entry) 
 	if len(entries) > 0 {
 		r.noteTailShip(start, n, len(entries))
 	}
-	ft.gen, ft.live = gen, true
+	ft.gen, ft.path, ft.live = gen, durable.TailGenPath(dir, gen), true
 	return nil
 }
 
