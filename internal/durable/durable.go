@@ -73,11 +73,10 @@
 // backend's blocks; a read verifies the CRC and indexes the payload in
 // place (kv.Block.Parse), copying no entry. The read buffer comes from
 // a free list of blocks whose last pin was dropped (an eviction from
-// the block cache, or the end of the Get that held an evicted block),
-// so a block-cache miss reuses an evicted block's buffer and offsets
-// instead of allocating 64 KiB; a block that an iterator touched stays
-// pinned, because Scan's values alias it, and is left to the GC (see
-// kv.Block). The index and the bloom filter are loaded into memory at
+// the block cache, or the end of the Get or scan that held an evicted
+// block), so a block-cache miss reuses an evicted block's buffer and
+// offsets instead of allocating 64 KiB; only a compaction's blocks stay
+// pinned and are left to the GC (see kv.Block). The index and the bloom filter are loaded into memory at
 // open; a Get that the bloom filter rejects performs zero data-block
 // reads.
 //

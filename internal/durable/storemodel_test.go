@@ -5,10 +5,11 @@ package durable
 // which runs against a real store (tiny blocks, ~1 KB memstore, a soft
 // file threshold of 2–3, so flush, block and compaction boundaries are
 // crossed constantly) and against a map-of-versions model; every Get,
-// every Scan and the logical clock are compared after each step, and a
-// Scan's rows are checked again after later steps (Gets, flushes,
-// compactions) have churned a block cache of two or three blocks, which
-// recycles evicted blocks' buffers on every miss. Unlike
+// every Scan and the logical clock are compared after each step, a
+// visiting scan (ScanFunc) stopped at a fuzzed row must have seen the
+// model's prefix, and a Scan's rows are checked again after later steps
+// (Gets, flushes, compactions) have churned a block cache of two or
+// three blocks, which recycles evicted blocks' buffers on every miss. Unlike
 // kv's in-memory TestStoreMatchesModel it covers the paths that change
 // how a write enters the engine — ImportEntries, ApplyReplayed (with
 // records at or below the clock) — and close-and-reopen on the same
@@ -28,17 +29,18 @@ import (
 // Schedule opcodes (opcode byte modulo modelOps). Puts and Gets take
 // several slots so a random byte string is mostly traffic.
 const (
-	opPut     = 0 // ..2: key, value length
-	opDelete  = 3 // key
-	opGet     = 4 // ..5: key
-	opScan    = 6 // start key, limit
-	opFlush   = 7
-	opCompact = 8  // bit 0: major
-	opImport  = 9  // count, then (key, value length) each
-	opReplay  = 10 // how far below the clock to start, count, then (key, value length) each, then a gap each
-	opReopen  = 11
-	opRecheck = 12 // the last Scan's rows, held since
-	modelOps  = 13
+	opPut      = 0 // ..2: key, value length
+	opDelete   = 3 // key
+	opGet      = 4 // ..5: key
+	opScan     = 6 // start key, limit
+	opFlush    = 7
+	opCompact  = 8  // bit 0: major
+	opImport   = 9  // count, then (key, value length) each
+	opReplay   = 10 // how far below the clock to start, count, then (key, value length) each, then a gap each
+	opReopen   = 11
+	opRecheck  = 12 // the last Scan's rows, held since
+	opScanStop = 13 // start key, the row whose visit returns false
+	modelOps   = 14
 
 	modelKeys   = 16
 	maxModelOps = 4000 // bounds one fuzz execution
@@ -58,8 +60,9 @@ type storeModel struct {
 	data     []byte
 	versions map[string][]kv.Entry
 	// held is the last Scan's rows and heldWant the values the model
-	// gave them then: Scan's values alias blocks, and must not change
-	// while the caller holds them.
+	// gave them then: Scan's values are the caller's copies, and must
+	// not change while the caller holds them, though the blocks they
+	// were copied from are recycled.
 	held      []kv.Entry
 	heldWant  []kv.Entry
 	clock     uint64
@@ -117,13 +120,9 @@ func (m *storeModel) checkGet(key string) error {
 	return nil
 }
 
-func (m *storeModel) checkScan(start string, limit int) error {
-	// The prefix bounds the scan to this run's keys ('~' sorts after
-	// every digit), which is what lets two writers share a store.
-	got, err := m.s.Scan(start, m.prefix+"~", limit)
-	if err != nil {
-		return fmt.Errorf("Scan(%q, %d): %w", start, limit, err)
-	}
+// liveFrom returns the model's live rows with key >= start, up to limit
+// (< 0: all).
+func (m *storeModel) liveFrom(start string, limit int) []kv.Entry {
 	var want []kv.Entry
 	for key := range m.versions {
 		if e, live := m.newest(key); live && key >= start {
@@ -134,17 +133,52 @@ func (m *storeModel) checkScan(start string, limit int) error {
 	if limit >= 0 && len(want) > limit {
 		want = want[:limit]
 	}
+	return want
+}
+
+// compareRows checks a scan's rows against the model's.
+func (m *storeModel) compareRows(what string, got, want []kv.Entry) error {
 	if len(got) != len(want) {
-		return fmt.Errorf("Scan(%q, %d) returned %d rows, want %d\n got %v\nwant %v", start, limit, len(got), len(want), got, want)
+		return fmt.Errorf("%s returned %d rows, want %d\n got %v\nwant %v", what, len(got), len(want), got, want)
 	}
 	for i, e := range got {
 		w := want[i]
 		if e.Key != w.Key || !bytes.Equal(e.Value, w.Value) || (!m.shared && e.Timestamp != w.Timestamp) {
-			return fmt.Errorf("Scan(%q, %d)[%d] = %v %q, want %v %q", start, limit, i, e, e.Value, w, w.Value)
+			return fmt.Errorf("%s[%d] = %v %q, want %v %q", what, i, e, e.Value, w, w.Value)
 		}
+	}
+	return nil
+}
+
+func (m *storeModel) checkScan(start string, limit int) error {
+	// The prefix bounds the scan to this run's keys ('~' sorts after
+	// every digit), which is what lets two writers share a store.
+	got, err := m.s.Scan(start, m.prefix+"~", limit)
+	if err != nil {
+		return fmt.Errorf("Scan(%q, %d): %w", start, limit, err)
+	}
+	want := m.liveFrom(start, limit)
+	if err := m.compareRows(fmt.Sprintf("Scan(%q, %d)", start, limit), got, want); err != nil {
+		return err
 	}
 	m.held, m.heldWant = got, want
 	return nil
+}
+
+// checkScanStop visits from start until fn returns false on row stop,
+// copying each row inside its visit: the rows seen must be the model's
+// prefix.
+func (m *storeModel) checkScanStop(start string, stop int) error {
+	var got []kv.Entry
+	err := m.s.ScanFunc(start, m.prefix+"~", -1, nil, func(e kv.Entry) bool {
+		e.Value = bytes.Clone(e.Value)
+		got = append(got, e)
+		return len(got) <= stop
+	})
+	if err != nil {
+		return fmt.Errorf("ScanFunc(%q) stopped at %d: %w", start, stop, err)
+	}
+	return m.compareRows(fmt.Sprintf("ScanFunc(%q) stopped at %d", start, stop), got, m.liveFrom(start, stop+1))
 }
 
 // recheck compares the held Scan rows with what the model gave them
@@ -250,6 +284,8 @@ func (m *storeModel) apply(op, a, b byte) error {
 		}
 	case opRecheck:
 		return m.recheck()
+	case opScanStop:
+		return m.checkScanStop(m.key(a), int(b%8))
 	}
 	return nil
 }
@@ -338,7 +374,8 @@ func storeModelSeeds() map[string][]byte {
 	for round := 0; round < 12; round++ {
 		churn = churn.puts(24, round, 3, 10+round).
 			op(opDelete, byte(round*5), 0).op(opGet, byte(round*5), 0).
-			op(opScan, byte(round), byte(round)).op(opCompact, byte(round), 0)
+			op(opScan, byte(round), byte(round)).op(opScanStop, byte(round*3), byte(round)).
+			op(opCompact, byte(round), 0)
 	}
 	churn = churn.op(opReopen, 0, 0).op(opScan, 0, 0)
 
@@ -362,7 +399,7 @@ func storeModelSeeds() map[string][]byte {
 	evict := sched{8 | 16 | 4}
 	for round := 0; round < 6; round++ {
 		evict = evict.puts(32, round, 1, 30+round).op(opFlush, 0, 0).
-			op(opScan, byte(round), 0)
+			op(opScan, byte(round), 0).op(opScanStop, byte(round), byte(round+2))
 		for k := 0; k < modelKeys; k++ {
 			evict = evict.op(opGet, byte(k+round), 0)
 		}

@@ -641,9 +641,9 @@ func (s *RegionServer) Delete(table, key string) error {
 	return nil
 }
 
-// Scan reads up to limit entries in [start, end) within one region. The
-// client stitches multi-region scans together. As with kv.Store.Scan,
-// the values alias the store and must not be written.
+// Scan returns up to limit entries in [start, end) within one region,
+// as the caller's copies. The client stitches multi-region scans
+// together.
 func (s *RegionServer) Scan(table, start, end string, limit int) ([]kv.Entry, error) {
 	out, _, err := s.scan(table, start, end, limit)
 	return out, err
@@ -652,12 +652,25 @@ func (s *RegionServer) Scan(table, start, end string, limit int) ([]kv.Entry, er
 // scan is Scan that also names the region that served, so the
 // in-process client advances its cursor from that region's end.
 func (s *RegionServer) scan(table, start, end string, limit int) ([]kv.Entry, *Region, error) {
+	var r *Region
+	out, err := kv.Collect(limit, func(fn func(kv.Entry) bool) (err error) {
+		r, err = s.ScanFunc(table, start, end, limit, fn)
+		return err
+	})
+	return out, r, err
+}
+
+// ScanFunc calls fn on up to limit entries in [start, end) within one
+// region, until fn returns false, and names the region that served. As
+// with kv.Store.ScanFunc, a Value is valid only during fn, which must
+// not write it or keep it.
+func (s *RegionServer) ScanFunc(table, start, end string, limit int, fn func(kv.Entry) bool) (*Region, error) {
 	opStart := time.Now()
 	tr := s.beginOp("scan", table, start)
 	r, err := s.lookup(table, start)
 	tr.EndSpan("route", opStart)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	r.countScan()
 	s.requests.AddScan()
@@ -665,11 +678,11 @@ func (s *RegionServer) scan(table, start, end string, limit int) ([]kv.Entry, *R
 	if r.EndKey() != "" && (scanEnd == "" || r.EndKey() < scanEnd) {
 		scanEnd = r.EndKey()
 	}
-	out, err := r.Store().ScanTraced(start, scanEnd, limit, tr)
+	err = r.Store().ScanFunc(start, scanEnd, limit, tr, fn)
 	d := time.Since(opStart)
 	recordOp(&s.tel.lat, &r.lat, opScan, d)
 	s.finishOp(tr, d)
-	return out, r, err
+	return r, err
 }
 
 // mirrorSync reconciles the region's HDFS mirror with its engine file

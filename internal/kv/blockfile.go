@@ -27,11 +27,13 @@ import (
 // to its recycle hook, which may overwrite the payload at once: only
 // durable blocks set one (Block.Parse), so they return their read buffer
 // to the SSTable reader's free list, while a block without a hook (the
-// memory backend's) is left to the GC. The Get path copies the value
-// out before it releases its pin. Iterators never release theirs,
-// because Scan's values alias their blocks for as long as the caller
-// keeps them: a block an iterator touched is pinned for good and freed
-// by the GC, never recycled.
+// memory backend's) is left to the GC. Every reader releases what it
+// took once it is done with the entries: a Get copies the value out
+// first, and a scan (Store.ScanFunc) releases every block its iterators
+// loaded when the visit ends, since a merged entry's block may already
+// be left behind when the visitor sees it. Compaction alone keeps its
+// pins: its merged entries alias their blocks until the output file is
+// written, and those blocks are freed by the GC, never recycled.
 type Block struct {
 	data    []byte   // the encoded payload
 	offs    []uint32 // offs[i] is where entry i starts in data
@@ -120,15 +122,23 @@ type FileMeta struct {
 // same code path.
 type StoreFile struct {
 	id        uint64
+	cacheID   uint64 // the block cache's key for this open file (see cacheIDs)
 	src       BlockSource
 	firstKeys []string // firstKeys[i] is the first key of block i
 	meta      FileMeta
 }
 
+// cacheIDs mints the block cache's key for each opened store file. It
+// is never persisted, so it is unique among every file this process
+// opens, whoever minted the file's own id: a region adopted from a
+// replica keeps ids another process minted, which can equal a file id
+// of another region sharing the server's cache.
+var cacheIDs atomic.Uint64
+
 // NewStoreFile wraps a block source and its metadata as a store file.
 // The sparse index is copied out of the source once, up front.
 func NewStoreFile(id uint64, meta FileMeta, src BlockSource) *StoreFile {
-	f := &StoreFile{id: id, src: src, meta: meta}
+	f := &StoreFile{id: id, cacheID: cacheIDs.Add(1), src: src, meta: meta}
 	f.firstKeys = make([]string, src.NumBlocks())
 	for i := range f.firstKeys {
 		f.firstKeys[i] = src.FirstKey(i)
@@ -271,7 +281,7 @@ func (f *StoreFile) get(key string, cache *BlockCache, stats *Counters, tr *obs.
 // a hit or an "sstable-read" span for a source load.
 func (f *StoreFile) loadBlock(bi int, cache *BlockCache, stats *Counters, tr *obs.Trace) (*Block, error) {
 	st := tr.StartSpan()
-	key := blockKey{file: f.id, block: bi}
+	key := blockKey{file: f.cacheID, block: bi}
 	if cache != nil {
 		if b, ok := cache.get(key); ok {
 			if stats != nil {
@@ -297,16 +307,17 @@ func (f *StoreFile) loadBlock(bi int, cache *BlockCache, stats *Counters, tr *ob
 }
 
 // iteratorFrom positions at the first entry with key >= start ("" for
-// the whole file), loading blocks through cache. The iterator keeps the
-// pin of every block it loads (see Block): its entries' Values alias
-// them for as long as the caller holds them.
-func (f *StoreFile) iteratorFrom(start string, cache *BlockCache, stats *Counters) Iterator {
-	it := &fileIter{f: f, cache: cache, stats: stats, block: len(f.firstKeys)} // exhausted
+// the whole file), loading blocks through cache. With pins set, the
+// iterator appends every block it loads to *pins, whose owner releases
+// them once it is done with the entries (see Block); with pins nil it
+// keeps them, and the GC frees them.
+func (f *StoreFile) iteratorFrom(start string, cache *BlockCache, stats *Counters, pins *[]*Block) Iterator {
+	it := &fileIter{f: f, cache: cache, stats: stats, pins: pins, block: len(f.firstKeys)} // exhausted
 	if f.meta.Entries == 0 || start > f.meta.MaxKey {
 		return it
 	}
 	it.block = max(f.blockFor(start), 0)
-	if it.cur, it.err = f.loadBlock(it.block, cache, stats, nil); it.err == nil {
+	if it.load(); it.err == nil {
 		it.idx = it.cur.search(start) - 1
 	}
 	return it
@@ -318,10 +329,20 @@ type fileIter struct {
 	f     *StoreFile
 	cache *BlockCache
 	stats *Counters
+	pins  *[]*Block
 	block int
 	cur   *Block
 	idx   int
 	err   error
+}
+
+// load loads block it.block as the current one.
+func (it *fileIter) load() {
+	it.cur, it.err = it.f.loadBlock(it.block, it.cache, it.stats, nil)
+	if it.err == nil && it.pins != nil {
+		*it.pins = append(*it.pins, it.cur)
+	}
+	it.idx = -1
 }
 
 func (it *fileIter) Next() bool {
@@ -334,8 +355,7 @@ func (it *fileIter) Next() bool {
 			return false
 		}
 		it.block++
-		it.cur, it.err = it.f.loadBlock(it.block, it.cache, it.stats, nil)
-		it.idx = -1
+		it.load()
 	}
 	return false
 }

@@ -181,7 +181,9 @@ func (s *Store) CompactFiles(sel CompactionSelection) (CompactionResult, error) 
 		if budget != nil {
 			budget.WaitBackground(f.Bytes())
 		}
-		sources = append(sources, f.iteratorFrom("", nil, nil))
+		// The merged entries alias the blocks until createFileWithFloor
+		// has written them, so the iterators keep their pins.
+		sources = append(sources, f.iteratorFrom("", nil, nil, nil))
 		res.BytesIn += int64(f.Bytes())
 		if f.MaxTimestamp() > maxTSFloor {
 			maxTSFloor = f.MaxTimestamp()
@@ -237,7 +239,7 @@ func (s *Store) CompactFiles(sel CompactionSelection) (CompactionResult, error) 
 	s.files = files
 	s.filesDirty.Store(true)
 	for _, f := range run2 {
-		s.cache.invalidateFile(f.id)
+		s.cache.invalidateFile(f.cacheID)
 		if s.backend != nil {
 			s.retiredMu.Lock()
 			s.retired = append(s.retired, f.ID())

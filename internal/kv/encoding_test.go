@@ -176,7 +176,7 @@ func TestReturnedValuesDoNotWriteBlocks(t *testing.T) {
 		t.Fatalf("file get: %v, %v", found, err)
 	}
 	e.Value = append(e.Value, "ZZZZZZZZ"...)
-	it := f.iteratorFrom("", s.cache, nil)
+	it := f.iteratorFrom("", s.cache, nil, nil)
 	for it.Next() {
 		e := it.Entry()
 		e.Value = append(e.Value, "WWWWWWWW"...)

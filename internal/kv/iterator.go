@@ -111,50 +111,3 @@ func (d *dedupIterator) Next() bool {
 }
 
 func (d *dedupIterator) Entry() Entry { return d.current }
-
-// limitIterator stops a stream after limit entries; used for scans.
-type limitIterator struct {
-	in    Iterator
-	limit int
-	seen  int
-}
-
-func newLimitIterator(in Iterator, limit int) Iterator {
-	return &limitIterator{in: in, limit: limit}
-}
-
-func (l *limitIterator) Next() bool {
-	if l.limit >= 0 && l.seen >= l.limit {
-		return false
-	}
-	if !l.in.Next() {
-		return false
-	}
-	l.seen++
-	return true
-}
-
-func (l *limitIterator) Entry() Entry { return l.in.Entry() }
-
-// boundIterator stops a stream at the first key >= end (exclusive bound).
-// An empty end means unbounded.
-type boundIterator struct {
-	in  Iterator
-	end string
-}
-
-func newBoundIterator(in Iterator, end string) Iterator {
-	return &boundIterator{in: in, end: end}
-}
-
-func (b *boundIterator) Next() bool {
-	if !b.in.Next() {
-		return false
-	}
-	if b.end != "" && b.in.Entry().Key >= b.end {
-		return false
-	}
-	return true
-}
-
-func (b *boundIterator) Entry() Entry { return b.in.Entry() }

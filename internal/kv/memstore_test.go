@@ -210,7 +210,7 @@ func TestStoreFileEmpty(t *testing.T) {
 	if _, _, ok, _ := f.get("k", nil, nil, nil); ok {
 		t.Fatal("empty file found key")
 	}
-	it := f.iteratorFrom("", nil, nil)
+	it := f.iteratorFrom("", nil, nil, nil)
 	if it.Next() {
 		t.Fatal("empty iterator returned entries")
 	}
@@ -223,22 +223,22 @@ func TestStoreFileIteratorFrom(t *testing.T) {
 	}
 	f := BuildStoreFile(1, entries, 200)
 	// Exact key.
-	it := f.iteratorFrom("k10", nil, nil)
+	it := f.iteratorFrom("k10", nil, nil, nil)
 	if !it.Next() || it.Entry().Key != "k10" {
 		t.Fatalf("from k10 -> %v", it.Entry())
 	}
 	// Between keys: k11 doesn't exist, expect k12.
-	it = f.iteratorFrom("k11", nil, nil)
+	it = f.iteratorFrom("k11", nil, nil, nil)
 	if !it.Next() || it.Entry().Key != "k12" {
 		t.Fatalf("from k11 -> %v", it.Entry())
 	}
 	// Before range.
-	it = f.iteratorFrom("a", nil, nil)
+	it = f.iteratorFrom("a", nil, nil, nil)
 	if !it.Next() || it.Entry().Key != "k00" {
 		t.Fatalf("from a -> %v", it.Entry())
 	}
 	// Past range.
-	it = f.iteratorFrom("z", nil, nil)
+	it = f.iteratorFrom("z", nil, nil, nil)
 	if it.Next() {
 		t.Fatal("from z returned entries")
 	}
@@ -292,7 +292,7 @@ func TestBlockCacheInvalidateFile(t *testing.T) {
 func TestMergeIteratorInterleaves(t *testing.T) {
 	a := BuildStoreFile(1, []Entry{{Key: "a", Timestamp: 1}, {Key: "c", Timestamp: 2}}, 64)
 	b := BuildStoreFile(2, []Entry{{Key: "b", Timestamp: 3}, {Key: "d", Timestamp: 4}}, 64)
-	it := newMergeIterator([]Iterator{a.iteratorFrom("", nil, nil), b.iteratorFrom("", nil, nil)})
+	it := newMergeIterator([]Iterator{a.iteratorFrom("", nil, nil, nil), b.iteratorFrom("", nil, nil, nil)})
 	var keys []string
 	for it.Next() {
 		keys = append(keys, it.Entry().Key)
@@ -311,7 +311,7 @@ func TestMergeIteratorInterleaves(t *testing.T) {
 func TestMergeIteratorVersionOrder(t *testing.T) {
 	newer := BuildStoreFile(1, []Entry{{Key: "k", Value: []byte("new"), Timestamp: 9}}, 64)
 	older := BuildStoreFile(2, []Entry{{Key: "k", Value: []byte("old"), Timestamp: 3}}, 64)
-	it := newMergeIterator([]Iterator{newer.iteratorFrom("", nil, nil), older.iteratorFrom("", nil, nil)})
+	it := newMergeIterator([]Iterator{newer.iteratorFrom("", nil, nil, nil), older.iteratorFrom("", nil, nil, nil)})
 	if !it.Next() || string(it.Entry().Value) != "new" {
 		t.Fatalf("first version = %v", it.Entry())
 	}
@@ -326,7 +326,7 @@ func TestDedupDropsTombstones(t *testing.T) {
 		{Key: "a", Timestamp: 1, Value: []byte("old")},
 		{Key: "b", Timestamp: 3, Value: []byte("live")},
 	}, 64)
-	it := newDedupIterator(f.iteratorFrom("", nil, nil), true)
+	it := newDedupIterator(f.iteratorFrom("", nil, nil, nil), true)
 	if !it.Next() || it.Entry().Key != "b" {
 		t.Fatalf("entry = %v", it.Entry())
 	}
@@ -334,7 +334,7 @@ func TestDedupDropsTombstones(t *testing.T) {
 		t.Fatal("extra entries")
 	}
 	// Keeping tombstones (minor merge) retains the marker.
-	it = newDedupIterator(f.iteratorFrom("", nil, nil), false)
+	it = newDedupIterator(f.iteratorFrom("", nil, nil, nil), false)
 	if !it.Next() || it.Entry().Key != "a" || !it.Entry().Tombstone {
 		t.Fatalf("entry = %v", it.Entry())
 	}

@@ -10,10 +10,13 @@ import (
 	"met/internal/obs"
 )
 
-// fileIDCounter mints store-file IDs that are unique process-wide, so
-// stores sharing one BlockCache can never collide on cache keys. Durable
-// backends persist IDs inside file names; OpenStore bumps the counter
-// past every ID it loads so new files never collide with recovered ones.
+// fileIDCounter mints store-file IDs. Durable backends persist IDs
+// inside file names, and a store orders its files by them (newest
+// first); OpenStore bumps the counter past every ID it loads so new
+// files never collide with recovered ones. IDs are not unique across a
+// server's stores: a region adopted from a replica keeps the IDs
+// another process minted. The block cache therefore keys blocks by the
+// per-open cacheIDs (blockfile.go), never by these.
 var fileIDCounter atomic.Uint64
 
 func nextFileID() uint64 { return fileIDCounter.Add(1) }
@@ -515,7 +518,7 @@ func (s *Store) ApplyReplayed(entries []Entry) (int, error) {
 // concurrently with each other and with Scans; they only exclude
 // writers. The value is the caller's copy, made while the Get still
 // pins the block it came from, so the block may be recycled the moment
-// Get returns; Scan's values are not copies.
+// Get returns.
 func (s *Store) Get(key string) ([]byte, error) {
 	return s.GetTraced(key, nil)
 }
@@ -569,34 +572,72 @@ func (s *Store) GetTraced(key string, tr *obs.Trace) ([]byte, error) {
 }
 
 // Scan returns up to limit live entries with start <= key < end, in key
-// order. An empty end means "to the end of the store"; limit < 0 means
-// unlimited. The read lock is held only to snapshot the memstore and the
-// immutable file stack; the iteration itself runs lock-free, so long
-// scans never stall writers. The snapshot is consistent at the moment it
-// is taken; entries written afterwards may or may not be observed, which
-// matches HBase's scanner semantics. Each returned Value aliases the
-// memstore or a block, so the caller must not write it; its capacity is
-// clipped, so appending to it copies. It stays valid for as long as the
-// caller holds it: the scan's iterators keep their blocks' pins, so
-// those blocks are never recycled, only freed by the GC.
+// order, as the caller's copies (see ScanFunc).
 func (s *Store) Scan(start, end string, limit int) ([]Entry, error) {
-	return s.ScanTraced(start, end, limit, nil)
+	return Collect(limit, func(fn func(Entry) bool) error { return s.ScanFunc(start, end, limit, nil, fn) })
 }
 
-// ScanTraced is Scan with a trace context: the snapshot acquisition and
-// the merge iteration record spans. A nil trace is free.
-func (s *Store) ScanTraced(start, end string, limit int, tr *obs.Trace) ([]Entry, error) {
+// Collect runs a visiting scan of up to limit rows (< 0: unbounded;
+// up to 128 are sized up front) and returns the rows it visits, each
+// Value copied out while the visit still holds its block. The copies
+// are carved from chunks that double from 1 KiB to 16 KiB and are never
+// moved, so the values cost one allocation per chunk rather than one
+// per row; a held value keeps its chunk alive. Each copy's capacity is
+// clipped, so appending to one copies it.
+func Collect(limit int, scan func(fn func(Entry) bool) error) ([]Entry, error) {
+	var out []Entry
+	if limit >= 0 {
+		out = make([]Entry, 0, min(limit, 128))
+	}
+	var chunk []byte
+	err := scan(func(e Entry) bool {
+		if n := len(e.Value); n > cap(chunk)-len(chunk) {
+			chunk = make([]byte, 0, max(n, min(2*cap(chunk), 16<<10), 1<<10))
+		}
+		at := len(chunk)
+		chunk = append(chunk, e.Value...)
+		e.Value = chunk[at:len(chunk):len(chunk)]
+		out = append(out, e)
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ScanFunc calls fn on up to limit live entries with start <= key < end,
+// in key order, until fn returns false. An empty end means "to the end
+// of the store"; limit < 0 means unlimited. The read lock is held only
+// to snapshot the memstore and the immutable file stack; the iteration
+// itself runs lock-free, so long scans never stall writers. The
+// snapshot is consistent at the moment it is taken; entries written
+// afterwards may or may not be observed, which matches HBase's scanner
+// semantics.
+//
+// An entry's Value aliases the memstore or a block and is valid only
+// during fn, which must not write it or keep it: ScanFunc releases
+// every block its iterators loaded when it returns, on every path, and
+// the last pin's release lets the next block-cache miss read over the
+// payload (see Block). A source that fails to load a block ends the
+// scan with an error, possibly after fn has seen some rows. A non-nil
+// trace records a span for the snapshot and one for the visit.
+func (s *Store) ScanFunc(start, end string, limit int, tr *obs.Trace, fn func(Entry) bool) error {
 	st := tr.StartSpan()
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	mem := s.mem
 	files := s.files
 	s.activeScans.Add(1)
 	s.mu.RUnlock()
+	pins := make([]*Block, 0, 2*len(files))
 	defer func() {
+		for _, b := range pins {
+			b.Release()
+		}
 		if s.activeScans.Add(-1) == 0 {
 			s.drainRetired(false)
 		}
@@ -609,25 +650,28 @@ func (s *Store) ScanTraced(start, end string, limit int, tr *obs.Trace) ([]Entry
 	sources := make([]Iterator, 0, len(files)+1)
 	sources = append(sources, mem.IteratorFrom(start))
 	for _, f := range files {
-		sources = append(sources, f.iteratorFrom(start, s.cache, c))
+		sources = append(sources, f.iteratorFrom(start, s.cache, c, &pins))
 	}
-	it := newLimitIterator(newBoundIterator(newDedupIterator(newMergeIterator(sources), true), end), limit)
-	var out []Entry
-	scanned := int64(0)
-	for it.Next() {
+	it := newDedupIterator(newMergeIterator(sources), true)
+	visited := int64(0)
+	for (limit < 0 || visited < int64(limit)) && it.Next() {
 		e := it.Entry()
-		e.Value = e.Value[:len(e.Value):len(e.Value)]
-		out = append(out, e)
-		scanned++
-	}
-	tr.EndSpan("iterate", st)
-	c.scannedEntries.Add(scanned)
-	for _, src := range sources {
-		if err := iterErr(src); err != nil {
-			return nil, fmt.Errorf("kv: scan: %w", err)
+		if end != "" && e.Key >= end {
+			break
+		}
+		visited++
+		if !fn(e) {
+			break
 		}
 	}
-	return out, nil
+	tr.EndSpan("iterate", st)
+	c.scannedEntries.Add(visited)
+	for _, src := range sources {
+		if err := iterErr(src); err != nil {
+			return fmt.Errorf("kv: scan: %w", err)
+		}
+	}
+	return nil
 }
 
 // Flush forces the memstore to a new store file.

@@ -229,13 +229,13 @@ func (c *Client) Scan(table, start, end string, limit int) ([]kv.Entry, error) {
 	})
 }
 
-// decodeEntries parses a scan reply.
+// decodeEntries parses a scan reply (see ServerNode.scan).
 func decodeEntries(b []byte) ([]kv.Entry, error) {
-	count, sz := binary.Uvarint(b)
-	if sz <= 0 {
+	if len(b) < 4 {
 		return nil, fmt.Errorf("%w: truncated scan count", errMalformed)
 	}
-	b = b[sz:]
+	count := uint64(binary.LittleEndian.Uint32(b))
+	b = b[4:]
 	if count > uint64(len(b)) { // every entry takes at least four bytes
 		return nil, fmt.Errorf("%w: %d entries in %d bytes", errMalformed, count, len(b))
 	}

@@ -25,9 +25,13 @@
 //
 // A request's kind is its op code, a reply's its status: ok, not-found,
 // reroute, stopped, bad-request or internal; every status but ok
-// carries the error text as its payload. A frame longer than the
-// bound a control request's body has, or whose CRC does not match,
-// ends the stream without running anything. Client keeps an idle pool
+// carries the error text as its payload. A scan's ok reply is a u32 row
+// count, then the rows' uvarint-framed fields: the worker encodes each
+// row straight from the store's blocks into the reply while its visit
+// holds them (hbase.RegionServer.ScanFunc) and patches the count in
+// once the visit has ended. A frame longer than the bound a control
+// request's body has, or whose CRC does not match, ends the stream
+// without running anything. Client keeps an idle pool
 // of streams per worker and one op in flight on each, so a reply needs
 // no request id; a stream that fails an op is closed, never reused.
 //

@@ -333,7 +333,7 @@ func TestLoopbackGetAllocs(t *testing.T) {
 // the same bytes.
 func FuzzFrameDecode(f *testing.F) {
 	key := appendStr(appendStr(nil, "t"), "k")
-	reply := binary.AppendUvarint(nil, 2)
+	reply := binary.LittleEndian.AppendUint32(nil, 2)
 	for _, k := range []string{"a", "b"} {
 		reply = binary.AppendUvarint(appendBytes(appendStr(reply, k), []byte("v")), 7)
 		reply = append(reply, 0)

@@ -157,21 +157,20 @@ func (n *ServerNode) delete(payload, out []byte) ([]byte, error) {
 	return out, n.rs.Delete(table, key)
 }
 
-// scan scans one hosted region's slice of [start, end) and returns up
-// to limit entries: uvarint count, then per entry key | value | uvarint
-// timestamp | flags (bit 0 = tombstone). Cross-region stitching is the
-// client's job (it has the layout).
+// scan scans one hosted region's slice of [start, end) and encodes up
+// to limit entries straight from the store's blocks into the reply: a
+// u32 row count (little-endian, patched once the visit has ended), then
+// per entry key | value | uvarint timestamp | flags (bit 0 = tombstone).
+// Cross-region stitching is the client's job (it has the layout).
 func (n *ServerNode) scan(payload, out []byte) ([]byte, error) {
 	table, start, end, limit, err := decodeScan(payload)
 	if err != nil {
 		return out, err
 	}
-	entries, err := n.rs.Scan(table, start, end, limit)
-	if err != nil {
-		return out, err
-	}
-	out = binary.AppendUvarint(out, uint64(len(entries)))
-	for _, e := range entries {
+	at := len(out)
+	out = append(out, 0, 0, 0, 0)
+	var rows uint32
+	_, err = n.rs.ScanFunc(table, start, end, limit, func(e kv.Entry) bool {
 		out = appendStr(out, e.Key)
 		out = appendBytes(out, e.Value)
 		out = binary.AppendUvarint(out, e.Timestamp)
@@ -180,7 +179,13 @@ func (n *ServerNode) scan(payload, out []byte) ([]byte, error) {
 			flags |= 1
 		}
 		out = append(out, flags)
+		rows++
+		return true
+	})
+	if err != nil {
+		return out, err
 	}
+	binary.LittleEndian.PutUint32(out[at:], rows)
 	return out, nil
 }
 

@@ -187,7 +187,6 @@
 package met
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
@@ -301,8 +300,6 @@ func (c *Cluster) Delete(table, key string) error {
 }
 
 // Scan returns up to limit entries in [start, end) as key/value pairs.
-// The values are the caller's copies: the serving path's scan values
-// alias the store's cached blocks.
 func (c *Cluster) Scan(table, start, end string, limit int) (keys []string, values [][]byte, err error) {
 	entries, err := c.Client.Scan(table, start, end, limit)
 	if err != nil {
@@ -310,7 +307,7 @@ func (c *Cluster) Scan(table, start, end string, limit int) (keys []string, valu
 	}
 	for _, e := range entries {
 		keys = append(keys, e.Key)
-		values = append(values, bytes.Clone(e.Value))
+		values = append(values, e.Value)
 	}
 	return keys, values, nil
 }
